@@ -15,8 +15,8 @@ Subcommands:
   nodes that survived into the final circuit), with ``--provenance FILE``
   exporting the derivation log as DOT/JSON;
 * ``scripts``   — list the registered passes and named optimization scripts;
-* ``saturate-bench`` — benchmark the saturation engine (legacy loop vs
-  op-indexed vs backoff-scheduled) and write ``BENCH_saturation.json``,
+* ``saturate-bench`` — benchmark the saturation engine (simple schedule vs
+  backoff schedule with match dedup) and write ``BENCH_saturation.json``,
   optionally failing on regression against a checked-in reference;
 * ``extract-bench`` — benchmark the extraction engine (legacy SA loop vs
   delta-cost vs island portfolio, CEC-guarded) and write
@@ -322,13 +322,6 @@ def _add_emorphic_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=4, help="extraction chains (portfolio) / SA threads (legacy)")
     parser.add_argument("--seed", type=int, default=7, help="base seed of the parallel SA chains")
     parser.add_argument(
-        "--matcher",
-        default="indexed",
-        choices=["scan", "indexed", "batched"],
-        help="e-matching strategy: per-rule full scan, op-indexed per-rule search, "
-        "or the batched shared-prefix trie over columnar storage (identical results)",
-    )
-    parser.add_argument(
         "--extraction-engine",
         default="portfolio",
         choices=["portfolio", "legacy"],
@@ -360,7 +353,6 @@ def _emorphic_config(args: argparse.Namespace) -> EmorphicConfig:
         extraction_cost=args.extraction_cost,
         use_ml_model=args.use_ml_model,
         verify=not args.no_verify,
-        matcher=args.matcher,
     )
     config.baseline.use_choices = not args.no_choices
     if config.use_ml_model:
@@ -1190,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "saturate-bench",
-        help="benchmark the saturation engine (legacy vs indexed vs backoff vs batched) "
+        help="benchmark the saturation engine (simple vs backoff schedule) "
         "and write BENCH_saturation.json",
     )
     p_bench.add_argument(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.language import CONST0, CONST1, NOT, VAR, op_arity
@@ -136,28 +136,18 @@ class Match:
     substitution: Substitution
 
 
-def search(
-    egraph: EGraph,
-    pattern: Pattern,
-    limit: Optional[int] = None,
-    candidates: Optional[Iterable[int]] = None,
-) -> List[Match]:
+def search(egraph: EGraph, pattern: Pattern, limit: Optional[int] = None) -> List[Match]:
     """Find matches of the pattern anywhere in the e-graph.
 
-    ``candidates`` restricts the search to the given e-class ids (e.g. from an
-    op-index); they may be stale — non-canonical ids are skipped.  Candidate
-    ids are visited in sorted order so that truncation under ``limit`` keeps
-    the same prefix in every process: seeded runs reproduce identical e-graphs
-    regardless of set/dict iteration order.
+    This is the per-pattern reference matcher: saturation runs the batched
+    trie (:mod:`repro.engine.batched`), which must reproduce these matches
+    exactly; rules whose LHS root is not an operator fall back to it.
+    Classes are visited in sorted order so that truncation under ``limit``
+    keeps the same prefix in every process: seeded runs reproduce identical
+    e-graphs regardless of set/dict iteration order.
     """
-    if candidates is None:
-        class_ids = sorted(egraph.canonical_classes())
-    else:
-        class_ids = sorted(set(candidates))
     matches: List[Match] = []
-    for class_id in class_ids:
-        if egraph.find(class_id) != class_id:
-            continue
+    for class_id in sorted(egraph.canonical_classes()):
         for subst in _match_node(egraph, pattern.root, class_id, {}):
             matches.append(Match(class_id=class_id, substitution=subst))
             if limit is not None and len(matches) >= limit:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import Match, Pattern, instantiate, parse_pattern, search
@@ -33,13 +33,8 @@ class Rewrite:
     ) -> "Rewrite":
         return cls(name=name, lhs=parse_pattern(lhs), rhs=parse_pattern(rhs), condition=condition)
 
-    def search(
-        self,
-        egraph: EGraph,
-        limit: Optional[int] = None,
-        candidates: Optional[Iterable[int]] = None,
-    ) -> List[Match]:
-        return search(egraph, self.lhs, limit=limit, candidates=candidates)
+    def search(self, egraph: EGraph, limit: Optional[int] = None) -> List[Match]:
+        return search(egraph, self.lhs, limit=limit)
 
     def apply(self, egraph: EGraph, matches: List[Match]) -> int:
         """Apply the rule to the given matches; returns the number of unions made."""

@@ -1,12 +1,12 @@
 """The equality-saturation runner: compatibility wrappers over the engine.
 
 The naive egg-style loop that used to live here is superseded by
-:mod:`repro.engine` (op-indexed e-matching, rule scheduling, match dedup,
+:mod:`repro.engine` (batched e-matching, rule scheduling, match dedup,
 telemetry).  ``Runner``/``saturate`` keep their historical signatures and
 semantics — they run the engine with the :class:`SimpleScheduler` and match
 dedup off, which reproduces the legacy behavior exactly (identical e-graphs,
-``applied`` counts and stop reasons) while still benefiting from the
-op-index, which only prunes classes that cannot match.
+``applied`` counts and stop reasons), since the batched matcher finds
+exactly the per-pattern loop's matches in the same order.
 
 ``RunnerLimits``/``RunnerReport``/``IterationReport`` are aliases of the
 engine types, so existing imports keep working and old reports gain the new

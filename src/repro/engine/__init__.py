@@ -1,29 +1,22 @@
 """The scalable saturation engine.
 
-Supersedes the naive ``repro.egraph.runner`` loop with op-indexed e-matching,
+Supersedes the naive ``repro.egraph.runner`` loop with batched e-matching,
 egg-style rule scheduling (simple / backoff), cross-iteration match
 deduplication, worklist-driven incremental rebuilds, and full saturation
 telemetry.  ``egraph.runner.Runner``/``saturate`` remain as thin
 compatibility wrappers over :class:`SaturationEngine` with the
 :class:`SimpleScheduler`.
 
-Three e-matching strategies (``MATCHERS``): ``scan`` (legacy full scan per
-rule), ``indexed`` (per-rule search narrowed by :class:`OpIndex`), and
-``batched`` (all rules compiled into one shared-prefix trie walked over
+E-matching has one production implementation: :class:`BatchedMatcher`
+compiles all rules into one shared-prefix trie walked over
 :class:`ColumnStore` struct-of-arrays storage — one e-graph traversal per
-iteration total).  All three produce identical matches in identical order.
+iteration total.  Its matches equal the per-pattern reference
+(``repro.egraph.pattern.search``, kept as the test oracle) in identical order.
 """
 
 from repro.engine.batched import BatchedMatcher, compile_pattern, priorities_from_attribution
 from repro.engine.columns import ClassView, ColumnStore, op_id, op_name
-from repro.engine.engine import (
-    MATCHERS,
-    EngineLimits,
-    SaturationEngine,
-    resolve_matcher,
-    saturate_engine,
-)
-from repro.engine.index import OpIndex, scratch_index
+from repro.engine.engine import EngineLimits, SaturationEngine, saturate_engine
 from repro.engine.scheduler import (
     SCHEDULERS,
     BackoffScheduler,
@@ -37,8 +30,6 @@ __all__ = [
     "SaturationEngine",
     "EngineLimits",
     "saturate_engine",
-    "MATCHERS",
-    "resolve_matcher",
     "BatchedMatcher",
     "compile_pattern",
     "priorities_from_attribution",
@@ -46,8 +37,6 @@ __all__ = [
     "ClassView",
     "op_id",
     "op_name",
-    "OpIndex",
-    "scratch_index",
     "Scheduler",
     "SimpleScheduler",
     "BackoffScheduler",

@@ -1,9 +1,9 @@
 """Batched e-matching: all rule patterns compiled into one shared-prefix trie.
 
-The per-pattern path searches every rule independently: 29 rules mean every
-e-class's node list is scanned up to 29 times per iteration, and every scan
-re-canonicalizes children through the object model.  The batched matcher
-inverts the loop:
+This is the saturation engine's only matcher.  The per-pattern reference
+searches every rule independently: 29 rules mean every e-class's node list
+is scanned up to 29 times per iteration, and every scan re-canonicalizes
+children through the object model.  The batched matcher inverts the loop:
 
 * every rule LHS is compiled into a *slot-normalized key sequence* (pattern
   variables renamed to positional slots in first-occurrence preorder, so
@@ -40,7 +40,8 @@ are walked first and fill their match budgets before low-yield ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph.pattern import MAX_SUBSTITUTIONS_PER_NODE, Match, Pattern, PatternNode
 from repro.egraph.rewrite import Rewrite
@@ -91,13 +92,13 @@ def _key_slots(key: Key) -> Set[int]:
     return out
 
 
-def _compile_key(key: Key, bound: Set[int]) -> Tuple:
+def _compile_key(key: Key, bound: Set[int], memo_slots: Iterator[int]) -> Tuple:
     """Lower a structural key to its dispatch form for the hot loop.
 
     ``('v', slot)`` binds/checks a variable, ``('s', name)`` checks a symbol
-    leaf, ``('f', oid, slots, cacheable)`` matches an operator whose children
-    are all variables (the overwhelmingly common case — one tight loop, no
-    recursion), and ``('d', oid, children, cacheable)`` is the general nested
+    leaf, ``('f', oid, slots, memo)`` matches an operator whose children are
+    all variables (the overwhelmingly common case — one tight loop, no
+    recursion), and ``('d', oid, children, memo)`` is the general nested
     form.
 
     ``bound`` is the set of slots already bound by the time this key is
@@ -107,7 +108,9 @@ def _compile_key(key: Key, bound: Set[int]) -> Tuple:
     matches against a class are the incoming substitution extended by binds
     that depend only on (key, class), so one evaluation per (key, class) per
     search serves every substitution and every parent e-node reaching that
-    class.
+    class.  A cacheable key's ``memo`` is its own index into the per-search
+    bind cache (drawn from ``memo_slots``); ``None`` marks a key that must be
+    folded directly.
     """
     kind = key[0]
     if kind == "var":
@@ -115,17 +118,17 @@ def _compile_key(key: Key, bound: Set[int]) -> Tuple:
     if kind == "sym":
         return ("s", key[1])
     child_keys = key[2]
-    cacheable = not (_key_slots(key) & bound)
+    memo = None if _key_slots(key) & bound else next(memo_slots)
     if all(ck[0] == "var" for ck in child_keys):
-        return ("f", op_id(key[1]), tuple(ck[1] for ck in child_keys), cacheable)
+        return ("f", op_id(key[1]), tuple(ck[1] for ck in child_keys), memo)
     # Children fold left to right, so child i is matched with the slots of
     # children 0..i-1 (plus this key's inherited context) already bound.
     child_bound = set(bound)
     compiled_children = []
     for ck in child_keys:
-        compiled_children.append(_compile_key(ck, child_bound))
+        compiled_children.append(_compile_key(ck, child_bound, memo_slots))
         child_bound |= _key_slots(ck)
-    return ("d", op_id(key[1]), tuple(compiled_children), cacheable)
+    return ("d", op_id(key[1]), tuple(compiled_children), memo)
 
 
 #: A substitution in the hot loop: a fixed-width tuple indexed by slot, with
@@ -135,6 +138,14 @@ def _compile_key(key: Key, bound: Set[int]) -> Tuple:
 Subst = Tuple
 
 _BLANKS: Dict[int, Subst] = {}
+
+#: The bind cache's one shared entry for every (key, class) with no binds,
+#: so misses cost a dict slot instead of a fresh empty list each.
+_NO_BINDS: Tuple = ()
+
+#: The per-search bind cache: one ``class id -> binds`` dict per cacheable
+#: compiled key, indexed by the key's ``memo`` slot.
+BindCache = List[Dict[int, Sequence[Subst]]]
 
 
 def _blank(width: int) -> Subst:
@@ -151,8 +162,8 @@ def _match_many(
     substs: Sequence[Subst],
     view_of,
     cap: int,
-    cache: Dict[Tuple[int, int], List[Subst]],
-) -> List[Subst]:
+    cache: BindCache,
+) -> Sequence[Subst]:
     """Fold a whole substitution frontier through one compiled key at once.
 
     Returns at most ``cap`` extended substitutions in the per-pattern
@@ -168,7 +179,8 @@ def _match_many(
     everything bound upstream — see :func:`_compile_key`) per (key, class)
     for the duration of one search: the cached binds touch only the key's
     own slots, so merging them into each incoming substitution reproduces
-    the direct fold exactly, including candidate order and cap prefix.
+    the direct fold exactly, including candidate order and cap prefix.  The
+    result may be a cached sequence, so callers must not mutate it.
     """
     tag = compiled[0]
     out: List[Subst] = []
@@ -184,16 +196,16 @@ def _match_many(
         return out
     if tag == "s":
         return list(substs) if compiled[1] in view_of(class_id).var_payloads else []
-    if compiled[3]:
+    memo = compiled[3]
+    if memo is not None:
         # Cacheable operator key: binds depend only on (key, class).
-        cache_key = (id(compiled), class_id)
-        binds = cache.get(cache_key)
+        memo_of = cache[memo]
+        binds = memo_of.get(class_id)
         if binds is None:
-            blank = _blank(len(substs[0]))
-            binds = cache[cache_key] = _match_many(
-                (compiled[0], compiled[1], compiled[2], False),
-                class_id, (blank,), view_of, MAX_SUBSTITUTIONS_PER_NODE, cache,
-            )
+            binds = memo_of[class_id] = _match_many(
+                (compiled[0], compiled[1], compiled[2], None),
+                class_id, (_blank(len(substs[0])),), view_of, MAX_SUBSTITUTIONS_PER_NODE, cache,
+            ) or _NO_BINDS
         if not binds:
             return []
         first = substs[0]
@@ -291,18 +303,19 @@ class _TrieNode:
     #: (annotated by a prepass so the walk tests a precomputed set).
     active: Set[int] = field(default_factory=set)
 
-    def child(self, key: Key, bound: Set[int]) -> "_TrieNode":
+    def child(self, key: Key, bound: Set[int], memo_slots: Iterator[int]) -> "_TrieNode":
         """The edge for ``key``, created on first use (prefix sharing).
 
         ``bound`` is the slots bound along the path to this node; a trie
         path is unique, so every rule sharing the edge passes the same set
         and the compiled form's cacheability is a property of the edge.
+        ``memo_slots`` numbers the new edge's cacheable keys.
         """
         for existing, _, node in self.edges:
             if existing == key:
                 return node
         node = _TrieNode()
-        self.edges.append((key, _compile_key(key, bound), node))
+        self.edges.append((key, _compile_key(key, bound, memo_slots), node))
         return node
 
 
@@ -350,6 +363,7 @@ class BatchedMatcher:
         by_root: Dict[str, _TrieNode] = {}
         widths: Dict[str, int] = {}
         root_order: List[str] = []
+        memo_slots = count()
         for index, rule in enumerate(self.rules):
             root_op, child_keys, names = compile_pattern(rule.lhs)
             if root_op is None:
@@ -363,11 +377,14 @@ class BatchedMatcher:
             node.rules.add(index)
             bound: Set[int] = set()
             for key in child_keys:
-                node = node.child(key, bound)
+                node = node.child(key, bound, memo_slots)
                 node.rules.add(index)
                 bound |= _key_slots(key)
             node.terminals.append(_Terminal(rule_index=index, names=names))
         self.roots = [(op, by_root[op], _blank(widths[op])) for op in root_order]
+        #: Number of cacheable compiled keys: the per-search bind cache has
+        #: one ``class id -> binds`` dict per key.
+        self.memo_count = next(memo_slots)
         if rule_priorities:
             self._order_branches(rule_priorities)
 
@@ -429,11 +446,12 @@ class BatchedMatcher:
             return view
 
         self._annotate_active(active_set)
-        self._views_built = views  # exposed for telemetry/tests
-        # Per-search memo of cacheable operator-key evaluations, keyed by
-        # (compiled key identity, class id); valid because class views are
-        # frozen for the duration of one search.
-        cache: Dict[Tuple[int, int], List[Subst]] = {}
+        # Per-search memo of cacheable operator-key evaluations, one dict per
+        # compiled key keyed by class id; valid because class views are
+        # frozen for the duration of one search.  Views and cache are locals
+        # on purpose: both die when the search returns, so the next apply
+        # phase and search never carry this search's class-sized scratch.
+        cache: BindCache = [{} for _ in range(self.memo_count)]
         for root_op, tnode, blank in self.roots:
             if not tnode.active - done:
                 continue
@@ -466,12 +484,12 @@ class BatchedMatcher:
         class_id: int,
         children: Tuple[int, ...],
         depth: int,
-        substs: List[Dict[int, int]],
+        substs: Sequence[Subst],
         done: Set[int],
         out: Dict[int, List[Match]],
         limit: Optional[int],
         view_of,
-        cache: Dict[Tuple[int, int], List[Subst]],
+        cache: BindCache,
     ) -> None:
         """Fold one root node's children through the trie (shared prefixes
         fold once), emitting completed rules' substitutions along the way."""
@@ -516,17 +534,17 @@ class BatchedMatcher:
                     if compiled[1] in view_of(child_class).var_payloads
                     else []
                 )
-            elif compiled[3]:
+            elif compiled[3] is not None:
                 # Cacheable operator edge: the per-(key, class) binds are
                 # shared by every substitution and every parent e-node, so
                 # the hot path is one dict probe plus a merge.
-                cache_key = (id(compiled), child_class)
-                binds = cache.get(cache_key)
+                memo_of = cache[compiled[3]]
+                binds = memo_of.get(child_class)
                 if binds is None:
-                    binds = cache[cache_key] = _match_many(
-                        (compiled[0], compiled[1], compiled[2], False),
+                    binds = memo_of[child_class] = _match_many(
+                        (compiled[0], compiled[1], compiled[2], None),
                         child_class, (_blank(len(substs[0])),), view_of, cap, cache,
-                    )
+                    ) or _NO_BINDS
                 if not binds:
                     continue
                 first = substs[0]

@@ -1,26 +1,20 @@
-"""The saturation benchmark: legacy loop vs. the engine, wall-clock and QoR.
+"""The saturation benchmark: the engine's two schedules, wall-clock and QoR.
 
-``run_saturation_bench`` saturates benchgen circuits under three engine
-configurations —
+``run_saturation_bench`` saturates benchgen circuits under two engine
+configurations, both on the one (batched) e-matcher —
 
-* ``legacy``  — SimpleScheduler, no op-index, no dedup: byte-for-byte the
-  pre-engine ``egraph.Runner`` loop;
-* ``indexed`` — SimpleScheduler + op-index: same results, pruned search;
-* ``engine``  — BackoffScheduler + op-index + match dedup: the default
+* ``simple``  — SimpleScheduler, no dedup: byte-for-byte the pre-engine
+  ``egraph.Runner`` loop;
+* ``backoff`` — BackoffScheduler + cross-iteration match dedup: the default
   saturation configuration;
-* ``batched`` — the ``engine`` configuration under the batched matcher
-  (shared-prefix trie over columnar storage): identical matches, one e-graph
-  walk per iteration;
 
 — then greedy-extracts a circuit from each saturated e-graph and checks it
 for combinational equivalence against the input, so the speedup numbers are
-guarded by correctness.  Because ``batched`` and ``engine`` are the same
-configuration under different matchers, the payload also records a
-``matcher_parity`` verdict per circuit (equal extraction ANDs and levels),
-and :func:`check_regressions` fails on any parity break.  The payload is
-what ``emorphic saturate-bench`` writes to ``BENCH_saturation.json`` (the
-repo's perf trajectory) and what CI compares against the checked-in
-reference via :func:`check_regressions`.
+guarded by correctness.  Matcher parity with the per-pattern reference is
+pinned by the test suite, not re-measured here.  The payload is what
+``emorphic saturate-bench`` writes to ``BENCH_saturation.json`` (the repo's
+perf trajectory) and what CI compares against the checked-in reference via
+:func:`check_regressions`.
 """
 
 from __future__ import annotations
@@ -53,18 +47,28 @@ class BenchVariant:
 
     name: str
     scheduler: str
-    use_index: bool
     dedup: bool
-    #: e-matching strategy; "indexed" defers to ``use_index`` (pass contract).
-    matcher: str = "indexed"
 
 
 VARIANTS = (
-    BenchVariant("legacy", scheduler="simple", use_index=False, dedup=False),
-    BenchVariant("indexed", scheduler="simple", use_index=True, dedup=False),
-    BenchVariant("engine", scheduler="backoff", use_index=True, dedup=True),
-    BenchVariant("batched", scheduler="backoff", use_index=True, dedup=True, matcher="batched"),
+    BenchVariant("simple", scheduler="simple", dedup=False),
+    BenchVariant("backoff", scheduler="backoff", dedup=True),
 )
+
+#: The variant speedups are measured against (the legacy runner's loop).
+BASELINE_VARIANT = VARIANTS[0]
+#: The default saturation configuration; the observer probes re-run it.
+DEFAULT_VARIANT = VARIANTS[-1]
+
+
+def _engine(egraph, variant: BenchVariant, limits: EngineLimits) -> SaturationEngine:
+    return SaturationEngine(
+        egraph,
+        boolean_rules(),
+        limits,
+        scheduler=variant.scheduler,
+        dedup_matches=variant.dedup,
+    )
 
 
 def _bench_one(
@@ -79,20 +83,11 @@ def _bench_one(
     # The run's own tracer: the per-phase digest lands in the payload under
     # the additive "span_summary" key (the gate only reads the legacy fields).
     with obs.tracing() as tracer:
-        profile = SaturationEngine(
-            circuit.egraph,
-            boolean_rules(),
-            limits,
-            scheduler=variant.scheduler,
-            use_index=variant.use_index,
-            dedup_matches=variant.dedup,
-            matcher=None if variant.matcher == "indexed" else variant.matcher,
-        ).run()
+        profile = _engine(circuit.egraph, variant, limits).run()
     wall_time = time.perf_counter() - start
     record: Dict[str, object] = {
         "wall_time": wall_time,
         "span_summary": span_summary(tracer),
-        "matcher": profile.matcher,
         "stop_reason": profile.stop_reason,
         "iterations": profile.num_iterations,
         "final_classes": profile.final_classes,
@@ -118,24 +113,16 @@ def _bench_one(
 
 
 def _bench_provenance(aig, limits: EngineLimits) -> Dict[str, object]:
-    """Recording-on overhead probe: the default ``engine`` variant re-run
+    """Recording-on overhead probe: the default ``backoff`` variant re-run
     under a provenance recorder.  Lands in the payload as the additive
     per-circuit ``"provenance"`` key — the regression gate reads only the
     per-variant ``runs``, so this documents the cost without gating on it."""
     from repro.obs import provenance as obs_provenance
 
-    variant = VARIANTS[-1]  # the default "engine" configuration
     circuit = aig_to_egraph(aig)
     start = time.perf_counter()
     with obs_provenance.recording() as log:
-        SaturationEngine(
-            circuit.egraph,
-            boolean_rules(),
-            limits,
-            scheduler=variant.scheduler,
-            use_index=variant.use_index,
-            dedup_matches=variant.dedup,
-        ).run()
+        _engine(circuit.egraph, DEFAULT_VARIANT, limits).run()
     wall_time = time.perf_counter() - start
     return {
         "wall_time": wall_time,
@@ -145,25 +132,17 @@ def _bench_provenance(aig, limits: EngineLimits) -> Dict[str, object]:
 
 
 def _bench_resource(aig, limits: EngineLimits) -> Dict[str, object]:
-    """Sampling-on overhead probe: the default ``engine`` variant re-run
+    """Sampling-on overhead probe: the default ``backoff`` variant re-run
     under a resource sampler.  Lands in the payload as the additive
     per-circuit ``"resource"`` key — the regression gate reads only the
     per-variant ``runs``, so this documents the measured overhead without
     gating on it."""
     from repro.obs import resource as obs_resource
 
-    variant = VARIANTS[-1]  # the default "engine" configuration
     circuit = aig_to_egraph(aig)
     start = time.perf_counter()
     with obs_resource.sampling() as sampler:
-        SaturationEngine(
-            circuit.egraph,
-            boolean_rules(),
-            limits,
-            scheduler=variant.scheduler,
-            use_index=variant.use_index,
-            dedup_matches=variant.dedup,
-        ).run()
+        _engine(circuit.egraph, DEFAULT_VARIANT, limits).run()
     wall_time = time.perf_counter() - start
     aggregate = obs_resource.aggregate_samples(sampler.export()) or {}
     return {
@@ -219,9 +198,9 @@ def run_saturation_bench(
         },
         "circuits": {},
     }
-    speedups: Dict[str, List[float]] = {v.name: [] for v in VARIANTS if v.name != "legacy"}
-    batched_vs_engine: List[float] = []
-    batched_vs_indexed: List[float] = []
+    speedups: Dict[str, List[float]] = {
+        v.name: [] for v in VARIANTS if v is not BASELINE_VARIANT
+    }
     for name in names:
         aig = epfl.build(name, preset=preset)
         entry: Dict[str, object] = {"stats": aig.stats(), "runs": {}}
@@ -231,73 +210,34 @@ def run_saturation_bench(
             entry["runs"][variant.name] = _bench_one(
                 aig, variant, limits, check_cec=check_cec, conflict_budget=conflict_budget
             )
+        default_wall = entry["runs"][DEFAULT_VARIANT.name]["wall_time"]
         if progress:
             progress(f"{name}: provenance overhead ...")
         prov = _bench_provenance(aig, limits)
-        engine_wall = entry["runs"]["engine"]["wall_time"]
         prov["overhead_vs_engine"] = (
-            prov["wall_time"] / engine_wall if engine_wall > 0 else float("inf")
+            prov["wall_time"] / default_wall if default_wall > 0 else float("inf")
         )
         entry["provenance"] = prov
         if progress:
             progress(f"{name}: resource-sampling overhead ...")
         res = _bench_resource(aig, limits)
         res["overhead_vs_engine"] = (
-            res["wall_time"] / engine_wall if engine_wall > 0 else float("inf")
+            res["wall_time"] / default_wall if default_wall > 0 else float("inf")
         )
         entry["resource"] = res
-        legacy_wall = entry["runs"]["legacy"]["wall_time"]
+        baseline_wall = entry["runs"][BASELINE_VARIANT.name]["wall_time"]
         entry["speedup"] = {}
-        for variant in VARIANTS:
-            if variant.name == "legacy":
-                continue
-            wall = entry["runs"][variant.name]["wall_time"]
-            ratio = legacy_wall / wall if wall > 0 else float("inf")
-            entry["speedup"][variant.name] = ratio
-            speedups[variant.name].append(ratio)
-        # ``batched`` and ``engine`` are the same configuration under
-        # different matchers, so their final e-graphs and extractions must
-        # agree exactly; the speedup between them isolates the matcher.
-        engine_run = entry["runs"]["engine"]
-        batched_run = entry["runs"]["batched"]
-        batched_wall = batched_run["wall_time"]
-        entry["batched_speedup_vs_engine"] = (
-            engine_run["wall_time"] / batched_wall if batched_wall > 0 else float("inf")
-        )
-        batched_vs_engine.append(entry["batched_speedup_vs_engine"])
-        # The headline acceptance number: the batched matcher against the
-        # "indexed" per-pattern variant at the same iteration budget.
-        indexed_wall = entry["runs"]["indexed"]["wall_time"]
-        entry["batched_speedup_vs_indexed"] = (
-            indexed_wall / batched_wall if batched_wall > 0 else float("inf")
-        )
-        batched_vs_indexed.append(entry["batched_speedup_vs_indexed"])
-        parity_fields = [
-            "stop_reason", "iterations", "final_classes", "final_nodes",
-            "total_matches", "total_applications",
-        ]
-        if check_cec:
-            parity_fields += ["extraction_ands", "extraction_levels"]
-        mismatches = [
-            f for f in parity_fields if engine_run.get(f) != batched_run.get(f)
-        ]
-        entry["matcher_parity"] = "equal" if not mismatches else f"diverged: {mismatches}"
+        for variant_name in speedups:
+            wall = entry["runs"][variant_name]["wall_time"]
+            ratio = baseline_wall / wall if wall > 0 else float("inf")
+            entry["speedup"][variant_name] = ratio
+            speedups[variant_name].append(ratio)
         payload["circuits"][name] = entry
     payload["summary"] = {
         "geomean_speedup": {
             variant: math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else 0.0
             for variant, ratios in speedups.items()
         },
-        "geomean_batched_vs_engine": (
-            math.exp(sum(math.log(r) for r in batched_vs_engine) / len(batched_vs_engine))
-            if batched_vs_engine
-            else 0.0
-        ),
-        "geomean_batched_vs_indexed": (
-            math.exp(sum(math.log(r) for r in batched_vs_indexed) / len(batched_vs_indexed))
-            if batched_vs_indexed
-            else 0.0
-        ),
     }
     return payload
 
@@ -333,24 +273,10 @@ def render_bench(payload: Dict[str, object]) -> str:
                 f"({res['overhead_vs_engine']:.2f}x engine, "
                 f"peak RSS {res['peak_rss_bytes'] / (1024 * 1024):.1f} MiB)"
             )
-        ratio = entry.get("batched_speedup_vs_engine")
-        if ratio is not None:
-            vs_indexed = entry.get("batched_speedup_vs_indexed")
-            indexed_text = f", {vs_indexed:.2f}x vs indexed" if vs_indexed else ""
-            lines.append(
-                f"{name:12s} batched matcher: {ratio:.2f}x vs engine{indexed_text}, "
-                f"parity {entry.get('matcher_parity', '-')}"
-            )
     geomeans = payload.get("summary", {}).get("geomean_speedup", {})
     if geomeans:
         rendered = ", ".join(f"{k} {v:.2f}x" for k, v in geomeans.items())
-        lines.append(f"geomean speedup vs legacy: {rendered}")
-    batched_geomean = payload.get("summary", {}).get("geomean_batched_vs_engine")
-    if batched_geomean:
-        lines.append(f"geomean batched vs engine: {batched_geomean:.2f}x")
-    indexed_geomean = payload.get("summary", {}).get("geomean_batched_vs_indexed")
-    if indexed_geomean:
-        lines.append(f"geomean batched vs indexed: {indexed_geomean:.2f}x")
+        lines.append(f"geomean speedup vs {BASELINE_VARIANT.name}: {rendered}")
     return "\n".join(lines)
 
 
@@ -364,15 +290,11 @@ def check_regressions(
     Returns failure messages for every (circuit, variant) whose wall-clock
     exceeds ``max_ratio`` times the reference — an empty list means no
     regression.  Circuits or variants missing from either side are skipped
-    (the reference may be older than the bench set).  A circuit whose
-    ``matcher_parity`` verdict diverged (batched run not identical to the
-    per-pattern engine run) always fails, independent of timing.
+    (the reference may be older than the bench set).  An extraction that
+    was CEC-equivalent in the reference and is a counterexample now always
+    fails, independent of timing.
     """
     failures: List[str] = []
-    for name, cur_entry in payload.get("circuits", {}).items():
-        parity = cur_entry.get("matcher_parity")
-        if parity is not None and parity != "equal":
-            failures.append(f"{name}: batched matcher parity broke ({parity})")
     for name, ref_entry in reference.get("circuits", {}).items():
         cur_entry = payload.get("circuits", {}).get(name)
         if cur_entry is None:

@@ -33,7 +33,7 @@ re-snapshotting the object graph.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Set, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.language import VAR
@@ -60,21 +60,26 @@ def op_name(idx: int) -> str:
     return _OPS[idx]
 
 
+#: The ``var_payloads`` of every view without VAR leaves (almost all of them).
+_NO_PAYLOADS: AbstractSet[str] = frozenset()
+
+
 class ClassView:
     """One class's e-nodes, canonicalized and bucketed by operator.
 
     ``by_op[op] -> [(children...), ...]`` lists the canonical child tuples of
     the class's nodes with that operator, preserving the span order (which
     mirrors ``EClass.nodes`` order); ``var_payloads`` collects the VAR leaf
-    names.  Views are built once per class per search phase — the "walk the
-    e-graph once per iteration" structure the batched matcher runs on.
+    names (one shared empty set for classes without leaves).  Views are built
+    once per class per search phase — the "walk the e-graph once per
+    iteration" structure the batched matcher runs on.
     """
 
     __slots__ = ("by_op", "var_payloads")
 
     def __init__(self) -> None:
         self.by_op: Dict[int, List[Tuple[int, ...]]] = {}
-        self.var_payloads: Set[str] = set()
+        self.var_payloads: AbstractSet[str] = _NO_PAYLOADS
 
 
 class ColumnStore:
@@ -83,7 +88,7 @@ class ColumnStore:
     Construct it over a (possibly non-empty) e-graph and it seeds itself from
     the current object state, then stays in lockstep through the observer
     protocol.  ``check_lockstep`` (used by the randomized invariant tests)
-    verifies the mirror against the object model and a from-scratch op-index.
+    verifies the mirror against the object model, op buckets included.
     """
 
     def __init__(self, egraph: EGraph, attach: bool = True) -> None:
@@ -101,9 +106,9 @@ class ColumnStore:
         # Per-class node spans (intrusive linked lists through node rows).
         self.class_head = array("q", [-1] * num_classes)
         self.class_tail = array("q", [-1] * num_classes)
-        #: Operator -> canonical class ids (the columnar twin of ``OpIndex``).
+        #: Operator -> canonical class ids: the op index that picks each trie
+        #: root's candidate classes, maintained through ``on_add``/``on_union``.
         self.by_op: Dict[int, Set[int]] = {}
-        self._class_ops: Dict[int, Set[int]] = {}
         self._generation = 0  # bumped on every union; readers key caches on it
         for class_id, eclass in egraph.canonical_classes().items():
             for node in eclass.nodes:
@@ -130,9 +135,7 @@ class ColumnStore:
         else:
             self.node_next[tail] = row
         self.class_tail[class_id] = row
-        oid = self.node_op[row]
-        self.by_op.setdefault(oid, set()).add(class_id)
-        self._class_ops.setdefault(class_id, set()).add(oid)
+        self.by_op.setdefault(self.node_op[row], set()).add(class_id)
         return row
 
     # -- EGraph observer protocol ----------------------------------------------
@@ -147,8 +150,19 @@ class ColumnStore:
         self._append_node(class_id, enode)
 
     def on_union(self, root: int, other: int) -> None:
-        """``other`` merged into ``root``: reparent and splice the spans."""
+        """``other`` merged into ``root``: reparent and splice the spans.
+
+        ``other``'s span holds every operator it was bucketed under (repair
+        only drops duplicates), so walking it moves the op buckets without a
+        per-class op set.
+        """
         self.uf_parent[other] = root
+        by_op = self.by_op
+        node_op = self.node_op
+        for row in self.span_rows(other):
+            bucket = by_op[node_op[row]]
+            bucket.discard(other)
+            bucket.add(root)
         other_head = self.class_head[other]
         if other_head >= 0:
             root_tail = self.class_tail[root]
@@ -159,13 +173,6 @@ class ColumnStore:
             self.class_tail[root] = self.class_tail[other]
             self.class_head[other] = -1
             self.class_tail[other] = -1
-        moved = self._class_ops.pop(other, None)
-        if moved:
-            target = self._class_ops.setdefault(root, set())
-            for oid in moved:
-                self.by_op[oid].discard(other)
-                self.by_op[oid].add(root)
-            target |= moved
         self._generation += 1
 
     def on_repair(self, class_id: int) -> None:
@@ -276,7 +283,10 @@ class ColumnStore:
             if oid == var_op:
                 payload = payloads.get(row)
                 if payload is not None:
-                    view.var_payloads.add(payload)
+                    if view.var_payloads is _NO_PAYLOADS:
+                        view.var_payloads = {payload}
+                    else:
+                        view.var_payloads.add(payload)
             row = node_next[row]
         return view
 

@@ -1,4 +1,4 @@
-"""The saturation engine: indexed e-matching, scheduling, dedup, telemetry.
+"""The saturation engine: batched e-matching, scheduling, dedup, telemetry.
 
 :class:`SaturationEngine` supersedes the naive ``egraph.Runner`` loop while
 preserving its semantics exactly when configured with the
@@ -7,9 +7,12 @@ preserving its semantics exactly when configured with the
 * iterations are two-phase (search every eligible rule against the frozen
   e-graph, then apply rule by rule), so the legacy runner is the special case
   ``SimpleScheduler`` + all classes as candidates;
-* the **op-index** narrows each rule's search to classes that contain its
-  root operator, maintained incrementally through ``add``/``union``/rebuild
-  via the e-graph observer protocol;
+* e-matching is one :class:`~repro.engine.batched.BatchedMatcher` walk per
+  iteration: every rule LHS compiled into a shared-prefix trie over the
+  :class:`~repro.engine.columns.ColumnStore` mirror, whose per-operator class
+  buckets play the op-index role.  Its matches equal the per-pattern
+  reference (:func:`repro.egraph.pattern.search`) in count, content and
+  order, so the engine lands on the e-graph the legacy loop would;
 * **match deduplication** remembers every (rule, canonical class, canonical
   substitution) triple that was already instantiated and skips it in later
   iterations.  A skipped re-instantiation could at most have re-created
@@ -21,6 +24,11 @@ preserving its semantics exactly when configured with the
   dirtied by unions (and their congruent parents) are repaired, and the
   e-graph's O(1) class/node counters keep the per-rule budget checks out of
   the profile.
+
+Memory: an iteration's matches are dropped before the next search starts,
+and the matcher's class views and bind cache live only inside one search,
+so peak memory is one iteration's scratch on top of the e-graph and its
+column mirror.
 
 ``run`` returns a :class:`~repro.engine.telemetry.SaturationProfile` with
 per-rule and per-iteration telemetry; the legacy stop reasons
@@ -44,7 +52,6 @@ from repro.egraph.pattern import Match, instantiate
 from repro.egraph.rewrite import Rewrite
 from repro.engine.batched import BatchedMatcher
 from repro.engine.columns import ColumnStore
-from repro.engine.index import OpIndex
 from repro.engine.scheduler import Scheduler, make_scheduler
 from repro.engine.telemetry import IterationReport, RuleProfile, SaturationProfile
 from repro.obs import provenance as obs_provenance
@@ -64,26 +71,12 @@ class EngineLimits:
     match_limit_per_rule: int = 5_000
 
 
-#: Canonical dedup key: (rule name, canonical class, canonical substitution).
-MatchKey = Tuple[str, int, Tuple[Tuple[str, int], ...]]
-
-#: Recognised e-matching strategies.  ``scan`` searches every class per rule
-#: (the legacy runner), ``indexed`` narrows each rule to classes holding its
-#: root operator via the incrementally-maintained :class:`OpIndex`, and
-#: ``batched`` compiles all rule patterns into one shared-prefix trie over
-#: :class:`~repro.engine.columns.ColumnStore` so the e-graph is walked once
-#: per iteration total.  All three produce identical matches in identical
-#: order; they differ only in speed.
-MATCHERS: Tuple[str, ...] = ("scan", "indexed", "batched")
-
-
-def resolve_matcher(matcher: Optional[str], use_index: bool) -> str:
-    """Resolve a matcher name, defaulting from the legacy ``use_index`` flag."""
-    if matcher is None:
-        return "indexed" if use_index else "scan"
-    if matcher not in MATCHERS:
-        raise ValueError(f"unknown matcher {matcher!r}; expected one of {MATCHERS}")
-    return matcher
+#: Canonical dedup key: ``(rule name, canonical class, *substitution values)``
+#: with the values in sorted variable-name order.  A rule always binds the
+#: same names, so this one flat tuple is one-to-one with the
+#: (rule, class, sorted substitution items) triple, which took a tuple per
+#: variable plus two.
+MatchKey = Tuple
 
 
 class SaturationEngine:
@@ -95,36 +88,25 @@ class SaturationEngine:
         rules: Sequence[Rewrite],
         limits: Optional[EngineLimits] = None,
         scheduler: Union[str, Scheduler, None] = None,
-        use_index: bool = True,
         dedup_matches: bool = True,
-        matcher: Optional[str] = None,
         rule_priorities: Optional[Dict[str, float]] = None,
     ) -> None:
         self.egraph = egraph
         self.rules = list(rules)
         self.limits = limits or EngineLimits()
         self.scheduler = make_scheduler(scheduler)
-        self.matcher = resolve_matcher(matcher, use_index)
-        # The batched matcher is index-driven by construction (its trie roots
-        # play the op-index role), so the legacy flag reads True for it.
-        self.use_index = use_index if matcher is None else self.matcher != "scan"
         self.dedup_matches = dedup_matches
-        self.rule_priorities = rule_priorities
+        self.matcher = BatchedMatcher(self.rules, rule_priorities=rule_priorities)
         self.profile: Optional[SaturationProfile] = None
-        #: The columnar storage mirror; populated by ``run`` under the batched
-        #: matcher (and left attached so downstream readers — e.g.
-        #: ``FrozenProblem.from_columns`` — stay in lockstep with the e-graph).
+        #: The columnar storage mirror the last ``run`` matched over.  It is
+        #: detached when the run ends (no observer outlives a run), frozen at
+        #: the saturated e-graph, so downstream readers — e.g.
+        #: ``FrozenProblem.from_columns`` — can snapshot from it until the
+        #: e-graph is next mutated.
         self.columns: Optional[ColumnStore] = None
         self._seen: Set[MatchKey] = set()
 
     # -- internals -------------------------------------------------------------
-
-    def _match_key(self, rule: Rewrite, match: Match) -> MatchKey:
-        # Substitution values are find-canonical at search time; skipping the
-        # re-canonicalization here keeps key construction cheap.  A key staled
-        # by a later union just misses the seen-set, and re-instantiating an
-        # applied match is harmless (see module docstring).
-        return (rule.name, match.class_id, tuple(sorted(match.substitution.items())))
 
     def _apply_rule(
         self,
@@ -136,17 +118,26 @@ class SaturationEngine:
     ) -> int:
         """Apply one rule's matches (with dedup); returns unions performed."""
         egraph = self.egraph
+        seen = self._seen if self.dedup_matches else None
+        names: Tuple[str, ...] = ()
+        if seen is not None and matches:
+            names = tuple(sorted(matches[0].substitution))
         applied = 0
         for match in matches:
-            if self.dedup_matches:
-                key = self._match_key(rule, match)
-                if key in self._seen:
+            if seen is not None:
+                # Substitution values are find-canonical at search time;
+                # skipping the re-canonicalization keeps key construction
+                # cheap.  A key staled by a later union just misses the
+                # seen-set, and re-instantiating an applied match is harmless
+                # (see module docstring).
+                key = (rule.name, match.class_id, *map(match.substitution.__getitem__, names))
+                if key in seen:
                     stats.matches_deduped += 1
                     continue
             if rule.condition is not None and not rule.condition(egraph, match):
                 continue
-            if self.dedup_matches:
-                self._seen.add(key)
+            if seen is not None:
+                seen.add(key)
             if recorder is not None:
                 recorder.set_context(
                     rule.name,
@@ -170,13 +161,8 @@ class SaturationEngine:
         scheduler = self.scheduler
         egraph = self.egraph
         self._seen = set()  # dedup is per run: a re-run starts fresh
-        batched: Optional[BatchedMatcher] = None
-        if self.matcher == "batched":
-            index = None
-            self.columns = ColumnStore(egraph)
-            batched = BatchedMatcher(self.rules, rule_priorities=self.rule_priorities)
-        else:
-            index = OpIndex(egraph) if self.use_index else None
+        columns = self.columns = ColumnStore(egraph)
+        matcher = self.matcher
         # Provenance rides the installed-recorder gate, same as tracing: when
         # no recorder is installed (the common case) nothing below this line
         # touches the apply path.  Attaching seed-tags every existing e-node
@@ -222,69 +208,43 @@ class SaturationEngine:
                         searched: List[Tuple[Rewrite, List[Match]]] = []
                         restricted = False
                         with obs.span("search", category="saturation.phase") as search_span:
-                            if batched is not None:
-                                # One shared trie walk for every active rule.
-                                # Ban accounting first, so banned rules' trie
-                                # branches are pruned from the walk itself.
-                                active: List[int] = []
-                                for rule_index, rule in enumerate(self.rules):
-                                    stats = rule_stats[rule.name]
-                                    if not scheduler.can_search(iteration, rule.name):
-                                        stats.banned_iterations += 1
-                                        report.banned.append(rule.name)
-                                        restricted = True
-                                    else:
-                                        active.append(rule_index)
-                                with obs.span(
-                                    "batched-match", category="saturation.search"
-                                ) as walk_span:
-                                    per_rule = batched.search(
-                                        self.columns,
-                                        active,
-                                        limit=limits.match_limit_per_rule,
-                                        egraph=egraph,
-                                    )
-                                # The walk is shared, so its cost cannot be
-                                # split honestly per rule: iteration-level
-                                # search_time carries the timing and per-rule
-                                # search_time stays zero under this matcher.
-                                walk_span.set("rules", len(active))
-                                for rule_index in active:
-                                    rule = self.rules[rule_index]
-                                    stats = rule_stats[rule.name]
-                                    matches = per_rule.get(rule_index, [])
-                                    allowed = scheduler.allowed_matches(
-                                        iteration, rule.name, len(matches)
-                                    )
-                                    if allowed < len(matches):
-                                        matches = matches[:allowed]
-                                        stats.times_banned += 1
-                                        restricted = True
-                                    stats.matches_found += len(matches)
-                                    report.matches_found += len(matches)
-                                    searched.append((rule, matches))
-                                search_span.set("matches", report.matches_found)
-                            for rule in self.rules if batched is None else ():
+                            # One shared trie walk for every active rule.
+                            # Ban accounting first, so banned rules' trie
+                            # branches are pruned from the walk itself.
+                            active: List[int] = []
+                            for rule_index, rule in enumerate(self.rules):
                                 stats = rule_stats[rule.name]
                                 if not scheduler.can_search(iteration, rule.name):
                                     stats.banned_iterations += 1
                                     report.banned.append(rule.name)
                                     restricted = True
-                                    continue
-                                with obs.span(rule.name, category="saturation.search") as rule_span:
-                                    candidates = (
-                                        index.candidates(rule.lhs.root) if index is not None else None
-                                    )
-                                    matches = rule.search(
-                                        egraph, limit=limits.match_limit_per_rule, candidates=candidates
-                                    )
-                                stats.search_time += rule_span.duration
-                                allowed = scheduler.allowed_matches(iteration, rule.name, len(matches))
+                                else:
+                                    active.append(rule_index)
+                            with obs.span(
+                                "batched-match", category="saturation.search"
+                            ) as walk_span:
+                                per_rule = matcher.search(
+                                    columns,
+                                    active,
+                                    limit=limits.match_limit_per_rule,
+                                    egraph=egraph,
+                                )
+                            # The walk is shared, so its cost cannot be split
+                            # honestly per rule: iteration-level search_time
+                            # carries the timing and per-rule search_time
+                            # stays zero.
+                            walk_span.set("rules", len(active))
+                            for rule_index in active:
+                                rule = self.rules[rule_index]
+                                stats = rule_stats[rule.name]
+                                matches = per_rule.pop(rule_index)
+                                allowed = scheduler.allowed_matches(
+                                    iteration, rule.name, len(matches)
+                                )
                                 if allowed < len(matches):
                                     matches = matches[:allowed]
                                     stats.times_banned += 1
                                     restricted = True
-                                rule_span.set("matches", len(matches))
                                 stats.matches_found += len(matches)
                                 report.matches_found += len(matches)
                                 searched.append((rule, matches))
@@ -319,6 +279,10 @@ class SaturationEngine:
                                     budget_tripped = True
                             apply_span.set("applications", total_applied)
                         report.apply_time = apply_span.duration
+                        # This iteration's matches die here, before the
+                        # rebuild and the next search allocate theirs: two
+                        # iterations' match lists never coexist.
+                        searched = matches = None
 
                         with obs.span("rebuild", category="saturation.phase") as rebuild_span:
                             egraph.rebuild()
@@ -347,8 +311,7 @@ class SaturationEngine:
                         stop_reason = "time_limit"
                         break
             finally:
-                if index is not None:
-                    index.detach()
+                columns.detach()
                 if recorder is not None:
                     recorder.detach(egraph)
                 resource_sample = (
@@ -362,9 +325,7 @@ class SaturationEngine:
             total_time=run_span.duration,
             rules=rule_stats,
             scheduler=scheduler.name,
-            indexed=self.use_index,
             dedup=self.dedup_matches,
-            matcher=self.matcher,
             resource=resource_sample,
         )
         metrics = obs_registry()
@@ -387,9 +348,7 @@ def saturate_engine(
     rules: Sequence[Rewrite],
     limits: Optional[EngineLimits] = None,
     scheduler: Union[str, Scheduler, None] = None,
-    use_index: bool = True,
     dedup_matches: bool = True,
-    matcher: Optional[str] = None,
     rule_priorities: Optional[Dict[str, float]] = None,
 ) -> SaturationProfile:
     """One-call helper mirroring ``egraph.runner.saturate`` on the engine."""
@@ -398,8 +357,6 @@ def saturate_engine(
         rules,
         limits=limits,
         scheduler=scheduler,
-        use_index=use_index,
         dedup_matches=dedup_matches,
-        matcher=matcher,
         rule_priorities=rule_priorities,
     ).run()

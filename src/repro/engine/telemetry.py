@@ -81,13 +81,13 @@ class SaturationProfile:
     total_time: float = 0.0
     rules: Dict[str, RuleProfile] = field(default_factory=dict)
     scheduler: str = "simple"
-    indexed: bool = False
     dedup: bool = False
-    #: Which e-matching strategy ran ("scan" | "indexed" | "batched"); see
-    #: ``repro.engine.engine.MATCHERS``.  Under "batched" the shared trie walk
-    #: cannot be split honestly per rule, so per-rule ``search_time`` is zero
-    #: and iteration-level ``search_time`` carries the phase timing.
-    matcher: str = "indexed"
+    #: The e-matching strategy that ran.  The engine has one, the batched
+    #: trie walk; the stamp tells its payloads apart from older ones
+    #: ("scan" / "indexed" per-pattern runs).  The shared walk cannot be
+    #: split honestly per rule, so per-rule ``search_time`` is zero and
+    #: iteration-level ``search_time`` carries the phase timing.
+    matcher: str = "batched"
     #: A ``repro.obs.resource.ResourceSample`` payload when a sampler was
     #: installed during the run; None (and absent from ``to_dict``) otherwise,
     #: which keeps the unsampled payload byte-identical to earlier builds.
@@ -143,7 +143,6 @@ class SaturationProfile:
             "stop_reason": self.stop_reason,
             "total_time": self.total_time,
             "scheduler": self.scheduler,
-            "indexed": self.indexed,
             "dedup": self.dedup,
             "matcher": self.matcher,
             "num_iterations": self.num_iterations,
@@ -173,7 +172,6 @@ class SaturationProfile:
                 for name, rule in data.get("rules", {}).items()
             },
             scheduler=str(data.get("scheduler", "simple")),
-            indexed=bool(data.get("indexed", False)),
             dedup=bool(data.get("dedup", False)),
             matcher=str(data.get("matcher", "indexed")),
             resource=data.get("resource"),

@@ -38,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.pipeline import Pipeline
 
 
+#: ``EmorphicConfig`` fields that no longer exist.  The e-matching knobs went
+#: when the batched matcher became the only one; every old value selected a
+#: matcher with identical results, so dropping them changes no flow.
+RETIRED_FIELDS = frozenset({"use_op_index", "matcher"})
+
+
 @dataclass
 class EmorphicConfig:
     """Configuration of the E-morphic flow (paper defaults from Section IV-A)."""
@@ -51,13 +57,7 @@ class EmorphicConfig:
     #: Engine knobs: "backoff" bans over-matching rules for exponentially
     #: growing windows; "simple" searches every rule every iteration.
     scheduler: str = "backoff"
-    use_op_index: bool = True
     dedup_matches: bool = True
-    #: e-matching strategy ("scan" | "indexed" | "batched"); "indexed" (the
-    #: default) defers to ``use_op_index``, "batched" runs the shared-prefix
-    #: trie over columnar storage (identical results, one e-graph walk per
-    #: iteration).
-    matcher: str = "indexed"
     # Extraction.
     #: "portfolio" = island-parallel delta-cost engine (chains guided by the
     #: structural cost, QoR model re-scores each chain's best); "legacy" =
@@ -116,7 +116,13 @@ class EmorphicConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "EmorphicConfig":
-        data = dict(data)
+        """Rebuild a config from its ``to_dict`` payload.
+
+        Retired fields (:data:`RETIRED_FIELDS`) are accepted and dropped, so
+        result-store entries and ledger records written before their removal
+        still load.
+        """
+        data = {k: v for k, v in data.items() if k not in RETIRED_FIELDS}
         baseline = data.pop("baseline", None)
         known = {f.name for f in fields(cls)} - {"baseline", "ml_model"}
         unknown = set(data) - known
@@ -225,9 +231,7 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "max_nodes": config.max_egraph_nodes,
                 "time_limit": config.rewrite_time_limit,
                 "scheduler": config.scheduler,
-                "index": config.use_op_index,
                 "dedup": config.dedup_matches,
-                "matcher": config.matcher,
             },
             phase="rewriting",
         )

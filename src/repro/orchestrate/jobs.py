@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    timings (candidate AIG reconstruction now counts toward extraction,
 #:    not final_map), and results carry pass_runtimes.
 #: 3: saturation runs on the engine subsystem — EmorphicConfig carries
-#:    scheduler/use_op_index/dedup_matches, and result payloads embed the
+#:    the scheduler, op-index and dedup knobs, and result payloads embed the
 #:    full SaturationProfile under "saturation".
 #: 4: extraction runs on the island-parallel portfolio engine by default —
 #:    EmorphicConfig carries extraction_engine/migrate_every, and result
@@ -54,7 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    per-run sample.
 #: 8: EmorphicConfig grows the ``matcher`` field (e-matching strategy) and
 #:    SaturationProfile payloads carry ``matcher``.
-SCHEMA_VERSION = 8
+#: 9: the batched matcher is the only one — EmorphicConfig drops its
+#:    matcher and op-index fields (``RETIRED_FIELDS``: old payloads still
+#:    load, the keys are dropped) and SaturationProfile payloads drop
+#:    ``indexed``.
+SCHEMA_VERSION = 9
 
 FLOWS = ("baseline", "emorphic", "pipeline")
 

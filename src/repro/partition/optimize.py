@@ -76,11 +76,7 @@ class WindowOptConfig:
     max_nodes: int = 40_000
     time_limit: float = 30.0
     scheduler: str = "backoff"
-    index: bool = True
     dedup: bool = True
-    #: e-matching strategy ("scan" | "indexed" | "batched"); "indexed" defers
-    #: to the legacy ``index`` flag, mirroring the ``saturate`` pass contract.
-    matcher: str = "indexed"
     # extraction
     method: str = "sa"  # "sa" (portfolio) | "greedy"
     chains: int = 2
@@ -162,9 +158,7 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
                 boolean_rules(),
                 limits,
                 scheduler=cfg.scheduler,
-                use_index=cfg.index,
                 dedup_matches=cfg.dedup,
-                matcher=None if cfg.matcher == "indexed" else cfg.matcher,
             )
             with ExitStack() as stack:
                 if obs_provenance.recording_enabled():

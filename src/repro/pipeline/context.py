@@ -70,9 +70,9 @@ class FlowContext:
     #: Partitioned-run telemetry; set by ``stitch``.
     partition_profile: Optional[object] = None
     #: Columnar e-graph mirror (``repro.engine.columns.ColumnStore``); set by
-    #: ``saturate(matcher=batched)`` (still attached, so it stays in lockstep)
-    #: and read by ``extract`` to snapshot the frozen problem from the
-    #: columns.  Invalidated with the e-graph.
+    #: ``saturate`` (frozen at the saturated e-graph, which only a later
+    #: ``saturate`` mutates) and read by ``extract`` to snapshot the frozen
+    #: problem from the columns.  Invalidated with the e-graph.
     egraph_columns: Optional[object] = None
     #: Scoped provenance log of the last ``saturate``; only set while a
     #: provenance recorder is installed, invalidated with the e-graph.

@@ -33,7 +33,7 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.costmodel.abc_cost import MappingCostModel
 from repro.egraph.rules import boolean_rules
-from repro.engine import MATCHERS, SCHEDULERS, EngineLimits, SaturationEngine
+from repro.engine import SCHEDULERS, EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
@@ -223,6 +223,7 @@ def _pass_cleanup(ctx: FlowContext) -> None:
 @register_pass("dag2eg", "direct DAG-to-DAG conversion: AIG -> e-graph", kind="convert")
 def _pass_dag2eg(ctx: FlowContext) -> None:
     ctx.circuit = aig_to_egraph(ctx.aig)
+    ctx.egraph_columns = None  # a previous saturate mirrored the old e-graph
     ctx.metrics["egraph_initial_classes"] = ctx.circuit.egraph.num_classes
     ctx.metrics["egraph_initial_nodes"] = ctx.circuit.egraph.num_nodes
 
@@ -234,23 +235,16 @@ def _pass_saturate(
     max_nodes: int = 40_000,
     time_limit: float = 30.0,
     scheduler: str = "backoff",
-    index: bool = True,
     dedup: bool = True,
-    matcher: str = "indexed",
 ) -> None:
     """Equality saturation via the engine subsystem.
 
     ``scheduler="backoff"`` (the default) bans over-matching rules for
     exponentially growing windows; ``scheduler="simple"`` searches every rule
-    every iteration.  ``index``/``dedup`` toggle op-indexed e-matching and
-    cross-iteration match deduplication — ``saturate(scheduler=simple,
-    dedup=false)`` is byte-for-byte the legacy runner loop.
-    ``matcher`` picks the e-matching strategy (``scan`` / ``indexed`` /
-    ``batched``); ``batched`` compiles all rules into one shared-prefix trie
-    over columnar storage and produces identical results faster.  The default
-    ``matcher=indexed`` defers to the legacy ``index`` flag (so
-    ``index=false`` still means the full-scan matcher); ``matcher=scan`` and
-    ``matcher=batched`` override it.
+    every iteration.  ``dedup`` toggles cross-iteration match deduplication —
+    ``saturate(scheduler=simple, dedup=false)`` is byte-for-byte the legacy
+    runner loop.  E-matching always runs the batched trie walk over the
+    e-graph's columnar mirror.
 
     After a ``partition`` pass the parameters are *staged* into the pending
     plan (applied per window when ``stitch`` runs) instead of saturating a
@@ -260,10 +254,6 @@ def _pass_saturate(
         raise PipelineError(
             f"unknown scheduler {scheduler!r}; choose from {', '.join(SCHEDULERS)}"
         )
-    if matcher not in MATCHERS:
-        raise PipelineError(
-            f"unknown matcher {matcher!r}; choose from {', '.join(MATCHERS)}"
-        )
     plan = ctx.partition_plan
     if plan is not None:
         plan.window_config = replace(
@@ -272,9 +262,7 @@ def _pass_saturate(
             max_nodes=max_nodes,
             time_limit=time_limit,
             scheduler=scheduler,
-            index=index,
             dedup=dedup,
-            matcher=matcher,
         )
         plan.saturate_staged = True
         ctx.metrics["saturation_staged"] = True
@@ -285,9 +273,7 @@ def _pass_saturate(
         boolean_rules(),
         EngineLimits(max_iterations=iters, max_nodes=max_nodes, time_limit=time_limit),
         scheduler=scheduler,
-        use_index=index,
         dedup_matches=dedup,
-        matcher=None if matcher == "indexed" else matcher,
     )
     if obs_provenance.recording_enabled():
         # Scope a fresh log per saturation run so one log never spans two
@@ -304,12 +290,11 @@ def _pass_saturate(
         # Surface the run's resource sample at flow level (a later sampled
         # saturate in the same flow overwrites — latest run wins).
         ctx.resource_profile = ctx.rewrite_report.resource
-    # Under the batched matcher the engine leaves its columnar mirror attached;
-    # park it on the context so ``extract`` snapshots the frozen problem from
-    # the columns instead of re-walking the object graph.
+    # The engine's columnar mirror is frozen at the saturated e-graph; park it
+    # on the context so ``extract`` snapshots the frozen problem from the
+    # columns instead of re-walking the object graph.
     ctx.egraph_columns = engine.columns
     ctx.metrics["saturation_stop_reason"] = ctx.rewrite_report.stop_reason
-    ctx.metrics["saturation_matcher"] = ctx.rewrite_report.matcher
     ctx.metrics["saturation_scheduler"] = ctx.rewrite_report.scheduler
     ctx.metrics["saturation_matches"] = ctx.rewrite_report.total_matches
     ctx.metrics["saturation_applications"] = ctx.rewrite_report.total_applications

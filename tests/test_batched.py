@@ -1,17 +1,21 @@
-"""Batched e-matching parity and wiring tests.
+"""Batched e-matching parity, memory and wiring tests.
 
-The tentpole invariant: the shared-prefix trie over columnar storage
-(:mod:`repro.engine.batched`) produces exactly the per-pattern reference's
-matches — same counts, same substitutions, same order, same ``limit``
-truncation prefix — so a batched saturation run lands on an identical
-e-graph under every scheduler/dedup combination.  Plus the config surface:
-``matcher=`` through the pipeline DSL, ``EmorphicConfig``, the bench
-harness's parity/speedup columns, and ``FrozenProblem.from_columns``.
+The core invariant: the shared-prefix trie over columnar storage
+(:mod:`repro.engine.batched`), the engine's only matcher, produces exactly
+the per-pattern reference's matches (:func:`repro.egraph.pattern.search`) —
+same counts, same substitutions, same order, same ``limit`` truncation
+prefix — so a saturation run lands on the e-graph a per-pattern loop
+(:func:`reference_saturate`) reaches, under every scheduler/dedup
+combination.  Plus the memory contract (one iteration's matches and one
+search's scratch at a time), the retired ``matcher=``/``index=`` knobs, and
+``FrozenProblem.from_columns``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -19,23 +23,22 @@ from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import AND, NOT, OR
-from repro.egraph.pattern import parse_pattern
+from repro.egraph.pattern import instantiate, parse_pattern, search
 from repro.egraph.rules import boolean_rules
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
-    MATCHERS,
     BatchedMatcher,
     EngineLimits,
     SaturationEngine,
     compile_pattern,
+    make_scheduler,
     priorities_from_attribution,
-    resolve_matcher,
 )
-from repro.engine.columns import ColumnStore
+from repro.engine.columns import ClassView, ColumnStore
 from repro.extraction.cost import NodeCountCost
 from repro.extraction.engine.problem import FrozenProblem
 from repro.flows.emorphic import EmorphicConfig
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, PipelineError
 
 
 def _test_egraph(name="adder"):
@@ -46,21 +49,82 @@ def _limits(iters=2, nodes=6000):
     return EngineLimits(max_iterations=iters, max_nodes=nodes, time_limit=30.0)
 
 
-def _zeroed_profile(profile):
-    """Profile JSON with timings zeroed — everything else must be identical."""
+def reference_saturate(egraph, rules, limits, scheduler="backoff", dedup=True):
+    """The per-pattern saturation loop the engine must reproduce exactly.
 
-    def zero(obj):
-        if isinstance(obj, dict):
-            return {
-                k: 0.0 if isinstance(v, float) else zero(v)
-                for k, v in obj.items()
-                if k != "matcher"
-            }
-        if isinstance(obj, list):
-            return [zero(v) for v in obj]
-        return obj
+    Each iteration searches every schedulable rule with
+    :func:`repro.egraph.pattern.search`, applies rule by rule with the
+    (rule, class, sorted substitution items) dedup key until the node budget
+    trips, and rebuilds; stop reasons follow the engine's (no time limit).
+    Returns ``(stop_reason, per-iteration records)`` shaped like
+    :func:`_trajectory`.
+    """
+    scheduler = make_scheduler(scheduler)
+    seen = set()
+    records = []
+    for iteration in range(limits.max_iterations):
+        record = {"applied": {}, "banned": [], "skipped": [], "found": 0, "deduped": 0}
+        restricted = False
+        searched = []
+        for rule in rules:
+            if not scheduler.can_search(iteration, rule.name):
+                record["banned"].append(rule.name)
+                restricted = True
+                continue
+            matches = search(egraph, rule.lhs, limit=limits.match_limit_per_rule)
+            allowed = scheduler.allowed_matches(iteration, rule.name, len(matches))
+            if allowed < len(matches):
+                matches = matches[:allowed]
+                restricted = True
+            record["found"] += len(matches)
+            searched.append((rule, matches))
+        tripped = False
+        for rule, matches in searched:
+            if tripped:
+                record["skipped"].append(rule.name)
+                continue
+            applied = 0
+            for match in matches:
+                key = (rule.name, match.class_id, tuple(sorted(match.substitution.items())))
+                if dedup and key in seen:
+                    record["deduped"] += 1
+                    continue
+                if rule.condition is not None and not rule.condition(egraph, match):
+                    continue
+                if dedup:
+                    seen.add(key)
+                new_class = instantiate(egraph, rule.rhs.root, match.substitution)
+                if egraph.find(new_class) != egraph.find(match.class_id):
+                    egraph.union(match.class_id, new_class)
+                    applied += 1
+            record["applied"][rule.name] = applied
+            tripped = egraph.num_nodes > limits.max_nodes
+        egraph.rebuild()
+        record["nodes"], record["classes"] = egraph.num_nodes, egraph.num_classes
+        records.append(record)
+        if sum(record["applied"].values()) == 0 and not restricted:
+            return "saturated", records
+        if egraph.num_nodes > limits.max_nodes:
+            return "node_limit", records
+        if egraph.num_classes > limits.max_classes:
+            return "class_limit", records
+    return "iteration_limit", records
 
-    return zero(profile.to_dict())
+
+def _trajectory(profile):
+    """An engine profile in :func:`reference_saturate`'s return shape."""
+    return profile.stop_reason, [
+        {
+            "applied": it.applied,
+            "banned": it.banned,
+            "skipped": it.skipped,
+            "found": it.matches_found,
+            "deduped": it.matches_deduped,
+            "nodes": it.num_nodes,
+            "classes": it.num_classes,
+        }
+        for it in profile.iterations
+    ]
 
 
 class TestCompilePattern:
@@ -181,82 +245,99 @@ class TestMatchParity:
 
 
 class TestEngineParity:
-    """Whole saturation runs: identical e-graphs and telemetry counters."""
+    """Whole saturation runs: the engine equals the per-pattern loop."""
 
     @pytest.mark.parametrize("scheduler", ["simple", "backoff"])
     @pytest.mark.parametrize("dedup", [True, False])
     def test_identical_final_egraph(self, scheduler, dedup):
-        def run(matcher):
-            eg = _test_egraph("adder")
-            engine = SaturationEngine(
-                eg,
-                boolean_rules(),
-                limits=_limits(),
-                scheduler=scheduler,
-                dedup_matches=dedup,
-                matcher=matcher,
-            )
-            profile = engine.run()
-            return egraph_digest(eg), _zeroed_profile(profile)
-
-        digest_ref, profile_ref = run("indexed")
-        digest_bat, profile_bat = run("batched")
-        assert digest_bat == digest_ref
-        assert profile_bat == profile_ref
+        reference_graph = _test_egraph("adder")
+        reference = reference_saturate(
+            reference_graph, boolean_rules(), _limits(), scheduler=scheduler, dedup=dedup
+        )
+        eg = _test_egraph("adder")
+        profile = SaturationEngine(
+            eg, boolean_rules(), limits=_limits(), scheduler=scheduler, dedup_matches=dedup
+        ).run()
+        assert egraph_digest(eg) == egraph_digest(reference_graph)
+        assert _trajectory(profile) == reference
 
     def test_batched_run_is_deterministic(self):
         def run():
             eg = _test_egraph("adder")
-            SaturationEngine(
-                eg, boolean_rules(), limits=_limits(), matcher="batched"
-            ).run()
+            SaturationEngine(eg, boolean_rules(), limits=_limits()).run()
             return egraph_digest(eg)
 
         assert run() == run()
 
     def test_profile_records_matcher(self):
         eg = _test_egraph("adder")
-        engine = SaturationEngine(
-            eg, boolean_rules(), limits=_limits(iters=1), matcher="batched"
-        )
-        profile = engine.run()
+        profile = SaturationEngine(eg, boolean_rules(), limits=_limits(iters=1)).run()
         assert profile.matcher == "batched"
         assert json.loads(json.dumps(profile.to_dict()))["matcher"] == "batched"
 
     def test_match_limit_truncation_parity(self):
-        def run(matcher):
-            eg = _test_egraph("adder")
-            limits = EngineLimits(
-                max_iterations=2,
-                max_nodes=6000,
-                time_limit=30.0,
-                match_limit_per_rule=37,
-            )
-            profile = SaturationEngine(
-                eg, boolean_rules(), limits=limits, matcher=matcher
-            ).run()
-            return egraph_digest(eg), _zeroed_profile(profile)
-
-        assert run("batched") == run("indexed")
-
-
-class TestResolveMatcher:
-    def test_none_defers_to_index_flag(self):
-        assert resolve_matcher(None, True) == "indexed"
-        assert resolve_matcher(None, False) == "scan"
-
-    def test_explicit_names(self):
-        for name in MATCHERS:
-            assert resolve_matcher(name, True) == name
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown matcher"):
-            resolve_matcher("quantum", True)
-
-    def test_engine_batched_implies_index(self):
+        limits = EngineLimits(
+            max_iterations=2,
+            max_nodes=6000,
+            time_limit=30.0,
+            match_limit_per_rule=37,
+        )
+        reference_graph = _test_egraph("adder")
+        reference = reference_saturate(reference_graph, boolean_rules(), limits)
         eg = _test_egraph("adder")
-        engine = SaturationEngine(eg, boolean_rules(), matcher="batched")
-        assert engine.use_index is True
+        profile = SaturationEngine(eg, boolean_rules(), limits=limits).run()
+        assert egraph_digest(eg) == egraph_digest(reference_graph)
+        assert _trajectory(profile) == reference
+
+
+class TestMemory:
+    """One iteration's matches and one search's scratch are alive at a time."""
+
+    def test_matches_die_before_next_search(self, monkeypatch):
+        # Weakrefs to every Match each search returns; when the next search
+        # starts, every earlier one must have been collected.
+        alive_at_search = []
+        refs = []
+        original = BatchedMatcher.search
+
+        def tracking_search(self, *args, **kwargs):
+            gc.collect()
+            alive_at_search.append(sum(ref() is not None for ref in refs))
+            out = original(self, *args, **kwargs)
+            refs.extend(weakref.ref(m) for matches in out.values() for m in matches)
+            return out
+
+        monkeypatch.setattr(BatchedMatcher, "search", tracking_search)
+        eg = _test_egraph("adder")
+        SaturationEngine(eg, boolean_rules(), limits=_limits(iters=3)).run()
+        assert len(alive_at_search) == 3 and refs
+        assert alive_at_search == [0, 0, 0]
+
+    def test_search_keeps_no_scratch(self):
+        eg = _test_egraph("adder")
+        rules = boolean_rules()
+        cols = ColumnStore(eg)
+        matcher = BatchedMatcher(rules)
+
+        def reachable(root):
+            seen, stack = set(), [root]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(obj, type):
+                    continue
+                seen.add(id(obj))
+                stack.extend(gc.get_referents(obj))
+            return seen
+
+        before = len(reachable(matcher))
+        out = matcher.search(cols, range(len(rules)), egraph=eg)
+        assert sum(map(len, out.values())) > 0
+        del out
+        gc.collect()
+        # No class views anywhere, and nothing new hangs off the matcher (the
+        # per-search bind cache included).
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, ClassView)]
+        assert len(reachable(matcher)) == before
 
 
 class TestPriorities:
@@ -281,37 +362,44 @@ class TestPriorities:
 
 class TestWiring:
     def test_pipeline_saturate_matcher_param(self):
+        # The saturate pass parks the matcher's column mirror on the context
+        # (frozen at the saturated e-graph) for ``extract`` to snapshot.
         pipe = Pipeline.from_script(
-            "strash; premap; dag2eg; saturate(iters=1, matcher=batched); "
-            "extract(method=greedy); map"
+            "strash; premap; dag2eg; saturate(iters=1); extract(method=greedy); map"
         )
         ctx = pipe.run(epfl.build("adder", preset="test"))
-        assert ctx.metrics["saturation_matcher"] == "batched"
         assert ctx.egraph_columns is not None
+        assert ctx.egraph_columns not in ctx.circuit.egraph.observers
         ctx.egraph_columns.check_lockstep()
 
     def test_pipeline_rejects_unknown_matcher(self):
-        pipe = Pipeline.from_script("strash; dag2eg; saturate(iters=1, matcher=nope)")
-        with pytest.raises(ValueError, match="unknown matcher"):
-            pipe.run(epfl.build("adder", preset="test"))
+        # The matcher knobs are retired: scripts naming them fail loudly.
+        for params in ("matcher=batched", "index=false"):
+            with pytest.raises(PipelineError, match="has no parameter"):
+                Pipeline.from_script(f"strash; dag2eg; saturate(iters=1, {params})").run(
+                    epfl.build("adder", preset="test")
+                )
 
-    def test_indexed_matcher_leaves_no_columns(self):
-        pipe = Pipeline.from_script("strash; dag2eg; saturate(iters=1)")
+    def test_dag2eg_drops_stale_columns(self):
+        pipe = Pipeline.from_script("strash; dag2eg; saturate(iters=1); dag2eg")
         ctx = pipe.run(epfl.build("adder", preset="test"))
-        assert ctx.metrics["saturation_matcher"] == "indexed"
         assert ctx.egraph_columns is None
 
     def test_emorphic_config_round_trip(self):
-        config = EmorphicConfig(matcher="batched")
-        assert EmorphicConfig.from_dict(config.to_dict()).matcher == "batched"
-        assert EmorphicConfig().matcher == "indexed"
+        # A config payload from before the matcher knobs were retired (as
+        # stored in result stores and run ledgers) still loads.
+        payload = EmorphicConfig().to_dict()
+        assert "matcher" not in payload and "use_op_index" not in payload
+        old = {**payload, "matcher": "indexed", "use_op_index": False}
+        config = EmorphicConfig.from_dict(old)
+        assert config.to_dict() == payload
+        with pytest.raises(ValueError, match="unknown EmorphicConfig fields"):
+            EmorphicConfig.from_dict({**payload, "matchr": "batched"})
 
     def test_frozen_problem_from_columns_equals_build(self):
         circuit = aig_to_egraph(epfl.build("adder", preset="test"))
         eg = circuit.egraph
-        engine = SaturationEngine(
-            eg, boolean_rules(), limits=_limits(iters=1), matcher="batched"
-        )
+        engine = SaturationEngine(eg, boolean_rules(), limits=_limits(iters=1))
         engine.run()
         roots = list(circuit.output_classes)
         built = FrozenProblem.build(eg, roots, cost=NodeCountCost())

@@ -3,8 +3,8 @@
 Randomized add/union/rebuild sequences drive a :class:`ColumnStore` attached
 to an :class:`EGraph` and assert — via ``check_lockstep()`` — that the
 columnar union-find, per-class node spans, and per-op class buckets agree
-with the object model and with a from-scratch ``OpIndex`` scan after every
-mutation batch (ISSUE satellite f).
+with the object model and with a from-scratch op scan after every mutation
+batch.
 """
 
 from __future__ import annotations
@@ -187,7 +187,6 @@ class TestRandomizedLockstep:
             eg,
             boolean_rules(),
             limits=EngineLimits(max_iterations=2, max_nodes=6000, time_limit=10.0),
-            matcher="batched",
         )
         engine.run()
         assert engine.columns is not None

@@ -1,8 +1,9 @@
-"""Tests of the saturation engine: op-index, schedulers, dedup, telemetry.
+"""Tests of the saturation engine: op buckets, schedulers, dedup, telemetry.
 
 Includes the randomized e-graph invariant suite: seeded add/union/rebuild
 sequences asserting hashcons consistency, congruence closure, the O(1)
-class/node counters, and op-index agreement with a from-scratch index.
+class/node counters, and agreement of the column store's per-operator class
+buckets (the matcher's op index) with a from-scratch scan.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from repro.egraph.runner import Runner, RunnerLimits, saturate
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
     BackoffScheduler,
+    BatchedMatcher,
+    ColumnStore,
     EngineLimits,
-    OpIndex,
     SaturationEngine,
     SimpleScheduler,
     make_scheduler,
+    op_name,
     saturate_engine,
-    scratch_index,
 )
 from repro.engine.bench import check_regressions, render_bench, run_saturation_bench
 from repro.engine.telemetry import SaturationProfile
@@ -44,8 +46,22 @@ def _diamond_egraph():
     return eg
 
 
+def _op_buckets(cols):
+    """The column store's op index: operator name -> canonical class ids."""
+    return {op_name(oid): frozenset(ids) for oid, ids in cols.by_op.items() if ids}
+
+
+def _scratch_buckets(egraph):
+    """The same map built by a full scan of the object model (the oracle)."""
+    by_op = {}
+    for class_id, eclass in egraph.canonical_classes().items():
+        for node in eclass.nodes:
+            by_op.setdefault(node.op, set()).add(class_id)
+    return {op: frozenset(ids) for op, ids in by_op.items()}
+
+
 # --------------------------------------------------------------------------
-# Randomized invariants: hashcons, congruence, counters, op-index agreement.
+# Randomized invariants: hashcons, congruence, counters, op-bucket agreement.
 
 
 class TestRandomizedInvariants:
@@ -55,7 +71,7 @@ class TestRandomizedInvariants:
     def test_random_add_union_rebuild(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        index = OpIndex(eg)
+        cols = ColumnStore(eg)
         classes = [eg.var(f"v{i}") for i in range(4)]
         for step in range(120):
             action = rng.random()
@@ -71,13 +87,13 @@ class TestRandomizedInvariants:
                 eg.rebuild()
         eg.rebuild()
         eg.check_invariants()  # hashcons + congruence + O(1) counters
-        assert index.snapshot() == scratch_index(eg)
+        assert _op_buckets(cols) == _scratch_buckets(eg)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_index_agreement_through_saturation(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        index = OpIndex(eg)
+        cols = ColumnStore(eg)
         leaves = [eg.var(f"v{i}") for i in range(3)]
         for _ in range(25):
             op = rng.choice([AND, OR])
@@ -88,7 +104,7 @@ class TestRandomizedInvariants:
             EngineLimits(max_iterations=3, max_nodes=4_000),
         )
         eg.check_invariants()
-        assert index.snapshot() == scratch_index(eg)
+        assert _op_buckets(cols) == _scratch_buckets(eg)
 
     def test_counters_match_recomputation(self):
         eg = _diamond_egraph()
@@ -99,50 +115,56 @@ class TestRandomizedInvariants:
 
 
 class TestOpIndex:
+    """The column store's per-operator class buckets, which pick the
+    candidate classes of every trie root in the batched matcher."""
+
     def test_tracks_adds(self):
         eg = EGraph()
-        index = OpIndex(eg)
+        cols = ColumnStore(eg)
         a, b = eg.var("a"), eg.var("b")
         ab = eg.add_term(AND, [a, b])
-        assert index.classes_with_op(AND) == {ab}
-        assert index.snapshot() == scratch_index(eg)
+        assert cols.classes_with_op(AND) == [ab]
+        assert _op_buckets(cols) == _scratch_buckets(eg)
 
     def test_union_moves_ops(self):
         eg = EGraph()
-        index = OpIndex(eg)
+        cols = ColumnStore(eg)
         a, b = eg.var("a"), eg.var("b")
         ab = eg.add_term(AND, [a, b])
         ob = eg.add_term(OR, [a, b])
         root = eg.union(ab, ob)
         eg.rebuild()
-        assert index.classes_with_op(AND) == {root}
-        assert index.classes_with_op(OR) == {root}
-        assert index.snapshot() == scratch_index(eg)
+        assert cols.classes_with_op(AND) == [root]
+        assert cols.classes_with_op(OR) == [root]
+        assert _op_buckets(cols) == _scratch_buckets(eg)
 
     def test_candidates_restrict_search(self):
         eg = _diamond_egraph()
-        index = OpIndex(eg)
-        pattern = parse_pattern("(NOT ?x)")
-        candidates = index.candidates(pattern.root)
-        assert candidates is not None
-        full = search(eg, pattern)
-        indexed = search(eg, pattern, candidates=candidates)
+        cols = ColumnStore(eg)
+        rule = Rewrite.from_strings("not-root", "(NOT ?x)", "(NOT ?x)")
+        candidates = cols.classes_with_op(NOT)
+        batched = BatchedMatcher([rule]).search(cols, [0])[0]
+        full = search(eg, rule.lhs)
         assert [(m.class_id, m.substitution) for m in full] == [
-            (m.class_id, m.substitution) for m in indexed
+            (m.class_id, m.substitution) for m in batched
         ]
         assert len(candidates) < len(eg.class_ids())
 
     def test_variable_root_means_all_classes(self):
+        # A bare-variable LHS has no root operator to bucket by: the matcher
+        # falls back to scanning every class.
         eg = _diamond_egraph()
-        index = OpIndex(eg)
-        assert index.candidates(parse_pattern("?x").root) is None
+        cols = ColumnStore(eg)
+        rule = Rewrite.from_strings("any", "?x", "?x")
+        matches = BatchedMatcher([rule]).search(cols, [0], egraph=eg)[0]
+        assert [m.class_id for m in matches] == sorted(eg.canonical_classes())
 
     def test_detach_stops_updates(self):
         eg = EGraph()
-        index = OpIndex(eg)
-        index.detach()
+        cols = ColumnStore(eg)
+        cols.detach()
         eg.add_term(AND, [eg.var("a"), eg.var("b")])
-        assert index.classes_with_op(AND) == set()
+        assert cols.classes_with_op(AND) == []
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +204,7 @@ class TestLegacyParity:
         limits = RunnerLimits(max_iterations=3, max_nodes=2_500)
         report = Runner(eg1, boolean_rules(), limits).run()
         profile = SaturationEngine(
-            eg2, boolean_rules(), limits, scheduler="simple", use_index=False, dedup_matches=False
+            eg2, boolean_rules(), limits, scheduler="simple", dedup_matches=False
         ).run()
         assert egraph_digest(eg1) == egraph_digest(eg2)
         assert report.stop_reason == profile.stop_reason
@@ -334,7 +356,7 @@ class TestTelemetry:
     def test_profile_counters(self):
         profile = self._profile()
         assert profile.scheduler == "backoff"
-        assert profile.indexed and profile.dedup
+        assert profile.matcher == "batched" and profile.dedup
         assert profile.total_matches > 0
         assert profile.total_applications > 0
         assert profile.search_time() >= 0 and profile.apply_time() >= 0
@@ -385,10 +407,10 @@ class TestTelemetry:
     def test_emorphic_config_roundtrips_engine_fields(self):
         from repro.flows.emorphic import EmorphicConfig
 
-        config = EmorphicConfig(scheduler="simple", use_op_index=False, dedup_matches=False)
+        config = EmorphicConfig(scheduler="simple", dedup_matches=False)
         back = EmorphicConfig.from_dict(config.to_dict())
         assert back.scheduler == "simple"
-        assert not back.use_op_index and not back.dedup_matches
+        assert not back.dedup_matches
 
 
 # --------------------------------------------------------------------------
@@ -471,19 +493,14 @@ class TestSaturationBench:
             circuits=["adder"], fast=True, iters=2, max_nodes=2_000, conflict_budget=20_000
         )
         entry = payload["circuits"]["adder"]
-        assert set(entry["runs"]) == {"legacy", "indexed", "engine", "batched"}
+        assert set(entry["runs"]) == {"simple", "backoff"}
         for run in entry["runs"].values():
             assert run["wall_time"] > 0
             assert run["extraction_cec"] in ("equivalent", "unknown")
             assert run["extraction_cec"] != "counterexample"
-        assert "engine" in entry["speedup"]
-        assert payload["summary"]["geomean_speedup"]["engine"] > 0
-        # The batched matcher must be result-identical to its engine twin and
-        # report its speedup against the per-pattern "indexed" variant.
-        assert entry["matcher_parity"] == "equal"
-        assert entry["batched_speedup_vs_engine"] > 0
-        assert entry["batched_speedup_vs_indexed"] > 0
-        assert payload["summary"]["geomean_batched_vs_indexed"] > 0
+        assert set(entry["speedup"]) == {"backoff"}
+        assert payload["summary"]["geomean_speedup"]["backoff"] > 0
+        assert entry["provenance"]["overhead_vs_engine"] > 0
         json.dumps(payload)  # JSON-serializable end to end
         assert "adder" in render_bench(payload)
 
