@@ -20,10 +20,11 @@ import pytest
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
-from repro.egraph.runner import Runner, RunnerLimits
+from repro.engine import EngineLimits, saturate_engine
 from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
+from repro.extraction.engine import ChainSpec, PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
-from repro.extraction.sa import SAExtractor, generate_neighbor
+from repro.extraction.sa import generate_neighbor
 
 from conftest import bench_preset, print_table
 
@@ -36,9 +37,13 @@ CIRCUIT = "sqrt"
 def _saturated_circuit(iterations: int = 3, max_nodes: int = 15_000):
     aig = epfl.build(CIRCUIT, preset=bench_preset())
     circuit = aig_to_egraph(aig)
-    report = Runner(
-        circuit.egraph, boolean_rules(), RunnerLimits(max_iterations=iterations, max_nodes=max_nodes, time_limit=20.0)
-    ).run()
+    report = saturate_engine(
+        circuit.egraph,
+        boolean_rules(),
+        EngineLimits(max_iterations=iterations, max_nodes=max_nodes, time_limit=20.0),
+        scheduler="simple",
+        dedup_matches=False,
+    )
     return circuit, report
 
 
@@ -63,9 +68,19 @@ def _run_ablation() -> dict:
     cost = DepthCost()
     greedy = greedy_extract(circuit.egraph, cost)
     greedy_cost = extraction_cost(circuit.egraph, greedy, cost, circuit.output_classes)
-    sa_result = SAExtractor(
-        circuit.egraph, circuit.output_classes, cost=cost, moves_per_iteration=4, seed=3
-    ).run()
+    sa_result = portfolio_extract(
+        circuit.egraph,
+        circuit.output_classes,
+        cost=cost,
+        config=PortfolioConfig(
+            chains=1,
+            move_budget=16,
+            migrate_every=4,
+            seed=3,
+            workers=0,
+            chain_specs=(ChainSpec(kind="sa", initial="greedy"),),
+        ),
+    )
 
     # 3. Rewrite-iteration sweep: equivalence classes and nodes per iteration count.
     sweep = {}
@@ -81,7 +96,7 @@ def _run_ablation() -> dict:
         "unpruned_neighbor_time": unpruned_time,
         "greedy_depth_cost": greedy_cost,
         "sa_depth_cost": sa_result.cost,
-        "sa_initial_cost": sa_result.initial_cost,
+        "sa_initial_cost": sa_result.profile.initial_cost,
         "iteration_sweep": sweep,
     }
 

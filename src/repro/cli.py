@@ -18,9 +18,9 @@ Subcommands:
 * ``saturate-bench`` — benchmark the saturation engine (simple schedule vs
   backoff schedule with match dedup) and write ``BENCH_saturation.json``,
   optionally failing on regression against a checked-in reference;
-* ``extract-bench`` — benchmark the extraction engine (legacy SA loop vs
-  delta-cost vs island portfolio, CEC-guarded) and write
-  ``BENCH_extraction.json``, with the same ``--reference`` regression gate;
+* ``extract-bench`` — benchmark the extraction engine (one delta-cost chain
+  vs the island portfolio, CEC-guarded) and write ``BENCH_extraction.json``,
+  with the same ``--reference`` regression gate;
 * ``partition-bench`` — benchmark partition-and-conquer against monolithic
   saturation at equal limits (the partitioned run completes where the
   monolithic engine trips its caps) and write ``BENCH_partition.json``;
@@ -319,14 +319,8 @@ def _add_emorphic_args(parser: argparse.ArgumentParser) -> None:
         default=4,
         help="annealing iterations per SA extraction chain",
     )
-    parser.add_argument("--threads", type=int, default=4, help="extraction chains (portfolio) / SA threads (legacy)")
-    parser.add_argument("--seed", type=int, default=7, help="base seed of the parallel SA chains")
-    parser.add_argument(
-        "--extraction-engine",
-        default="portfolio",
-        choices=["portfolio", "legacy"],
-        help="extraction engine: island-parallel delta-cost portfolio or the legacy full-sweep SA loop",
-    )
+    parser.add_argument("--threads", type=int, default=4, help="extraction chains")
+    parser.add_argument("--seed", type=int, default=7, help="base seed of the extraction chains")
     parser.add_argument(
         "--extraction-cost",
         default="depth",
@@ -349,7 +343,6 @@ def _emorphic_config(args: argparse.Namespace) -> EmorphicConfig:
         sa_iterations=args.sa_iterations,
         num_threads=args.threads,
         seed=args.seed,
-        extraction_engine=args.extraction_engine,
         extraction_cost=args.extraction_cost,
         use_ml_model=args.use_ml_model,
         verify=not args.no_verify,
@@ -1221,8 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ebench = sub.add_parser(
         "extract-bench",
-        help="benchmark the extraction engine (legacy SA vs delta vs portfolio) and "
-        "write BENCH_extraction.json",
+        help="benchmark the extraction engine (one delta-cost chain vs the island "
+        "portfolio) and write BENCH_extraction.json",
     )
     p_ebench.add_argument(
         "--circuits",

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.aig.graph import Aig
-from repro.egraph.egraph import ENode
 from repro.mapping.cut_mapping import map_aig
 from repro.mapping.library import Library, asap7_like_library
 
@@ -80,20 +79,6 @@ class MappingCostModel:
     def cost_of_aig(self, aig: Aig) -> float:
         qor = self.evaluate_aig(aig)
         return qor.cost(self.delay_weight, self.area_weight)
-
-    def make_extraction_evaluator(self, circuit) -> "callable":
-        """Build a QoR evaluator usable by the SA extractor.
-
-        ``circuit`` is the :class:`repro.conversion.dag2eg.CircuitEGraph` the
-        extraction refers to.
-        """
-        from repro.conversion.eg2dag import extraction_to_aig
-
-        def evaluate(extraction: Dict[int, ENode]) -> float:
-            aig = extraction_to_aig(circuit, extraction, name="candidate")
-            return self.cost_of_aig(aig)
-
-        return evaluate
 
 
 def _aig_fingerprint(aig: Aig) -> int:

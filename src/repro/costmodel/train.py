@@ -37,7 +37,7 @@ def structural_variants(aig: Aig, num_variants: int, seed: int = 0, max_egraph_n
     from repro.conversion.dag2eg import aig_to_egraph
     from repro.conversion.eg2dag import extraction_to_aig
     from repro.egraph.rules import boolean_rules
-    from repro.egraph.runner import Runner, RunnerLimits
+    from repro.engine.engine import EngineLimits, saturate_engine
     from repro.extraction.cost import DepthCost, NodeCountCost
     from repro.extraction.sa import generate_neighbor
     from repro.extraction.greedy import greedy_extract
@@ -58,12 +58,13 @@ def structural_variants(aig: Aig, num_variants: int, seed: int = 0, max_egraph_n
     # E-graph extraction variants.
     if len(variants) < num_variants:
         circuit = aig_to_egraph(aig)
-        runner = Runner(
+        saturate_engine(
             circuit.egraph,
             boolean_rules(),
-            RunnerLimits(max_iterations=2, max_nodes=max_egraph_nodes, time_limit=10.0),
+            EngineLimits(max_iterations=2, max_nodes=max_egraph_nodes, time_limit=10.0),
+            scheduler="simple",
+            dedup_matches=False,
         )
-        runner.run()
         base = greedy_extract(circuit.egraph, NodeCountCost())
         cost_fns = [NodeCountCost(), DepthCost()]
         while len(variants) < num_variants:

@@ -1,9 +1,10 @@
 """An egg-style e-graph engine for Boolean terms.
 
 Provides hashconsed e-nodes, union-find over e-classes, congruence-closure
-rebuilding, pattern-based e-matching, a rewriting runner with resource
-limits, the Boolean rule set of the paper (Table I), and the intermediate
-serialization format used for direct DAG-to-DAG conversion (Fig. 7).
+rebuilding, pattern-based e-matching (the test oracle of the saturation
+engine in :mod:`repro.engine`), the Boolean rule set of the paper
+(Table I), and the intermediate serialization format used for direct
+DAG-to-DAG conversion (Fig. 7).
 """
 
 from repro.egraph.egraph import EClass, EGraph, ENode
@@ -11,7 +12,6 @@ from repro.egraph.language import AND, CONST0, CONST1, NOT, OR, VAR, OpSpec
 from repro.egraph.pattern import Pattern, PatternNode, parse_pattern
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules, rule_names
-from repro.egraph.runner import IterationReport, Runner, RunnerLimits, RunnerReport
 from repro.egraph.serialize import egraph_from_dsl, egraph_to_dsl
 from repro.egraph.unionfind import UnionFind
 
@@ -32,10 +32,6 @@ __all__ = [
     "Rewrite",
     "boolean_rules",
     "rule_names",
-    "Runner",
-    "RunnerLimits",
-    "RunnerReport",
-    "IterationReport",
     "egraph_from_dsl",
     "egraph_to_dsl",
     "UnionFind",

@@ -1,11 +1,10 @@
 """The scalable saturation engine.
 
-Supersedes the naive ``repro.egraph.runner`` loop with batched e-matching,
-egg-style rule scheduling (simple / backoff), cross-iteration match
-deduplication, worklist-driven incremental rebuilds, and full saturation
-telemetry.  ``egraph.runner.Runner``/``saturate`` remain as thin
-compatibility wrappers over :class:`SaturationEngine` with the
-:class:`SimpleScheduler`.
+The one equality-saturation loop: batched e-matching, egg-style rule
+scheduling (simple / backoff), cross-iteration match deduplication,
+worklist-driven incremental rebuilds, and full saturation telemetry.
+``scheduler="simple"`` with ``dedup_matches=False`` reproduces the
+pre-engine runner loop exactly.
 
 E-matching has one production implementation: :class:`BatchedMatcher`
 compiles all rules into one shared-prefix trie walked over

@@ -4,7 +4,7 @@
 configurations, both on the one (batched) e-matcher —
 
 * ``simple``  — SimpleScheduler, no dedup: byte-for-byte the pre-engine
-  ``egraph.Runner`` loop;
+  runner loop;
 * ``backoff`` — BackoffScheduler + cross-iteration match dedup: the default
   saturation configuration;
 

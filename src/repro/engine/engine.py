@@ -1,6 +1,6 @@
 """The saturation engine: batched e-matching, scheduling, dedup, telemetry.
 
-:class:`SaturationEngine` supersedes the naive ``egraph.Runner`` loop while
+:class:`SaturationEngine` supersedes the naive pre-engine runner loop while
 preserving its semantics exactly when configured with the
 :class:`~repro.engine.scheduler.SimpleScheduler`:
 
@@ -19,7 +19,7 @@ preserving its semantics exactly when configured with the
   transient duplicate nodes that congruence repair merges right back, so
   dedup preserves every equivalence the legacy loop discovers (graphs can
   differ structurally once a node budget truncates growth, which is why the
-  parity-exact ``Runner`` wrapper runs with dedup off);
+  parity-exact configuration runs with dedup off);
 * the **rebuild** after each apply phase stays worklist-driven: only classes
   dirtied by unions (and their congruent parents) are repaired, and the
   e-graph's O(1) class/node counters keep the per-rule budget checks out of
@@ -62,7 +62,7 @@ from repro.obs.metrics import registry as obs_registry
 
 @dataclass
 class EngineLimits:
-    """Stopping conditions for equality saturation (legacy ``RunnerLimits``)."""
+    """Stopping conditions for equality saturation."""
 
     max_iterations: int = 5
     max_nodes: int = 200_000
@@ -351,7 +351,11 @@ def saturate_engine(
     dedup_matches: bool = True,
     rule_priorities: Optional[Dict[str, float]] = None,
 ) -> SaturationProfile:
-    """One-call helper mirroring ``egraph.runner.saturate`` on the engine."""
+    """One-call helper: build a :class:`SaturationEngine` and run it.
+
+    ``scheduler="simple", dedup_matches=False`` is the parity configuration:
+    byte-for-byte the pre-engine runner loop.
+    """
     return SaturationEngine(
         egraph,
         rules,

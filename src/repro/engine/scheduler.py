@@ -6,7 +6,7 @@ POPL'21):
 
 * :class:`SimpleScheduler` — every rule searches every iteration, nothing is
   truncated beyond the engine's own ``match_limit_per_rule``.  This is
-  byte-for-byte the behavior of the legacy ``egraph.Runner`` loop and is what
+  byte-for-byte the behavior of the pre-engine runner loop and is what
   the parity tests pin.
 * :class:`BackoffScheduler` — a rule whose match count exceeds its (per-rule,
   exponentially growing) threshold is *banned* for an exponentially growing

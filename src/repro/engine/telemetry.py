@@ -1,10 +1,8 @@
 """Saturation telemetry: per-rule and per-iteration statistics of a run.
 
-:class:`SaturationProfile` is the engine's return value and doubles as the
-legacy ``RunnerReport`` (``repro.egraph.runner`` re-exports it under that
-name), so every consumer of the old report keeps working while new code gets
-per-rule search/apply wall-clock, match/dedup counts, ban bookkeeping, and
-per-iteration growth curves.  Everything serializes to plain JSON via
+:class:`SaturationProfile` is the engine's return value: the stop reason
+and per-iteration reports, plus per-rule search/apply wall-clock,
+match/dedup counts, ban bookkeeping, and per-iteration growth curves.  Everything serializes to plain JSON via
 ``to_dict``/``from_dict`` — orchestrate job payloads and
 ``BENCH_saturation.json`` carry these records verbatim.
 """
@@ -43,8 +41,8 @@ class RuleProfile:
 class IterationReport:
     """Statistics of one saturation iteration.
 
-    The first five fields are the legacy ``egraph.runner.IterationReport``
-    surface; the rest is engine telemetry.  ``skipped`` lists rules whose
+    The first five fields are the pre-engine runner's per-iteration report;
+    the rest is engine telemetry.  ``skipped`` lists rules whose
     matches were dropped because the node budget tripped mid-apply — they are
     recorded instead of silently vanishing from ``applied``.
     """
@@ -74,7 +72,7 @@ class IterationReport:
 
 @dataclass
 class SaturationProfile:
-    """Overall result of a saturation run (the legacy ``RunnerReport``)."""
+    """Overall result of a saturation run."""
 
     stop_reason: str
     iterations: List[IterationReport] = field(default_factory=list)

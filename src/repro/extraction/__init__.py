@@ -1,5 +1,5 @@
-"""E-graph extraction: greedy, random, simulated-annealing, and the
-island-parallel extraction engine (:mod:`repro.extraction.engine`)."""
+"""E-graph extraction: greedy, random, the Algorithm 1 neighbour generator,
+and the island-parallel extraction engine (:mod:`repro.extraction.engine`)."""
 
 from repro.extraction.cost import CostFunction, DepthCost, NodeCountCost, OperatorCost
 from repro.extraction.engine import (
@@ -12,9 +12,8 @@ from repro.extraction.engine import (
     portfolio_extract,
 )
 from repro.extraction.greedy import extraction_size, greedy_extract
-from repro.extraction.parallel import ParallelSAConfig, parallel_sa_extract
 from repro.extraction.random_extract import random_extract
-from repro.extraction.sa import AnnealingSchedule, SAExtractor, SAResult, generate_neighbor
+from repro.extraction.sa import generate_neighbor
 
 __all__ = [
     "CostFunction",
@@ -24,12 +23,7 @@ __all__ = [
     "greedy_extract",
     "extraction_size",
     "random_extract",
-    "SAExtractor",
-    "SAResult",
-    "AnnealingSchedule",
     "generate_neighbor",
-    "ParallelSAConfig",
-    "parallel_sa_extract",
     "FrozenProblem",
     "ChainSpec",
     "PortfolioConfig",

@@ -1,14 +1,12 @@
-"""The scalable extraction engine.
+"""The scalable extraction engine: the flow's one SA extractor.
 
-Supersedes the naive per-move full-sweep SA loop the same way
-``repro.engine`` superseded ``egraph.Runner``: a frozen, index-based
-extraction problem (:mod:`problem`), delta-cost evaluation that prices an SA
-move by the ancestor cone of the flipped class with the full sweep kept as
-an exact-parity reference (:mod:`delta`), an island-model parallel portfolio
-of annealing / hill-climbing / random-restart chains with periodic
-best-solution migration (:mod:`portfolio`), per-chain telemetry
-(:mod:`telemetry`), and the ``emorphic extract-bench`` harness
-(:mod:`bench`).
+A frozen, index-based extraction problem (:mod:`problem`), delta-cost
+evaluation that prices an SA move by the ancestor cone of the flipped class
+with the full sweep kept as an exact-parity reference (:mod:`delta`), an
+island-model parallel portfolio of annealing / hill-climbing /
+random-restart chains with periodic best-solution migration
+(:mod:`portfolio`), per-chain telemetry (:mod:`telemetry`), and the
+``emorphic extract-bench`` harness (:mod:`bench`).
 """
 
 from repro.extraction.engine.chains import CHAIN_KINDS, ChainSpec, ChainState, init_chain, run_round

@@ -1,20 +1,19 @@
-"""The extraction benchmark: legacy SA loop vs delta engine vs portfolio.
+"""The extraction benchmark: one delta-cost chain vs the island portfolio.
 
 ``run_extraction_bench`` saturates the largest benchgen circuits once (the
-default saturation engine), then races three extractors over the *same*
-saturated e-graph at an equal total move budget —
+default saturation engine), then runs two extractor configurations over the
+*same* saturated e-graph at an equal total move budget —
 
-* ``legacy``    — the pre-engine ``SAExtractor`` loop: every move pays a full
-  bottom-up neighbour sweep plus a from-scratch DAG cost evaluation;
 * ``delta``     — one portfolio chain with delta-cost evaluation: a move
   re-prices only the ancestor cone of the flipped class;
 * ``portfolio`` — the island-model parallel portfolio (delta evaluation,
   best-solution migration) splitting the same budget across its chains;
 
 — and checks every winning extraction for combinational equivalence against
-the input circuit, so the speedups are guarded by correctness.  The payload
-is what ``emorphic extract-bench`` writes to ``BENCH_extraction.json`` and
-what CI gates against ``benchmarks/extraction_reference.json`` via the same
+the input circuit.  ``speedup`` is the portfolio's wall-clock against the
+single ``delta`` chain.  The payload is what ``emorphic extract-bench``
+writes to ``BENCH_extraction.json`` and what CI gates against
+``benchmarks/extraction_reference.json`` via the same
 :func:`repro.engine.bench.check_regressions` the saturation gate uses.
 """
 
@@ -32,7 +31,6 @@ from repro.engine.bench import check_regressions  # noqa: F401  (re-export: shar
 from repro.engine.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost
 from repro.extraction.engine.portfolio import PortfolioConfig, portfolio_extract
-from repro.extraction.sa import AnnealingSchedule, SAExtractor
 from repro.obs import trace as obs
 from repro.obs.export import span_summary
 
@@ -41,7 +39,10 @@ BENCH_SCHEMA = 1
 #: The largest benchgen circuits (by AND count under the ``bench`` preset).
 DEFAULT_CIRCUITS = ("log2", "sin", "multiplier", "hyp")
 
-VARIANT_NAMES = ("legacy", "delta", "portfolio")
+VARIANT_NAMES = ("delta", "portfolio")
+
+#: The variant speedups are measured against (one delta-cost chain).
+BASELINE_VARIANT = VARIANT_NAMES[0]
 
 
 def _bench_one(
@@ -60,58 +61,34 @@ def _bench_one(
     # The run's own tracer: the per-phase digest lands in the payload under
     # the additive "span_summary" key (the gate only reads the legacy fields).
     with obs.tracing() as tracer:
-        if variant == "legacy":
-            iterations = 4
-            moves = max(1, move_budget // iterations)
-            result = SAExtractor(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=cost,
-                schedule=AnnealingSchedule(num_iterations=iterations),
-                moves_per_iteration=moves,
-                seed=seed,
-                seed_solution=circuit.original_extraction(),
-                initial="seed",
-            ).run()
-            extraction = result.extraction
-            record: Dict[str, object] = {
-                "wall_time": time.perf_counter() - start,
-                "cost": result.cost,
-                "initial_cost": result.initial_cost,
-                "moves": iterations * moves,
-                "accepted": result.accepted_moves,
-                "evals": iterations * moves,
-                "mean_cone": float(circuit.egraph.num_classes),
-            }
-        else:
-            config = PortfolioConfig(
-                chains=1 if variant == "delta" else chains,
-                move_budget=move_budget,
-                migrate_every=migrate_every,
-                seed=seed,
-                evaluator="delta",
-                workers=0 if variant == "delta" else None,
-            )
-            result = portfolio_extract(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=cost,
-                config=config,
-                seed_solution=circuit.original_extraction(),
-            )
-            extraction = result.extraction
-            profile = result.profile
-            record = {
-                "wall_time": time.perf_counter() - start,
-                "cost": result.cost,
-                "initial_cost": profile.initial_cost,
-                "moves": profile.total_moves,
-                "accepted": profile.total_accepted,
-                "evals": profile.total_evals,
-                "mean_cone": profile.mean_cone(),
-                "chains": profile.num_chains,
-                "migrations": len(profile.migrations),
-            }
+        config = PortfolioConfig(
+            chains=1 if variant == "delta" else chains,
+            move_budget=move_budget,
+            migrate_every=migrate_every,
+            seed=seed,
+            evaluator="delta",
+            workers=0 if variant == "delta" else None,
+        )
+        result = portfolio_extract(
+            circuit.egraph,
+            circuit.output_classes,
+            cost=cost,
+            config=config,
+            seed_solution=circuit.original_extraction(),
+        )
+        extraction = result.extraction
+        profile = result.profile
+        record: Dict[str, object] = {
+            "wall_time": time.perf_counter() - start,
+            "cost": result.cost,
+            "initial_cost": profile.initial_cost,
+            "moves": profile.total_moves,
+            "accepted": profile.total_accepted,
+            "evals": profile.total_evals,
+            "mean_cone": profile.mean_cone(),
+            "chains": profile.num_chains,
+            "migrations": len(profile.migrations),
+        }
     record["span_summary"] = span_summary(tracer)
     if check_cec:
         from repro.verify.cec import check_equivalence
@@ -176,7 +153,9 @@ def run_extraction_bench(
         },
         "circuits": {},
     }
-    speedups: Dict[str, List[float]] = {name: [] for name in VARIANT_NAMES if name != "legacy"}
+    speedups: Dict[str, List[float]] = {
+        name: [] for name in VARIANT_NAMES if name != BASELINE_VARIANT
+    }
     for name in names:
         aig = epfl.build(name, preset=preset)
         if progress:
@@ -207,13 +186,11 @@ def run_extraction_bench(
                 check_cec=check_cec,
                 conflict_budget=conflict_budget,
             )
-        legacy_wall = entry["runs"]["legacy"]["wall_time"]
+        baseline_wall = entry["runs"][BASELINE_VARIANT]["wall_time"]
         entry["speedup"] = {}
-        for variant in VARIANT_NAMES:
-            if variant == "legacy":
-                continue
+        for variant in speedups:
             wall = entry["runs"][variant]["wall_time"]
-            ratio = legacy_wall / wall if wall > 0 else float("inf")
+            ratio = baseline_wall / wall if wall > 0 else float("inf")
             entry["speedup"][variant] = ratio
             speedups[variant].append(ratio)
         payload["circuits"][name] = entry
@@ -247,5 +224,5 @@ def render_bench(payload: Dict[str, object]) -> str:
     geomeans = payload.get("summary", {}).get("geomean_speedup", {})
     if geomeans:
         rendered = ", ".join(f"{k} {v:.2f}x" for k, v in geomeans.items())
-        lines.append(f"geomean speedup vs legacy: {rendered}")
+        lines.append(f"geomean speedup vs {BASELINE_VARIANT}: {rendered}")
     return "\n".join(lines)

@@ -1,8 +1,8 @@
 """Delta-cost evaluation: incremental extraction cost under single-class flips.
 
-The legacy SA loop pays O(e-graph) per move twice over — a full bottom-up
-neighbour sweep plus a from-scratch DAG cost evaluation.  The engine's move
-is a *flip* (one class changes its chosen e-node), and the two evaluators
+A naive SA move pays O(e-graph) twice over — a full bottom-up neighbour
+sweep plus a from-scratch DAG cost evaluation.  The engine's move is a
+*flip* (one class changes its chosen e-node), and the two evaluators
 here price a flip in two ways:
 
 * :class:`DeltaCostEvaluator` — the engine's default.  It keeps the cost
@@ -95,7 +95,7 @@ class CostEvaluator:
 
 
 class FullCostEvaluator(CostEvaluator):
-    """The legacy full-sweep reference: every flip pays a whole re-derivation."""
+    """The full-sweep parity reference: every flip pays a whole re-derivation."""
 
     kind = "full"
 

@@ -39,9 +39,9 @@ from repro.obs import trace as obs
 from repro.obs.metrics import registry as obs_registry
 
 #: Distinct-prime stride between per-chain seeds.  Documented contract: chain
-#: ``i`` of a portfolio (or of ``parallel_sa_extract``) is seeded with
-#: ``chain_seed(base, i)``, so runs are reproducible per (base seed, index)
-#: and chains never share a generator state.
+#: ``i`` of a portfolio is seeded with ``chain_seed(base, i)``, so runs are
+#: reproducible per (base seed, index) and chains never share a generator
+#: state.
 SEED_STRIDE = 1009
 
 

@@ -1,34 +1,30 @@
-"""Simulated-annealing e-graph extraction (Algorithm 1 + Fig. 4 of the paper).
+"""The paper's Algorithm 1 neighbour generator, with solution-space pruning.
 
-The extractor starts from a greedy or random initial solution, then
-repeatedly generates neighbouring solutions by a bottom-up sweep that may
-randomly keep sub-optimal choices (``p_random``), evaluates their QoR, and
-accepts or rejects them following the Metropolis rule under the paper's
-temperature schedule (T1 = 2000, then ``Tn = Tn-1 * |dc| / (n * 10000)`` for
-the middle iterations and ``Tn = Tn-1 * |dc| / n`` for the last one).
-
+:func:`generate_neighbor` builds a neighbouring extraction by a bottom-up
+sweep that may randomly keep sub-optimal choices (``p_random``).
 Solution-space pruning is the queue discipline of Algorithm 1: only e-nodes
 whose class cost actually improved propagate to their parents, and per-class
 best costs are cached in ``Costs_map`` so unchanged sub-trees are never
 re-evaluated.
+
+Extraction itself runs on the island portfolio
+(:mod:`repro.extraction.engine`); this generator builds the structural
+variants that train the learned cost model
+(:func:`repro.costmodel.train.structural_variants`) and is timed by the
+pruning row of the extraction ablation benchmark.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.language import is_leaf_op
-from repro.extraction.cost import CostFunction, NodeCountCost, extraction_cost
-from repro.extraction.greedy import greedy_extract
-from repro.extraction.random_extract import random_extract
-
-QoREvaluator = Callable[[Dict[int, ENode]], float]
+from repro.extraction.cost import CostFunction
 
 
 @dataclass
@@ -65,45 +61,6 @@ class EGraphIndex:
                 for child in enode.children:
                     parents_of.setdefault(egraph.find(child), []).append(enode)
         return cls(classes=classes, owner_of=owner_of, parents_of=parents_of, leaves=leaves)
-
-
-@dataclass
-class AnnealingSchedule:
-    """The paper's cooling schedule (Section IV-A)."""
-
-    initial_temperature: float = 2000.0
-    num_iterations: int = 4
-    mid_divisor: float = 10000.0
-
-    def next_temperature(self, current: float, iteration: int, cost_delta: float) -> float:
-        """Temperature for iteration ``iteration`` (1-based) given the last cost change."""
-        delta = abs(cost_delta)
-        if delta == 0.0:
-            delta = 1.0
-        if iteration >= self.num_iterations:
-            return current * delta / max(iteration, 1)
-        return current * delta / (iteration * self.mid_divisor)
-
-
-@dataclass
-class SAResult:
-    """Outcome of one simulated-annealing extraction run."""
-
-    extraction: Dict[int, ENode]
-    cost: float
-    initial_cost: float
-    accepted_moves: int = 0
-    rejected_moves: int = 0
-    uphill_moves: int = 0
-    iterations: int = 0
-    runtime: float = 0.0
-    cost_trace: List[float] = field(default_factory=list)
-
-    @property
-    def improvement(self) -> float:
-        if self.initial_cost == 0:
-            return 0.0
-        return (self.initial_cost - self.cost) / self.initial_cost
 
 
 def generate_neighbor(
@@ -162,109 +119,3 @@ def generate_neighbor(
                     if process(enode):
                         changed = True
     return new_solution
-
-
-class SAExtractor:
-    """Simulated-annealing extraction with the paper's acceptance rule."""
-
-    def __init__(
-        self,
-        egraph: EGraph,
-        roots: Sequence[int],
-        cost: Optional[CostFunction] = None,
-        qor_evaluator: Optional[QoREvaluator] = None,
-        schedule: Optional[AnnealingSchedule] = None,
-        moves_per_iteration: int = 8,
-        p_random: float = 0.1,
-        seed: int = 0,
-        initial: str = "greedy",
-        pruned: bool = True,
-        seed_solution: Optional[Dict[int, ENode]] = None,
-    ):
-        self.egraph = egraph
-        self.roots = [egraph.find(r) for r in roots]
-        self.cost = cost or NodeCountCost()
-        self.schedule = schedule or AnnealingSchedule()
-        self.moves_per_iteration = moves_per_iteration
-        self.p_random = p_random
-        self.rng = random.Random(seed)
-        self.initial = initial
-        self.pruned = pruned
-        self.seed_solution = seed_solution
-        self._qor = qor_evaluator or (lambda extraction: extraction_cost(egraph, extraction, self.cost, self.roots))
-
-    # -- initial solutions -----------------------------------------------------
-
-    def _initial_solution(self) -> Dict[int, ENode]:
-        if self.initial == "seed" and self.seed_solution is not None:
-            solution = dict(self.seed_solution)
-        elif self.initial == "random":
-            solution = random_extract(self.egraph, seed=self.rng.randrange(1 << 30))
-        else:
-            solution = greedy_extract(self.egraph, self.cost)
-        missing = [cid for cid in self.egraph.class_ids() if cid not in solution]
-        if missing:
-            # Fall back to greedy choices for classes the seed/random pass missed.
-            fallback = greedy_extract(self.egraph, self.cost)
-            for cid in missing:
-                if cid in fallback:
-                    solution[cid] = fallback[cid]
-        return solution
-
-    # -- main loop ---------------------------------------------------------------
-
-    def run(self) -> SAResult:
-        start = time.perf_counter()
-        index = EGraphIndex.build(self.egraph)
-        current = self._initial_solution()
-        current_cost = self._qor(current)
-        best = dict(current)
-        best_cost = current_cost
-        initial_cost = current_cost
-
-        temperature = self.schedule.initial_temperature
-        accepted = rejected = uphill = 0
-        trace = [current_cost]
-        last_delta = 0.0
-
-        for iteration in range(1, self.schedule.num_iterations + 1):
-            for _ in range(self.moves_per_iteration):
-                neighbor = generate_neighbor(
-                    self.egraph,
-                    current,
-                    self.cost,
-                    p_random=self.p_random,
-                    rng=self.rng,
-                    pruned=self.pruned,
-                    index=index,
-                )
-                neighbor_cost = self._qor(neighbor)
-                delta = neighbor_cost - current_cost
-                take = delta <= 0
-                if not take and temperature > 0:
-                    probability = math.exp(-delta / temperature)
-                    take = self.rng.random() < probability
-                    if take:
-                        uphill += 1
-                if take:
-                    current, current_cost = neighbor, neighbor_cost
-                    accepted += 1
-                    last_delta = delta
-                    if current_cost < best_cost:
-                        best, best_cost = dict(current), current_cost
-                else:
-                    rejected += 1
-                trace.append(current_cost)
-            temperature = self.schedule.next_temperature(temperature, iteration + 1, last_delta)
-
-        return SAResult(
-            extraction=best,
-            cost=best_cost,
-            initial_cost=initial_cost,
-            accepted_moves=accepted,
-            rejected_moves=rejected,
-            uphill_moves=uphill,
-            iterations=self.schedule.num_iterations,
-            runtime=time.perf_counter() - start,
-            cost_trace=trace,
-        )

@@ -7,9 +7,9 @@ Pipeline (Fig. 5 of the paper):
 2. direct DAG-to-DAG conversion of the optimized AIG into an e-graph;
 3. a small number of equality-saturation iterations to grow structural
    choices;
-4. multi-threaded simulated-annealing extraction, with either the mapping
+4. island-parallel simulated-annealing extraction, with either the mapping
    cost model (quality-prioritized) or the learned HOGA-like model
-   (runtime-prioritized) evaluating candidates;
+   (runtime-prioritized) evaluating each chain's best candidate;
 5. the best extracted structure goes through the final ``(st; dch; map)``
    round; the result is equivalence-checked against the input.
 
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
 from repro.costmodel.hoga import HogaModel
-from repro.egraph.runner import RunnerReport
+from repro.engine.telemetry import SaturationProfile
 from repro.flows.baseline import BaselineConfig, BaselineResult, run_baseline_flow  # noqa: F401 (re-export)
 from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library
@@ -40,8 +40,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 #: ``EmorphicConfig`` fields that no longer exist.  The e-matching knobs went
 #: when the batched matcher became the only one; every old value selected a
-#: matcher with identical results, so dropping them changes no flow.
-RETIRED_FIELDS = frozenset({"use_op_index", "matcher"})
+#: matcher with identical results, so dropping them changes no flow.  The
+#: extraction-engine switch and the three knobs that only shaped the legacy
+#: SA loop went when the portfolio became the only extractor.
+RETIRED_FIELDS = frozenset(
+    {
+        "use_op_index",
+        "matcher",
+        "extraction_engine",
+        "p_random",
+        "initial_temperature",
+        "pruned",
+    }
+)
 
 
 @dataclass
@@ -58,20 +69,14 @@ class EmorphicConfig:
     #: growing windows; "simple" searches every rule every iteration.
     scheduler: str = "backoff"
     dedup_matches: bool = True
-    # Extraction.
-    #: "portfolio" = island-parallel delta-cost engine (chains guided by the
-    #: structural cost, QoR model re-scores each chain's best); "legacy" =
-    #: the original per-move full-sweep SA loop.
-    extraction_engine: str = "portfolio"
-    num_threads: int = 4  # portfolio chains / legacy SA threads
-    migrate_every: int = 8  # portfolio: moves between best-solution migrations
+    # Extraction (the island portfolio: chains guided by the structural cost,
+    # the QoR model re-scores each chain's best).
+    num_threads: int = 4  # portfolio chains
+    migrate_every: int = 8  # moves between best-solution migrations
     sa_iterations: int = 4
-    initial_temperature: float = 2000.0
     moves_per_iteration: int = 4
-    p_random: float = 0.1
-    pruned: bool = True
     seed: int = 7  # base seed of the chains (chain i runs chain_seed(seed, i))
-    extraction_cost: str = "depth"  # guiding cost inside Algorithm 1
+    extraction_cost: str = "depth"  # structural cost guiding the chains
     # Cost model.
     use_ml_model: bool = False
     ml_model: Optional[HogaModel] = None
@@ -145,12 +150,12 @@ class EmorphicResult:
     levels: int
     runtime: float
     phase_runtimes: Dict[str, float] = field(default_factory=dict)
-    rewrite_report: Optional[RunnerReport] = None
+    rewrite_report: Optional[SaturationProfile] = None
     num_candidates: int = 0
     baseline_delay_before_resynthesis: float = 0.0
     equivalence: Optional[CecResult] = None
     pass_runtimes: List[Tuple[str, float]] = field(default_factory=list)
-    #: Extraction-engine telemetry (portfolio engine only).
+    #: Extraction-engine telemetry of the portfolio run.
     extraction_profile: Optional[object] = None
     #: Rule-level QoR attribution when a provenance recorder was installed.
     attribution: Optional[object] = None
@@ -241,17 +246,13 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
             "extract",
             {
                 "method": "sa",
-                "engine": config.extraction_engine,
                 # The runtime-prioritized (ML) mode runs two extra chains.
                 "threads": config.num_threads + (2 if config.use_ml_model else 0),
                 "migrate_every": config.migrate_every,
                 "iters": config.sa_iterations,
                 "moves": config.moves_per_iteration,
-                "p_random": config.p_random,
-                "temperature": config.initial_temperature,
                 "seed": config.seed,
                 "cost": config.extraction_cost if config.extraction_cost == "depth" else "nodes",
-                "pruned": config.pruned,
                 "use_ml": config.use_ml_model,
             },
             phase="extraction",

@@ -58,7 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    matcher and op-index fields (``RETIRED_FIELDS``: old payloads still
 #:    load, the keys are dropped) and SaturationProfile payloads drop
 #:    ``indexed``.
-SCHEMA_VERSION = 9
+#: 10: the portfolio is the only extractor — EmorphicConfig drops
+#:    extraction_engine/p_random/initial_temperature/pruned
+#:    (``RETIRED_FIELDS``) and pipeline metrics drop ``extraction_engine``.
+SCHEMA_VERSION = 10
 
 FLOWS = ("baseline", "emorphic", "pipeline")
 

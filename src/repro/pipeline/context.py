@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aig.graph import Aig
-from repro.egraph.runner import RunnerReport
+from repro.engine.telemetry import SaturationProfile
 from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library, asap7_like_library
 from repro.verify.cec import CecResult
@@ -60,8 +60,8 @@ class FlowContext:
     pre_mapping: Optional[MappingResult] = None
     pre_aig: Optional[Aig] = None
     mapping: Optional[MappingResult] = None
-    rewrite_report: Optional[RunnerReport] = None
-    #: Extraction-engine telemetry; set by ``extract(sa, engine=portfolio)``.
+    rewrite_report: Optional[SaturationProfile] = None
+    #: Extraction-engine telemetry; set by ``extract(sa)``.
     extraction_profile: Optional[object] = None
     #: Pending partition plan; set by ``partition``, consumed by ``stitch``.
     #: While it is live, ``saturate``/``extract`` stage parameters into it

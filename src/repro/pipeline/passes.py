@@ -31,15 +31,12 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
-from repro.costmodel.abc_cost import MappingCostModel
 from repro.egraph.rules import boolean_rules
 from repro.engine import SCHEDULERS, EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
-from repro.extraction.parallel import ParallelSAConfig, parallel_sa_extract
 from repro.extraction.random_extract import random_extract
-from repro.extraction.sa import AnnealingSchedule
 from repro.mapping.cut_mapping import map_aig
 from repro.obs import provenance as obs_provenance
 from repro.opt.balance import balance
@@ -312,60 +309,48 @@ def _pass_saturate(
 def _pass_extract(
     ctx: FlowContext,
     method: str = "sa",
-    engine: str = "portfolio",
     threads: int = 4,
-    chains: int = 0,
     migrate_every: int = 0,
     workers: int = 0,
     iters: int = 4,
     moves: int = 4,
-    p_random: float = 0.1,
-    temperature: float = 2000.0,
     seed: int = 7,
     cost: str = "depth",
-    pruned: bool = True,
     use_ml: bool = False,
 ) -> None:
     """E-graph extraction.
 
-    ``method="sa"`` runs under one of two engines: ``engine="portfolio"``
-    (the default) is the island-parallel portfolio with delta-cost move
-    evaluation — the structural ``cost`` guides the chains and the expensive
-    QoR evaluator (mapping, or the learned model with ``use_ml``) re-scores
-    only each chain's best extraction; ``engine="legacy"`` is the original
-    per-move full-sweep loop that pays the QoR evaluator on *every* move.
-    ``chains`` defaults to ``threads``; the portfolio's total move budget is
-    ``iters * moves`` per chain, matching the legacy loop's schedule.
-    ``workers=0`` (the default) runs the portfolio chains inline — at
-    flow-scale move budgets pool startup would dominate, and orchestrate
-    campaigns already parallelise across jobs; results are identical either
-    way, so ``workers=N`` is purely a throughput knob for big budgets.
-    ``p_random``/``temperature``/``pruned`` only shape the legacy loop.
+    ``method="sa"`` runs the island-parallel portfolio with delta-cost move
+    evaluation: ``threads`` chains, each with ``iters * moves`` moves, guided
+    by the structural ``cost``, exchanging their best solution every
+    ``migrate_every`` moves (0 means half the per-chain budget).  Every
+    chain's best extraction becomes a candidate, and the ``map`` pass keeps
+    the best mapped one; with ``use_ml`` the learned cost model re-ranks the
+    chains' best extractions first.  ``workers=0`` (the default) runs the
+    chains inline — at flow-scale move budgets pool startup would dominate,
+    and orchestrate campaigns already parallelise across jobs; results are
+    identical either way, so ``workers=N`` is purely a throughput knob for
+    big budgets.
 
     After a ``partition`` pass the parameters are *staged* into the pending
-    plan (applied per window when ``stitch`` runs); only ``sa`` (portfolio)
-    and ``greedy`` extraction are available per window.
+    plan (applied per window when ``stitch`` runs); only ``sa`` and
+    ``greedy`` extraction are available per window.
     """
     if method not in EXTRACT_METHODS:
         raise PipelineError(
             f"unknown extraction method {method!r}; choose from {', '.join(EXTRACT_METHODS)}"
         )
-    if engine not in ("portfolio", "legacy"):
-        raise PipelineError(f"unknown extraction engine {engine!r}; choose portfolio or legacy")
     plan = ctx.partition_plan
     if plan is not None:
         if method == "random":
             raise PipelineError("extract(random) is not supported inside a partitioned flow")
-        if engine != "portfolio":
-            raise PipelineError("partitioned flows only support the portfolio extraction engine")
         if use_ml:
             raise PipelineError("extract(use_ml=true) is not supported inside a partitioned flow")
-        num_chains = chains or threads
         plan.window_config = replace(
             plan.window_config,
             method=method,
-            chains=num_chains,
-            moves=iters * moves * num_chains,
+            chains=threads,
+            moves=iters * moves * threads,
             cost=cost,
             seed=seed,
         )
@@ -376,73 +361,45 @@ def _pass_extract(
     guiding = DepthCost() if cost == "depth" else NodeCountCost()
 
     if method == "sa":
-        model = None
+        ctx.metrics["extraction_evaluator"] = "ml" if use_ml else "mapping"
+        final_selector = None
         if use_ml:
-            model = ctx.ml_model if ctx.ml_model is not None else _default_ml_model()
-        ctx.metrics["extraction_evaluator"] = "ml" if model is not None else "mapping"
-        ctx.metrics["extraction_engine"] = engine
-        if model is not None:
-
-            def qor_evaluator(extraction):
-                return model.predict_aig(extraction_to_aig(circuit, extraction, name="candidate"))
-
-        else:
-            qor_model = MappingCostModel(library=ctx.library)
-
-            def qor_evaluator(extraction):
-                return qor_model.cost_of_aig(extraction_to_aig(circuit, extraction, name="candidate"))
-
-        if engine == "portfolio":
-            num_chains = chains or threads
-            config = PortfolioConfig(
-                chains=num_chains,
-                move_budget=iters * moves * num_chains,
-                migrate_every=migrate_every or max(1, (iters * moves) // 2),
-                seed=seed,
-                workers=workers,
-            )
             # The ML evaluator is cheap, so it re-scores every chain's best
             # extraction here; with the mapping evaluator the downstream
             # ``map`` pass already maps every candidate and keeps the best,
             # so a selector pass would just pay the mapper twice.
-            result = portfolio_extract(
-                circuit.egraph,
-                list(circuit.output_classes),
-                cost=guiding,
-                config=config,
-                seed_solution=circuit.original_extraction(),
-                final_selector=qor_evaluator if model is not None else None,
-                columns=ctx.egraph_columns,
-            )
-            ctx.extraction_profile = result.profile
-            ctx.metrics["extraction_moves"] = result.profile.total_moves
-            ctx.metrics["extraction_best_cost"] = result.cost
-            # Chains can converge (migration); dedup identical extractions
-            # so the map pass doesn't pay for the same candidate twice.
-            extractions, seen = [], set()
-            for extraction in result.chain_extractions:
-                key = frozenset(extraction.items())
-                if key not in seen:
-                    seen.add(key)
-                    extractions.append(extraction)
-        else:
-            sa_config = ParallelSAConfig(
-                num_threads=threads,
-                moves_per_iteration=moves,
-                p_random=p_random,
-                schedule=AnnealingSchedule(initial_temperature=temperature, num_iterations=iters),
-                seed=seed,
-                pruned=pruned,
-            )
-            results = parallel_sa_extract(
-                circuit.egraph,
-                list(circuit.output_classes),
-                cost=guiding,
-                qor_evaluator=qor_evaluator,
-                config=sa_config,
-                seed_solution=circuit.original_extraction(),
-            )
-            extractions = [result.extraction for result in results]
+            model = ctx.ml_model if ctx.ml_model is not None else _default_ml_model()
+
+            def final_selector(extraction):
+                return model.predict_aig(extraction_to_aig(circuit, extraction, name="candidate"))
+
+        config = PortfolioConfig(
+            chains=threads,
+            move_budget=iters * moves * threads,
+            migrate_every=migrate_every or max(1, (iters * moves) // 2),
+            seed=seed,
+            workers=workers,
+        )
+        result = portfolio_extract(
+            circuit.egraph,
+            list(circuit.output_classes),
+            cost=guiding,
+            config=config,
+            seed_solution=circuit.original_extraction(),
+            final_selector=final_selector,
+            columns=ctx.egraph_columns,
+        )
+        ctx.extraction_profile = result.profile
+        ctx.metrics["extraction_moves"] = result.profile.total_moves
+        ctx.metrics["extraction_best_cost"] = result.cost
+        # Chains can converge (migration); dedup identical extractions
+        # so the map pass doesn't pay for the same candidate twice.
+        extractions, seen = [], set()
+        for extraction in result.chain_extractions:
+            key = frozenset(extraction.items())
+            if key not in seen:
+                seen.add(key)
+                extractions.append(extraction)
     elif method == "greedy":
         extractions = [greedy_extract(circuit.egraph, cost=guiding)]
     else:  # random

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
-from repro.egraph.runner import RunnerReport
+from repro.engine.telemetry import SaturationProfile
 from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library
 from repro.obs import trace as obs
@@ -34,7 +34,7 @@ from repro.verify.cec import CecResult
 
 def _normalize_param(value: object, default: object) -> object:
     """Align a parameter value's numeric type with its registry default, so
-    ``temperature=2000`` and ``temperature=2000.0`` canonicalize identically."""
+    ``time_limit=30`` and ``time_limit=30.0`` canonicalize identically."""
     if isinstance(default, bool) or isinstance(value, bool) or value is None:
         return value
     if isinstance(default, float) and isinstance(value, int):
@@ -123,8 +123,8 @@ class PipelineResult:
     metrics: Dict[str, object] = field(default_factory=dict)
     equivalence: Optional[CecResult] = None
     #: Saturation telemetry when the script ran a ``saturate`` pass.
-    rewrite_report: Optional[RunnerReport] = None
-    #: Extraction-engine telemetry when the script ran a portfolio ``extract``.
+    rewrite_report: Optional[SaturationProfile] = None
+    #: Extraction-engine telemetry when the script ran ``extract(sa)``.
     extraction_profile: Optional[object] = None
     #: Partitioned-run telemetry when the script ran ``partition``/``stitch``.
     partition_profile: Optional[object] = None

@@ -16,7 +16,7 @@ from repro.conversion.sexpr import (
     sexpr_to_egraph,
 )
 from repro.egraph.rules import boolean_rules
-from repro.egraph.runner import saturate
+from repro.engine import EngineLimits, saturate_engine
 from repro.extraction.cost import NodeCountCost
 from repro.extraction.greedy import greedy_extract
 
@@ -62,7 +62,13 @@ class TestDagToEgraph:
 
     def test_roundtrip_after_saturation(self, small_mem_ctrl):
         circuit = aig_to_egraph(small_mem_ctrl)
-        saturate(circuit.egraph, boolean_rules(), max_iterations=2, max_nodes=20_000)
+        saturate_engine(
+            circuit.egraph,
+            boolean_rules(),
+            EngineLimits(max_iterations=2, max_nodes=20_000),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         back = egraph_to_aig(circuit)
         assert same_function(small_mem_ctrl, back)
 

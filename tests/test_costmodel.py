@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.benchgen import arithmetic, control, epfl
-from repro.conversion.dag2eg import aig_to_egraph
 from repro.costmodel.abc_cost import MappingCostModel, QoR
 from repro.costmodel.features import FeatureConfig, circuit_features, hop_features, node_features
 from repro.costmodel.hoga import HogaConfig, HogaModel
@@ -34,15 +33,6 @@ class TestMappingCostModel:
     def test_qor_cost_helper(self):
         qor = QoR(area=10.0, delay=100.0, levels=5, num_gates=7)
         assert qor.cost(delay_weight=1.0, area_weight=0.1) == pytest.approx(101.0)
-
-    def test_extraction_evaluator(self, small_mem_ctrl, library):
-        model = MappingCostModel(library=library)
-        circuit = aig_to_egraph(small_mem_ctrl)
-        from repro.extraction.greedy import greedy_extract
-
-        evaluator = model.make_extraction_evaluator(circuit)
-        cost = evaluator(greedy_extract(circuit.egraph))
-        assert cost > 0
 
     def test_fast_mode_close_to_full(self, small_sqrt, library):
         fast = MappingCostModel(library=library, fast=True).evaluate_aig(small_sqrt)

@@ -11,7 +11,7 @@ from repro.egraph.language import AND, CONST0, CONST1, NOT, OR, VAR, is_leaf_op,
 from repro.egraph.pattern import parse_pattern, search
 from repro.egraph.rewrite import Rewrite, bidirectional
 from repro.egraph.rules import boolean_rules, rule_names, rules_by_name
-from repro.egraph.runner import Runner, RunnerLimits, saturate
+from repro.engine import EngineLimits, saturate_engine
 from repro.egraph.serialize import egraph_from_dsl, egraph_to_dsl
 from repro.egraph.unionfind import UnionFind
 
@@ -216,7 +216,13 @@ class TestRewrite:
         a, b = eg.var("a"), eg.var("b")
         expr = eg.add_term(AND, [a, eg.add_term(OR, [a, b])])
         rules = rules_by_name(["absorb-and"])
-        saturate(eg, rules, max_iterations=3)
+        saturate_engine(
+            eg,
+            rules,
+            EngineLimits(max_iterations=3),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert eg.find(expr) == eg.find(a)
 
 
@@ -237,7 +243,13 @@ class TestRules:
         a, b = eg.var("a"), eg.var("b")
         lhs = eg.add_term(NOT, [eg.add_term(AND, [a, b])])
         rhs = eg.add_term(OR, [eg.add_term(NOT, [a]), eg.add_term(NOT, [b])])
-        saturate(eg, boolean_rules(), max_iterations=3, max_nodes=5000)
+        saturate_engine(
+            eg,
+            boolean_rules(),
+            EngineLimits(max_iterations=3, max_nodes=5000),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert eg.find(lhs) == eg.find(rhs)
 
     def test_constant_folding(self):
@@ -245,7 +257,13 @@ class TestRules:
         a = eg.var("a")
         const1 = eg.add_term(CONST1)
         expr = eg.add_term(AND, [a, const1])
-        saturate(eg, boolean_rules(), max_iterations=2)
+        saturate_engine(
+            eg,
+            boolean_rules(),
+            EngineLimits(max_iterations=2),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert eg.find(expr) == eg.find(a)
 
 
@@ -254,7 +272,13 @@ class TestRunner:
         eg = EGraph()
         a, b = eg.var("a"), eg.var("b")
         eg.add_term(AND, [a, b])
-        report = saturate(eg, rules_by_name(["and-comm"]), max_iterations=10)
+        report = saturate_engine(
+            eg,
+            rules_by_name(["and-comm"]),
+            EngineLimits(max_iterations=10),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert report.stop_reason == "saturated"
         assert report.num_iterations < 10
 
@@ -262,15 +286,26 @@ class TestRunner:
         eg = EGraph()
         a, b, c, d = (eg.var(x) for x in "abcd")
         eg.add_term(OR, [eg.add_term(AND, [a, b]), eg.add_term(AND, [c, d])])
-        report = saturate(eg, boolean_rules(), max_iterations=50, max_nodes=60)
+        report = saturate_engine(
+            eg,
+            boolean_rules(),
+            EngineLimits(max_iterations=50, max_nodes=60),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert report.stop_reason in ("node_limit", "class_limit", "saturated")
 
     def test_iteration_reports_populated(self):
         eg = EGraph()
         a, b = eg.var("a"), eg.var("b")
         eg.add_term(AND, [a, b])
-        runner = Runner(eg, boolean_rules(), RunnerLimits(max_iterations=2, max_nodes=10_000))
-        report = runner.run()
+        report = saturate_engine(
+            eg,
+            boolean_rules(),
+            EngineLimits(max_iterations=2, max_nodes=10_000),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert report.num_iterations >= 1
         assert report.iterations[0].num_classes > 0
         assert report.total_time >= 0

@@ -21,7 +21,6 @@ from repro.egraph.language import AND, NOT, OR, VAR
 from repro.egraph.pattern import parse_pattern, search
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules, rules_by_name
-from repro.egraph.runner import Runner, RunnerLimits, saturate
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
     BackoffScheduler,
@@ -108,7 +107,13 @@ class TestRandomizedInvariants:
 
     def test_counters_match_recomputation(self):
         eg = _diamond_egraph()
-        saturate(eg, boolean_rules(), max_iterations=2, max_nodes=3_000)
+        saturate_engine(
+            eg,
+            boolean_rules(),
+            EngineLimits(max_iterations=2, max_nodes=3_000),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         classes = eg.canonical_classes()
         assert eg.num_classes == len(classes)
         assert eg.num_nodes == sum(len(ec.nodes) for ec in classes.values())
@@ -199,22 +204,15 @@ class TestDeterminism:
 
 
 class TestLegacyParity:
-    def test_runner_wrapper_matches_unindexed_engine(self):
-        eg1, eg2 = _diamond_egraph(), _diamond_egraph()
-        limits = RunnerLimits(max_iterations=3, max_nodes=2_500)
-        report = Runner(eg1, boolean_rules(), limits).run()
-        profile = SaturationEngine(
-            eg2, boolean_rules(), limits, scheduler="simple", dedup_matches=False
-        ).run()
-        assert egraph_digest(eg1) == egraph_digest(eg2)
-        assert report.stop_reason == profile.stop_reason
-        assert [it.applied for it in report.iterations] == [
-            it.applied for it in profile.iterations
-        ]
-
     def test_legacy_report_surface_preserved(self):
         eg = _diamond_egraph()
-        report = saturate(eg, rules_by_name(["and-comm"]), max_iterations=10)
+        report = saturate_engine(
+            eg,
+            rules_by_name(["and-comm"]),
+            EngineLimits(max_iterations=10),
+            scheduler="simple",
+            dedup_matches=False,
+        )
         assert report.stop_reason == "saturated"
         assert report.num_iterations < 10
         assert report.final_classes > 0 and report.final_nodes > 0

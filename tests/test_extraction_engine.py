@@ -31,7 +31,6 @@ from repro.extraction.engine import (
 )
 from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
 from repro.extraction.greedy import greedy_extract
-from repro.extraction.parallel import ParallelSAConfig, parallel_sa_extract
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +123,7 @@ class TestDeltaFullParity:
     @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
     @pytest.mark.parametrize("circuit_seed", [1, 2, 3])
     def test_identical_trajectories_on_random_circuits(self, cost_cls, circuit_seed):
-        """The tentpole parity contract: the delta-cost engine, the legacy
+        """The tentpole parity contract: the delta-cost engine, the
         full-sweep reference, and the portfolio with one chain return the
         identical cost and extraction for identical seeds."""
         _, circuit = _random_saturated(circuit_seed)
@@ -242,6 +241,11 @@ class TestPortfolio:
         assert seeds == [chain_seed(5, i) for i in range(3)]
         assert len(set(seeds)) == 3
 
+    def test_chain_seed_derivation(self):
+        assert chain_seed(7, 0) == 7
+        assert chain_seed(7, 1) != chain_seed(7, 0)
+        assert len({chain_seed(7, i) for i in range(16)}) == 16
+
     def test_migration_events_recorded(self, saturated_circuit):
         _, circuit = saturated_circuit
         # A hot random-start chain next to a greedy-start chain: the laggard
@@ -301,25 +305,6 @@ class TestPortfolio:
         assert problem.extraction_from_choice(state.best_choice) == result.extraction
 
 
-class TestParallelSASeeding:
-    def test_parallel_sa_deterministic_best(self, saturated_circuit):
-        _, circuit = saturated_circuit
-        config = ParallelSAConfig(num_threads=3, moves_per_iteration=2, seed=17)
-        runs = [
-            parallel_sa_extract(
-                circuit.egraph, circuit.output_classes, NodeCountCost(), config=config
-            )
-            for _ in range(2)
-        ]
-        assert runs[0][0].cost == runs[1][0].cost
-        assert runs[0][0].extraction == runs[1][0].extraction
-
-    def test_chain_seed_derivation(self):
-        assert chain_seed(7, 0) == 7
-        assert chain_seed(7, 1) != chain_seed(7, 0)
-        assert len({chain_seed(7, i) for i in range(16)}) == 16
-
-
 class TestConfigValidation:
     def test_rejects_non_progressing_rounds(self):
         with pytest.raises(ValueError, match="migrate_every"):
@@ -375,11 +360,11 @@ class TestExtractionBench:
             check_cec=True,
         )
         entry = payload["circuits"]["adder"]
-        assert set(entry["runs"]) == {"legacy", "delta", "portfolio"}
+        assert set(entry["runs"]) == {"delta", "portfolio"}
         for run in entry["runs"].values():
             assert run["wall_time"] > 0
             assert run["extraction_cec"] == "equivalent"
-        assert set(entry["speedup"]) == {"delta", "portfolio"}
+        assert set(entry["speedup"]) == {"portfolio"}
         assert "geomean_speedup" in payload["summary"]
         assert "adder" in render_bench(payload)
 

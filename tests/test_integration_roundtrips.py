@@ -58,9 +58,15 @@ def test_operator_cost_extraction_matches_structure():
     aig = epfl.build("mem_ctrl", preset="test")
     circuit = aig_to_egraph(aig)
     from repro.egraph.rules import boolean_rules
-    from repro.egraph.runner import saturate
+    from repro.engine import EngineLimits, saturate_engine
 
-    saturate(circuit.egraph, boolean_rules(), max_iterations=2, max_nodes=10_000)
+    saturate_engine(
+        circuit.egraph,
+        boolean_rules(),
+        EngineLimits(max_iterations=2, max_nodes=10_000),
+        scheduler="simple",
+        dedup_matches=False,
+    )
     avoid_or = OperatorCost(weights={"OR": 10.0, "AND": 1.0, "NOT": 0.1, "VAR": 0.0, "CONST0": 0.0, "CONST1": 0.0})
     prefer_or = OperatorCost(weights={"OR": 0.5, "AND": 1.0, "NOT": 0.1, "VAR": 0.0, "CONST0": 0.0, "CONST1": 0.0})
     ex_avoid = greedy_extract(circuit.egraph, avoid_or)

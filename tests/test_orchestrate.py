@@ -49,7 +49,7 @@ class TestJobHash:
             ("rewrite_iterations", 3),
             ("seed", 8),
             ("extraction_cost", "nodes"),
-            ("pruned", False),
+            ("migrate_every", 4),
             ("use_ml_model", True),
             ("baseline.use_choices", True),
         ],

@@ -193,7 +193,7 @@ class TestPipelinePasses:
     def test_script_end_to_end(self, log2_test):
         pipeline = Pipeline.from_script(
             "st; partition(k=60); saturate(iters=2, max_nodes=2500); "
-            "extract(sa, chains=2, moves=4, iters=1); stitch; map; cec"
+            "extract(sa, threads=2, moves=4, iters=1); stitch; map; cec"
         )
         result = pipeline.run_flow(log2_test)
         data = result.to_dict()
@@ -217,7 +217,6 @@ class TestPipelinePasses:
         for script in (
             "st; partition(k=30); extract(random); stitch",
             "st; partition(k=30); extract(sa, use_ml=true); stitch",
-            "st; partition(k=30); extract(sa, engine=legacy); stitch",
         ):
             with pytest.raises(PipelineError):
                 Pipeline.from_script(script).run_flow(small_adder)

@@ -4,6 +4,8 @@ timing, flow re-implementation, and pipeline jobs in the orchestrator."""
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.pipeline import (
     pass_table,
     resolve_pass,
 )
+from repro.pipeline.values import render_value
 from repro.verify.cec import check_equivalence
 
 #: The acceptance-criteria script, scaled down for test runtime.
@@ -102,8 +105,8 @@ class TestPipelineSerialization:
         assert Pipeline.from_script("dag2eg; extract(sa)") == Pipeline.from_script("dag2eg; extract")
 
     def test_numeric_types_normalize_to_the_default_type(self):
-        a = Pipeline.from_script("dag2eg; extract(temperature=2000)")
-        b = Pipeline.from_script("dag2eg; extract(temperature=2000.0)")
+        a = Pipeline.from_script("saturate(time_limit=30)")
+        b = Pipeline.from_script("saturate(time_limit=30.0)")
         assert a == b and a.to_spec() == b.to_spec()
         assert Pipeline.from_script("saturate(iters=2.0)") == Pipeline.from_script("saturate(iters=2)")
 
@@ -166,6 +169,23 @@ class TestRegistry:
         assert ctx.aig.num_pos == small_adder.num_pos
         if spec.kind in ("transform", "extract", "map"):
             assert check_equivalence(small_adder, ctx.aig).equivalent
+
+    def test_dsl_doc_pass_table_matches_registry(self):
+        """Every row of the pass table in docs/dsl.md lists exactly the
+        registry's parameters, each with its registry default."""
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "dsl.md").read_text()
+        rows = {}
+        for line in doc.splitlines():
+            match = re.match(r"\| `(\w+)` \|[^|]*\|[^|]*\|(.*)\|\s*$", line)
+            if match:
+                spans = re.findall(r"`([^`]*)`", match.group(2))
+                tokens = [t.strip() for span in spans for t in span.split(",") if "=" in t]
+                rows[match.group(1)] = dict(token.split("=", 1) for token in tokens)
+        assert set(rows) == set(available_passes())
+        for spec in pass_table():
+            assert set(rows[spec.name]) == set(spec.params), spec.name
+            for name, default in spec.params.items():
+                assert rows[spec.name][name] == render_value(default), (spec.name, name)
 
     def test_egraph_passes_fail_cleanly_without_dag2eg(self, small_adder):
         with pytest.raises(PipelineError, match="dag2eg"):
@@ -264,13 +284,47 @@ class TestFlowsAsPipelines:
         assert sum(result.phase_runtimes.values()) <= result.runtime
 
 
+class TestOneExtractor:
+    """The portfolio is the only extractor; removing the legacy SA loop and
+    its knobs moved no canonical flow."""
+
+    def test_canonical_flow_scripts_unchanged(self):
+        assert emorphic_pipeline(EmorphicConfig()).to_script() == (
+            "strash; strash; sop_balance; strash; sop_balance; strash; premap; dag2eg; "
+            "saturate; extract(migrate_every=8); map(use_choices=true); cec"
+        )
+        assert emorphic_pipeline(EmorphicConfig.fast()).to_script() == (
+            "strash; strash; sop_balance; strash; sop_balance; strash; premap; dag2eg; "
+            "saturate(iters=4, max_nodes=12000, time_limit=10.0); "
+            "extract(iters=3, migrate_every=8, moves=2, threads=2); map"
+        )
+
+    def test_config_loads_payloads_with_retired_extraction_fields(self):
+        payload = EmorphicConfig(seed=3).to_dict()
+        payload.update(
+            extraction_engine="portfolio", p_random=0.1, initial_temperature=2000.0, pruned=True
+        )
+        config = EmorphicConfig.from_dict(payload)
+        assert config.to_dict() == EmorphicConfig(seed=3).to_dict()
+
+    @pytest.mark.parametrize("param", ["engine=legacy", "p_random=0.2", "chains=2"])
+    @pytest.mark.parametrize(
+        "template",
+        ["dag2eg; extract(sa, {})", "st; partition(k=30); extract(sa, {}); stitch"],
+        ids=["whole", "staged"],
+    )
+    def test_removed_extract_params_rejected(self, template, param, small_adder):
+        with pytest.raises(PipelineError, match="has no parameter"):
+            Pipeline.from_script(template.format(param)).run_flow(small_adder)
+
+
 class TestPipelineJobs:
     def test_spec_participates_in_job_hash(self):
         job_a = make_pipeline_job("adder", FAST_EMORPHIC_SCRIPT, preset="test")
         job_b = make_pipeline_job(
             "adder",
             "st ; sopb() ;dag2eg; saturate( iters = 2, max_nodes=4000 ); "
-            "extract(method=sa, threads=1, iters=1, moves=1, temperature=2000); map",
+            "extract(method=sa, threads=1, iters=1, moves=1, seed=7); map",
             preset="test",
         )
         assert job_a.job_hash() == job_b.job_hash()
