@@ -49,7 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -116,24 +116,6 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextmanager
-def _maybe_trace(args: argparse.Namespace):
-    """Install a tracer for the command when ``--trace FILE`` was given."""
-    path = getattr(args, "trace", None)
-    if not path:
-        yield None
-        return
-    from repro.obs import tracing, write_chrome_trace, write_folded_stacks
-
-    with tracing() as tracer:
-        yield tracer
-    if path.endswith(".folded"):
-        write_folded_stacks(tracer, path)
-    else:
-        write_chrome_trace(tracer, path)
-    _LOG.info(f"trace written to {path}")
-
-
 def _add_provenance_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--provenance",
@@ -155,20 +137,6 @@ def _write_derivation(recorder, path: str) -> None:
     _LOG.info(f"provenance written to {path}")
 
 
-@contextmanager
-def _maybe_provenance(args: argparse.Namespace):
-    """Install a provenance recorder when ``--provenance FILE`` was given."""
-    path = getattr(args, "provenance", None)
-    if not path:
-        yield None
-        return
-    from repro.obs import recording
-
-    with recording() as recorder:
-        yield recorder
-    _write_derivation(recorder, path)
-
-
 def _add_resource_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample-resources",
@@ -179,15 +147,27 @@ def _add_resource_arg(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _maybe_sample(args: argparse.Namespace):
-    """Install a resource sampler when ``--sample-resources`` was given."""
-    if not getattr(args, "sample_resources", False):
-        yield None
-        return
-    from repro.obs import sampling
+def _observed(args: argparse.Namespace):
+    """Install the observers a command's flags ask for: ``--trace FILE``,
+    ``--provenance FILE`` and ``--sample-resources``.  Yields the tracer
+    (None without ``--trace``) for the ledger record and writes the trace
+    and derivation files on exit."""
+    from repro.obs import recording, sampling, tracing, write_chrome_trace, write_folded_stacks
 
-    with sampling() as sampler:
-        yield sampler
+    trace_path = getattr(args, "trace", None)
+    provenance_path = getattr(args, "provenance", None)
+    with ExitStack() as stack:
+        tracer = stack.enter_context(tracing()) if trace_path else None
+        recorder = stack.enter_context(recording()) if provenance_path else None
+        if getattr(args, "sample_resources", False):
+            stack.enter_context(sampling())
+        yield tracer
+    if tracer is not None:
+        write = write_folded_stacks if trace_path.endswith(".folded") else write_chrome_trace
+        write(tracer, trace_path)
+        _LOG.info(f"trace written to {trace_path}")
+    if recorder is not None:
+        _write_derivation(recorder, provenance_path)
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
@@ -399,7 +379,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     aig = _load_circuit(args)
     config = _emorphic_config(args)
-    with _maybe_trace(args) as tracer, _maybe_provenance(args), _maybe_sample(args):
+    with _observed(args) as tracer:
         result = run_emorphic_flow(aig, config)
     print(
         f"{aig.name}: area={result.area:.2f} um^2  delay={result.delay:.2f} ps  "
@@ -422,7 +402,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     aig = _load_circuit(args)
-    with _maybe_trace(args):
+    with _observed(args):
         baseline = run_baseline_flow(aig, BaselineConfig(use_choices=not args.no_choices))
         emorphic = run_emorphic_flow(aig, _emorphic_config(args))
     print(f"{'flow':12s} {'area (um^2)':>12s} {'delay (ps)':>12s} {'lev':>6s} {'runtime (s)':>12s}")
@@ -466,7 +446,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             extra={"pass": name, "seconds": seconds, "ands": stats["ands"], "levels": stats["levels"]},
         )
 
-    with _maybe_trace(args) as tracer, _maybe_provenance(args), _maybe_sample(args):
+    with _observed(args) as tracer:
         result = pipeline.run_flow(aig, on_pass_end=on_pass_end if args.verbose else None)
     print(f"pipeline: {pipeline.to_script()}")
     if result.mapping is not None:
@@ -680,7 +660,7 @@ def cmd_extract_bench(args: argparse.Namespace) -> int:
 def cmd_partition_bench(args: argparse.Namespace) -> int:
     from repro.partition.bench import check_completions, render_bench, run_partition_bench
 
-    with _maybe_trace(args):
+    with _observed(args):
         payload = run_partition_bench(
             circuits=_validated_circuits(args.circuits),
             preset=args.preset,
@@ -833,7 +813,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         progress, on_event = False, renderer.handle
     else:
         progress, on_event = True, None
-    with _maybe_trace(args), _maybe_provenance(args), _maybe_sample(args):
+    with _observed(args):
         report = run_campaign(
             jobs,
             store=args.store,

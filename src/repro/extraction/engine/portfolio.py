@@ -15,6 +15,11 @@ full pool.  That property is what the engine's cross-process determinism
 tests pin down, and it also means ``chains=1`` is *exactly* the single-chain
 delta-SA run.
 
+Inline and pooled rounds run the same :func:`_round`; a pooled round runs it
+under :func:`repro.obs.channel.capture` and the parent absorbs the captured
+observer buffers at the barrier, so both record the same spans and the same
+chain- and round-stamped RSS notes.
+
 Seeding: chain ``i`` draws seed :func:`chain_seed`\\ ``(seed, i)`` (chain 0
 runs the base seed, later chains a fixed stride apart), so no two chains of
 one portfolio replay the same trajectory.
@@ -36,6 +41,7 @@ from repro.extraction.engine.problem import FrozenProblem, ProblemStats
 from repro.extraction.engine.telemetry import ExtractionProfile, MigrationEvent
 from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
+from repro.obs.channel import absorb, capture, installed
 from repro.obs.metrics import registry as obs_registry
 
 #: Distinct-prime stride between per-chain seeds.  Documented contract: chain
@@ -111,55 +117,33 @@ class PortfolioResult:
     chain_costs: List[float] = field(default_factory=list)
 
 
-# -- worker-side state --------------------------------------------------------
+# -- one round, inline or in a pool worker -------------------------------------
 
 _WORKER_PROBLEM: Optional[FrozenProblem] = None
-_WORKER_TRACED: bool = False
-_WORKER_SAMPLED: bool = False
+_WORKER_KINDS: frozenset = frozenset()
 
 
-def _init_worker(problem: FrozenProblem, traced: bool = False, sampled: bool = False) -> None:
-    global _WORKER_PROBLEM, _WORKER_TRACED, _WORKER_SAMPLED
+def _init_worker(problem: FrozenProblem, kinds: frozenset) -> None:
+    global _WORKER_PROBLEM, _WORKER_KINDS
     _WORKER_PROBLEM = problem
-    _WORKER_TRACED = traced
-    _WORKER_SAMPLED = sampled
-    # Same isolation rule as the fresh local tracer: a forked worker starts
-    # from an empty metrics registry, never the inherited parent copy.  The
-    # portfolio publishes its counters parent-side after the rounds, so the
-    # workers ship no counter buffers — the reset guards against any pass
-    # invoked inside a round double-publishing inherited parent state.
-    from repro.obs.metrics import reset_registry
-
-    reset_registry()
+    _WORKER_KINDS = kinds
 
 
-def _worker_round(state: ChainState, moves: int):
-    """Run one round in a pool worker; returns ``(state, span_buffer,
-    resource_buffer)``.
+def _round(problem: FrozenProblem, state: ChainState, moves: int, round_index: int) -> ChainState:
+    """Run one chain round, noting the RSS watermark when sampling."""
+    state = run_round(problem, state, moves)
+    sampler = obs_resource.current_sampler()
+    if sampler is not None:
+        sampler.note("portfolio round", chain=state.profile.chain_id, round=round_index)
+    return state
 
-    When the parent had a tracer installed at pool creation, the worker
-    records the round's spans into a local tracer and ships the exported
-    buffer back with the state — the parent grafts it into its trace at the
-    migration barrier.  A parent-side resource sampler likewise makes the
-    worker ship a chain-stamped RSS watermark sample.  Both buffers are None
-    when their observer is off, so the common path pays nothing extra.
-    """
-    assert _WORKER_PROBLEM is not None
-    if not _WORKER_TRACED and not _WORKER_SAMPLED:
-        return run_round(_WORKER_PROBLEM, state, moves), None, None
-    trace_cm = obs.tracing() if _WORKER_TRACED else None
-    tracer = trace_cm.__enter__() if trace_cm is not None else None
-    try:
-        state = run_round(_WORKER_PROBLEM, state, moves)
-    finally:
-        if trace_cm is not None:
-            trace_cm.__exit__(None, None, None)
-    res_buffer = None
-    if _WORKER_SAMPLED:
-        sampler = obs_resource.ResourceSampler()
-        sampler.note("portfolio round", chain=state.profile.chain_id)
-        res_buffer = sampler.export()
-    return state, tracer.export() if tracer is not None else None, res_buffer
+
+def _worker_round(state: ChainState, moves: int, round_index: int):
+    """Pool entry point: one round under the parent's observer kinds;
+    returns ``(state, payload)`` for the barrier to absorb."""
+    with capture(_WORKER_KINDS) as captured:
+        state = _round(_WORKER_PROBLEM, state, moves, round_index)
+    return state, captured.payload
 
 
 # -- the portfolio loop -------------------------------------------------------
@@ -229,20 +213,11 @@ def portfolio_extract(
         workers = config.workers
         if workers is None:
             workers = min(config.chains, os.cpu_count() or 1)
-        # Whether the parent traces is pinned at pool creation: workers record
-        # spans into a local buffer and ship it back with each round's state,
-        # to be merged (pid-tagged records, chain args) at the barrier below.
         pool = (
-            ProcessPoolExecutor(
-                workers,
-                initializer=_init_worker,
-                initargs=(problem, obs.tracing_enabled(), obs_resource.sampling_enabled()),
-            )
+            ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(problem, installed()))
             if workers > 1
             else None
         )
-        tracer = obs.current_tracer()
-        sampler = obs_resource.current_sampler()
 
         round_index = 0
         try:
@@ -255,25 +230,15 @@ def portfolio_extract(
                 with obs.span("portfolio round", category="extraction.round", round=round_index):
                     if pool is not None:
                         futures = [
-                            (i, pool.submit(_worker_round, states[i], moves)) for i, moves in batch
+                            (i, pool.submit(_worker_round, states[i], moves, round_index))
+                            for i, moves in batch
                         ]
                         for i, future in futures:
-                            states[i], buffer, res_buffer = future.result()
-                            if buffer and tracer is not None:
-                                tracer.merge(buffer)
-                            if res_buffer and sampler is not None:
-                                # Samples are chain-stamped worker-side; add
-                                # the barrier's round index here.
-                                sampler.merge(res_buffer, round=round_index)
+                            states[i], payload = future.result()
+                            absorb(payload)
                     else:
                         for i, moves in batch:
-                            states[i] = run_round(problem, states[i], moves)
-                            if sampler is not None:
-                                sampler.note(
-                                    "portfolio round",
-                                    chain=states[i].profile.chain_id,
-                                    round=round_index,
-                                )
+                            states[i] = _round(problem, states[i], moves, round_index)
                     for i, moves in batch:
                         remaining[i] -= moves
                     round_index += 1

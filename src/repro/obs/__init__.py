@@ -4,8 +4,7 @@ One span/metrics substrate for every subsystem:
 
 * **spans** (:mod:`repro.obs.trace`) — hierarchical wall-clock scopes
   (``flow → pass → saturation iteration → rule search/apply/rebuild``,
-  ``flow → pass → portfolio round → chain``) with counters attached; safe
-  across process pools via worker-local buffers merged at barriers;
+  ``flow → pass → portfolio round → chain``) with counters attached;
 * **metrics** (:mod:`repro.obs.metrics`) — a process-local registry of
   counters/gauges with a Prometheus text exposition;
 * **exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
@@ -19,7 +18,11 @@ One span/metrics substrate for every subsystem:
 * **progress** (:mod:`repro.obs.progress`) — live rendering of orchestrate
   campaign events (``emorphic batch --progress``);
 * **resource** (:mod:`repro.obs.resource`) — a gated sampler of peak RSS
-  and per-iteration e-graph growth curves, cross-process like the tracer;
+  and per-iteration e-graph growth curves;
+* **channel** (:mod:`repro.obs.channel`) — the one way the four observers
+  above (tracer, provenance log, resource sampler, metrics registry) cross
+  a process pool: ``installed()`` in the parent, ``capture()`` around each
+  worker task, ``absorb()`` on each collected result;
 * **ledger** (:mod:`repro.obs.ledger`) — a persistent append-only run
   ledger with rolling-baseline regression checks (``emorphic history``),
   rendered as static HTML by :mod:`repro.obs.report` (``emorphic report``).
@@ -29,6 +32,7 @@ Engine profiles (``SaturationProfile``, ``ExtractionProfile``) are populated
 benches, `--trace` exports, and the future job-server streaming path.
 """
 
+from repro.obs.channel import absorb, capture, installed
 from repro.obs.export import (
     span_summary,
     to_chrome_trace,
@@ -65,10 +69,8 @@ from repro.obs.provenance import (
     RuleYield,
     attribute_extraction,
     current_recorder,
-    install_recorder,
     recording,
     recording_enabled,
-    uninstall_recorder,
 )
 from repro.obs.report import render_history_html, write_history_html
 from repro.obs.resource import (
@@ -76,22 +78,18 @@ from repro.obs.resource import (
     ResourceSampler,
     aggregate_samples,
     current_sampler,
-    install_sampler,
     sampling,
     sampling_enabled,
-    uninstall_sampler,
 )
 from repro.obs.trace import (
     Span,
     SpanRecord,
     Tracer,
     current_tracer,
-    install_tracer,
     instant,
     span,
     tracing,
     tracing_enabled,
-    uninstall_tracer,
 )
 
 __all__ = [
@@ -109,8 +107,10 @@ __all__ = [
     "Span",
     "SpanRecord",
     "Tracer",
+    "absorb",
     "aggregate_samples",
     "attribute_extraction",
+    "capture",
     "check_records",
     "compare_group",
     "configure_logging",
@@ -122,9 +122,7 @@ __all__ = [
     "flow_record",
     "get_logger",
     "group_records",
-    "install_recorder",
-    "install_sampler",
-    "install_tracer",
+    "installed",
     "instant",
     "log_record",
     "prometheus_text",
@@ -143,9 +141,6 @@ __all__ = [
     "to_folded_stacks",
     "tracing",
     "tracing_enabled",
-    "uninstall_recorder",
-    "uninstall_sampler",
-    "uninstall_tracer",
     "write_chrome_trace",
     "write_derivation_dot",
     "write_derivation_json",

@@ -7,19 +7,19 @@ Prometheus-style text exposition (:func:`prometheus_text`, also available as
 ``# HELP`` / ``# TYPE`` / ``name{labels} value`` format, ready for a future
 ``emorphic serve`` ``/metrics`` endpoint.
 
-The registry is process-local on purpose: forked workers start from a fresh
-registry (the pool initializers call :func:`reset_registry`, mirroring the
-fresh-local-tracer rule — the inherited parent registry is never the channel
-back), publish into it, and ship :meth:`MetricsRegistry.export` buffers to
-the parent, which folds them in with :meth:`MetricsRegistry.merge` at the
-same barriers where span buffers are merged: counters sum, gauges take the
-last write in merge order.
+The registry is process-local on purpose: :mod:`repro.obs.channel` runs
+every pool task under a fresh registry (the inherited parent copy is never
+the channel back) and ships its :meth:`MetricsRegistry.export` buffer to the
+parent, which folds it in with :meth:`MetricsRegistry.merge`: counters sum,
+gauges take the last write in merge order.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.trace import Slot
 
 __all__ = ["Counter", "Gauge", "MetricsRegistry", "prometheus_text", "registry", "reset_registry"]
 
@@ -154,21 +154,21 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-_REGISTRY = MetricsRegistry()
+#: The process-wide default registry; always installed.
+REGISTRY = Slot(MetricsRegistry())
 
 
 def registry() -> MetricsRegistry:
     """The process-wide default registry."""
-    return _REGISTRY
+    return REGISTRY.current
 
 
 def reset_registry() -> MetricsRegistry:
     """Swap in a fresh default registry (tests); returns the new one."""
-    global _REGISTRY
-    _REGISTRY = MetricsRegistry()
-    return _REGISTRY
+    REGISTRY.current = MetricsRegistry()
+    return REGISTRY.current
 
 
 def prometheus_text(reg: Optional[MetricsRegistry] = None) -> str:
     """Prometheus exposition of ``reg`` (default: the process registry)."""
-    return (reg or _REGISTRY).exposition()
+    return (reg or REGISTRY.current).exposition()

@@ -9,12 +9,11 @@ recorder is installed explicitly (``with recording() as log: ...``), the
 engine attaches it as an e-graph observer only when one is present, and the
 common un-recorded path pays nothing.
 
-Cross-process safety mirrors trace spans exactly: worker processes install a
-fresh local :class:`ProvenanceLog`, run, and ship :meth:`ProvenanceLog.export`
-(a plain picklable dict of records) back to the parent, which grafts it in
-with :meth:`ProvenanceLog.merge` at the same barriers where span buffers are
-merged (partition window collection, orchestrate job completion) — every
-record carries the recording process's ``pid``.
+Cross-process safety mirrors trace spans exactly: :mod:`repro.obs.channel`
+installs a fresh local :class:`ProvenanceLog` around each pool task and ships
+:meth:`ProvenanceLog.export` (a plain picklable dict of records) back to the
+parent, which grafts it in with :meth:`ProvenanceLog.merge` — every record
+carries the recording process's ``pid``.
 
 Attribution (:func:`attribute_extraction`) closes the loop: it walks the
 chosen e-nodes of a final extraction back through the log and emits a
@@ -35,6 +34,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.trace import Slot
+
 __all__ = [
     "MergeRecord",
     "NodeRecord",
@@ -43,11 +44,9 @@ __all__ = [
     "RuleYield",
     "attribute_extraction",
     "current_recorder",
-    "install_recorder",
     "recording",
     "recording_enabled",
     "subst_digest",
-    "uninstall_recorder",
 ]
 
 #: The rule tag of nodes that predate recording (the seed circuit).
@@ -313,32 +312,18 @@ class ProvenanceLog:
 
 # -- the installed recorder ----------------------------------------------------
 
-_RECORDER: Optional[ProvenanceLog] = None
-
-
-def install_recorder(recorder: Optional[ProvenanceLog] = None) -> ProvenanceLog:
-    """Install (and return) the process-wide provenance recorder."""
-    global _RECORDER
-    _RECORDER = recorder or ProvenanceLog()
-    return _RECORDER
-
-
-def uninstall_recorder() -> Optional[ProvenanceLog]:
-    """Remove and return the installed recorder (None when none was active)."""
-    global _RECORDER
-    recorder, _RECORDER = _RECORDER, None
-    return recorder
+RECORDER = Slot()
 
 
 def current_recorder() -> Optional[ProvenanceLog]:
-    return _RECORDER
+    return RECORDER.current
 
 
 def recording_enabled() -> bool:
-    return _RECORDER is not None
+    return RECORDER.current is not None
 
 
-class recording:
+def recording(recorder: Optional[ProvenanceLog] = None):
     """Context manager: install a fresh recorder, yield it, restore the old one.
 
     Call sites scope one log per saturation run (the pipeline's ``saturate``
@@ -346,20 +331,7 @@ class recording:
     the scoped log is then merged into the outer recorder, exactly like a
     worker's trace buffer.
     """
-
-    def __init__(self, recorder: Optional[ProvenanceLog] = None) -> None:
-        self.recorder = recorder or ProvenanceLog()
-        self._previous: Optional[ProvenanceLog] = None
-
-    def __enter__(self) -> ProvenanceLog:
-        global _RECORDER
-        self._previous = _RECORDER
-        _RECORDER = self.recorder
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _RECORDER
-        _RECORDER = self._previous
+    return RECORDER.scoped(recorder if recorder is not None else ProvenanceLog())
 
 
 # -- attribution ---------------------------------------------------------------

@@ -15,13 +15,13 @@ payload is byte-identical to a sampler-free build.  When one is installed,
 and embeds the finished :class:`ResourceSample` in the run's
 ``SaturationProfile`` (and from there in flow results and ledger records).
 
-Cross-process safety follows the tracer exactly: workers install a *fresh*
-local sampler, run, and ship ``sampler.export()`` — a plain list of dicts,
-picklable — back to the parent, which grafts it with :meth:`ResourceSampler.
-merge` at the same barriers as trace spans (portfolio migration barriers,
-partition window collection, orchestrate job completion).  Every sample
-carries the recording process's ``pid``; merge stamps extra tags (e.g.
-``window=3``) with ``setdefault`` so worker-applied tags survive.
+Cross-process safety follows the tracer exactly: :mod:`repro.obs.channel`
+installs a *fresh* local sampler around each pool task and ships
+``sampler.export()`` — a plain list of dicts, picklable — back to the parent,
+which appends it with :meth:`ResourceSampler.merge`.  Every sample carries
+the recording process's ``pid``, and tags such as ``window=`` or ``chain=``
+are stamped where the sample is taken, so a pooled run records exactly what
+an inline run records.
 """
 
 from __future__ import annotations
@@ -30,17 +30,17 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from repro.obs.trace import Slot
+
 __all__ = [
     "RESOURCE_SCHEMA",
     "ResourceSample",
     "ResourceSampler",
     "aggregate_samples",
     "current_sampler",
-    "install_sampler",
     "peak_rss_bytes",
     "sampling",
     "sampling_enabled",
-    "uninstall_sampler",
 ]
 
 #: Version of the sample payload embedded in profiles and ledger records.
@@ -236,49 +236,22 @@ def aggregate_samples(samples: List[Dict[str, object]]) -> Optional[Dict[str, ob
 
 # -- the installed sampler -------------------------------------------------------
 
-_SAMPLER: Optional[ResourceSampler] = None
-
-
-def install_sampler(sampler: Optional[ResourceSampler] = None) -> ResourceSampler:
-    """Install (and return) the process-wide resource sampler."""
-    global _SAMPLER
-    _SAMPLER = sampler or ResourceSampler()
-    return _SAMPLER
-
-
-def uninstall_sampler() -> Optional[ResourceSampler]:
-    """Remove and return the installed sampler (None when none was active)."""
-    global _SAMPLER
-    sampler, _SAMPLER = _SAMPLER, None
-    return sampler
+SAMPLER = Slot()
 
 
 def current_sampler() -> Optional[ResourceSampler]:
-    return _SAMPLER
+    return SAMPLER.current
 
 
 def sampling_enabled() -> bool:
-    return _SAMPLER is not None
+    return SAMPLER.current is not None
 
 
-class sampling:
+def sampling(sampler: Optional[ResourceSampler] = None):
     """Context manager: install a fresh sampler, yield it, restore the old one.
 
     ``with sampling() as sampler: ...`` — nested uses stack correctly (the
     previous sampler comes back on exit), the same scoped form as
     ``obs.tracing()`` and ``obs_provenance.recording()``.
     """
-
-    def __init__(self, sampler: Optional[ResourceSampler] = None) -> None:
-        self.sampler = sampler or ResourceSampler()
-        self._previous: Optional[ResourceSampler] = None
-
-    def __enter__(self) -> ResourceSampler:
-        global _SAMPLER
-        self._previous = _SAMPLER
-        _SAMPLER = self.sampler
-        return self.sampler
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _SAMPLER
-        _SAMPLER = self._previous
+    return SAMPLER.scoped(sampler or ResourceSampler())

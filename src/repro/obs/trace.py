@@ -7,14 +7,17 @@ when tracing is off) and additionally records itself into the installed
 iteration → rule search/apply/rebuild`` — and carry free-form counters/gauges
 in ``args`` (``sp.add("matches", n)`` / ``sp.set("classes", n)``).
 
-Cross-process safety: worker processes (the extraction portfolio's chain
-pool, orchestrate's campaign pool) have no tracer installed, so their spans
-are timing-only no-ops *unless* the worker explicitly installs a local
-:class:`Tracer`, runs, and ships ``tracer.export()`` — a plain list of dicts,
-picklable — back to the parent, which grafts it into its own trace with
-:meth:`Tracer.merge` at a synchronisation barrier (portfolio migration
-barriers, orchestrate job completion).  Every record carries the recording
-process's ``pid``, so merged traces keep their provenance.
+Cross-process safety: a pool worker never records into the tracer it
+inherited from its parent.  :mod:`repro.obs.channel` installs a fresh local
+:class:`Tracer` around each pool task and ships ``tracer.export()`` — a plain
+list of dicts, picklable — back with the result; the parent grafts it under
+its open span with :meth:`Tracer.merge`, keeping the worker's nesting.  Every
+record carries the recording process's ``pid``, so merged traces keep their
+provenance.
+
+:class:`Slot` is the one installed-observer slot type: the tracer here, the
+provenance recorder, the resource sampler and the metrics registry each live
+in one, and the channel iterates them.
 
 The tracer is deliberately single-threaded per process (one open-span stack);
 the process pools above are the supported parallelism model.
@@ -24,19 +27,19 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
+    "Slot",
     "Span",
     "SpanRecord",
     "Tracer",
     "current_tracer",
-    "install_tracer",
     "instant",
     "span",
     "tracing",
     "tracing_enabled",
-    "uninstall_tracer",
 ]
 
 
@@ -202,35 +205,28 @@ class Tracer:
         """The picklable buffer a worker ships back to its parent."""
         return [record.to_dict() for record in self.records]
 
-    def merge(
-        self,
-        buffer: List[Dict[str, object]],
-        rebase: Optional[float] = None,
-        **extra_args,
-    ) -> None:
+    def merge(self, buffer: List[Dict[str, object]]) -> None:
         """Graft a worker's exported buffer under the currently open span.
 
-        Span ids are remapped into this tracer's id space; buffer-root spans
-        (``parent_id is None``) are re-parented to the open span.  ``rebase``
-        shifts the buffer's relative timestamps (default: the open span's
-        start, i.e. worker time is displayed within the barrier span that
-        collected it).  ``extra_args`` are stamped onto every merged record
-        (e.g. ``chain=3``) — the worker ``pid`` is already in each record.
+        Span ids are remapped into this tracer's id space and buffer-root
+        spans (``parent_id is None``) are re-parented to the open span; the
+        buffer's relative timestamps are shifted to the open span's start, so
+        worker time shows within the barrier span that collected it.  The
+        worker ``pid`` is already in each record.
         """
         parent_id = self._stack[-1]._id if self._stack else None
-        if rebase is None:
-            rebase = (self._stack[-1]._t0 - self.epoch) if self._stack else 0.0
+        rebase = (self._stack[-1]._t0 - self.epoch) if self._stack else 0.0
+        records = [SpanRecord.from_dict(data) for data in buffer]
+        # Records are in finish order (children before parents), so every new
+        # id is assigned before any parent link is resolved.
         id_map: Dict[int, int] = {}
-        for data in buffer:
-            record = SpanRecord.from_dict(data)
-            new_id = self._next_id
+        for record in records:
+            id_map[record.span_id] = self._next_id
             self._next_id += 1
-            id_map[record.span_id] = new_id
-            record.span_id = new_id
+        for record in records:
+            record.span_id = id_map[record.span_id]
             record.parent_id = id_map.get(record.parent_id, parent_id)
             record.start += rebase
-            if extra_args:
-                record.args.update(extra_args)
             self.records.append(record)
 
     # -- consumption ---------------------------------------------------------
@@ -290,33 +286,38 @@ class Tracer:
 
 # -- the installed tracer ------------------------------------------------------
 
-_TRACER: Optional[Tracer] = None
 
-#: Shared no-op span handed out when tracing is off *and* the caller does not
-#: need the measured duration.  ``span()`` still returns a real (timing-only)
-#: Span so profile code can read ``sp.duration`` unconditionally.
+class Slot:
+    """One process-wide installed-observer slot.
+
+    ``current`` is the installed observer (None when off); :meth:`scoped`
+    installs one for a ``with`` block and restores the previous one on exit,
+    so nested uses stack.
+    """
+
+    __slots__ = ("current",)
+
+    def __init__(self, current: Optional[object] = None) -> None:
+        self.current = current
+
+    @contextmanager
+    def scoped(self, observer: object) -> Iterator[object]:
+        previous, self.current = self.current, observer
+        try:
+            yield observer
+        finally:
+            self.current = previous
 
 
-def install_tracer(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install (and return) the process-wide tracer."""
-    global _TRACER
-    _TRACER = tracer or Tracer()
-    return _TRACER
-
-
-def uninstall_tracer() -> Optional[Tracer]:
-    """Remove and return the installed tracer (None when none was active)."""
-    global _TRACER
-    tracer, _TRACER = _TRACER, None
-    return tracer
+TRACER = Slot()
 
 
 def current_tracer() -> Optional[Tracer]:
-    return _TRACER
+    return TRACER.current
 
 
 def tracing_enabled() -> bool:
-    return _TRACER is not None
+    return TRACER.current is not None
 
 
 def span(name: str, category: str = "", **args) -> Span:
@@ -326,32 +327,20 @@ def span(name: str, category: str = "", **args) -> Span:
     it as their sole timer; the record only lands in a trace when a tracer
     is installed.
     """
-    return Span(name, category=category, tracer=_TRACER, **args)
+    return Span(name, category=category, tracer=TRACER.current, **args)
 
 
 def instant(name: str, category: str = "", **args) -> None:
     """Record an instant event when tracing is on; no-op otherwise."""
-    if _TRACER is not None:
-        _TRACER.instant(name, category=category, **args)
+    tracer = TRACER.current
+    if tracer is not None:
+        tracer.instant(name, category=category, **args)
 
 
-class tracing:
+def tracing(tracer: Optional[Tracer] = None):
     """Context manager: install a fresh tracer, yield it, restore the old one.
 
     ``with tracing() as tracer: ...`` is the recommended scoped form — nested
     uses stack correctly (the previous tracer comes back on exit).
     """
-
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        self.tracer = tracer or Tracer()
-        self._previous: Optional[Tracer] = None
-
-    def __enter__(self) -> Tracer:
-        global _TRACER
-        self._previous = _TRACER
-        _TRACER = self.tracer
-        return self.tracer
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _TRACER
-        _TRACER = self._previous
+    return TRACER.scoped(tracer or Tracer())

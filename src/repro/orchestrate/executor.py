@@ -1,8 +1,8 @@
 """Process-parallel campaign execution with cache short-circuiting.
 
-Whole-circuit jobs are the right granularity for process parallelism: the
-per-chain threads inside ``extraction/parallel.py`` share the GIL, while a
-campaign's jobs are fully independent.  The executor
+Whole-circuit jobs are the right granularity for process parallelism: a
+campaign's jobs are fully independent, and each one is a whole flow.  The
+executor
 
 * skips jobs whose key is already in the :class:`ResultStore` (``cached``),
 * runs the rest in a ``ProcessPoolExecutor`` (serial fallback for one
@@ -14,15 +14,11 @@ campaign's jobs are fully independent.  The executor
   :class:`repro.obs.progress.CampaignProgress` renders — ``campaign_start``,
   ``job_start``, ``job_finish``, ``job_cached``, ``campaign_done``).
 
-When the caller has a tracer installed (``repro.obs.trace``), pool workers
-run their jobs under a local tracer and ship the span buffer back inside the
-job record; the parent grafts it into its trace as each job completes (and
-strips it before the record hits the store).  A provenance recorder
-(``repro.obs.provenance``) rides the same channel under
-``record["provenance"]``, a resource sampler (``repro.obs.resource``) under
-``record["resource"]``, and pool workers always run from a fresh metrics
-registry, shipping their counters back under ``record["metrics"]`` for the
-parent to merge — so campaign-level counter totals match a serial run.
+Observers cross the pool through :mod:`repro.obs.channel`: each pool job
+runs under ``capture(installed())`` and ships the captured buffers under
+``record["obs"]``; the parent absorbs them as each job completes and strips
+the key before the record hits the store.  The metrics registry always rides
+along, so campaign-level counter totals match a serial run.
 """
 
 from __future__ import annotations
@@ -34,10 +30,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.obs import metrics as obs_metrics
-from repro.obs import provenance as obs_provenance
-from repro.obs import resource as obs_resource
-from repro.obs import trace as obs
+from repro.obs.channel import absorb, installed
 from repro.obs.log import ensure_configured, get_logger
 from repro.orchestrate.jobs import JobSpec, run_job
 from repro.orchestrate.store import ResultStore
@@ -154,10 +147,6 @@ def run_campaign(
         progress = _print_progress
     emit: ProgressFn = progress if callable(progress) else (lambda message: None)
     emit_event: EventFn = on_event if callable(on_event) else (lambda event: None)
-    tracer = obs.current_tracer()
-    recorder = obs_provenance.current_recorder()
-    sampler = obs_resource.current_sampler()
-
     start = time.perf_counter()
     keyed = [(spec, spec.job_hash()) for spec in jobs]
     outcomes: Dict[int, JobOutcome] = {}
@@ -201,9 +190,7 @@ def run_campaign(
                     total,
                     emit,
                     emit_event,
-                    tracer,
-                    recorder,
-                    sampler,
+                    installed(),
                 )
             except (OSError, PermissionError) as exc:
                 # Platforms that refuse to spawn processes fall back to serial.
@@ -250,28 +237,6 @@ def _finish(
     )
 
 
-def _merge_job_obs(record, tracer, recorder=None, sampler=None) -> None:
-    """Graft a worker job's observability buffers into the parent (and drop
-    them from the record so stored results stay buffer-free): span buffer
-    into the tracer, provenance buffer into the recorder, counter buffer
-    into the process registry (counters sum, so campaign totals match a
-    serial run), and resource samples into the sampler."""
-    if not isinstance(record, dict):
-        return
-    buffer = record.pop("trace", None)
-    if buffer and tracer is not None:
-        tracer.merge(buffer)
-    prov_buffer = record.pop("provenance", None)
-    if prov_buffer and recorder is not None:
-        recorder.merge(prov_buffer)
-    metrics_buffer = record.pop("metrics", None)
-    if metrics_buffer:
-        obs_metrics.registry().merge(metrics_buffer)
-    resource_buffer = record.pop("resource", None)
-    if resource_buffer and sampler is not None:
-        sampler.merge(resource_buffer)
-
-
 def _run_serial(keyed, pending, store, outcomes, total, emit, emit_event) -> None:
     for index in pending:
         spec, key = keyed[index]
@@ -305,9 +270,7 @@ def _run_pool(
     total,
     emit,
     emit_event,
-    tracer=None,
-    recorder=None,
-    sampler=None,
+    kinds,
 ) -> None:
     # Jobs are submitted in a sliding window of at most one per free worker,
     # so a future's submission time is (within scheduler noise) its start
@@ -325,15 +288,7 @@ def _run_pool(
         while queue and len(active) + len(zombies) < workers:
             index = queue.pop(0)
             spec, key = keyed[index]
-            future = pool.submit(
-                run_job,
-                spec,
-                key,
-                tracer is not None,
-                recorder is not None,
-                True,
-                sampler is not None,
-            )
+            future = pool.submit(run_job, spec, key, kinds)
             futures[future] = index
             submitted[future] = time.perf_counter()
             active.add(future)
@@ -376,7 +331,7 @@ def _run_pool(
                 exc = future.exception()
                 if exc is None:
                     record = future.result()
-                    _merge_job_obs(record, tracer, recorder, sampler)
+                    absorb(record.pop("obs", None))
                     outcome = JobOutcome(
                         spec=spec, key=key, status="completed", record=record, elapsed=elapsed
                     )

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.aig.graph import Aig
 from repro.aig.io_aiger import aag_to_string, read_aag
@@ -28,6 +28,7 @@ from repro.benchgen import epfl
 from repro.flows.baseline import BaselineConfig, run_baseline_flow
 from repro.flows.emorphic import EmorphicConfig, run_emorphic_flow
 from repro.obs import trace as obs
+from repro.obs.channel import capture
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.pipeline import Pipeline
@@ -251,59 +252,22 @@ def _worker_ml_model(seed: int = 0):
 def run_job(
     spec: JobSpec,
     key: Optional[str] = None,
-    traced: bool = False,
-    provenance: bool = False,
-    ship_metrics: bool = False,
-    sample_resources: bool = False,
+    observers: Optional[FrozenSet[str]] = None,
 ) -> Dict[str, object]:
     """Execute one job and return its store record (runs inside workers).
 
     ``key`` is the precomputed job hash; when omitted it is derived from the
     spec (hashing re-renders the circuit content, so callers that already
-    hold the key should pass it).  ``traced=True`` (set by the executor when
-    the campaign parent traces) installs a job-local tracer and ships its
-    exported span buffer back under ``record["trace"]``; ``provenance=True``
-    does the same with a job-local provenance recorder under
-    ``record["provenance"]`` (and makes the result embed its attribution);
-    ``ship_metrics=True`` resets the worker registry before the job and ships
-    its counters under ``record["metrics"]``; ``sample_resources=True``
-    installs a job-local resource sampler and ships its sample buffer under
-    ``record["resource"]``.  The executor merges and strips all four before
-    the record is stored.
+    hold the key should pass it).  ``observers`` (set by the pool executor
+    to the campaign's :func:`~repro.obs.channel.installed` kinds) runs the
+    job under :func:`~repro.obs.channel.capture` and ships the captured
+    buffers under ``record["obs"]``, which the executor absorbs and strips
+    before the record is stored.
     """
-    if traced or provenance or ship_metrics or sample_resources:
-        # Install *fresh* job-local observers: forked pool workers inherit
-        # the parent's tracer/recorder/registry objects, but state appended
-        # to those copies is never seen by the parent — the exported buffers
-        # are the only channel back.
-        from repro.obs import metrics as obs_metrics
-        from repro.obs import provenance as obs_provenance
-        from repro.obs import resource as obs_resource
-
-        registry = obs_metrics.reset_registry() if ship_metrics else None
-        trace_cm = obs.tracing() if traced else None
-        prov_cm = obs_provenance.recording() if provenance else None
-        res_cm = obs_resource.sampling() if sample_resources else None
-        tracer = trace_cm.__enter__() if trace_cm is not None else None
-        recorder = prov_cm.__enter__() if prov_cm is not None else None
-        sampler = res_cm.__enter__() if res_cm is not None else None
-        try:
+    if observers is not None:
+        with capture(observers) as captured:
             record = run_job(spec, key)
-        finally:
-            if res_cm is not None:
-                res_cm.__exit__(None, None, None)
-            if prov_cm is not None:
-                prov_cm.__exit__(None, None, None)
-            if trace_cm is not None:
-                trace_cm.__exit__(None, None, None)
-        if tracer is not None:
-            record["trace"] = tracer.export()
-        if recorder is not None:
-            record["provenance"] = recorder.export()
-        if registry is not None:
-            record["metrics"] = registry.export()
-        if sampler is not None:
-            record["resource"] = sampler.export()
+        record["obs"] = captured.payload
         return record
     aig = spec.circuit.build()
     # Wall-clock timestamp of the record (when the run happened); durations

@@ -13,16 +13,15 @@ run fail-soft and sound:
   ANDs at lower depth) is reverted (``status="reverted_no_gain"``) so
   stitching never degrades the host.
 
-Parallelism follows the extraction portfolio's idiom: windows ship to a
-``ProcessPoolExecutor`` whose initializer pins whether the parent traces and
-records provenance or samples resources (and resets the forked metrics
-registry); workers record spans/provenance/resource samples into
-worker-local observers and publish counters into a per-task registry,
-returning all four exported buffers with each result, and the parent merges
-them **in window-index order** at the barrier (pid-tagged, stamped with the
-window index; counters sum).  Results
-are a pure function of ``(aig, configs)``: ``workers=0`` (inline) and any
-pool size produce identical stitched circuits, reports, and profiles modulo
+Parallelism: windows ship to a ``ProcessPoolExecutor``; each task runs
+:func:`optimize_window` under :func:`repro.obs.channel.capture` and returns
+the captured observer buffers with its result, and the parent absorbs them
+**in window-index order**, so observability output is deterministic.  The
+window index is stamped where records are produced (the ``window`` span, the
+window-scoped provenance and resource merges in :func:`optimize_window`), so
+a pooled run records exactly what an inline run records.  Results are a pure
+function of ``(aig, configs)``: ``workers=0`` (inline) and any pool size
+produce identical stitched circuits, reports, and profiles modulo
 wall-clock fields.
 
 Seeding: window ``i`` extracts with :func:`window_seed`\\ ``(seed, i)`` — a
@@ -48,10 +47,10 @@ from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
-from repro.obs import metrics as obs_metrics
 from repro.obs import provenance as obs_provenance
 from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
+from repro.obs.channel import absorb, capture, installed
 from repro.partition.telemetry import PartitionProfile, WindowReport
 from repro.partition.windows import Window, partition_aig
 from repro.verify.cec import check_equivalence
@@ -233,7 +232,7 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
     outer = obs_provenance.current_recorder()
     if plog is not None and outer is not None:
         # Graft the window's log into the enclosing recorder (the pipeline's,
-        # or the worker-local one a pool worker ships back) window-stamped.
+        # or the one a pool worker captures) window-stamped.
         outer.merge(plog.export(), window=index)
     outer_sampler = obs_resource.current_sampler()
     if wsampler is not None and outer_sampler is not None:
@@ -242,58 +241,12 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
     return report, optimized
 
 
-# -- worker-side state (pool initializer idiom, as in the extraction portfolio)
-
-_WORKER_TRACED: bool = False
-_WORKER_PROVENANCE: bool = False
-_WORKER_SAMPLED: bool = False
-
-
-def _init_worker(traced: bool = False, provenance: bool = False, sampled: bool = False) -> None:
-    global _WORKER_TRACED, _WORKER_PROVENANCE, _WORKER_SAMPLED
-    _WORKER_TRACED = traced
-    _WORKER_PROVENANCE = provenance
-    _WORKER_SAMPLED = sampled
-    # Forked workers inherit a copy of the parent's metrics registry; like the
-    # fresh-local-tracer rule, they must never publish into it (counters are
-    # shipped back per task and merged at the barrier instead).
-    obs_metrics.reset_registry()
-
-
-def _worker_optimize(
-    index: int, sub: Aig, cfg: WindowOptConfig
-) -> Tuple[
-    WindowReport, Optional[Aig], Optional[list], Optional[dict], Optional[list], Optional[list]
-]:
-    """Pool entry point: optimize one window, shipping the trace span,
-    provenance, metrics, and resource buffers back with the result."""
-    # Fresh registry per task, not just per worker: pool processes are reused
-    # across windows, and shipping a cumulative registry every task would
-    # double-count earlier windows at the merge.
-    registry = obs_metrics.reset_registry()
-    trace_cm = obs.tracing() if _WORKER_TRACED else None
-    prov_cm = obs_provenance.recording() if _WORKER_PROVENANCE else None
-    res_cm = obs_resource.sampling() if _WORKER_SAMPLED else None
-    tracer = trace_cm.__enter__() if trace_cm is not None else None
-    recorder = prov_cm.__enter__() if prov_cm is not None else None
-    sampler = res_cm.__enter__() if res_cm is not None else None
-    try:
+def _worker_optimize(index: int, sub: Aig, cfg: WindowOptConfig, kinds: frozenset):
+    """Pool entry point: optimize one window under the parent's observer
+    kinds; returns ``(report, optimized, payload)``."""
+    with capture(kinds) as captured:
         report, optimized = optimize_window(index, sub, cfg)
-    finally:
-        if res_cm is not None:
-            res_cm.__exit__(None, None, None)
-        if prov_cm is not None:
-            prov_cm.__exit__(None, None, None)
-        if trace_cm is not None:
-            trace_cm.__exit__(None, None, None)
-    return (
-        report,
-        optimized,
-        (tracer.export() or None) if tracer is not None else None,
-        recorder.export() if recorder is not None and recorder.nodes else None,
-        registry.export() or None,
-        sampler.export() or None if sampler is not None else None,
-    )
+    return report, optimized, captured.payload
 
 
 def partitioned_optimize(
@@ -336,42 +289,19 @@ def partitioned_optimize(
     t0 = time.perf_counter()
     reports: List[Optional[WindowReport]] = [None] * len(windows)
     optimized: List[Optional[Aig]] = [None] * len(windows)
-    tracer = obs.current_tracer()
-    recorder = obs_provenance.current_recorder()
-    sampler = obs_resource.current_sampler()
     with obs.span("optimize windows", category="partition", windows=len(windows)):
         if partition.workers > 0 and len(windows) > 1:
-            with ProcessPoolExecutor(
-                partition.workers,
-                initializer=_init_worker,
-                initargs=(
-                    obs.tracing_enabled(),
-                    obs_provenance.recording_enabled(),
-                    obs_resource.sampling_enabled(),
-                ),
-            ) as pool:
+            kinds = installed()
+            with ProcessPoolExecutor(partition.workers) as pool:
                 futures = [
-                    pool.submit(_worker_optimize, w.index, w.aig, window_cfg) for w in windows
+                    pool.submit(_worker_optimize, w.index, w.aig, window_cfg, kinds)
+                    for w in windows
                 ]
-                # Collect (and merge trace/provenance/metrics/resource
-                # buffers) in window-index order so observability output is
+                # Absorb in window-index order so observability output is
                 # deterministic regardless of completion order.
                 for w, future in zip(windows, futures):
-                    report, opt, buffer, prov_buffer, metrics_buffer, res_buffer = (
-                        future.result()
-                    )
-                    reports[w.index] = report
-                    optimized[w.index] = opt
-                    if buffer and tracer is not None:
-                        tracer.merge(buffer, window=w.index)
-                    if prov_buffer and recorder is not None:
-                        # Records are already window-stamped worker-side.
-                        recorder.merge(prov_buffer)
-                    if metrics_buffer:
-                        obs_metrics.registry().merge(metrics_buffer)
-                    if res_buffer and sampler is not None:
-                        # Samples are already window-stamped worker-side.
-                        sampler.merge(res_buffer)
+                    reports[w.index], optimized[w.index], payload = future.result()
+                    absorb(payload)
         else:
             for w in windows:
                 reports[w.index], optimized[w.index] = optimize_window(w.index, w.aig, window_cfg)

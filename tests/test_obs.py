@@ -116,13 +116,29 @@ class TestMerge:
         buffer = worker.export()
         parent = Tracer()
         with obs.Span("barrier", category="b", tracer=parent):
-            parent.merge(buffer, chain=3)
+            parent.merge(buffer)
         barrier_rec = next(r for r in parent.records if r.name == "barrier")
         merged = next(r for r in parent.records if r.name == "wrk")
         assert merged.parent_id == barrier_rec.span_id
-        assert merged.args["chain"] == 3
         # ids were remapped into the parent's id space (no collisions).
         assert len({r.span_id for r in parent.records}) == len(parent.records)
+
+    def test_merge_keeps_nested_worker_spans_under_their_parent(self):
+        # Buffers are in finish order (child before parent); the child must
+        # still land under its own parent, not under the barrier.
+        worker = Tracer()
+        with obs.Span("job", category="w", tracer=worker):
+            with obs.Span("pass", category="w", tracer=worker):
+                pass
+        parent = Tracer()
+        with obs.Span("barrier", category="b", tracer=parent):
+            parent.merge(worker.export())
+        by_name = {r.name: r for r in parent.records}
+        assert by_name["job"].parent_id == by_name["barrier"].span_id
+        assert by_name["pass"].parent_id == by_name["job"].span_id
+        (root,) = parent.tree()
+        assert [c["record"].name for c in root["children"]] == ["job"]
+        assert [c["record"].name for c in root["children"][0]["children"]] == ["pass"]
 
     def test_export_roundtrip(self):
         with tracing() as tracer:

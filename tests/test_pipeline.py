@@ -374,6 +374,21 @@ class TestPipelineCli:
         assert "area=" in out and "per-pass runtime:" in out
         assert "equivalence check: equivalent" in out
 
+    def test_pipeline_command_writes_every_observer_output(self, tmp_path):
+        trace, derivation, report = (tmp_path / n for n in ("t.json", "p.json", "r.json"))
+        code = main(
+            ["pipeline", "adder", "--preset", "test", "--script",
+             "st; dag2eg; saturate(iters=2, max_nodes=3000); extract(greedy); map",
+             "--trace", str(trace), "--provenance", str(derivation), "--sample-resources",
+             "--json", str(report), "--no-ledger"]
+        )
+        assert code == 0
+        names = {event["name"] for event in json.loads(trace.read_text())["traceEvents"]}
+        assert {"pipeline", "saturate"} <= names
+        assert json.loads(derivation.read_text())["nodes"]
+        payload = json.loads(report.read_text())
+        assert payload["attribution"] is not None and payload["resource"] is not None
+
     def test_pipeline_command_rejects_bad_script(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["pipeline", "adder", "--preset", "test", "--script", "st; frobnicate"])

@@ -326,10 +326,10 @@ class TestOrchestrateShipping:
         from repro.orchestrate.jobs import run_job
 
         spec = self._jobs()[0]
-        record = run_job(spec, provenance=True, ship_metrics=True)
-        assert record["provenance"]["nodes"]
+        record = run_job(spec, observers=frozenset({"provenance"}))
+        assert record["obs"]["provenance"]["nodes"]
         assert record["result"]["attribution"] is not None
-        names = {item["name"] for item in record["metrics"]}
+        names = {item["name"] for item in record["obs"]["metrics"]}
         assert "saturation_runs_total" in names
 
     def test_campaign_pool_merges_provenance_and_metrics(self, tmp_path):

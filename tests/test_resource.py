@@ -11,11 +11,9 @@ from repro.obs.resource import (
     ResourceSampler,
     aggregate_samples,
     current_sampler,
-    install_sampler,
     peak_rss_bytes,
     sampling,
     sampling_enabled,
-    uninstall_sampler,
 )
 
 LIMITS = EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=30.0)
@@ -32,13 +30,10 @@ class TestGate:
         assert current_sampler() is None and not sampling_enabled()
 
     def test_context_manager_restores_previous(self):
-        outer = install_sampler()
-        try:
+        with sampling() as outer:
             with sampling() as inner:
                 assert current_sampler() is inner
             assert current_sampler() is outer
-        finally:
-            uninstall_sampler()
         assert current_sampler() is None
 
     def test_peak_rss_is_positive(self):
