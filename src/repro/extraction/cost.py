@@ -62,6 +62,18 @@ class DepthCost(CostFunction):
         return self.weights.get(enode.op, 1.0)
 
 
+#: The structural costs a flow can guide extraction by, by name
+#: (``extract(cost=)`` and the per-window ``WindowOptConfig.cost``).
+GUIDING_COSTS = {"depth": DepthCost, "nodes": NodeCountCost}
+
+
+def guiding_cost(name: str) -> CostFunction:
+    """The guiding cost called ``name``; unknown names raise ``ValueError``."""
+    if name not in GUIDING_COSTS:
+        raise ValueError(f"unknown extraction cost {name!r}; choose from {', '.join(GUIDING_COSTS)}")
+    return GUIDING_COSTS[name]()
+
+
 @dataclass
 class OperatorCost(CostFunction):
     """Arbitrary per-operator weights with a selectable aggregation mode.

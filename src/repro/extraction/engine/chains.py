@@ -7,7 +7,14 @@ pure function of ``(problem, ChainState, moves)``, which is what makes the
 portfolio deterministic regardless of whether rounds execute inline or on a
 ``ProcessPoolExecutor`` — the state carries the choice, the rng state, and
 the telemetry counters, and every round rebuilds the evaluator (topological
-order, flip candidates, cost caches) from the bare choice.
+order, flip candidates, cost caches) from the bare choice.  The rebuild
+reads e-graph structure from the problem's static ``users`` index instead of
+re-deriving it: flip candidates are derived only for the classes reachable
+under the choice, the depth evaluator keeps no parent map, and a restart's
+fresh random extraction is event-driven, which leaves one ``toposort`` and
+one evaluator set-up over the chosen classes per rebuild.  Each rebuild runs
+under a ``chain rebuild`` span, so a trace splits a round into rebuild and
+moves.
 
 Chain kinds:
 
@@ -23,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.extraction.engine.delta import choice_cost, make_evaluator
 from repro.extraction.engine.problem import Choice, FrozenProblem
@@ -118,12 +125,20 @@ def init_chain(
     )
 
 
-def _flippable(problem: FrozenProblem, choice: Choice, safe: Dict[int, list]) -> list:
-    """Classes worth proposing flips on: cycle-safe alternatives exist AND the
-    class is reachable from the roots under the current choice — flipping an
-    unreachable class cannot change the cost, so the budget concentrates on
-    classes the objective can see.  Recomputed per round (reachability drifts
-    as flips land), deterministic (ascending class ids)."""
+def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str):
+    """Rebuild a chain's move structures from a bare choice.
+
+    Returns the cycle-safe flip candidates, the classes worth proposing
+    flips on, and a fresh evaluator.  Flippable classes have cycle-safe
+    alternatives AND are reachable from the roots under the current choice
+    — flipping an unreachable class cannot change the cost, so the budget
+    concentrates on classes the objective can see.  Candidates are derived
+    only for reachable classes with two or more nodes, the only ones a round
+    can flip.  Recomputed per round (reachability drifts as flips land),
+    deterministic (ascending class ids).
+    """
+    order = problem.toposort(choice)
+    children = problem.children
     reachable = set()
     stack = list(problem.roots)
     while stack:
@@ -131,8 +146,12 @@ def _flippable(problem: FrozenProblem, choice: Choice, safe: Dict[int, list]) ->
         if cid in reachable:
             continue
         reachable.add(cid)
-        stack.extend(problem.children[cid][choice[cid]])
-    return [cid for cid in sorted(reachable) if len(safe.get(cid, ())) > 1]
+        stack.extend(children[cid][choice[cid]])
+    safe = problem.flip_candidates(
+        order, classes=[cid for cid in sorted(reachable) if len(children[cid]) > 1]
+    )
+    flippable = [cid for cid, indices in safe.items() if len(indices) > 1]
+    return safe, flippable, make_evaluator(evaluator, problem, choice, order=order)
 
 
 def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainState:
@@ -144,7 +163,9 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
     computes the identical result inline and inside a pool worker.  The
     round's span (``chain round``, tagged with chain id and kind) is both the
     profile's wall-clock source and — when a tracer is installed inline or in
-    the worker — the per-chain level of the trace tree.
+    the worker — the per-chain level of the trace tree; its ``chain rebuild``
+    children (category ``extraction.rebuild``) time the rebuild and every
+    restart's re-seed, so the rest of the round is the moves.
     """
     round_span = obs.span(
         "chain round",
@@ -157,10 +178,8 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         rng = random.Random()
         rng.setstate(state.rng_state)
 
-        order = problem.toposort(state.choice)
-        safe = problem.flip_candidates(order)
-        flippable = _flippable(problem, state.choice, safe)
-        evaluator = make_evaluator(state.evaluator, problem, state.choice, order=order)
+        with obs.span("chain rebuild", category="extraction.rebuild"):
+            safe, flippable, evaluator = _rebuild(problem, state.choice, state.evaluator)
         current = evaluator.cost
 
         best_choice = state.best_choice
@@ -206,12 +225,10 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
                 restarts += 1
                 since_improvement = 0
                 temperature = spec.temperature
-                fresh = problem.random_choice(rng, fallback=best_choice)
-                order = problem.toposort(fresh)
-                safe = problem.flip_candidates(order)
-                flippable = _flippable(problem, fresh, safe)
                 evals, touched = evaluator.evals, evaluator.touched
-                evaluator = make_evaluator(state.evaluator, problem, fresh, order=order)
+                with obs.span("chain rebuild", category="extraction.rebuild"):
+                    fresh = problem.random_choice(rng, fallback=best_choice)
+                    safe, flippable, evaluator = _rebuild(problem, fresh, state.evaluator)
                 evaluator.evals, evaluator.touched = evals, touched
                 current = evaluator.cost
                 if current < best_cost:

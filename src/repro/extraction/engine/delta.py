@@ -7,8 +7,11 @@ here price a flip in two ways:
 
 * :class:`DeltaCostEvaluator` — the engine's default.  It keeps the cost
   decomposition live between moves (reference counts of the extracted DAG in
-  ``sum`` mode, per-class depths plus an extraction-parent map in ``depth``
-  mode) so a flip re-evaluates only the ancestor cone of the flipped class.
+  ``sum`` mode, per-class depths in ``depth`` mode) so a flip re-evaluates
+  only the ancestor cone of the flipped class.  ``depth`` mode keeps no
+  parent map of its own: a class's extraction parents are the entries of
+  the problem's static ``users`` index that the live choice selects, so
+  setting up an evaluator costs one pass over the topological order.
 * :class:`FullCostEvaluator` — the exact-parity reference: same interface,
   but every flip re-derives the cost from scratch with the same semantics as
   :func:`repro.extraction.cost.extraction_cost`.
@@ -118,8 +121,11 @@ class DeltaCostEvaluator(CostEvaluator):
     DAG (multiplicity-aware, like ABC's deref/ref node counting): a flip
     adjusts the flipped class's own contribution and cascades references into
     subgraphs that (dis)appear.  ``depth`` mode maintains per-class depths
-    plus an extraction-parent multimap and re-propagates depth changes
-    upward in topological order.
+    and re-propagates depth changes upward in topological order, to the
+    ``users`` of a changed class that the live choice selects.
+
+    ``order``, when given, must be ``problem.toposort(choice)``: depth set-up
+    walks it in its iteration order.
     """
 
     kind = "delta"
@@ -192,29 +198,19 @@ class DeltaCostEvaluator(CostEvaluator):
 
     def _init_depth(self) -> None:
         self._depth: Dict[int, float] = {}
-        self._parents: Dict[int, Dict[int, int]] = {cid: {} for cid in self._order}
-        for cid in sorted(self._order, key=self._order.__getitem__):
-            kids = self.problem.children[cid][self.choice[cid]]
-            child_depths = [self._depth[ch] for ch in kids]
-            self._depth[cid] = self.problem.node_costs[cid][self.choice[cid]] + (
+        children, node_costs, choice = self.problem.children, self.problem.node_costs, self.choice
+        # toposort inserts positions in increasing order: children come first.
+        for cid in self._order:
+            child_depths = [self._depth[ch] for ch in children[cid][choice[cid]]]
+            self._depth[cid] = node_costs[cid][choice[cid]] + (
                 max(child_depths) if child_depths else 0.0
             )
-            for ch in kids:
-                counts = self._parents[ch]
-                counts[cid] = counts.get(cid, 0) + 1
         self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
 
     def _flip_depth(self, cid: int, node_idx: int) -> float:
-        old_idx = self.choice[cid]
-        for ch in self.problem.children[cid][old_idx]:
-            counts = self._parents[ch]
-            counts[cid] -= 1
-            if not counts[cid]:
-                del counts[cid]
-        for ch in self.problem.children[cid][node_idx]:
-            counts = self._parents[ch]
-            counts[cid] = counts.get(cid, 0) + 1
-        self.choice[cid] = node_idx
+        choice = self.choice
+        choice[cid] = node_idx
+        users = self.problem.users
         # Propagate depth changes upward in topological order: a parent is
         # always re-derived after every changed child (parents sit strictly
         # later in the order), so each class settles in one recomputation.
@@ -224,17 +220,17 @@ class DeltaCostEvaluator(CostEvaluator):
         while heap:
             _, current = heapq.heappop(heap)
             queued.discard(current)
-            kids = self.problem.children[current][self.choice[current]]
+            kids = self.problem.children[current][choice[current]]
             child_depths = [self._depth[ch] for ch in kids]
-            new_depth = self.problem.node_costs[current][self.choice[current]] + (
+            new_depth = self.problem.node_costs[current][choice[current]] + (
                 max(child_depths) if child_depths else 0.0
             )
             self.touched += 1
             if new_depth == self._depth[current]:
                 continue
             self._depth[current] = new_depth
-            for parent in self._parents[current]:
-                if parent not in queued:
+            for parent, i in users[current]:
+                if choice.get(parent) == i and parent not in queued:
                     queued.add(parent)
                     heapq.heappush(heap, (order[parent], parent))
         self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)

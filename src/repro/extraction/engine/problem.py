@@ -8,6 +8,14 @@ operate on plain ``int`` class ids and node indices — no ``EGraph`` and no
 ``find`` calls on the hot path — and the whole problem crosses a
 ``ProcessPoolExecutor`` boundary exactly once per worker.
 
+The problem also carries a static reverse index, built once with it:
+``users[child]`` lists one ``(parent class, node index)`` pair per node and
+distinct child, and ``distinct_children[cid][i]`` counts node ``i``'s distinct
+children.  With them :meth:`FrozenProblem.random_choice` is event-driven
+(choosing a class wakes exactly the nodes that use it) and the depth
+evaluator finds a class's extraction parents by filtering ``users`` through
+the live choice, so neither re-derives e-graph structure per call.
+
 Cycle safety is handled here too: :func:`toposort` orders the classes of a
 concrete extraction, and :meth:`FrozenProblem.flip_candidates` keeps, per
 class, only the candidate nodes whose children all precede the class in that
@@ -18,9 +26,10 @@ extraction, so the move loop needs no per-move cycle check (see
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction, NodeCountCost
@@ -39,6 +48,10 @@ class FrozenProblem:
     is the cost aggregation ("sum" counts every reachable class once, DAG
     semantics; "depth" is the longest root-to-leaf path), matching
     :func:`repro.extraction.cost.extraction_cost` exactly.
+
+    ``users`` and ``distinct_children`` are derived from ``children`` on
+    construction (see the module docstring) and travel with the problem when
+    it is pickled.
     """
 
     nodes: Dict[int, List[ENode]]
@@ -46,6 +59,23 @@ class FrozenProblem:
     node_costs: Dict[int, List[float]]
     roots: List[int]
     mode: str = "sum"
+    users: Dict[int, List[Tuple[int, int]]] = field(init=False, repr=False, compare=False)
+    distinct_children: Dict[int, List[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        users: Dict[int, List[Tuple[int, int]]] = {cid: [] for cid in self.nodes}
+        distinct_children: Dict[int, List[int]] = {}
+        for cid, class_children in self.children.items():
+            counts = []
+            for i, kids in enumerate(class_children):
+                distinct = set(kids)
+                counts.append(len(distinct))
+                user = (cid, i)  # one tuple per node, shared by its children's lists
+                for ch in distinct:
+                    users.setdefault(ch, []).append(user)
+            distinct_children[cid] = counts
+        self.users = users
+        self.distinct_children = distinct_children
 
     @classmethod
     def build(
@@ -194,26 +224,43 @@ class FrozenProblem:
 
     def random_choice(self, rng: random.Random, fallback: Optional[Choice] = None) -> Choice:
         """Random bottom-up valid choice; classes that never become
-        realizable fall back to ``fallback`` (normally the greedy choice)."""
+        realizable fall back to ``fallback`` (normally the greedy choice).
+
+        Semantically a fixpoint of ascending-id passes: each pass visits the
+        unchosen classes in ascending id order and gives every class with a
+        ready node (all children chosen) a uniformly drawn ready node, until
+        a pass chooses nothing.  It runs event-driven instead: choosing a
+        class counts down its users' unchosen children, and a class that
+        becomes ready joins the current pass if its id is still ahead of the
+        pass, else the next one.  Visit order, rng draws and the returned
+        dict's insertion order are those of the pass-by-pass fixpoint.
+        """
+        users = self.users
+        # Per node, how many of its distinct children are still unchosen.
+        unchosen = {cid: list(counts) for cid, counts in self.distinct_children.items()}
         chosen: Choice = {}
-        remaining = set(self.nodes)
-        progress = True
-        while remaining and progress:
-            progress = False
-            for cid in sorted(remaining):
-                candidates = [
-                    i
-                    for i, kids in enumerate(self.children[cid])
-                    if all(ch in chosen for ch in kids)
-                ]
-                if not candidates:
-                    continue
+        this_pass = [cid for cid, counts in unchosen.items() if 0 in counts]
+        heapq.heapify(this_pass)
+        queued = set(this_pass)
+        next_pass: List[int] = []
+        while this_pass:
+            while this_pass:
+                cid = heapq.heappop(this_pass)
+                candidates = [i for i, left in enumerate(unchosen[cid]) if not left]
                 chosen[cid] = candidates[rng.randrange(len(candidates))]
-                remaining.discard(cid)
-                progress = True
-        if fallback:
-            for cid in remaining:
-                if cid in fallback:
+                for parent, i in users[cid]:
+                    counts = unchosen[parent]
+                    counts[i] -= 1
+                    # Chosen classes are queued too, so they are never re-added.
+                    if not counts[i] and parent not in queued:
+                        queued.add(parent)
+                        heapq.heappush(this_pass if parent > cid else next_pass, parent)
+            this_pass, next_pass = next_pass, this_pass
+        if fallback and len(chosen) < len(self.nodes):
+            # Iterate the full class set, not the unchosen ones: a set keeps
+            # its slot order under discards, so this is the fixpoint's order.
+            for cid in set(self.nodes):
+                if cid not in chosen and cid in fallback:
                     chosen[cid] = fallback[cid]
         return chosen
 
@@ -224,6 +271,8 @@ class FrozenProblem:
 
         Deterministic (classes visited in ascending id order), and defined
         only for acyclic choices — a cyclic choice raises ``ValueError``.
+        Positions are inserted in increasing order, so iterating the returned
+        dict walks the classes in topological order.
         """
         order: Dict[int, int] = {}
         on_stack: set = set()
@@ -254,19 +303,26 @@ class FrozenProblem:
                         stack.append((ch, False))
         return order
 
-    def flip_candidates(self, order: Dict[int, int]) -> Dict[int, List[int]]:
+    def flip_candidates(
+        self, order: Dict[int, int], classes: Optional[Iterable[int]] = None
+    ) -> Dict[int, List[int]]:
         """Per class, the candidate node indices that are cycle-safe under
         ``order``: every child strictly precedes the class.  Any sequence of
         flips within these sets keeps ``order`` a valid topological order of
         the extraction, so acyclicity is an invariant, not a per-move check.
+
+        ``classes`` restricts the result to those classes (each must be in
+        ``order``); by default every ordered class is covered.
         """
+        children = self.children
         safe: Dict[int, List[int]] = {}
-        for cid, position in order.items():
-            indices = []
-            for i, kids in enumerate(self.children[cid]):
-                if all(ch in order and order[ch] < position for ch in kids):
-                    indices.append(i)
-            safe[cid] = indices
+        for cid in order if classes is None else classes:
+            position = order[cid]
+            safe[cid] = [
+                i
+                for i, kids in enumerate(children[cid])
+                if all(ch in order and order[ch] < position for ch in kids)
+            ]
         return safe
 
 

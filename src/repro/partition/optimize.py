@@ -44,7 +44,7 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.cost import DepthCost, NodeCountCost
+from repro.extraction.cost import guiding_cost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
 from repro.obs import provenance as obs_provenance
@@ -87,7 +87,7 @@ class WindowOptConfig:
     conflict_budget: int = 50_000
 
     def guiding_cost(self):
-        return DepthCost() if self.cost == "depth" else NodeCountCost()
+        return guiding_cost(self.cost)
 
 
 @dataclass(frozen=True)

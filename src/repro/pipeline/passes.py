@@ -33,7 +33,7 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.rules import boolean_rules
 from repro.engine import SCHEDULERS, EngineLimits, SaturationEngine
-from repro.extraction.cost import DepthCost, NodeCountCost
+from repro.extraction.cost import guiding_cost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
 from repro.extraction.random_extract import random_extract
@@ -340,6 +340,16 @@ def _pass_extract(
         raise PipelineError(
             f"unknown extraction method {method!r}; choose from {', '.join(EXTRACT_METHODS)}"
         )
+    try:
+        guiding = guiding_cost(cost)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from None
+    if threads < 1:
+        raise PipelineError("extract needs threads >= 1")
+    non_negative = {"iters": iters, "moves": moves, "migrate_every": migrate_every, "workers": workers}
+    for name, value in non_negative.items():
+        if value < 0:
+            raise PipelineError(f"extract needs {name} >= 0")
     plan = ctx.partition_plan
     if plan is not None:
         if method == "random":
@@ -358,7 +368,6 @@ def _pass_extract(
         ctx.metrics["extraction_staged"] = True
         return
     circuit = ctx.require_egraph("extract")
-    guiding = DepthCost() if cost == "depth" else NodeCountCost()
 
     if method == "sa":
         ctx.metrics["extraction_evaluator"] = "ml" if use_ml else "mapping"

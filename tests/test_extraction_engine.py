@@ -3,8 +3,11 @@ portfolio determinism, migration, telemetry, and the extraction bench."""
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
 from repro.extraction.engine import (
     ChainSpec,
+    DeltaCostEvaluator,
     ExtractionProfile,
     FrozenProblem,
     PortfolioConfig,
@@ -31,6 +35,9 @@ from repro.extraction.engine import (
 )
 from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
 from repro.extraction.greedy import greedy_extract
+from repro.obs.trace import tracing
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +63,239 @@ def _random_saturated(seed: int):
         EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=10.0),
     ).run()
     return aig, circuit
+
+
+def _extraction_digest(extraction) -> str:
+    """A stable digest of an e-node extraction (class id, op, children, payload)."""
+    rows = sorted((cid, n.op, list(n.children), n.payload) for cid, n in extraction.items())
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+#: The chain counters the golden trajectory pins; accepted/rejected totals
+#: and the initial and best costs follow from the curves.
+TRAJECTORY_FIELDS = (
+    "best_curve",
+    "accept_curve",
+    "reject_curve",
+    "moves",
+    "uphill",
+    "restarts",
+    "evals",
+    "classes_touched",
+    "migrations_received",
+)
+
+
+def portfolio_trajectory(circuit) -> dict:
+    """Every chain's trajectory of the default four-chain portfolio, per cost.
+
+    The payload of ``tests/fixtures/portfolio_trajectory.json``: the fixture
+    was written by this function on the rebuild-from-scratch rounds (fixpoint
+    ``random_choice``, per-round parent multimap, all-class flip candidates),
+    so any change to a random draw, flip, cost or cone size shows up here.
+    Rewrite it (``json.dumps(payload, indent=1, sort_keys=True)``) only for
+    a change that is meant to move trajectories.
+    """
+    payload = {}
+    for cost in (DepthCost(), NodeCountCost()):
+        result = portfolio_extract(
+            circuit.egraph,
+            circuit.output_classes,
+            cost=cost,
+            config=PortfolioConfig(move_budget=1024, migrate_every=32, seed=7, workers=0),
+            seed_solution=circuit.original_extraction(),
+        )
+        payload[cost.mode] = {
+            "chains": [
+                {name: getattr(chain, name) for name in TRAJECTORY_FIELDS}
+                for chain in result.profile.chains
+            ],
+            "migrations": [event.to_dict() for event in result.profile.migrations],
+            "cost": result.cost,
+            "extraction": _extraction_digest(result.extraction),
+        }
+    return payload
+
+
+# -- oracles: the rebuild-from-scratch algorithms the engine replaced ---------
+
+
+def fixpoint_random_choice(problem, rng, fallback=None):
+    """Pass-by-pass fixpoint ``random_choice``: every pass tests every
+    remaining class's every node (the oracle for the event-driven one)."""
+    chosen = {}
+    remaining = set(problem.nodes)
+    progress = True
+    while remaining and progress:
+        progress = False
+        for cid in sorted(remaining):
+            candidates = [
+                i
+                for i, kids in enumerate(problem.children[cid])
+                if all(ch in chosen for ch in kids)
+            ]
+            if not candidates:
+                continue
+            chosen[cid] = candidates[rng.randrange(len(candidates))]
+            remaining.discard(cid)
+            progress = True
+    if fallback:
+        for cid in remaining:
+            if cid in fallback:
+                chosen[cid] = fallback[cid]
+    return chosen
+
+
+class ParentMultimapEvaluator(DeltaCostEvaluator):
+    """The delta evaluator whose ``depth`` mode builds and edits its own
+    extraction-parent multimap (the oracle for propagation through
+    ``FrozenProblem.users``); ``sum`` mode is inherited unchanged."""
+
+    def _init_depth(self):
+        self._depth = {}
+        self._parents = {cid: {} for cid in self._order}
+        for cid in sorted(self._order, key=self._order.__getitem__):
+            kids = self.problem.children[cid][self.choice[cid]]
+            child_depths = [self._depth[ch] for ch in kids]
+            self._depth[cid] = self.problem.node_costs[cid][self.choice[cid]] + (
+                max(child_depths) if child_depths else 0.0
+            )
+            for ch in kids:
+                counts = self._parents[ch]
+                counts[cid] = counts.get(cid, 0) + 1
+        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
+
+    def _flip_depth(self, cid, node_idx):
+        old_idx = self.choice[cid]
+        for ch in self.problem.children[cid][old_idx]:
+            counts = self._parents[ch]
+            counts[cid] -= 1
+            if not counts[cid]:
+                del counts[cid]
+        for ch in self.problem.children[cid][node_idx]:
+            counts = self._parents[ch]
+            counts[cid] = counts.get(cid, 0) + 1
+        self.choice[cid] = node_idx
+        order = self._order
+        heap = [(order[cid], cid)]
+        queued = {cid}
+        while heap:
+            _, current = heapq.heappop(heap)
+            queued.discard(current)
+            kids = self.problem.children[current][self.choice[current]]
+            child_depths = [self._depth[ch] for ch in kids]
+            new_depth = self.problem.node_costs[current][self.choice[current]] + (
+                max(child_depths) if child_depths else 0.0
+            )
+            self.touched += 1
+            if new_depth == self._depth[current]:
+                continue
+            self._depth[current] = new_depth
+            for parent in self._parents[current]:
+                if parent not in queued:
+                    queued.add(parent)
+                    heapq.heappush(heap, (order[parent], parent))
+        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
+        return self.cost
+
+
+@pytest.fixture(scope="module", params=["sqrt", 1, 2, 3])
+def oracle_circuit(request, saturated_circuit):
+    """The shared ``sqrt`` e-graph and three randomized ones."""
+    if request.param == "sqrt":
+        return saturated_circuit[1]
+    return _random_saturated(request.param)[1]
+
+
+class TestRebuildOracles:
+    """Production rebuild structures against the algorithms they replaced."""
+
+    @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
+    def test_random_choice_matches_fixpoint(self, oracle_circuit, cost_cls):
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost_cls())
+        greedy = problem.greedy_choice()
+        for rng_seed in range(5):
+            for fallback in (greedy, None):
+                rng, oracle_rng = random.Random(rng_seed), random.Random(rng_seed)
+                got = problem.random_choice(rng, fallback=fallback)
+                expected = fixpoint_random_choice(problem, oracle_rng, fallback=fallback)
+                assert list(got.items()) == list(expected.items())
+                assert rng.getstate() == oracle_rng.getstate()
+
+    def test_fallback_order_matches_fixpoint(self):
+        # Self-looped classes never become realizable, so they come from the
+        # fallback, in the fixpoint's set-iteration order (ids chosen so that
+        # order is not ascending).
+        leaf, loops = 2, [100, 3, 36, 68, 7, 1000, 35]
+        children = {leaf: [()], 0: [(leaf,), (leaf, leaf)], 1: [(0,), (leaf,)]}
+        children.update({cid: [(cid,), (cid, leaf)] for cid in loops})
+        problem = FrozenProblem(
+            nodes={cid: [None] * len(kids) for cid, kids in children.items()},
+            children=children,
+            node_costs={cid: [1.0] * len(kids) for cid, kids in children.items()},
+            roots=[1],
+        )
+        fallback = {cid: 1 for cid in loops}
+        for rng_seed in range(5):
+            got = problem.random_choice(random.Random(rng_seed), fallback=fallback)
+            expected = fixpoint_random_choice(problem, random.Random(rng_seed), fallback=fallback)
+            assert list(got.items()) == list(expected.items())
+        assert [cid for cid in got if cid in loops] != sorted(loops)
+
+    @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
+    def test_flips_match_parent_multimap_evaluator(self, oracle_circuit, cost_cls):
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost_cls())
+        greedy = problem.greedy_choice()
+        for rng_seed in range(5):
+            rng = random.Random(rng_seed)
+            choice = problem.random_choice(rng, fallback=greedy)
+            order = problem.toposort(choice)
+            assert list(order) == sorted(order, key=order.get)
+            safe = problem.flip_candidates(order)
+            flippable = [cid for cid in sorted(safe) if len(safe[cid]) > 1]
+            delta = make_evaluator("delta", problem, choice, order=order)
+            oracle = ParentMultimapEvaluator(problem, choice, order=order)
+            assert delta.cost == oracle.cost
+            for _ in range(200):
+                cid = flippable[rng.randrange(len(flippable))]
+                pick = safe[cid][rng.randrange(len(safe[cid]))]
+                assert delta.flip(cid, pick) == oracle.flip(cid, pick)
+                assert (delta.cost, delta.touched) == (oracle.cost, oracle.touched)
+
+    def test_scoped_flip_candidates_match_all_classes(self, oracle_circuit):
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes)
+        order = problem.toposort(problem.random_choice(random.Random(0), problem.greedy_choice()))
+        everything = problem.flip_candidates(order)
+        assert list(everything) == list(order)
+        some = sorted(order)[::3]
+        assert problem.flip_candidates(order, classes=some) == {cid: everything[cid] for cid in some}
+
+
+class TestGoldenTrajectory:
+    def test_portfolio_trajectory_matches_fixture(self, saturated_circuit):
+        """Every draw, flip, cost and cone size of a restart-firing
+        portfolio run, pinned across commits (see ``portfolio_trajectory``)."""
+        expected = json.loads((FIXTURES / "portfolio_trajectory.json").read_text())
+        for run in expected.values():
+            assert any(chain["restarts"] for chain in run["chains"])
+        assert portfolio_trajectory(saturated_circuit[1]) == expected
+
+
+class TestRebuildSpans:
+    def test_rounds_split_into_rebuild_and_moves(self, saturated_circuit):
+        _, circuit = saturated_circuit
+        specs = (ChainSpec(kind="restart", initial="random", restart_after=4),)
+        config = PortfolioConfig(chains=1, move_budget=64, migrate_every=16, workers=0, chain_specs=specs)
+        with tracing() as tracer:
+            result = portfolio_extract(circuit.egraph, circuit.output_classes, config=config)
+        chain = result.profile.chains[0]
+        assert chain.restarts > 0
+        rounds = [r for r in tracer.records if r.name == "chain round"]
+        rebuilds = [r for r in tracer.records if r.name == "chain rebuild"]
+        assert len(rounds) == 4
+        assert len(rebuilds) == len(rounds) + chain.restarts
+        round_ids = {r.span_id for r in rounds}
+        assert all(r.parent_id in round_ids and r.category == "extraction.rebuild" for r in rebuilds)
 
 
 class TestFrozenProblem:

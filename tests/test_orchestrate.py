@@ -185,9 +185,11 @@ class TestCampaign:
     def test_job_timeout_captured_and_campaign_returns(self, tmp_path):
         import time
 
-        # Paper-default emorphic on an arithmetic circuit takes minutes; the
-        # campaign must bound it, keep the quick job, and return promptly.
-        slow = make_job("adder", "emorphic", preset="test")
+        # Paper-default emorphic on a bench-scale arithmetic circuit takes
+        # minutes; the campaign must bound it, keep the quick job, and return
+        # promptly.  (At the test preset the flow now finishes in about 3 s,
+        # too close to the timeout to count on.)
+        slow = make_job("multiplier", "emorphic", preset="bench")
         quick = make_job("mem_ctrl", "baseline", preset="test")
         start = time.perf_counter()
         report = run_campaign([slow, quick], store=tmp_path / "store", max_workers=2, job_timeout=3)

@@ -131,6 +131,12 @@ class TestOptimizeWindow:
         assert optimized is None
         assert report.error
 
+    def test_unknown_guiding_cost_is_rejected(self):
+        # It used to fall back to node count silently.
+        assert WindowOptConfig(cost="nodes").guiding_cost().mode == "sum"
+        with pytest.raises(ValueError, match="choose from depth, nodes"):
+            WindowOptConfig(cost="dept").guiding_cost()
+
     def test_window_seed_stride(self):
         assert window_seed(7, 0) == 7
         assert window_seed(7, 2) - window_seed(7, 1) == window_seed(7, 1) - window_seed(7, 0)

@@ -32,6 +32,17 @@ FAST_EMORPHIC_SCRIPT = (
     "extract(sa, threads=1, iters=1, moves=1); map"
 )
 
+#: ``extract`` parameters no extraction can honour, with the error naming
+#: the allowed values.
+UNHONOURABLE_EXTRACT_PARAMS = {
+    "cost=dept": "unknown extraction cost 'dept'; choose from depth, nodes",
+    "threads=0": "threads >= 1",
+    "iters=-1": "iters >= 0",
+    "moves=-1": "moves >= 0",
+    "migrate_every=-1": "migrate_every >= 0",
+    "workers=-1": "workers >= 0",
+}
+
 
 class TestScriptParsing:
     def test_basic_statements_and_aliases(self):
@@ -315,6 +326,18 @@ class TestOneExtractor:
     )
     def test_removed_extract_params_rejected(self, template, param, small_adder):
         with pytest.raises(PipelineError, match="has no parameter"):
+            Pipeline.from_script(template.format(param)).run_flow(small_adder)
+
+    @pytest.mark.parametrize("param", list(UNHONOURABLE_EXTRACT_PARAMS))
+    @pytest.mark.parametrize(
+        "template",
+        ["dag2eg; extract(sa, {})", "st; partition(k=30); extract(sa, {}); stitch"],
+        ids=["whole", "staged"],
+    )
+    def test_unhonourable_extract_params_rejected(self, template, param, small_adder):
+        # Staged after partition these used to fail every window silently.
+        message = UNHONOURABLE_EXTRACT_PARAMS[param]
+        with pytest.raises(PipelineError, match=re.escape(message)):
             Pipeline.from_script(template.format(param)).run_flow(small_adder)
 
 
