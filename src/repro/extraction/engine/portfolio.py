@@ -168,9 +168,8 @@ def portfolio_extract(
 
     ``columns`` optionally passes the saturation engine's
     :class:`~repro.engine.columns.ColumnStore` so the frozen problem is
-    snapshotted from the integer columns (``FrozenProblem.from_columns``)
-    instead of re-walking the object graph; the resulting problem is
-    identical either way.
+    snapshotted from it instead of from a store seeded from ``egraph``; the
+    resulting problem is identical either way.
     """
     config = config or PortfolioConfig()
     cost = cost or NodeCountCost()
@@ -184,12 +183,10 @@ def portfolio_extract(
         evaluator=config.evaluator,
     )
     with portfolio_span:
-        problem = (
-            FrozenProblem.from_columns(columns, roots, cost)
-            if columns is not None
-            else FrozenProblem.build(egraph, roots, cost)
-        )
-        greedy = problem.greedy_choice()
+        with obs.span("extract snapshot", category="extraction.setup"):
+            problem = FrozenProblem.build(egraph, roots, cost, columns)
+        with obs.span("extract greedy", category="extraction.setup"):
+            greedy = problem.greedy_choice()
         stats = ProblemStats.of(problem, problem.flip_candidates(problem.toposort(greedy)))
         seed_choice = problem.choice_from_extraction(seed_solution) if seed_solution else None
 

@@ -1,20 +1,22 @@
 """The frozen extraction problem: the e-graph snapshot the engine works on.
 
-Extraction runs on a *frozen* e-graph (saturation has finished), so the
-engine front-loads every canonicalisation into one picklable, index-based
-structure: per-class candidate e-nodes with pre-resolved child class ids and
-pre-computed per-node costs.  Chains, evaluators, and worker processes all
-operate on plain ``int`` class ids and node indices — no ``EGraph`` and no
-``find`` calls on the hot path — and the whole problem crosses a
+Extraction runs on a *frozen* e-graph (saturation has finished), so greedy
+and SA extraction front-load every canonicalisation into one picklable,
+index-based structure, snapshotted from a :class:`~repro.engine.columns.ColumnStore`:
+per-class candidate e-nodes with pre-resolved child class ids and pre-computed
+per-node costs.  Chains, evaluators, and worker processes all operate on
+plain ``int`` class ids and node indices — no ``EGraph`` and no ``find``
+calls on the hot path — and the whole problem crosses a
 ``ProcessPoolExecutor`` boundary exactly once per worker.
 
 The problem also carries a static reverse index, built once with it:
 ``users[child]`` lists one ``(parent class, node index)`` pair per node and
 distinct child, and ``distinct_children[cid][i]`` counts node ``i``'s distinct
-children.  With them :meth:`FrozenProblem.random_choice` is event-driven
-(choosing a class wakes exactly the nodes that use it) and the depth
+children.  With them :meth:`FrozenProblem.greedy_choice` and
+:meth:`FrozenProblem.random_choice` are event-driven (a class that gets
+cheaper, or gets chosen, wakes exactly the nodes that use it) and the depth
 evaluator finds a class's extraction parents by filtering ``users`` through
-the live choice, so neither re-derives e-graph structure per call.
+the live choice, so none of them re-derives e-graph structure per call.
 
 Cycle safety is handled here too: :func:`toposort` orders the classes of a
 concrete extraction, and :meth:`FrozenProblem.flip_candidates` keeps, per
@@ -27,11 +29,13 @@ extraction, so the move loop needs no per-move cycle check (see
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
+from repro.engine.columns import ColumnStore, op_name
 from repro.extraction.cost import CostFunction, NodeCountCost
 
 #: A solution: canonical class id -> index into ``FrozenProblem.nodes[cid]``.
@@ -51,7 +55,9 @@ class FrozenProblem:
 
     ``users`` and ``distinct_children`` are derived from ``children`` on
     construction (see the module docstring) and travel with the problem when
-    it is pickled.
+    it is pickled.  Construction rejects a negative node cost with
+    ``ValueError``: non-negative costs are what makes the greedy fixpoint
+    terminate with an acyclic choice.
     """
 
     nodes: Dict[int, List[ENode]]
@@ -66,8 +72,11 @@ class FrozenProblem:
         users: Dict[int, List[Tuple[int, int]]] = {cid: [] for cid in self.nodes}
         distinct_children: Dict[int, List[int]] = {}
         for cid, class_children in self.children.items():
+            costs = self.node_costs[cid]
             counts = []
             for i, kids in enumerate(class_children):
+                if costs[i] < 0:
+                    raise ValueError(f"negative node cost {costs[i]} for operator {self.nodes[cid][i].op}")
                 distinct = set(kids)
                 counts.append(len(distinct))
                 user = (cid, i)  # one tuple per node, shared by its children's lists
@@ -83,69 +92,60 @@ class FrozenProblem:
         egraph: EGraph,
         roots: Sequence[int],
         cost: Optional[CostFunction] = None,
+        columns: Optional[ColumnStore] = None,
     ) -> "FrozenProblem":
-        cost = cost or NodeCountCost()
-        nodes: Dict[int, List[ENode]] = {}
-        children: Dict[int, List[Tuple[int, ...]]] = {}
-        node_costs: Dict[int, List[float]] = {}
-        find = egraph.find
-        for cid in sorted(egraph.canonical_classes()):
-            eclass = egraph.classes[cid]
-            seen = set()
-            class_nodes: List[ENode] = []
-            class_children: List[Tuple[int, ...]] = []
-            class_costs: List[float] = []
-            for enode in eclass.nodes:
-                canonical = enode.canonicalize(egraph.union_find)
-                if canonical in seen:
-                    continue
-                seen.add(canonical)
-                class_nodes.append(canonical)
-                class_children.append(tuple(find(c) for c in canonical.children))
-                class_costs.append(cost.node_cost(canonical))
-            nodes[cid] = class_nodes
-            children[cid] = class_children
-            node_costs[cid] = class_costs
-        return cls(
-            nodes=nodes,
-            children=children,
-            node_costs=node_costs,
-            roots=[find(r) for r in roots],
-            mode=cost.mode,
-        )
+        """Snapshot ``egraph`` with :meth:`from_columns`: from ``columns``, a
+        :class:`~repro.engine.columns.ColumnStore` frozen at ``egraph`` (the
+        saturation engine's, when the caller holds it), else from an unattached
+        store seeded from the e-graph.  The problem is identical either way."""
+        if columns is None:
+            columns = ColumnStore(egraph, attach=False)
+        return cls.from_columns(columns, roots, cost)
 
     @classmethod
     def from_columns(
         cls,
-        columns: "object",
+        columns: ColumnStore,
         roots: Sequence[int],
         cost: Optional[CostFunction] = None,
     ) -> "FrozenProblem":
         """Build the frozen problem from a :class:`repro.engine.columns.ColumnStore`.
 
-        The columnar mirror already holds every class's nodes canonicalized in
-        ``EClass.nodes`` order, so snapshotting reads flat integer columns
-        instead of re-walking the object graph.  Produces a structure equal to
-        :meth:`build` on the mirrored e-graph: same classes, same candidate
-        order (first canonical occurrence wins), same costs.
+        The store's per-class spans list each class's nodes in ``EClass.nodes``
+        order, so the snapshot reads flat integer columns instead of the object
+        graph.  Canonical ids are resolved once per snapshot; each span row is
+        keyed by its ``(op id, canonical children, payload)`` tuple, the first
+        occurrence of a key is the class's candidate, and only candidates get
+        an :class:`ENode`.  Classes come in ascending id order.
         """
         cost = cost or NodeCountCost()
+        canon = [columns.find(i) for i in range(len(columns.uf_parent))]
+        node_op = columns.node_op
+        node_next = columns.node_next
+        child_start = columns.child_start
+        child_class = columns.child_class
+        payloads = columns.node_payload
         nodes: Dict[int, List[ENode]] = {}
         children: Dict[int, List[Tuple[int, ...]]] = {}
         node_costs: Dict[int, List[float]] = {}
-        find = columns.find
-        for cid in columns.canonical_class_ids():
+        for cid, row in enumerate(columns.class_head):
+            if row < 0 or canon[cid] != cid:
+                continue
             seen = set()
             class_nodes: List[ENode] = []
             class_children: List[Tuple[int, ...]] = []
             class_costs: List[float] = []
-            for canonical in columns.class_enodes(cid):
-                if canonical in seen:
-                    continue
-                seen.add(canonical)
-                class_nodes.append(canonical)
-                class_children.append(canonical.children)
-                class_costs.append(cost.node_cost(canonical))
+            while row >= 0:
+                op, payload = node_op[row], payloads.get(row)
+                kids = tuple(map(canon.__getitem__, child_class[child_start[row] : child_start[row + 1]]))
+                key = (op, kids, payload)
+                if key not in seen:
+                    seen.add(key)
+                    enode = ENode(op_name(op), kids, payload)
+                    class_nodes.append(enode)
+                    class_children.append(kids)
+                    class_costs.append(cost.node_cost(enode))
+                row = node_next[row]
             nodes[cid] = class_nodes
             children[cid] = class_children
             node_costs[cid] = class_costs
@@ -153,7 +153,7 @@ class FrozenProblem:
             nodes=nodes,
             children=children,
             node_costs=node_costs,
-            roots=[find(r) for r in roots],
+            roots=[canon[r] for r in roots],
             mode=cost.mode,
         )
 
@@ -190,36 +190,51 @@ class FrozenProblem:
     # -- initial solutions --------------------------------------------------
 
     def greedy_choice(self) -> Choice:
-        """Bottom-up greedy fixpoint (the frozen-problem twin of
-        :func:`repro.extraction.greedy.greedy_extract`); covers every class
-        that is acyclically realizable."""
-        best_cost: Dict[int, float] = {}
+        """Bottom-up greedy choice: every acyclically realizable class gets its
+        cheapest node given its children's best costs.
+
+        Semantically a fixpoint of ascending-id passes that re-price every
+        class's nodes in index order, a node winning only when cheaper by more
+        than ``1e-12``.  It runs event-driven instead: a class that gets
+        cheaper wakes its users into the current pass if their id is still
+        ahead, else into the next one.  Only visits that change nothing are
+        skipped, so costs, choices and dict insertion order are the
+        fixpoint's (see ``docs/parity.md``).
+        """
+        users = self.users
+        children = self.children
+        node_costs = self.node_costs
+        depth = self.mode != "sum"
+        best: Dict[int, float] = {}
         choice: Choice = {}
-        ordered = sorted(self.nodes)
-        changed = True
-        while changed:
-            changed = False
-            for cid in ordered:
-                costs = self.node_costs[cid]
-                kids = self.children[cid]
-                for i in range(len(costs)):
-                    child_costs = []
-                    ok = True
-                    for ch in kids[i]:
-                        if ch not in best_cost:
-                            ok = False
-                            break
-                        child_costs.append(best_cost[ch])
-                    if not ok:
+        this_pass = [cid for cid, counts in self.distinct_children.items() if 0 in counts]
+        heapq.heapify(this_pass)
+        queued = set(this_pass)
+        next_pass: List[int] = []
+        while this_pass:
+            while this_pass:
+                cid = heapq.heappop(this_pass)
+                queued.discard(cid)
+                costs = node_costs[cid]
+                improved = False
+                for i, kids in enumerate(children[cid]):
+                    child_costs = [best.get(ch) for ch in kids]
+                    if None in child_costs:
                         continue
-                    if self.mode == "sum":
-                        total = costs[i] + sum(child_costs)
-                    else:
+                    if depth:
                         total = costs[i] + (max(child_costs) if child_costs else 0.0)
-                    if total < best_cost.get(cid, float("inf")) - 1e-12:
-                        best_cost[cid] = total
+                    else:
+                        total = costs[i] + sum(child_costs)
+                    if total < best.get(cid, math.inf) - 1e-12:
+                        best[cid] = total
                         choice[cid] = i
-                        changed = True
+                        improved = True
+                if improved:
+                    for parent, _ in users[cid]:
+                        if parent not in queued:
+                            queued.add(parent)
+                            heapq.heappush(this_pass if parent > cid else next_pass, parent)
+            this_pass, next_pass = next_pass, this_pass
         return choice
 
     def random_choice(self, rng: random.Random, fallback: Optional[Choice] = None) -> Choice:

@@ -1,54 +1,40 @@
 """Bottom-up greedy extraction.
 
-The classic egg extractor: iterate to a fixpoint where every e-class knows
-the cheapest e-node (given the current best costs of its children), then read
-off the choices.  This provides the initial solutions for the simulated
-annealing extractor.
+The classic egg extractor: every e-class takes its cheapest e-node given the
+best costs of its children.  It runs on the frozen extraction problem — the
+event-driven :meth:`~repro.extraction.engine.problem.FrozenProblem.greedy_choice`
+over a snapshot of the e-graph's integer columns — and provides the initial
+solutions of the simulated-annealing extractor.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.extraction.cost import CostFunction, NodeCountCost
+from repro.extraction.cost import CostFunction
+from repro.extraction.engine.problem import FrozenProblem
+from repro.obs import trace as obs
 
 
 def greedy_extract(
     egraph: EGraph,
     cost: Optional[CostFunction] = None,
-    max_rounds: Optional[int] = None,
+    columns: Optional[object] = None,
 ) -> Dict[int, ENode]:
     """Select the locally cheapest e-node for every e-class.
 
-    Returns a map canonical-class-id -> chosen e-node covering every class
-    whose cost converged (unreachable or cyclic-only classes are omitted).
+    Returns a map canonical-class-id -> chosen canonical e-node covering every
+    class that is acyclically realizable (unreachable or cyclic-only classes
+    are omitted); the default cost is node count.  ``columns`` optionally
+    passes the saturation engine's :class:`~repro.engine.columns.ColumnStore`,
+    frozen at ``egraph``, to snapshot from instead of seeding a fresh one; the
+    result is identical either way.
     """
-    if cost is None:
-        cost = NodeCountCost()
-    classes = egraph.canonical_classes()
-    best_cost: Dict[int, float] = {}
-    best_node: Dict[int, ENode] = {}
-    if max_rounds is None:
-        max_rounds = len(classes) + 1
-
-    changed = True
-    rounds = 0
-    while changed and rounds < max_rounds:
-        changed = False
-        rounds += 1
-        for cid, eclass in classes.items():
-            for enode in eclass.nodes:
-                children = [egraph.find(c) for c in enode.children]
-                if any(c not in best_cost for c in children):
-                    continue
-                total = cost.aggregate(enode, (best_cost[c] for c in children))
-                if total < best_cost.get(cid, math.inf) - 1e-12:
-                    best_cost[cid] = total
-                    best_node[cid] = enode
-                    changed = True
-    return best_node
+    with obs.span("extract snapshot", category="extraction.setup"):
+        problem = FrozenProblem.build(egraph, (), cost, columns)
+    with obs.span("extract greedy", category="extraction.setup"):
+        return problem.extraction_from_choice(problem.greedy_choice())
 
 
 def extraction_size(egraph: EGraph, extraction: Dict[int, ENode], roots) -> Tuple[int, int]:

@@ -180,7 +180,9 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
             report.saturation_iterations = sat_profile.num_iterations
             report.egraph_nodes = sat_profile.final_nodes
             if cfg.method == "greedy":
-                extraction = greedy_extract(circuit.egraph, cost=cfg.guiding_cost())
+                extraction = greedy_extract(
+                    circuit.egraph, cost=cfg.guiding_cost(), columns=engine.columns
+                )
             else:
                 result = portfolio_extract(
                     circuit.egraph,

@@ -410,7 +410,7 @@ def _pass_extract(
                 seen.add(key)
                 extractions.append(extraction)
     elif method == "greedy":
-        extractions = [greedy_extract(circuit.egraph, cost=guiding)]
+        extractions = [greedy_extract(circuit.egraph, cost=guiding, columns=ctx.egraph_columns)]
     else:  # random
         extractions = [random_extract(circuit.egraph, seed=seed)]
 

@@ -6,7 +6,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,11 @@ from repro.aig.simulate import random_simulate
 from repro.benchgen import control, epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
-from repro.egraph.language import AND, OR
+from repro.egraph.language import AND, NOT, OR, VAR
 from repro.egraph.egraph import EGraph
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
+from repro.extraction.cost import DepthCost, NodeCountCost, OperatorCost, extraction_cost
 from repro.extraction.engine import (
     ChainSpec,
     DeltaCostEvaluator,
@@ -199,6 +201,97 @@ class ParentMultimapEvaluator(DeltaCostEvaluator):
         return self.cost
 
 
+def fixpoint_greedy_extract(egraph, cost=None):
+    """Object-graph greedy fixpoint: ascending-id passes over every class's
+    every e-node, re-canonicalizing children through ``find``, until a pass
+    changes nothing or one pass per class plus one ran (the oracle for
+    ``greedy_extract``)."""
+    if cost is None:
+        cost = NodeCountCost()
+    classes = egraph.canonical_classes()
+    best_cost = {}
+    best_node = {}
+    max_rounds = len(classes) + 1
+    changed = True
+    rounds = 0
+    while changed and rounds < max_rounds:
+        changed = False
+        rounds += 1
+        for cid, eclass in classes.items():
+            for enode in eclass.nodes:
+                children = [egraph.find(c) for c in enode.children]
+                if any(c not in best_cost for c in children):
+                    continue
+                total = cost.aggregate(enode, (best_cost[c] for c in children))
+                if total < best_cost.get(cid, math.inf) - 1e-12:
+                    best_cost[cid] = total
+                    best_node[cid] = enode
+                    changed = True
+    return best_node
+
+
+def fixpoint_greedy_choice(problem):
+    """All-class greedy fixpoint on the snapshot: every pass re-prices every
+    class's every node (the oracle for the event-driven ``greedy_choice``)."""
+    best_cost = {}
+    choice = {}
+    ordered = sorted(problem.nodes)
+    changed = True
+    while changed:
+        changed = False
+        for cid in ordered:
+            costs = problem.node_costs[cid]
+            kids = problem.children[cid]
+            for i in range(len(costs)):
+                child_costs = []
+                ok = True
+                for ch in kids[i]:
+                    if ch not in best_cost:
+                        ok = False
+                        break
+                    child_costs.append(best_cost[ch])
+                if not ok:
+                    continue
+                if problem.mode == "sum":
+                    total = costs[i] + sum(child_costs)
+                else:
+                    total = costs[i] + (max(child_costs) if child_costs else 0.0)
+                if total < best_cost.get(cid, float("inf")) - 1e-12:
+                    best_cost[cid] = total
+                    choice[cid] = i
+                    changed = True
+    return choice
+
+
+def walk_build(egraph, roots, cost=None):
+    """Object-walk snapshot: canonicalize every class's e-nodes through the
+    e-graph's union-find (the oracle for the column-store ``build``)."""
+    cost = cost or NodeCountCost()
+    nodes, children, node_costs = {}, {}, {}
+    find = egraph.find
+    for cid in sorted(egraph.canonical_classes()):
+        seen = set()
+        class_nodes, class_children, class_costs = [], [], []
+        for enode in egraph.classes[cid].nodes:
+            canonical = enode.canonicalize(egraph.union_find)
+            if canonical in seen:
+                continue
+            seen.add(canonical)
+            class_nodes.append(canonical)
+            class_children.append(tuple(find(c) for c in canonical.children))
+            class_costs.append(cost.node_cost(canonical))
+        nodes[cid] = class_nodes
+        children[cid] = class_children
+        node_costs[cid] = class_costs
+    return FrozenProblem(
+        nodes=nodes,
+        children=children,
+        node_costs=node_costs,
+        roots=[find(r) for r in roots],
+        mode=cost.mode,
+    )
+
+
 @pytest.fixture(scope="module", params=["sqrt", 1, 2, 3])
 def oracle_circuit(request, saturated_circuit):
     """The shared ``sqrt`` e-graph and three randomized ones."""
@@ -269,6 +362,114 @@ class TestRebuildOracles:
         assert list(everything) == list(order)
         some = sorted(order)[::3]
         assert problem.flip_candidates(order, classes=some) == {cid: everything[cid] for cid in some}
+
+
+#: The greedy oracles' costs: both guiding costs plus the two operator
+#: weightings of ``test_operator_cost_extraction_matches_structure``.
+GREEDY_ORACLE_COSTS = {
+    "nodes": NodeCountCost,
+    "depth": DepthCost,
+    "avoid_or": lambda: OperatorCost(
+        weights={"OR": 10.0, "AND": 1.0, "NOT": 0.1, "VAR": 0.0, "CONST0": 0.0, "CONST1": 0.0}
+    ),
+    "prefer_or": lambda: OperatorCost(
+        weights={"OR": 0.5, "AND": 1.0, "NOT": 0.1, "VAR": 0.0, "CONST0": 0.0, "CONST1": 0.0}
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=["sqrt", 1, 2, 3])
+def oracle_columns(request):
+    """The ``oracle_circuit`` circuits saturated under the same limits, with
+    the engine's column store kept (frozen at the saturated e-graph)."""
+    if request.param == "sqrt":
+        aig = epfl.build("sqrt", preset="test")
+        limits = EngineLimits(max_iterations=2, max_nodes=10_000, time_limit=20.0)
+    else:
+        aig = control.random_control(num_inputs=10, num_outputs=6, terms_per_output=4, seed=request.param)
+        limits = EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=10.0)
+    circuit = aig_to_egraph(aig)
+    engine = SaturationEngine(circuit.egraph, boolean_rules(), limits)
+    engine.run()
+    return circuit, engine.columns
+
+
+class TestGreedyOracles:
+    """The snapshot greedy path against the algorithms it replaced, choice
+    for choice and in insertion order."""
+
+    @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
+    def test_build_matches_object_walk(self, oracle_circuit, cost_name):
+        cost = GREEDY_ORACLE_COSTS[cost_name]()
+        roots = oracle_circuit.output_classes
+        built = FrozenProblem.build(oracle_circuit.egraph, roots, cost)
+        walked = walk_build(oracle_circuit.egraph, roots, cost)
+        for name in ("nodes", "children", "node_costs"):
+            assert list(getattr(built, name).items()) == list(getattr(walked, name).items())
+        assert built.roots == walked.roots
+
+    @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
+    def test_greedy_choice_matches_fixpoint(self, oracle_circuit, cost_name):
+        problem = FrozenProblem.build(
+            oracle_circuit.egraph, oracle_circuit.output_classes, GREEDY_ORACLE_COSTS[cost_name]()
+        )
+        assert list(problem.greedy_choice().items()) == list(fixpoint_greedy_choice(problem).items())
+
+    @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
+    def test_greedy_extract_matches_object_fixpoint(self, oracle_columns, cost_name):
+        circuit, columns = oracle_columns
+        cost = GREEDY_ORACLE_COSTS[cost_name]()
+        uf = circuit.egraph.union_find
+        expected = [
+            (cid, enode.canonicalize(uf))
+            for cid, enode in fixpoint_greedy_extract(circuit.egraph, cost).items()
+        ]
+        assert list(greedy_extract(circuit.egraph, cost).items()) == expected
+        assert list(greedy_extract(circuit.egraph, cost, columns=columns).items()) == expected
+
+
+class TestNegativeCosts:
+    """A negative node cost is rejected when the snapshot is built: the greedy
+    fixpoint only terminates, with an acyclic choice, for costs >= 0."""
+
+    @staticmethod
+    def _double_negation():
+        eg = EGraph()
+        x = eg.var("a")
+        nnx = eg.add_term(NOT, [eg.add_term(NOT, [x])])
+        eg.union(x, nnx)
+        eg.rebuild()
+        return eg, [eg.find(x)]
+
+    def test_every_entry_point_raises_promptly(self):
+        eg, roots = self._double_negation()
+        cost = OperatorCost(weights={VAR: 0.0, NOT: -1.0})
+        message = "negative node cost -1.0 for operator NOT"
+
+        def hang(signum, frame):
+            raise TimeoutError("extraction spun on a negative cost instead of raising")
+
+        # Without the check the greedy fixpoint spins forever on this e-graph:
+        # fail the test instead of hanging it.
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match=message):
+                greedy_extract(eg, cost)
+            with pytest.raises(ValueError, match=message):
+                FrozenProblem.build(eg, roots, cost)
+            with pytest.raises(ValueError, match=message):
+                portfolio_extract(
+                    eg, roots, cost=cost, config=PortfolioConfig(chains=1, move_budget=4, workers=0)
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_zero_costs_are_accepted(self):
+        eg, roots = self._double_negation()
+        extraction = greedy_extract(eg, OperatorCost(weights={VAR: 0.0, NOT: 0.0}))
+        assert extraction[roots[0]].op == VAR
 
 
 class TestGoldenTrajectory:
