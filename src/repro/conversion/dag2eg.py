@@ -83,7 +83,7 @@ def aig_to_egraph(aig: Aig) -> CircuitEGraph:
 
     def record(class_id: int) -> int:
         if class_id not in original_choice:
-            original_choice[class_id] = egraph.classes[egraph.find(class_id)].nodes[0]
+            original_choice[class_id] = egraph.nodes_of(class_id)[0]
         return class_id
 
     const0 = record(egraph.add_term(CONST0))

@@ -1,13 +1,14 @@
 """An egg-style e-graph engine for Boolean terms.
 
-Provides hashconsed e-nodes, union-find over e-classes, congruence-closure
-rebuilding, pattern-based e-matching (the test oracle of the saturation
-engine in :mod:`repro.engine`), the Boolean rule set of the paper
-(Table I), and the intermediate serialization format used for direct
-DAG-to-DAG conversion (Fig. 7).
+Provides the e-graph (hashconsed canonical e-nodes stored as integer rows,
+union-find over e-classes, congruence-closure rebuilding), pattern-based
+e-matching (the test oracle of the saturation engine in
+:mod:`repro.engine`), the Boolean rule set of the paper (Table I), and the
+intermediate serialization format used for direct DAG-to-DAG conversion
+(Fig. 7).
 """
 
-from repro.egraph.egraph import EClass, EGraph, ENode
+from repro.egraph.egraph import EGraph, ENode, op_id, op_name
 from repro.egraph.language import AND, CONST0, CONST1, NOT, OR, VAR, OpSpec
 from repro.egraph.pattern import Pattern, PatternNode, parse_pattern
 from repro.egraph.rewrite import Rewrite
@@ -17,8 +18,9 @@ from repro.egraph.unionfind import UnionFind
 
 __all__ = [
     "EGraph",
-    "EClass",
     "ENode",
+    "op_id",
+    "op_name",
     "AND",
     "OR",
     "NOT",

@@ -39,12 +39,15 @@ OPERATORS: Dict[str, OpSpec] = {
 
 
 def op_arity(op: str) -> int:
+    """Number of children an ``op`` e-node takes."""
     return OPERATORS[op].arity
 
 
 def op_cost(op: str) -> float:
+    """Default extraction cost of one ``op`` e-node."""
     return OPERATORS[op].cost
 
 
 def is_leaf_op(op: str) -> bool:
+    """Whether ``op`` takes no children (VAR and the constants)."""
     return OPERATORS[op].arity == 0

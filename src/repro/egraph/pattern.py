@@ -147,7 +147,7 @@ def search(egraph: EGraph, pattern: Pattern, limit: Optional[int] = None) -> Lis
     e-graphs regardless of set/dict iteration order.
     """
     matches: List[Match] = []
-    for class_id in sorted(egraph.canonical_classes()):
+    for class_id in egraph.class_ids():
         for subst in _match_node(egraph, pattern.root, class_id, {}):
             matches.append(Match(class_id=class_id, substitution=subst))
             if limit is not None and len(matches) >= limit:

@@ -31,9 +31,11 @@ class Rewrite:
         rhs: str,
         condition: Optional[Callable[[EGraph, Match], bool]] = None,
     ) -> "Rewrite":
+        """Build a rule from pattern source text."""
         return cls(name=name, lhs=parse_pattern(lhs), rhs=parse_pattern(rhs), condition=condition)
 
     def search(self, egraph: EGraph, limit: Optional[int] = None) -> List[Match]:
+        """The LHS matches in ``egraph`` (per-pattern search, sorted classes)."""
         return search(egraph, self.lhs, limit=limit)
 
     def apply(self, egraph: EGraph, matches: List[Match]) -> int:

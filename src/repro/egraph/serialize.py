@@ -15,6 +15,7 @@ linearly with the circuit, unlike the S-expression path of E-Syn.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from typing import Dict, List, Tuple, Union
 
@@ -51,17 +52,20 @@ def _enode_from_dsl(entry: Dict[str, Union[str, List[int]]]) -> ENode:
 
 def egraph_to_dsl(egraph: EGraph, indent: int | None = None) -> str:
     """Serialize the e-graph into the intermediate DSL (JSON text)."""
-    doc: Dict[str, Dict[str, object]] = {}
+    classes = [(cid, egraph.nodes_of(cid)) for cid in egraph.class_ids()]
     parents: Dict[int, List[int]] = {}
-    for cid, enode in egraph.enodes():
-        for child in enode.children:
-            parents.setdefault(egraph.find(child), []).append(cid)
-    for cid, eclass in egraph.canonical_classes().items():
-        doc[str(cid)] = {
+    for cid, nodes in classes:
+        for enode in nodes:
+            for child in enode.children:
+                parents.setdefault(child, []).append(cid)
+    doc: Dict[str, Dict[str, object]] = {
+        str(cid): {
             "id": cid,
-            "nodes": [_enode_to_dsl(n.canonicalize(egraph.union_find)) for n in eclass.nodes],
+            "nodes": [_enode_to_dsl(n) for n in nodes],
             "parents": sorted(set(parents.get(cid, []))),
         }
+        for cid, nodes in classes
+    }
     return json.dumps({"egraph": doc}, indent=indent, sort_keys=True)
 
 
@@ -79,39 +83,53 @@ def egraph_from_dsl(text: str) -> Tuple[EGraph, Dict[int, int]]:
     """Parse the intermediate DSL back into an e-graph.
 
     Returns (egraph, id_map) where ``id_map`` maps DSL class ids to e-class
-    ids in the reconstructed graph.
+    ids in the reconstructed graph.  Saturated e-graphs are cyclic, so the
+    loader works node by node rather than class by class: a node waits until
+    each of its child classes has a built node, ready nodes are built in
+    ascending DSL class id (then position) and unioned into their class, and
+    only a class none of whose nodes can ever be built raises ``ValueError``.
     """
     doc = json.loads(text)
     if "egraph" not in doc:
         raise ValueError("missing top-level 'egraph' key")
-    entries = {int(key): value for key, value in doc["egraph"].items()}
+    entries = {int(key): [_enode_from_dsl(n) for n in value["nodes"]] for key, value in doc["egraph"].items()}
     egraph = EGraph()
     id_map: Dict[int, int] = {}
-
-    def build(dsl_id: int, visiting: frozenset) -> int:
-        if dsl_id in id_map:
-            return id_map[dsl_id]
-        if dsl_id in visiting:
-            raise ValueError(f"cycle detected at DSL class {dsl_id}")
-        entry = entries[dsl_id]
-        class_id = None
-        for node_entry in entry["nodes"]:
-            enode = _enode_from_dsl(node_entry)
-            children = tuple(build(child, visiting | {dsl_id}) for child in enode.children)
-            new_id = egraph.add(ENode(op=enode.op, children=children, payload=enode.payload))
-            if class_id is None:
-                class_id = new_id
-            elif egraph.find(class_id) != egraph.find(new_id):
-                egraph.union(class_id, new_id)
-                class_id = egraph.find(class_id)
-        if class_id is None:
+    # Per node (dsl id, position): how many distinct child classes are unbuilt.
+    waiting: Dict[Tuple[int, int], int] = {}
+    users: Dict[int, List[Tuple[int, int]]] = {}
+    ready: List[Tuple[int, int]] = []
+    for dsl_id, nodes in entries.items():
+        if not nodes:
             raise ValueError(f"DSL class {dsl_id} has no nodes")
-        id_map[dsl_id] = egraph.find(class_id)
-        return id_map[dsl_id]
-
-    for dsl_id in entries:
-        build(dsl_id, frozenset())
+        for position, enode in enumerate(nodes):
+            kids = set(enode.children)
+            unknown = kids - entries.keys()
+            if unknown:
+                raise ValueError(f"DSL class {dsl_id} references unknown class {min(unknown)}")
+            waiting[dsl_id, position] = len(kids)
+            for child in kids:
+                users.setdefault(child, []).append((dsl_id, position))
+            if not kids:
+                ready.append((dsl_id, position))
+    heapq.heapify(ready)
+    while ready:
+        dsl_id, position = heapq.heappop(ready)
+        enode = entries[dsl_id][position]
+        new_id = egraph.add_term(enode.op, [id_map[c] for c in enode.children], enode.payload)
+        if dsl_id in id_map:
+            egraph.union(id_map[dsl_id], new_id)
+            continue
+        id_map[dsl_id] = new_id
+        for user in users.get(dsl_id, ()):
+            waiting[user] -= 1
+            if not waiting[user]:
+                heapq.heappush(ready, user)
+    unbuilt = entries.keys() - id_map.keys()
+    if unbuilt:
+        raise ValueError(
+            f"DSL class {min(unbuilt)} cannot be built: each of its nodes needs a class "
+            "that only cyclic nodes define"
+        )
     egraph.rebuild()
-    # Re-canonicalise the map after rebuilding.
-    id_map = {k: egraph.find(v) for k, v in id_map.items()}
-    return egraph, id_map
+    return egraph, {k: egraph.find(v) for k, v in id_map.items()}

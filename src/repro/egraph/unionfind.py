@@ -40,10 +40,12 @@ class UnionFind:
         return ra
 
     def in_same_set(self, a: int, b: int) -> bool:
+        """Whether ``a`` and ``b`` have the same representative."""
         return self.find(a) == self.find(b)
 
     def __len__(self) -> int:
         return len(self.parent)
 
     def num_sets(self) -> int:
+        """Number of disjoint sets (a full scan)."""
         return sum(1 for i, p in enumerate(self.parent) if i == self.find(i))

@@ -7,14 +7,13 @@ worklist-driven incremental rebuilds, and full saturation telemetry.
 pre-engine runner loop exactly.
 
 E-matching has one production implementation: :class:`BatchedMatcher`
-compiles all rules into one shared-prefix trie walked over
-:class:`ColumnStore` struct-of-arrays storage — one e-graph traversal per
-iteration total.  Its matches equal the per-pattern reference
+compiles all rules into one shared-prefix trie walked over the e-graph's
+integer rows (:meth:`repro.egraph.egraph.EGraph.class_view`) — one e-graph
+traversal per iteration total.  Its matches equal the per-pattern reference
 (``repro.egraph.pattern.search``, kept as the test oracle) in identical order.
 """
 
 from repro.engine.batched import BatchedMatcher, compile_pattern, priorities_from_attribution
-from repro.engine.columns import ClassView, ColumnStore, op_id, op_name
 from repro.engine.engine import EngineLimits, SaturationEngine, saturate_engine
 from repro.engine.scheduler import (
     SCHEDULERS,
@@ -32,10 +31,6 @@ __all__ = [
     "BatchedMatcher",
     "compile_pattern",
     "priorities_from_attribution",
-    "ColumnStore",
-    "ClassView",
-    "op_id",
-    "op_name",
     "Scheduler",
     "SimpleScheduler",
     "BackoffScheduler",

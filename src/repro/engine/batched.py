@@ -12,8 +12,8 @@ children through the object model.  The batched matcher inverts the loop:
   AND-rooted rules share one enumeration of AND nodes, and rules whose first
   child keys coincide (e.g. the leading ``?a`` of ``and-comm``, ``and-idem``
   and ``absorb-and``) share the child-fold itself;
-* matching runs over :class:`~repro.engine.columns.ColumnStore` class views:
-  each class's node span is walked **once per iteration** to build a
+* matching runs over :class:`~repro.egraph.egraph.ClassView` class views:
+  each class's row span is walked **once per iteration** to build a
   canonical per-op view, and every rule under every trie branch reads that
   view — the e-graph is traversed once total instead of once per rule;
 * every trie edge is pre-compiled into a dispatch form (variable bind,
@@ -22,7 +22,7 @@ children through the object model.  The batched matcher inverts the loop:
 
 Parity with the per-pattern reference (:func:`repro.egraph.pattern.search`)
 is exact, not approximate: candidate classes are visited in sorted order,
-root nodes in ``EClass.nodes`` order, child substitution frontiers are capped
+root nodes in span order, child substitution frontiers are capped
 at :data:`~repro.egraph.pattern.MAX_SUBSTITUTIONS_PER_NODE` with the same
 fold semantics, and per-rule ``limit`` truncation keeps the same prefix — so
 a batched run applies the same matches in the same order and lands on the
@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.egraph.egraph import ClassView, EGraph, op_id
 from repro.egraph.pattern import MAX_SUBSTITUTIONS_PER_NODE, Match, Pattern, PatternNode
 from repro.egraph.rewrite import Rewrite
-from repro.engine.columns import ClassView, ColumnStore, op_id
 
 #: A compiled subpattern key: ("var", slot) | ("sym", name) | ("op", op, (keys...)).
 Key = Tuple
@@ -419,25 +419,23 @@ class BatchedMatcher:
 
     def search(
         self,
-        columns: ColumnStore,
+        egraph: EGraph,
         active: Sequence[int],
         limit: Optional[int] = None,
-        egraph=None,
     ) -> Dict[int, List[Match]]:
         """Match every active rule in one shared e-graph walk.
 
         ``active`` lists the rule indices the scheduler allows this iteration
         (banned rules' subtrees are pruned); ``limit`` is the per-rule match
         cap, truncating with the same prefix as the per-pattern reference.
-        ``egraph`` is only needed when the rule set contains non-operator-root
-        patterns (the fallback path).  Returns matches per rule index, each
-        list in reference order.
+        Rules whose LHS root is not an operator run the per-pattern search.
+        Returns matches per rule index, each list in reference order.
         """
         active_set = set(active)
         out: Dict[int, List[Match]] = {index: [] for index in active_set}
         done: Set[int] = set()
         views: Dict[int, ClassView] = {}
-        class_view = columns.class_view
+        class_view = egraph.class_view
 
         def view_of(cid: int) -> ClassView:
             view = views.get(cid)
@@ -457,9 +455,7 @@ class BatchedMatcher:
                 continue
             oid = op_id(root_op)
             initial = [blank]
-            for cid in columns.classes_with_op(root_op):
-                if columns.find(cid) != cid:
-                    continue
+            for cid in egraph.classes_with_op(root_op):
                 root_nodes = view_of(cid).by_op.get(oid)
                 if not root_nodes:
                     continue
@@ -470,11 +466,6 @@ class BatchedMatcher:
         for index in self.fallback:
             if index not in active_set:
                 continue
-            if egraph is None:
-                raise ValueError(
-                    f"rule {self.rules[index].name!r} has a non-operator LHS root; "
-                    "batched search needs the egraph for its fallback scan"
-                )
             out[index] = self.rules[index].search(egraph, limit=limit)
         return out
 

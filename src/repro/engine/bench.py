@@ -83,8 +83,7 @@ def _bench_one(
     # The run's own tracer: the per-phase digest lands in the payload under
     # the additive "span_summary" key (the gate only reads the legacy fields).
     with obs.tracing() as tracer:
-        engine = _engine(circuit.egraph, variant, limits)
-        profile = engine.run()
+        profile = _engine(circuit.egraph, variant, limits).run()
     wall_time = time.perf_counter() - start
     record: Dict[str, object] = {
         "wall_time": wall_time,
@@ -104,7 +103,7 @@ def _bench_one(
     if check_cec:
         from repro.verify.cec import check_equivalence
 
-        extraction = greedy_extract(circuit.egraph, cost=DepthCost(), columns=engine.columns)
+        extraction = greedy_extract(circuit.egraph, cost=DepthCost())
         extracted = extraction_to_aig(circuit, extraction, name=f"{aig.name}_sat").strash()
         cec = check_equivalence(aig, extracted, conflict_budget=conflict_budget)
         record["extraction_cec"] = cec.status

@@ -9,10 +9,10 @@ preserving its semantics exactly when configured with the
   ``SimpleScheduler`` + all classes as candidates;
 * e-matching is one :class:`~repro.engine.batched.BatchedMatcher` walk per
   iteration: every rule LHS compiled into a shared-prefix trie over the
-  :class:`~repro.engine.columns.ColumnStore` mirror, whose per-operator class
-  buckets play the op-index role.  Its matches equal the per-pattern
-  reference (:func:`repro.egraph.pattern.search`) in count, content and
-  order, so the engine lands on the e-graph the legacy loop would;
+  e-graph's integer rows, whose per-operator class buckets play the
+  op-index role.  Its matches equal the per-pattern reference
+  (:func:`repro.egraph.pattern.search`) in count, content and order, so the
+  engine lands on the e-graph the legacy loop would;
 * **match deduplication** remembers every (rule, canonical class, canonical
   substitution) triple that was already instantiated and skips it in later
   iterations.  A skipped re-instantiation could at most have re-created
@@ -27,8 +27,7 @@ preserving its semantics exactly when configured with the
 
 Memory: an iteration's matches are dropped before the next search starts,
 and the matcher's class views and bind cache live only inside one search,
-so peak memory is one iteration's scratch on top of the e-graph and its
-column mirror.
+so peak memory is one iteration's scratch on top of the e-graph.
 
 ``run`` returns a :class:`~repro.engine.telemetry.SaturationProfile` with
 per-rule and per-iteration telemetry; the legacy stop reasons
@@ -51,7 +50,6 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import Match, instantiate
 from repro.egraph.rewrite import Rewrite
 from repro.engine.batched import BatchedMatcher
-from repro.engine.columns import ColumnStore
 from repro.engine.scheduler import Scheduler, make_scheduler
 from repro.engine.telemetry import IterationReport, RuleProfile, SaturationProfile
 from repro.obs import provenance as obs_provenance
@@ -98,12 +96,6 @@ class SaturationEngine:
         self.dedup_matches = dedup_matches
         self.matcher = BatchedMatcher(self.rules, rule_priorities=rule_priorities)
         self.profile: Optional[SaturationProfile] = None
-        #: The columnar storage mirror the last ``run`` matched over.  It is
-        #: detached when the run ends (no observer outlives a run), frozen at
-        #: the saturated e-graph, so downstream readers — e.g.
-        #: ``FrozenProblem.from_columns`` — can snapshot from it until the
-        #: e-graph is next mutated.
-        self.columns: Optional[ColumnStore] = None
         self._seen: Set[MatchKey] = set()
 
     # -- internals -------------------------------------------------------------
@@ -161,7 +153,6 @@ class SaturationEngine:
         scheduler = self.scheduler
         egraph = self.egraph
         self._seen = set()  # dedup is per run: a re-run starts fresh
-        columns = self.columns = ColumnStore(egraph)
         matcher = self.matcher
         # Provenance rides the installed-recorder gate, same as tracing: when
         # no recorder is installed (the common case) nothing below this line
@@ -224,10 +215,7 @@ class SaturationEngine:
                                 "batched-match", category="saturation.search"
                             ) as walk_span:
                                 per_rule = matcher.search(
-                                    columns,
-                                    active,
-                                    limit=limits.match_limit_per_rule,
-                                    egraph=egraph,
+                                    egraph, active, limit=limits.match_limit_per_rule
                                 )
                             # The walk is shared, so its cost cannot be split
                             # honestly per rule: iteration-level search_time
@@ -311,7 +299,6 @@ class SaturationEngine:
                         stop_reason = "time_limit"
                         break
             finally:
-                columns.detach()
                 if recorder is not None:
                     recorder.detach(egraph)
                 resource_sample = (

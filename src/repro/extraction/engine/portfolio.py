@@ -156,7 +156,6 @@ def portfolio_extract(
     config: Optional[PortfolioConfig] = None,
     seed_solution: Optional[Dict[int, ENode]] = None,
     final_selector: Optional[Callable[[Dict[int, ENode]], float]] = None,
-    columns: Optional[object] = None,
 ) -> PortfolioResult:
     """Run the island portfolio on a frozen e-graph.
 
@@ -165,11 +164,6 @@ def portfolio_extract(
     decides the winner — the paper's "map all parallel-generated solutions
     and keep the best QoR" step, paid once per chain instead of once per
     move.  Without it the structural guiding cost decides.
-
-    ``columns`` optionally passes the saturation engine's
-    :class:`~repro.engine.columns.ColumnStore` so the frozen problem is
-    snapshotted from it instead of from a store seeded from ``egraph``; the
-    resulting problem is identical either way.
     """
     config = config or PortfolioConfig()
     cost = cost or NodeCountCost()
@@ -184,7 +178,7 @@ def portfolio_extract(
     )
     with portfolio_span:
         with obs.span("extract snapshot", category="extraction.setup"):
-            problem = FrozenProblem.build(egraph, roots, cost, columns)
+            problem = FrozenProblem.build(egraph, roots, cost)
         with obs.span("extract greedy", category="extraction.setup"):
             greedy = problem.greedy_choice()
         stats = ProblemStats.of(problem, problem.flip_candidates(problem.toposort(greedy)))

@@ -2,9 +2,9 @@
 
 Extraction runs on a *frozen* e-graph (saturation has finished), so greedy
 and SA extraction front-load every canonicalisation into one picklable,
-index-based structure, snapshotted from a :class:`~repro.engine.columns.ColumnStore`:
-per-class candidate e-nodes with pre-resolved child class ids and pre-computed
-per-node costs.  Chains, evaluators, and worker processes all operate on
+index-based structure, snapshotted from the e-graph's rows: per-class
+candidate e-nodes with pre-resolved child class ids and pre-computed per-node
+costs.  Chains, evaluators, and worker processes all operate on
 plain ``int`` class ids and node indices — no ``EGraph`` and no ``find``
 calls on the hot path — and the whole problem crosses a
 ``ProcessPoolExecutor`` boundary exactly once per worker.
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
-from repro.engine.columns import ColumnStore, op_name
 from repro.extraction.cost import CostFunction, NodeCountCost
 
 #: A solution: canonical class id -> index into ``FrozenProblem.nodes[cid]``.
@@ -92,60 +91,30 @@ class FrozenProblem:
         egraph: EGraph,
         roots: Sequence[int],
         cost: Optional[CostFunction] = None,
-        columns: Optional[ColumnStore] = None,
     ) -> "FrozenProblem":
-        """Snapshot ``egraph`` with :meth:`from_columns`: from ``columns``, a
-        :class:`~repro.engine.columns.ColumnStore` frozen at ``egraph`` (the
-        saturation engine's, when the caller holds it), else from an unattached
-        store seeded from the e-graph.  The problem is identical either way."""
-        if columns is None:
-            columns = ColumnStore(egraph, attach=False)
-        return cls.from_columns(columns, roots, cost)
+        """Snapshot ``egraph`` into a frozen problem.
 
-    @classmethod
-    def from_columns(
-        cls,
-        columns: ColumnStore,
-        roots: Sequence[int],
-        cost: Optional[CostFunction] = None,
-    ) -> "FrozenProblem":
-        """Build the frozen problem from a :class:`repro.engine.columns.ColumnStore`.
-
-        The store's per-class spans list each class's nodes in ``EClass.nodes``
-        order, so the snapshot reads flat integer columns instead of the object
-        graph.  Canonical ids are resolved once per snapshot; each span row is
-        keyed by its ``(op id, canonical children, payload)`` tuple, the first
-        occurrence of a key is the class's candidate, and only candidates get
-        an :class:`ENode`.  Classes come in ascending id order.
+        Reads the e-graph's rows (:meth:`~repro.egraph.egraph.EGraph.class_rows`)
+        instead of e-node objects: the first occurrence of each ``(op,
+        canonical children, payload)`` row is the class's candidate, and only
+        candidates get an :class:`ENode`.  Classes come in ascending id order.
         """
         cost = cost or NodeCountCost()
-        canon = [columns.find(i) for i in range(len(columns.uf_parent))]
-        node_op = columns.node_op
-        node_next = columns.node_next
-        child_start = columns.child_start
-        child_class = columns.child_class
-        payloads = columns.node_payload
         nodes: Dict[int, List[ENode]] = {}
         children: Dict[int, List[Tuple[int, ...]]] = {}
         node_costs: Dict[int, List[float]] = {}
-        for cid, row in enumerate(columns.class_head):
-            if row < 0 or canon[cid] != cid:
-                continue
+        for cid, rows in egraph.class_rows():
             seen = set()
             class_nodes: List[ENode] = []
             class_children: List[Tuple[int, ...]] = []
             class_costs: List[float] = []
-            while row >= 0:
-                op, payload = node_op[row], payloads.get(row)
-                kids = tuple(map(canon.__getitem__, child_class[child_start[row] : child_start[row + 1]]))
-                key = (op, kids, payload)
-                if key not in seen:
-                    seen.add(key)
-                    enode = ENode(op_name(op), kids, payload)
+            for row in rows:
+                if row not in seen:
+                    seen.add(row)
+                    enode = ENode(*row)
                     class_nodes.append(enode)
-                    class_children.append(kids)
+                    class_children.append(enode.children)
                     class_costs.append(cost.node_cost(enode))
-                row = node_next[row]
             nodes[cid] = class_nodes
             children[cid] = class_children
             node_costs[cid] = class_costs
@@ -153,7 +122,7 @@ class FrozenProblem:
             nodes=nodes,
             children=children,
             node_costs=node_costs,
-            roots=[canon[r] for r in roots],
+            roots=[egraph.find(r) for r in roots],
             mode=cost.mode,
         )
 

@@ -3,7 +3,7 @@
 The classic egg extractor: every e-class takes its cheapest e-node given the
 best costs of its children.  It runs on the frozen extraction problem — the
 event-driven :meth:`~repro.extraction.engine.problem.FrozenProblem.greedy_choice`
-over a snapshot of the e-graph's integer columns — and provides the initial
+over a snapshot of the e-graph's integer rows — and provides the initial
 solutions of the simulated-annealing extractor.
 """
 
@@ -17,22 +17,15 @@ from repro.extraction.engine.problem import FrozenProblem
 from repro.obs import trace as obs
 
 
-def greedy_extract(
-    egraph: EGraph,
-    cost: Optional[CostFunction] = None,
-    columns: Optional[object] = None,
-) -> Dict[int, ENode]:
+def greedy_extract(egraph: EGraph, cost: Optional[CostFunction] = None) -> Dict[int, ENode]:
     """Select the locally cheapest e-node for every e-class.
 
     Returns a map canonical-class-id -> chosen canonical e-node covering every
     class that is acyclically realizable (unreachable or cyclic-only classes
-    are omitted); the default cost is node count.  ``columns`` optionally
-    passes the saturation engine's :class:`~repro.engine.columns.ColumnStore`,
-    frozen at ``egraph``, to snapshot from instead of seeding a fresh one; the
-    result is identical either way.
+    are omitted); the default cost is node count.
     """
     with obs.span("extract snapshot", category="extraction.setup"):
-        problem = FrozenProblem.build(egraph, (), cost, columns)
+        problem = FrozenProblem.build(egraph, (), cost)
     with obs.span("extract greedy", category="extraction.setup"):
         return problem.extraction_from_choice(problem.greedy_choice())
 

@@ -21,20 +21,16 @@ def random_extract(egraph: EGraph, seed: int = 0, bias_small: bool = True) -> Di
     random solutions from exploding in size on large graphs.
     """
     rng = random.Random(seed)
-    classes = egraph.canonical_classes()
     chosen: Dict[int, ENode] = {}
-    remaining = dict(classes)
+    remaining = {cid: egraph.nodes_of(cid) for cid in egraph.class_ids()}
 
     progress = True
     while remaining and progress:
         progress = False
         for cid in list(remaining.keys()):
-            eclass = remaining[cid]
-            candidates = []
-            for enode in eclass.nodes:
-                children = [egraph.find(c) for c in enode.children]
-                if all(c in chosen for c in children):
-                    candidates.append(enode)
+            candidates = [
+                enode for enode in remaining[cid] if all(c in chosen for c in enode.children)
+            ]
             if not candidates:
                 continue
             if bias_small:

@@ -47,11 +47,9 @@ class EGraphIndex:
         owner_of: Dict[ENode, int] = {}
         parents_of: Dict[int, List[ENode]] = {}
         leaves: List[ENode] = []
-        for cid, eclass in egraph.canonical_classes().items():
-            canonical_nodes = []
-            for enode in eclass.nodes:
-                canonical = enode.canonicalize(egraph.union_find)
-                canonical_nodes.append(canonical)
+        for cid in egraph.class_ids():
+            canonical_nodes = egraph.nodes_of(cid)
+            for canonical in canonical_nodes:
                 owner_of[canonical] = cid
                 if is_leaf_op(canonical.op) or not canonical.children:
                     leaves.append(canonical)

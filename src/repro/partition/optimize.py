@@ -180,9 +180,7 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
             report.saturation_iterations = sat_profile.num_iterations
             report.egraph_nodes = sat_profile.final_nodes
             if cfg.method == "greedy":
-                extraction = greedy_extract(
-                    circuit.egraph, cost=cfg.guiding_cost(), columns=engine.columns
-                )
+                extraction = greedy_extract(circuit.egraph, cost=cfg.guiding_cost())
             else:
                 result = portfolio_extract(
                     circuit.egraph,
@@ -196,7 +194,6 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
                         workers=0,
                     ),
                     seed_solution=circuit.original_extraction(),
-                    columns=engine.columns,
                 )
                 extraction = result.extraction
                 report.extract_cost = result.cost

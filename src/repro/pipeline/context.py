@@ -69,11 +69,6 @@ class FlowContext:
     partition_plan: Optional[object] = None
     #: Partitioned-run telemetry; set by ``stitch``.
     partition_profile: Optional[object] = None
-    #: Columnar e-graph mirror (``repro.engine.columns.ColumnStore``); set by
-    #: ``saturate`` (frozen at the saturated e-graph, which only a later
-    #: ``saturate`` mutates) and read by ``extract`` to snapshot the frozen
-    #: problem from the columns.  Invalidated with the e-graph.
-    egraph_columns: Optional[object] = None
     #: Scoped provenance log of the last ``saturate``; only set while a
     #: provenance recorder is installed, invalidated with the e-graph.
     provenance_log: Optional[object] = None
@@ -114,7 +109,6 @@ class FlowContext:
         self.candidates = []
         self.partition_plan = None
         self.provenance_log = None
-        self.egraph_columns = None
 
     # -- timing ledger ------------------------------------------------------
 

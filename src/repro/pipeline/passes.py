@@ -220,7 +220,6 @@ def _pass_cleanup(ctx: FlowContext) -> None:
 @register_pass("dag2eg", "direct DAG-to-DAG conversion: AIG -> e-graph", kind="convert")
 def _pass_dag2eg(ctx: FlowContext) -> None:
     ctx.circuit = aig_to_egraph(ctx.aig)
-    ctx.egraph_columns = None  # a previous saturate mirrored the old e-graph
     ctx.metrics["egraph_initial_classes"] = ctx.circuit.egraph.num_classes
     ctx.metrics["egraph_initial_nodes"] = ctx.circuit.egraph.num_nodes
 
@@ -241,16 +240,19 @@ def _pass_saturate(
     every iteration.  ``dedup`` toggles cross-iteration match deduplication —
     ``saturate(scheduler=simple, dedup=false)`` is byte-for-byte the legacy
     runner loop.  E-matching always runs the batched trie walk over the
-    e-graph's columnar mirror.
+    e-graph's integer rows.
 
     After a ``partition`` pass the parameters are *staged* into the pending
     plan (applied per window when ``stitch`` runs) instead of saturating a
-    whole-circuit e-graph.
+    whole-circuit e-graph.  Negative budgets are rejected before staging.
     """
     if scheduler not in SCHEDULERS:
         raise PipelineError(
             f"unknown scheduler {scheduler!r}; choose from {', '.join(SCHEDULERS)}"
         )
+    for name, value in {"iters": iters, "max_nodes": max_nodes, "time_limit": time_limit}.items():
+        if value < 0:
+            raise PipelineError(f"saturate needs {name} >= 0")
     plan = ctx.partition_plan
     if plan is not None:
         plan.window_config = replace(
@@ -287,10 +289,6 @@ def _pass_saturate(
         # Surface the run's resource sample at flow level (a later sampled
         # saturate in the same flow overwrites — latest run wins).
         ctx.resource_profile = ctx.rewrite_report.resource
-    # The engine's columnar mirror is frozen at the saturated e-graph; park it
-    # on the context so ``extract`` snapshots the frozen problem from the
-    # columns instead of re-walking the object graph.
-    ctx.egraph_columns = engine.columns
     ctx.metrics["saturation_stop_reason"] = ctx.rewrite_report.stop_reason
     ctx.metrics["saturation_scheduler"] = ctx.rewrite_report.scheduler
     ctx.metrics["saturation_matches"] = ctx.rewrite_report.total_matches
@@ -396,7 +394,6 @@ def _pass_extract(
             config=config,
             seed_solution=circuit.original_extraction(),
             final_selector=final_selector,
-            columns=ctx.egraph_columns,
         )
         ctx.extraction_profile = result.profile
         ctx.metrics["extraction_moves"] = result.profile.total_moves
@@ -410,7 +407,7 @@ def _pass_extract(
                 seen.add(key)
                 extractions.append(extraction)
     elif method == "greedy":
-        extractions = [greedy_extract(circuit.egraph, cost=guiding, columns=ctx.egraph_columns)]
+        extractions = [greedy_extract(circuit.egraph, cost=guiding)]
     else:  # random
         extractions = [random_extract(circuit.egraph, seed=seed)]
 

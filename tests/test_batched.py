@@ -1,14 +1,13 @@
 """Batched e-matching parity, memory and wiring tests.
 
-The core invariant: the shared-prefix trie over columnar storage
+The core invariant: the shared-prefix trie over the e-graph's integer rows
 (:mod:`repro.engine.batched`), the engine's only matcher, produces exactly
 the per-pattern reference's matches (:func:`repro.egraph.pattern.search`) —
 same counts, same substitutions, same order, same ``limit`` truncation
 prefix — so a saturation run lands on the e-graph a per-pattern loop
 (:func:`reference_saturate`) reaches, under every scheduler/dedup
 combination.  Plus the memory contract (one iteration's matches and one
-search's scratch at a time), the retired ``matcher=``/``index=`` knobs, and
-``FrozenProblem.from_columns``.
+search's scratch at a time) and the retired ``matcher=``/``index=`` knobs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pytest
 
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
-from repro.egraph.egraph import EGraph
+from repro.egraph.egraph import ClassView, EGraph
 from repro.egraph.language import AND, NOT, OR
 from repro.egraph.pattern import instantiate, parse_pattern, search
 from repro.egraph.rules import boolean_rules
@@ -34,9 +33,6 @@ from repro.engine import (
     make_scheduler,
     priorities_from_attribution,
 )
-from repro.engine.columns import ClassView, ColumnStore
-from repro.extraction.cost import NodeCountCost
-from repro.extraction.engine.problem import FrozenProblem
 from repro.flows.emorphic import EmorphicConfig
 from repro.pipeline import Pipeline, PipelineError
 
@@ -167,12 +163,11 @@ class TestTrieSharing:
     def test_priority_ordering_reorders_not_changes(self):
         rules = boolean_rules()
         eg = _test_egraph()
-        cols = ColumnStore(eg)
         active = list(range(len(rules)))
-        plain = BatchedMatcher(rules).search(cols, active, egraph=eg)
+        plain = BatchedMatcher(rules).search(eg, active)
         prioritized = BatchedMatcher(
             rules, rule_priorities={rules[0].name: 100.0, rules[-1].name: 50.0}
-        ).search(cols, active, egraph=eg)
+        ).search(eg, active)
         assert plain == prioritized
 
 
@@ -189,59 +184,52 @@ class TestMatchParity:
     def test_exact_match_lists(self, circuit):
         eg = _test_egraph(circuit)
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
-        batched = matcher.search(cols, range(len(rules)), egraph=eg)
+        batched = matcher.search(eg, range(len(rules)))
         reference = self._reference(eg, rules)
         assert batched == reference
 
     def test_parity_survives_apply_rebuild_cycles(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
         engine = SaturationEngine(eg, rules, limits=_limits(iters=1))
         for _ in range(2):
-            batched = matcher.search(cols, range(len(rules)), egraph=eg)
+            batched = matcher.search(eg, range(len(rules)))
             assert batched == self._reference(eg, rules)
-            cols.check_lockstep()
+            eg.check_invariants()
             engine.run()  # one apply+rebuild round between parity checks
-        assert matcher.search(cols, range(len(rules)), egraph=eg) == self._reference(
-            eg, rules
-        )
-        cols.check_lockstep()
+        assert matcher.search(eg, range(len(rules))) == self._reference(eg, rules)
+        eg.check_invariants()
 
     def test_limit_truncation_same_prefix(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
-        batched = matcher.search(cols, range(len(rules)), limit=7, egraph=eg)
+        batched = matcher.search(eg, range(len(rules)), limit=7)
         assert batched == self._reference(eg, rules, limit=7)
 
     def test_ban_pruning_skips_inactive_rules(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
         active = [0, 3, 5]
-        out = matcher.search(cols, active, egraph=eg)
+        out = matcher.search(eg, active)
         assert set(out) == set(active)
-        full = matcher.search(cols, range(len(rules)), egraph=eg)
+        full = matcher.search(eg, range(len(rules)))
         for index in active:
             assert out[index] == full[index]
 
     def test_fallback_requires_egraph(self):
+        # A non-operator LHS root runs the per-pattern search on the e-graph
+        # the matcher walks (it used to need the e-graph passed separately).
         eg = EGraph()
         eg.var("a")
-        cols = ColumnStore(eg)
         from repro.egraph.rewrite import Rewrite
 
         rule = Rewrite("odd-root", parse_pattern("?x"), parse_pattern("?x"))
         matcher = BatchedMatcher([rule])
-        with pytest.raises(ValueError, match="non-operator LHS root"):
-            matcher.search(cols, [0])
-        assert matcher.search(cols, [0], egraph=eg) == {0: rule.search(eg)}
+        assert matcher.search(eg, [0]) == {0: rule.search(eg)}
 
 
 class TestEngineParity:
@@ -316,7 +304,6 @@ class TestMemory:
     def test_search_keeps_no_scratch(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
 
         def reachable(root):
@@ -330,7 +317,7 @@ class TestMemory:
             return seen
 
         before = len(reachable(matcher))
-        out = matcher.search(cols, range(len(rules)), egraph=eg)
+        out = matcher.search(eg, range(len(rules)))
         assert sum(map(len, out.values())) > 0
         del out
         gc.collect()
@@ -362,15 +349,16 @@ class TestPriorities:
 
 class TestWiring:
     def test_pipeline_saturate_matcher_param(self):
-        # The saturate pass parks the matcher's column mirror on the context
-        # (frozen at the saturated e-graph) for ``extract`` to snapshot.
+        # The saturate pass leaves the e-graph it matched over with no
+        # observer attached and its storage invariants intact, for
+        # ``extract`` to snapshot.
         pipe = Pipeline.from_script(
             "strash; premap; dag2eg; saturate(iters=1); extract(method=greedy); map"
         )
         ctx = pipe.run(epfl.build("adder", preset="test"))
-        assert ctx.egraph_columns is not None
-        assert ctx.egraph_columns not in ctx.circuit.egraph.observers
-        ctx.egraph_columns.check_lockstep()
+        assert ctx.circuit.egraph.num_nodes > ctx.metrics["egraph_initial_nodes"]
+        assert ctx.circuit.egraph.observers == []
+        ctx.circuit.egraph.check_invariants()
 
     def test_pipeline_rejects_unknown_matcher(self):
         # The matcher knobs are retired: scripts naming them fail loudly.
@@ -379,11 +367,6 @@ class TestWiring:
                 Pipeline.from_script(f"strash; dag2eg; saturate(iters=1, {params})").run(
                     epfl.build("adder", preset="test")
                 )
-
-    def test_dag2eg_drops_stale_columns(self):
-        pipe = Pipeline.from_script("strash; dag2eg; saturate(iters=1); dag2eg")
-        ctx = pipe.run(epfl.build("adder", preset="test"))
-        assert ctx.egraph_columns is None
 
     def test_emorphic_config_round_trip(self):
         # A config payload from before the matcher knobs were retired (as
@@ -395,17 +378,3 @@ class TestWiring:
         assert config.to_dict() == payload
         with pytest.raises(ValueError, match="unknown EmorphicConfig fields"):
             EmorphicConfig.from_dict({**payload, "matchr": "batched"})
-
-    def test_frozen_problem_from_columns_equals_build(self):
-        circuit = aig_to_egraph(epfl.build("adder", preset="test"))
-        eg = circuit.egraph
-        engine = SaturationEngine(eg, boolean_rules(), limits=_limits(iters=1))
-        engine.run()
-        roots = list(circuit.output_classes)
-        built = FrozenProblem.build(eg, roots, cost=NodeCountCost())
-        mirrored = FrozenProblem.from_columns(engine.columns, roots, cost=NodeCountCost())
-        assert mirrored.nodes == built.nodes
-        assert mirrored.children == built.children
-        assert mirrored.node_costs == built.node_costs
-        assert mirrored.roots == built.roots
-        assert mirrored.mode == built.mode

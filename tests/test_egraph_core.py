@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -360,3 +362,47 @@ class TestSerialize:
         # A roundtrip through the DSL preserves the digest.
         back, _ = egraph_from_dsl(egraph_to_dsl(eg))
         assert egraph_digest(back) == egraph_digest(eg)
+
+    def test_roundtrip_of_saturated_egraph(self):
+        # Saturation makes the e-graph cyclic (only extractions must be
+        # acyclic), which the class-by-class loader rejected.
+        from repro.benchgen import epfl
+        from repro.conversion.dag2eg import aig_to_egraph
+
+        eg = aig_to_egraph(epfl.build("adder", preset="test")).egraph
+        saturate_engine(eg, boolean_rules(), EngineLimits(max_iterations=2, max_nodes=10_000))
+        back, id_map = egraph_from_dsl(egraph_to_dsl(eg))
+        assert back.num_classes == eg.num_classes
+        assert sorted(id_map) == eg.class_ids()
+        assert len(set(id_map.values())) == len(id_map)
+        for cid in eg.class_ids():
+            expected = {(n.op, tuple(id_map[c] for c in n.children), n.payload) for n in eg.nodes_of(cid)}
+            actual = {(n.op, n.children, n.payload) for n in back.nodes_of(id_map[cid])}
+            assert actual == expected
+        back.check_invariants()
+
+    def test_roundtrip_of_deep_chain(self):
+        # A 3,000-deep AND chain overflowed the recursive loader.
+        eg = EGraph()
+        a = top = eg.var("a")
+        for _ in range(3000):
+            top = eg.add_term(AND, [top, a])
+        back, id_map = egraph_from_dsl(egraph_to_dsl(eg))
+        assert back.num_classes == eg.num_classes == 3001
+        assert back.nodes_of(id_map[top]) == [
+            ENode(AND, tuple(id_map[c] for c in eg.nodes_of(top)[0].children))
+        ]
+
+    def test_unbuildable_cycle_rejected(self):
+        # Two classes whose only nodes need each other can never be built.
+        text = json.dumps(
+            {
+                "egraph": {
+                    "0": {"id": 0, "nodes": [{"Symbol": "a"}], "parents": []},
+                    "1": {"id": 1, "nodes": [{"NOT": [2]}], "parents": [2]},
+                    "2": {"id": 2, "nodes": [{"AND": [0, 1]}], "parents": [1]},
+                }
+            }
+        )
+        with pytest.raises(ValueError, match="DSL class 1 cannot be built"):
+            egraph_from_dsl(text)

@@ -2,7 +2,7 @@
 
 Includes the randomized e-graph invariant suite: seeded add/union/rebuild
 sequences asserting hashcons consistency, congruence closure, the O(1)
-class/node counters, and agreement of the column store's per-operator class
+class/node counters, and agreement of the e-graph's per-operator class
 buckets (the matcher's op index) with a from-scratch scan.
 """
 
@@ -22,15 +22,14 @@ from repro.egraph.pattern import parse_pattern, search
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules, rules_by_name
 from repro.egraph.serialize import egraph_digest
+from repro.egraph.egraph import op_name
 from repro.engine import (
     BackoffScheduler,
     BatchedMatcher,
-    ColumnStore,
     EngineLimits,
     SaturationEngine,
     SimpleScheduler,
     make_scheduler,
-    op_name,
     saturate_engine,
 )
 from repro.engine.bench import check_regressions, render_bench, run_saturation_bench
@@ -45,17 +44,16 @@ def _diamond_egraph():
     return eg
 
 
-def _op_buckets(cols):
-    """The column store's op index: operator name -> canonical class ids."""
-    return {op_name(oid): frozenset(ids) for oid, ids in cols.by_op.items() if ids}
+def _op_buckets(egraph):
+    """The e-graph's op index: operator name -> canonical class ids."""
+    return {op_name(oid): frozenset(ids) for oid, ids in egraph.by_op.items() if ids}
 
 
 def _scratch_buckets(egraph):
-    """The same map built by a full scan of the object model (the oracle)."""
+    """The same map built by a full scan of the canonical nodes (the oracle)."""
     by_op = {}
-    for class_id, eclass in egraph.canonical_classes().items():
-        for node in eclass.nodes:
-            by_op.setdefault(node.op, set()).add(class_id)
+    for class_id, node in egraph.enodes():
+        by_op.setdefault(node.op, set()).add(class_id)
     return {op: frozenset(ids) for op, ids in by_op.items()}
 
 
@@ -70,7 +68,6 @@ class TestRandomizedInvariants:
     def test_random_add_union_rebuild(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        cols = ColumnStore(eg)
         classes = [eg.var(f"v{i}") for i in range(4)]
         for step in range(120):
             action = rng.random()
@@ -86,13 +83,12 @@ class TestRandomizedInvariants:
                 eg.rebuild()
         eg.rebuild()
         eg.check_invariants()  # hashcons + congruence + O(1) counters
-        assert _op_buckets(cols) == _scratch_buckets(eg)
+        assert _op_buckets(eg) == _scratch_buckets(eg)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_index_agreement_through_saturation(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        cols = ColumnStore(eg)
         leaves = [eg.var(f"v{i}") for i in range(3)]
         for _ in range(25):
             op = rng.choice([AND, OR])
@@ -103,7 +99,7 @@ class TestRandomizedInvariants:
             EngineLimits(max_iterations=3, max_nodes=4_000),
         )
         eg.check_invariants()
-        assert _op_buckets(cols) == _scratch_buckets(eg)
+        assert _op_buckets(eg) == _scratch_buckets(eg)
 
     def test_counters_match_recomputation(self):
         eg = _diamond_egraph()
@@ -114,41 +110,38 @@ class TestRandomizedInvariants:
             scheduler="simple",
             dedup_matches=False,
         )
-        classes = eg.canonical_classes()
+        classes = eg.class_ids()
         assert eg.num_classes == len(classes)
-        assert eg.num_nodes == sum(len(ec.nodes) for ec in classes.values())
+        assert eg.num_nodes == sum(len(eg.nodes_of(cid)) for cid in classes)
 
 
 class TestOpIndex:
-    """The column store's per-operator class buckets, which pick the
-    candidate classes of every trie root in the batched matcher."""
+    """The e-graph's per-operator class buckets, which pick the candidate
+    classes of every trie root in the batched matcher."""
 
     def test_tracks_adds(self):
         eg = EGraph()
-        cols = ColumnStore(eg)
         a, b = eg.var("a"), eg.var("b")
         ab = eg.add_term(AND, [a, b])
-        assert cols.classes_with_op(AND) == [ab]
-        assert _op_buckets(cols) == _scratch_buckets(eg)
+        assert eg.classes_with_op(AND) == [ab]
+        assert _op_buckets(eg) == _scratch_buckets(eg)
 
     def test_union_moves_ops(self):
         eg = EGraph()
-        cols = ColumnStore(eg)
         a, b = eg.var("a"), eg.var("b")
         ab = eg.add_term(AND, [a, b])
         ob = eg.add_term(OR, [a, b])
         root = eg.union(ab, ob)
         eg.rebuild()
-        assert cols.classes_with_op(AND) == [root]
-        assert cols.classes_with_op(OR) == [root]
-        assert _op_buckets(cols) == _scratch_buckets(eg)
+        assert eg.classes_with_op(AND) == [root]
+        assert eg.classes_with_op(OR) == [root]
+        assert _op_buckets(eg) == _scratch_buckets(eg)
 
     def test_candidates_restrict_search(self):
         eg = _diamond_egraph()
-        cols = ColumnStore(eg)
         rule = Rewrite.from_strings("not-root", "(NOT ?x)", "(NOT ?x)")
-        candidates = cols.classes_with_op(NOT)
-        batched = BatchedMatcher([rule]).search(cols, [0])[0]
+        candidates = eg.classes_with_op(NOT)
+        batched = BatchedMatcher([rule]).search(eg, [0])[0]
         full = search(eg, rule.lhs)
         assert [(m.class_id, m.substitution) for m in full] == [
             (m.class_id, m.substitution) for m in batched
@@ -159,17 +152,9 @@ class TestOpIndex:
         # A bare-variable LHS has no root operator to bucket by: the matcher
         # falls back to scanning every class.
         eg = _diamond_egraph()
-        cols = ColumnStore(eg)
         rule = Rewrite.from_strings("any", "?x", "?x")
-        matches = BatchedMatcher([rule]).search(cols, [0], egraph=eg)[0]
-        assert [m.class_id for m in matches] == sorted(eg.canonical_classes())
-
-    def test_detach_stops_updates(self):
-        eg = EGraph()
-        cols = ColumnStore(eg)
-        cols.detach()
-        eg.add_term(AND, [eg.var("a"), eg.var("b")])
-        assert cols.classes_with_op(AND) == []
+        matches = BatchedMatcher([rule]).search(eg, [0])[0]
+        assert [m.class_id for m in matches] == eg.class_ids()
 
 
 # --------------------------------------------------------------------------

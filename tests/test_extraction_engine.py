@@ -208,7 +208,7 @@ def fixpoint_greedy_extract(egraph, cost=None):
     ``greedy_extract``)."""
     if cost is None:
         cost = NodeCountCost()
-    classes = egraph.canonical_classes()
+    classes = {cid: egraph.nodes_of(cid) for cid in egraph.class_ids()}
     best_cost = {}
     best_node = {}
     max_rounds = len(classes) + 1
@@ -217,8 +217,8 @@ def fixpoint_greedy_extract(egraph, cost=None):
     while changed and rounds < max_rounds:
         changed = False
         rounds += 1
-        for cid, eclass in classes.items():
-            for enode in eclass.nodes:
+        for cid, nodes in classes.items():
+            for enode in nodes:
                 children = [egraph.find(c) for c in enode.children]
                 if any(c not in best_cost for c in children):
                     continue
@@ -264,16 +264,15 @@ def fixpoint_greedy_choice(problem):
 
 
 def walk_build(egraph, roots, cost=None):
-    """Object-walk snapshot: canonicalize every class's e-nodes through the
-    e-graph's union-find (the oracle for the column-store ``build``)."""
+    """Object-walk snapshot: every class's canonical e-nodes, deduplicated as
+    ``ENode`` values (the oracle for the row-reading ``build``)."""
     cost = cost or NodeCountCost()
     nodes, children, node_costs = {}, {}, {}
     find = egraph.find
-    for cid in sorted(egraph.canonical_classes()):
+    for cid in egraph.class_ids():
         seen = set()
         class_nodes, class_children, class_costs = [], [], []
-        for enode in egraph.classes[cid].nodes:
-            canonical = enode.canonicalize(egraph.union_find)
+        for canonical in egraph.nodes_of(cid):
             if canonical in seen:
                 continue
             seen.add(canonical)
@@ -379,9 +378,9 @@ GREEDY_ORACLE_COSTS = {
 
 
 @pytest.fixture(scope="module", params=["sqrt", 1, 2, 3])
-def oracle_columns(request):
-    """The ``oracle_circuit`` circuits saturated under the same limits, with
-    the engine's column store kept (frozen at the saturated e-graph)."""
+def engine_circuit(request):
+    """The ``oracle_circuit`` circuits saturated under the same limits by a
+    :class:`SaturationEngine` run."""
     if request.param == "sqrt":
         aig = epfl.build("sqrt", preset="test")
         limits = EngineLimits(max_iterations=2, max_nodes=10_000, time_limit=20.0)
@@ -389,9 +388,8 @@ def oracle_columns(request):
         aig = control.random_control(num_inputs=10, num_outputs=6, terms_per_output=4, seed=request.param)
         limits = EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=10.0)
     circuit = aig_to_egraph(aig)
-    engine = SaturationEngine(circuit.egraph, boolean_rules(), limits)
-    engine.run()
-    return circuit, engine.columns
+    SaturationEngine(circuit.egraph, boolean_rules(), limits).run()
+    return circuit
 
 
 class TestGreedyOracles:
@@ -416,8 +414,8 @@ class TestGreedyOracles:
         assert list(problem.greedy_choice().items()) == list(fixpoint_greedy_choice(problem).items())
 
     @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
-    def test_greedy_extract_matches_object_fixpoint(self, oracle_columns, cost_name):
-        circuit, columns = oracle_columns
+    def test_greedy_extract_matches_object_fixpoint(self, engine_circuit, cost_name):
+        circuit = engine_circuit
         cost = GREEDY_ORACLE_COSTS[cost_name]()
         uf = circuit.egraph.union_find
         expected = [
@@ -425,7 +423,6 @@ class TestGreedyOracles:
             for cid, enode in fixpoint_greedy_extract(circuit.egraph, cost).items()
         ]
         assert list(greedy_extract(circuit.egraph, cost).items()) == expected
-        assert list(greedy_extract(circuit.egraph, cost, columns=columns).items()) == expected
 
 
 class TestNegativeCosts:

@@ -43,6 +43,14 @@ UNHONOURABLE_EXTRACT_PARAMS = {
     "workers=-1": "workers >= 0",
 }
 
+#: ``saturate`` budgets no saturation can honour, with the error naming the
+#: allowed range.
+UNHONOURABLE_SATURATE_PARAMS = {
+    "iters=-1": "iters >= 0",
+    "max_nodes=-5": "max_nodes >= 0",
+    "time_limit=-1": "time_limit >= 0",
+}
+
 
 class TestScriptParsing:
     def test_basic_statements_and_aliases(self):
@@ -337,6 +345,19 @@ class TestOneExtractor:
     def test_unhonourable_extract_params_rejected(self, template, param, small_adder):
         # Staged after partition these used to fail every window silently.
         message = UNHONOURABLE_EXTRACT_PARAMS[param]
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            Pipeline.from_script(template.format(param)).run_flow(small_adder)
+
+    @pytest.mark.parametrize("param", list(UNHONOURABLE_SATURATE_PARAMS))
+    @pytest.mark.parametrize(
+        "template",
+        ["dag2eg; saturate({})", "st; partition(k=30); saturate({}); stitch"],
+        ids=["whole", "staged"],
+    )
+    def test_unhonourable_saturate_params_rejected(self, template, param, small_adder):
+        # A negative iteration count used to run nothing and report
+        # iteration_limit; negative node and time budgets ran silently as 0.
+        message = UNHONOURABLE_SATURATE_PARAMS[param]
         with pytest.raises(PipelineError, match=re.escape(message)):
             Pipeline.from_script(template.format(param)).run_flow(small_adder)
 
