@@ -24,11 +24,14 @@ class ChoiceClasses:
     members: Dict[int, List[int]] = field(default_factory=dict)
 
     def representative(self, var: int) -> int:
+        """Class representative of ``var`` (``var`` itself when unclassed)."""
         return self.repr_of.get(var, var)
 
     def class_members(self, var: int) -> List[int]:
+        """Every member of ``var``'s class, representative first."""
         return self.members.get(self.representative(var), [var])
 
     @property
     def num_classes_with_choices(self) -> int:
+        """Number of classes with more than one member."""
         return sum(1 for mem in self.members.values() if len(mem) > 1)

@@ -22,6 +22,7 @@ from repro.mapping.choices import ChoiceClasses
 from repro.mapping.library import Gate, GateMatch, Library, default_library
 from repro.mapping.netlist import Netlist
 from repro.opt.cuts import Cut, enumerate_cuts
+from repro.opt.truth import permute
 
 
 @dataclass
@@ -44,6 +45,7 @@ class MappingResult:
     num_gates: int
 
     def as_dict(self) -> Dict[str, float]:
+        """QoR and runtime as a plain dict."""
         return {
             "area": self.area,
             "delay": self.delay,
@@ -304,20 +306,9 @@ def _netlist_levels(netlist: Netlist) -> int:
 
 def _remap_cut(cut: Cut, mapping: Dict[int, int]) -> Optional[Cut]:
     """Rename cut leaves according to ``mapping``, permuting the truth table."""
-    new_leaves_unsorted = [mapping[leaf] for leaf in cut.leaves]
-    if len(set(new_leaves_unsorted)) != len(new_leaves_unsorted):
+    renamed = [mapping[leaf] for leaf in cut.leaves]
+    if len(set(renamed)) != len(renamed):
         return None
-    order = sorted(range(len(new_leaves_unsorted)), key=lambda i: new_leaves_unsorted[i])
-    new_leaves = tuple(new_leaves_unsorted[i] for i in order)
-    # Permute the truth table so that input position j reads the old input order[j].
-    n = len(new_leaves)
-    width = 1 << n
-    new_truth = 0
-    for minterm in range(width):
-        src = 0
-        for new_pos, old_pos in enumerate(order):
-            if (minterm >> new_pos) & 1:
-                src |= 1 << old_pos
-        if (cut.truth >> src) & 1:
-            new_truth |= 1 << minterm
-    return Cut(leaves=new_leaves, truth=new_truth)
+    # Input position j of the new truth table reads the old input order[j].
+    order = tuple(sorted(range(len(renamed)), key=renamed.__getitem__))
+    return Cut(leaves=tuple(renamed[i] for i in order), truth=permute(cut.truth, order))

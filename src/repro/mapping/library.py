@@ -17,6 +17,7 @@ from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
 from repro.opt.npn import npn_canonical
+from repro.opt.truth import FULL, flip, permute
 
 
 def _truth_from_expr(num_vars: int, func) -> int:
@@ -41,6 +42,7 @@ class Gate:
 
     @property
     def npn_class(self) -> int:
+        """NPN canonical form of the gate function."""
         return npn_canonical(self.truth, self.num_inputs)
 
 
@@ -60,6 +62,7 @@ class GateMatch:
 
     @property
     def num_inverters(self) -> int:
+        """Inverters the match needs on its pins and output."""
         return sum(self.pin_negated) + int(self.output_negated)
 
 
@@ -79,6 +82,7 @@ class Library:
     _match_table: Dict[Tuple[int, int], GateMatch] = field(default_factory=dict, repr=False)
 
     def add(self, gate: Gate) -> None:
+        """Add a gate and enter all its pin/phase variants into the match table."""
         self.gates.append(gate)
         key = (gate.num_inputs, gate.truth)
         existing = self._by_truth.get(key)
@@ -88,22 +92,18 @@ class Library:
 
     def _index_gate(self, gate: Gate) -> None:
         n = gate.num_inputs
-        width = 1 << n
+        # negated[neg_mask]: the gate function with the pins in neg_mask negated.
+        negated = [gate.truth & FULL[n]]
+        for neg_mask in range(1, 1 << n):
+            low = neg_mask & -neg_mask
+            negated.append(flip(negated[neg_mask ^ low], low.bit_length() - 1, n))
         for perm in permutations(range(n)):
+            # Pin ``pin`` reads cut leaf perm[pin], so leaf i feeds pin inverse[i].
+            inverse = tuple(sorted(range(n), key=perm.__getitem__))
             for neg_mask in range(1 << n):
+                base = permute(negated[neg_mask], inverse)
                 for out_neg in (False, True):
-                    truth = 0
-                    for minterm in range(width):
-                        gate_minterm = 0
-                        for pin in range(n):
-                            bit = (minterm >> perm[pin]) & 1
-                            if (neg_mask >> pin) & 1:
-                                bit ^= 1
-                            gate_minterm |= bit << pin
-                        value = (gate.truth >> gate_minterm) & 1
-                        if out_neg:
-                            value ^= 1
-                        truth |= value << minterm
+                    truth = base ^ FULL[n] if out_neg else base
                     match = GateMatch(
                         gate=gate,
                         leaf_of_pin=perm,
@@ -125,6 +125,7 @@ class Library:
 
     @property
     def inverter(self) -> Gate:
+        """The fastest (then smallest) inverter; raises if the library has none."""
         gate = self._by_truth.get((1, 0b01))
         if gate is None:
             raise ValueError("library has no inverter")
@@ -132,12 +133,15 @@ class Library:
 
     @property
     def buffer(self) -> Optional[Gate]:
+        """The fastest (then smallest) buffer, if any."""
         return self._by_truth.get((1, 0b10))
 
     def max_gate_inputs(self) -> int:
+        """Largest gate input count."""
         return max(g.num_inputs for g in self.gates)
 
     def gate_by_name(self, name: str) -> Gate:
+        """The gate called ``name``; raises ``KeyError`` otherwise."""
         for gate in self.gates:
             if gate.name == name:
                 return gate

@@ -30,6 +30,7 @@ class Netlist:
     constants: Dict[str, int] = field(default_factory=dict)
 
     def add_gate(self, gate: Gate, output: str, inputs: List[str]) -> NetlistGate:
+        """Append a gate instance driving ``output`` from ``inputs`` (one net per pin)."""
         if len(inputs) != gate.num_inputs:
             raise ValueError(f"gate {gate.name} expects {gate.num_inputs} inputs, got {len(inputs)}")
         inst = NetlistGate(gate=gate, output=output, inputs=inputs)
@@ -43,6 +44,7 @@ class Netlist:
 
     @property
     def num_gates(self) -> int:
+        """Number of gate instances."""
         return len(self.gates)
 
     def arrival_times(self) -> Dict[str, float]:
@@ -80,6 +82,7 @@ class Netlist:
         return max(arrivals.get(net, 0.0) for net in self.primary_outputs)
 
     def gate_histogram(self) -> Dict[str, int]:
+        """Instance count per cell name."""
         hist: Dict[str, int] = {}
         for inst in self.gates:
             hist[inst.gate.name] = hist.get(inst.gate.name, 0) + 1

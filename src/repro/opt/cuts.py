@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
+from repro.opt.truth import FULL, MAX_VARS, VAR_MASKS, stretch
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,7 @@ class Cut:
 
     @property
     def size(self) -> int:
+        """Number of leaves."""
         return len(self.leaves)
 
     def dominates(self, other: "Cut") -> bool:
@@ -34,45 +36,18 @@ class Cut:
         return set(self.leaves) <= set(other.leaves)
 
 
-def _leaf_truth(index: int, num_leaves: int) -> int:
-    """Truth table of input variable ``index`` over ``num_leaves`` variables."""
-    width = 1 << num_leaves
-    word = 0
-    for minterm in range(width):
-        if (minterm >> index) & 1:
-            word |= 1 << minterm
-    return word
-
-
-def _expand_truth(truth: int, old_leaves: Sequence[int], new_leaves: Sequence[int]) -> int:
-    """Re-express ``truth`` (over ``old_leaves``) over the superset ``new_leaves``."""
-    pos = {leaf: i for i, leaf in enumerate(new_leaves)}
-    n_new = len(new_leaves)
-    width = 1 << n_new
-    out = 0
-    for minterm in range(width):
-        old_minterm = 0
-        for i, leaf in enumerate(old_leaves):
-            if (minterm >> pos[leaf]) & 1:
-                old_minterm |= 1 << i
-        if (truth >> old_minterm) & 1:
-            out |= 1 << minterm
-    return out
-
-
 def merge_cuts(cut0: Cut, cut1: Cut, compl0: bool, compl1: bool, k: int) -> Optional[Cut]:
     """Merge two fanin cuts into a cut of the AND node, or None if > k leaves."""
     leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
     if len(leaves) > k:
         return None
-    width = 1 << len(leaves)
-    mask = (1 << width) - 1
-    t0 = _expand_truth(cut0.truth, cut0.leaves, leaves)
-    t1 = _expand_truth(cut1.truth, cut1.leaves, leaves)
+    n = len(leaves)
+    t0 = stretch(cut0.truth, tuple(map(leaves.index, cut0.leaves)), n)
+    t1 = stretch(cut1.truth, tuple(map(leaves.index, cut1.leaves)), n)
     if compl0:
-        t0 ^= mask
+        t0 ^= FULL[n]
     if compl1:
-        t1 ^= mask
+        t1 ^= FULL[n]
     return Cut(leaves=leaves, truth=t0 & t1)
 
 
@@ -96,12 +71,14 @@ def enumerate_cuts(
     their trivial cut.  Cuts are kept sorted by (size, leaves) as a simple
     priority function; callers that need delay-aware priority re-sort.
     """
-    if k > 8:
-        raise ValueError("cut size larger than 8 is not supported (truth tables grow too large)")
+    if k > MAX_VARS:
+        raise ValueError(f"cut size larger than {MAX_VARS} is not supported (truth tables grow too large)")
+    if cut_limit < 1:
+        raise ValueError("cut_limit must be at least 1")
     cuts: Dict[int, List[Cut]] = {}
     cuts[0] = [Cut(leaves=(), truth=0)]
     for var in aig.pis:
-        cuts[var] = [Cut(leaves=(var,), truth=_leaf_truth(0, 1))]
+        cuts[var] = [Cut(leaves=(var,), truth=VAR_MASKS[1][0])]
     for node in aig.and_nodes():
         v0, v1 = lit_var(node.fanin0), lit_var(node.fanin1)
         c0, c1 = lit_is_compl(node.fanin0), lit_is_compl(node.fanin1)
@@ -122,7 +99,7 @@ def enumerate_cuts(
             filtered.append(cut)
         filtered = filtered[:cut_limit]
         if include_trivial:
-            filtered.append(Cut(leaves=(node.var,), truth=_leaf_truth(0, 1)))
+            filtered.append(Cut(leaves=(node.var,), truth=VAR_MASKS[1][0]))
         cuts[node.var] = filtered
     return cuts
 
@@ -133,11 +110,10 @@ def cut_truth_table(aig: Aig, root: int, leaves: Sequence[int]) -> int:
     Computed by local simulation of the cone between the leaves and the root.
     """
     n = len(leaves)
-    width = 1 << n
     values: Dict[int, int] = {0: 0}
     for i, leaf in enumerate(leaves):
-        values[leaf] = _leaf_truth(i, n)
-    mask = (1 << width) - 1
+        values[leaf] = VAR_MASKS[n][i]
+    mask = FULL[n]
 
     def eval_var(var: int) -> int:
         if var in values:

@@ -36,6 +36,7 @@ class ChoiceAig:
 
     @property
     def num_choices(self) -> int:
+        """Number of equivalence classes with more than one member."""
         return self.classes.num_classes_with_choices
 
 

@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Tuple
 
+from repro.opt.truth import FULL, flip, permute
+
 
 def truth_num_vars(truth: int, max_vars: int = 6) -> int:
     """Smallest variable count whose truth-table width can hold ``truth``."""
@@ -22,33 +24,18 @@ def truth_num_vars(truth: int, max_vars: int = 6) -> int:
 
 
 def negate_output(truth: int, num_vars: int) -> int:
-    mask = (1 << (1 << num_vars)) - 1
-    return truth ^ mask
+    """Complement the function (within its ``2 ** num_vars`` valid bits)."""
+    return truth ^ FULL[num_vars]
 
 
 def negate_input(truth: int, var: int, num_vars: int) -> int:
     """Swap the cofactors of ``var``."""
-    width = 1 << num_vars
-    out = 0
-    for minterm in range(width):
-        src = minterm ^ (1 << var)
-        if (truth >> src) & 1:
-            out |= 1 << minterm
-    return out
+    return flip(truth, var, num_vars)
 
 
 def permute_inputs(truth: int, perm: Tuple[int, ...], num_vars: int) -> int:
     """Apply an input permutation: new variable i reads old variable perm[i]."""
-    width = 1 << num_vars
-    out = 0
-    for minterm in range(width):
-        src = 0
-        for new_idx, old_idx in enumerate(perm):
-            if (minterm >> new_idx) & 1:
-                src |= 1 << old_idx
-        if (truth >> src) & 1:
-            out |= 1 << minterm
-    return out
+    return permute(truth & FULL[num_vars], tuple(perm))
 
 
 @lru_cache(maxsize=65536)
@@ -58,8 +45,7 @@ def npn_canonical(truth: int, num_vars: int) -> int:
     For 5 or 6 variables a semi-canonical form (output negation plus input
     negations only, no permutation) is used to keep runtime bounded.
     """
-    mask = (1 << (1 << num_vars)) - 1
-    truth &= mask
+    truth &= FULL[num_vars]
     best = truth
     if num_vars <= 4:
         perms = list(permutations(range(num_vars)))

@@ -67,4 +67,5 @@ def run_script(aig: Aig, name: str) -> Aig:
 
 
 def available_scripts() -> List[str]:
+    """Names accepted by :func:`run_script`, sorted."""
     return sorted(_NAMED_SCRIPTS)

@@ -8,7 +8,16 @@ the cube, and the corresponding bit of ``polarity`` gives its phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
+
+from repro.opt.truth import FULL, VAR_MASKS, cofactors
+
+#: Entries kept by each per-function cache below (ISOP covers, factored
+#: forms and their literal counts, keyed by ``(truth, num_vars)``).  Cut
+#: passes meet the same few thousand functions at every node and in every
+#: round; cached values are immutable and never change a result.
+FUNCTION_CACHE_SIZE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,7 @@ class Cube:
 
     @property
     def num_literals(self) -> int:
+        """Number of literals in the cube."""
         return bin(self.mask).count("1")
 
     def contains(self, other: "Cube") -> bool:
@@ -41,6 +51,7 @@ class Cube:
         return (self.polarity & self.mask) == (other.polarity & self.mask)
 
     def evaluate(self, minterm: int) -> bool:
+        """True if the cube contains ``minterm``."""
         return (minterm & self.mask) == (self.polarity & self.mask)
 
 
@@ -63,41 +74,16 @@ def sop_truth(cubes: Sequence[Cube], num_vars: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cofactors(truth: int, var: int, num_vars: int) -> Tuple[int, int]:
-    """Return (negative cofactor, positive cofactor) as functions of all vars."""
-    width = 1 << num_vars
-    neg = pos = 0
-    for minterm in range(width):
-        bit = (truth >> minterm) & 1
-        if not bit:
-            continue
-        if (minterm >> var) & 1:
-            pos |= 1 << minterm
-            pos |= 1 << (minterm ^ (1 << var))
-        else:
-            neg |= 1 << minterm
-            neg |= 1 << (minterm ^ (1 << var))
-    return neg, pos
-
-
 def isop(on_set: int, dc_upper: int, num_vars: int) -> List[Cube]:
     """Minato-Morreale ISOP: a cover F with ``on_set <= F <= dc_upper``.
 
     ``on_set`` is the function that must be covered; ``dc_upper`` is the
     largest function the cover is allowed to equal (on-set plus don't cares).
     """
-    width = 1 << num_vars
-    mask = (1 << width) - 1
+    mask = FULL[num_vars]
+    var_masks = VAR_MASKS[num_vars]
     on_set &= mask
     dc_upper &= mask
-
-    def var_halves(var: int) -> Tuple[int, int]:
-        """Minterm masks for var=0 and var=1 halves of the truth table."""
-        pos_mask = 0
-        for minterm in range(width):
-            if (minterm >> var) & 1:
-                pos_mask |= 1 << minterm
-        return mask ^ pos_mask, pos_mask
 
     def recurse(lower: int, upper: int, var: int) -> Tuple[List[Cube], int]:
         if lower == 0:
@@ -106,8 +92,8 @@ def isop(on_set: int, dc_upper: int, num_vars: int) -> List[Cube]:
             return [Cube(0, 0)], mask
         if var < 0:
             raise RuntimeError("ISOP recursion exhausted variables (lower not within upper)")
-        l_neg, l_pos = _cofactors(lower, var, num_vars)
-        u_neg, u_pos = _cofactors(upper, var, num_vars)
+        l_neg, l_pos = cofactors(lower, var, num_vars)
+        u_neg, u_pos = cofactors(upper, var, num_vars)
 
         # Cubes that must contain the negative / positive literal of `var`.
         cubes_neg, cover_neg = recurse(l_neg & ~u_pos, u_neg, var - 1)
@@ -116,7 +102,8 @@ def isop(on_set: int, dc_upper: int, num_vars: int) -> List[Cube]:
         lower_new = (l_neg & ~cover_neg) | (l_pos & ~cover_pos)
         cubes_both, cover_both = recurse(lower_new, u_neg & u_pos, var - 1)
 
-        var_neg_mask, var_pos_mask = var_halves(var)
+        var_pos_mask = var_masks[var]
+        var_neg_mask = mask ^ var_pos_mask
         result_cubes: List[Cube] = []
         cover = 0
         for cube in cubes_neg:
@@ -136,9 +123,10 @@ def isop(on_set: int, dc_upper: int, num_vars: int) -> List[Cube]:
     return cubes
 
 
-def isop_cover(truth: int, num_vars: int) -> List[Cube]:
-    """ISOP of a completely specified function."""
-    return isop(truth, truth, num_vars)
+@lru_cache(maxsize=FUNCTION_CACHE_SIZE)
+def isop_cover(truth: int, num_vars: int) -> Tuple[Cube, ...]:
+    """ISOP of a completely specified function (memoized, so immutable)."""
+    return tuple(isop(truth, truth, num_vars))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +134,7 @@ def isop_cover(truth: int, num_vars: int) -> List[Cube]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorNode:
     """Node of a factored form: literal, AND, or OR."""
 
@@ -156,11 +144,13 @@ class FactorNode:
     children: Tuple["FactorNode", ...] = ()
 
     def num_literals(self) -> int:
+        """Literal leaves of the factored form."""
         if self.kind == "lit":
             return 1
         return sum(c.num_literals() for c in self.children)
 
     def depth(self) -> int:
+        """AND/OR levels above the literals."""
         if self.kind == "lit":
             return 0
         return 1 + max(c.depth() for c in self.children)
@@ -230,8 +220,15 @@ def factor(cubes: Sequence[Cube]) -> FactorNode:
     return _make_or([divided, factor(remainder)])
 
 
+@lru_cache(maxsize=FUNCTION_CACHE_SIZE)
+def factored_cover(truth: int, num_vars: int) -> FactorNode:
+    """Quick-factored form of a function's ISOP (memoized, so immutable)."""
+    return factor(isop_cover(truth, num_vars))
+
+
+@lru_cache(maxsize=FUNCTION_CACHE_SIZE)
 def factored_literal_count(truth: int, num_vars: int) -> int:
     """Literal count of the quick-factored form of a function (0 for constants)."""
-    if truth == 0 or truth == (1 << (1 << num_vars)) - 1:
+    if truth == 0 or truth == FULL[num_vars]:
         return 0
-    return factor(isop_cover(truth, num_vars)).num_literals()
+    return factored_cover(truth, num_vars).num_literals()

@@ -15,6 +15,7 @@ from repro.aig.graph import Aig, lit_var
 from repro.opt.cuts import Cut, enumerate_cuts
 from repro.opt.sop import isop_cover
 from repro.opt.synth import build_truth_sop_balanced, sop_balanced_depth
+from repro.opt.truth import FULL
 
 
 @dataclass
@@ -26,8 +27,7 @@ class _NodeChoice:
 def _cut_arrival(cut: Cut, arrivals: Dict[int, float]) -> float:
     """Arrival of the SOP-balanced decomposition of ``cut``."""
     num_vars = cut.size
-    width = 1 << num_vars
-    mask = (1 << width) - 1
+    mask = FULL[num_vars]
     truth = cut.truth & mask
     if truth in (0, mask):
         return 0.0

@@ -11,7 +11,8 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_not
-from repro.opt.sop import Cube, FactorNode, factor, isop_cover
+from repro.opt.sop import Cube, FactorNode, factored_cover, isop_cover
+from repro.opt.truth import FULL
 
 
 def build_factored(aig: Aig, node: FactorNode, leaf_lits: Sequence[int]) -> int:
@@ -32,8 +33,7 @@ def build_factored(aig: Aig, node: FactorNode, leaf_lits: Sequence[int]) -> int:
 def build_truth_factored(aig: Aig, truth: int, leaf_lits: Sequence[int]) -> int:
     """Build a function (given as a truth table over the leaves) via factoring."""
     num_vars = len(leaf_lits)
-    width = 1 << num_vars
-    mask = (1 << width) - 1
+    mask = FULL[num_vars]
     truth &= mask
     if truth == 0:
         return 0
@@ -43,9 +43,9 @@ def build_truth_factored(aig: Aig, truth: int, leaf_lits: Sequence[int]) -> int:
     cover_pos = isop_cover(truth, num_vars)
     cover_neg = isop_cover(truth ^ mask, num_vars)
     if sum(c.num_literals for c in cover_neg) < sum(c.num_literals for c in cover_pos):
-        lit = build_factored(aig, factor(cover_neg), leaf_lits)
+        lit = build_factored(aig, factored_cover(truth ^ mask, num_vars), leaf_lits)
         return lit_not(lit)
-    return build_factored(aig, factor(cover_pos), leaf_lits)
+    return build_factored(aig, factored_cover(truth, num_vars), leaf_lits)
 
 
 def _balanced_tree(
@@ -130,8 +130,7 @@ def build_truth_sop_balanced(
 ) -> Tuple[float, int]:
     """SOP-balanced realisation of a truth table; picks the cheaper output phase."""
     num_vars = len(leaf_lits)
-    width = 1 << num_vars
-    mask = (1 << width) - 1
+    mask = FULL[num_vars]
     truth &= mask
     if truth == 0:
         return 0.0, 0

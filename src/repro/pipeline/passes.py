@@ -39,12 +39,14 @@ from repro.extraction.greedy import greedy_extract
 from repro.extraction.random_extract import random_extract
 from repro.mapping.cut_mapping import map_aig
 from repro.obs import provenance as obs_provenance
+from repro.obs import trace as obs
 from repro.opt.balance import balance
 from repro.opt.dch import compute_choices
 from repro.opt.refactor import refactor
 from repro.opt.rewrite import rewrite
 from repro.opt.scripts import delay_opt_script, resyn2_script
 from repro.opt.sop_balance import sop_balance
+from repro.opt.truth import MAX_VARS
 from repro.partition import (
     PARTITION_METHODS,
     PartitionConfig,
@@ -183,18 +185,34 @@ def _pass_balance(ctx: FlowContext) -> None:
     ctx.aig = balance(ctx.aig)
 
 
+def _check_cut_params(pass_name: str, k: int, cut_limit: int) -> None:
+    """Reject cut sizes and cut limits a cut-based pass cannot honour.
+
+    ``k=1`` leaves no cut with two leaves, ``cut_limit < 1`` keeps no cut,
+    and cuts wider than the truth-table kernel's ``MAX_VARS`` inputs cannot
+    be enumerated.
+    """
+    if not 2 <= k <= MAX_VARS:
+        raise PipelineError(f"{pass_name} needs k in 2..{MAX_VARS}")
+    if cut_limit < 1:
+        raise PipelineError(f"{pass_name} needs cut_limit >= 1")
+
+
 @register_pass("rewrite", "DAG-aware cut rewriting (ABC 'rewrite')", aliases=("rw",))
 def _pass_rewrite(ctx: FlowContext, k: int = 4, cut_limit: int = 8, zero_gain: bool = False) -> None:
+    _check_cut_params("rewrite", k, cut_limit)
     ctx.aig = rewrite(ctx.aig, k=k, cut_limit=cut_limit, zero_gain=zero_gain)
 
 
 @register_pass("refactor", "cone collapsing + refactoring (ABC 'refactor')", aliases=("rf",))
 def _pass_refactor(ctx: FlowContext, k: int = 6, cut_limit: int = 4, zero_gain: bool = False) -> None:
+    _check_cut_params("refactor", k, cut_limit)
     ctx.aig = refactor(ctx.aig, k=k, cut_limit=cut_limit, zero_gain=zero_gain)
 
 
 @register_pass("sop_balance", "delay-oriented SOP balancing (ABC 'if -g')", aliases=("sopb",))
 def _pass_sop_balance(ctx: FlowContext, k: int = 6, cut_limit: int = 8) -> None:
+    _check_cut_params("sop_balance", k, cut_limit)
     ctx.aig = sop_balance(ctx.aig, k=k, cut_limit=cut_limit)
 
 
@@ -205,6 +223,9 @@ def _pass_resyn2(ctx: FlowContext) -> None:
 
 @register_pass("delay_opt", "SOP-balancing delay rounds ('(st; if -g -K k)^rounds')")
 def _pass_delay_opt(ctx: FlowContext, rounds: int = 2, k: int = 6, cut_limit: int = 8) -> None:
+    if rounds < 0:
+        raise PipelineError("delay_opt needs rounds >= 0")
+    _check_cut_params("delay_opt", k, cut_limit)
     ctx.aig = delay_opt_script(ctx.aig, rounds=rounds, k=k, cut_limit=cut_limit)
 
 
@@ -545,25 +566,35 @@ def _pass_map(
     keep the best ``(delay, area)``.  ``cleanup`` applies the light
     balance+rewrite recovery to extraction candidates before mapping;
     ``keep_premap`` falls back to the ``premap`` result when it still wins.
+
+    Each candidate's work shows in the trace as three ``mapping`` spans
+    tagged with its index: ``map cleanup``, ``map choices`` and ``map
+    cover`` (a span whose step is switched off is empty).
     """
+    for name, value in {"choice_max_pairs": choice_max_pairs, "choice_sat_budget": choice_sat_budget}.items():
+        if value < 0:
+            raise PipelineError(f"map needs {name} >= 0")
     from_extraction = bool(ctx.candidates)
     targets = ctx.candidates if from_extraction else [ctx.aig]
     best_mapping = None
     best_aig = None
-    for candidate in targets:
+    for index, candidate in enumerate(targets):
         work = candidate
-        if from_extraction and cleanup:
-            # Extraction from a saturated e-graph can leave duplicated
-            # structure behind; balancing plus one rewriting pass recovers it
-            # without disturbing the depth profile.
-            work = rewrite(balance(work))
-        if use_choices:
-            choice = compute_choices(
-                work, max_pairs=choice_max_pairs, conflict_budget=choice_sat_budget
-            )
-            mapping = map_aig(choice.aig, ctx.library, choices=choice.classes)
-        else:
-            mapping = map_aig(work, ctx.library)
+        with obs.span("map cleanup", category="mapping", candidate=index):
+            if from_extraction and cleanup:
+                # Extraction from a saturated e-graph can leave duplicated
+                # structure behind; balancing plus one rewriting pass recovers
+                # it without disturbing the depth profile.
+                work = rewrite(balance(work))
+        subject, choices = work, None
+        with obs.span("map choices", category="mapping", candidate=index):
+            if use_choices:
+                choice = compute_choices(
+                    work, max_pairs=choice_max_pairs, conflict_budget=choice_sat_budget
+                )
+                subject, choices = choice.aig, choice.classes
+        with obs.span("map cover", category="mapping", candidate=index):
+            mapping = map_aig(subject, ctx.library, choices=choices)
         if best_mapping is None or (mapping.delay, mapping.area) < (best_mapping.delay, best_mapping.area):
             best_mapping = mapping
             best_aig = work

@@ -235,6 +235,35 @@ class TestPartitionedSpanSummary:
             assert bucket["total"] >= 0.0
 
 
+class TestMapSpans:
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "st; map(use_choices=true)",
+            "st; dag2eg; saturate(iters=1); extract(sa, threads=2, iters=1, moves=2); "
+            "map(use_choices=true)",
+        ],
+        ids=["single", "candidates"],
+    )
+    def test_map_records_cleanup_choices_cover_per_candidate(self, script):
+        from repro.benchgen import epfl
+        from repro.pipeline import Pipeline
+
+        with tracing() as tracer:
+            ctx = Pipeline.from_script(script).run_flow(epfl.build("adder", preset="test"))
+        (map_span,) = [r for r in tracer.records if r.name == "map" and r.category == "pass"]
+        spans = [r for r in tracer.records if r.category == "mapping"]
+        assert all(r.parent_id == map_span.span_id for r in spans)
+        candidates = max(1, int(ctx.metrics.get("num_candidates", 0)))
+        assert [(r.name, r.args["candidate"]) for r in spans] == [
+            (name, index)
+            for index in range(candidates)
+            for name in ("map cleanup", "map choices", "map cover")
+        ]
+        choices = [r for r in spans if r.name == "map choices"]
+        assert all(r.duration > 0.0 for r in choices)
+
+
 # --------------------------------------------------------------------------
 # Metrics.
 

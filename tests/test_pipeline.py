@@ -51,6 +51,23 @@ UNHONOURABLE_SATURATE_PARAMS = {
     "time_limit=-1": "time_limit >= 0",
 }
 
+#: Cut-based pass parameters no pass can honour (each used to run as a
+#: no-op, or to fail with a bare ``ValueError`` inside cut enumeration),
+#: with the error naming the allowed range.
+UNHONOURABLE_CUT_PARAMS = {
+    "rewrite(k=9)": "rewrite needs k in 2..8",
+    "refactor(k=9)": "refactor needs k in 2..8",
+    "sop_balance(k=9)": "sop_balance needs k in 2..8",
+    "sop_balance(k=1)": "sop_balance needs k in 2..8",
+    "sop_balance(cut_limit=0)": "sop_balance needs cut_limit >= 1",
+    "sop_balance(cut_limit=-2)": "sop_balance needs cut_limit >= 1",
+    "rewrite(cut_limit=-1)": "rewrite needs cut_limit >= 1",
+    "delay_opt(rounds=-1)": "delay_opt needs rounds >= 0",
+    "delay_opt(k=1)": "delay_opt needs k in 2..8",
+    "map(use_choices=true, choice_sat_budget=-1)": "map needs choice_sat_budget >= 0",
+    "map(use_choices=true, choice_max_pairs=-1)": "map needs choice_max_pairs >= 0",
+}
+
 
 class TestScriptParsing:
     def test_basic_statements_and_aliases(self):
@@ -360,6 +377,22 @@ class TestOneExtractor:
         message = UNHONOURABLE_SATURATE_PARAMS[param]
         with pytest.raises(PipelineError, match=re.escape(message)):
             Pipeline.from_script(template.format(param)).run_flow(small_adder)
+
+    @pytest.mark.parametrize("statement", list(UNHONOURABLE_CUT_PARAMS))
+    def test_unhonourable_cut_params_rejected(self, statement, small_adder):
+        # Test-preset log2 used to stay at 208 ANDs and 43 levels under
+        # sop_balance(k=1) or cut_limit=0, and a negative cut_limit acted as
+        # a slice inside enumerate_cuts.
+        message = UNHONOURABLE_CUT_PARAMS[statement]
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            Pipeline.from_script(f"st; {statement}").run_flow(small_adder)
+
+    def test_enumerate_cuts_rejects_cut_limit_below_one(self, small_adder):
+        from repro.opt.cuts import enumerate_cuts
+
+        for cut_limit in (0, -1):
+            with pytest.raises(ValueError, match="cut_limit"):
+                enumerate_cuts(small_adder, cut_limit=cut_limit)
 
 
 class TestPipelineJobs:
