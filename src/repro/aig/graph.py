@@ -65,22 +65,27 @@ class AigNode:
 
     @property
     def is_and(self) -> bool:
+        """True for an AND node."""
         return self.kind == "and"
 
     @property
     def is_pi(self) -> bool:
+        """True for a primary input."""
         return self.kind == "pi"
 
     @property
     def is_const(self) -> bool:
+        """True for the constant node (variable 0)."""
         return self.kind == "const"
 
     def fanin_vars(self) -> Tuple[int, ...]:
+        """The two fanin variables of an AND node; empty for other kinds."""
         if self.kind != "and":
             return ()
         return (self.fanin0 >> 1, self.fanin1 >> 1)
 
     def fanin_lits(self) -> Tuple[int, ...]:
+        """The two fanin literals of an AND node; empty for other kinds."""
         if self.kind != "and":
             return ()
         return (self.fanin0, self.fanin1)
@@ -198,22 +203,27 @@ class Aig:
     # -- queries ------------------------------------------------------------
 
     def node(self, var: int) -> AigNode:
+        """The node of variable ``var``."""
         return self.nodes[var]
 
     @property
     def num_pis(self) -> int:
+        """Number of primary inputs."""
         return len(self.pis)
 
     @property
     def num_pos(self) -> int:
+        """Number of primary outputs."""
         return len(self.pos)
 
     @property
     def num_ands(self) -> int:
+        """Number of AND nodes."""
         return sum(1 for n in self.nodes if n.is_and)
 
     @property
     def num_nodes(self) -> int:
+        """Number of variables: the constant, the PIs and the AND nodes."""
         return len(self.nodes)
 
     def and_nodes(self) -> Iterator[AigNode]:
@@ -223,6 +233,7 @@ class Aig:
                 yield n
 
     def po_lits(self) -> List[int]:
+        """The literal driving each primary output, in output order."""
         return [lit for lit, _ in self.pos]
 
     def fanout_counts(self) -> List[int]:
@@ -244,6 +255,23 @@ class Aig:
             raise ValueError(f"literal {lit} references unknown variable")
 
     # -- transformation helpers ---------------------------------------------
+
+    def append(self, src: "Aig", input_lits: Sequence[int]) -> List[int]:
+        """Strash ``src`` into this AIG with its PIs driven by ``input_lits``.
+
+        AND nodes are added in ``src``'s creation order.  Returns the literal
+        of each ``src`` primary output, in output order.
+        """
+        if len(input_lits) != src.num_pis:
+            raise ValueError(f"expected {src.num_pis} input literals, got {len(input_lits)}")
+        old2new = [CONST0] * len(src.nodes)
+        for var, lit in zip(src.pis, input_lits):
+            old2new[var] = lit
+        for node in src.nodes[:]:  # a copy: ``src`` may be ``self``
+            if node.kind == "and":
+                f0, f1 = node.fanin0, node.fanin1
+                old2new[node.var] = self.add_and(old2new[f0 >> 1] ^ (f0 & 1), old2new[f1 >> 1] ^ (f1 & 1))
+        return [old2new[lit >> 1] ^ (lit & 1) for lit, _ in src.pos]
 
     def clone(self) -> "Aig":
         """Deep-copy the AIG."""
@@ -299,6 +327,7 @@ class Aig:
     # -- misc ----------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
+        """PI, PO and AND counts plus the logic depth."""
         from repro.aig.levels import logic_depth
 
         return {

@@ -35,17 +35,7 @@ def splice_window(host: Aig, window: Window, sub: Aig, old2new: Dict[int, int]) 
             f"window {window.index}: sub-AIG interface {sub.num_pis}i/{sub.num_pos}o does not "
             f"match window boundary {len(window.inputs)}i/{len(window.outputs)}o"
         )
-    submap: Dict[int, int] = {0: CONST0}
-    for sub_pi, host_var in zip(sub.pis, window.inputs):
-        submap[sub_pi] = old2new[host_var]
-
-    def map_lit(lit: int) -> int:
-        return submap[lit_var(lit)] ^ (lit & 1)
-
-    for node in sub.and_nodes():
-        submap[node.var] = host.add_and(map_lit(node.fanin0), map_lit(node.fanin1))
-    for (po_lit, _), host_var in zip(sub.pos, window.outputs):
-        old2new[host_var] = map_lit(po_lit)
+    old2new.update(zip(window.outputs, host.append(sub, [old2new[var] for var in window.inputs])))
 
 
 def stitch_windows(

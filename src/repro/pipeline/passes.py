@@ -614,6 +614,10 @@ def _pass_map(
 
 @register_pass("cec", "SAT-based equivalence check against the pipeline input", kind="verify")
 def _pass_cec(ctx: FlowContext, sim_words: int = 8, conflict_budget: int = 20_000) -> None:
+    if sim_words < 0:
+        raise PipelineError("cec needs sim_words >= 0")
+    if conflict_budget is not None and conflict_budget < 0:
+        raise PipelineError("cec needs conflict_budget >= 0")
     ctx.equivalence = check_equivalence(
         ctx.original, ctx.aig, sim_words=sim_words, conflict_budget=conflict_budget
     )

@@ -1,6 +1,6 @@
-"""Equivalence checking: CNF encoding, a CDCL SAT solver, and CEC."""
+"""Equivalence checking: CNF encoding, a CDCL SAT solver, the pair prover and CEC."""
 
-from repro.verify.cec import CecResult, check_equivalence, miter
+from repro.verify.cec import CecResult, PairProof, check_equivalence, prove_pair
 from repro.verify.cnf import Cnf, tseitin_encode
 from repro.verify.sat import SatResult, SatSolver
 
@@ -9,7 +9,8 @@ __all__ = [
     "tseitin_encode",
     "SatSolver",
     "SatResult",
-    "miter",
+    "PairProof",
+    "prove_pair",
     "check_equivalence",
     "CecResult",
 ]

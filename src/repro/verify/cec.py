@@ -1,19 +1,67 @@
-"""Combinational equivalence checking (ABC's ``cec``).
+"""Combinational equivalence checking (ABC's ``cec``) and the SAT pair prover.
 
-The check first runs bit-parallel random simulation to look for a cheap
-counterexample, then proves equivalence output by output with the CDCL
-solver on a miter.
+:func:`prove_pair` is the one SAT proof that two literals of an AIG are
+equal: it encodes only their joint cone into a fresh solver.  The choice
+computation calls it once per candidate pair.  :func:`check_equivalence`
+first runs bit-parallel random simulation to look for a cheap
+counterexample, then strashes both circuits into one union AIG over shared
+PIs and calls the prover once per output pair.  Shared structure merges in
+the strash, so an output pair that became one literal needs no SAT call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.aig.graph import Aig, lit_var
+from repro.aig.graph import Aig, lit_not
 from repro.aig.simulate import random_simulate
-from repro.verify.cnf import Cnf, encode_miter_output, encode_or, tseitin_encode
+from repro.obs import trace as obs
+from repro.verify.cnf import encode_miter_output, tseitin_encode
 from repro.verify.sat import SatSolver
+
+
+@dataclass
+class PairProof:
+    """Verdict of :func:`prove_pair`.
+
+    ``status`` is ``"equivalent"``, ``"different"`` or ``"unknown"``.  A
+    ``"different"`` verdict carries ``assignment``, PI variable to value, on
+    which the two literals differ; PIs it leaves out may take any value.
+    """
+
+    status: str
+    conflicts: int = 0
+    assignment: Optional[Dict[int, bool]] = None
+
+
+def prove_pair(
+    aig: Aig,
+    lit_a: int,
+    lit_b: int,
+    conflict_budget: Optional[int] = None,
+    max_cone: Optional[int] = None,
+) -> PairProof:
+    """Prove ``lit_a == lit_b`` in ``aig`` with SAT on their joint cone.
+
+    Equal or complementary literals get their verdict without a solver.  A
+    cone with more than ``max_cone`` AND nodes, or a solver run past
+    ``conflict_budget`` conflicts, gives ``"unknown"``.
+    """
+    if lit_a == lit_b:
+        return PairProof("equivalent")
+    if lit_a == lit_not(lit_b):
+        return PairProof("different", assignment={})
+    encoded = tseitin_encode(aig, [lit_a, lit_b], max_ands=max_cone)
+    if encoded is None:
+        return PairProof("unknown")
+    cnf, var_map, (a, b) = encoded
+    cnf.add_clause([encode_miter_output(cnf, a, b)])
+    result = SatSolver(cnf).solve(conflict_budget=conflict_budget)
+    if result.status == "sat":
+        assignment = {var: result.model[v] for var, v in var_map.items() if aig.nodes[var].kind == "pi"}
+        return PairProof("different", result.conflicts, assignment)
+    return PairProof("equivalent" if result.status == "unsat" else "unknown", result.conflicts)
 
 
 @dataclass
@@ -44,47 +92,38 @@ class CecResult:
         return data
 
 
-def miter(aig_a: Aig, aig_b: Aig) -> Aig:
-    """Build a single-output miter AIG: OR of XORs of corresponding outputs."""
-    if aig_a.num_pis != aig_b.num_pis or aig_a.num_pos != aig_b.num_pos:
-        raise ValueError("miter requires matching PI/PO counts")
-    m = Aig(name=f"miter_{aig_a.name}_{aig_b.name}")
-    pis = [m.add_pi(aig_a.node(v).name) for v in aig_a.pis]
-
-    def copy_into(src: Aig) -> List[int]:
-        old2new = {0: 0}
-        for var, lit in zip(src.pis, pis):
-            old2new[var] = lit
-        for node in src.and_nodes():
-            f0 = old2new[lit_var(node.fanin0)] ^ (node.fanin0 & 1)
-            f1 = old2new[lit_var(node.fanin1)] ^ (node.fanin1 & 1)
-            old2new[node.var] = m.add_and(f0, f1)
-        return [old2new[lit_var(lit)] ^ (lit & 1) for lit, _ in src.pos]
-
-    outs_a = copy_into(aig_a)
-    outs_b = copy_into(aig_b)
-    diffs = [m.add_xor(a, b) for a, b in zip(outs_a, outs_b)]
-    m.add_po(m.add_or_multi(diffs), "diff")
-    return m
-
-
 def check_equivalence(
     aig_a: Aig,
     aig_b: Aig,
     sim_words: int = 8,
     conflict_budget: Optional[int] = None,
-    per_output: bool = True,
 ) -> CecResult:
     """Check that two AIGs are functionally equivalent.
 
-    ``per_output`` proves each output pair separately (usually faster);
-    otherwise a single OR-miter is solved.  A ``conflict_budget`` makes the
-    check incomplete but bounded, returning status ``"unknown"`` on timeout.
+    ``sim_words`` random 64-pattern words filter cheap mismatches first (0
+    skips the filter).  A ``conflict_budget`` bounds each output pair's SAT
+    call, making the check incomplete: status ``"unknown"`` on timeout.
+    Records one ``check equivalence`` span (category ``verify``).
     """
+    if sim_words < 0:
+        raise ValueError("cec needs sim_words >= 0")
+    if conflict_budget is not None and conflict_budget < 0:
+        raise ValueError("cec needs conflict_budget >= 0")
+    with obs.span(
+        "check equivalence", category="verify", outputs=aig_a.num_pos, structural=0, sat_calls=0
+    ) as span:
+        result = _check(aig_a, aig_b, sim_words, conflict_budget, span)
+        span.set("conflicts", result.conflicts)
+        span.set("status", result.status)
+    return result
+
+
+def _check(
+    aig_a: Aig, aig_b: Aig, sim_words: int, conflict_budget: Optional[int], span: obs.Span
+) -> CecResult:
     if aig_a.num_pis != aig_b.num_pis or aig_a.num_pos != aig_b.num_pos:
         return CecResult(equivalent=False, status="counterexample")
 
-    # Fast path: random simulation to catch easy mismatches.
     sims_a = random_simulate(aig_a, num_words=sim_words, seed=99)
     sims_b = random_simulate(aig_b, num_words=sim_words, seed=99)
     for words_a, words_b in zip(sims_a, sims_b):
@@ -92,102 +131,28 @@ def check_equivalence(
             if wa != wb:
                 return CecResult(equivalent=False, status="counterexample", failing_output=out_idx)
 
-    # SAT proof.
-    cnf = Cnf()
-    _, map_a, outs_a = tseitin_encode(aig_a, cnf)
-    # Share PI variables between the two circuits.
-    cnf_b_inputs: Dict[int, int] = {}
-    for va, vb in zip(aig_a.pis, aig_b.pis):
-        cnf_b_inputs[vb] = map_a[va]
-    _, map_b, outs_b = _tseitin_with_shared_inputs(aig_b, cnf, cnf_b_inputs)
-
+    union = Aig(name=f"union_{aig_a.name}_{aig_b.name}")
+    pis = [union.add_pi() for _ in aig_a.pis]
     total_conflicts = 0
-    if per_output:
-        for out_idx, (la, lb) in enumerate(zip(outs_a, outs_b)):
-            # Encode the XOR on a copy of the CNF so each output gets a fresh solver.
-            local = Cnf(num_vars=cnf.num_vars, clauses=[list(c) for c in cnf.clauses])
-            x = encode_miter_output(local, la, lb)
-            local.add_clause([x])
-            result = SatSolver(local).solve(conflict_budget=conflict_budget)
-            total_conflicts += result.conflicts
-            if result.status == "sat":
-                cex = _extract_cex(aig_a, map_a, result.model)
-                return CecResult(
-                    equivalent=False,
-                    status="counterexample",
-                    counterexample=cex,
-                    failing_output=out_idx,
-                    conflicts=total_conflicts,
-                )
-            if result.status == "unknown":
-                return CecResult(equivalent=False, status="unknown", conflicts=total_conflicts)
-        return CecResult(equivalent=True, status="equivalent", conflicts=total_conflicts)
-
-    xor_lits = [encode_miter_output(cnf, la, lb) for la, lb in zip(outs_a, outs_b)]
-    diff = encode_or(cnf, xor_lits)
-    cnf.add_clause([diff])
-    result = SatSolver(cnf).solve(conflict_budget=conflict_budget)
-    if result.status == "sat":
-        return CecResult(
-            equivalent=False,
-            status="counterexample",
-            counterexample=_extract_cex(aig_a, map_a, result.model),
-            conflicts=result.conflicts,
-        )
-    if result.status == "unknown":
-        return CecResult(equivalent=False, status="unknown", conflicts=result.conflicts)
-    return CecResult(equivalent=True, status="equivalent", conflicts=result.conflicts)
-
-
-def _tseitin_with_shared_inputs(aig: Aig, cnf: Cnf, input_map: Dict[int, int]):
-    """Tseitin-encode ``aig`` reusing pre-assigned CNF variables for its PIs."""
-    from repro.aig.graph import lit_is_compl
-
-    var_map: Dict[int, int] = {}
-    const_var = cnf.new_var()
-    var_map[0] = const_var
-    cnf.add_clause([-const_var])
-    for var in aig.pis:
-        var_map[var] = input_map[var]
-
-    def cnf_lit(aig_lit: int) -> int:
-        v = var_map[lit_var(aig_lit)]
-        return -v if lit_is_compl(aig_lit) else v
-
-    for node in aig.and_nodes():
-        out = cnf.new_var()
-        var_map[node.var] = out
-        a = cnf_lit(node.fanin0)
-        b = cnf_lit(node.fanin1)
-        cnf.add_clause([-out, a])
-        cnf.add_clause([-out, b])
-        cnf.add_clause([out, -a, -b])
-    outputs = [cnf_lit(lit) for lit, _ in aig.pos]
-    return cnf, var_map, outputs
-
-
-def _extract_cex(aig: Aig, var_map: Dict[int, int], model: Optional[Dict[int, bool]]) -> Dict[str, bool]:
-    if model is None:
-        return {}
-    cex = {}
-    for i, var in enumerate(aig.pis):
-        name = aig.node(var).name or f"pi{i}"
-        cex[name] = model.get(var_map[var], False)
-    return cex
-
-
-def prove_equivalent_vars(aig: Aig, var_a: int, var_b: int, conflict_budget: int = 2000) -> str:
-    """Prove two internal AIG variables equal (same polarity).
-
-    Returns "equivalent", "different", or "unknown".  Used by the choice
-    computation to validate simulation-detected candidate equivalences.
-    """
-    cnf, var_map, _ = tseitin_encode(aig)
-    x = encode_miter_output(cnf, var_map[var_a], var_map[var_b])
-    cnf.add_clause([x])
-    result = SatSolver(cnf).solve(conflict_budget=conflict_budget)
-    if result.status == "sat":
-        return "different"
-    if result.status == "unsat":
-        return "equivalent"
-    return "unknown"
+    for out_idx, (la, lb) in enumerate(zip(union.append(aig_a, pis), union.append(aig_b, pis))):
+        if la == lb:
+            span.add("structural")
+            continue
+        span.add("sat_calls")
+        proof = prove_pair(union, la, lb, conflict_budget=conflict_budget)
+        total_conflicts += proof.conflicts
+        if proof.status == "different":
+            cex = {
+                aig_a.node(var).name or f"pi{i}": proof.assignment.get(union.pis[i], False)
+                for i, var in enumerate(aig_a.pis)
+            }
+            return CecResult(
+                equivalent=False,
+                status="counterexample",
+                counterexample=cex,
+                failing_output=out_idx,
+                conflicts=total_conflicts,
+            )
+        if proof.status == "unknown":
+            return CecResult(equivalent=False, status="unknown", conflicts=total_conflicts)
+    return CecResult(equivalent=True, status="equivalent", conflicts=total_conflicts)

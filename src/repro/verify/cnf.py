@@ -1,4 +1,4 @@
-"""CNF formulas and Tseitin encoding of AIGs.
+"""CNF formulas and Tseitin encoding of AIG cones.
 
 CNF literals use the DIMACS convention: positive integers for variables,
 negative for their complements.  Variable numbering starts at 1.
@@ -7,9 +7,9 @@ negative for their complements.  Variable numbering starts at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.aig.graph import Aig, lit_is_compl, lit_var
+from repro.aig.graph import Aig, lit_var
 
 
 @dataclass
@@ -20,57 +20,80 @@ class Cnf:
     clauses: List[List[int]] = field(default_factory=list)
 
     def new_var(self) -> int:
+        """Allocate the next variable and return it."""
         self.num_vars += 1
         return self.num_vars
 
     def add_clause(self, clause: List[int]) -> None:
+        """Append a clause; every literal must name an allocated variable."""
         for lit in clause:
             if lit == 0 or abs(lit) > self.num_vars:
                 raise ValueError(f"clause {clause} references unknown variable")
         self.clauses.append(list(clause))
 
     def to_dimacs(self) -> str:
+        """The formula in DIMACS text format."""
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
         for clause in self.clauses:
             lines.append(" ".join(str(l) for l in clause) + " 0")
         return "\n".join(lines) + "\n"
 
 
-def tseitin_encode(aig: Aig, cnf: Optional[Cnf] = None) -> Tuple[Cnf, Dict[int, int], List[int]]:
-    """Tseitin-encode an AIG.
+def tseitin_encode(
+    aig: Aig, roots: Sequence[int], max_ands: Optional[int] = None
+) -> Optional[Tuple[Cnf, Dict[int, int], List[int]]]:
+    """Tseitin-encode the cone of the literals ``roots``.
 
-    Returns (cnf, var_map, output_literals) where ``var_map`` maps AIG
-    variables to CNF variables and ``output_literals`` gives one signed CNF
-    literal per primary output.
+    CNF variable 1 is the constant, forced false.  The cone's PIs follow,
+    then its AND nodes, each group in ascending AIG variable order.  Each
+    AND's fanins come in the order ``Aig.add_and`` gives them in a
+    standalone copy of the cone.  So the formula does not depend on where
+    the cone sits in ``aig``.
+
+    Returns ``(cnf, var_map, root_lits)``: ``var_map`` maps each cone
+    variable to its CNF variable and ``root_lits`` holds one signed CNF
+    literal per root.  Returns ``None`` when the cone holds more than
+    ``max_ands`` AND nodes.
     """
-    if cnf is None:
-        cnf = Cnf()
-    var_map: Dict[int, int] = {}
-
-    # Constant: a fresh variable forced to false.
-    const_var = cnf.new_var()
-    var_map[0] = const_var
-    cnf.add_clause([-const_var])
-
-    for var in aig.pis:
-        var_map[var] = cnf.new_var()
+    nodes = aig.nodes
+    pis: List[int] = []
+    ands: List[int] = []
+    seen = set()
+    stack = [lit_var(lit) for lit in roots]
+    while stack:
+        var = stack.pop()
+        if var in seen:
+            continue
+        seen.add(var)
+        node = nodes[var]
+        if node.kind == "and":
+            ands.append(var)
+            if max_ands is not None and len(ands) > max_ands:
+                return None
+            stack.append(node.fanin0 >> 1)
+            stack.append(node.fanin1 >> 1)
+        elif node.kind == "pi":
+            pis.append(var)
+    ands.sort()
+    var_map = {0: 1}
+    for var in sorted(pis) + ands:
+        var_map[var] = len(var_map) + 1
 
     def cnf_lit(aig_lit: int) -> int:
-        v = var_map[lit_var(aig_lit)]
-        return -v if lit_is_compl(aig_lit) else v
+        v = var_map[aig_lit >> 1]
+        return -v if aig_lit & 1 else v
 
-    for node in aig.and_nodes():
-        out = cnf.new_var()
-        var_map[node.var] = out
-        a = cnf_lit(node.fanin0)
-        b = cnf_lit(node.fanin1)
+    clauses = [[-1]]
+    for var in ands:
+        node = nodes[var]
+        a, b = cnf_lit(node.fanin0), cnf_lit(node.fanin1)
+        if (abs(a), a < 0) > (abs(b), b < 0):
+            a, b = b, a
+        out = var_map[var]
         # out <-> a & b
-        cnf.add_clause([-out, a])
-        cnf.add_clause([-out, b])
-        cnf.add_clause([out, -a, -b])
-
-    outputs = [cnf_lit(lit) for lit, _ in aig.pos]
-    return cnf, var_map, outputs
+        clauses += ([-out, a], [-out, b], [out, -a, -b])
+    cnf = Cnf(num_vars=len(var_map), clauses=clauses)
+    return cnf, var_map, [cnf_lit(lit) for lit in roots]
 
 
 def encode_miter_output(cnf: Cnf, lit_a: int, lit_b: int) -> int:
@@ -81,12 +104,3 @@ def encode_miter_output(cnf: Cnf, lit_a: int, lit_b: int) -> int:
     cnf.add_clause([x, -lit_a, lit_b])
     cnf.add_clause([x, lit_a, -lit_b])
     return x
-
-
-def encode_or(cnf: Cnf, lits: List[int]) -> int:
-    """Add clauses for ``y = OR(lits)`` and return CNF literal ``y``."""
-    y = cnf.new_var()
-    cnf.add_clause([-y] + lits)
-    for lit in lits:
-        cnf.add_clause([y, -lit])
-    return y

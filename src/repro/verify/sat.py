@@ -24,10 +24,12 @@ class SatResult:
 
     @property
     def is_sat(self) -> bool:
+        """True when the formula is satisfiable (``model`` is set)."""
         return self.status == "sat"
 
     @property
     def is_unsat(self) -> bool:
+        """True when the formula is proven unsatisfiable."""
         return self.status == "unsat"
 
 

@@ -127,10 +127,10 @@ class TestChoices:
         assert same_function(choice.aig, small_sqrt)
 
     def test_sat_verification_rejects_non_equivalent(self):
-        # With verification off we trust simulation; with it on, members must
-        # be exactly equivalent -- checked here via exhaustive simulation.
+        # Members are SAT-proven equal to their representative, so fresh
+        # simulation patterns must agree on every one of them.
         aig = epfl.build("sqrt", preset="test")
-        choice = compute_choices(aig, max_pairs=100, conflict_budget=300, verify_with_sat=True)
+        choice = compute_choices(aig, max_pairs=100, conflict_budget=300)
         from repro.aig.simulate import node_signatures
 
         sigs = node_signatures(choice.aig, num_words=4, seed=123)

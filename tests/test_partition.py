@@ -235,6 +235,27 @@ class TestPipelinePasses:
         assert result.to_dict()["partition"]["final_cec"] == "equivalent"
 
 
+    def test_traced_stitch_records_one_cec_span_per_guard(self, log2_test):
+        from repro.obs.trace import tracing
+
+        with tracing() as tracer:
+            result = Pipeline.from_script(
+                "st; partition(k=30, workers=0); saturate(iters=1, max_nodes=2000); "
+                "extract(greedy); stitch"
+            ).run_flow(log2_test)
+        profile = result.partition_profile
+        guarded = [report.cec for report in profile.windows if report.cec is not None]
+        spans = [record for record in tracer.records if record.name == "check equivalence"]
+        assert len(guarded) > 1
+        assert [span.args["status"] for span in spans] == guarded + [profile.final_cec]
+        assert all(span.category == "verify" for span in spans)
+        by_id = {record.span_id: record for record in tracer.records}
+        assert by_id[spans[-1].parent_id].name == "final cec"
+        for span in spans:
+            assert {"outputs", "structural", "sat_calls", "conflicts", "status"} <= set(span.args)
+            assert span.args["structural"] + span.args["sat_calls"] <= span.args["outputs"]
+
+
 class TestBench:
     def test_fast_profile_demonstrates_gap(self):
         from repro.engine.bench import check_regressions

@@ -67,6 +67,10 @@ UNHONOURABLE_CUT_PARAMS = {
     "map(use_choices=true, choice_sat_budget=-1)": "map needs choice_sat_budget >= 0",
     "map(use_choices=true, choice_max_pairs=-1)": "map needs choice_max_pairs >= 0",
 }
+UNHONOURABLE_CEC_PARAMS = {
+    "cec(sim_words=-3)": "cec needs sim_words >= 0",
+    "cec(conflict_budget=-1)": "cec needs conflict_budget >= 0",
+}
 
 
 class TestScriptParsing:
@@ -386,6 +390,17 @@ class TestOneExtractor:
         message = UNHONOURABLE_CUT_PARAMS[statement]
         with pytest.raises(PipelineError, match=re.escape(message)):
             Pipeline.from_script(f"st; {statement}").run_flow(small_adder)
+
+    @pytest.mark.parametrize("statement", list(UNHONOURABLE_CEC_PARAMS))
+    def test_unhonourable_cec_params_rejected(self, statement, small_adder):
+        # A negative conflict budget used to end every check `unknown` and a
+        # negative sim_words silently skipped the simulation filter.
+        message = UNHONOURABLE_CEC_PARAMS[statement]
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            Pipeline.from_script(f"st; balance; {statement}").run_flow(small_adder)
+        kwargs = parse_script(statement)[0][1]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_equivalence(small_adder, small_adder.clone(), **kwargs)
 
     def test_enumerate_cuts_rejects_cut_limit_below_one(self, small_adder):
         from repro.opt.cuts import enumerate_cuts

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.graph import Aig, aig_from_functions, lit_not
-from repro.benchgen import arithmetic, epfl
+from repro.benchgen import epfl
 from repro.opt.balance import balance
 from repro.opt.rewrite import rewrite
-from repro.verify.cec import check_equivalence, miter, prove_equivalent_vars
-from repro.verify.cnf import Cnf, encode_miter_output, encode_or, tseitin_encode
+from repro.verify.cec import check_equivalence, prove_pair
+from repro.verify.cnf import Cnf, encode_miter_output, tseitin_encode
 from repro.verify.sat import SatSolver, solve_cnf
 
 
@@ -41,7 +41,7 @@ class TestCnf:
 
     def test_tseitin_and_semantics(self):
         aig = aig_from_functions(2, lambda a, pis: a.add_and(pis[0], pis[1]))
-        cnf, var_map, outs = tseitin_encode(aig)
+        cnf, var_map, outs = tseitin_encode(aig, aig.po_lits())
         # Force output true: only satisfiable with both inputs true.
         cnf.add_clause([outs[0]])
         result = solve_cnf(cnf)
@@ -113,15 +113,6 @@ class TestSatSolver:
         cnf.add_clause([a])
         cnf.add_clause([b])
         assert solve_cnf(cnf).is_unsat  # a=b=1 -> xor=0, contradiction
-
-    def test_encode_or_semantics(self):
-        cnf = Cnf()
-        lits = [cnf.new_var() for _ in range(3)]
-        y = encode_or(cnf, lits)
-        cnf.add_clause([y])
-        for lit in lits:
-            cnf.add_clause([-lit])
-        assert solve_cnf(cnf).is_unsat
 
 
 def _random_3sat(num_vars: int, num_clauses: int, seed: int) -> Cnf:
@@ -196,17 +187,6 @@ class TestCec:
         if result.counterexample:
             assert set(result.counterexample) == {f"pi{i}" for i in range(n)}
 
-    def test_miter_single_output(self, small_mem_ctrl):
-        m = miter(small_mem_ctrl, small_mem_ctrl.clone())
-        assert m.num_pos == 1
-        assert m.num_pis == small_mem_ctrl.num_pis
-
-    def test_single_miter_mode(self):
-        a = arithmetic.adder(4)
-        b = balance(a)
-        result = check_equivalence(a, b, per_output=False)
-        assert result.equivalent
-
     def test_prove_equivalent_vars(self):
         aig = Aig()
         x, y = aig.add_pi("x"), aig.add_pi("y")
@@ -215,7 +195,5 @@ class TestCec:
         h = aig.add_and(x, lit_not(y))
         aig.add_po(f)
         aig.add_po(h)
-        from repro.aig.graph import lit_var
-
-        assert prove_equivalent_vars(aig, lit_var(f), lit_var(g)) == "equivalent"
-        assert prove_equivalent_vars(aig, lit_var(f), lit_var(h)) == "different"
+        assert prove_pair(aig, f, g).status == "equivalent"
+        assert prove_pair(aig, f, h).status == "different"
