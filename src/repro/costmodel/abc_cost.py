@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from repro.aig.graph import Aig
 from repro.mapping.cut_mapping import map_aig
-from repro.mapping.library import Library, asap7_like_library
+from repro.mapping.library import Library, default_library
 
 
 @dataclass
@@ -41,7 +41,7 @@ class MappingCostModel:
         cache: bool = True,
         fast: bool = True,
     ):
-        self.library = library or asap7_like_library()
+        self.library = library or default_library()
         self.delay_weight = delay_weight
         self.area_weight = area_weight
         self.pre_balance = pre_balance

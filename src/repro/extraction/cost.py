@@ -63,7 +63,7 @@ class DepthCost(CostFunction):
 
 
 #: The structural costs a flow can guide extraction by, by name
-#: (``extract(cost=)`` and the per-window ``WindowOptConfig.cost``).
+#: (``extract(cost=)``, in a whole-circuit flow or a partition window).
 GUIDING_COSTS = {"depth": DepthCost, "nodes": NodeCountCost}
 
 

@@ -3,9 +3,9 @@ saturate + extract, and CEC-guarded stitching.
 
 The monolithic engine caps out orders of magnitude below EPFL-scale inputs;
 this package decomposes a host AIG into bounded windows (fanout-free cones
-or structural level cuts), optimizes each window with the PR-3/PR-4
-saturation and extraction engines — optionally fanned out over a process
-pool — and splices the survivors back, guarded by per-window and
+or structural level cuts), optimizes each window with the pipeline's own
+``dag2eg``/``saturate``/``extract`` passes — optionally fanned out over a
+process pool — and splices the survivors back, guarded by per-window and
 whole-circuit SAT CEC.  See ``windows``/``optimize``/``stitch``/
 ``telemetry``/``bench`` for the layers.
 """
@@ -14,7 +14,6 @@ from repro.partition.optimize import (
     PartitionConfig,
     PartitionOutcome,
     PartitionPlan,
-    WindowOptConfig,
     optimize_window,
     partitioned_optimize,
     window_seed,
@@ -35,7 +34,6 @@ __all__ = [
     "PartitionPlan",
     "PartitionProfile",
     "Window",
-    "WindowOptConfig",
     "WindowReport",
     "check_partition",
     "optimize_window",

@@ -30,7 +30,12 @@ from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.partition.optimize import PartitionConfig, WindowOptConfig, partitioned_optimize
+from repro.partition.optimize import (
+    WINDOW_STEPS,
+    PartitionConfig,
+    WindowStep,
+    partitioned_optimize,
+)
 
 BENCH_SCHEMA = 1
 
@@ -60,7 +65,7 @@ def _monolithic_run(aig, limits: EngineLimits, budget: float) -> Dict[str, objec
 def _partitioned_run(
     aig,
     partition: PartitionConfig,
-    window: WindowOptConfig,
+    window: Sequence[WindowStep],
     budget: float,
 ) -> Dict[str, object]:
     outcome = partitioned_optimize(aig, partition, window, verify=True)
@@ -114,7 +119,8 @@ def run_partition_bench(
         workers = (os.cpu_count() or 1) if workers is None else workers
     limits = EngineLimits(max_iterations=iters, max_nodes=max_nodes, time_limit=budget)
     partition = PartitionConfig(k=k, method=method, seed=seed, workers=workers)
-    window = WindowOptConfig(iters=iters, max_nodes=max_nodes, time_limit=budget)
+    saturate = {"iters": iters, "max_nodes": max_nodes, "time_limit": budget}
+    window = (("saturate", saturate),) + WINDOW_STEPS[1:]
 
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,

@@ -1,9 +1,10 @@
 """Per-window saturate + extract, fanned out over processes, with CEC guards.
 
 This is the "conquer" half: every :class:`~repro.partition.windows.Window`
-runs the full ``dag2eg -> saturate -> extract -> eg2dag`` flow on its own
-sub-AIG, bounded by :class:`WindowOptConfig` limits.  Three guards keep the
-run fail-soft and sound:
+runs the registered ``dag2eg`` pass and then the window steps (``saturate``
+and ``extract`` with the parameters staged in the pipeline, or
+:data:`WINDOW_STEPS`) on its own sub-AIG — the same pass code a
+whole-circuit flow runs.  Three guards keep the run fail-soft and sound:
 
 * a window whose optimization raises (limits tripped, cyclic extraction,
   anything) keeps its original cone (``status="failed"``);
@@ -20,7 +21,7 @@ the captured observer buffers with its result, and the parent absorbs them
 window index is stamped where records are produced (the ``window`` span, the
 window-scoped provenance and resource merges in :func:`optimize_window`), so
 a pooled run records exactly what an inline run records.  Results are a pure
-function of ``(aig, configs)``: ``workers=0`` (inline) and any pool size
+function of ``(aig, config, steps)``: ``workers=0`` (inline) and any pool size
 produce identical stitched circuits, reports, and profiles modulo
 wall-clock fields.
 
@@ -36,17 +37,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
-from repro.conversion.dag2eg import aig_to_egraph
-from repro.conversion.eg2dag import extraction_to_aig
-from repro.egraph.rules import boolean_rules
-from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.cost import guiding_cost
-from repro.extraction.engine import PortfolioConfig, portfolio_extract
-from repro.extraction.greedy import greedy_extract
+from repro.mapping.library import default_library
 from repro.obs import provenance as obs_provenance
 from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
@@ -66,28 +61,19 @@ def window_seed(base: int, index: int) -> int:
     return base + SEED_STRIDE * index
 
 
-@dataclass(frozen=True)
-class WindowOptConfig:
-    """Limits and knobs applied to every window's saturate + extract flow."""
+#: One window step: a registered pass name and the parameters it runs with.
+WindowStep = Tuple[str, Dict[str, object]]
 
-    # saturation (mirrors the ``saturate`` pass defaults, scaled per window)
-    iters: int = 5
-    max_nodes: int = 40_000
-    time_limit: float = 30.0
-    scheduler: str = "backoff"
-    dedup: bool = True
-    # extraction
-    method: str = "sa"  # "sa" (portfolio) | "greedy"
-    chains: int = 2
-    moves: int = 64
-    cost: str = "depth"  # "depth" | "nodes"
-    seed: int = 7
-    # per-window CEC guard
-    sim_words: int = 8
-    conflict_budget: int = 50_000
+#: What every window runs after ``dag2eg`` when nothing is staged: ``saturate``
+#: at its defaults, then a 2-chain portfolio of 32 moves per chain.
+WINDOW_STEPS: Tuple[WindowStep, ...] = (
+    ("saturate", {}),
+    ("extract", {"method": "sa", "threads": 2, "iters": 8, "moves": 4}),
+)
 
-    def guiding_cost(self):
-        return guiding_cost(self.cost)
+#: Budget of the per-window CEC guards and of the final whole-circuit CEC.
+GUARD_SIM_WORDS = 8
+GUARD_CONFLICT_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -107,15 +93,17 @@ class PartitionPlan:
     """A pending partition inside a pipeline flow.
 
     The ``partition`` pass computes windows and parks this plan on the
-    context; later ``saturate`` / ``extract`` passes stage their parameters
-    here instead of executing, and ``stitch`` runs the whole fan-out.
+    context; later ``saturate`` / ``extract`` passes validate their
+    parameters and record themselves in ``steps`` instead of executing, and
+    ``stitch`` runs the whole fan-out.
     """
 
     config: PartitionConfig
     windows: List[Window]
-    window_config: WindowOptConfig = field(default_factory=WindowOptConfig)
-    saturate_staged: bool = False
-    extract_staged: bool = False
+    #: The window flow after ``dag2eg``, pass name -> parameters, in run
+    #: order; a staged pass replaces its own entry, so ``saturate`` always
+    #: runs before ``extract``.
+    steps: Dict[str, Dict[str, object]] = field(default_factory=lambda: dict(WINDOW_STEPS))
 
 
 @dataclass
@@ -127,12 +115,20 @@ class PartitionOutcome:
     reports: List[WindowReport]
 
 
-def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowReport, Optional[Aig]]:
-    """Run saturate + extract + CEC on one window's sub-AIG.
+def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[WindowReport, Optional[Aig]]:
+    """Run ``dag2eg``, then ``steps``, then the CEC guard on one window's sub-AIG.
 
-    Returns ``(report, optimized_or_None)``; ``None`` means the window keeps
-    its original cone.  Never raises — failures land in ``report.error``.
+    Every step is the registered pipeline pass of that name, run on a
+    :class:`~repro.pipeline.context.FlowContext` over ``sub``; the only
+    parameter the window changes is ``extract``'s ``seed``, which becomes
+    :func:`window_seed`\\ ``(seed, index)``.  Returns
+    ``(report, optimized_or_None)``; ``None`` means the window keeps its
+    original cone.  Never raises — failures land in ``report.error``.
     """
+    # Imported here: the pipeline's pass registry imports this package.
+    from repro.pipeline.context import FlowContext
+    from repro.pipeline.passes import resolve_pass
+
     report = WindowReport(
         index=index,
         ands_before=sub.num_ands,
@@ -143,70 +139,33 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
     start = time.perf_counter()
     plog = None
     wsampler = None
+    ctx = FlowContext(aig=sub, original=sub, library=default_library())
     span = obs.span("window", category="partition.window", window=index, ands=sub.num_ands)
     try:
         with span:
-            circuit = aig_to_egraph(sub)
-            limits = EngineLimits(
-                max_iterations=cfg.iters,
-                max_nodes=cfg.max_nodes,
-                time_limit=cfg.time_limit,
-            )
-            engine = SaturationEngine(
-                circuit.egraph,
-                boolean_rules(),
-                limits,
-                scheduler=cfg.scheduler,
-                dedup_matches=cfg.dedup,
-            )
-            with ExitStack() as stack:
+            with ExitStack() as scopes:
                 if obs_provenance.recording_enabled():
                     # One scoped log per window: each window is its own
                     # e-graph id space, so a shared log would mis-resolve
                     # class ids.
-                    plog = stack.enter_context(obs_provenance.recording())
+                    plog = scopes.enter_context(obs_provenance.recording())
                 if obs_resource.sampling_enabled():
                     # Same per-window scoping for resource samples, so the
                     # merge below can stamp the window index on each one.
-                    wsampler = stack.enter_context(obs_resource.sampling())
-                sat_profile = engine.run()
-            if sat_profile.resource is not None:
-                report.resource = dict(sat_profile.resource)
-                report.resource["extra"] = {
-                    **report.resource.get("extra", {}),
-                    "window": index,
-                }
-            report.saturation_stop = sat_profile.stop_reason
-            report.saturation_iterations = sat_profile.num_iterations
-            report.egraph_nodes = sat_profile.final_nodes
-            if cfg.method == "greedy":
-                extraction = greedy_extract(circuit.egraph, cost=cfg.guiding_cost())
-            else:
-                result = portfolio_extract(
-                    circuit.egraph,
-                    list(circuit.output_classes),
-                    cost=cfg.guiding_cost(),
-                    config=PortfolioConfig(
-                        chains=cfg.chains,
-                        move_budget=cfg.moves,
-                        migrate_every=max(1, cfg.moves // (2 * cfg.chains)),
-                        seed=window_seed(cfg.seed, index),
-                        workers=0,
-                    ),
-                    seed_solution=circuit.original_extraction(),
-                )
-                extraction = result.extraction
-                report.extract_cost = result.cost
-            optimized = extraction_to_aig(circuit, extraction, name=sub.name).strash()
-            if plog is not None:
-                try:
-                    report.attribution = obs_provenance.attribute_extraction(
-                        circuit, extraction, plog, profile=sat_profile, final_aig=optimized
-                    ).to_dict()
-                except Exception:  # attribution must never fail a window
-                    report.attribution = None
+                    wsampler = scopes.enter_context(obs_resource.sampling())
+                resolve_pass("dag2eg").run(ctx, {})
+                for name, params in steps:
+                    spec = resolve_pass(name)
+                    if spec.name == "extract":
+                        # The scopes cover the e-graph's build and saturation
+                        # only; extraction records reach the outer observers.
+                        scopes.close()
+                        seed = params.get("seed", spec.params["seed"])
+                        params = {**params, "seed": window_seed(seed, index)}
+                    spec.run(ctx, params)
+            optimized = ctx.aig
             cec = check_equivalence(
-                sub, optimized, sim_words=cfg.sim_words, conflict_budget=cfg.conflict_budget
+                sub, optimized, sim_words=GUARD_SIM_WORDS, conflict_budget=GUARD_CONFLICT_BUDGET
             )
             report.cec = cec.status
             after = (optimized.num_ands, logic_depth(optimized))
@@ -225,6 +184,18 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
         report.status = "failed"
         report.error = f"{type(exc).__name__}: {exc}"
         optimized = None
+    saturation = ctx.rewrite_report
+    if saturation is not None:
+        report.saturation_stop = saturation.stop_reason
+        report.saturation_iterations = saturation.num_iterations
+        report.egraph_nodes = saturation.final_nodes
+        if saturation.resource is not None:
+            extra = {**saturation.resource.get("extra", {}), "window": index}
+            report.resource = {**saturation.resource, "extra": extra}
+    if ctx.extraction_profile is not None:
+        report.extract_cost = ctx.extraction_profile.best_cost
+    if ctx.attribution is not None:
+        report.attribution = ctx.attribution.to_dict()
     if optimized is None:
         report.ands_after = report.ands_before
         report.levels_after = report.levels_before
@@ -240,22 +211,22 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
     return report, optimized
 
 
-def _worker_optimize(index: int, sub: Aig, cfg: WindowOptConfig, kinds: frozenset):
+def _worker_optimize(index: int, sub: Aig, steps: Sequence[WindowStep], kinds: frozenset):
     """Pool entry point: optimize one window under the parent's observer
     kinds; returns ``(report, optimized, payload)``."""
     with capture(kinds) as captured:
-        report, optimized = optimize_window(index, sub, cfg)
+        report, optimized = optimize_window(index, sub, steps)
     return report, optimized, captured.payload
 
 
 def partitioned_optimize(
     aig: Aig,
     partition: Optional[PartitionConfig] = None,
-    window: Optional[WindowOptConfig] = None,
+    window: Sequence[WindowStep] = WINDOW_STEPS,
     windows: Optional[List[Window]] = None,
     verify: bool = True,
 ) -> PartitionOutcome:
-    """Partition, optimize every window, and stitch the host back together.
+    """Partition, run the ``window`` steps on every window, and stitch the host back together.
 
     ``windows`` short-circuits the decomposition (the pipeline's ``stitch``
     pass passes the plan's precomputed windows).  ``verify`` runs the final
@@ -264,7 +235,6 @@ def partitioned_optimize(
     from repro.partition.stitch import stitch_windows
 
     partition = partition or PartitionConfig()
-    window_cfg = window or WindowOptConfig()
     start = time.perf_counter()
     profile = PartitionProfile(
         method=partition.method,
@@ -293,7 +263,7 @@ def partitioned_optimize(
             kinds = installed()
             with ProcessPoolExecutor(partition.workers) as pool:
                 futures = [
-                    pool.submit(_worker_optimize, w.index, w.aig, window_cfg, kinds)
+                    pool.submit(_worker_optimize, w.index, w.aig, window, kinds)
                     for w in windows
                 ]
                 # Absorb in window-index order so observability output is
@@ -303,7 +273,7 @@ def partitioned_optimize(
                     absorb(payload)
         else:
             for w in windows:
-                reports[w.index], optimized[w.index] = optimize_window(w.index, w.aig, window_cfg)
+                reports[w.index], optimized[w.index] = optimize_window(w.index, w.aig, window)
     profile.optimize_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -333,8 +303,7 @@ def partitioned_optimize(
     if verify:
         with obs.span("final cec", category="partition"):
             cec = check_equivalence(
-                aig, stitched, sim_words=window_cfg.sim_words,
-                conflict_budget=window_cfg.conflict_budget,
+                aig, stitched, sim_words=GUARD_SIM_WORDS, conflict_budget=GUARD_CONFLICT_BUDGET
             )
         profile.final_cec = cec.status
         if cec.status == "counterexample":

@@ -50,13 +50,16 @@ class WindowReport:
 
     @property
     def accepted(self) -> bool:
+        """True when the optimized cone replaced the original one."""
         return self.status == "accepted"
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-ready payload of every field."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "WindowReport":
+        """Rebuild a report from :meth:`to_dict` output."""
         return cls(**payload)
 
 
@@ -88,26 +91,32 @@ class PartitionProfile:
 
     @property
     def accepted_windows(self) -> int:
+        """Windows whose optimized cone was stitched in."""
         return sum(1 for w in self.windows if w.status == "accepted")
 
     @property
     def reverted_windows(self) -> int:
+        """Windows reverted by the CEC guard or for lack of gain."""
         return sum(1 for w in self.windows if w.status.startswith("reverted"))
 
     @property
     def failed_windows(self) -> int:
+        """Windows whose optimization raised."""
         return sum(1 for w in self.windows if w.status == "failed")
 
     def window_sizes(self) -> List[int]:
+        """Member count of every window, in window order."""
         return [w.members for w in self.windows]
 
     def status_counts(self) -> Dict[str, int]:
+        """Windows per status, every status of :data:`WINDOW_STATUSES` present."""
         counts = {status: 0 for status in WINDOW_STATUSES}
         for window in self.windows:
             counts[window.status] = counts.get(window.status, 0) + 1
         return counts
 
     def to_dict(self) -> Dict[str, object]:
+        """JSON-ready payload, derived counts and per-window reports included."""
         return {
             "method": self.method,
             "k": self.k,
@@ -135,6 +144,7 @@ class PartitionProfile:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "PartitionProfile":
+        """Rebuild a profile from :meth:`to_dict` output (derived counts are recomputed)."""
         profile = cls(
             method=payload.get("method", "cone"),
             k=payload.get("k", 0),

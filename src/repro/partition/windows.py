@@ -52,9 +52,11 @@ class Window:
 
     @property
     def num_members(self) -> int:
+        """Host AND nodes the window covers."""
         return len(self.members)
 
     def summary(self) -> Dict[str, int]:
+        """The window's shape: index, members, boundary widths, sub-AIG ANDs."""
         return {
             "index": self.index,
             "members": len(self.members),

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.aig.graph import Aig
 from repro.engine.telemetry import SaturationProfile
 from repro.mapping.cut_mapping import MappingResult
-from repro.mapping.library import Library, asap7_like_library
+from repro.mapping.library import Library, default_library
 from repro.verify.cec import CecResult
 
 
@@ -64,8 +64,8 @@ class FlowContext:
     #: Extraction-engine telemetry; set by ``extract(sa)``.
     extraction_profile: Optional[object] = None
     #: Pending partition plan; set by ``partition``, consumed by ``stitch``.
-    #: While it is live, ``saturate``/``extract`` stage parameters into it
-    #: instead of executing (see the ``partition`` pass docs).
+    #: While it is live, ``saturate``/``extract`` stage themselves into it
+    #: as window steps instead of executing (see the ``partition`` pass docs).
     partition_plan: Optional[object] = None
     #: Partitioned-run telemetry; set by ``stitch``.
     partition_profile: Optional[object] = None
@@ -90,7 +90,7 @@ class FlowContext:
     def for_aig(cls, aig: Aig, library: Optional[Library] = None, **kwargs) -> "FlowContext":
         """A fresh context: the original is the strashed input."""
         original = aig.strash()
-        return cls(aig=original, original=original, library=library or asap7_like_library(), **kwargs)
+        return cls(aig=original, original=original, library=library or default_library(), **kwargs)
 
     # -- prerequisites ------------------------------------------------------
 

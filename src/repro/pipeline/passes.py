@@ -15,9 +15,9 @@ Kinds:
 * ``extract`` — ``extract``, e-graph → candidate AIGs (SA/greedy/random).
 * ``partition`` — ``partition``/``stitch``, windowed saturate+extract for
   circuits beyond the monolithic engine's ceiling.  ``partition`` parks a
-  plan on the context; ``saturate``/``extract`` *stage* their parameters
-  into a pending plan instead of executing; ``stitch`` runs the per-window
-  fan-out and splices the results back, CEC-guarded.
+  plan on the context; ``saturate``/``extract`` *stage* themselves as the
+  pending plan's window steps instead of executing; ``stitch`` runs those
+  passes on every window and splices the results back, CEC-guarded.
 * ``map`` — ``premap``/``map``, technology mapping (choice-aware).
 * ``verify`` — ``cec``, equivalence check against the pipeline's input.
 """
@@ -25,7 +25,7 @@ Kinds:
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
@@ -51,7 +51,6 @@ from repro.partition import (
     PARTITION_METHODS,
     PartitionConfig,
     PartitionPlan,
-    WindowOptConfig,
     partition_aig,
     partitioned_optimize,
 )
@@ -241,6 +240,8 @@ def _pass_cleanup(ctx: FlowContext) -> None:
 @register_pass("dag2eg", "direct DAG-to-DAG conversion: AIG -> e-graph", kind="convert")
 def _pass_dag2eg(ctx: FlowContext) -> None:
     ctx.circuit = aig_to_egraph(ctx.aig)
+    # The last saturation's log speaks of the old e-graph's class ids.
+    ctx.provenance_log = None
     ctx.metrics["egraph_initial_classes"] = ctx.circuit.egraph.num_classes
     ctx.metrics["egraph_initial_nodes"] = ctx.circuit.egraph.num_nodes
 
@@ -263,9 +264,9 @@ def _pass_saturate(
     runner loop.  E-matching always runs the batched trie walk over the
     e-graph's integer rows.
 
-    After a ``partition`` pass the parameters are *staged* into the pending
-    plan (applied per window when ``stitch`` runs) instead of saturating a
-    whole-circuit e-graph.  Negative budgets are rejected before staging.
+    After a ``partition`` pass the validated parameters are *staged*: the
+    pass records itself as the plan's ``saturate`` step, which every window
+    runs when ``stitch`` does, instead of saturating a whole-circuit e-graph.
     """
     if scheduler not in SCHEDULERS:
         raise PipelineError(
@@ -276,15 +277,9 @@ def _pass_saturate(
             raise PipelineError(f"saturate needs {name} >= 0")
     plan = ctx.partition_plan
     if plan is not None:
-        plan.window_config = replace(
-            plan.window_config,
-            iters=iters,
-            max_nodes=max_nodes,
-            time_limit=time_limit,
-            scheduler=scheduler,
-            dedup=dedup,
+        plan.steps["saturate"] = dict(
+            iters=iters, max_nodes=max_nodes, time_limit=time_limit, scheduler=scheduler, dedup=dedup
         )
-        plan.saturate_staged = True
         ctx.metrics["saturation_staged"] = True
         return
     circuit = ctx.require_egraph("saturate")
@@ -351,9 +346,12 @@ def _pass_extract(
     identical either way, so ``workers=N`` is purely a throughput knob for
     big budgets.
 
-    After a ``partition`` pass the parameters are *staged* into the pending
-    plan (applied per window when ``stitch`` runs); only ``sa`` and
-    ``greedy`` extraction are available per window.
+    After a ``partition`` pass the validated parameters are *staged*: the
+    pass records itself as the plan's ``extract`` step, which every window
+    runs when ``stitch`` does, seeded ``window_seed(seed, index)``.  Only
+    ``sa`` and ``greedy`` extraction are available per window, without
+    ``use_ml``, and ``workers`` must stay 0: windows already fan out over
+    ``partition(workers=)``.
     """
     if method not in EXTRACT_METHODS:
         raise PipelineError(
@@ -375,15 +373,16 @@ def _pass_extract(
             raise PipelineError("extract(random) is not supported inside a partitioned flow")
         if use_ml:
             raise PipelineError("extract(use_ml=true) is not supported inside a partitioned flow")
-        plan.window_config = replace(
-            plan.window_config,
-            method=method,
-            chains=threads,
-            moves=iters * moves * threads,
-            cost=cost,
-            seed=seed,
+        if workers:
+            # A chain pool per window would pay process start-up once per window.
+            raise PipelineError(
+                "extract(workers=) is not supported inside a partitioned flow; "
+                "windows fan out over partition(workers=)"
+            )
+        plan.steps["extract"] = dict(
+            method=method, threads=threads, migrate_every=migrate_every,
+            iters=iters, moves=moves, seed=seed, cost=cost,
         )
-        plan.extract_staged = True
         ctx.metrics["extraction_staged"] = True
         return
     circuit = ctx.require_egraph("extract")
@@ -472,8 +471,9 @@ def _pass_partition(
     """Decompose the working AIG into windows of at most ``k`` AND nodes.
 
     The decomposition is parked on the context as a plan; subsequent
-    ``saturate``/``extract`` passes stage their parameters into it, and
-    ``stitch`` executes the per-window flow and splices the results back.
+    ``saturate``/``extract`` passes stage themselves into it as window
+    steps, and ``stitch`` runs ``dag2eg`` plus those steps on every window
+    and splices the results back.
     ``method`` is ``cone`` (fanout-free-cone clustering) or ``window``
     (structural level cuts); ``seed`` shifts the cut phase; ``workers=N``
     fans windows out over N processes (0 = inline, identical results).
@@ -502,9 +502,9 @@ def _pass_partition(
 def _pass_stitch(ctx: FlowContext, verify: bool = True) -> None:
     """Execute a pending partition plan.
 
-    Runs the staged (or default) saturate+extract flow on every window —
-    inline or across the plan's worker pool — CEC-guards each window,
-    splices the survivors into the working AIG, and embeds the
+    Runs ``dag2eg`` and the staged (or default) saturate+extract steps on
+    every window — inline or across the plan's worker pool — CEC-guards
+    each window, splices the survivors into the working AIG, and embeds the
     :class:`~repro.partition.telemetry.PartitionProfile` in the flow result.
     ``verify=false`` skips the final whole-circuit CEC (the per-window
     guards still run).
@@ -518,7 +518,7 @@ def _pass_stitch(ctx: FlowContext, verify: bool = True) -> None:
     outcome = partitioned_optimize(
         ctx.aig,
         plan.config,
-        plan.window_config,
+        tuple(plan.steps.items()),
         windows=plan.windows,
         verify=verify,
     )

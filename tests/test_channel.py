@@ -16,7 +16,7 @@ from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.obs import current_sampler, recording, reset_registry, sampling, span, tracing
 from repro.obs.channel import absorb, capture, installed
 from repro.obs.metrics import registry
-from repro.partition import PartitionConfig, WindowOptConfig, partitioned_optimize
+from repro.partition import PartitionConfig, partitioned_optimize
 from repro.pipeline import Pipeline
 
 
@@ -74,8 +74,11 @@ def _portfolio(workers, tmp_path):
 
 def _partition(workers, tmp_path):
     aig = epfl.build("log2", preset="test")
-    cfg = WindowOptConfig(iters=2, max_nodes=2_500, chains=2, moves=8)
-    return lambda: partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), cfg)
+    window = (
+        ("saturate", {"iters": 2, "max_nodes": 2_500}),
+        ("extract", {"method": "sa", "threads": 2, "iters": 1, "moves": 4}),
+    )
+    return lambda: partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), window)
 
 
 def _campaign(workers, tmp_path):

@@ -212,14 +212,17 @@ class TestPartitionedSpanSummary:
         # barrier; span_summary must digest the multi-pid trace exactly like
         # the inline single-pid one (categories and counts, not timings).
         from repro.benchgen import epfl
-        from repro.partition import PartitionConfig, WindowOptConfig, partitioned_optimize
+        from repro.partition import PartitionConfig, partitioned_optimize
 
         aig = epfl.build("log2", preset="test")
-        cfg = WindowOptConfig(iters=2, max_nodes=2_500, chains=2, moves=8)
+        window = (
+            ("saturate", {"iters": 2, "max_nodes": 2_500}),
+            ("extract", {"method": "sa", "threads": 2, "iters": 1, "moves": 4}),
+        )
 
         def run(workers):
             with tracing() as tracer:
-                partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), cfg)
+                partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), window)
             return tracer
 
         inline, pooled = run(0), run(2)

@@ -2,8 +2,9 @@
 
 Covers the partitioner invariants (coverage, convexity, determinism per
 seed), the identity stitch round trip (CEC-verified), per-window
-optimization with its fail-soft and revert guards, inline-vs-pool
-determinism of ``partitioned_optimize``, the telemetry JSON surface, the
+optimization with its fail-soft and revert guards, the window flow against
+its pre-pipeline oracle, inline-vs-pool determinism of
+``partitioned_optimize``, the telemetry JSON surface, the
 ``partition``/``stitch`` pipeline passes, and the fast bench profile's
 capability-gap demonstration.
 """
@@ -11,17 +12,29 @@ capability-gap demonstration.
 from __future__ import annotations
 
 import json
+import time
+from contextlib import ExitStack
+from dataclasses import dataclass
 
 import pytest
 
 from repro.aig.graph import Aig, lit_var
-from repro.aig.levels import compute_levels
+from repro.aig.levels import compute_levels, logic_depth
 from repro.benchgen import epfl
+from repro.conversion.dag2eg import aig_to_egraph
+from repro.conversion.eg2dag import extraction_to_aig
+from repro.egraph.rules import boolean_rules
+from repro.engine import EngineLimits, SaturationEngine
+from repro.extraction.cost import guiding_cost
+from repro.extraction.engine import PortfolioConfig, portfolio_extract
+from repro.extraction.greedy import greedy_extract
+from repro.obs import provenance as obs_provenance
+from repro.obs import resource as obs_resource
+from repro.obs import trace as obs
 from repro.partition import (
     PARTITION_METHODS,
     PartitionConfig,
     PartitionProfile,
-    WindowOptConfig,
     WindowReport,
     check_partition,
     optimize_window,
@@ -31,9 +44,16 @@ from repro.partition import (
     window_round_trip,
     window_seed,
 )
+from repro.partition.optimize import WINDOW_STEPS
 from repro.pipeline import Pipeline
 from repro.pipeline.context import PipelineError
 from repro.verify.cec import check_equivalence
+
+#: Small window budgets: two saturation iterations, two chains of 4 moves.
+SMALL_WINDOW = (
+    ("saturate", {"iters": 2, "max_nodes": 2500}),
+    ("extract", {"method": "sa", "threads": 2, "iters": 1, "moves": 4}),
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +128,11 @@ class TestStitch:
 class TestOptimizeWindow:
     def test_accepts_only_improvements(self, log2_test):
         windows = partition_aig(log2_test, k=60)
-        cfg = WindowOptConfig(iters=3, max_nodes=3000, chains=2, moves=16)
-        report, optimized = optimize_window(0, windows[0].aig, cfg)
+        steps = (
+            ("saturate", {"iters": 3, "max_nodes": 3000}),
+            ("extract", {"method": "sa", "threads": 2, "iters": 2, "moves": 4}),
+        )
+        report, optimized = optimize_window(0, windows[0].aig, steps)
         assert report.status in ("accepted", "reverted_no_gain", "reverted_cec")
         if report.status == "accepted":
             assert optimized is not None
@@ -124,18 +147,17 @@ class TestOptimizeWindow:
 
     def test_fail_soft_on_error(self, log2_test):
         windows = partition_aig(log2_test, k=60)
-        # An invalid scheduler makes the engine raise; the window must survive.
-        cfg = WindowOptConfig(scheduler="bogus")
-        report, optimized = optimize_window(0, windows[0].aig, cfg)
+        # An invalid scheduler makes the pass raise; the window must survive.
+        report, optimized = optimize_window(0, windows[0].aig, [("saturate", {"scheduler": "bogus"})])
         assert report.status == "failed"
         assert optimized is None
         assert report.error
 
     def test_unknown_guiding_cost_is_rejected(self):
         # It used to fall back to node count silently.
-        assert WindowOptConfig(cost="nodes").guiding_cost().mode == "sum"
+        assert guiding_cost("nodes").mode == "sum"
         with pytest.raises(ValueError, match="choose from depth, nodes"):
-            WindowOptConfig(cost="dept").guiding_cost()
+            guiding_cost("dept")
 
     def test_window_seed_stride(self):
         assert window_seed(7, 0) == 7
@@ -143,19 +165,227 @@ class TestOptimizeWindow:
         assert window_seed(7, 1) != window_seed(7, 0)
 
 
+# --------------------------------------------------------------------------
+# Oracle: the window flow from before windows ran the registered passes.
+# It built its own engine and portfolio from a 12-field config that the
+# pipeline's staging translated ``saturate``/``extract`` parameters into.
+
+
+@dataclass(frozen=True)
+class WindowOptConfig:
+    """Limits and knobs of the oracle window flow."""
+
+    iters: int = 5
+    max_nodes: int = 40_000
+    time_limit: float = 30.0
+    scheduler: str = "backoff"
+    dedup: bool = True
+    method: str = "sa"  # "sa" (portfolio) | "greedy"
+    chains: int = 2
+    moves: int = 64  # total over all chains
+    cost: str = "depth"
+    seed: int = 7
+    sim_words: int = 8
+    conflict_budget: int = 50_000
+
+
+def oracle_optimize_window(index, sub, cfg):
+    """The old ``optimize_window``: private engine + portfolio set-up."""
+    report = WindowReport(
+        index=index,
+        ands_before=sub.num_ands,
+        levels_before=logic_depth(sub),
+        inputs=sub.num_pis,
+        outputs=sub.num_pos,
+    )
+    start = time.perf_counter()
+    plog = None
+    wsampler = None
+    span = obs.span("window", category="partition.window", window=index, ands=sub.num_ands)
+    try:
+        with span:
+            circuit = aig_to_egraph(sub)
+            limits = EngineLimits(
+                max_iterations=cfg.iters, max_nodes=cfg.max_nodes, time_limit=cfg.time_limit
+            )
+            engine = SaturationEngine(
+                circuit.egraph,
+                boolean_rules(),
+                limits,
+                scheduler=cfg.scheduler,
+                dedup_matches=cfg.dedup,
+            )
+            with ExitStack() as stack:
+                if obs_provenance.recording_enabled():
+                    plog = stack.enter_context(obs_provenance.recording())
+                if obs_resource.sampling_enabled():
+                    wsampler = stack.enter_context(obs_resource.sampling())
+                sat_profile = engine.run()
+            if sat_profile.resource is not None:
+                report.resource = dict(sat_profile.resource)
+                report.resource["extra"] = {**report.resource.get("extra", {}), "window": index}
+            report.saturation_stop = sat_profile.stop_reason
+            report.saturation_iterations = sat_profile.num_iterations
+            report.egraph_nodes = sat_profile.final_nodes
+            if cfg.method == "greedy":
+                extraction = greedy_extract(circuit.egraph, cost=guiding_cost(cfg.cost))
+            else:
+                result = portfolio_extract(
+                    circuit.egraph,
+                    list(circuit.output_classes),
+                    cost=guiding_cost(cfg.cost),
+                    config=PortfolioConfig(
+                        chains=cfg.chains,
+                        move_budget=cfg.moves,
+                        migrate_every=max(1, cfg.moves // (2 * cfg.chains)),
+                        seed=window_seed(cfg.seed, index),
+                        workers=0,
+                    ),
+                    seed_solution=circuit.original_extraction(),
+                )
+                extraction = result.extraction
+                report.extract_cost = result.cost
+            optimized = extraction_to_aig(circuit, extraction, name=sub.name).strash()
+            if plog is not None:
+                try:
+                    report.attribution = obs_provenance.attribute_extraction(
+                        circuit, extraction, plog, profile=sat_profile, final_aig=optimized
+                    ).to_dict()
+                except Exception:
+                    report.attribution = None
+            cec = check_equivalence(
+                sub, optimized, sim_words=cfg.sim_words, conflict_budget=cfg.conflict_budget
+            )
+            report.cec = cec.status
+            after = (optimized.num_ands, logic_depth(optimized))
+            if cec.status != "equivalent":
+                report.status = "reverted_cec"
+                optimized = None
+            elif after >= (report.ands_before, report.levels_before):
+                report.status = "reverted_no_gain"
+                optimized = None
+            else:
+                report.status = "accepted"
+                report.ands_after, report.levels_after = after
+            span.set("status", report.status)
+    except Exception as exc:
+        report.status = "failed"
+        report.error = f"{type(exc).__name__}: {exc}"
+        optimized = None
+    if optimized is None:
+        report.ands_after = report.ands_before
+        report.levels_after = report.levels_before
+    outer = obs_provenance.current_recorder()
+    if plog is not None and outer is not None:
+        outer.merge(plog.export(), window=index)
+    outer_sampler = obs_resource.current_sampler()
+    if wsampler is not None and outer_sampler is not None:
+        outer_sampler.merge(wsampler.export(), window=index)
+    report.wall_time = time.perf_counter() - start
+    return report, optimized
+
+
+#: Window flows: the staged passes, and the config the old staging built
+#: from them (``chains = threads``, ``moves = iters * moves * threads``).
+ORACLE_FLOWS = {
+    "partition-windows-1": (
+        "saturate(iters=3, max_nodes=8000); extract(sa, threads=2, seed=1)",
+        WindowOptConfig(iters=3, max_nodes=8000, chains=2, moves=32, seed=1),
+    ),
+    "partition-windows-2": (
+        "saturate(iters=3, max_nodes=8000); extract(sa, threads=2, seed=2)",
+        WindowOptConfig(iters=3, max_nodes=8000, chains=2, moves=32, seed=2),
+    ),
+    "small-sa": (
+        "saturate(iters=2, max_nodes=2500); extract(sa, threads=2, iters=1, moves=4)",
+        WindowOptConfig(iters=2, max_nodes=2500, chains=2, moves=8),
+    ),
+    "small-greedy": (
+        "saturate(iters=1, max_nodes=2000); extract(greedy)",
+        WindowOptConfig(iters=1, max_nodes=2000, method="greedy", chains=4, moves=64),
+    ),
+}
+
+#: The slow sweep adds the unstaged defaults, greedy at default saturation,
+#: and a node-count-guided 4-chain portfolio.
+SLOW_ORACLE_FLOWS = {
+    **ORACLE_FLOWS,
+    "defaults": ("", WindowOptConfig()),
+    "greedy": ("extract(greedy)", WindowOptConfig(method="greedy")),
+    "nodes-4-chains": (
+        "extract(sa, threads=4, iters=4, moves=4, cost=nodes)",
+        WindowOptConfig(chains=4, moves=64, cost="nodes"),
+    ),
+}
+
+
+def staged_steps(aig, staged):
+    """The window steps a pipeline stages from ``staged`` after ``partition``."""
+    ctx = Pipeline.from_script(f"st; partition(k=30); {staged}".rstrip("; ")).run(aig)
+    return tuple(ctx.partition_plan.steps.items())
+
+
+def observed_window(run):
+    """Run one window under a tracer, a provenance recorder and a resource
+    sampler; everything it produced, minus wall time, RSS and pids."""
+    with obs.tracing() as tracer, obs_provenance.recording() as log, obs_resource.sampling() as sampler:
+        report, optimized = run()
+    drop = lambda payload, keys: {k: v for k, v in payload.items() if k not in keys}
+    payload = drop(report.to_dict(), {"wall_time"})
+    if payload["resource"] is not None:
+        payload["resource"] = drop(payload["resource"], {"pid", "peak_rss_bytes"})
+    position = {record.span_id: i for i, record in enumerate(tracer.records)}
+    return {
+        "report": payload,
+        "aig": None if optimized is None else (optimized.name, optimized.nodes, optimized.pis, optimized.pos),
+        "provenance": [drop(r.to_dict(), {"pid"}) for r in log.nodes + log.merges],
+        "resource": [drop(s.to_dict(), {"pid", "peak_rss_bytes"}) for s in sampler.samples],
+        "spans": [
+            (r.name, r.category, r.args, position.get(r.parent_id)) for r in tracer.records
+        ],
+    }
+
+
+def assert_windows_match_oracle(aig, partition_seed, staged, cfg):
+    steps = staged_steps(aig, staged)
+    for window in partition_aig(aig, k=30, seed=partition_seed):
+        new = observed_window(lambda: optimize_window(window.index, window.aig, steps))
+        old = observed_window(lambda: oracle_optimize_window(window.index, window.aig, cfg))
+        assert new == old, f"window {window.index}"
+
+
+class TestWindowFlowOracle:
+    def test_default_steps_are_the_old_default_config(self):
+        saturate, extract = WINDOW_STEPS
+        assert saturate == ("saturate", {})
+        # 2 chains x 32 moves = the old 64-move budget, migrating every 16.
+        assert extract == ("extract", {"method": "sa", "threads": 2, "iters": 8, "moves": 4})
+
+    @pytest.mark.parametrize("flow", list(ORACLE_FLOWS))
+    def test_windows_match_oracle(self, log2_test, flow):
+        staged, cfg = ORACLE_FLOWS[flow]
+        assert_windows_match_oracle(log2_test, 1, staged, cfg)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("partition_seed", [1, 2])
+    @pytest.mark.parametrize("name", ["arbiter", "hyp", "log2", "sin"])
+    @pytest.mark.parametrize("flow", list(SLOW_ORACLE_FLOWS))
+    def test_windows_match_oracle_sweep(self, name, partition_seed, flow):
+        staged, cfg = SLOW_ORACLE_FLOWS[flow]
+        assert_windows_match_oracle(epfl.build(name, preset="test"), partition_seed, staged, cfg)
+
+
 class TestPartitionedOptimize:
     def test_inline_equals_pool(self, log2_test):
-        cfg = WindowOptConfig(iters=2, max_nodes=2500, chains=2, moves=8)
-        inline = partitioned_optimize(log2_test, PartitionConfig(k=60, workers=0), cfg)
-        pooled = partitioned_optimize(log2_test, PartitionConfig(k=60, workers=2), cfg)
+        inline = partitioned_optimize(log2_test, PartitionConfig(k=60, workers=0), SMALL_WINDOW)
+        pooled = partitioned_optimize(log2_test, PartitionConfig(k=60, workers=2), SMALL_WINDOW)
         assert inline.aig.stats() == pooled.aig.stats()
         strip = lambda r: {k: v for k, v in r.to_dict().items() if k != "wall_time"}
         assert [strip(r) for r in inline.reports] == [strip(r) for r in pooled.reports]
         assert check_equivalence(inline.aig, pooled.aig).status == "equivalent"
 
     def test_profile_shape_and_final_cec(self, log2_test):
-        cfg = WindowOptConfig(iters=2, max_nodes=2500, chains=2, moves=8)
-        outcome = partitioned_optimize(log2_test, PartitionConfig(k=60), cfg, verify=True)
+        outcome = partitioned_optimize(log2_test, PartitionConfig(k=60), SMALL_WINDOW, verify=True)
         profile = outcome.profile
         assert profile.num_windows == len(profile.windows)
         assert profile.final_cec == "equivalent"
@@ -167,8 +397,7 @@ class TestPartitionedOptimize:
 
 class TestTelemetry:
     def test_profile_json_round_trip(self, log2_test):
-        cfg = WindowOptConfig(iters=2, max_nodes=2500, chains=2, moves=8)
-        profile = partitioned_optimize(log2_test, PartitionConfig(k=60), cfg).profile
+        profile = partitioned_optimize(log2_test, PartitionConfig(k=60), SMALL_WINDOW).profile
         payload = json.loads(json.dumps(profile.to_dict()))
         restored = PartitionProfile.from_dict(payload)
         assert restored.to_dict() == profile.to_dict()

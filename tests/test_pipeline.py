@@ -26,6 +26,13 @@ from repro.pipeline import (
 from repro.pipeline.values import render_value
 from repro.verify.cec import check_equivalence
 
+def _walk(nodes):
+    """Every node of a span forest, depth first."""
+    for node in nodes:
+        yield node
+        yield from _walk(node["children"])
+
+
 #: The acceptance-criteria script, scaled down for test runtime.
 FAST_EMORPHIC_SCRIPT = (
     "st; sopb; dag2eg; saturate(iters=2, max_nodes=4000); "
@@ -41,6 +48,15 @@ UNHONOURABLE_EXTRACT_PARAMS = {
     "moves=-1": "moves >= 0",
     "migrate_every=-1": "migrate_every >= 0",
     "workers=-1": "workers >= 0",
+}
+
+#: Staged ``extract`` parameters windows used to drop silently: the
+#: ``portfolio round`` spans each window must run with 16 moves per chain,
+#: or the error naming what a staged one cannot do.
+STAGED_EXTRACT_PARAMS = {
+    "migrate_every=1": 16,
+    "migrate_every=64": 1,
+    "workers=2": "windows fan out over partition(workers=)",
 }
 
 #: ``saturate`` budgets no saturation can honour, with the error naming the
@@ -276,6 +292,13 @@ class TestPipelineExecution:
             ("start", "rewrite"), ("end", "rewrite"),
         ]
 
+    def test_contexts_share_the_default_library(self, small_adder):
+        from repro.costmodel.abc_cost import MappingCostModel
+        from repro.mapping.library import default_library
+
+        assert Pipeline.from_script("st").run(small_adder).library is default_library()
+        assert MappingCostModel().library is default_library()
+
     def test_unmapped_pipeline_has_no_qor_keys(self, small_adder):
         result = Pipeline.from_script("st; b").run_flow(small_adder)
         data = result.to_dict()
@@ -381,6 +404,32 @@ class TestOneExtractor:
         message = UNHONOURABLE_SATURATE_PARAMS[param]
         with pytest.raises(PipelineError, match=re.escape(message)):
             Pipeline.from_script(template.format(param)).run_flow(small_adder)
+
+    @pytest.mark.parametrize("param", list(STAGED_EXTRACT_PARAMS))
+    def test_staged_extract_params_honoured(self, param):
+        from repro.benchgen import epfl
+        from repro.obs.trace import tracing
+
+        pipeline = Pipeline.from_script(
+            "st; partition(k=30); saturate(iters=2, max_nodes=4000); "
+            f"extract(sa, threads=2, {param}); stitch"
+        )
+        aig = epfl.build("log2", preset="test")
+        expected = STAGED_EXTRACT_PARAMS[param]
+        if isinstance(expected, str):
+            with pytest.raises(PipelineError, match=re.escape(expected)):
+                pipeline.run_flow(aig)
+            return
+        with tracing() as tracer:
+            result = pipeline.run_flow(aig)
+
+        def rounds(node):
+            own = node["record"].name == "portfolio round"
+            return own + sum(rounds(child) for child in node["children"])
+
+        windows = [node for node in _walk(tracer.tree()) if node["record"].name == "window"]
+        assert len(windows) == result.partition_profile.num_windows > 1
+        assert [rounds(window) for window in windows] == [expected] * len(windows)
 
     @pytest.mark.parametrize("statement", list(UNHONOURABLE_CUT_PARAMS))
     def test_unhonourable_cut_params_rejected(self, statement, small_adder):

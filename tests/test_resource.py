@@ -114,12 +114,16 @@ class TestSamplerBuffers:
 
 
 class TestPartitionSampling:
-    def _run(self, aig, workers):
-        from repro.partition import PartitionConfig, WindowOptConfig, partitioned_optimize
+    WINDOW = (
+        ("saturate", {"iters": 2, "max_nodes": 2_500}),
+        ("extract", {"method": "sa", "threads": 2, "iters": 1, "moves": 4}),
+    )
 
-        cfg = WindowOptConfig(iters=2, max_nodes=2_500, chains=2, moves=8)
+    def _run(self, aig, workers):
+        from repro.partition import PartitionConfig, partitioned_optimize
+
         with sampling() as sampler:
-            outcome = partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), cfg)
+            outcome = partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), self.WINDOW)
         return outcome, sampler
 
     @staticmethod
@@ -150,11 +154,10 @@ class TestPartitionSampling:
 
     def test_partition_profile_resource_none_when_off(self):
         from repro.benchgen import epfl
-        from repro.partition import PartitionConfig, WindowOptConfig, partitioned_optimize
+        from repro.partition import PartitionConfig, partitioned_optimize
 
         aig = epfl.build("log2", preset="test")
-        cfg = WindowOptConfig(iters=2, max_nodes=2_500, chains=2, moves=8)
-        outcome = partitioned_optimize(aig, PartitionConfig(k=60, workers=0), cfg)
+        outcome = partitioned_optimize(aig, PartitionConfig(k=60, workers=0), self.WINDOW)
         payload = outcome.profile.to_dict()
         assert payload["resource"] is None
         assert all(w["resource"] is None for w in payload["windows"])
