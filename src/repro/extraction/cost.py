@@ -24,6 +24,7 @@ class CostFunction:
     mode: str = "sum"
 
     def node_cost(self, enode: ENode) -> float:
+        """The cost of ``enode`` alone, before aggregating its children."""
         raise NotImplementedError
 
     def aggregate(self, enode: ENode, child_costs: Iterable[float]) -> float:
@@ -46,6 +47,7 @@ class NodeCountCost(CostFunction):
     )
 
     def node_cost(self, enode: ENode) -> float:
+        """The operator's weight; operators without one cost 1."""
         return self.weights.get(enode.op, 1.0)
 
 
@@ -59,6 +61,7 @@ class DepthCost(CostFunction):
     )
 
     def node_cost(self, enode: ENode) -> float:
+        """The operator's weight; operators without one cost 1."""
         return self.weights.get(enode.op, 1.0)
 
 
@@ -89,6 +92,7 @@ class OperatorCost(CostFunction):
     default: float = 1.0
 
     def node_cost(self, enode: ENode) -> float:
+        """The operator's weight, or ``default`` for an unweighted operator."""
         return self.weights.get(enode.op, self.default)
 
 

@@ -7,14 +7,15 @@ pure function of ``(problem, ChainState, moves)``, which is what makes the
 portfolio deterministic regardless of whether rounds execute inline or on a
 ``ProcessPoolExecutor`` — the state carries the choice, the rng state, and
 the telemetry counters, and every round rebuilds the evaluator (topological
-order, flip candidates, cost caches) from the bare choice.  The rebuild
-reads e-graph structure from the problem's static ``users`` index instead of
-re-deriving it: flip candidates are derived only for the classes reachable
-under the choice, the depth evaluator keeps no parent map, and a restart's
-fresh random extraction is event-driven, which leaves one ``toposort`` and
-one evaluator set-up over the chosen classes per rebuild.  Each rebuild runs
-under a ``chain rebuild`` span, so a trace splits a round into rebuild and
-moves.
+order, flip candidates, cost caches) from the bare choice.  A rebuild walks
+the chosen classes once: :meth:`FrozenProblem.toposort` places every class
+and, for a depth cost, prices it as it goes, so the depth evaluator starts
+from those depths; flip candidates are derived only for the reachable
+multi-node classes a round can flip, and the sum evaluator counts
+references over the reachable classes.  A restart's fresh random extraction
+is event-driven over the problem's static ``users`` index.  Each rebuild
+runs under a ``chain rebuild`` span, so a trace splits a round into rebuild
+and moves.
 
 Chain kinds:
 
@@ -137,7 +138,7 @@ def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str):
     can flip.  Recomputed per round (reachability drifts as flips land),
     deterministic (ascending class ids).
     """
-    order = problem.toposort(choice)
+    order, depths = problem.toposort(choice)
     children = problem.children
     reachable = set()
     stack = list(problem.roots)
@@ -151,7 +152,7 @@ def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str):
         order, classes=[cid for cid in sorted(reachable) if len(children[cid]) > 1]
     )
     flippable = [cid for cid, indices in safe.items() if len(indices) > 1]
-    return safe, flippable, make_evaluator(evaluator, problem, choice, order=order)
+    return safe, flippable, make_evaluator(evaluator, problem, choice, order=order, depths=depths)
 
 
 def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainState:

@@ -10,8 +10,10 @@ here price a flip in two ways:
   ``sum`` mode, per-class depths in ``depth`` mode) so a flip re-evaluates
   only the ancestor cone of the flipped class.  ``depth`` mode keeps no
   parent map of its own: a class's extraction parents are the entries of
-  the problem's static ``users`` index that the live choice selects, so
-  setting up an evaluator costs one pass over the topological order.
+  the problem's static ``users`` index that the live choice selects.  Its
+  starting depths come from :meth:`FrozenProblem.toposort`, which prices
+  every class as it places it, so setting up an evaluator adds no walk of
+  its own; ``sum`` mode counts references over the root-reachable classes.
 * :class:`FullCostEvaluator` — the exact-parity reference: same interface,
   but every flip re-derives the cost from scratch with the same semantics as
   :func:`repro.extraction.cost.extraction_cost`.
@@ -19,9 +21,9 @@ here price a flip in two ways:
 Both evaluate a flip to the *identical* float whenever per-node costs are
 integer-valued (the default ``NodeCountCost``/``DepthCost``), which is what
 the engine's parity tests pin down.  With arbitrary float weights the
-``sum``-mode running total may drift by ulps between round boundaries; the
-portfolio rebuilds evaluator state from the bare choice at every migration
-barrier, so drift never accumulates across rounds.
+``sum``-mode running total may drift by ulps between flips; every portfolio
+round rebuilds evaluator state from the bare choice, so drift never carries
+from one round into the next.
 
 Flips must stay within :meth:`FrozenProblem.flip_candidates` of the order the
 evaluator was built with — that is what makes acyclicity an invariant and
@@ -107,6 +109,7 @@ class FullCostEvaluator(CostEvaluator):
         self.cost = choice_cost(problem, self.choice)
 
     def flip(self, cid: int, node_idx: int) -> float:
+        """Re-point ``cid`` at ``node_idx`` and re-derive the whole cost."""
         self.choice[cid] = node_idx
         self.cost = choice_cost(self.problem, self.choice)
         self.evals += 1
@@ -124,19 +127,28 @@ class DeltaCostEvaluator(CostEvaluator):
     and re-propagates depth changes upward in topological order, to the
     ``users`` of a changed class that the live choice selects.
 
-    ``order``, when given, must be ``problem.toposort(choice)``: depth set-up
-    walks it in its iteration order.
+    ``order`` and ``depths``, when given, must be the pair
+    ``problem.toposort(choice)`` returned; depth mode keeps both (``depths``
+    becomes its live depth table), sum mode ignores them.
     """
 
     kind = "delta"
 
-    def __init__(self, problem: FrozenProblem, choice: Choice, order: Optional[Dict[int, int]] = None):
+    def __init__(
+        self,
+        problem: FrozenProblem,
+        choice: Choice,
+        order: Optional[Dict[int, int]] = None,
+        depths: Optional[Dict[int, float]] = None,
+    ):
         super().__init__(problem, choice)
         if problem.mode == "sum":
             self._init_sum()
         else:
-            self._order = order if order is not None else problem.toposort(self.choice)
-            self._init_depth()
+            if order is None or depths is None:
+                order, depths = problem.toposort(self.choice)
+            self._order, self._depth = order, depths
+            self.cost = max((depths[r] for r in problem.roots), default=0.0)
 
     # -- sum mode -----------------------------------------------------------
 
@@ -196,17 +208,6 @@ class DeltaCostEvaluator(CostEvaluator):
 
     # -- depth mode ---------------------------------------------------------
 
-    def _init_depth(self) -> None:
-        self._depth: Dict[int, float] = {}
-        children, node_costs, choice = self.problem.children, self.problem.node_costs, self.choice
-        # toposort inserts positions in increasing order: children come first.
-        for cid in self._order:
-            child_depths = [self._depth[ch] for ch in children[cid][choice[cid]]]
-            self._depth[cid] = node_costs[cid][choice[cid]] + (
-                max(child_depths) if child_depths else 0.0
-            )
-        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
-
     def _flip_depth(self, cid: int, node_idx: int) -> float:
         choice = self.choice
         choice[cid] = node_idx
@@ -239,6 +240,7 @@ class DeltaCostEvaluator(CostEvaluator):
     # -- dispatch -----------------------------------------------------------
 
     def flip(self, cid: int, node_idx: int) -> float:
+        """Re-point ``cid`` at ``node_idx``, re-deriving only its cone."""
         self.evals += 1
         if self.problem.mode == "sum":
             return self._flip_sum(cid, node_idx)
@@ -253,9 +255,15 @@ def make_evaluator(
     problem: FrozenProblem,
     choice: Choice,
     order: Optional[Dict[int, int]] = None,
+    depths: Optional[Dict[int, float]] = None,
 ) -> CostEvaluator:
+    """The evaluator called ``kind`` over ``choice``.
+
+    ``order`` and ``depths`` are ``problem.toposort(choice)``'s pair, handed
+    to the delta evaluator so it does not walk the choice again.
+    """
     if kind == "delta":
-        return DeltaCostEvaluator(problem, choice, order=order)
+        return DeltaCostEvaluator(problem, choice, order=order, depths=depths)
     if kind == "full":
         return FullCostEvaluator(problem, choice)
     raise ValueError(f"unknown evaluator {kind!r}; choose from {', '.join(EVALUATORS)}")

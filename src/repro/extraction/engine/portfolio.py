@@ -91,12 +91,15 @@ class PortfolioConfig:
             raise ValueError("move_budget must be >= 0")
         if self.migrate_every < 1:
             raise ValueError("migrate_every must be >= 1 (rounds must make progress)")
+        if not self.chain_specs:
+            raise ValueError("chain_specs must hold at least one chain spec")
         if self.evaluator not in EVALUATORS:
             raise ValueError(
                 f"unknown evaluator {self.evaluator!r}; choose from {', '.join(EVALUATORS)}"
             )
 
     def spec_for(self, index: int) -> ChainSpec:
+        """The spec of chain ``index``: ``chain_specs`` cycled across chains."""
         return self.chain_specs[index % len(self.chain_specs)]
 
     def budgets(self) -> List[int]:
@@ -181,7 +184,7 @@ def portfolio_extract(
             problem = FrozenProblem.build(egraph, roots, cost)
         with obs.span("extract greedy", category="extraction.setup"):
             greedy = problem.greedy_choice()
-        stats = ProblemStats.of(problem, problem.flip_candidates(problem.toposort(greedy)))
+        stats = ProblemStats.of(problem, problem.flip_candidates(problem.toposort(greedy)[0]))
         seed_choice = problem.choice_from_extraction(seed_solution) if seed_solution else None
 
         states: List[ChainState] = []

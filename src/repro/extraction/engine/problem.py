@@ -18,12 +18,12 @@ cheaper, or gets chosen, wakes exactly the nodes that use it) and the depth
 evaluator finds a class's extraction parents by filtering ``users`` through
 the live choice, so none of them re-derives e-graph structure per call.
 
-Cycle safety is handled here too: :func:`toposort` orders the classes of a
-concrete extraction, and :meth:`FrozenProblem.flip_candidates` keeps, per
-class, only the candidate nodes whose children all precede the class in that
-order.  Flips restricted to those candidates can never create a cyclic
-extraction, so the move loop needs no per-move cycle check (see
-``delta.py``).
+Cycle safety is handled here too: :meth:`FrozenProblem.toposort` orders the
+classes of a concrete extraction (and, for a depth cost, prices every class
+as it places it), and :meth:`FrozenProblem.flip_candidates` keeps, per class,
+only the candidate nodes whose children all precede the class in that order.
+Flips restricted to those candidates can never create a cyclic extraction,
+so the move loop needs no per-move cycle check (see ``delta.py``).
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class FrozenProblem:
 
     ``users`` and ``distinct_children`` are derived from ``children`` on
     construction (see the module docstring) and travel with the problem when
-    it is pickled.  Construction rejects a negative node cost with
-    ``ValueError``: non-negative costs are what makes the greedy fixpoint
-    terminate with an acyclic choice.
+    it is pickled.  Construction rejects a node cost that is negative, NaN
+    or infinite with ``ValueError``: finite non-negative costs are what
+    makes the greedy fixpoint terminate with a complete acyclic choice.
     """
 
     nodes: Dict[int, List[ENode]]
@@ -70,12 +70,14 @@ class FrozenProblem:
     def __post_init__(self) -> None:
         users: Dict[int, List[Tuple[int, int]]] = {cid: [] for cid in self.nodes}
         distinct_children: Dict[int, List[int]] = {}
+        inf = math.inf
         for cid, class_children in self.children.items():
             costs = self.node_costs[cid]
             counts = []
             for i, kids in enumerate(class_children):
-                if costs[i] < 0:
-                    raise ValueError(f"negative node cost {costs[i]} for operator {self.nodes[cid][i].op}")
+                if not 0 <= costs[i] < inf:
+                    kind = "negative" if costs[i] < 0 else "non-finite"
+                    raise ValueError(f"{kind} node cost {costs[i]} for operator {self.nodes[cid][i].op}")
                 distinct = set(kids)
                 counts.append(len(distinct))
                 user = (cid, i)  # one tuple per node, shared by its children's lists
@@ -128,10 +130,12 @@ class FrozenProblem:
 
     @property
     def num_classes(self) -> int:
+        """Number of e-classes in the snapshot."""
         return len(self.nodes)
 
     @property
     def num_nodes(self) -> int:
+        """Number of candidate e-nodes over all classes."""
         return sum(len(ns) for ns in self.nodes.values())
 
     def node_index(self, cid: int, enode: ENode) -> Optional[int]:
@@ -250,42 +254,69 @@ class FrozenProblem:
 
     # -- cycle-safety structures -------------------------------------------
 
-    def toposort(self, choice: Choice) -> Dict[int, int]:
-        """Topological position of every chosen class (children first).
+    def toposort(self, choice: Choice) -> Tuple[Dict[int, int], Optional[Dict[int, float]]]:
+        """Topological positions of every chosen class (children first),
+        plus every chosen class's depth on a depth cost (``None`` on a sum
+        cost).
 
-        Deterministic (classes visited in ascending id order), and defined
-        only for acyclic choices — a cyclic choice raises ``ValueError``.
-        Positions are inserted in increasing order, so iterating the returned
-        dict walks the classes in topological order.
+        One depth-first walk from each class in ascending id order: a class
+        is placed, and on a depth cost priced, as soon as its chosen children
+        are, so iterating the order walks the classes topologically.  A
+        cyclic choice, or one missing a chosen class's child, raises
+        ``ValueError``.  Class ids are non-negative, so a stack entry
+        ``~cid`` is ``cid``'s post-order marker.
         """
+        children = self.children
+        node_costs = self.node_costs
         order: Dict[int, int] = {}
-        on_stack: set = set()
+        depths: Optional[Dict[int, float]] = None if self.mode == "sum" else {}
+        on_stack = set()
         counter = 0
-        for start in sorted(choice):
-            if start in order:
+        # Starts sit at the bottom of the stack, popped in ascending id order.
+        stack = sorted(choice, reverse=True)
+        pop, push = stack.pop, stack.append
+        while stack:
+            cid = pop()
+            if cid < 0:
+                cid = ~cid
+                on_stack.discard(cid)
+                i = choice[cid]
+                kids = children[cid][i]
+            elif cid in order:
                 continue
-            stack: List[Tuple[int, bool]] = [(start, False)]
-            while stack:
-                cid, expanded = stack.pop()
-                if expanded:
-                    on_stack.discard(cid)
-                    order[cid] = counter
-                    counter += 1
-                    continue
-                if cid in order:
-                    continue
-                if cid in on_stack:
-                    raise ValueError(f"cyclic extraction through e-class {cid}")
-                on_stack.add(cid)
-                stack.append((cid, True))
-                for ch in self.children[cid][choice[cid]]:
+            else:
+                i = choice[cid]
+                kids = children[cid][i]
+                expanded = False
+                for ch in kids:
                     if ch not in order:
                         if ch not in choice:
-                            raise ValueError(
-                                f"choice is missing e-class {ch} (child of class {cid})"
-                            )
-                        stack.append((ch, False))
-        return order
+                            raise ValueError(f"choice is missing e-class {ch} (child of class {cid})")
+                        if not expanded:
+                            if cid in on_stack:
+                                raise ValueError(f"cyclic extraction through e-class {cid}")
+                            on_stack.add(cid)
+                            push(~cid)
+                            expanded = True
+                        push(ch)
+                if expanded:
+                    continue
+            order[cid] = counter
+            counter += 1
+            if depths is not None:
+                # max() unrolled with max()'s own rule (a later value wins
+                # only when strictly greater), so depths stay bit-exact.
+                if len(kids) == 2:
+                    x, y = kids
+                    a, b = depths[x], depths[y]
+                    depths[cid] = node_costs[cid][i] + (b if b > a else a)
+                elif len(kids) == 1:
+                    depths[cid] = node_costs[cid][i] + depths[kids[0]]
+                elif kids:
+                    depths[cid] = node_costs[cid][i] + max([depths[ch] for ch in kids])
+                else:
+                    depths[cid] = node_costs[cid][i] + 0.0
+        return order, depths
 
     def flip_candidates(
         self, order: Dict[int, int], classes: Optional[Iterable[int]] = None
@@ -299,14 +330,19 @@ class FrozenProblem:
         ``order``); by default every ordered class is covered.
         """
         children = self.children
+        position_of = order.get
+        inf = math.inf
         safe: Dict[int, List[int]] = {}
         for cid in order if classes is None else classes:
             position = order[cid]
-            safe[cid] = [
-                i
-                for i, kids in enumerate(children[cid])
-                if all(ch in order and order[ch] < position for ch in kids)
-            ]
+            indices = []
+            for i, kids in enumerate(children[cid]):
+                for ch in kids:
+                    if position_of(ch, inf) >= position:
+                        break
+                else:
+                    indices.append(i)
+            safe[cid] = indices
         return safe
 
 
@@ -321,6 +357,8 @@ class ProblemStats:
 
     @classmethod
     def of(cls, problem: FrozenProblem, safe: Optional[Dict[int, List[int]]] = None) -> "ProblemStats":
+        """Count ``problem``'s classes, nodes and roots; with ``safe`` (flip
+        candidates), also the classes with a cycle-safe alternative."""
         flippable = 0
         if safe is not None:
             flippable = sum(1 for indices in safe.values() if len(indices) > 1)
@@ -332,6 +370,7 @@ class ProblemStats:
         )
 
     def to_dict(self) -> Dict[str, int]:
+        """The counters as a plain JSON-ready dict."""
         return {
             "classes": self.classes,
             "nodes": self.nodes,

@@ -44,6 +44,8 @@ class ChainProfile:
 
     @property
     def improvement(self) -> float:
+        """Relative gain of the best cost over the initial cost (0 when the
+        initial cost is 0)."""
         if self.initial_cost == 0:
             return 0.0
         return (self.initial_cost - self.best_cost) / self.initial_cost
@@ -55,10 +57,12 @@ class ChainProfile:
         return self.classes_touched / self.evals if self.evals else 0.0
 
     def to_dict(self) -> Dict[str, object]:
+        """Every field as a plain JSON-ready dict."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChainProfile":
+        """Inverse of :meth:`to_dict`."""
         return cls(**data)
 
 
@@ -72,10 +76,12 @@ class MigrationEvent:
     cost: float
 
     def to_dict(self) -> Dict[str, object]:
+        """Every field as a plain JSON-ready dict."""
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MigrationEvent":
+        """Inverse of :meth:`to_dict`."""
         return cls(**data)
 
 
@@ -101,39 +107,47 @@ class ExtractionProfile:
 
     @property
     def num_chains(self) -> int:
+        """Number of chains the portfolio ran."""
         return len(self.chains)
 
     @property
     def total_moves(self) -> int:
+        """Flips executed across all chains."""
         return sum(chain.moves for chain in self.chains)
 
     @property
     def total_accepted(self) -> int:
+        """Accepted flips across all chains."""
         return sum(chain.accepted for chain in self.chains)
 
     @property
     def total_evals(self) -> int:
+        """Priced flips across all chains."""
         return sum(chain.evals for chain in self.chains)
 
     @property
     def initial_cost(self) -> float:
+        """The best starting cost over the chains (0 without chains)."""
         if not self.chains:
             return 0.0
         return min(chain.initial_cost for chain in self.chains)
 
     @property
     def improvement(self) -> float:
+        """Relative gain of the best cost over :attr:`initial_cost`."""
         initial = self.initial_cost
         if initial == 0:
             return 0.0
         return (initial - self.best_cost) / initial
 
     def mean_cone(self) -> float:
+        """Average classes re-derived per priced flip over all chains."""
         evals = self.total_evals
         touched = sum(chain.classes_touched for chain in self.chains)
         return touched / evals if evals else 0.0
 
     def to_dict(self) -> Dict[str, object]:
+        """The profile and its derived totals as a plain JSON-ready dict."""
         return {
             "engine": self.engine,
             "evaluator": self.evaluator,
@@ -157,6 +171,8 @@ class ExtractionProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExtractionProfile":
+        """Rebuild a profile from :meth:`to_dict`'s payload (derived totals
+        are recomputed, missing fields take their defaults)."""
         return cls(
             engine=str(data.get("engine", "portfolio")),
             evaluator=str(data.get("evaluator", "delta")),

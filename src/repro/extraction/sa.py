@@ -43,6 +43,7 @@ class EGraphIndex:
 
     @classmethod
     def build(cls, egraph: EGraph) -> "EGraphIndex":
+        """Index ``egraph``'s canonical nodes, their owners, parents and leaves."""
         classes: Dict[int, List[ENode]] = {}
         owner_of: Dict[ENode, int] = {}
         parents_of: Dict[int, List[ENode]] = {}

@@ -28,6 +28,7 @@ from repro.extraction.engine import (
     ExtractionProfile,
     FrozenProblem,
     PortfolioConfig,
+    ProblemStats,
     chain_seed,
     choice_cost,
     init_chain,
@@ -36,6 +37,7 @@ from repro.extraction.engine import (
     run_round,
 )
 from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
+from repro.extraction.engine.chains import _rebuild
 from repro.extraction.greedy import greedy_extract
 from repro.obs.trace import tracing
 
@@ -148,24 +150,96 @@ def fixpoint_random_choice(problem, rng, fallback=None):
     return chosen
 
 
+def oracle_toposort(problem, choice):
+    """Depth-first toposort with a ``(cid, expanded)`` stack entry per visit
+    and no depths (the oracle for ``FrozenProblem.toposort``'s placement)."""
+    order = {}
+    on_stack = set()
+    counter = 0
+    for start in sorted(choice):
+        if start in order:
+            continue
+        stack = [(start, False)]
+        while stack:
+            cid, expanded = stack.pop()
+            if expanded:
+                on_stack.discard(cid)
+                order[cid] = counter
+                counter += 1
+                continue
+            if cid in order:
+                continue
+            if cid in on_stack:
+                raise ValueError(f"cyclic extraction through e-class {cid}")
+            on_stack.add(cid)
+            stack.append((cid, True))
+            for ch in problem.children[cid][choice[cid]]:
+                if ch not in order:
+                    if ch not in choice:
+                        raise ValueError(f"choice is missing e-class {ch} (child of class {cid})")
+                    stack.append((ch, False))
+    return order
+
+
+def oracle_flip_candidates(problem, order, classes=None):
+    """Cycle-safe candidates through a per-node ``all(...)`` generator (the
+    oracle for ``FrozenProblem.flip_candidates``)."""
+    safe = {}
+    for cid in order if classes is None else classes:
+        position = order[cid]
+        safe[cid] = [
+            i
+            for i, kids in enumerate(problem.children[cid])
+            if all(ch in order and order[ch] < position for ch in kids)
+        ]
+    return safe
+
+
+def oracle_depths(problem, choice, order):
+    """Depth-evaluator set-up as a second walk over the topological order,
+    through ``max()`` (the oracle for the depths ``toposort`` computes as it
+    places); returns the depths and the cost."""
+    depths = {}
+    for cid in order:
+        child_depths = [depths[ch] for ch in problem.children[cid][choice[cid]]]
+        depths[cid] = problem.node_costs[cid][choice[cid]] + (max(child_depths) if child_depths else 0.0)
+    return depths, max((depths[r] for r in problem.roots), default=0.0)
+
+
+def oracle_rebuild(problem, choice):
+    """A round's rebuild from the oracles: order, the safe lists of the
+    reachable multi-node classes, the flippable classes, and (depth cost
+    only) depths and cost."""
+    order = oracle_toposort(problem, choice)
+    reachable = set()
+    stack = list(problem.roots)
+    while stack:
+        cid = stack.pop()
+        if cid not in reachable:
+            reachable.add(cid)
+            stack.extend(problem.children[cid][choice[cid]])
+    classes = [cid for cid in sorted(reachable) if len(problem.children[cid]) > 1]
+    safe = oracle_flip_candidates(problem, order, classes)
+    flippable = [cid for cid in classes if len(safe[cid]) > 1]
+    depths = None if problem.mode == "sum" else oracle_depths(problem, choice, order)
+    return order, safe, flippable, depths
+
+
 class ParentMultimapEvaluator(DeltaCostEvaluator):
-    """The delta evaluator whose ``depth`` mode builds and edits its own
-    extraction-parent multimap (the oracle for propagation through
+    """The delta evaluator whose ``depth`` mode sets up from the oracle walks
+    and builds and edits its own extraction-parent multimap (the oracle for
+    set-up from ``toposort``'s depths and for propagation through
     ``FrozenProblem.users``); ``sum`` mode is inherited unchanged."""
 
-    def _init_depth(self):
-        self._depth = {}
-        self._parents = {cid: {} for cid in self._order}
-        for cid in sorted(self._order, key=self._order.__getitem__):
-            kids = self.problem.children[cid][self.choice[cid]]
-            child_depths = [self._depth[ch] for ch in kids]
-            self._depth[cid] = self.problem.node_costs[cid][self.choice[cid]] + (
-                max(child_depths) if child_depths else 0.0
-            )
-            for ch in kids:
+    def __init__(self, problem, choice):
+        order = oracle_toposort(problem, choice)
+        depths = None if problem.mode == "sum" else oracle_depths(problem, choice, order)[0]
+        super().__init__(problem, choice, order=order, depths=depths)
+        self._parents = {cid: {} for cid in order}
+        for cid in order:
+            for ch in problem.children[cid][choice[cid]]:
                 counts = self._parents[ch]
                 counts[cid] = counts.get(cid, 0) + 1
-        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
 
     def _flip_depth(self, cid, node_idx):
         old_idx = self.choice[cid]
@@ -299,6 +373,15 @@ def oracle_circuit(request, saturated_circuit):
     return _random_saturated(request.param)[1]
 
 
+#: The rebuild oracles' costs: both guiding costs plus a depth cost with
+#: integer and signed-zero weights, where a leaf's ``cost + 0.0`` matters.
+REBUILD_ORACLE_COSTS = {
+    "nodes": NodeCountCost,
+    "depth": DepthCost,
+    "depth_int": lambda: OperatorCost(weights={AND: 1, OR: 2, NOT: -0.0, VAR: 0}, mode="depth"),
+}
+
+
 class TestRebuildOracles:
     """Production rebuild structures against the algorithms they replaced."""
 
@@ -334,6 +417,107 @@ class TestRebuildOracles:
             assert list(got.items()) == list(expected.items())
         assert [cid for cid in got if cid in loops] != sorted(loops)
 
+    @pytest.mark.parametrize("cost_name", sorted(REBUILD_ORACLE_COSTS))
+    def test_rebuild_matches_oracle_walks(self, oracle_circuit, cost_name):
+        """The one-walk rebuild against the three walks it replaced: on each
+        random choice as drawn, and again after 200 safe flips.  Depths are
+        compared by ``repr``, which tells ``0`` from ``0.0`` and ``-0.0``."""
+        cost = REBUILD_ORACLE_COSTS[cost_name]()
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
+        greedy = problem.greedy_choice()
+        for rng_seed in range(5):
+            rng = random.Random(rng_seed)
+            choice = problem.random_choice(rng, fallback=greedy)
+            for flipped in (False, True):
+                if flipped:
+                    all_safe = oracle_flip_candidates(problem, oracle_toposort(problem, choice))
+                    movable = [cid for cid in sorted(all_safe) if len(all_safe[cid]) > 1]
+                    for _ in range(200):
+                        cid = movable[rng.randrange(len(movable))]
+                        choice[cid] = all_safe[cid][rng.randrange(len(all_safe[cid]))]
+                order, safe, flippable, depths = oracle_rebuild(problem, choice)
+                got_order, got_depths = problem.toposort(choice)
+                assert list(got_order.items()) == list(order.items())
+                full = problem.flip_candidates(got_order)
+                assert list(full.items()) == list(oracle_flip_candidates(problem, order).items())
+                got_safe, got_flippable, evaluator = _rebuild(problem, choice, "delta")
+                assert list(got_safe.items()) == list(safe.items())
+                assert got_flippable == flippable
+                if depths is None:
+                    assert got_depths is None
+                    assert evaluator.cost == choice_cost(problem, choice)
+                else:
+                    expected = [(cid, repr(d)) for cid, d in depths[0].items()]
+                    assert [(cid, repr(d)) for cid, d in got_depths.items()] == expected
+                    assert list(evaluator._order.items()) == list(order.items())
+                    assert [(cid, repr(d)) for cid, d in evaluator._depth.items()] == expected
+                    assert repr(evaluator.cost) == repr(depths[1])
+                    assert evaluator.cost == choice_cost(problem, choice)
+
+    @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
+    def test_problem_stats_match_oracle_walks(self, oracle_circuit, cost_cls):
+        cost = cost_cls()
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
+        safe = oracle_flip_candidates(problem, oracle_toposort(problem, problem.greedy_choice()))
+        result = portfolio_extract(
+            oracle_circuit.egraph,
+            oracle_circuit.output_classes,
+            cost=cost,
+            config=PortfolioConfig(chains=1, move_budget=0, workers=0),
+        )
+        assert result.profile.problem == ProblemStats.of(problem, safe).to_dict()
+
+    def test_walk_errors_match_oracle(self, oracle_circuit):
+        """Cyclic choices and choices missing a child raise the oracle's
+        ``ValueError`` message; every other choice gets the oracle's order."""
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, DepthCost())
+        greedy = problem.greedy_choice()
+
+        def closes_cycle(choice, cid, i):
+            stack, seen = list(problem.children[cid][i]), set()
+            while stack:
+                ch = stack.pop()
+                if ch == cid:
+                    return True
+                if ch not in seen:
+                    seen.add(ch)
+                    stack.extend(problem.children[ch][choice[ch]])
+            return False
+
+        outcomes = set()
+        for rng_seed in range(12):
+            rng = random.Random(rng_seed)
+            choice = problem.random_choice(rng, fallback=greedy)
+            safe = oracle_flip_candidates(problem, oracle_toposort(problem, choice))
+            # Flips outside the safe lists: some close a cycle, some do not.
+            unsafe = [
+                (cid, i)
+                for cid in sorted(safe)
+                for i in range(len(problem.children[cid]))
+                if i not in safe[cid]
+            ]
+            rng.shuffle(unsafe)
+            if rng_seed % 3 == 0:
+                for cid, i in unsafe[: rng_seed % 4]:
+                    choice[cid] = i
+            elif rng_seed % 3 == 1:
+                cid, i = next((cid, i) for cid, i in unsafe if closes_cycle(choice, cid, i))
+                choice[cid] = i
+            else:
+                kids = [ch for cid in sorted(choice) for ch in problem.children[cid][choice[cid]]]
+                del choice[kids[rng.randrange(len(kids))]]
+            try:
+                expected = list(oracle_toposort(problem, choice).items())
+            except ValueError as error:
+                expected = str(error)
+            try:
+                got = list(problem.toposort(choice)[0].items())
+            except ValueError as error:
+                got = str(error)
+            assert got == expected
+            outcomes.add(expected.split()[0] if isinstance(expected, str) else "ordered")
+        assert outcomes == {"ordered", "cyclic", "choice"}
+
     @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
     def test_flips_match_parent_multimap_evaluator(self, oracle_circuit, cost_cls):
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost_cls())
@@ -341,12 +525,12 @@ class TestRebuildOracles:
         for rng_seed in range(5):
             rng = random.Random(rng_seed)
             choice = problem.random_choice(rng, fallback=greedy)
-            order = problem.toposort(choice)
+            order, depths = problem.toposort(choice)
             assert list(order) == sorted(order, key=order.get)
             safe = problem.flip_candidates(order)
             flippable = [cid for cid in sorted(safe) if len(safe[cid]) > 1]
-            delta = make_evaluator("delta", problem, choice, order=order)
-            oracle = ParentMultimapEvaluator(problem, choice, order=order)
+            delta = make_evaluator("delta", problem, choice, order=order, depths=depths)
+            oracle = ParentMultimapEvaluator(problem, choice)
             assert delta.cost == oracle.cost
             for _ in range(200):
                 cid = flippable[rng.randrange(len(flippable))]
@@ -356,7 +540,7 @@ class TestRebuildOracles:
 
     def test_scoped_flip_candidates_match_all_classes(self, oracle_circuit):
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes)
-        order = problem.toposort(problem.random_choice(random.Random(0), problem.greedy_choice()))
+        order, _ = problem.toposort(problem.random_choice(random.Random(0), problem.greedy_choice()))
         everything = problem.flip_candidates(order)
         assert list(everything) == list(order)
         some = sorted(order)[::3]
@@ -426,8 +610,9 @@ class TestGreedyOracles:
 
 
 class TestNegativeCosts:
-    """A negative node cost is rejected when the snapshot is built: the greedy
-    fixpoint only terminates, with an acyclic choice, for costs >= 0."""
+    """A negative, NaN or infinite node cost is rejected when the snapshot is
+    built: the greedy fixpoint only terminates, with a complete acyclic
+    choice, for finite costs >= 0."""
 
     @staticmethod
     def _double_negation():
@@ -467,6 +652,24 @@ class TestNegativeCosts:
         eg, roots = self._double_negation()
         extraction = greedy_extract(eg, OperatorCost(weights={VAR: 0.0, NOT: 0.0}))
         assert extraction[roots[0]].op == VAR
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["sum", "depth"])
+    def test_non_finite_costs_are_rejected(self, weight, mode):
+        # A NaN or infinite cost never wins a comparison, so the greedy
+        # solve used to leave the outputs unchosen instead of raising.
+        circuit = aig_to_egraph(epfl.build("adder", preset="test"))
+        cost = OperatorCost(weights={AND: weight, NOT: 0.0, VAR: 0.0, OR: 1.0}, mode=mode)
+        message = f"non-finite node cost {weight} for operator AND"
+        with pytest.raises(ValueError, match=message):
+            greedy_extract(circuit.egraph, cost)
+        with pytest.raises(ValueError, match=message):
+            portfolio_extract(
+                circuit.egraph,
+                circuit.output_classes,
+                cost=cost,
+                config=PortfolioConfig(chains=1, move_budget=4, workers=0),
+            )
 
 
 class TestGoldenTrajectory:
@@ -542,14 +745,26 @@ class TestFrozenProblem:
         )
         choice = problem.greedy_choice()
         choice[root] = cyclic_idx
-        with pytest.raises(ValueError, match="cyclic"):
+        with pytest.raises(ValueError, match="cyclic") as expected:
+            oracle_toposort(problem, choice)
+        with pytest.raises(ValueError, match="cyclic") as got:
             problem.toposort(choice)
+        assert str(got.value) == str(expected.value)
+        # Choosing the AND node but dropping its child ``a`` from the choice.
+        and_idx = next(i for i, node in enumerate(problem.nodes[root]) if node.op == AND)
+        choice[root] = and_idx
+        del choice[eg.find(a)]
+        with pytest.raises(ValueError, match="missing") as expected:
+            oracle_toposort(problem, choice)
+        with pytest.raises(ValueError, match="missing") as got:
+            problem.toposort(choice)
+        assert str(got.value) == str(expected.value)
 
     def test_flip_candidates_are_order_respecting(self, saturated_circuit):
         _, circuit = saturated_circuit
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, DepthCost())
         choice = problem.greedy_choice()
-        order = problem.toposort(choice)
+        order, _ = problem.toposort(choice)
         safe = problem.flip_candidates(order)
         for cid, indices in safe.items():
             assert choice[cid] in indices  # the current choice is always safe
@@ -587,10 +802,10 @@ class TestDeltaFullParity:
         for cost in (NodeCountCost(), DepthCost()):
             problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
             choice = problem.greedy_choice()
-            order = problem.toposort(choice)
+            order, depths = problem.toposort(choice)
             safe = problem.flip_candidates(order)
             flippable = [cid for cid in sorted(safe) if len(safe[cid]) > 1]
-            delta = make_evaluator("delta", problem, choice, order=order)
+            delta = make_evaluator("delta", problem, choice, order=order, depths=depths)
             full = make_evaluator("full", problem, choice)
             assert delta.cost == full.cost
             rng = random.Random(5)
@@ -753,6 +968,13 @@ class TestConfigValidation:
             PortfolioConfig(chains=0)
         with pytest.raises(ValueError, match="evaluator"):
             PortfolioConfig(evaluator="magic")
+
+    def test_rejects_empty_chain_specs(self):
+        # An empty spec list used to pass here and divide by zero in spec_for.
+        with pytest.raises(ValueError, match="chain_specs"):
+            PortfolioConfig(chain_specs=())
+        with pytest.raises(ValueError, match="chain_specs"):
+            PortfolioConfig(chains=2, chain_specs=[])
 
 
 class TestTelemetry:
