@@ -598,8 +598,11 @@ def _bench_ledger_record(name: str, payload: Dict[str, object]) -> Dict[str, obj
     )
 
 
-def _bench_epilogue(payload: Dict[str, object], args: argparse.Namespace, name: str) -> int:
-    """Shared bench tail: ledger append + --json dump + --reference gate."""
+def _bench_epilogue(
+    payload: Dict[str, object], args: argparse.Namespace, name: str, counts: Sequence[str] = ()
+) -> int:
+    """Shared bench tail: ledger append + --json dump + --reference gate
+    (wall time, CEC, and the deterministic ``counts`` fields)."""
     from repro.engine.bench import check_regressions
 
     _ledger_append(args, _bench_ledger_record(name, payload))
@@ -610,7 +613,9 @@ def _bench_epilogue(payload: Dict[str, object], args: argparse.Namespace, name: 
     if args.reference:
         with open(args.reference) as handle:
             reference = json.load(handle)
-        failures = check_regressions(payload, reference, max_ratio=args.max_regression)
+        failures = check_regressions(
+            payload, reference, max_ratio=args.max_regression, counts=counts
+        )
         if failures:
             print(f"PERF REGRESSION vs {args.reference}:")
             for failure in failures:
@@ -621,7 +626,7 @@ def _bench_epilogue(payload: Dict[str, object], args: argparse.Namespace, name: 
 
 
 def cmd_saturate_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import render_bench, run_saturation_bench
+    from repro.engine.bench import COUNT_FIELDS, render_bench, run_saturation_bench
 
     payload = run_saturation_bench(
         circuits=_validated_circuits(args.circuits),
@@ -634,7 +639,7 @@ def cmd_saturate_bench(args: argparse.Namespace) -> int:
         progress=(lambda message: _LOG.info(f"  {message}")),
     )
     print(render_bench(payload))
-    return _bench_epilogue(payload, args, "saturate-bench")
+    return _bench_epilogue(payload, args, "saturate-bench", counts=COUNT_FIELDS)
 
 
 def cmd_extract_bench(args: argparse.Namespace) -> int:

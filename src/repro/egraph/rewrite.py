@@ -16,12 +16,23 @@ class Rewrite:
     An optional ``condition`` receives (egraph, match) and may veto the
     application; this is how conditional rules (e.g. guarded simplifications)
     are expressed.
+
+    Every RHS variable must be bound by the LHS: construction raises
+    ``ValueError`` otherwise, before any e-graph is touched.
     """
 
     name: str
     lhs: Pattern
     rhs: Pattern
     condition: Optional[Callable[[EGraph, Match], bool]] = None
+
+    def __post_init__(self) -> None:
+        unbound = [var for var in self.rhs.variables if var not in self.lhs.variables]
+        if unbound:
+            raise ValueError(
+                f"rule {self.name!r}: right-hand side uses variables the left-hand side "
+                f"does not bind: {', '.join('?' + var for var in unbound)}"
+            )
 
     @classmethod
     def from_strings(

@@ -7,13 +7,15 @@ worklist-driven incremental rebuilds, and full saturation telemetry.
 pre-engine runner loop exactly.
 
 E-matching has one production implementation: :class:`BatchedMatcher`
-compiles all rules into one shared-prefix trie walked over the e-graph's
-integer rows (:meth:`repro.egraph.egraph.EGraph.class_view`) — one e-graph
-traversal per iteration total.  Its matches equal the per-pattern reference
-(``repro.egraph.pattern.search``, kept as the test oracle) in identical order.
+compiles all rules into one shared-prefix trie, and the trie into generated
+Python loops over the e-graph's integer rows
+(:meth:`repro.egraph.egraph.EGraph.class_view`) — one e-graph traversal per
+iteration total.  Its ``(class id, slot tuple)`` matches equal the
+per-pattern reference (``repro.egraph.pattern.search``, kept as the test
+oracle) in identical order.
 """
 
-from repro.engine.batched import BatchedMatcher, compile_pattern, priorities_from_attribution
+from repro.engine.batched import BatchedMatcher, compile_pattern
 from repro.engine.engine import EngineLimits, SaturationEngine, saturate_engine
 from repro.engine.scheduler import (
     SCHEDULERS,
@@ -30,7 +32,6 @@ __all__ = [
     "saturate_engine",
     "BatchedMatcher",
     "compile_pattern",
-    "priorities_from_attribution",
     "Scheduler",
     "SimpleScheduler",
     "BackoffScheduler",

@@ -1,9 +1,10 @@
-"""Batched e-matching: all rule patterns compiled into one shared-prefix trie.
+"""Batched e-matching: every rule pattern compiled into generated Python loops.
 
 This is the saturation engine's only matcher.  The per-pattern reference
 searches every rule independently: 29 rules mean every e-class's node list
 is scanned up to 29 times per iteration, and every scan re-canonicalizes
-children through the object model.  The batched matcher inverts the loop:
+children through the object model.  The batched matcher inverts the loop and
+then compiles it:
 
 * every rule LHS is compiled into a *slot-normalized key sequence* (pattern
   variables renamed to positional slots in first-occurrence preorder, so
@@ -11,44 +12,56 @@ children through the object model.  The batched matcher inverts the loop:
 * sequences sharing a root operator are merged into a **trie** — all
   AND-rooted rules share one enumeration of AND nodes, and rules whose first
   child keys coincide (e.g. the leading ``?a`` of ``and-comm``, ``and-idem``
-  and ``absorb-and``) share the child-fold itself;
-* matching runs over :class:`~repro.egraph.egraph.ClassView` class views:
-  each class's row span is walked **once per iteration** to build a
-  canonical per-op view, and every rule under every trie branch reads that
-  view — the e-graph is traversed once total instead of once per rule;
-* every trie edge is pre-compiled into a dispatch form (variable bind,
-  symbol check, flat all-variable operator, or general nested operator) so
-  the hot fold runs tight list loops instead of recursive generators.
+  and ``absorb-and``) share the child match itself;
+* the trie is **compiled into Python source**, once per rule set and
+  process: one function per root operator loops over the classes holding
+  that operator and their rows, and every trie edge becomes a plain loop or
+  test whose pattern variables are locals.  Whether a slot is bound is known
+  at compile time on every trie path, so a variable edge is an assignment or
+  an equality test, a symbol edge is a ``var_payloads`` membership test, an
+  all-variable operator key is one loop over the child class's rows of that
+  operator, and a nested operator key is a generated helper returning its
+  bind tuples;
+* matching reads :class:`~repro.egraph.egraph.ClassView` class views, each
+  built on first use and kept for one search, so the e-graph is traversed
+  once per iteration instead of once per rule.
 
 Parity with the per-pattern reference (:func:`repro.egraph.pattern.search`)
-is exact, not approximate: candidate classes are visited in sorted order,
-root nodes in span order, child substitution frontiers are capped
-at :data:`~repro.egraph.pattern.MAX_SUBSTITUTIONS_PER_NODE` with the same
-fold semantics, and per-rule ``limit`` truncation keeps the same prefix — so
-a batched run applies the same matches in the same order and lands on the
-same e-graph (pinned by ``tests/test_batched.py``).
+is exact, not approximate.  Candidate classes are visited in sorted order
+and rows in span order, and the generated loops run depth-first, so each
+substitution frontier is produced in the reference's order.  The frontier
+caps of :data:`~repro.egraph.pattern.MAX_SUBSTITUTIONS_PER_NODE` are exact
+counters: one per operator edge per root row, and one per operator child
+per (substitution, row) inside a nested key, so they cut the same prefix the
+reference's capped fold keeps.  Per-rule ``limit`` truncation keeps the same
+prefix too.  A batched run therefore applies the same matches in the same
+order and lands on the same e-graph (pinned by ``tests/test_batched.py``).
 
-Scheduling hooks: rules banned by the
-:class:`~repro.engine.scheduler.BackoffScheduler` for an iteration are pruned
-from the trie walk (a branch whose subtree holds no active rule is skipped),
-and branch order is a free knob — :func:`priorities_from_attribution` turns a
-PR-7 rule-yield attribution payload (``emorphic explain``) into per-rule
-priorities so branches whose rules historically produce surviving e-nodes
-are walked first and fill their match budgets before low-yield ones.
+A match is a ``(class id, slot tuple)`` pair: the rule's variable bindings
+in :func:`compile_pattern` slot order, named by :attr:`BatchedMatcher.names`.
+Rules banned by the :class:`~repro.engine.scheduler.BackoffScheduler` for an
+iteration are pruned: an edge runs only while a rule below it is open.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.egraph import pattern as _pattern
 from repro.egraph.egraph import ClassView, EGraph, op_id
-from repro.egraph.pattern import MAX_SUBSTITUTIONS_PER_NODE, Match, Pattern, PatternNode
+from repro.egraph.language import OPERATORS
+from repro.egraph.pattern import Pattern, PatternNode
 from repro.egraph.rewrite import Rewrite
 
 #: A compiled subpattern key: ("var", slot) | ("sym", name) | ("op", op, (keys...)).
 Key = Tuple
+
+#: One match: the matched class id and the rule's slot values, in
+#: :func:`compile_pattern` slot order.
+SlotMatch = Tuple[int, Tuple[int, ...]]
+
 
 def _key_of(node: PatternNode, slots: Dict[str, int], order: List[str]) -> Key:
     """Slot-normalize one pattern node (first-occurrence slot numbering)."""
@@ -92,196 +105,6 @@ def _key_slots(key: Key) -> Set[int]:
     return out
 
 
-def _compile_key(key: Key, bound: Set[int], memo_slots: Iterator[int]) -> Tuple:
-    """Lower a structural key to its dispatch form for the hot loop.
-
-    ``('v', slot)`` binds/checks a variable, ``('s', name)`` checks a symbol
-    leaf, ``('f', oid, slots, memo)`` matches an operator whose children are
-    all variables (the overwhelmingly common case — one tight loop, no
-    recursion), and ``('d', oid, children, memo)`` is the general nested
-    form.
-
-    ``bound`` is the set of slots already bound by the time this key is
-    matched (the path through the trie binds the same slots for every
-    substitution that reaches it, so this is a compile-time fact).  An
-    operator key whose slots are disjoint from ``bound`` is *cacheable*: its
-    matches against a class are the incoming substitution extended by binds
-    that depend only on (key, class), so one evaluation per (key, class) per
-    search serves every substitution and every parent e-node reaching that
-    class.  A cacheable key's ``memo`` is its own index into the per-search
-    bind cache (drawn from ``memo_slots``); ``None`` marks a key that must be
-    folded directly.
-    """
-    kind = key[0]
-    if kind == "var":
-        return ("v", key[1])
-    if kind == "sym":
-        return ("s", key[1])
-    child_keys = key[2]
-    memo = None if _key_slots(key) & bound else next(memo_slots)
-    if all(ck[0] == "var" for ck in child_keys):
-        return ("f", op_id(key[1]), tuple(ck[1] for ck in child_keys), memo)
-    # Children fold left to right, so child i is matched with the slots of
-    # children 0..i-1 (plus this key's inherited context) already bound.
-    child_bound = set(bound)
-    compiled_children = []
-    for ck in child_keys:
-        compiled_children.append(_compile_key(ck, child_bound, memo_slots))
-        child_bound |= _key_slots(ck)
-    return ("d", op_id(key[1]), tuple(compiled_children), memo)
-
-
-#: A substitution in the hot loop: a fixed-width tuple indexed by slot, with
-#: ``None`` marking an unbound slot.  Class ids are non-negative ints, so
-#: ``None`` can never collide with a binding; tuple indexing and slicing beat
-#: dict lookups and copies by a wide margin in the innermost fold.
-Subst = Tuple
-
-_BLANKS: Dict[int, Subst] = {}
-
-#: The bind cache's one shared entry for every (key, class) with no binds,
-#: so misses cost a dict slot instead of a fresh empty list each.
-_NO_BINDS: Tuple = ()
-
-#: The per-search bind cache: one ``class id -> binds`` dict per cacheable
-#: compiled key, indexed by the key's ``memo`` slot.
-BindCache = List[Dict[int, Sequence[Subst]]]
-
-
-def _blank(width: int) -> Subst:
-    """The interned all-unbound substitution tuple of a given slot width."""
-    blank = _BLANKS.get(width)
-    if blank is None:
-        blank = _BLANKS[width] = (None,) * width
-    return blank
-
-
-def _match_many(
-    compiled: Tuple,
-    class_id: int,
-    substs: Sequence[Subst],
-    view_of,
-    cap: int,
-    cache: BindCache,
-) -> Sequence[Subst]:
-    """Fold a whole substitution frontier through one compiled key at once.
-
-    Returns at most ``cap`` extended substitutions in the per-pattern
-    reference's order: substitution-major, then the class's node-span order
-    (the columnar, frontier-batched mirror of the
-    ``for s in stack: for candidate in _match_node(...)`` capped fold in
-    :func:`repro.egraph.pattern._match_node`).  Batching the frontier means
-    the class view and node list are fetched once per (key, class) instead of
-    once per substitution, and variable/symbol children inside nested keys
-    never pay a function call.
-
-    ``cache`` memoizes *cacheable* operator keys (slots disjoint from
-    everything bound upstream — see :func:`_compile_key`) per (key, class)
-    for the duration of one search: the cached binds touch only the key's
-    own slots, so merging them into each incoming substitution reproduces
-    the direct fold exactly, including candidate order and cap prefix.  The
-    result may be a cached sequence, so callers must not mutate it.
-    """
-    tag = compiled[0]
-    out: List[Subst] = []
-    if tag == "v":
-        # <=1 result per input and len(substs) <= cap, so no truncation.
-        slot = compiled[1]
-        for s in substs:
-            bound = s[slot]
-            if bound is None:
-                out.append(s[:slot] + (class_id,) + s[slot + 1:])
-            elif bound == class_id:
-                out.append(s)
-        return out
-    if tag == "s":
-        return list(substs) if compiled[1] in view_of(class_id).var_payloads else []
-    memo = compiled[3]
-    if memo is not None:
-        # Cacheable operator key: binds depend only on (key, class).
-        memo_of = cache[memo]
-        binds = memo_of.get(class_id)
-        if binds is None:
-            binds = memo_of[class_id] = _match_many(
-                (compiled[0], compiled[1], compiled[2], None),
-                class_id, (_blank(len(substs[0])),), view_of, MAX_SUBSTITUTIONS_PER_NODE, cache,
-            ) or _NO_BINDS
-        if not binds:
-            return []
-        first = substs[0]
-        if len(substs) == 1 and first.count(None) == len(first):
-            return binds if len(binds) <= cap else binds[:cap]
-        for s in substs:
-            for bind in binds:
-                out.append(tuple([a if b is None else b for a, b in zip(s, bind)]))
-                if len(out) >= cap:
-                    return out
-        return out
-    nodes = view_of(class_id).by_op.get(compiled[1])
-    if not nodes:
-        return []
-    if tag == "f":
-        slots = compiled[2]
-        arity = len(slots)
-        for s in substs:
-            for children in nodes:
-                if len(children) != arity:
-                    continue
-                cur = None  # list copy of ``s``, made on first new binding
-                ok = True
-                for i in range(arity):
-                    cid = children[i]
-                    sl = slots[i]
-                    bound = s[sl] if cur is None else cur[sl]
-                    if bound is None:
-                        if cur is None:
-                            cur = list(s)
-                        cur[sl] = cid
-                    elif bound != cid:
-                        ok = False
-                        break
-                if ok:
-                    out.append(s if cur is None else tuple(cur))
-                    if len(out) >= cap:
-                        return out
-        return out
-    # tag == "d": general nested operator.  Per (subst, node), the children
-    # fold through an inner frontier with the reference's per-node cap.
-    child_keys = compiled[2]
-    arity = len(child_keys)
-    inner_cap = MAX_SUBSTITUTIONS_PER_NODE
-    for s in substs:
-        for children in nodes:
-            if len(children) != arity:
-                continue
-            stack = [s]
-            for i in range(arity):
-                ck = child_keys[i]
-                ccid = children[i]
-                ctag = ck[0]
-                if ctag == "v":
-                    slot = ck[1]
-                    frontier = []
-                    for t in stack:
-                        bound = t[slot]
-                        if bound is None:
-                            frontier.append(t[:slot] + (ccid,) + t[slot + 1:])
-                        elif bound == ccid:
-                            frontier.append(t)
-                elif ctag == "s":
-                    frontier = stack if ck[1] in view_of(ccid).var_payloads else []
-                else:
-                    frontier = _match_many(ck, ccid, stack, view_of, inner_cap, cache)
-                stack = frontier
-                if not stack:
-                    break
-            else:
-                out.extend(stack)
-                if len(out) >= cap:
-                    return out[:cap]
-    return out
-
-
 @dataclass
 class _Terminal:
     """A rule completing at a trie node: index plus its slot -> name map."""
@@ -294,271 +117,388 @@ class _Terminal:
 class _TrieNode:
     """One shared-prefix position: outgoing edges plus completed rules."""
 
-    #: ``(structural key, compiled dispatch form, child node)`` per edge.
-    edges: List[Tuple[Key, Tuple, "_TrieNode"]] = field(default_factory=list)
+    #: ``(structural key, child node)`` per edge, in registration order.
+    edges: List[Tuple[Key, "_TrieNode"]] = field(default_factory=list)
     terminals: List[_Terminal] = field(default_factory=list)
     #: Every rule index reachable in this subtree (ban pruning reads this).
     rules: Set[int] = field(default_factory=set)
-    #: Per-search scratch: ``rules`` restricted to this search's active set
-    #: (annotated by a prepass so the walk tests a precomputed set).
-    active: Set[int] = field(default_factory=set)
 
-    def child(self, key: Key, bound: Set[int], memo_slots: Iterator[int]) -> "_TrieNode":
-        """The edge for ``key``, created on first use (prefix sharing).
-
-        ``bound`` is the slots bound along the path to this node; a trie
-        path is unique, so every rule sharing the edge passes the same set
-        and the compiled form's cacheability is a property of the edge.
-        ``memo_slots`` numbers the new edge's cacheable keys.
-        """
-        for existing, _, node in self.edges:
+    def child(self, key: Key) -> "_TrieNode":
+        """The edge for ``key``, created on first use (prefix sharing)."""
+        for existing, node in self.edges:
             if existing == key:
                 return node
         node = _TrieNode()
-        self.edges.append((key, _compile_key(key, bound, memo_slots), node))
+        self.edges.append((key, node))
         return node
 
 
-def priorities_from_attribution(attribution) -> Dict[str, float]:
-    """Per-rule branch priorities from a rule-yield attribution payload.
+class _Views(dict):
+    """Class id -> :class:`ClassView`, each built on first access.
 
-    Accepts either a ``RuleAttribution`` object or its ``to_dict`` form (what
-    ``emorphic explain --json`` writes) and returns ``rule -> surviving ANDs``
-    — the PR-7 yield signal.  Rules whose matches never survive extraction get
-    priority 0 and sort last in the trie walk.
+    One search's scratch: the views are frozen for the search, and the dict
+    dies with it, so the next apply phase never carries class-sized state.
     """
-    if hasattr(attribution, "to_dict"):
-        attribution = attribution.to_dict()
-    rules = attribution.get("rules", {})
-    return {
-        name: float(stats.get("surviving_ands", 0) or 0)
-        for name, stats in rules.items()
-        if name != "original"
-    }
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[int], ClassView]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, class_id: int) -> ClassView:
+        view = self[class_id] = self.build(class_id)
+        return view
+
+
+def _pad(depth: int) -> str:
+    return "    " * depth
+
+
+def _tuple_text(items: Sequence[str]) -> str:
+    """Source of a tuple display (``()``, ``(a,)``, ``(a, b)``)."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
+
+
+def _targets(items: Sequence[str]) -> str:
+    """Source of an assignment or ``for`` target unpacking ``items``."""
+    if not items:
+        return "_"
+    return f"{items[0]}," if len(items) == 1 else ", ".join(items)
+
+
+def _any_open(rules: Iterable[int]) -> str:
+    return " or ".join(f"o{r}" for r in sorted(rules))
+
+
+class _Codegen:
+    """Emits the matcher source for one trie (see :class:`BatchedMatcher`).
+
+    Generated names: ``s<k>`` holds slot ``k``; ``out<r>``/``o<r>`` are rule
+    ``r``'s match list and open flag; ``c<i>`` is a root row's child ``i``;
+    ``n<e>``/``m<i>`` are frontier counters; ``_h<j>`` is a nested-key
+    helper and ``_m<j>`` its per-search memo.  No pattern text reaches the
+    source: operator ids, slots and the cap are integers, and symbol names
+    are constants of the exec namespace.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.namespace: Dict[str, object] = {"__builtins__": {}, "len": len}
+        self.symbols: Dict[str, str] = {}
+        self.helpers: Dict[Tuple, Tuple[str, Optional[str], Tuple[int, ...], Tuple[int, ...]]] = {}
+        self.helper_lines: List[str] = []
+        self.serial = 0
+
+    def fresh(self, prefix: str) -> str:
+        """A local name not used anywhere else in the source."""
+        self.serial += 1
+        return f"{prefix}{self.serial}"
+
+    def symbol(self, name: str) -> str:
+        """The namespace constant holding VAR name ``name``."""
+        const = self.symbols.get(name)
+        if const is None:
+            const = self.symbols[name] = f"_S{len(self.symbols)}"
+            self.namespace[const] = name
+        return const
+
+    # -- one key ---------------------------------------------------------------
+
+    def match_key(self, out, depth, key, cls, bound, counter, guard, body) -> None:
+        """Emit the enumeration of ``key``'s matches against class ``cls``.
+
+        ``bound`` is the set of slots bound on entry; ``body(depth, bound)``
+        emits the code run once per match, with the key's slots bound.  An
+        operator key increments ``counter`` per match and stops at the cap;
+        ``guard`` re-checks the counter on entry when earlier loops may
+        already have filled it.  Variable and symbol keys never multiply the
+        frontier, so they need no counter.
+        """
+        kind = key[0]
+        if kind == "var":
+            slot = key[1]
+            if slot in bound:
+                out.append(f"{_pad(depth)}if {cls} == s{slot}:")
+                body(depth + 1, bound)
+            else:
+                out.append(f"{_pad(depth)}s{slot} = {cls}")
+                body(depth, bound | {slot})
+            return
+        if kind == "sym":
+            out.append(f"{_pad(depth)}if {self.symbol(key[1])} in V[{cls}].var_payloads:")
+            body(depth + 1, bound)
+            return
+        if guard:
+            out.append(f"{_pad(depth)}if {counter} < {self.cap}:")
+            depth += 1
+        children = key[2]
+        if all(child[0] == "var" for child in children):
+            # Flat key: one loop over the class's rows of the operator, each
+            # position binding or testing its slot.
+            row = self.fresh("r")
+            out.append(f"{_pad(depth)}for {row} in V[{cls}].by_op.get({op_id(key[1])}, ()):")
+            depth += 1
+            targets: List[str] = []
+            tests: List[str] = []
+            local = set(bound)
+            for child in children:
+                slot = child[1]
+                if slot in local:
+                    temp = self.fresh("t")
+                    targets.append(temp)
+                    tests.append(f"{temp} != s{slot}")
+                else:
+                    targets.append(f"s{slot}")
+                    local.add(slot)
+            if targets:
+                out.append(f"{_pad(depth)}{_targets(targets)} = {row}")
+            if tests:
+                out.append(f"{_pad(depth)}if {' or '.join(tests)}:")
+                out.append(f"{_pad(depth + 1)}continue")
+        else:
+            name, memo, params, fresh_slots = self.helper(key, bound)
+            if memo is not None:
+                binds = self.fresh("b")
+                out.append(f"{_pad(depth)}{binds} = {memo}.get({cls})")
+                out.append(f"{_pad(depth)}if {binds} is None:")
+                out.append(f"{_pad(depth + 1)}{binds} = {memo}[{cls}] = {name}({cls})")
+                source = binds
+            else:
+                source = f"{name}({', '.join([cls] + [f's{p}' for p in params])})"
+            out.append(f"{_pad(depth)}for {_targets([f's{k}' for k in fresh_slots])} in {source}:")
+            depth += 1
+        out.append(f"{_pad(depth)}{counter} += 1")
+        body(depth, bound | _key_slots(key))
+        out.append(f"{_pad(depth)}if {counter} >= {self.cap}:")
+        out.append(f"{_pad(depth + 1)}break")
+
+    def helper(self, key: Key, bound) -> Tuple[str, Optional[str], Tuple[int, ...], Tuple[int, ...]]:
+        """The helper matching nested operator ``key`` (generated once).
+
+        The helper takes a class id plus the values of the key's slots bound
+        upstream, and returns the key's matches as tuples of its other slots,
+        at most the cap of them: every consumer counts against a cap, so the
+        tail is never read.  A key with no slot bound upstream gets a
+        per-search ``class id -> bind tuples`` memo, since its matches then
+        depend on the class alone.
+        """
+        slots = _key_slots(key)
+        params = tuple(sorted(slots & bound))
+        fresh_slots = tuple(sorted(slots - bound))
+        found = self.helpers.get((key, params))
+        if found is not None:
+            return found
+        index = len(self.helpers)
+        name = f"_h{index}"
+        memo = None if params else f"_m{index}"
+        entry = self.helpers[(key, params)] = (name, memo, params, fresh_slots)
+        children = key[2]
+        lines = [
+            f"def {name}({', '.join(['c'] + [f's{p}' for p in params])}):",
+            "    V = views",
+            "    found = []",
+            f"    for r in V[c].by_op.get({op_id(key[1])}, ()):",
+            f"        {_targets([f'x{i}' for i in range(len(children))])} = r",
+        ]
+        # Each operator child caps its own frontier per (substitution, row):
+        # reset before the first child's loop, never inside an earlier one.
+        counters = [f"m{i}" for i, child in enumerate(children) if child[0] == "op"]
+        if counters:
+            lines.append(f"        {' = '.join(counters)} = 0")
+
+        def chain(i: int, depth: int, now_bound, multiplied: bool) -> None:
+            if i == len(children):
+                lines.append(f"{_pad(depth)}found.append({_tuple_text([f's{k}' for k in fresh_slots])})")
+                lines.append(f"{_pad(depth)}if len(found) >= {self.cap}:")
+                lines.append(f"{_pad(depth + 1)}return found")
+                return
+            child = children[i]
+            is_op = child[0] == "op"
+            self.match_key(
+                lines, depth, child, f"x{i}", now_bound,
+                f"m{i}" if is_op else None, multiplied and is_op,
+                lambda d, b: chain(i + 1, d, b, multiplied or is_op),
+            )
+
+        chain(0, 2, frozenset(params), False)
+        lines.append("    return found")
+        self.helper_lines.extend(lines)
+        return entry
+
+    # -- the trie --------------------------------------------------------------
+
+    def trie(self, out, depth, tnode, position, arity, bound, under_op, row_counters) -> None:
+        """Emit one trie node: its terminals, then each edge in order."""
+        for terminal in tnode.terminals:
+            r = terminal.rule_index
+            slots = _tuple_text([f"s{k}" for k in range(len(terminal.names))])
+            out.append(f"{_pad(depth)}if o{r}:")
+            out.append(f"{_pad(depth + 1)}out{r}.append((cid, {slots}))")
+            out.append(f"{_pad(depth + 1)}if len(out{r}) >= limit:")
+            out.append(f"{_pad(depth + 2)}o{r} = False")
+        if position == arity:
+            return
+        for key, child in tnode.edges:
+            edge_depth = depth
+            if tnode.terminals or child.rules != tnode.rules:
+                out.append(f"{_pad(depth)}if {_any_open(child.rules)}:")
+                edge_depth += 1
+            counter = None
+            if key[0] == "op":
+                counter = self.fresh("n")
+                # An edge's frontier spans every substitution reaching it in
+                # one root row: below another operator edge that is many
+                # loop passes, so the counter is reset once per row.
+                if under_op:
+                    row_counters.append(counter)
+                else:
+                    out.append(f"{_pad(edge_depth)}{counter} = 0")
+            self.match_key(
+                out, edge_depth, key, f"c{position}", bound, counter, under_op,
+                lambda d, b, child=child, key=key: self.trie(
+                    out, d, child, position + 1, arity, b,
+                    under_op or key[0] == "op", row_counters,
+                ),
+            )
+
+    def root(self, index: int, op: str, tnode: _TrieNode) -> List[str]:
+        """One root operator's search function."""
+        arity = OPERATORS[op].arity
+        any_open = _any_open(tnode.rules)
+        lines = [f"def _root{index}(classes, outs, limit):", "    V = views"]
+        for r in sorted(tnode.rules):
+            lines.append(f"    out{r} = outs.get({r})")
+            lines.append(f"    o{r} = out{r} is not None")
+        lines += [
+            f"    if not ({any_open}):",
+            "        return",
+            "    for cid in classes:",
+            f"        for row in V[cid].by_op.get({op_id(op)}, ()):",
+        ]
+        if arity:
+            lines.append(f"            {_targets([f'c{i}' for i in range(arity)])} = row")
+        body: List[str] = []
+        row_counters: List[str] = []
+        self.trie(body, 3, tnode, 0, arity, frozenset(), False, row_counters)
+        if row_counters:
+            lines.append(f"            {' = '.join(row_counters)} = 0")
+        lines += body
+        lines += [f"        if not ({any_open}):", "            return"]
+        return lines
+
+    def module(self, roots: Sequence[Tuple[str, _TrieNode]]) -> str:
+        """The whole source: ``_make(views)`` returns the root functions,
+        closed over one search's views and memos."""
+        root_lines: List[str] = []
+        for index, (op, tnode) in enumerate(roots):
+            root_lines += self.root(index, op, tnode)
+        memos = [memo for _, memo, _, _ in self.helpers.values() if memo is not None]
+        lines = ["def _make(views):"]
+        lines += [f"    {memo} = {{}}" for memo in memos]
+        lines += ["    " + line for line in self.helper_lines + root_lines]
+        lines.append(f"    return {_tuple_text([f'_root{i}' for i in range(len(roots))])}")
+        return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A compiled matcher: its source and the ``_make`` factory."""
+
+    source: str
+    make: Callable
+
+
+#: The process-wide compile cache, keyed by everything the source depends
+#: on: the cap and each rule's compiled LHS (root op, child keys, width).
+_PROGRAMS: Dict[Tuple, _Program] = {}
+
+
+def _compile(roots: Sequence[Tuple[str, _TrieNode]], cap: int) -> _Program:
+    gen = _Codegen(cap)
+    source = gen.module(roots)
+    namespace = gen.namespace
+    exec(compile(source, "<batched-matcher>", "exec"), namespace)
+    return _Program(source=source, make=namespace["_make"])
 
 
 class BatchedMatcher:
-    """All rules' LHS patterns as one trie over columnar class views.
+    """All rules' LHS patterns as one trie, compiled into generated loops.
 
-    ``rule_priorities`` (optional, e.g. from
-    :func:`priorities_from_attribution`) orders sibling branches by the best
-    yield of any rule in their subtree; without it, branches keep rule
-    registration order.  Ordering is purely a work-scheduling knob — each
-    rule's match stream is independent of its siblings, so results are
-    identical under any branch order.
+    The source is generated once per process per rule set and cap (the cap
+    is :data:`repro.egraph.pattern.MAX_SUBSTITUTIONS_PER_NODE`, read when the
+    matcher is built); :attr:`source` keeps it for debugging.
     """
 
-    def __init__(
-        self,
-        rules: Sequence[Rewrite],
-        rule_priorities: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, rules: Sequence[Rewrite]) -> None:
         self.rules = list(rules)
-        #: ``(root op, subtree, blank substitution)`` per distinct root
-        #: operator; the blank is the all-``None`` tuple sized to the widest
-        #: rule under that root, so every substitution in the subtree shares
-        #: one fixed slot layout.
-        self.roots: List[Tuple[str, _TrieNode, Subst]] = []
+        #: Per rule, the variable name of each slot of its match tuples.
+        self.names: List[Tuple[str, ...]] = []
+        #: ``(root op, subtree)`` per distinct root operator.
+        self.roots: List[Tuple[str, _TrieNode]] = []
         self.fallback: List[int] = []
         by_root: Dict[str, _TrieNode] = {}
-        widths: Dict[str, int] = {}
-        root_order: List[str] = []
-        memo_slots = count()
+        signature = []
         for index, rule in enumerate(self.rules):
             root_op, child_keys, names = compile_pattern(rule.lhs)
             if root_op is None:
+                self.names.append(tuple(rule.lhs.variables))
                 self.fallback.append(index)
+                signature.append(None)
                 continue
+            self.names.append(names)
+            signature.append((root_op, child_keys, len(names)))
             node = by_root.get(root_op)
             if node is None:
                 node = by_root[root_op] = _TrieNode()
-                root_order.append(root_op)
-            widths[root_op] = max(widths.get(root_op, 0), len(names))
+                self.roots.append((root_op, node))
             node.rules.add(index)
-            bound: Set[int] = set()
             for key in child_keys:
-                node = node.child(key, bound, memo_slots)
+                node = node.child(key)
                 node.rules.add(index)
-                bound |= _key_slots(key)
             node.terminals.append(_Terminal(rule_index=index, names=names))
-        self.roots = [(op, by_root[op], _blank(widths[op])) for op in root_order]
-        #: Number of cacheable compiled keys: the per-search bind cache has
-        #: one ``class id -> binds`` dict per key.
-        self.memo_count = next(memo_slots)
-        if rule_priorities:
-            self._order_branches(rule_priorities)
-
-    def _order_branches(self, priorities: Dict[str, float]) -> None:
-        """Stable-sort every edge list by descending best subtree yield."""
-
-        def best(rules: Set[int]) -> float:
-            return max((priorities.get(self.rules[i].name, 0.0) for i in rules), default=0.0)
-
-        def order(node: _TrieNode) -> None:
-            node.edges.sort(key=lambda edge: -best(edge[2].rules))
-            for _, _, child in node.edges:
-                order(child)
-
-        self.roots.sort(key=lambda root: -best(root[1].rules))
-        for _, node, _ in self.roots:
-            order(node)
-
-    def _annotate_active(self, active_set: Set[int]) -> None:
-        """Prepass: stamp every trie node with its active subtree rules."""
-
-        def walk(node: _TrieNode) -> None:
-            node.active = node.rules & active_set
-            if node.active:
-                for _, _, child in node.edges:
-                    walk(child)
-
-        for _, node, _ in self.roots:
-            walk(node)
-
-    # -- the walk --------------------------------------------------------------
+        cap = _pattern.MAX_SUBSTITUTIONS_PER_NODE
+        cache_key = (cap, tuple(signature))
+        program = _PROGRAMS.get(cache_key)
+        if program is None:
+            program = _PROGRAMS[cache_key] = _compile(self.roots, cap)
+        self._make = program.make
+        self.source = program.source
 
     def search(
         self,
         egraph: EGraph,
-        active: Sequence[int],
+        active: Iterable[int],
         limit: Optional[int] = None,
-    ) -> Dict[int, List[Match]]:
+    ) -> Dict[int, List[SlotMatch]]:
         """Match every active rule in one shared e-graph walk.
 
         ``active`` lists the rule indices the scheduler allows this iteration
         (banned rules' subtrees are pruned); ``limit`` is the per-rule match
         cap, truncating with the same prefix as the per-pattern reference.
         Rules whose LHS root is not an operator run the per-pattern search.
-        Returns matches per rule index, each list in reference order.
+        Returns ``(class id, slot tuple)`` matches per rule index, each list
+        in reference order.
         """
         active_set = set(active)
-        out: Dict[int, List[Match]] = {index: [] for index in active_set}
-        done: Set[int] = set()
-        views: Dict[int, ClassView] = {}
-        class_view = egraph.class_view
-
-        def view_of(cid: int) -> ClassView:
-            view = views.get(cid)
-            if view is None:
-                view = views[cid] = class_view(cid)
-            return view
-
-        self._annotate_active(active_set)
-        # Per-search memo of cacheable operator-key evaluations, one dict per
-        # compiled key keyed by class id; valid because class views are
-        # frozen for the duration of one search.  Views and cache are locals
-        # on purpose: both die when the search returns, so the next apply
-        # phase and search never carry this search's class-sized scratch.
-        cache: BindCache = [{} for _ in range(self.memo_count)]
-        for root_op, tnode, blank in self.roots:
-            if not tnode.active - done:
-                continue
-            oid = op_id(root_op)
-            initial = [blank]
-            for cid in egraph.classes_with_op(root_op):
-                root_nodes = view_of(cid).by_op.get(oid)
-                if not root_nodes:
-                    continue
-                for children in root_nodes:
-                    self._descend(tnode, cid, children, 0, initial, done, out, limit, view_of, cache)
-                if not tnode.active - done:
-                    break
+        out: Dict[int, List[SlotMatch]] = {index: [] for index in active_set}
+        budget = sys.maxsize if limit is None else limit
+        # Class views and memos are locals on purpose: they die when the
+        # search returns, so the next apply phase never carries them.
+        functions = self._make(_Views(egraph.class_view))
+        for (root_op, tnode), function in zip(self.roots, functions):
+            if not tnode.rules.isdisjoint(active_set):
+                function(egraph.classes_with_op(root_op), out, budget)
         for index in self.fallback:
-            if index not in active_set:
-                continue
-            out[index] = self.rules[index].search(egraph, limit=limit)
+            if index in active_set:
+                names = self.names[index]
+                out[index] = [
+                    (match.class_id, tuple(match.substitution[name] for name in names))
+                    for match in self.rules[index].search(egraph, limit=limit)
+                ]
         return out
-
-    def _descend(
-        self,
-        tnode: _TrieNode,
-        class_id: int,
-        children: Tuple[int, ...],
-        depth: int,
-        substs: Sequence[Subst],
-        done: Set[int],
-        out: Dict[int, List[Match]],
-        limit: Optional[int],
-        view_of,
-        cache: BindCache,
-    ) -> None:
-        """Fold one root node's children through the trie (shared prefixes
-        fold once), emitting completed rules' substitutions along the way."""
-        for terminal in tnode.terminals:
-            index = terminal.rule_index
-            if index not in tnode.active or index in done:
-                continue
-            matches = out[index]
-            names = terminal.names
-            for subst in substs:
-                matches.append(
-                    Match(class_id=class_id, substitution=dict(zip(names, subst)))
-                )
-                if limit is not None and len(matches) >= limit:
-                    done.add(index)
-                    break
-        if depth >= len(children):
-            return
-        child_class = children[depth]
-        cap = MAX_SUBSTITUTIONS_PER_NODE
-        for _, compiled, child_node in tnode.edges:
-            wanted = child_node.active
-            if not wanted or (done and not wanted - done):
-                continue
-            tag = compiled[0]
-            # The same frontier-with-cap fold as the reference matcher: the
-            # survivors are exactly the first <=cap substitutions in DFS
-            # order.  Variable edges are folded inline (each subst maps to at
-            # most one survivor, so the incoming bound of ``cap`` holds).
-            if tag == "v":
-                slot = compiled[1]
-                frontier = []
-                for s in substs:
-                    bound = s[slot]
-                    if bound is None:
-                        frontier.append(s[:slot] + (child_class,) + s[slot + 1:])
-                    elif bound == child_class:
-                        frontier.append(s)
-            elif tag == "s":
-                frontier = (
-                    list(substs)
-                    if compiled[1] in view_of(child_class).var_payloads
-                    else []
-                )
-            elif compiled[3] is not None:
-                # Cacheable operator edge: the per-(key, class) binds are
-                # shared by every substitution and every parent e-node, so
-                # the hot path is one dict probe plus a merge.
-                memo_of = cache[compiled[3]]
-                binds = memo_of.get(child_class)
-                if binds is None:
-                    binds = memo_of[child_class] = _match_many(
-                        (compiled[0], compiled[1], compiled[2], None),
-                        child_class, (_blank(len(substs[0])),), view_of, cap, cache,
-                    ) or _NO_BINDS
-                if not binds:
-                    continue
-                first = substs[0]
-                if len(substs) == 1 and first.count(None) == len(first):
-                    frontier = binds
-                else:
-                    frontier = []
-                    for s in substs:
-                        for bind in binds:
-                            frontier.append(
-                                tuple([a if b is None else b for a, b in zip(s, bind)])
-                            )
-                            if len(frontier) >= cap:
-                                break
-                        if len(frontier) >= cap:
-                            break
-            else:
-                frontier = _match_many(compiled, child_class, substs, view_of, cap, cache)
-            if frontier:
-                self._descend(
-                    child_node, class_id, children, depth + 1, frontier,
-                    done, out, limit, view_of, cache,
-                )
 
     # -- introspection (tests, docs) -------------------------------------------
 
@@ -572,10 +512,10 @@ class BatchedMatcher:
             nonlocal nodes, edges
             nodes += 1
             edges += len(node.edges)
-            for _, _, child in node.edges:
+            for _, child in node.edges:
                 walk(child)
 
-        for _, node, _ in self.roots:
+        for _, node in self.roots:
             walk(node)
         return {
             "roots": len(self.roots),

@@ -280,10 +280,28 @@ def render_bench(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
+#: The saturation bench's deterministic per-run fields.  Saturation and
+#: greedy extraction are pure functions of the circuit and the limits, so any
+#: move in these is a behaviour change, never noise.
+COUNT_FIELDS = (
+    "stop_reason",
+    "iterations",
+    "final_classes",
+    "final_nodes",
+    "total_matches",
+    "total_applications",
+    "matches_deduped",
+    "growth_curve",
+    "extraction_ands",
+    "extraction_levels",
+)
+
+
 def check_regressions(
     payload: Dict[str, object],
     reference: Dict[str, object],
     max_ratio: float = 2.0,
+    counts: Sequence[str] = (),
 ) -> List[str]:
     """Compare a bench payload against a checked-in reference.
 
@@ -292,9 +310,12 @@ def check_regressions(
     regression.  Circuits or variants missing from either side are skipped
     (the reference may be older than the bench set).  An extraction that
     was CEC-equivalent in the reference and is a counterexample now always
-    fails, independent of timing.
+    fails, independent of timing.  Every field named in ``counts`` (the
+    saturation bench passes :data:`COUNT_FIELDS`) that both runs carry must
+    also be equal, provided both payloads ran the same preset and limits.
     """
     failures: List[str] = []
+    same_config = all(payload.get(key) == reference.get(key) for key in ("preset", "limits"))
     for name, ref_entry in reference.get("circuits", {}).items():
         cur_entry = payload.get("circuits", {}).get(name)
         if cur_entry is None:
@@ -314,4 +335,9 @@ def check_regressions(
                 cur_run.get("extraction_cec") == "counterexample"
             ):
                 failures.append(f"{name}/{variant}: extraction no longer equivalent")
+            for field in counts if same_config else ():
+                if field in ref_run and field in cur_run and cur_run[field] != ref_run[field]:
+                    failures.append(
+                        f"{name}/{variant}: {field} {cur_run[field]!r} vs reference {ref_run[field]!r}"
+                    )
     return failures

@@ -8,11 +8,16 @@ preserving its semantics exactly when configured with the
   e-graph, then apply rule by rule), so the legacy runner is the special case
   ``SimpleScheduler`` + all classes as candidates;
 * e-matching is one :class:`~repro.engine.batched.BatchedMatcher` walk per
-  iteration: every rule LHS compiled into a shared-prefix trie over the
-  e-graph's integer rows, whose per-operator class buckets play the
-  op-index role.  Its matches equal the per-pattern reference
-  (:func:`repro.egraph.pattern.search`) in count, content and order, so the
-  engine lands on the e-graph the legacy loop would;
+  iteration: every rule LHS compiled into a shared-prefix trie, and the trie
+  into generated loops over the e-graph's integer rows, whose per-operator
+  class buckets play the op-index role.  Its matches equal the per-pattern
+  reference (:func:`repro.egraph.pattern.search`) in count, content and
+  order, so the engine lands on the e-graph the legacy loop would;
+* a match stays a ``(class id, slot tuple)`` pair from search to apply: the
+  scheduler truncates the lists, dedup keys are built from the tuples, and
+  each RHS runs as a post-order program compiled once per engine
+  (:func:`_compile_rhs`).  A :class:`~repro.egraph.pattern.Match` is built
+  only for a rule's ``condition`` and for the provenance recorder;
 * **match deduplication** remembers every (rule, canonical class, canonical
   substitution) triple that was already instantiated and skips it in later
   iterations.  A skipped re-instantiation could at most have re-created
@@ -26,8 +31,8 @@ preserving its semantics exactly when configured with the
   the profile.
 
 Memory: an iteration's matches are dropped before the next search starts,
-and the matcher's class views and bind cache live only inside one search,
-so peak memory is one iteration's scratch on top of the e-graph.
+and the matcher's class views and memos live only inside one search, so
+peak memory is one iteration's scratch on top of the e-graph.
 
 ``run`` returns a :class:`~repro.engine.telemetry.SaturationProfile` with
 per-rule and per-iteration telemetry; the legacy stop reasons
@@ -44,12 +49,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import Match, instantiate
+from repro.egraph.egraph import EGraph, op_id
+from repro.egraph.pattern import Match, PatternNode
 from repro.egraph.rewrite import Rewrite
-from repro.engine.batched import BatchedMatcher
+from repro.engine.batched import BatchedMatcher, SlotMatch
 from repro.engine.scheduler import Scheduler, make_scheduler
 from repro.engine.telemetry import IterationReport, RuleProfile, SaturationProfile
 from repro.obs import provenance as obs_provenance
@@ -68,6 +74,15 @@ class EngineLimits:
     time_limit: float = 60.0
     match_limit_per_rule: int = 5_000
 
+    def __post_init__(self) -> None:
+        for name in ("max_iterations", "max_nodes", "max_classes", "time_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"EngineLimits.{name} must be >= 0, got {getattr(self, name)}")
+        if self.match_limit_per_rule < 1:
+            raise ValueError(
+                f"EngineLimits.match_limit_per_rule must be >= 1, got {self.match_limit_per_rule}"
+            )
+
 
 #: Canonical dedup key: ``(rule name, canonical class, *substitution values)``
 #: with the values in sorted variable-name order.  A rule always binds the
@@ -75,6 +90,50 @@ class EngineLimits:
 #: (rule, class, sorted substitution items) triple, which took a tuple per
 #: variable plus two.
 MatchKey = Tuple
+
+#: RHS program steps, run in order on a stack of class ids: push the class of
+#: a slot, push a VAR leaf, or pop an operator's children and push the class
+#: of the operator node over them.
+_SLOT, _SYMBOL, _OP = 0, 1, 2
+
+
+def _compile_rhs(node: PatternNode, slot_of: Dict[str, int], program: List[Tuple]) -> List[Tuple]:
+    """Lower an RHS pattern to its post-order program over match slots."""
+    if node.kind == "pattern_var":
+        program.append((_SLOT, slot_of[node.name], None, 0))
+    elif node.kind == "symbol":
+        program.append((_SYMBOL, node.name, None, 0))
+    else:
+        for child in node.children:
+            _compile_rhs(child, slot_of, program)
+        program.append((_OP, op_id(node.op), node.op, len(node.children)))
+    return program
+
+
+def _run_rhs(egraph: EGraph, program: Sequence[Tuple], slots: Tuple[int, ...]) -> int:
+    """Build an RHS program into the e-graph; returns the canonical class id.
+
+    :func:`repro.egraph.pattern.instantiate` without the tree walk: an
+    operator probes the hashcons with its canonical children and calls
+    ``add_term`` (the only code that creates rows) only on a miss.
+    """
+    find = egraph.union_find.find
+    hashcons = egraph.hashcons
+    stack: List[int] = []
+    for tag, arg, op, arity in program:
+        if tag == _SLOT:
+            stack.append(find(slots[arg]))
+        elif tag == _SYMBOL:
+            stack.append(egraph.var(arg))
+        else:
+            if arity:
+                kids = stack[-arity:]
+                del stack[-arity:]
+            else:
+                kids = []
+            hit = hashcons.get((arg, *kids))
+            stack.append(egraph.add_term(op, kids) if hit is None else find(hit))
+    return stack[-1]
 
 
 class SaturationEngine:
@@ -87,59 +146,73 @@ class SaturationEngine:
         limits: Optional[EngineLimits] = None,
         scheduler: Union[str, Scheduler, None] = None,
         dedup_matches: bool = True,
-        rule_priorities: Optional[Dict[str, float]] = None,
     ) -> None:
         self.egraph = egraph
         self.rules = list(rules)
         self.limits = limits or EngineLimits()
         self.scheduler = make_scheduler(scheduler)
         self.dedup_matches = dedup_matches
-        self.matcher = BatchedMatcher(self.rules, rule_priorities=rule_priorities)
+        self.matcher = BatchedMatcher(self.rules)
         self.profile: Optional[SaturationProfile] = None
         self._seen: Set[MatchKey] = set()
+        #: Per rule: its RHS program, and the getter putting slot values in
+        #: sorted-name order for the dedup key (None when already sorted).
+        self._programs: List[List[Tuple]] = []
+        self._sorters: List[Optional[itemgetter]] = []
+        for rule, names in zip(self.rules, self.matcher.names):
+            slot_of = {name: slot for slot, name in enumerate(names)}
+            self._programs.append(_compile_rhs(rule.rhs.root, slot_of, []))
+            order = sorted(range(len(names)), key=names.__getitem__)
+            self._sorters.append(None if order == list(range(len(names))) else itemgetter(*order))
 
     # -- internals -------------------------------------------------------------
 
     def _apply_rule(
         self,
-        rule: Rewrite,
-        matches: List[Match],
+        index: int,
+        matches: List[SlotMatch],
         stats: RuleProfile,
         iteration: int = 0,
         recorder: Optional[obs_provenance.ProvenanceLog] = None,
     ) -> int:
         """Apply one rule's matches (with dedup); returns unions performed."""
         egraph = self.egraph
+        find = egraph.union_find.find
+        rule = self.rules[index]
+        name = rule.name
+        names = self.matcher.names[index]
+        condition = rule.condition
+        program = self._programs[index]
+        sorter = self._sorters[index]
         seen = self._seen if self.dedup_matches else None
-        names: Tuple[str, ...] = ()
-        if seen is not None and matches:
-            names = tuple(sorted(matches[0].substitution))
         applied = 0
-        for match in matches:
+        for class_id, slots in matches:
             if seen is not None:
-                # Substitution values are find-canonical at search time;
-                # skipping the re-canonicalization keeps key construction
-                # cheap.  A key staled by a later union just misses the
-                # seen-set, and re-instantiating an applied match is harmless
-                # (see module docstring).
-                key = (rule.name, match.class_id, *map(match.substitution.__getitem__, names))
+                # Slot values are find-canonical at search time; skipping
+                # the re-canonicalization keeps key construction cheap.  A
+                # key staled by a later union just misses the seen-set, and
+                # re-instantiating an applied match is harmless (see module
+                # docstring).
+                key = (name, class_id, *(slots if sorter is None else sorter(slots)))
                 if key in seen:
                     stats.matches_deduped += 1
                     continue
-            if rule.condition is not None and not rule.condition(egraph, match):
+            if condition is not None and not condition(
+                egraph, Match(class_id=class_id, substitution=dict(zip(names, slots)))
+            ):
                 continue
             if seen is not None:
                 seen.add(key)
             if recorder is not None:
                 recorder.set_context(
-                    rule.name,
+                    name,
                     iteration,
-                    egraph.find(match.class_id),
-                    obs_provenance.subst_digest(match.substitution),
+                    find(class_id),
+                    obs_provenance.subst_digest(dict(zip(names, slots))),
                 )
-            new_class = instantiate(egraph, rule.rhs.root, match.substitution)
-            if egraph.find(new_class) != egraph.find(match.class_id):
-                egraph.union(match.class_id, new_class)
+            new_class = _run_rhs(egraph, program, slots)
+            if new_class != find(class_id):
+                egraph.union(class_id, new_class)
                 applied += 1
         if recorder is not None:
             recorder.clear_context()
@@ -196,7 +269,7 @@ class SaturationEngine:
                         # saturation.  The hard match_limit_per_rule cap is
                         # *not* a restriction — quiet under the cap saturated
                         # the legacy runner too.
-                        searched: List[Tuple[Rewrite, List[Match]]] = []
+                        searched: List[Tuple[int, List[SlotMatch]]] = []
                         restricted = False
                         with obs.span("search", category="saturation.phase") as search_span:
                             # One shared trie walk for every active rule.
@@ -235,7 +308,7 @@ class SaturationEngine:
                                     restricted = True
                                 stats.matches_found += len(matches)
                                 report.matches_found += len(matches)
-                                searched.append((rule, matches))
+                                searched.append((rule_index, matches))
                             search_span.set("matches", report.matches_found)
                         report.search_time = search_span.duration
 
@@ -246,7 +319,8 @@ class SaturationEngine:
                         total_applied = 0
                         budget_tripped = False
                         with obs.span("apply", category="saturation.phase") as apply_span:
-                            for rule, matches in searched:
+                            for rule_index, matches in searched:
+                                rule = self.rules[rule_index]
                                 stats = rule_stats[rule.name]
                                 if budget_tripped:
                                     report.skipped.append(rule.name)
@@ -255,7 +329,7 @@ class SaturationEngine:
                                 with obs.span(rule.name, category="saturation.apply") as rule_span:
                                     deduped_before = stats.matches_deduped
                                     count = self._apply_rule(
-                                        rule, matches, stats, iteration, recorder
+                                        rule_index, matches, stats, iteration, recorder
                                     )
                                 stats.apply_time += rule_span.duration
                                 rule_span.set("applications", count)
@@ -336,7 +410,6 @@ def saturate_engine(
     limits: Optional[EngineLimits] = None,
     scheduler: Union[str, Scheduler, None] = None,
     dedup_matches: bool = True,
-    rule_priorities: Optional[Dict[str, float]] = None,
 ) -> SaturationProfile:
     """One-call helper: build a :class:`SaturationEngine` and run it.
 
@@ -349,5 +422,4 @@ def saturate_engine(
         limits=limits,
         scheduler=scheduler,
         dedup_matches=dedup_matches,
-        rule_priorities=rule_priorities,
     ).run()

@@ -261,8 +261,8 @@ def _pass_saturate(
     exponentially growing windows; ``scheduler="simple"`` searches every rule
     every iteration.  ``dedup`` toggles cross-iteration match deduplication —
     ``saturate(scheduler=simple, dedup=false)`` is byte-for-byte the legacy
-    runner loop.  E-matching always runs the batched trie walk over the
-    e-graph's integer rows.
+    runner loop.  E-matching always runs the batched matcher's generated
+    loops over the e-graph's integer rows.
 
     After a ``partition`` pass the validated parameters are *staged*: the
     pass records itself as the plan's ``saturate`` step, which every window

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.benchgen import epfl
+from repro.egraph.pattern import Match
 from repro.mapping.library import default_library
 
 
@@ -12,6 +13,23 @@ from repro.mapping.library import default_library
 def library():
     """The shared standard-cell library (building the match table once)."""
     return default_library()
+
+
+@pytest.fixture(scope="session")
+def as_matches():
+    """Put a batched search's ``(class id, slot tuple)`` matches in the
+    per-pattern reference's shape: per rule index, a list of ``Match``."""
+
+    def convert(matcher, found):
+        return {
+            index: [
+                Match(class_id=class_id, substitution=dict(zip(matcher.names[index], slots)))
+                for class_id, slots in matches
+            ]
+            for index, matches in found.items()
+        }
+
+    return convert
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,11 @@
 """Batched e-matching parity, memory and wiring tests.
 
-The core invariant: the shared-prefix trie over the e-graph's integer rows
-(:mod:`repro.engine.batched`), the engine's only matcher, produces exactly
-the per-pattern reference's matches (:func:`repro.egraph.pattern.search`) —
-same counts, same substitutions, same order, same ``limit`` truncation
-prefix — so a saturation run lands on the e-graph a per-pattern loop
+The core invariant: the generated matcher (:mod:`repro.engine.batched`), the
+engine's only matcher, produces exactly the per-pattern reference's matches
+(:func:`repro.egraph.pattern.search`) — same counts, same substitutions, same
+order, same ``limit`` truncation prefix, same cuts when a substitution
+frontier hits ``MAX_SUBSTITUTIONS_PER_NODE`` — on the boolean rules and on
+random rule sets, so a saturation run lands on the e-graph a per-pattern loop
 (:func:`reference_saturate`) reaches, under every scheduler/dedup
 combination.  Plus the memory contract (one iteration's matches and one
 search's scratch at a time) and the retired ``matcher=``/``index=`` knobs.
@@ -12,17 +13,22 @@ search's scratch at a time) and the retired ``matcher=``/``index=`` knobs.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
+from repro.egraph import pattern as pattern_module
 from repro.egraph.egraph import ClassView, EGraph
-from repro.egraph.language import AND, NOT, OR
+from repro.egraph.language import AND, CONST0, CONST1, NOT, OR
 from repro.egraph.pattern import instantiate, parse_pattern, search
+from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
@@ -31,7 +37,6 @@ from repro.engine import (
     SaturationEngine,
     compile_pattern,
     make_scheduler,
-    priorities_from_attribution,
 )
 from repro.flows.emorphic import EmorphicConfig
 from repro.pipeline import Pipeline, PipelineError
@@ -160,15 +165,11 @@ class TestTrieSharing:
         assert stats["roots"] < stats["rules"]
         assert stats["nodes"] == stats["edges"] + stats["roots"]
 
-    def test_priority_ordering_reorders_not_changes(self):
-        rules = boolean_rules()
-        eg = _test_egraph()
-        active = list(range(len(rules)))
-        plain = BatchedMatcher(rules).search(eg, active)
-        prioritized = BatchedMatcher(
-            rules, rule_priorities={rules[0].name: 100.0, rules[-1].name: 50.0}
-        ).search(eg, active)
-        assert plain == prioritized
+    def test_compiled_once_per_rule_set(self):
+        # The generated source is cached per process: a second matcher over
+        # an equal rule set reuses it instead of compiling again.
+        assert BatchedMatcher(boolean_rules()).source is BatchedMatcher(boolean_rules()).source
+        assert BatchedMatcher(boolean_rules()).source != BatchedMatcher(boolean_rules()[:5]).source
 
 
 class TestMatchParity:
@@ -181,33 +182,34 @@ class TestMatchParity:
         }
 
     @pytest.mark.parametrize("circuit", ["adder", "mem_ctrl"])
-    def test_exact_match_lists(self, circuit):
+    def test_exact_match_lists(self, circuit, as_matches):
         eg = _test_egraph(circuit)
         rules = boolean_rules()
         matcher = BatchedMatcher(rules)
         batched = matcher.search(eg, range(len(rules)))
         reference = self._reference(eg, rules)
-        assert batched == reference
+        assert as_matches(matcher, batched) == reference
 
-    def test_parity_survives_apply_rebuild_cycles(self):
+    def test_parity_survives_apply_rebuild_cycles(self, as_matches):
         eg = _test_egraph("adder")
         rules = boolean_rules()
         matcher = BatchedMatcher(rules)
         engine = SaturationEngine(eg, rules, limits=_limits(iters=1))
         for _ in range(2):
             batched = matcher.search(eg, range(len(rules)))
-            assert batched == self._reference(eg, rules)
+            assert as_matches(matcher, batched) == self._reference(eg, rules)
             eg.check_invariants()
             engine.run()  # one apply+rebuild round between parity checks
-        assert matcher.search(eg, range(len(rules))) == self._reference(eg, rules)
+        batched = matcher.search(eg, range(len(rules)))
+        assert as_matches(matcher, batched) == self._reference(eg, rules)
         eg.check_invariants()
 
-    def test_limit_truncation_same_prefix(self):
+    def test_limit_truncation_same_prefix(self, as_matches):
         eg = _test_egraph("adder")
         rules = boolean_rules()
         matcher = BatchedMatcher(rules)
         batched = matcher.search(eg, range(len(rules)), limit=7)
-        assert batched == self._reference(eg, rules, limit=7)
+        assert as_matches(matcher, batched) == self._reference(eg, rules, limit=7)
 
     def test_ban_pruning_skips_inactive_rules(self):
         eg = _test_egraph("adder")
@@ -220,16 +222,137 @@ class TestMatchParity:
         for index in active:
             assert out[index] == full[index]
 
-    def test_fallback_requires_egraph(self):
+    def test_fallback_requires_egraph(self, as_matches):
         # A non-operator LHS root runs the per-pattern search on the e-graph
         # the matcher walks (it used to need the e-graph passed separately).
         eg = EGraph()
         eg.var("a")
-        from repro.egraph.rewrite import Rewrite
-
         rule = Rewrite("odd-root", parse_pattern("?x"), parse_pattern("?x"))
         matcher = BatchedMatcher([rule])
-        assert matcher.search(eg, [0]) == {0: rule.search(eg)}
+        assert as_matches(matcher, matcher.search(eg, [0])) == {0: rule.search(eg)}
+
+
+@functools.lru_cache(maxsize=None)
+def _saturated(circuit: str, iters: int) -> EGraph:
+    """A test-preset circuit after ``iters`` default-engine iterations
+    (matching only reads it, so tests share one copy)."""
+    eg = _test_egraph(circuit)
+    SaturationEngine(eg, boolean_rules(), limits=_limits(iters=iters)).run()
+    return eg
+
+
+#: LHS shapes whose caps bind on the saturated test graphs where no boolean
+#: rule's do: an operator edge below another operator edge (its counter
+#: spans every substitution of the row), and nested keys with two operator
+#: children, memoized and with a bound slot (child counters per
+#: (substitution, row)).
+_NESTED_CAP_SHAPES = (
+    "(AND (AND ?a ?b) (AND ?c ?d))",
+    "(AND (AND (AND ?a ?b) (AND ?c ?d)) ?e)",
+    "(AND ?a (OR (AND ?a ?b) (AND ?c ?d)))",
+    "(OR (AND ?a ?b) (OR (AND ?a ?c) (AND ?d ?e)))",
+)
+
+
+class TestCapParity:
+    """The frontier caps are exact counters: lowering
+    ``MAX_SUBSTITUTIONS_PER_NODE`` until it binds everywhere still cuts the
+    reference's prefixes.  The matcher reads the cap when it is built, and
+    the compile cache must not serve code generated for another cap."""
+
+    @pytest.mark.parametrize("circuit,iters", [("adder", 2), ("adder", 3), ("mem_ctrl", 2)])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_lowered_cap_matches_reference(self, monkeypatch, circuit, iters, cap, as_matches):
+        eg = _saturated(circuit, iters)
+        rules = boolean_rules() + [
+            Rewrite.from_strings(f"cap-{i}", shape, shape) for i, shape in enumerate(_NESTED_CAP_SHAPES)
+        ]
+        monkeypatch.setattr(pattern_module, "MAX_SUBSTITUTIONS_PER_NODE", cap)
+        matcher = BatchedMatcher(rules)
+        reference = {i: rule.search(eg) for i, rule in enumerate(rules)}
+        assert as_matches(matcher, matcher.search(eg, range(len(rules)))) == reference
+        # ``search(limit=n)`` stops after n matches, so its result is a prefix.
+        truncated = {i: matches[:7] for i, matches in reference.items()}
+        assert as_matches(matcher, matcher.search(eg, range(len(rules)), limit=7)) == truncated
+
+
+#: Random rule-set ingredients: three variables (so repeats are common),
+#: both constants, two VAR names of the e-graph and one it lacks.
+_VARIABLES = st.sampled_from(["?a", "?b", "?c"])
+_LEAVES = st.one_of(
+    _VARIABLES, _VARIABLES, st.sampled_from([CONST0, CONST1, "a0", "b1", "nowhere"])
+)
+
+
+def _weighted(*choices):
+    """Pick one strategy per draw, each listed entry equally likely (repeat
+    an entry to weight it; ``one_of`` would collapse the repeats)."""
+    return st.integers(0, len(choices) - 1).flatmap(lambda i: choices[i])
+
+
+def _operators(depth: int):
+    """Operator patterns up to ``depth`` levels deep, shaped like the AND/NOT
+    nests of a converted AIG so that deep ones still match; the ``(op ?x
+    deeper)`` branch grows chains deeper than any boolean rule."""
+    if depth <= 1:
+        below = _LEAVES
+    else:
+        deeper = _operators(depth - 1)
+        below = _weighted(_VARIABLES, _LEAVES, deeper, deeper)
+    binary = st.sampled_from([AND, AND, OR])
+    return st.one_of(
+        st.builds(lambda x: f"({NOT} {x})", below),
+        st.builds(lambda op, x, y: f"({op} {x} {y})", binary, below, below),
+        st.builds(lambda op, x, y: f"({op} {x} {y})", binary, _VARIABLES, below),
+    )
+
+
+@st.composite
+def _rule_sets(draw):
+    """Up to six LHS texts (operator roots mostly, some bare leaves for the
+    fallback), a random active subset, a random limit and a substitution
+    cap, lowered in half the cases so that it binds inside nested keys."""
+    texts = draw(st.lists(_weighted(*[_operators(6)] * 5, _LEAVES), min_size=1, max_size=6))
+    active = [i for i in range(len(texts)) if draw(st.booleans()) or i == 0]
+    limit = draw(st.sampled_from([None, None, 1, 7, 60]))
+    cap = draw(st.sampled_from([200, 200, 1, 2]))
+    return texts, active, limit, cap
+
+
+@functools.lru_cache(maxsize=None)
+def _random_rules_egraph() -> EGraph:
+    """A small saturated e-graph with both constants, a CONST1 class that
+    also holds ``(NOT CONST0)``, and a VAR leaf sharing its class with AND
+    nodes, so symbol and constant leaves meet mixed classes."""
+    eg = _test_egraph("adder")
+    one = eg.add_term(CONST1)
+    eg.union(one, eg.add_term(NOT, [eg.add_term(CONST0)]))
+    eg.union(eg.var("a0"), eg.classes_with_op(AND)[0])
+    eg.rebuild()
+    SaturationEngine(eg, boolean_rules(), limits=_limits(iters=2, nodes=1500)).run()
+    return eg
+
+
+class TestRandomRuleSets:
+    @given(case=_rule_sets())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_random_rule_sets_match_reference(self, case, as_matches):
+        # Random LHS shapes: repeated variables, nesting deeper than the
+        # boolean rules, constant and VAR-symbol leaves, bare-leaf roots,
+        # random active subsets, limits and caps — the generated loops must
+        # keep the reference's matches, order and truncation prefixes.
+        texts, active, limit, cap = case
+        eg = _random_rules_egraph()
+        rules = [Rewrite.from_strings(f"r{i}", text, text) for i, text in enumerate(texts)]
+        saved = pattern_module.MAX_SUBSTITUTIONS_PER_NODE
+        pattern_module.MAX_SUBSTITUTIONS_PER_NODE = cap
+        try:
+            matcher = BatchedMatcher(rules)
+            reference = {i: rules[i].search(eg, limit=limit) for i in active}
+            found = matcher.search(eg, active, limit=limit)
+        finally:
+            pattern_module.MAX_SUBSTITUTIONS_PER_NODE = saved
+        assert as_matches(matcher, found) == reference
 
 
 class TestEngineParity:
@@ -248,6 +371,37 @@ class TestEngineParity:
         ).run()
         assert egraph_digest(eg) == egraph_digest(reference_graph)
         assert _trajectory(profile) == reference
+
+    @pytest.mark.parametrize("scheduler", ["simple", "backoff"])
+    def test_conditions_symbols_and_unsorted_names(self, scheduler):
+        # The apply path without a boolean-rule safety net: variables named
+        # out of sorted order (the dedup key permutes slots into sorted-name
+        # order, which only shows when two rules share a name), a condition
+        # (the one place a Match is built), and RHS programs with VAR
+        # symbols, constants and nested operators.
+        def rules():
+            return [
+                Rewrite.from_strings("twin", "(OR ?a ?b)", "(OR ?b ?a)"),
+                Rewrite.from_strings("twin", "(OR ?b ?a)", "(AND ?a ?b)"),
+                Rewrite.from_strings("comm-yx", "(AND ?y ?x)", "(AND ?x ?y)"),
+                Rewrite.from_strings(
+                    "assoc-zyx",
+                    "(AND (AND ?z ?y) ?x)",
+                    "(AND ?z (AND ?y ?x))",
+                    condition=lambda egraph, match: (match.class_id + match.substitution["y"]) % 3 != 0,
+                ),
+                Rewrite.from_strings("push-qp", "(NOT (AND ?q ?p))", "(OR (NOT ?q) (NOT ?p))"),
+                Rewrite.from_strings("odd-ba", "(AND ?b ?a)", "(OR a0 (AND ?a CONST1))"),
+                Rewrite.from_strings("leaf", "?v", "(NOT (NOT ?v))"),
+            ]
+
+        reference_graph = _test_egraph("adder")
+        reference = reference_saturate(reference_graph, rules(), _limits(), scheduler=scheduler)
+        eg = _test_egraph("adder")
+        profile = SaturationEngine(eg, rules(), limits=_limits(), scheduler=scheduler).run()
+        assert egraph_digest(eg) == egraph_digest(reference_graph)
+        assert _trajectory(profile) == reference
+        assert sum(it.matches_deduped for it in profile.iterations) > 0
 
     def test_batched_run_is_deterministic(self):
         def run():
@@ -282,18 +436,29 @@ class TestMemory:
     """One iteration's matches and one search's scratch are alive at a time."""
 
     def test_matches_die_before_next_search(self, monkeypatch):
-        # Weakrefs to every Match each search returns; when the next search
-        # starts, every earlier one must have been collected.
+        # Matches are tuples, which cannot be weakly referenced, so the
+        # patched search hands the engine each rule's list as a weakref-able
+        # list subclass (slices, which the scheduler takes, stay tracked).
+        # When the next search starts, every earlier list must be collected.
         alive_at_search = []
         refs = []
         original = BatchedMatcher.search
+
+        class Tracked(list):
+            def __getitem__(self, index):
+                item = super().__getitem__(index)
+                return track(item) if isinstance(index, slice) else item
+
+        def track(matches):
+            tracked = Tracked(matches)
+            refs.append(weakref.ref(tracked))
+            return tracked
 
         def tracking_search(self, *args, **kwargs):
             gc.collect()
             alive_at_search.append(sum(ref() is not None for ref in refs))
             out = original(self, *args, **kwargs)
-            refs.extend(weakref.ref(m) for matches in out.values() for m in matches)
-            return out
+            return {index: track(matches) for index, matches in out.items()}
 
         monkeypatch.setattr(BatchedMatcher, "search", tracking_search)
         eg = _test_egraph("adder")
@@ -322,29 +487,9 @@ class TestMemory:
         del out
         gc.collect()
         # No class views anywhere, and nothing new hangs off the matcher (the
-        # per-search bind cache included).
+        # per-search memos included).
         assert not [obj for obj in gc.get_objects() if isinstance(obj, ClassView)]
         assert len(reachable(matcher)) == before
-
-
-class TestPriorities:
-    def test_from_attribution_dict(self):
-        payload = {
-            "rules": {
-                "and-comm": {"surviving_ands": 12},
-                "or-comm": {"surviving_ands": 0},
-                "original": {"surviving_ands": 99},
-            }
-        }
-        priorities = priorities_from_attribution(payload)
-        assert priorities == {"and-comm": 12.0, "or-comm": 0.0}
-
-    def test_from_attribution_object(self):
-        class Fake:
-            def to_dict(self):
-                return {"rules": {"not-not": {"surviving_ands": 3}}}
-
-        assert priorities_from_attribution(Fake()) == {"not-not": 3.0}
 
 
 class TestWiring:

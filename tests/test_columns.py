@@ -279,7 +279,9 @@ def storm(seed: int, steps: int = 120) -> List[tuple]:
     return program
 
 
-def saturate_both(pair: Lockstep, rules, iterations: int, max_nodes: int, limit: int = 500) -> None:
+def saturate_both(
+    pair: Lockstep, rules, as_matches, iterations: int, max_nodes: int, limit: int = 500
+) -> None:
     """Per-pattern saturation applied to both storages, compared per iteration.
 
     Matches come from the batched matcher on the columnar graph and must
@@ -287,7 +289,7 @@ def saturate_both(pair: Lockstep, rules, iterations: int, max_nodes: int, limit:
     """
     matcher = BatchedMatcher(rules)
     for _ in range(iterations):
-        found = matcher.search(pair.new, range(len(rules)), limit=limit)
+        found = as_matches(matcher, matcher.search(pair.new, range(len(rules)), limit=limit))
         assert found == {i: rule.search(pair.old, limit=limit) for i, rule in enumerate(rules)}
         for index, rule in enumerate(rules):
             assert rule.apply(pair.new, found[index]) == rule.apply(pair.old, found[index])
@@ -420,7 +422,7 @@ class TestRandomizedLockstep:
         Lockstep().run(storm(seed))
 
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_lockstep_through_saturation(self, seed):
+    def test_lockstep_through_saturation(self, seed, as_matches):
         rng = random.Random(seed)
         pair = Lockstep()
         classes = [pair.var(f"v{i}") for i in range(3)]
@@ -428,11 +430,11 @@ class TestRandomizedLockstep:
             op = rng.choice([AND, OR, NOT])
             arity = 1 if op == NOT else 2
             classes.append(pair.add_term(op, [rng.choice(classes) for _ in range(arity)]))
-        saturate_both(pair, boolean_rules(), iterations=3, max_nodes=4000)
+        saturate_both(pair, boolean_rules(), as_matches, iterations=3, max_nodes=4000)
 
-    def test_lockstep_on_real_circuit(self):
+    def test_lockstep_on_real_circuit(self, as_matches):
         pair = lockstep_circuit("adder")
-        saturate_both(pair, boolean_rules(), iterations=2, max_nodes=6000)
+        saturate_both(pair, boolean_rules(), as_matches, iterations=2, max_nodes=6000)
 
     def test_batched_engine_leaves_lockstep_columns(self):
         # The engine's own loop (simple scheduler, no dedup) on the columnar

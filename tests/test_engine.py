@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,12 @@ from repro.engine import (
     make_scheduler,
     saturate_engine,
 )
-from repro.engine.bench import check_regressions, render_bench, run_saturation_bench
+from repro.engine.bench import (
+    COUNT_FIELDS,
+    check_regressions,
+    render_bench,
+    run_saturation_bench,
+)
 from repro.engine.telemetry import SaturationProfile
 
 
@@ -137,11 +143,12 @@ class TestOpIndex:
         assert eg.classes_with_op(OR) == [root]
         assert _op_buckets(eg) == _scratch_buckets(eg)
 
-    def test_candidates_restrict_search(self):
+    def test_candidates_restrict_search(self, as_matches):
         eg = _diamond_egraph()
         rule = Rewrite.from_strings("not-root", "(NOT ?x)", "(NOT ?x)")
         candidates = eg.classes_with_op(NOT)
-        batched = BatchedMatcher([rule]).search(eg, [0])[0]
+        matcher = BatchedMatcher([rule])
+        batched = as_matches(matcher, matcher.search(eg, [0]))[0]
         full = search(eg, rule.lhs)
         assert [(m.class_id, m.substitution) for m in full] == [
             (m.class_id, m.substitution) for m in batched
@@ -154,7 +161,8 @@ class TestOpIndex:
         eg = _diamond_egraph()
         rule = Rewrite.from_strings("any", "?x", "?x")
         matches = BatchedMatcher([rule]).search(eg, [0])[0]
-        assert [m.class_id for m in matches] == eg.class_ids()
+        assert [class_id for class_id, _ in matches] == eg.class_ids()
+        assert all(slots == (class_id,) for class_id, slots in matches)
 
 
 # --------------------------------------------------------------------------
@@ -265,6 +273,44 @@ class TestSchedulers:
         if profile.stop_reason == "saturated":
             last = profile.iterations[-1]
             assert not last.banned and sum(last.applied.values()) == 0
+
+
+# --------------------------------------------------------------------------
+# Input validation: limits and rules are checked before any e-graph work.
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_iterations", -1),
+            ("max_nodes", -1),
+            ("max_classes", -1),
+            ("time_limit", -0.5),
+            ("match_limit_per_rule", 0),
+            ("match_limit_per_rule", -5),
+        ],
+    )
+    def test_engine_limits_reject_invalid(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineLimits(**{field: value})
+
+    def test_engine_limits_accept_zero_budgets(self):
+        # Zero iterations (or a zero node budget) is a legal, if idle, run.
+        eg = _diamond_egraph()
+        profile = saturate_engine(eg, boolean_rules(), EngineLimits(max_iterations=0))
+        assert profile.num_iterations == 0 and profile.stop_reason == "iteration_limit"
+        EngineLimits(max_nodes=0, max_classes=0, time_limit=0.0, match_limit_per_rule=1)
+
+    def test_rhs_variable_unbound_by_lhs_rejected(self):
+        # Such a rule used to fail mid-apply with a bare KeyError, leaving a
+        # grown e-graph with classes on the worklist; now the rule itself
+        # cannot be built.
+        with pytest.raises(ValueError, match=r"'bad'.*\?c"):
+            Rewrite.from_strings("bad", "(AND ?a ?b)", "(OR ?a ?c)")
+        with pytest.raises(ValueError, match=r"\?x, \?y"):
+            Rewrite.from_strings("worse", "CONST0", "(AND ?x (NOT ?y))")
+        Rewrite.from_strings("fine", "(AND ?a ?b)", "(OR ?b CONST1)")
 
 
 # --------------------------------------------------------------------------
@@ -513,6 +559,30 @@ class TestSaturationBench:
         failures = check_regressions(payload, reference, max_ratio=2.0)
         assert len(failures) == 1 and "adder/engine" in failures[0]
         assert not check_regressions(reference, reference)
+
+    def test_count_check_flags_moved_counts(self):
+        # A doctored copy of the checked-in reference: equal wall times, but
+        # one count moved per field, so only the count check can catch them.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "saturation_reference.json"
+        reference = json.loads(path.read_text())
+        payload = json.loads(json.dumps(reference))
+        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        run = payload["circuits"]["log2"]["runs"]["backoff"]
+        run["total_matches"] += 1
+        run["growth_curve"][-1]["nodes"] -= 1
+        run["stop_reason"] = "time_limit"
+        del run["extraction_levels"]  # a --no-cec run carries no QoR counts
+        failures = check_regressions(payload, reference, counts=COUNT_FIELDS)
+        assert [failure.split(" ")[:2] for failure in failures] == [
+            ["log2/backoff:", "stop_reason"],
+            ["log2/backoff:", "total_matches"],
+            ["log2/backoff:", "growth_curve"],
+        ]
+        # Without ``counts`` (the extraction and partition benches) or under
+        # other limits, counts are not compared.
+        assert check_regressions(payload, reference) == []
+        payload["limits"] = {**payload["limits"], "iters": 2}
+        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
 
     def test_cec_guard_flags_counterexample(self):
         payload = {
