@@ -663,7 +663,12 @@ def cmd_extract_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_bench(args: argparse.Namespace) -> int:
-    from repro.partition.bench import check_completions, render_bench, run_partition_bench
+    from repro.partition.bench import (
+        COUNT_FIELDS,
+        check_completions,
+        render_bench,
+        run_partition_bench,
+    )
 
     with _observed(args):
         payload = run_partition_bench(
@@ -681,7 +686,7 @@ def cmd_partition_bench(args: argparse.Namespace) -> int:
         )
     print(render_bench(payload))
     completions = check_completions(payload)
-    status = _bench_epilogue(payload, args, "partition-bench")
+    status = _bench_epilogue(payload, args, "partition-bench", counts=COUNT_FIELDS)
     if completions:
         print("PARTITION BENCH GATE FAILED:")
         for failure in completions:

@@ -311,8 +311,9 @@ def check_regressions(
     (the reference may be older than the bench set).  An extraction that
     was CEC-equivalent in the reference and is a counterexample now always
     fails, independent of timing.  Every field named in ``counts`` (the
-    saturation bench passes :data:`COUNT_FIELDS`) that both runs carry must
-    also be equal, provided both payloads ran the same preset and limits.
+    saturation and partition benches pass their ``COUNT_FIELDS``) that both
+    runs carry must also be equal, provided both payloads ran the same
+    preset and limits.
     """
     failures: List[str] = []
     same_config = all(payload.get(key) == reference.get(key) for key in ("preset", "limits"))

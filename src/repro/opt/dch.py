@@ -37,11 +37,19 @@ MAX_CONE = 300
 
 @dataclass
 class ChoiceAig:
-    """A union AIG plus equivalence classes over its variables."""
+    """A union AIG plus equivalence classes over its variables.
+
+    ``pairs_tried`` candidate pairs went to the SAT prover, ``pairs_proved``
+    of them came back equivalent, and the proofs took ``conflicts``
+    conflicts in total.
+    """
 
     aig: Aig
     classes: ChoiceClasses
     num_variants: int = 1
+    pairs_tried: int = 0
+    pairs_proved: int = 0
+    conflicts: int = 0
 
     @property
     def num_choices(self) -> int:
@@ -93,7 +101,7 @@ def compute_choices(aig: Aig, max_pairs: int = 2000, conflict_budget: int = 500)
         buckets.setdefault(sigs[node.var], []).append(node.var)
 
     classes = ChoiceClasses()
-    pairs_checked = 0
+    pairs_tried = pairs_proved = conflicts = 0
     for members in buckets.values():
         if len(members) < 2:
             continue
@@ -102,16 +110,25 @@ def compute_choices(aig: Aig, max_pairs: int = 2000, conflict_budget: int = 500)
         for var in members:
             if var == rep:
                 continue
-            if pairs_checked >= max_pairs:
+            if pairs_tried >= max_pairs:
                 break
-            pairs_checked += 1
+            pairs_tried += 1
             proof = prove_pair(
                 union, var_lit(rep), var_lit(var), conflict_budget=conflict_budget, max_cone=MAX_CONE
             )
+            conflicts += proof.conflicts
             if proof.status == "equivalent":
+                pairs_proved += 1
                 confirmed.append(var)
         if len(confirmed) > 1:
             classes.members[rep] = confirmed
             for var in confirmed:
                 classes.repr_of[var] = rep
-    return ChoiceAig(aig=union, classes=classes, num_variants=1 + len(VARIANT_SYNTHESIZERS))
+    return ChoiceAig(
+        aig=union,
+        classes=classes,
+        num_variants=1 + len(VARIANT_SYNTHESIZERS),
+        pairs_tried=pairs_tried,
+        pairs_proved=pairs_proved,
+        conflicts=conflicts,
+    )

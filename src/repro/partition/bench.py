@@ -17,7 +17,7 @@ inputs the monolithic run records ``false`` where the partitioned run
 records ``true`` at equal budget.  ``emorphic partition-bench`` writes it to
 ``BENCH_partition.json``; CI gates the fast profile against the checked-in
 reference with the same :func:`repro.engine.bench.check_regressions` the
-other benches use.
+other benches use, wall times and the deterministic :data:`COUNT_FIELDS`.
 """
 
 from __future__ import annotations
@@ -46,6 +46,28 @@ HEALTHY_STOPS = ("saturated", "iteration_limit")
 #: Large-preset circuits the full bench runs by default (kept small — each
 #: partitioned run optimizes every window of a multi-thousand-AND circuit).
 DEFAULT_CIRCUITS = ("log2", "sin")
+
+#: Payload fields the ``--reference`` gate requires to be equal (passed to
+#: :func:`repro.engine.bench.check_regressions`).  Windows, their guards,
+#: the final CEC and the monolithic saturation are pure functions of the
+#: circuit and the limits, so any move in these is a behaviour change.
+COUNT_FIELDS = (
+    "num_windows",
+    "ands_before",
+    "ands_after",
+    "levels_before",
+    "levels_after",
+    "accepted_windows",
+    "reverted_windows",
+    "failed_windows",
+    "status_counts",
+    "window_sizes",
+    "final_cec",
+    "completed",
+    "stop_reason",
+    "iterations",
+    "final_nodes",
+)
 
 
 def _monolithic_run(aig, limits: EngineLimits, budget: float) -> Dict[str, object]:

@@ -274,6 +274,9 @@ def partitioned_optimize(
         else:
             for w in windows:
                 reports[w.index], optimized[w.index] = optimize_window(w.index, w.aig, window)
+    for w in windows:
+        # The sub-AIG a window ships does not know its host member count.
+        reports[w.index].members = w.num_members
     profile.optimize_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -569,7 +569,9 @@ def _pass_map(
 
     Each candidate's work shows in the trace as three ``mapping`` spans
     tagged with its index: ``map cleanup``, ``map choices`` and ``map
-    cover`` (a span whose step is switched off is empty).
+    cover`` (a span whose step is switched off is empty).  ``map choices``
+    carries the SAT pairs tried and proved and their conflicts, ``map
+    cover`` the nodes evaluated and the distinct cuts priced.
     """
     for name, value in {"choice_max_pairs": choice_max_pairs, "choice_sat_budget": choice_sat_budget}.items():
         if value < 0:
@@ -587,14 +589,19 @@ def _pass_map(
                 # it without disturbing the depth profile.
                 work = rewrite(balance(work))
         subject, choices = work, None
-        with obs.span("map choices", category="mapping", candidate=index):
+        with obs.span("map choices", category="mapping", candidate=index) as span:
             if use_choices:
                 choice = compute_choices(
                     work, max_pairs=choice_max_pairs, conflict_budget=choice_sat_budget
                 )
                 subject, choices = choice.aig, choice.classes
-        with obs.span("map cover", category="mapping", candidate=index):
+                span.set("pairs_tried", choice.pairs_tried)
+                span.set("pairs_proved", choice.pairs_proved)
+                span.set("conflicts", choice.conflicts)
+        with obs.span("map cover", category="mapping", candidate=index) as span:
             mapping = map_aig(subject, ctx.library, choices=choices)
+            span.set("nodes_evaluated", mapping.nodes_evaluated)
+            span.set("cuts_priced", mapping.cuts_priced)
         if best_mapping is None or (mapping.delay, mapping.area) < (best_mapping.delay, best_mapping.area):
             best_mapping = mapping
             best_aig = work

@@ -265,6 +265,14 @@ class TestMapSpans:
         ]
         choices = [r for r in spans if r.name == "map choices"]
         assert all(r.duration > 0.0 for r in choices)
+        # The spans carry their work counts: SAT pairs and conflicts for
+        # choices, nodes and distinct priced cuts for the cover.
+        for record in choices:
+            assert 0 < record.args["pairs_proved"] <= record.args["pairs_tried"]
+            assert record.args["conflicts"] >= 0
+        for record in (r for r in spans if r.name == "map cover"):
+            assert record.args["nodes_evaluated"] > 0
+            assert record.args["cuts_priced"] >= record.args["nodes_evaluated"]
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -383,6 +384,10 @@ class TestPartitionedOptimize:
         strip = lambda r: {k: v for k, v in r.to_dict().items() if k != "wall_time"}
         assert [strip(r) for r in inline.reports] == [strip(r) for r in pooled.reports]
         assert check_equivalence(inline.aig, pooled.aig).status == "equivalent"
+        # Each report carries its window's host member count, inline and pooled.
+        sizes = [w.num_members for w in partition_aig(log2_test, k=60)]
+        assert sum(sizes) == log2_test.num_ands
+        assert inline.profile.window_sizes() == pooled.profile.window_sizes() == sizes
 
     def test_profile_shape_and_final_cec(self, log2_test):
         outcome = partitioned_optimize(log2_test, PartitionConfig(k=60), SMALL_WINDOW, verify=True)
@@ -500,6 +505,33 @@ class TestBench:
         assert check_regressions(payload, payload) == []
         assert "partitioned" in render_bench(payload)
         json.dumps(payload)
+
+
+    def test_count_check_flags_moved_counts(self):
+        from repro.engine.bench import check_regressions
+        from repro.partition.bench import COUNT_FIELDS
+
+        # A doctored copy of the checked-in reference: equal wall times, but
+        # moved counts, so only the count check can catch them.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "partition_reference.json"
+        reference = json.loads(path.read_text())
+        payload = json.loads(json.dumps(reference))
+        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        runs = payload["circuits"]["log2"]["runs"]
+        runs["partitioned"]["window_sizes"][0] -= 1
+        runs["partitioned"]["status_counts"]["accepted"] += 1
+        runs["partitioned"]["final_cec"] = "unknown"
+        runs["monolithic"]["final_nodes"] += 1
+        failures = check_regressions(payload, reference, counts=COUNT_FIELDS)
+        assert sorted(failure.split(" ")[:2] for failure in failures) == [
+            ["log2/monolithic:", "final_nodes"],
+            ["log2/partitioned:", "final_cec"],
+            ["log2/partitioned:", "status_counts"],
+            ["log2/partitioned:", "window_sizes"],
+        ]
+        # Under other limits, counts are not compared.
+        payload["limits"] = {**payload["limits"], "k": 30}
+        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
 
 
 class TestStructuralUtilities:
