@@ -96,13 +96,16 @@ def map_aig(
     cuts, then every other member's in class order, trivial, unmatched and
     repeated pairs dropped) is built once and reused by area recovery.
     Dropping a repeat cannot change a choice: the first of equal candidates
-    wins every comparison.
+    wins every comparison.  ``k`` below 2 raises ``ValueError``: no gate
+    input can be matched by a one-leaf cut of an AND node.
     """
     start = time.perf_counter()
     if library is None:
         library = default_library()
     if k is None:
         k = min(4, library.max_gate_inputs())
+    if k < 2:
+        raise ValueError(f"map_aig needs a cut size k of at least 2 (got {k}): smaller cuts match no gate")
     cuts = enumerate_cuts(aig, k=k, cut_limit=cut_limit)
     inv = library.inverter
     inv_delay = inv.delay

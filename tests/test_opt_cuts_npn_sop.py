@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig.graph import aig_from_functions, lit_var
+from repro.aig.graph import Aig, aig_from_functions, lit_var
 from repro.aig.simulate import exhaustive_truth_tables
-from repro.opt.cuts import Cut, cut_cone_volume, cut_truth_table, enumerate_cuts, merge_cuts
+from repro.opt.cuts import Cut, cut_cone_volume, cut_truth_table, enumerate_cuts
 from repro.opt.npn import (
     classify,
     is_npn_equivalent,
@@ -61,9 +61,16 @@ class TestCuts:
             enumerate_cuts(small_adder, k=9)
 
     def test_merge_cuts_respects_k(self):
-        c0 = Cut(leaves=(1, 2, 3), truth=0)
-        c1 = Cut(leaves=(4, 5, 6), truth=0)
-        assert merge_cuts(c0, c1, False, False, k=4) is None
+        # Without trivial cuts each fanin of the root has the one cut (1, 2, 3)
+        # or (4, 5, 6); their six-leaf union is no cut at k=4.
+        aig = Aig()
+        pis = [aig.add_pi() for _ in range(6)]
+        left = aig.add_and(aig.add_and(pis[0], pis[1]), pis[2])
+        right = aig.add_and(aig.add_and(pis[3], pis[4]), pis[5])
+        root = lit_var(aig.add_and(left, right))
+        assert enumerate_cuts(aig, k=4, include_trivial=False)[root] == []
+        (cut,) = enumerate_cuts(aig, k=6, include_trivial=False)[root]
+        assert cut.leaves == (1, 2, 3, 4, 5, 6)
 
     def test_cone_volume_of_xor(self):
         aig = _xor_aig()
