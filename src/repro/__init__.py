@@ -14,11 +14,12 @@ Quick start::
     print(result.area, result.delay)
 """
 
+import importlib
+
 from repro import (
     aig,
     benchgen,
     conversion,
-    costmodel,
     egraph,
     extraction,
     flows,
@@ -44,3 +45,11 @@ __all__ = [
     "verify",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # ``costmodel`` needs numpy, which no flow but the ML mode uses: it is
+    # imported on first access (PEP 562) instead of with the package.
+    if name == "costmodel":
+        return importlib.import_module("repro.costmodel")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -643,7 +643,7 @@ def cmd_saturate_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_extract_bench(args: argparse.Namespace) -> int:
-    from repro.extraction.engine.bench import render_bench, run_extraction_bench
+    from repro.extraction.engine.bench import COUNT_FIELDS, render_bench, run_extraction_bench
 
     payload = run_extraction_bench(
         circuits=_validated_circuits(args.circuits),
@@ -659,7 +659,7 @@ def cmd_extract_bench(args: argparse.Namespace) -> int:
         progress=(lambda message: _LOG.info(f"  {message}")),
     )
     print(render_bench(payload))
-    return _bench_epilogue(payload, args, "extract-bench")
+    return _bench_epilogue(payload, args, "extract-bench", counts=COUNT_FIELDS)
 
 
 def cmd_partition_bench(args: argparse.Namespace) -> int:

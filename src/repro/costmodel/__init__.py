@@ -9,10 +9,22 @@ Two modes, matching the paper's dual-model approach:
   structural features.
 """
 
+import importlib
+
 from repro.costmodel.abc_cost import MappingCostModel, QoR
-from repro.costmodel.features import FeatureConfig, circuit_features, node_features
-from repro.costmodel.hoga import HogaModel
-from repro.costmodel.train import TrainReport, evaluate_model, generate_dataset, train_cost_model
+
+#: The numpy-backed names, imported from their modules on first access
+#: (PEP 562), so importing the package does not load numpy.
+_LAZY = {
+    "FeatureConfig": "features",
+    "node_features": "features",
+    "circuit_features": "features",
+    "HogaModel": "hoga",
+    "generate_dataset": "train",
+    "train_cost_model": "train",
+    "evaluate_model": "train",
+    "TrainReport": "train",
+}
 
 __all__ = [
     "MappingCostModel",
@@ -26,3 +38,10 @@ __all__ = [
     "evaluate_model",
     "TrainReport",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.costmodel.{module}"), name)

@@ -41,6 +41,22 @@ DEFAULT_CIRCUITS = ("log2", "sin", "multiplier", "hyp")
 
 VARIANT_NAMES = ("delta", "portfolio")
 
+#: Payload fields the ``--reference`` gate requires to be equal (passed to
+#: :func:`repro.engine.bench.check_regressions`).  A run is a pure function
+#: of the saturated e-graph, the budget and the seed, so any move in these
+#: is a behaviour change, never noise.
+COUNT_FIELDS = (
+    "cost",
+    "initial_cost",
+    "moves",
+    "accepted",
+    "evals",
+    "mean_cone",
+    "chains",
+    "migrations",
+    "extraction_ands",
+)
+
 #: The variant speedups are measured against (one delta-cost chain).
 BASELINE_VARIANT = VARIANT_NAMES[0]
 

@@ -13,9 +13,12 @@ and, for a depth cost, prices it as it goes, so the depth evaluator starts
 from those depths; flip candidates are derived only for the reachable
 multi-node classes a round can flip, and the sum evaluator counts
 references over the reachable classes.  A restart's fresh random extraction
-is event-driven over the problem's static ``users`` index.  Each rebuild
-runs under a ``chain rebuild`` span, so a trace splits a round into rebuild
-and moves.
+is event-driven over the problem's static ``users`` index.  Choices,
+positions, safe lists and reachability are lists indexed by class number
+(see ``problem.py``), so none of this looks up a dict.  Each rebuild runs
+under a ``chain rebuild`` span that counts the classes its walk placed, the
+reachable ones and the flippable ones, so a trace splits a round into
+rebuild and moves and shows how much of the rebuild the moves can use.
 
 Chain kinds:
 
@@ -39,6 +42,7 @@ from repro.extraction.engine.telemetry import ChainProfile
 from repro.obs import trace as obs
 
 CHAIN_KINDS = ("sa", "greedy", "restart")
+CHAIN_STARTS = ("greedy", "random", "seed")
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,15 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.kind not in CHAIN_KINDS:
             raise ValueError(f"unknown chain kind {self.kind!r}; choose from {CHAIN_KINDS}")
+        if self.initial not in CHAIN_STARTS:
+            raise ValueError(f"unknown chain start {self.initial!r}; choose from {CHAIN_STARTS}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"chain temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.cooling < math.inf:
+            raise ValueError(f"chain cooling must be finite and > 0, got {self.cooling}")
+        if self.restart_after < 1:
+            # 0 would re-seed after every move: a full rebuild per flip.
+            raise ValueError(f"restart_after must be >= 1, got {self.restart_after}")
 
 
 @dataclass
@@ -94,13 +107,13 @@ def init_chain(
     if spec.initial == "random":
         choice = problem.random_choice(rng, fallback=base)
     elif spec.initial == "seed" and seed_choice:
-        choice = {**base, **seed_choice}
+        choice = [b if s < 0 else s for b, s in zip(base, seed_choice)]
         try:
             problem.toposort(choice)
         except ValueError:
-            choice = dict(base)
+            choice = base[:]
     else:
-        choice = dict(base)
+        choice = base[:]
     cost = choice_cost(problem, choice)
     profile = ChainProfile(
         chain_id=chain_id,
@@ -118,7 +131,7 @@ def init_chain(
         evaluator=evaluator,
         choice=choice,
         current_cost=cost,
-        best_choice=dict(choice),
+        best_choice=choice[:],
         best_cost=cost,
         temperature=spec.temperature,
         rng_state=rng.getstate(),
@@ -126,33 +139,42 @@ def init_chain(
     )
 
 
-def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str):
+def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str, span=None):
     """Rebuild a chain's move structures from a bare choice.
 
-    Returns the cycle-safe flip candidates, the classes worth proposing
-    flips on, and a fresh evaluator.  Flippable classes have cycle-safe
-    alternatives AND are reachable from the roots under the current choice
-    — flipping an unreachable class cannot change the cost, so the budget
-    concentrates on classes the objective can see.  Candidates are derived
-    only for reachable classes with two or more nodes, the only ones a round
-    can flip.  Recomputed per round (reachability drifts as flips land),
-    deterministic (ascending class ids).
+    Returns the cycle-safe flip candidates (a list indexed by class
+    number), the classes worth proposing flips on, and a fresh evaluator.
+    Flippable classes have cycle-safe alternatives AND are reachable from
+    the roots under the current choice — flipping an unreachable class
+    cannot change the cost, so the budget concentrates on classes the
+    objective can see.  Candidates are derived only for reachable classes
+    with two or more nodes, the only ones a round can flip.  Recomputed per
+    round (reachability drifts as flips land), deterministic (ascending
+    class numbers).  ``span``, when given, gets the rebuild's counters:
+    ``classes`` placed by the walk, ``reachable`` and ``flippable``.
     """
-    order, depths = problem.toposort(choice)
+    position, depths = problem.toposort(choice)
     children = problem.children
-    reachable = set()
+    reached = [False] * len(children)
+    movable = []  # reachable classes with two or more nodes
     stack = list(problem.roots)
     while stack:
         cid = stack.pop()
-        if cid in reachable:
+        if reached[cid]:
             continue
-        reachable.add(cid)
-        stack.extend(children[cid][choice[cid]])
-    safe = problem.flip_candidates(
-        order, classes=[cid for cid in sorted(reachable) if len(children[cid]) > 1]
-    )
-    flippable = [cid for cid, indices in safe.items() if len(indices) > 1]
-    return safe, flippable, make_evaluator(evaluator, problem, choice, order=order, depths=depths)
+        reached[cid] = True
+        class_children = children[cid]
+        if len(class_children) > 1:
+            movable.append(cid)
+        stack.extend(class_children[choice[cid]])
+    movable.sort()
+    safe = problem.flip_candidates(position, classes=movable)
+    flippable = [cid for cid in movable if len(safe[cid]) > 1]
+    if span is not None:
+        span.set("classes", len(children) - choice.count(-1))
+        span.set("reachable", reached.count(True))
+        span.set("flippable", len(flippable))
+    return safe, flippable, make_evaluator(evaluator, problem, choice, position=position, depths=depths)
 
 
 def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainState:
@@ -179,8 +201,8 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         rng = random.Random()
         rng.setstate(state.rng_state)
 
-        with obs.span("chain rebuild", category="extraction.rebuild"):
-            safe, flippable, evaluator = _rebuild(problem, state.choice, state.evaluator)
+        with obs.span("chain rebuild", category="extraction.rebuild") as rebuild_span:
+            safe, flippable, evaluator = _rebuild(problem, state.choice, state.evaluator, rebuild_span)
         current = evaluator.cost
 
         best_choice = state.best_choice
@@ -211,7 +233,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
                 accepted += 1
                 if current < best_cost:
                     best_cost = current
-                    best_choice = dict(evaluator.choice)
+                    best_choice = evaluator.choice[:]
                     since_improvement = 0
                 else:
                     since_improvement += 1
@@ -227,14 +249,14 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
                 since_improvement = 0
                 temperature = spec.temperature
                 evals, touched = evaluator.evals, evaluator.touched
-                with obs.span("chain rebuild", category="extraction.rebuild"):
+                with obs.span("chain rebuild", category="extraction.rebuild") as rebuild_span:
                     fresh = problem.random_choice(rng, fallback=best_choice)
-                    safe, flippable, evaluator = _rebuild(problem, fresh, state.evaluator)
+                    safe, flippable, evaluator = _rebuild(problem, fresh, state.evaluator, rebuild_span)
                 evaluator.evals, evaluator.touched = evals, touched
                 current = evaluator.cost
                 if current < best_cost:
                     best_cost = current
-                    best_choice = dict(fresh)
+                    best_choice = fresh
                 if not flippable:
                     break
 
@@ -265,7 +287,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         spec=spec,
         seed=state.seed,
         evaluator=state.evaluator,
-        choice=dict(evaluator.choice),
+        choice=evaluator.choice,
         current_cost=current,
         best_choice=best_choice,
         best_cost=best_cost,
@@ -286,12 +308,12 @@ def adopt_solution(state: ChainState, choice: Choice, cost: float) -> ChainState
     profile = replace(state.profile, migrations_received=state.profile.migrations_received + 1)
     best_choice, best_cost = state.best_choice, state.best_cost
     if cost < best_cost:
-        best_choice, best_cost = dict(choice), cost
+        best_choice, best_cost = choice[:], cost
     return ChainState(
         spec=state.spec,
         seed=state.seed,
         evaluator=state.evaluator,
-        choice=dict(choice),
+        choice=choice[:],
         current_cost=cost,
         best_choice=best_choice,
         best_cost=best_cost,

@@ -27,7 +27,8 @@ from one round into the next.
 
 Flips must stay within :meth:`FrozenProblem.flip_candidates` of the order the
 evaluator was built with — that is what makes acyclicity an invariant and
-lets both evaluators skip per-move cycle checks.
+lets both evaluators skip per-move cycle checks.  Choices, reference counts,
+positions and depths are lists indexed by class number (see ``problem.py``).
 """
 
 from __future__ import annotations
@@ -45,33 +46,41 @@ def choice_cost(problem: FrozenProblem, choice: Choice) -> float:
     ``sum`` counts every reachable class once; ``depth`` is the longest path
     from any root.
     """
+    children = problem.children
+    node_costs = problem.node_costs
     if problem.mode == "sum":
+        # Floats are summed in the iteration order of a set of e-class ids
+        # filled in visit order, as ``extraction_cost`` sums them: with
+        # non-integral weights the total depends on that order.
+        ids = problem.class_ids
         reachable = set()
+        cost_of: Dict[int, float] = {}
         stack = list(problem.roots)
         while stack:
-            cid = stack.pop()
+            c = stack.pop()
+            cid = ids[c]
             if cid in reachable:
                 continue
             reachable.add(cid)
-            stack.extend(problem.children[cid][choice[cid]])
-        return sum(problem.node_costs[cid][choice[cid]] for cid in reachable)
+            idx = choice[c]
+            cost_of[cid] = node_costs[c][idx]
+            stack.extend(children[c][idx])
+        return sum(cost_of[cid] for cid in reachable)
 
-    memo: Dict[int, float] = {}
+    memo: List[Optional[float]] = [None] * len(children)
     for root in problem.roots:
         stack = [(root, False)]
         while stack:
             cid, expanded = stack.pop()
-            if cid in memo:
+            if memo[cid] is not None:
                 continue
-            kids = problem.children[cid][choice[cid]]
+            kids = children[cid][choice[cid]]
             if not expanded:
                 stack.append((cid, True))
-                stack.extend((ch, False) for ch in kids if ch not in memo)
+                stack.extend((ch, False) for ch in kids if memo[ch] is None)
                 continue
             child_depths = [memo[ch] for ch in kids]
-            memo[cid] = problem.node_costs[cid][choice[cid]] + (
-                max(child_depths) if child_depths else 0.0
-            )
+            memo[cid] = node_costs[cid][choice[cid]] + (max(child_depths) if child_depths else 0.0)
     return max((memo[r] for r in problem.roots), default=0.0)
 
 
@@ -88,7 +97,7 @@ class CostEvaluator:
 
     def __init__(self, problem: FrozenProblem, choice: Choice):
         self.problem = problem
-        self.choice: Choice = dict(choice)
+        self.choice: Choice = list(choice)
         self.cost: float = 0.0
         self.evals: int = 0
         self.touched: int = 0
@@ -127,7 +136,7 @@ class DeltaCostEvaluator(CostEvaluator):
     and re-propagates depth changes upward in topological order, to the
     ``users`` of a changed class that the live choice selects.
 
-    ``order`` and ``depths``, when given, must be the pair
+    ``position`` and ``depths``, when given, must be the pair
     ``problem.toposort(choice)`` returned; depth mode keeps both (``depths``
     becomes its live depth table), sum mode ignores them.
     """
@@ -138,72 +147,81 @@ class DeltaCostEvaluator(CostEvaluator):
         self,
         problem: FrozenProblem,
         choice: Choice,
-        order: Optional[Dict[int, int]] = None,
-        depths: Optional[Dict[int, float]] = None,
+        position: Optional[List[int]] = None,
+        depths: Optional[List[float]] = None,
     ):
         super().__init__(problem, choice)
+        self._children = problem.children
+        self._node_costs = problem.node_costs
         if problem.mode == "sum":
             self._init_sum()
         else:
-            if order is None or depths is None:
-                order, depths = problem.toposort(self.choice)
-            self._order, self._depth = order, depths
+            if position is None or depths is None:
+                position, depths = problem.toposort(self.choice)
+            self._position, self._depth = position, depths
             self.cost = max((depths[r] for r in problem.roots), default=0.0)
 
     # -- sum mode -----------------------------------------------------------
 
     def _init_sum(self) -> None:
-        self._refs: Dict[int, int] = {}
+        refs = self._refs = [0] * len(self._children)
+        children, node_costs, choice = self._children, self._node_costs, self.choice
         total = 0.0
         stack = []
         # Root multiplicity: every PO holds its own reference.
         for root in self.problem.roots:
-            self._refs[root] = self._refs.get(root, 0) + 1
-            if self._refs[root] == 1:
+            refs[root] += 1
+            if refs[root] == 1:
                 stack.append(root)
         while stack:
             cid = stack.pop()
-            total += self.problem.node_costs[cid][self.choice[cid]]
-            for ch in self.problem.children[cid][self.choice[cid]]:
-                self._refs[ch] = self._refs.get(ch, 0) + 1
-                if self._refs[ch] == 1:
+            idx = choice[cid]
+            total += node_costs[cid][idx]
+            for ch in children[cid][idx]:
+                refs[ch] += 1
+                if refs[ch] == 1:
                     stack.append(ch)
         self.cost = total
 
     def _ref(self, cids) -> None:
+        refs, children, node_costs, choice = self._refs, self._children, self._node_costs, self.choice
         stack = list(cids)
         while stack:
             cid = stack.pop()
-            self._refs[cid] = self._refs.get(cid, 0) + 1
-            if self._refs[cid] == 1:
+            refs[cid] += 1
+            if refs[cid] == 1:
                 self.touched += 1
-                self.cost += self.problem.node_costs[cid][self.choice[cid]]
-                stack.extend(self.problem.children[cid][self.choice[cid]])
+                idx = choice[cid]
+                self.cost += node_costs[cid][idx]
+                stack.extend(children[cid][idx])
 
     def _deref(self, cids) -> None:
+        refs, children, node_costs, choice = self._refs, self._children, self._node_costs, self.choice
         stack = list(cids)
         while stack:
             cid = stack.pop()
-            self._refs[cid] -= 1
-            if self._refs[cid] == 0:
+            refs[cid] -= 1
+            if refs[cid] == 0:
                 self.touched += 1
-                self.cost -= self.problem.node_costs[cid][self.choice[cid]]
-                stack.extend(self.problem.children[cid][self.choice[cid]])
+                idx = choice[cid]
+                self.cost -= node_costs[cid][idx]
+                stack.extend(children[cid][idx])
 
     def _flip_sum(self, cid: int, node_idx: int) -> float:
         old_idx = self.choice[cid]
-        if self._refs.get(cid, 0) == 0:
+        if self._refs[cid] == 0:
             # Unreachable class: no cost impact until something references it.
             self.choice[cid] = node_idx
             return self.cost
-        old_kids = self.problem.children[cid][old_idx]
-        self.cost += self.problem.node_costs[cid][node_idx] - self.problem.node_costs[cid][old_idx]
+        class_children = self._children[cid]
+        costs = self._node_costs[cid]
+        self.cost += costs[node_idx] - costs[old_idx]
         self.choice[cid] = node_idx
         self.touched += 1
         # Reference the new cone before releasing the old one so shared
         # children never bounce through zero (keeps float totals tighter).
-        self._ref(self.problem.children[cid][node_idx])
-        self._deref(old_kids)
+        self._ref(class_children[node_idx])
+        self._deref(class_children[old_idx])
         return self.cost
 
     # -- depth mode ---------------------------------------------------------
@@ -212,29 +230,31 @@ class DeltaCostEvaluator(CostEvaluator):
         choice = self.choice
         choice[cid] = node_idx
         users = self.problem.users
+        children, node_costs = self._children, self._node_costs
+        depth = self._depth
         # Propagate depth changes upward in topological order: a parent is
         # always re-derived after every changed child (parents sit strictly
         # later in the order), so each class settles in one recomputation.
-        order = self._order
-        heap: List[tuple] = [(order[cid], cid)]
+        position = self._position
+        heap: List[tuple] = [(position[cid], cid)]
         queued = {cid}
+        touched = 0
         while heap:
             _, current = heapq.heappop(heap)
             queued.discard(current)
-            kids = self.problem.children[current][choice[current]]
-            child_depths = [self._depth[ch] for ch in kids]
-            new_depth = self.problem.node_costs[current][choice[current]] + (
-                max(child_depths) if child_depths else 0.0
-            )
-            self.touched += 1
-            if new_depth == self._depth[current]:
+            idx = choice[current]
+            child_depths = [depth[ch] for ch in children[current][idx]]
+            new_depth = node_costs[current][idx] + (max(child_depths) if child_depths else 0.0)
+            touched += 1
+            if new_depth == depth[current]:
                 continue
-            self._depth[current] = new_depth
-            for parent, i in users[current]:
-                if choice.get(parent) == i and parent not in queued:
+            depth[current] = new_depth
+            for parent, i, _ in users[current]:
+                if choice[parent] == i and parent not in queued:
                     queued.add(parent)
-                    heapq.heappush(heap, (order[parent], parent))
-        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
+                    heapq.heappush(heap, (position[parent], parent))
+        self.touched += touched
+        self.cost = max((depth[r] for r in self.problem.roots), default=0.0)
         return self.cost
 
     # -- dispatch -----------------------------------------------------------
@@ -254,16 +274,16 @@ def make_evaluator(
     kind: str,
     problem: FrozenProblem,
     choice: Choice,
-    order: Optional[Dict[int, int]] = None,
-    depths: Optional[Dict[int, float]] = None,
+    position: Optional[List[int]] = None,
+    depths: Optional[List[float]] = None,
 ) -> CostEvaluator:
     """The evaluator called ``kind`` over ``choice``.
 
-    ``order`` and ``depths`` are ``problem.toposort(choice)``'s pair, handed
-    to the delta evaluator so it does not walk the choice again.
+    ``position`` and ``depths`` are ``problem.toposort(choice)``'s pair,
+    handed to the delta evaluator so it does not walk the choice again.
     """
     if kind == "delta":
-        return DeltaCostEvaluator(problem, choice, order=order, depths=depths)
+        return DeltaCostEvaluator(problem, choice, position=position, depths=depths)
     if kind == "full":
         return FullCostEvaluator(problem, choice)
     raise ValueError(f"unknown evaluator {kind!r}; choose from {', '.join(EVALUATORS)}")

@@ -37,7 +37,7 @@ from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction, NodeCountCost
 from repro.extraction.engine.chains import ChainSpec, ChainState, adopt_solution, init_chain, run_round
 from repro.extraction.engine.delta import EVALUATORS
-from repro.extraction.engine.problem import FrozenProblem, ProblemStats
+from repro.extraction.engine.problem import FrozenProblem, ProblemStats, snapshot
 from repro.extraction.engine.telemetry import ExtractionProfile, MigrationEvent
 from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
@@ -180,8 +180,7 @@ def portfolio_extract(
         evaluator=config.evaluator,
     )
     with portfolio_span:
-        with obs.span("extract snapshot", category="extraction.setup"):
-            problem = FrozenProblem.build(egraph, roots, cost)
+        problem = snapshot(egraph, roots, cost)
         with obs.span("extract greedy", category="extraction.setup"):
             greedy = problem.greedy_choice()
         stats = ProblemStats.of(problem, problem.flip_candidates(problem.toposort(greedy)[0]))

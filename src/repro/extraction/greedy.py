@@ -13,19 +13,19 @@ from typing import Dict, Optional, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction
-from repro.extraction.engine.problem import FrozenProblem
+from repro.extraction.engine.problem import snapshot
 from repro.obs import trace as obs
 
 
 def greedy_extract(egraph: EGraph, cost: Optional[CostFunction] = None) -> Dict[int, ENode]:
     """Select the locally cheapest e-node for every e-class.
 
-    Returns a map canonical-class-id -> chosen canonical e-node covering every
-    class that is acyclically realizable (unreachable or cyclic-only classes
-    are omitted); the default cost is node count.
+    Returns a map canonical-class-id -> chosen canonical e-node, in ascending
+    id order, covering every class that is acyclically realizable
+    (unreachable or cyclic-only classes are omitted); the default cost is
+    node count.
     """
-    with obs.span("extract snapshot", category="extraction.setup"):
-        problem = FrozenProblem.build(egraph, (), cost)
+    problem = snapshot(egraph, (), cost)
     with obs.span("extract greedy", category="extraction.setup"):
         return problem.extraction_from_choice(problem.greedy_choice())
 

@@ -27,15 +27,15 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
-from repro.costmodel.hoga import HogaModel
 from repro.engine.telemetry import SaturationProfile
 from repro.flows.baseline import BaselineConfig, BaselineResult, run_baseline_flow  # noqa: F401 (re-export)
 from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library
 from repro.verify.cec import CecResult
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.pipeline import Pipeline
+if TYPE_CHECKING:  # pragma: no cover - for type checkers only
+    from repro.costmodel.hoga import HogaModel  # numpy: loaded only by flows that use the model
+    from repro.pipeline import Pipeline  # import cycle guard
 
 
 #: ``EmorphicConfig`` fields that no longer exist.  The e-matching knobs went

@@ -145,3 +145,47 @@ class TestTraining:
         model.fit(x, y)
         mape, tau = evaluate_model(model, x, np.zeros(6))
         assert mape == 0.0 and tau == 0.0
+
+
+class TestLazyNumpy:
+    def test_flows_run_without_numpy(self):
+        """Importing the package and running a flow loads no numpy; the
+        cost-model names still resolve on first use (a fresh interpreter,
+        since this test process has numpy loaded already)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = "\n".join(
+            [
+                "import sys",
+                "import repro",
+                "from repro.benchgen import build",
+                "from repro.flows.emorphic import EmorphicConfig, run_emorphic_flow",
+                "from repro.pipeline import Pipeline",
+                "Pipeline.from_script('st; dag2eg; saturate(iters=1); extract(sa, threads=2, iters=2, moves=4); map; cec')"
+                ".run_flow(build('adder', preset='test'))",
+                "run_emorphic_flow(build('mem_ctrl', preset='test'), EmorphicConfig.fast())",
+                "assert 'numpy' not in sys.modules, 'a flow imported numpy'",
+                "from repro import *",
+                "from repro.costmodel import HogaModel",
+                "assert callable(repro.costmodel.train_cost_model) and HogaModel.__name__ == 'HogaModel'",
+                "assert 'numpy' in sys.modules",
+            ]
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_names_raise_attribute_error(self):
+        import repro
+        import repro.costmodel
+
+        with pytest.raises(AttributeError):
+            repro.no_such_module
+        with pytest.raises(AttributeError):
+            repro.costmodel.no_such_model

@@ -1,5 +1,9 @@
 """Tests of the extraction engine: frozen problem, delta-cost parity,
-portfolio determinism, migration, telemetry, and the extraction bench."""
+portfolio determinism, migration, telemetry, and the extraction bench.
+
+The dense (class-numbered) problem is checked against the dict-keyed
+kernels it replaced, kept here as oracles over the problem viewed by
+e-class id (``DictProblem``)."""
 
 from __future__ import annotations
 
@@ -9,22 +13,29 @@ import json
 import math
 import random
 import signal
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig.simulate import random_simulate
 from repro.benchgen import control, epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.language import AND, NOT, OR, VAR
-from repro.egraph.egraph import EGraph
+from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost, OperatorCost, extraction_cost
 from repro.extraction.engine import (
+    DEFAULT_CHAIN_SPECS,
+    ChainProfile,
     ChainSpec,
-    DeltaCostEvaluator,
+    ChainState,
     ExtractionProfile,
     FrozenProblem,
     PortfolioConfig,
@@ -36,7 +47,9 @@ from repro.extraction.engine import (
     portfolio_extract,
     run_round,
 )
+from repro.extraction.engine.bench import COUNT_FIELDS
 from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
+from repro.extraction.engine.telemetry import MigrationEvent
 from repro.extraction.engine.chains import _rebuild
 from repro.extraction.greedy import greedy_extract
 from repro.obs.trace import tracing
@@ -121,7 +134,95 @@ def portfolio_trajectory(circuit) -> dict:
     return payload
 
 
-# -- oracles: the rebuild-from-scratch algorithms the engine replaced ---------
+# -- oracles: the dict-keyed kernels the dense layout replaced ----------------
+#
+# The production problem numbers its classes and works on lists; every
+# oracle below works on ``DictProblem``, the problem viewed by e-class id
+# (the layout the engine had before numbering), and returns dicts keyed by
+# e-class id.  ``by_id`` views a dense result the same way for comparison.
+
+
+@dataclass
+class DictProblem:
+    """A frozen problem keyed by e-class id, children as e-class ids: the
+    layout the dense problem replaced (classes in ascending id order)."""
+
+    nodes: Dict[int, list]
+    children: Dict[int, list]
+    node_costs: Dict[int, list]
+    roots: list
+    mode: str = "sum"
+
+    @classmethod
+    def view(cls, problem):
+        """``problem`` (dense) viewed by e-class id."""
+        ids = problem.class_ids
+        return cls(
+            nodes={ids[c]: list(nodes) for c, nodes in enumerate(problem.nodes)},
+            children={
+                ids[c]: [tuple(ids[ch] for ch in kids) for kids in class_children]
+                for c, class_children in enumerate(problem.children)
+            },
+            node_costs={ids[c]: list(costs) for c, costs in enumerate(problem.node_costs)},
+            roots=[ids[r] for r in problem.roots],
+            mode=problem.mode,
+        )
+
+    @property
+    def num_classes(self):
+        return len(self.nodes)
+
+    def users(self):
+        """The reverse index as the dict-keyed problem built it: one
+        ``(parent, node index)`` pair per node and distinct child."""
+        users = {cid: [] for cid in self.nodes}
+        for cid, class_children in self.children.items():
+            for i, kids in enumerate(class_children):
+                for ch in set(kids):
+                    users[ch].append((cid, i))
+        return users
+
+    def choice_from_extraction(self, extraction):
+        choice = {}
+        for cid, enode in extraction.items():
+            if cid in self.nodes and enode in self.nodes[cid]:
+                choice[cid] = self.nodes[cid].index(enode)
+        return choice
+
+    def extraction_from_choice(self, choice):
+        return {cid: self.nodes[cid][idx] for cid, idx in sorted(choice.items())}
+
+
+def by_id(problem, values, present=lambda value: value is not None):
+    """A per-class-number list viewed as ``{e-class id: value}`` over the
+    entries ``present`` accepts, in ascending id order."""
+    return {problem.class_ids[c]: value for c, value in enumerate(values) if present(value)}
+
+
+def choice_by_id(problem, choice):
+    """A dense choice viewed by e-class id (unchosen classes left out)."""
+    return by_id(problem, choice, lambda idx: idx >= 0)
+
+
+def dense_choice(problem, choice):
+    """A choice keyed by e-class id as a dense list."""
+    dense = [-1] * problem.num_classes
+    for c, cid in enumerate(problem.class_ids):
+        if cid in choice:
+            dense[c] = choice[cid]
+    return dense
+
+
+def dense_toposort_by_id(problem, choice):
+    """``problem.toposort`` viewed by e-class id: positions (in position
+    order) and depths (``None`` on a sum cost) of the placed classes."""
+    position, depths = problem.toposort(choice)
+    n = problem.num_classes
+    placed = sorted((p, c) for c, p in enumerate(position) if p < n)
+    order = {problem.class_ids[c]: p for p, c in placed}
+    if depths is None:
+        return order, None
+    return order, {problem.class_ids[c]: depths[c] for _, c in placed}
 
 
 def fixpoint_random_choice(problem, rng, fallback=None):
@@ -225,42 +326,115 @@ def oracle_rebuild(problem, choice):
     return order, safe, flippable, depths
 
 
-class ParentMultimapEvaluator(DeltaCostEvaluator):
-    """The delta evaluator whose ``depth`` mode sets up from the oracle walks
-    and builds and edits its own extraction-parent multimap (the oracle for
-    set-up from ``toposort``'s depths and for propagation through
-    ``FrozenProblem.users``); ``sum`` mode is inherited unchanged."""
+def oracle_choice_cost(problem, choice):
+    """From-scratch cost of a dict choice: ``sum`` adds the reachable
+    classes' costs in the iteration order of their id set, ``depth`` is a
+    memoised longest path (the oracle for ``choice_cost``)."""
+    if problem.mode == "sum":
+        reachable = set()
+        stack = list(problem.roots)
+        while stack:
+            cid = stack.pop()
+            if cid in reachable:
+                continue
+            reachable.add(cid)
+            stack.extend(problem.children[cid][choice[cid]])
+        return sum(problem.node_costs[cid][choice[cid]] for cid in reachable)
+    memo = {}
+    for root in problem.roots:
+        stack = [(root, False)]
+        while stack:
+            cid, expanded = stack.pop()
+            if cid in memo:
+                continue
+            kids = problem.children[cid][choice[cid]]
+            if not expanded:
+                stack.append((cid, True))
+                stack.extend((ch, False) for ch in kids if ch not in memo)
+                continue
+            child_depths = [memo[ch] for ch in kids]
+            memo[cid] = problem.node_costs[cid][choice[cid]] + (max(child_depths) if child_depths else 0.0)
+    return max((memo[r] for r in problem.roots), default=0.0)
+
+
+class ParentMultimapEvaluator:
+    """The dict-keyed delta evaluator: ``sum`` mode keeps reference counts in
+    a dict, ``depth`` mode sets up from the oracle walks and builds and
+    edits its own extraction-parent multimap (the oracle for the dense
+    ``DeltaCostEvaluator``, its set-up from ``toposort``'s depths and its
+    propagation through ``FrozenProblem.users``)."""
 
     def __init__(self, problem, choice):
-        order = oracle_toposort(problem, choice)
-        depths = None if problem.mode == "sum" else oracle_depths(problem, choice, order)[0]
-        super().__init__(problem, choice, order=order, depths=depths)
-        self._parents = {cid: {} for cid in order}
-        for cid in order:
-            for ch in problem.children[cid][choice[cid]]:
+        self.problem = problem
+        self.choice = dict(choice)
+        self.cost = 0.0
+        self.evals = 0
+        self.touched = 0
+        if problem.mode == "sum":
+            self._refs = {}
+            stack = []
+            for root in problem.roots:
+                self._refs[root] = self._refs.get(root, 0) + 1
+                if self._refs[root] == 1:
+                    stack.append(root)
+            while stack:
+                cid = stack.pop()
+                self.cost += problem.node_costs[cid][self.choice[cid]]
+                for ch in problem.children[cid][self.choice[cid]]:
+                    self._refs[ch] = self._refs.get(ch, 0) + 1
+                    if self._refs[ch] == 1:
+                        stack.append(ch)
+            return
+        self._order = oracle_toposort(problem, self.choice)
+        self._depth, self.cost = oracle_depths(problem, self.choice, self._order)
+        self._parents = {cid: {} for cid in self._order}
+        for cid in self._order:
+            for ch in problem.children[cid][self.choice[cid]]:
                 counts = self._parents[ch]
                 counts[cid] = counts.get(cid, 0) + 1
 
-    def _flip_depth(self, cid, node_idx):
-        old_idx = self.choice[cid]
-        for ch in self.problem.children[cid][old_idx]:
+    def _cascade(self, cids, step):
+        stack = list(cids)
+        while stack:
+            cid = stack.pop()
+            self._refs[cid] = self._refs.get(cid, 0) + step
+            if self._refs[cid] == (1 if step > 0 else 0):
+                self.touched += 1
+                self.cost += step * self.problem.node_costs[cid][self.choice[cid]]
+                stack.extend(self.problem.children[cid][self.choice[cid]])
+
+    def flip(self, cid, node_idx):
+        self.evals += 1
+        problem, choice = self.problem, self.choice
+        old_idx = choice[cid]
+        if problem.mode == "sum":
+            if self._refs.get(cid, 0) == 0:
+                choice[cid] = node_idx
+                return self.cost
+            self.cost += problem.node_costs[cid][node_idx] - problem.node_costs[cid][old_idx]
+            choice[cid] = node_idx
+            self.touched += 1
+            self._cascade(problem.children[cid][node_idx], 1)
+            self._cascade(problem.children[cid][old_idx], -1)
+            return self.cost
+        for ch in problem.children[cid][old_idx]:
             counts = self._parents[ch]
             counts[cid] -= 1
             if not counts[cid]:
                 del counts[cid]
-        for ch in self.problem.children[cid][node_idx]:
+        for ch in problem.children[cid][node_idx]:
             counts = self._parents[ch]
             counts[cid] = counts.get(cid, 0) + 1
-        self.choice[cid] = node_idx
+        choice[cid] = node_idx
         order = self._order
         heap = [(order[cid], cid)]
         queued = {cid}
         while heap:
             _, current = heapq.heappop(heap)
             queued.discard(current)
-            kids = self.problem.children[current][self.choice[current]]
+            kids = problem.children[current][choice[current]]
             child_depths = [self._depth[ch] for ch in kids]
-            new_depth = self.problem.node_costs[current][self.choice[current]] + (
+            new_depth = problem.node_costs[current][choice[current]] + (
                 max(child_depths) if child_depths else 0.0
             )
             self.touched += 1
@@ -271,8 +445,209 @@ class ParentMultimapEvaluator(DeltaCostEvaluator):
                 if parent not in queued:
                     queued.add(parent)
                     heapq.heappush(heap, (order[parent], parent))
-        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
+        self.cost = max((self._depth[r] for r in problem.roots), default=0.0)
         return self.cost
+
+
+class OracleFullEvaluator(ParentMultimapEvaluator):
+    """The dict-keyed full-sweep evaluator: every flip re-derives the cost."""
+
+    def __init__(self, problem, choice):
+        self.problem = problem
+        self.choice = dict(choice)
+        self.cost = oracle_choice_cost(problem, self.choice)
+        self.evals = 0
+        self.touched = 0
+
+    def flip(self, cid, node_idx):
+        self.choice[cid] = node_idx
+        self.cost = oracle_choice_cost(self.problem, self.choice)
+        self.evals += 1
+        self.touched += self.problem.num_classes
+        return self.cost
+
+
+def oracle_init_chain(problem, spec, seed, chain_id, evaluator, seed_choice, greedy):
+    """``init_chain`` on dict choices."""
+    rng = random.Random(seed)
+    if spec.initial == "random":
+        choice = fixpoint_random_choice(problem, rng, fallback=greedy)
+    elif spec.initial == "seed" and seed_choice:
+        choice = {**greedy, **seed_choice}
+        try:
+            oracle_toposort(problem, choice)
+        except ValueError:
+            choice = dict(greedy)
+    else:
+        choice = dict(greedy)
+    cost = oracle_choice_cost(problem, choice)
+    profile = ChainProfile(
+        chain_id=chain_id, kind=spec.kind, seed=seed, evaluator=evaluator,
+        initial_cost=cost, best_cost=cost, final_cost=cost, best_curve=[cost],
+    )
+    return ChainState(
+        spec=spec, seed=seed, evaluator=evaluator, choice=choice, current_cost=cost,
+        best_choice=dict(choice), best_cost=cost, temperature=spec.temperature,
+        rng_state=rng.getstate(), profile=profile,
+    )
+
+
+def _oracle_round_structures(problem, choice, evaluator):
+    _, safe, flippable, _ = oracle_rebuild(problem, choice)
+    kind = ParentMultimapEvaluator if evaluator == "delta" else OracleFullEvaluator
+    return safe, flippable, kind(problem, choice)
+
+
+def oracle_run_round(problem, state, moves):
+    """``run_round`` on dict choices, rebuilt from the oracle walks."""
+    spec = state.spec
+    rng = random.Random()
+    rng.setstate(state.rng_state)
+    safe, flippable, evaluator = _oracle_round_structures(problem, state.choice, state.evaluator)
+    current = evaluator.cost
+    best_choice, best_cost = state.best_choice, state.best_cost
+    temperature, since_improvement = state.temperature, state.since_improvement
+    accepted = rejected = uphill = restarts = executed = 0
+    for _ in range(moves if flippable else 0):
+        executed += 1
+        cid = flippable[rng.randrange(len(flippable))]
+        old_idx = evaluator.choice[cid]
+        alternatives = safe[cid]
+        pick = alternatives[rng.randrange(len(alternatives) - 1)]
+        if pick == old_idx:
+            pick = alternatives[-1]
+        new_cost = evaluator.flip(cid, pick)
+        delta = new_cost - current
+        take = delta <= 0
+        if not take and spec.kind != "greedy" and temperature > 0:
+            take = rng.random() < math.exp(-delta / temperature)
+            if take:
+                uphill += 1
+        if take:
+            current = new_cost
+            accepted += 1
+            if current < best_cost:
+                best_cost = current
+                best_choice = dict(evaluator.choice)
+                since_improvement = 0
+            else:
+                since_improvement += 1
+        else:
+            evaluator.flip(cid, old_idx)
+            rejected += 1
+            since_improvement += 1
+        if spec.kind != "greedy":
+            temperature *= spec.cooling
+        if spec.kind == "restart" and since_improvement >= spec.restart_after:
+            restarts += 1
+            since_improvement = 0
+            temperature = spec.temperature
+            evals, touched = evaluator.evals, evaluator.touched
+            fresh = fixpoint_random_choice(problem, rng, fallback=best_choice)
+            safe, flippable, evaluator = _oracle_round_structures(problem, fresh, state.evaluator)
+            evaluator.evals, evaluator.touched = evals, touched
+            current = evaluator.cost
+            if current < best_cost:
+                best_cost = current
+                best_choice = dict(fresh)
+            if not flippable:
+                break
+    profile = state.profile
+    profile = replace(
+        profile,
+        best_cost=best_cost,
+        final_cost=current,
+        moves=profile.moves + executed,
+        accepted=profile.accepted + accepted,
+        rejected=profile.rejected + rejected,
+        uphill=profile.uphill + uphill,
+        restarts=profile.restarts + restarts,
+        evals=profile.evals + evaluator.evals,
+        classes_touched=profile.classes_touched + evaluator.touched,
+        best_curve=profile.best_curve + [best_cost],
+        accept_curve=profile.accept_curve + [accepted],
+        reject_curve=profile.reject_curve + [rejected],
+    )
+    return replace(
+        state,
+        choice=dict(evaluator.choice),
+        current_cost=current,
+        best_choice=best_choice,
+        best_cost=best_cost,
+        temperature=temperature,
+        rng_state=rng.getstate(),
+        since_improvement=since_improvement,
+        profile=profile,
+    )
+
+
+def oracle_adopt_solution(state, choice, cost):
+    """``adopt_solution`` on dict choices."""
+    profile = replace(state.profile, migrations_received=state.profile.migrations_received + 1)
+    best_choice, best_cost = state.best_choice, state.best_cost
+    if cost < best_cost:
+        best_choice, best_cost = dict(choice), cost
+    return replace(
+        state, choice=dict(choice), current_cost=cost, best_choice=best_choice,
+        best_cost=best_cost, since_improvement=0, profile=profile,
+    )
+
+
+def oracle_portfolio(problem, config, seed_choice=None):
+    """The portfolio loop on dict choices (no pool, no spans): chain
+    start-up, rounds, restarts and migrations.  Returns the final chain
+    states and the migration events."""
+    greedy = fixpoint_greedy_choice(problem)
+    states = [
+        oracle_init_chain(
+            problem, config.spec_for(i), chain_seed(config.seed, i), i, config.evaluator,
+            seed_choice, greedy,
+        )
+        for i in range(config.chains)
+    ]
+    remaining = config.budgets()
+    migrations = []
+    round_index = 0
+    while any(remaining):
+        batch = [(i, min(config.migrate_every, remaining[i])) for i in range(config.chains) if remaining[i] > 0]
+        for i, moves in batch:
+            states[i] = oracle_run_round(problem, states[i], moves)
+            remaining[i] -= moves
+        round_index += 1
+        if config.chains > 1:
+            best_i = min(range(config.chains), key=lambda i: (states[i].best_cost, i))
+            best = states[best_i]
+            for i, state in enumerate(states):
+                if i != best_i and state.current_cost > best.best_cost and remaining[i] > 0:
+                    states[i] = oracle_adopt_solution(state, best.best_choice, best.best_cost)
+                    migrations.append(MigrationEvent(round_index, best_i, i, best.best_cost))
+    return states, migrations
+
+
+#: The ``ChainProfile`` fields a portfolio run must reproduce exactly
+#: (everything but wall-clock time).
+PROFILE_FIELDS = TRAJECTORY_FIELDS + (
+    "chain_id", "kind", "seed", "evaluator", "initial_cost", "best_cost", "final_cost",
+    "accepted", "rejected",
+)
+
+
+def assert_portfolio_matches_oracle(problem, result, config, seed_solution=None):
+    """``result`` (a production portfolio run on ``problem``'s e-graph)
+    against the dict-keyed portfolio on ``problem`` viewed by class id:
+    every chain counter and curve (floats by ``repr``), the migrations,
+    every chain's best extraction and the winner."""
+    view = DictProblem.view(problem)
+    seed_choice = view.choice_from_extraction(seed_solution) if seed_solution else None
+    states, migrations = oracle_portfolio(view, config, seed_choice)
+    got = [[repr(getattr(chain, name)) for name in PROFILE_FIELDS] for chain in result.profile.chains]
+    expected = [[repr(getattr(s.profile, name)) for name in PROFILE_FIELDS] for s in states]
+    assert got == expected
+    assert [m.to_dict() for m in result.profile.migrations] == [m.to_dict() for m in migrations]
+    ranked = sorted(range(config.chains), key=lambda i: (states[i].best_cost, i))
+    assert result.chain_extractions == [view.extraction_from_choice(states[i].best_choice) for i in ranked]
+    assert [repr(c) for c in result.chain_costs] == [repr(states[i].best_cost) for i in ranked]
+    assert result.extraction == result.chain_extractions[0]
 
 
 def fixpoint_greedy_extract(egraph, cost=None):
@@ -339,7 +714,8 @@ def fixpoint_greedy_choice(problem):
 
 def walk_build(egraph, roots, cost=None):
     """Object-walk snapshot: every class's canonical e-nodes, deduplicated as
-    ``ENode`` values (the oracle for the row-reading ``build``)."""
+    ``ENode`` values, keyed by e-class id (the oracle for the row-reading,
+    numbering ``build``)."""
     cost = cost or NodeCountCost()
     nodes, children, node_costs = {}, {}, {}
     find = egraph.find
@@ -356,12 +732,28 @@ def walk_build(egraph, roots, cost=None):
         nodes[cid] = class_nodes
         children[cid] = class_children
         node_costs[cid] = class_costs
-    return FrozenProblem(
+    return DictProblem(
         nodes=nodes,
         children=children,
         node_costs=node_costs,
         roots=[find(r) for r in roots],
         mode=cost.mode,
+    )
+
+
+def dense_problem(children, node_costs, roots, mode="sum"):
+    """A dense problem from per-class child lists keyed by e-class id (any
+    key order; classes are numbered in ascending id order, as ``build``
+    numbers them)."""
+    ids = sorted(children)
+    number = {cid: c for c, cid in enumerate(ids)}
+    return FrozenProblem(
+        class_ids=ids,
+        nodes=[[ENode(OR, kids) for kids in children[cid]] for cid in ids],
+        children=[[tuple(number[ch] for ch in kids) for kids in children[cid]] for cid in ids],
+        node_costs=[list(node_costs[cid]) for cid in ids],
+        roots=[number[r] for r in roots],
+        mode=mode,
     )
 
 
@@ -381,6 +773,17 @@ REBUILD_ORACLE_COSTS = {
     "depth_int": lambda: OperatorCost(weights={AND: 1, OR: 2, NOT: -0.0, VAR: 0}, mode="depth"),
 }
 
+#: The dense-vs-dict costs: the rebuild oracles' costs, integer and
+#: signed-zero sum weights, and non-integral weights in both modes (where a
+#: sum's float depends on the order its terms are added in).
+DENSE_ORACLE_COSTS = {
+    **REBUILD_ORACLE_COSTS,
+    "sum_int": lambda: OperatorCost(weights={AND: 1, OR: 3, NOT: 0, VAR: 0}, mode="sum"),
+    "sum_neg_zero": lambda: OperatorCost(weights={AND: 1.0, OR: 1.0, NOT: -0.0, VAR: -0.0}, mode="sum"),
+    "sum_frac": lambda: OperatorCost(weights={AND: 0.1, OR: 0.7, NOT: 0.2, VAR: 0.3}, mode="sum"),
+    "depth_frac": lambda: OperatorCost(weights={AND: 0.1, OR: 0.7, NOT: 0.2, VAR: 0.3}, mode="depth"),
+}
+
 
 class TestRebuildOracles:
     """Production rebuild structures against the algorithms they replaced."""
@@ -388,34 +791,34 @@ class TestRebuildOracles:
     @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
     def test_random_choice_matches_fixpoint(self, oracle_circuit, cost_cls):
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost_cls())
+        view = DictProblem.view(problem)
         greedy = problem.greedy_choice()
         for rng_seed in range(5):
             for fallback in (greedy, None):
                 rng, oracle_rng = random.Random(rng_seed), random.Random(rng_seed)
                 got = problem.random_choice(rng, fallback=fallback)
-                expected = fixpoint_random_choice(problem, oracle_rng, fallback=fallback)
-                assert list(got.items()) == list(expected.items())
+                oracle_fallback = choice_by_id(problem, fallback) if fallback else None
+                expected = fixpoint_random_choice(view, oracle_rng, fallback=oracle_fallback)
+                assert choice_by_id(problem, got) == expected
                 assert rng.getstate() == oracle_rng.getstate()
 
     def test_fallback_order_matches_fixpoint(self):
         # Self-looped classes never become realizable, so they come from the
-        # fallback, in the fixpoint's set-iteration order (ids chosen so that
-        # order is not ascending).
+        # fallback; the fallback fills only those, never a class the draws
+        # chose (ids given out of order, numbered ascending).
         leaf, loops = 2, [100, 3, 36, 68, 7, 1000, 35]
         children = {leaf: [()], 0: [(leaf,), (leaf, leaf)], 1: [(0,), (leaf,)]}
         children.update({cid: [(cid,), (cid, leaf)] for cid in loops})
-        problem = FrozenProblem(
-            nodes={cid: [None] * len(kids) for cid, kids in children.items()},
-            children=children,
-            node_costs={cid: [1.0] * len(kids) for cid, kids in children.items()},
-            roots=[1],
-        )
-        fallback = {cid: 1 for cid in loops}
+        problem = dense_problem(children, {cid: [1.0] * len(kids) for cid, kids in children.items()}, [1])
+        assert problem.class_ids == sorted(children)
+        view = DictProblem.view(problem)
+        fallback = {cid: 1 for cid in [*loops, leaf, 0, 1]}
         for rng_seed in range(5):
-            got = problem.random_choice(random.Random(rng_seed), fallback=fallback)
-            expected = fixpoint_random_choice(problem, random.Random(rng_seed), fallback=fallback)
-            assert list(got.items()) == list(expected.items())
-        assert [cid for cid in got if cid in loops] != sorted(loops)
+            got = problem.random_choice(random.Random(rng_seed), fallback=dense_choice(problem, fallback))
+            expected = fixpoint_random_choice(view, random.Random(rng_seed), fallback=fallback)
+            assert choice_by_id(problem, got) == expected
+            assert [choice_by_id(problem, got)[cid] for cid in loops] == [1] * len(loops)
+            assert choice_by_id(problem, got)[leaf] == 0
 
     @pytest.mark.parametrize("cost_name", sorted(REBUILD_ORACLE_COSTS))
     def test_rebuild_matches_oracle_walks(self, oracle_circuit, cost_name):
@@ -424,33 +827,37 @@ class TestRebuildOracles:
         compared by ``repr``, which tells ``0`` from ``0.0`` and ``-0.0``."""
         cost = REBUILD_ORACLE_COSTS[cost_name]()
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
+        view = DictProblem.view(problem)
         greedy = problem.greedy_choice()
+        ids = problem.class_ids
         for rng_seed in range(5):
             rng = random.Random(rng_seed)
             choice = problem.random_choice(rng, fallback=greedy)
             for flipped in (False, True):
                 if flipped:
-                    all_safe = oracle_flip_candidates(problem, oracle_toposort(problem, choice))
+                    all_safe = oracle_flip_candidates(view, oracle_toposort(view, choice_by_id(problem, choice)))
                     movable = [cid for cid in sorted(all_safe) if len(all_safe[cid]) > 1]
                     for _ in range(200):
                         cid = movable[rng.randrange(len(movable))]
-                        choice[cid] = all_safe[cid][rng.randrange(len(all_safe[cid]))]
-                order, safe, flippable, depths = oracle_rebuild(problem, choice)
-                got_order, got_depths = problem.toposort(choice)
+                        choice[problem.class_number(cid)] = all_safe[cid][rng.randrange(len(all_safe[cid]))]
+                order, safe, flippable, depths = oracle_rebuild(view, choice_by_id(problem, choice))
+                got_order, got_depths = dense_toposort_by_id(problem, choice)
                 assert list(got_order.items()) == list(order.items())
-                full = problem.flip_candidates(got_order)
-                assert list(full.items()) == list(oracle_flip_candidates(problem, order).items())
+                position, _ = problem.toposort(choice)
+                full = problem.flip_candidates(position)
+                assert by_id(problem, full) == oracle_flip_candidates(view, order)
                 got_safe, got_flippable, evaluator = _rebuild(problem, choice, "delta")
-                assert list(got_safe.items()) == list(safe.items())
-                assert got_flippable == flippable
+                assert by_id(problem, got_safe) == safe
+                assert [ids[c] for c in got_flippable] == flippable
                 if depths is None:
                     assert got_depths is None
                     assert evaluator.cost == choice_cost(problem, choice)
                 else:
                     expected = [(cid, repr(d)) for cid, d in depths[0].items()]
                     assert [(cid, repr(d)) for cid, d in got_depths.items()] == expected
-                    assert list(evaluator._order.items()) == list(order.items())
-                    assert [(cid, repr(d)) for cid, d in evaluator._depth.items()] == expected
+                    assert evaluator._position == position
+                    live = {ids[c]: evaluator._depth[c] for c in range(problem.num_classes) if position[c] < len(ids)}
+                    assert sorted((cid, repr(d)) for cid, d in live.items()) == sorted(expected)
                     assert repr(evaluator.cost) == repr(depths[1])
                     assert evaluator.cost == choice_cost(problem, choice)
 
@@ -458,42 +865,52 @@ class TestRebuildOracles:
     def test_problem_stats_match_oracle_walks(self, oracle_circuit, cost_cls):
         cost = cost_cls()
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
-        safe = oracle_flip_candidates(problem, oracle_toposort(problem, problem.greedy_choice()))
+        view = DictProblem.view(problem)
+        safe = oracle_flip_candidates(view, oracle_toposort(view, fixpoint_greedy_choice(view)))
         result = portfolio_extract(
             oracle_circuit.egraph,
             oracle_circuit.output_classes,
             cost=cost,
             config=PortfolioConfig(chains=1, move_budget=0, workers=0),
         )
-        assert result.profile.problem == ProblemStats.of(problem, safe).to_dict()
+        assert result.profile.problem == {
+            "classes": len(view.nodes),
+            "nodes": sum(len(nodes) for nodes in view.nodes.values()),
+            "flippable_classes": sum(1 for indices in safe.values() if len(indices) > 1),
+            "roots": len(view.roots),
+        }
+        assert result.profile.problem == ProblemStats.of(problem, problem.flip_candidates(
+            problem.toposort(problem.greedy_choice())[0])).to_dict()
 
     def test_walk_errors_match_oracle(self, oracle_circuit):
         """Cyclic choices and choices missing a child raise the oracle's
-        ``ValueError`` message; every other choice gets the oracle's order."""
+        ``ValueError`` message (naming e-class ids); every other choice gets
+        the oracle's order."""
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, DepthCost())
-        greedy = problem.greedy_choice()
+        view = DictProblem.view(problem)
+        greedy = choice_by_id(problem, problem.greedy_choice())
 
         def closes_cycle(choice, cid, i):
-            stack, seen = list(problem.children[cid][i]), set()
+            stack, seen = list(view.children[cid][i]), set()
             while stack:
                 ch = stack.pop()
                 if ch == cid:
                     return True
                 if ch not in seen:
                     seen.add(ch)
-                    stack.extend(problem.children[ch][choice[ch]])
+                    stack.extend(view.children[ch][choice[ch]])
             return False
 
         outcomes = set()
         for rng_seed in range(12):
             rng = random.Random(rng_seed)
-            choice = problem.random_choice(rng, fallback=greedy)
-            safe = oracle_flip_candidates(problem, oracle_toposort(problem, choice))
+            choice = fixpoint_random_choice(view, rng, fallback=greedy)
+            safe = oracle_flip_candidates(view, oracle_toposort(view, choice))
             # Flips outside the safe lists: some close a cycle, some do not.
             unsafe = [
                 (cid, i)
                 for cid in sorted(safe)
-                for i in range(len(problem.children[cid]))
+                for i in range(len(view.children[cid]))
                 if i not in safe[cid]
             ]
             rng.shuffle(unsafe)
@@ -504,14 +921,14 @@ class TestRebuildOracles:
                 cid, i = next((cid, i) for cid, i in unsafe if closes_cycle(choice, cid, i))
                 choice[cid] = i
             else:
-                kids = [ch for cid in sorted(choice) for ch in problem.children[cid][choice[cid]]]
+                kids = [ch for cid in sorted(choice) for ch in view.children[cid][choice[cid]]]
                 del choice[kids[rng.randrange(len(kids))]]
             try:
-                expected = list(oracle_toposort(problem, choice).items())
+                expected = list(oracle_toposort(view, choice).items())
             except ValueError as error:
                 expected = str(error)
             try:
-                got = list(problem.toposort(choice)[0].items())
+                got = list(dense_toposort_by_id(problem, dense_choice(problem, choice))[0].items())
             except ValueError as error:
                 got = str(error)
             assert got == expected
@@ -521,30 +938,33 @@ class TestRebuildOracles:
     @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
     def test_flips_match_parent_multimap_evaluator(self, oracle_circuit, cost_cls):
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost_cls())
+        view = DictProblem.view(problem)
         greedy = problem.greedy_choice()
         for rng_seed in range(5):
             rng = random.Random(rng_seed)
             choice = problem.random_choice(rng, fallback=greedy)
-            order, depths = problem.toposort(choice)
-            assert list(order) == sorted(order, key=order.get)
-            safe = problem.flip_candidates(order)
-            flippable = [cid for cid in sorted(safe) if len(safe[cid]) > 1]
-            delta = make_evaluator("delta", problem, choice, order=order, depths=depths)
-            oracle = ParentMultimapEvaluator(problem, choice)
+            position, depths = problem.toposort(choice)
+            safe = problem.flip_candidates(position)
+            flippable = [c for c, indices in enumerate(safe) if indices is not None and len(indices) > 1]
+            delta = make_evaluator("delta", problem, choice, position=position, depths=depths)
+            oracle = ParentMultimapEvaluator(view, choice_by_id(problem, choice))
             assert delta.cost == oracle.cost
             for _ in range(200):
-                cid = flippable[rng.randrange(len(flippable))]
-                pick = safe[cid][rng.randrange(len(safe[cid]))]
-                assert delta.flip(cid, pick) == oracle.flip(cid, pick)
+                c = flippable[rng.randrange(len(flippable))]
+                pick = safe[c][rng.randrange(len(safe[c]))]
+                assert delta.flip(c, pick) == oracle.flip(problem.class_ids[c], pick)
                 assert (delta.cost, delta.touched) == (oracle.cost, oracle.touched)
+            assert choice_by_id(problem, delta.choice) == oracle.choice
 
     def test_scoped_flip_candidates_match_all_classes(self, oracle_circuit):
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes)
-        order, _ = problem.toposort(problem.random_choice(random.Random(0), problem.greedy_choice()))
-        everything = problem.flip_candidates(order)
-        assert list(everything) == list(order)
-        some = sorted(order)[::3]
-        assert problem.flip_candidates(order, classes=some) == {cid: everything[cid] for cid in some}
+        position, _ = problem.toposort(problem.random_choice(random.Random(0), problem.greedy_choice()))
+        everything = problem.flip_candidates(position)
+        placed = [c for c in range(problem.num_classes) if position[c] < problem.num_classes]
+        assert [c for c, indices in enumerate(everything) if indices is not None] == placed
+        some = placed[::3]
+        scoped = problem.flip_candidates(position, classes=some)
+        assert scoped == [everything[c] if c in set(some) else None for c in range(problem.num_classes)]
 
 
 #: The greedy oracles' costs: both guiding costs plus the two operator
@@ -578,7 +998,7 @@ def engine_circuit(request):
 
 class TestGreedyOracles:
     """The snapshot greedy path against the algorithms it replaced, choice
-    for choice and in insertion order."""
+    for choice."""
 
     @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
     def test_build_matches_object_walk(self, oracle_circuit, cost_name):
@@ -586,27 +1006,229 @@ class TestGreedyOracles:
         roots = oracle_circuit.output_classes
         built = FrozenProblem.build(oracle_circuit.egraph, roots, cost)
         walked = walk_build(oracle_circuit.egraph, roots, cost)
+        assert built.class_ids == sorted(walked.nodes)
+        view = DictProblem.view(built)
         for name in ("nodes", "children", "node_costs"):
-            assert list(getattr(built, name).items()) == list(getattr(walked, name).items())
-        assert built.roots == walked.roots
+            assert list(getattr(view, name).items()) == list(getattr(walked, name).items())
+        assert view.roots == walked.roots
+        # The reverse index keeps the dict-keyed problem's order, and the flat
+        # counters line up with each class's nodes.
+        ids = built.class_ids
+        users = {ids[c]: [(ids[p], i) for p, i, _ in entries] for c, entries in enumerate(built.users)}
+        assert users == walked.users()
+        assert all(built.node_start[p] + i == flat for entries in built.users for p, i, flat in entries)
+        assert [built.distinct_counts[built.node_start[c] : built.node_start[c + 1]] for c in range(len(ids))] == [
+            [len(set(kids)) for kids in walked.children[cid]] for cid in ids
+        ]
+        assert [ids[c] for c in built.leaf_classes] == [
+            cid for cid in ids if any(not kids for kids in walked.children[cid])
+        ]
 
     @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
     def test_greedy_choice_matches_fixpoint(self, oracle_circuit, cost_name):
         problem = FrozenProblem.build(
             oracle_circuit.egraph, oracle_circuit.output_classes, GREEDY_ORACLE_COSTS[cost_name]()
         )
-        assert list(problem.greedy_choice().items()) == list(fixpoint_greedy_choice(problem).items())
+        expected = fixpoint_greedy_choice(DictProblem.view(problem))
+        assert choice_by_id(problem, problem.greedy_choice()) == expected
 
     @pytest.mark.parametrize("cost_name", sorted(GREEDY_ORACLE_COSTS))
     def test_greedy_extract_matches_object_fixpoint(self, engine_circuit, cost_name):
+        """Every class gets the fixpoint's e-node; the extraction comes in
+        ascending id order (the fixpoint's dict is in first-chosen order)."""
         circuit = engine_circuit
         cost = GREEDY_ORACLE_COSTS[cost_name]()
         uf = circuit.egraph.union_find
-        expected = [
+        expected = sorted(
             (cid, enode.canonicalize(uf))
             for cid, enode in fixpoint_greedy_extract(circuit.egraph, cost).items()
-        ]
+        )
         assert list(greedy_extract(circuit.egraph, cost).items()) == expected
+
+
+# -- dense layout vs the dict-keyed kernels -----------------------------------
+
+
+@st.composite
+def egraph_programs(draw):
+    """A small e-graph program: variables, AND/OR/NOT terms over earlier
+    classes, unions between any two classes (which can close cycles), the
+    roots, seed picks and a saturation depth."""
+    num_vars = draw(st.integers(1, 5))
+    index = st.integers(0, 10**6)
+    terms = draw(st.lists(st.tuples(st.sampled_from([AND, OR, NOT]), index, index), min_size=4, max_size=40))
+    unions = draw(st.lists(st.tuples(index, index), max_size=4))
+    roots = draw(st.lists(index, min_size=1, max_size=3))
+    seed_picks = draw(st.lists(st.tuples(index, index), max_size=6))
+    iterations = draw(st.integers(0, 2))
+    return num_vars, terms, unions, roots, seed_picks, iterations
+
+
+def run_egraph_program(program):
+    """Build a program's e-graph (the terms, their unions, then up to two
+    saturation iterations of the Boolean rules); returns it, its root
+    classes, and a seed extraction of arbitrary (possibly cycle-closing)
+    picks."""
+    num_vars, terms, unions, roots, seed_picks, iterations = program
+    eg = EGraph()
+    classes = [eg.var(f"x{i}") for i in range(num_vars)]
+    for op, a, b in terms:
+        kids = [classes[a % len(classes)]] if op == NOT else [classes[a % len(classes)], classes[b % len(classes)]]
+        classes.append(eg.add_term(op, kids))
+    for a, b in unions:
+        eg.union(classes[a % len(classes)], classes[b % len(classes)])
+    eg.rebuild()
+    if iterations:
+        SaturationEngine(eg, boolean_rules(), EngineLimits(max_iterations=iterations, max_nodes=400)).run()
+    canonical = sorted({eg.find(c) for c in classes})
+    seed = {}
+    for a, b in seed_picks:
+        cid = canonical[a % len(canonical)]
+        nodes = eg.nodes_of(cid)
+        seed[cid] = nodes[b % len(nodes)]
+    return eg, [eg.find(classes[r % len(classes)]) for r in roots], seed
+
+
+#: A portfolio on a small e-graph that fires restarts and migrations: the
+#: default mix, a restart chain that re-seeds after 3 stale moves, and a
+#: chain too hot to settle, which keeps falling behind the best.
+SMALL_PORTFOLIO_SPECS = DEFAULT_CHAIN_SPECS + (
+    ChainSpec(kind="restart", initial="random", temperature=2.0, cooling=0.9, restart_after=3),
+    ChainSpec(kind="sa", initial="random", temperature=64.0, cooling=1.0),
+)
+
+
+def assert_kernels_match(problem, rng_seed):
+    """Every dense kernel on ``problem`` against its dict-keyed oracle."""
+    view = DictProblem.view(problem)
+    ids = problem.class_ids
+    greedy = problem.greedy_choice()
+    assert choice_by_id(problem, greedy) == fixpoint_greedy_choice(view)
+    rng, oracle_rng = random.Random(rng_seed), random.Random(rng_seed)
+    for fallback in (None, greedy):
+        choice = problem.random_choice(rng, fallback=fallback)
+        oracle_fallback = choice_by_id(problem, fallback) if fallback else None
+        assert choice_by_id(problem, choice) == fixpoint_random_choice(view, oracle_rng, oracle_fallback)
+        assert rng.getstate() == oracle_rng.getstate()
+    by_ids = choice_by_id(problem, choice)
+    order, safe, flippable, depths = oracle_rebuild(view, by_ids)
+    got_order, got_depths = dense_toposort_by_id(problem, choice)
+    assert list(got_order.items()) == list(order.items())
+    if depths is None:
+        assert got_depths is None
+    else:
+        assert [(cid, repr(d)) for cid, d in got_depths.items()] == [(cid, repr(d)) for cid, d in depths[0].items()]
+    got_safe, got_flippable, evaluator = _rebuild(problem, choice, "delta")
+    assert by_id(problem, got_safe) == safe
+    assert [ids[c] for c in got_flippable] == flippable
+    assert repr(choice_cost(problem, choice)) == repr(oracle_choice_cost(view, by_ids))
+    oracle = ParentMultimapEvaluator(view, by_ids)
+    full, oracle_full = make_evaluator("full", problem, choice), OracleFullEvaluator(view, by_ids)
+    assert repr(evaluator.cost) == repr(oracle.cost)
+    for _ in range(20 if got_flippable else 0):
+        c = got_flippable[rng.randrange(len(got_flippable))]
+        pick = got_safe[c][rng.randrange(len(got_safe[c]))]
+        assert repr(evaluator.flip(c, pick)) == repr(oracle.flip(ids[c], pick))
+        assert evaluator.touched == oracle.touched
+        assert repr(full.flip(c, pick)) == repr(oracle_full.flip(ids[c], pick))
+
+
+class TestDenseLayoutOracles:
+    """The dense problem's kernels and whole portfolio runs against the
+    dict-keyed kernels, on hypothesis e-graphs and the saturated fixtures,
+    under depth, sum, integer, signed-zero and non-integral weights."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(program=egraph_programs(), rng_seed=st.integers(0, 2**16))
+    def test_kernels_match_on_hypothesis_egraphs(self, program, rng_seed):
+        eg, roots, _ = run_egraph_program(program)
+        for make_cost in DENSE_ORACLE_COSTS.values():
+            assert_kernels_match(FrozenProblem.build(eg, roots, make_cost()), rng_seed)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(program=egraph_programs(), seed=st.integers(0, 2**16))
+    def test_portfolios_match_on_hypothesis_egraphs(self, program, seed):
+        eg, roots, seed_solution = run_egraph_program(program)
+        for make_cost in DENSE_ORACLE_COSTS.values():
+            cost = make_cost()
+            config = PortfolioConfig(
+                chains=6, move_budget=120, migrate_every=8, seed=seed, evaluator=("delta", "full")[seed % 2],
+                workers=0, chain_specs=SMALL_PORTFOLIO_SPECS,
+            )
+            result = portfolio_extract(eg, roots, cost=cost, config=config, seed_solution=seed_solution)
+            assert_portfolio_matches_oracle(FrozenProblem.build(eg, roots, cost), result, config, seed_solution)
+
+    @pytest.mark.parametrize("cost_name", sorted(DENSE_ORACLE_COSTS))
+    def test_kernels_match_on_saturated_circuits(self, oracle_circuit, cost_name):
+        cost = DENSE_ORACLE_COSTS[cost_name]()
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
+        for rng_seed in range(3):
+            assert_kernels_match(problem, rng_seed)
+
+    @pytest.mark.parametrize("cost_name", sorted(DENSE_ORACLE_COSTS))
+    def test_portfolio_matches_oracle_on_saturated_circuits(self, oracle_circuit, cost_name):
+        """Start-up, 4 rounds, restarts and migrations of the default mix
+        plus a fast-restarting chain."""
+        cost = DENSE_ORACLE_COSTS[cost_name]()
+        config = PortfolioConfig(
+            chains=6, move_budget=192, migrate_every=8, seed=3, workers=0, chain_specs=SMALL_PORTFOLIO_SPECS,
+        )
+        seed_solution = oracle_circuit.original_extraction()
+        result = portfolio_extract(
+            oracle_circuit.egraph, oracle_circuit.output_classes, cost=cost, config=config,
+            seed_solution=seed_solution,
+        )
+        assert sum(chain.restarts for chain in result.profile.chains) > 0
+        problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
+        assert_portfolio_matches_oracle(problem, result, config, seed_solution)
+
+    def test_pooled_portfolio_matches_oracle(self, saturated_circuit):
+        _, circuit = saturated_circuit
+        cost = DENSE_ORACLE_COSTS["sum_frac"]()
+        config = PortfolioConfig(
+            chains=6, move_budget=160, migrate_every=8, seed=5, workers=2, chain_specs=SMALL_PORTFOLIO_SPECS,
+        )
+        seed_solution = circuit.original_extraction()
+        result = portfolio_extract(
+            circuit.egraph, circuit.output_classes, cost=cost, config=config, seed_solution=seed_solution,
+        )
+        assert result.profile.migrations
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
+        assert_portfolio_matches_oracle(problem, result, config, seed_solution)
+
+    def test_snapshot_and_rebuild_spans_count_the_walk(self, saturated_circuit):
+        """``extract snapshot`` counts classes and nodes; each ``chain
+        rebuild`` counts the classes its walk placed, the reachable ones and
+        the flippable ones, as the oracle walks count them."""
+        _, circuit = saturated_circuit
+        specs = (ChainSpec(kind="restart", initial="random", restart_after=4),)
+        config = PortfolioConfig(chains=1, move_budget=64, migrate_every=16, workers=0, chain_specs=specs)
+        with tracing() as tracer:
+            portfolio_extract(circuit.egraph, circuit.output_classes, config=config)
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes)
+        view = DictProblem.view(problem)
+        (snap,) = [r for r in tracer.records if r.name == "extract snapshot"]
+        assert snap.args == {"classes": problem.num_classes, "nodes": problem.num_nodes}
+        # Replay the chain with the oracle kernels, counting every rebuild.
+        counted = []
+
+        def counting(problem, choice, evaluator):
+            order, safe, flippable, _ = oracle_rebuild(problem, choice)
+            reachable, stack = set(), list(problem.roots)
+            while stack:
+                cid = stack.pop()
+                if cid not in reachable:
+                    reachable.add(cid)
+                    stack.extend(problem.children[cid][choice[cid]])
+            counted.append({"classes": len(order), "reachable": len(reachable), "flippable": len(flippable)})
+            return safe, flippable, ParentMultimapEvaluator(problem, choice)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules[__name__], "_oracle_round_structures", counting)
+            oracle_portfolio(view, config)
+        rebuilds = [r.args for r in tracer.records if r.name == "chain rebuild"]
+        assert len(rebuilds) > 4 and rebuilds == counted
+        assert all(args["reachable"] < args["classes"] for args in rebuilds)
 
 
 class TestNegativeCosts:
@@ -707,8 +1329,13 @@ class TestFrozenProblem:
         assert problem.num_nodes <= circuit.egraph.num_nodes
         extraction = greedy_extract(circuit.egraph, NodeCountCost())
         choice = problem.choice_from_extraction(extraction)
+        assert -1 not in choice
         back = problem.extraction_from_choice(choice)
-        assert back == {cid: extraction[cid] for cid in choice}
+        assert list(back.items()) == sorted(extraction.items())
+        # Classes outside the snapshot and e-nodes outside a class are skipped.
+        stray = {max(problem.class_ids) + 1: extraction[problem.class_ids[0]]}
+        stray[problem.class_ids[0]] = problem.nodes[1][0]
+        assert problem.choice_from_extraction(stray) == [-1] * problem.num_classes
 
     def test_greedy_choice_matches_greedy_extract_cost(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -738,24 +1365,24 @@ class TestFrozenProblem:
         eg.union(x, y)
         eg.rebuild()
         problem = FrozenProblem.build(eg, [eg.find(x)], NodeCountCost())
+        view = DictProblem.view(problem)
         root = eg.find(x)
+        r = problem.class_number(root)
         # Choose the OR node, whose child is the class itself after the union.
-        cyclic_idx = next(
-            i for i, kids in enumerate(problem.children[root]) if root in kids
-        )
+        cyclic_idx = next(i for i, kids in enumerate(problem.children[r]) if r in kids)
         choice = problem.greedy_choice()
-        choice[root] = cyclic_idx
+        choice[r] = cyclic_idx
         with pytest.raises(ValueError, match="cyclic") as expected:
-            oracle_toposort(problem, choice)
+            oracle_toposort(view, choice_by_id(problem, choice))
         with pytest.raises(ValueError, match="cyclic") as got:
             problem.toposort(choice)
         assert str(got.value) == str(expected.value)
         # Choosing the AND node but dropping its child ``a`` from the choice.
-        and_idx = next(i for i, node in enumerate(problem.nodes[root]) if node.op == AND)
-        choice[root] = and_idx
-        del choice[eg.find(a)]
+        and_idx = next(i for i, node in enumerate(problem.nodes[r]) if node.op == AND)
+        choice[r] = and_idx
+        choice[problem.class_number(eg.find(a))] = -1
         with pytest.raises(ValueError, match="missing") as expected:
-            oracle_toposort(problem, choice)
+            oracle_toposort(view, choice_by_id(problem, choice))
         with pytest.raises(ValueError, match="missing") as got:
             problem.toposort(choice)
         assert str(got.value) == str(expected.value)
@@ -764,12 +1391,15 @@ class TestFrozenProblem:
         _, circuit = saturated_circuit
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, DepthCost())
         choice = problem.greedy_choice()
-        order, _ = problem.toposort(choice)
-        safe = problem.flip_candidates(order)
-        for cid, indices in safe.items():
+        position, _ = problem.toposort(choice)
+        safe = problem.flip_candidates(position)
+        for cid, indices in enumerate(safe):
+            if indices is None:
+                assert choice[cid] < 0  # every chosen class is covered
+                continue
             assert choice[cid] in indices  # the current choice is always safe
             for i in indices:
-                assert all(order[ch] < order[cid] for ch in problem.children[cid][i])
+                assert all(position[ch] < position[cid] for ch in problem.children[cid][i])
 
 
 class TestDeltaFullParity:
@@ -802,10 +1432,10 @@ class TestDeltaFullParity:
         for cost in (NodeCountCost(), DepthCost()):
             problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
             choice = problem.greedy_choice()
-            order, depths = problem.toposort(choice)
-            safe = problem.flip_candidates(order)
-            flippable = [cid for cid in sorted(safe) if len(safe[cid]) > 1]
-            delta = make_evaluator("delta", problem, choice, order=order, depths=depths)
+            position, depths = problem.toposort(choice)
+            safe = problem.flip_candidates(position)
+            flippable = [cid for cid, indices in enumerate(safe) if indices is not None and len(indices) > 1]
+            delta = make_evaluator("delta", problem, choice, position=position, depths=depths)
             full = make_evaluator("full", problem, choice)
             assert delta.cost == full.cost
             rng = random.Random(5)
@@ -977,6 +1607,35 @@ class TestConfigValidation:
             PortfolioConfig(chains=2, chain_specs=[])
 
 
+class TestChainSpecValidation:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(restart_after=0), "restart_after"),
+            (dict(restart_after=-3), "restart_after"),
+            (dict(temperature=math.nan), "temperature"),
+            (dict(temperature=math.inf), "temperature"),
+            (dict(temperature=-1.0), "temperature"),
+            (dict(cooling=math.nan), "cooling"),
+            (dict(cooling=math.inf), "cooling"),
+            (dict(cooling=0.0), "cooling"),
+            (dict(cooling=-0.5), "cooling"),
+            (dict(initial="gready"), "chain start"),
+            (dict(kind="tabu"), "chain kind"),
+        ],
+    )
+    def test_degenerate_specs_raise(self, bad, message):
+        # restart_after=0 used to re-seed after every move (a full rebuild
+        # per flip); NaN schedules and misspelt starts were accepted.
+        with pytest.raises(ValueError, match=message):
+            ChainSpec(**bad)
+
+    def test_boundary_specs_stay_legal(self):
+        ChainSpec(cooling=1.0, temperature=0.0, restart_after=1)
+        for initial in ("greedy", "random", "seed"):
+            ChainSpec(initial=initial)
+
+
 class TestTelemetry:
     def test_profile_roundtrip_and_json(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -1027,6 +1686,28 @@ class TestExtractionBench:
         assert set(entry["speedup"]) == {"portfolio"}
         assert "geomean_speedup" in payload["summary"]
         assert "adder" in render_bench(payload)
+
+    def test_count_check_flags_moved_counts(self):
+        # A doctored copy of the checked-in reference: equal wall times, but
+        # one count moved per field, so only the count check can catch them.
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "extraction_reference.json"
+        reference = json.loads(path.read_text())
+        payload = json.loads(json.dumps(reference))
+        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        assert set(COUNT_FIELDS) <= set(reference["circuits"]["hyp"]["runs"]["portfolio"])
+        run = payload["circuits"]["hyp"]["runs"]["portfolio"]
+        run["accepted"] -= 1
+        run["mean_cone"] += 0.5
+        run["migrations"] += 1
+        run["extraction_ands"] += 1
+        failures = check_regressions(payload, reference, counts=COUNT_FIELDS)
+        assert [failure.split(" ")[:2] for failure in failures] == [
+            ["hyp/portfolio:", "accepted"],
+            ["hyp/portfolio:", "mean_cone"],
+            ["hyp/portfolio:", "migrations"],
+            ["hyp/portfolio:", "extraction_ands"],
+        ]
+        assert check_regressions(payload, reference) == []
 
     def test_check_regressions_gate(self):
         payload = {
