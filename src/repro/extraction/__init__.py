@@ -1,5 +1,6 @@
-"""E-graph extraction: greedy, random, the Algorithm 1 neighbour generator,
-and the island-parallel extraction engine (:mod:`repro.extraction.engine`)."""
+"""E-graph extraction: greedy, the Algorithm 1 neighbour generator, and the
+island-parallel extraction engine (:mod:`repro.extraction.engine`), whose
+frozen problem also draws random extractions."""
 
 from repro.extraction.cost import CostFunction, DepthCost, NodeCountCost, OperatorCost
 from repro.extraction.engine import (
@@ -11,8 +12,7 @@ from repro.extraction.engine import (
     chain_seed,
     portfolio_extract,
 )
-from repro.extraction.greedy import extraction_size, greedy_extract
-from repro.extraction.random_extract import random_extract
+from repro.extraction.greedy import greedy_extract
 from repro.extraction.sa import generate_neighbor
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "DepthCost",
     "OperatorCost",
     "greedy_extract",
-    "extraction_size",
-    "random_extract",
     "generate_neighbor",
     "FrozenProblem",
     "ChainSpec",

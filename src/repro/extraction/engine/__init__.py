@@ -1,8 +1,8 @@
 """The scalable extraction engine: the flow's one SA extractor.
 
-A frozen, index-based extraction problem (:mod:`problem`), delta-cost
-evaluation that prices an SA move by the ancestor cone of the flipped class
-with the full sweep kept as an exact-parity reference (:mod:`delta`), an
+A frozen, index-based extraction problem (:mod:`problem`) that also draws
+the greedy and random extractions, delta-cost evaluation that prices an SA
+move by the ancestor cone of the flipped class (:mod:`delta`), an
 island-model parallel portfolio of annealing / hill-climbing /
 random-restart chains with periodic best-solution migration
 (:mod:`portfolio`), per-chain telemetry (:mod:`telemetry`), and the
@@ -10,14 +10,7 @@ random-restart chains with periodic best-solution migration
 """
 
 from repro.extraction.engine.chains import CHAIN_KINDS, ChainSpec, ChainState, init_chain, run_round
-from repro.extraction.engine.delta import (
-    EVALUATORS,
-    CostEvaluator,
-    DeltaCostEvaluator,
-    FullCostEvaluator,
-    choice_cost,
-    make_evaluator,
-)
+from repro.extraction.engine.delta import DeltaCostEvaluator, choice_cost
 from repro.extraction.engine.portfolio import (
     DEFAULT_CHAIN_SPECS,
     SEED_STRIDE,
@@ -33,11 +26,7 @@ __all__ = [
     "FrozenProblem",
     "ProblemStats",
     "choice_cost",
-    "CostEvaluator",
     "DeltaCostEvaluator",
-    "FullCostEvaluator",
-    "make_evaluator",
-    "EVALUATORS",
     "ChainSpec",
     "ChainState",
     "CHAIN_KINDS",

@@ -82,7 +82,6 @@ def _bench_one(
             move_budget=move_budget,
             migrate_every=migrate_every,
             seed=seed,
-            evaluator="delta",
             workers=0 if variant == "delta" else None,
         )
         result = portfolio_extract(

@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.extraction.engine.delta import choice_cost, make_evaluator
+from repro.extraction.engine.delta import DeltaCostEvaluator, choice_cost
 from repro.extraction.engine.problem import Choice, FrozenProblem
 from repro.extraction.engine.telemetry import ChainProfile
 from repro.obs import trace as obs
@@ -75,7 +75,6 @@ class ChainState:
 
     spec: ChainSpec
     seed: int
-    evaluator: str
     choice: Choice
     current_cost: float
     best_choice: Choice
@@ -91,7 +90,6 @@ def init_chain(
     spec: ChainSpec,
     seed: int,
     chain_id: int = 0,
-    evaluator: str = "delta",
     seed_choice: Optional[Choice] = None,
     greedy: Optional[Choice] = None,
 ) -> ChainState:
@@ -119,7 +117,6 @@ def init_chain(
         chain_id=chain_id,
         kind=spec.kind,
         seed=seed,
-        evaluator=evaluator,
         initial_cost=cost,
         best_cost=cost,
         final_cost=cost,
@@ -128,7 +125,6 @@ def init_chain(
     return ChainState(
         spec=spec,
         seed=seed,
-        evaluator=evaluator,
         choice=choice,
         current_cost=cost,
         best_choice=choice[:],
@@ -139,7 +135,7 @@ def init_chain(
     )
 
 
-def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str, span=None):
+def _rebuild(problem: FrozenProblem, choice: Choice, span=None):
     """Rebuild a chain's move structures from a bare choice.
 
     Returns the cycle-safe flip candidates (a list indexed by class
@@ -174,7 +170,7 @@ def _rebuild(problem: FrozenProblem, choice: Choice, evaluator: str, span=None):
         span.set("classes", len(children) - choice.count(-1))
         span.set("reachable", reached.count(True))
         span.set("flippable", len(flippable))
-    return safe, flippable, make_evaluator(evaluator, problem, choice, position=position, depths=depths)
+    return safe, flippable, DeltaCostEvaluator(problem, choice, position=position, depths=depths)
 
 
 def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainState:
@@ -202,7 +198,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         rng.setstate(state.rng_state)
 
         with obs.span("chain rebuild", category="extraction.rebuild") as rebuild_span:
-            safe, flippable, evaluator = _rebuild(problem, state.choice, state.evaluator, rebuild_span)
+            safe, flippable, evaluator = _rebuild(problem, state.choice, rebuild_span)
         current = evaluator.cost
 
         best_choice = state.best_choice
@@ -251,7 +247,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
                 evals, touched = evaluator.evals, evaluator.touched
                 with obs.span("chain rebuild", category="extraction.rebuild") as rebuild_span:
                     fresh = problem.random_choice(rng, fallback=best_choice)
-                    safe, flippable, evaluator = _rebuild(problem, fresh, state.evaluator, rebuild_span)
+                    safe, flippable, evaluator = _rebuild(problem, fresh, rebuild_span)
                 evaluator.evals, evaluator.touched = evals, touched
                 current = evaluator.cost
                 if current < best_cost:
@@ -286,7 +282,6 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
     return ChainState(
         spec=spec,
         seed=state.seed,
-        evaluator=state.evaluator,
         choice=evaluator.choice,
         current_cost=current,
         best_choice=best_choice,
@@ -312,7 +307,6 @@ def adopt_solution(state: ChainState, choice: Choice, cost: float) -> ChainState
     return ChainState(
         spec=state.spec,
         seed=state.seed,
-        evaluator=state.evaluator,
         choice=choice[:],
         current_cost=cost,
         best_choice=best_choice,

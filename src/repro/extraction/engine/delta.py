@@ -2,32 +2,29 @@
 
 A naive SA move pays O(e-graph) twice over — a full bottom-up neighbour
 sweep plus a from-scratch DAG cost evaluation.  The engine's move is a
-*flip* (one class changes its chosen e-node), and the two evaluators
-here price a flip in two ways:
+*flip* (one class changes its chosen e-node), and
+:class:`DeltaCostEvaluator` prices it by re-evaluating only the ancestor
+cone of the flipped class.  It keeps the cost decomposition live between
+moves: reference counts of the extracted DAG in ``sum`` mode, per-class
+depths in ``depth`` mode.  ``depth`` mode keeps no parent map of its own: a
+class's extraction parents are the entries of the problem's static
+``users`` index that the live choice selects.  Its starting depths come
+from :meth:`FrozenProblem.toposort`, which prices every class as it places
+it, so setting up an evaluator adds no walk of its own; ``sum`` mode counts
+references over the root-reachable classes.
 
-* :class:`DeltaCostEvaluator` — the engine's default.  It keeps the cost
-  decomposition live between moves (reference counts of the extracted DAG in
-  ``sum`` mode, per-class depths in ``depth`` mode) so a flip re-evaluates
-  only the ancestor cone of the flipped class.  ``depth`` mode keeps no
-  parent map of its own: a class's extraction parents are the entries of
-  the problem's static ``users`` index that the live choice selects.  Its
-  starting depths come from :meth:`FrozenProblem.toposort`, which prices
-  every class as it places it, so setting up an evaluator adds no walk of
-  its own; ``sum`` mode counts references over the root-reachable classes.
-* :class:`FullCostEvaluator` — the exact-parity reference: same interface,
-  but every flip re-derives the cost from scratch with the same semantics as
-  :func:`repro.extraction.cost.extraction_cost`.
-
-Both evaluate a flip to the *identical* float whenever per-node costs are
-integer-valued (the default ``NodeCountCost``/``DepthCost``), which is what
-the engine's parity tests pin down.  With arbitrary float weights the
-``sum``-mode running total may drift by ulps between flips; every portfolio
-round rebuilds evaluator state from the bare choice, so drift never carries
-from one round into the next.
+:func:`choice_cost` is the from-scratch cost of a choice, with the same
+semantics as :func:`repro.extraction.cost.extraction_cost`.  A flip's delta
+cost equals it exactly whenever per-node costs are integer-valued (the
+default ``NodeCountCost``/``DepthCost``); with arbitrary float weights the
+``sum``-mode running total may drift by ulps between flips.  Every
+portfolio round rebuilds evaluator state from the bare choice, so drift
+never carries from one round into the next.  The full re-derivation per
+flip that the evaluator must match is a test oracle (see ``docs/parity.md``).
 
 Flips must stay within :meth:`FrozenProblem.flip_candidates` of the order the
 evaluator was built with — that is what makes acyclicity an invariant and
-lets both evaluators skip per-move cycle checks.  Choices, reference counts,
+lets the evaluator skip per-move cycle checks.  Choices, reference counts,
 positions and depths are lists indexed by class number (see ``problem.py``).
 """
 
@@ -84,49 +81,7 @@ def choice_cost(problem: FrozenProblem, choice: Choice) -> float:
     return max((memo[r] for r in problem.roots), default=0.0)
 
 
-class CostEvaluator:
-    """Shared evaluator surface: a live choice plus a priced ``flip``.
-
-    ``evals`` counts flips; ``touched`` counts the classes whose cached cost
-    contribution was re-derived (the delta evaluator's cone sizes, or the
-    whole traversal for the full reference) — the telemetry behind the
-    bench's delta-vs-full evaluation ratio.
-    """
-
-    kind = "abstract"
-
-    def __init__(self, problem: FrozenProblem, choice: Choice):
-        self.problem = problem
-        self.choice: Choice = list(choice)
-        self.cost: float = 0.0
-        self.evals: int = 0
-        self.touched: int = 0
-
-    def flip(self, cid: int, node_idx: int) -> float:
-        """Re-point class ``cid`` at candidate ``node_idx``; returns the new
-        total cost.  Flipping back to the previous index reverts the move."""
-        raise NotImplementedError
-
-
-class FullCostEvaluator(CostEvaluator):
-    """The full-sweep parity reference: every flip pays a whole re-derivation."""
-
-    kind = "full"
-
-    def __init__(self, problem: FrozenProblem, choice: Choice):
-        super().__init__(problem, choice)
-        self.cost = choice_cost(problem, self.choice)
-
-    def flip(self, cid: int, node_idx: int) -> float:
-        """Re-point ``cid`` at ``node_idx`` and re-derive the whole cost."""
-        self.choice[cid] = node_idx
-        self.cost = choice_cost(self.problem, self.choice)
-        self.evals += 1
-        self.touched += self.problem.num_classes
-        return self.cost
-
-
-class DeltaCostEvaluator(CostEvaluator):
+class DeltaCostEvaluator:
     """Incremental evaluator: a flip touches only the flipped class's cone.
 
     ``sum`` mode maintains reference counts over the root-reachable extracted
@@ -139,9 +94,11 @@ class DeltaCostEvaluator(CostEvaluator):
     ``position`` and ``depths``, when given, must be the pair
     ``problem.toposort(choice)`` returned; depth mode keeps both (``depths``
     becomes its live depth table), sum mode ignores them.
-    """
 
-    kind = "delta"
+    ``evals`` counts flips and ``touched`` the classes whose cached cost
+    contribution a flip re-derived (the cone sizes): the telemetry behind a
+    chain's mean cone.
+    """
 
     def __init__(
         self,
@@ -150,7 +107,11 @@ class DeltaCostEvaluator(CostEvaluator):
         position: Optional[List[int]] = None,
         depths: Optional[List[float]] = None,
     ):
-        super().__init__(problem, choice)
+        self.problem = problem
+        self.choice: Choice = list(choice)
+        self.cost: float = 0.0
+        self.evals: int = 0
+        self.touched: int = 0
         self._children = problem.children
         self._node_costs = problem.node_costs
         if problem.mode == "sum":
@@ -260,30 +221,11 @@ class DeltaCostEvaluator(CostEvaluator):
     # -- dispatch -----------------------------------------------------------
 
     def flip(self, cid: int, node_idx: int) -> float:
-        """Re-point ``cid`` at ``node_idx``, re-deriving only its cone."""
+        """Re-point class ``cid`` at candidate ``node_idx``, re-deriving only
+        its cone; returns the new total cost.  Flipping back to the previous
+        index reverts the move."""
         self.evals += 1
         if self.problem.mode == "sum":
             return self._flip_sum(cid, node_idx)
         return self._flip_depth(cid, node_idx)
 
-
-EVALUATORS = ("delta", "full")
-
-
-def make_evaluator(
-    kind: str,
-    problem: FrozenProblem,
-    choice: Choice,
-    position: Optional[List[int]] = None,
-    depths: Optional[List[float]] = None,
-) -> CostEvaluator:
-    """The evaluator called ``kind`` over ``choice``.
-
-    ``position`` and ``depths`` are ``problem.toposort(choice)``'s pair,
-    handed to the delta evaluator so it does not walk the choice again.
-    """
-    if kind == "delta":
-        return DeltaCostEvaluator(problem, choice, position=position, depths=depths)
-    if kind == "full":
-        return FullCostEvaluator(problem, choice)
-    raise ValueError(f"unknown evaluator {kind!r}; choose from {', '.join(EVALUATORS)}")

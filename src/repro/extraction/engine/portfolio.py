@@ -36,7 +36,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction, NodeCountCost
 from repro.extraction.engine.chains import ChainSpec, ChainState, adopt_solution, init_chain, run_round
-from repro.extraction.engine.delta import EVALUATORS
 from repro.extraction.engine.problem import FrozenProblem, ProblemStats, snapshot
 from repro.extraction.engine.telemetry import ExtractionProfile, MigrationEvent
 from repro.obs import resource as obs_resource
@@ -78,7 +77,6 @@ class PortfolioConfig:
     #: Flips a chain runs between migration barriers.
     migrate_every: int = 32
     seed: int = 7
-    evaluator: str = "delta"  # "delta" | "full"
     #: Worker processes: None = min(chains, cpu_count); <= 1 runs inline
     #: (identical results either way — the pool is throughput, not semantics).
     workers: Optional[int] = None
@@ -93,10 +91,6 @@ class PortfolioConfig:
             raise ValueError("migrate_every must be >= 1 (rounds must make progress)")
         if not self.chain_specs:
             raise ValueError("chain_specs must hold at least one chain spec")
-        if self.evaluator not in EVALUATORS:
-            raise ValueError(
-                f"unknown evaluator {self.evaluator!r}; choose from {', '.join(EVALUATORS)}"
-            )
 
     def spec_for(self, index: int) -> ChainSpec:
         """The spec of chain ``index``: ``chain_specs`` cycled across chains."""
@@ -177,7 +171,6 @@ def portfolio_extract(
         category="extraction",
         chains=config.chains,
         move_budget=config.move_budget,
-        evaluator=config.evaluator,
     )
     with portfolio_span:
         problem = snapshot(egraph, roots, cost)
@@ -195,7 +188,6 @@ def portfolio_extract(
                     spec,
                     chain_seed(config.seed, i),
                     chain_id=i,
-                    evaluator=config.evaluator,
                     seed_choice=seed_choice,
                     greedy=greedy,
                 )
@@ -271,8 +263,6 @@ def portfolio_extract(
     best_chain = ranked[0]
 
     profile = ExtractionProfile(
-        engine="portfolio",
-        evaluator=config.evaluator,
         chains=[s.profile for s in states],
         migrations=migrations,
         move_budget=config.move_budget,

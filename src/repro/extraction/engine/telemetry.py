@@ -3,8 +3,8 @@
 :class:`ExtractionProfile` is the extraction engine's companion to the
 saturation engine's ``SaturationProfile``: it records what every chain of the
 portfolio did (accept/reject curves per migration round, uphill moves,
-delta-vs-full evaluation counts, cone sizes, wall-clock) plus the migration
-events of the island model.  Everything serializes to plain JSON via
+priced flips, cone sizes, wall-clock) plus the migration events of the
+island model.  Everything serializes to plain JSON via
 ``to_dict``/``from_dict`` — flow results embed these records under
 ``"extraction"`` next to ``"saturation"``, and ``BENCH_extraction.json``
 carries them verbatim.
@@ -23,7 +23,6 @@ class ChainProfile:
     chain_id: int
     kind: str = "sa"
     seed: int = 0
-    evaluator: str = "delta"
     initial_cost: float = 0.0
     best_cost: float = 0.0
     final_cost: float = 0.0
@@ -33,7 +32,7 @@ class ChainProfile:
     uphill: int = 0
     restarts: int = 0
     migrations_received: int = 0
-    evals: int = 0  # priced flips (delta or full, per ``evaluator``)
+    evals: int = 0  # priced flips
     classes_touched: int = 0  # classes re-derived across all flips (cone sizes)
     wall_time: float = 0.0
     #: Best cost after every migration round (index 0 = initial cost).
@@ -53,7 +52,7 @@ class ChainProfile:
     @property
     def mean_cone(self) -> float:
         """Average classes re-derived per priced flip — the measured payoff
-        of delta evaluation (the full reference pays every class, every flip)."""
+        of delta evaluation (a full re-derivation pays every class, every flip)."""
         return self.classes_touched / self.evals if self.evals else 0.0
 
     def to_dict(self) -> Dict[str, object]:
@@ -89,8 +88,6 @@ class MigrationEvent:
 class ExtractionProfile:
     """Overall result of one extraction-engine run."""
 
-    engine: str = "portfolio"
-    evaluator: str = "delta"
     chains: List[ChainProfile] = field(default_factory=list)
     migrations: List[MigrationEvent] = field(default_factory=list)
     move_budget: int = 0
@@ -149,8 +146,6 @@ class ExtractionProfile:
     def to_dict(self) -> Dict[str, object]:
         """The profile and its derived totals as a plain JSON-ready dict."""
         return {
-            "engine": self.engine,
-            "evaluator": self.evaluator,
             "move_budget": self.move_budget,
             "migrate_every": self.migrate_every,
             "workers": self.workers,
@@ -174,8 +169,6 @@ class ExtractionProfile:
         """Rebuild a profile from :meth:`to_dict`'s payload (derived totals
         are recomputed, missing fields take their defaults)."""
         return cls(
-            engine=str(data.get("engine", "portfolio")),
-            evaluator=str(data.get("evaluator", "delta")),
             chains=[ChainProfile.from_dict(chain) for chain in data.get("chains", [])],
             migrations=[MigrationEvent.from_dict(ev) for ev in data.get("migrations", [])],
             move_budget=int(data.get("move_budget", 0)),

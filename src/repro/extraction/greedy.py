@@ -9,7 +9,7 @@ solutions of the simulated-annealing extractor.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction
@@ -29,21 +29,3 @@ def greedy_extract(egraph: EGraph, cost: Optional[CostFunction] = None) -> Dict[
     with obs.span("extract greedy", category="extraction.setup"):
         return problem.extraction_from_choice(problem.greedy_choice())
 
-
-def extraction_size(egraph: EGraph, extraction: Dict[int, ENode], roots) -> Tuple[int, int]:
-    """(number of extracted classes, number of AND/OR operators) reachable from roots."""
-    from repro.egraph.language import AND, OR
-
-    reachable = set()
-    stack = [egraph.find(r) for r in roots]
-    ops = 0
-    while stack:
-        cid = egraph.find(stack.pop())
-        if cid in reachable:
-            continue
-        reachable.add(cid)
-        enode = extraction[cid]
-        if enode.op in (AND, OR):
-            ops += 1
-        stack.extend(egraph.find(c) for c in enode.children)
-    return len(reachable), ops

@@ -62,7 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #: 10: the portfolio is the only extractor — EmorphicConfig drops
 #:    extraction_engine/p_random/initial_temperature/pruned
 #:    (``RETIRED_FIELDS``) and pipeline metrics drop ``extraction_engine``.
-SCHEMA_VERSION = 10
+#: 11: the delta evaluator is the only one — ExtractionProfile payloads drop
+#:    ``engine`` and ``evaluator``, and their chain records drop ``evaluator``.
+SCHEMA_VERSION = 11
 
 FLOWS = ("baseline", "emorphic", "pipeline")
 

@@ -25,6 +25,7 @@ Kinds:
 from __future__ import annotations
 
 import inspect
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
@@ -35,8 +36,8 @@ from repro.egraph.rules import boolean_rules
 from repro.engine import SCHEDULERS, EngineLimits, SaturationEngine
 from repro.extraction.cost import guiding_cost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
+from repro.extraction.engine.problem import snapshot
 from repro.extraction.greedy import greedy_extract
-from repro.extraction.random_extract import random_extract
 from repro.mapping.cut_mapping import map_aig
 from repro.obs import provenance as obs_provenance
 from repro.obs import trace as obs
@@ -346,6 +347,13 @@ def _pass_extract(
     identical either way, so ``workers=N`` is purely a throughput knob for
     big budgets.
 
+    ``method="greedy"`` takes every class's cheapest node under ``cost``;
+    ``method="random"`` draws the random bottom-up choice a random-start
+    portfolio chain seeded ``seed`` begins from.  Both run on the same
+    frozen snapshot as the portfolio, and reject any parameter only the
+    portfolio reads (``threads``, ``iters``, ``moves``, ``migrate_every``,
+    ``workers``, ``use_ml``) that is not at its default.
+
     After a ``partition`` pass the validated parameters are *staged*: the
     pass records itself as the plan's ``extract`` step, which every window
     runs when ``stitch`` does, seeded ``window_seed(seed, index)``.  Only
@@ -367,6 +375,18 @@ def _pass_extract(
     for name, value in non_negative.items():
         if value < 0:
             raise PipelineError(f"extract needs {name} >= 0")
+    if method != "sa":
+        defaults = resolve_pass("extract").params
+        sa_only = dict(
+            threads=threads, iters=iters, moves=moves, migrate_every=migrate_every,
+            workers=workers, use_ml=use_ml,
+        )
+        for name, value in sa_only.items():
+            if value != defaults[name]:
+                raise PipelineError(
+                    f"extract({method}) runs no chains, so it takes no "
+                    f"{name}={render_value(value)}; only extract(sa) does"
+                )
     plan = ctx.partition_plan
     if plan is not None:
         if method == "random":
@@ -429,7 +449,8 @@ def _pass_extract(
     elif method == "greedy":
         extractions = [greedy_extract(circuit.egraph, cost=guiding)]
     else:  # random
-        extractions = [random_extract(circuit.egraph, seed=seed)]
+        problem = snapshot(circuit.egraph, list(circuit.output_classes), guiding)
+        extractions = [problem.extraction_from_choice(problem.random_choice(random.Random(seed)))]
 
     name = ctx.aig.name
     ctx.candidates = [

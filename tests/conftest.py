@@ -9,6 +9,14 @@ from repro.egraph.pattern import Match
 from repro.mapping.library import default_library
 
 
+@pytest.fixture(autouse=True)
+def private_ledger_and_store(tmp_path, monkeypatch):
+    """Point the run ledger and the result store at the test's own
+    ``tmp_path``, so no test appends to the user's ``~/.cache/emorphic``."""
+    monkeypatch.setenv("EMORPHIC_LEDGER", str(tmp_path / "ledger"))
+    monkeypatch.setenv("EMORPHIC_STORE", str(tmp_path / "store"))
+
+
 @pytest.fixture(scope="session")
 def library():
     """The shared standard-cell library (building the match table once)."""

@@ -1,5 +1,6 @@
-"""Tests of the extraction algorithms: greedy, random, and the Algorithm 1
-neighbour generator (the portfolio engine has its own suite)."""
+"""Tests of the extraction algorithms: greedy, random (the ``extract(random)``
+pass), and the Algorithm 1 neighbour generator (the portfolio engine has its
+own suite)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aig.io_aiger import aag_to_string
 from repro.aig.simulate import random_simulate
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
@@ -18,9 +20,12 @@ from repro.egraph.language import AND, NOT, OR
 from repro.egraph.rules import boolean_rules
 from repro.engine.engine import EngineLimits, saturate_engine
 from repro.extraction.cost import DepthCost, NodeCountCost, OperatorCost, extraction_cost
-from repro.extraction.greedy import extraction_size, greedy_extract
-from repro.extraction.random_extract import random_extract
+from repro.extraction.engine import ChainSpec, FrozenProblem, init_chain
+from repro.extraction.greedy import greedy_extract
 from repro.extraction.sa import generate_neighbor
+from repro.pipeline import Pipeline
+from repro.pipeline import passes
+from repro.pipeline.context import FlowContext
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +41,40 @@ def saturated_circuit():
         dedup_matches=False,
     )
     return aig, circuit
+
+
+def extraction_size(egraph, extraction, roots):
+    """(number of extracted classes, number of AND/OR operators) reachable
+    from ``roots``; a ``KeyError`` if the extraction misses a reachable class."""
+    reachable = set()
+    stack = [egraph.find(r) for r in roots]
+    ops = 0
+    while stack:
+        cid = egraph.find(stack.pop())
+        if cid in reachable:
+            continue
+        reachable.add(cid)
+        enode = extraction[cid]
+        if enode.op in (AND, OR):
+            ops += 1
+        stack.extend(egraph.find(c) for c in enode.children)
+    return len(reachable), ops
+
+
+def random_pass(aig, circuit, seed):
+    """Run ``extract(random, seed=seed)`` on ``circuit``; returns the flow
+    context it leaves."""
+    ctx = FlowContext.for_aig(aig, circuit=circuit)
+    passes.resolve_pass("extract").run(ctx, {"method": "random", "seed": seed})
+    return ctx
+
+
+@pytest.fixture(scope="module", params=["adder", "sqrt", "hyp", "sin"])
+def pipeline_saturated(request):
+    """A test-preset circuit and its e-graph after ``st; dag2eg;
+    saturate(iters=2)``, the flow ``extract`` runs in."""
+    aig = epfl.build(request.param, preset="test")
+    return aig, Pipeline.from_script("st; dag2eg; saturate(iters=2)").run(aig).circuit
 
 
 def _distributive_egraph():
@@ -107,29 +146,49 @@ class TestGreedyExtraction:
 
 
 class TestRandomExtraction:
+    """``extract(random)`` draws on the frozen snapshot, as a random-start
+    portfolio chain does."""
+
     def test_valid_and_deterministic_per_seed(self, saturated_circuit):
         aig, circuit = saturated_circuit
-        ex1 = random_extract(circuit.egraph, seed=5)
-        ex2 = random_extract(circuit.egraph, seed=5)
-        assert ex1 == ex2
-        back = extraction_to_aig(circuit, {**greedy_extract(circuit.egraph), **ex1})
-        assert back.num_pos == aig.num_pos
-        assert random_simulate(aig, 4, seed=7) == random_simulate(back, 4, seed=7)
+        first = random_pass(aig, circuit, seed=5)
+        again = random_pass(aig, circuit, seed=5)
+        assert aag_to_string(first.aig) == aag_to_string(again.aig)
+        assert first.aig.num_pos == aig.num_pos
+        assert random_simulate(aig, 4, seed=7) == random_simulate(first.aig, 4, seed=7)
 
     def test_different_seeds_differ(self, saturated_circuit):
-        _, circuit = saturated_circuit
-        ex1 = random_extract(circuit.egraph, seed=1)
-        ex2 = random_extract(circuit.egraph, seed=2)
-        assert ex1 != ex2
+        aig, circuit = saturated_circuit
+        one = random_pass(aig, circuit, seed=1)
+        two = random_pass(aig, circuit, seed=2)
+        assert aag_to_string(one.aig) != aag_to_string(two.aig)
 
     def test_random_extraction_functionally_correct(self, saturated_circuit):
         aig, circuit = saturated_circuit
-        extraction = random_extract(circuit.egraph, seed=3)
-        # Random extraction may miss classes only reachable through cycles;
-        # fill gaps with greedy choices.
-        full = {**greedy_extract(circuit.egraph), **extraction}
-        back = extraction_to_aig(circuit, full)
-        assert random_simulate(aig, 4, seed=7) == random_simulate(back, 4, seed=7)
+        ctx = random_pass(aig, circuit, seed=3)
+        passes.resolve_pass("cec").run(ctx, {})
+        assert ctx.equivalence.status == "equivalent"
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_pass_draws_a_random_start_chains_choice(self, pipeline_saturated, seed, monkeypatch):
+        """The contract: ``extract(random, seed=s)`` converts the snapshot's
+        ``random_choice(Random(s))``, which is the initial choice of a
+        random-start chain seeded ``s``, and the result is CEC-equivalent."""
+        aig, circuit = pipeline_saturated
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, DepthCost())
+        choice = problem.random_choice(random.Random(seed))
+        assert init_chain(problem, ChainSpec(initial="random"), seed).choice == choice
+        converted, convert = [], passes.extraction_to_aig
+
+        def spy(circuit, extraction, **kwargs):
+            converted.append(extraction)
+            return convert(circuit, extraction, **kwargs)
+
+        monkeypatch.setattr(passes, "extraction_to_aig", spy)
+        ctx = random_pass(aig, circuit, seed)
+        assert converted == [problem.extraction_from_choice(choice)]
+        passes.resolve_pass("cec").run(ctx, {})
+        assert ctx.equivalence.status == "equivalent"
 
 
 class TestNeighborGeneration:

@@ -36,6 +36,7 @@ from repro.extraction.engine import (
     ChainProfile,
     ChainSpec,
     ChainState,
+    DeltaCostEvaluator,
     ExtractionProfile,
     FrozenProblem,
     PortfolioConfig,
@@ -43,7 +44,6 @@ from repro.extraction.engine import (
     chain_seed,
     choice_cost,
     init_chain,
-    make_evaluator,
     portfolio_extract,
     run_round,
 )
@@ -450,7 +450,9 @@ class ParentMultimapEvaluator:
 
 
 class OracleFullEvaluator(ParentMultimapEvaluator):
-    """The dict-keyed full-sweep evaluator: every flip re-derives the cost."""
+    """The full-sweep reference, dict-keyed: every flip re-derives the cost
+    from scratch.  The delta evaluator must match it flip for flip under
+    integral weights; it is the only full-sweep evaluator in the repo."""
 
     def __init__(self, problem, choice):
         self.problem = problem
@@ -467,7 +469,7 @@ class OracleFullEvaluator(ParentMultimapEvaluator):
         return self.cost
 
 
-def oracle_init_chain(problem, spec, seed, chain_id, evaluator, seed_choice, greedy):
+def oracle_init_chain(problem, spec, seed, chain_id, seed_choice, greedy):
     """``init_chain`` on dict choices."""
     rng = random.Random(seed)
     if spec.initial == "random":
@@ -482,11 +484,11 @@ def oracle_init_chain(problem, spec, seed, chain_id, evaluator, seed_choice, gre
         choice = dict(greedy)
     cost = oracle_choice_cost(problem, choice)
     profile = ChainProfile(
-        chain_id=chain_id, kind=spec.kind, seed=seed, evaluator=evaluator,
+        chain_id=chain_id, kind=spec.kind, seed=seed,
         initial_cost=cost, best_cost=cost, final_cost=cost, best_curve=[cost],
     )
     return ChainState(
-        spec=spec, seed=seed, evaluator=evaluator, choice=choice, current_cost=cost,
+        spec=spec, seed=seed, choice=choice, current_cost=cost,
         best_choice=dict(choice), best_cost=cost, temperature=spec.temperature,
         rng_state=rng.getstate(), profile=profile,
     )
@@ -494,16 +496,16 @@ def oracle_init_chain(problem, spec, seed, chain_id, evaluator, seed_choice, gre
 
 def _oracle_round_structures(problem, choice, evaluator):
     _, safe, flippable, _ = oracle_rebuild(problem, choice)
-    kind = ParentMultimapEvaluator if evaluator == "delta" else OracleFullEvaluator
-    return safe, flippable, kind(problem, choice)
+    return safe, flippable, evaluator(problem, choice)
 
 
-def oracle_run_round(problem, state, moves):
-    """``run_round`` on dict choices, rebuilt from the oracle walks."""
+def oracle_run_round(problem, state, moves, evaluator_cls=ParentMultimapEvaluator):
+    """``run_round`` on dict choices, rebuilt from the oracle walks, pricing
+    flips with an ``evaluator_cls``."""
     spec = state.spec
     rng = random.Random()
     rng.setstate(state.rng_state)
-    safe, flippable, evaluator = _oracle_round_structures(problem, state.choice, state.evaluator)
+    safe, flippable, evaluator = _oracle_round_structures(problem, state.choice, evaluator_cls)
     current = evaluator.cost
     best_choice, best_cost = state.best_choice, state.best_cost
     temperature, since_improvement = state.temperature, state.since_improvement
@@ -544,7 +546,7 @@ def oracle_run_round(problem, state, moves):
             temperature = spec.temperature
             evals, touched = evaluator.evals, evaluator.touched
             fresh = fixpoint_random_choice(problem, rng, fallback=best_choice)
-            safe, flippable, evaluator = _oracle_round_structures(problem, fresh, state.evaluator)
+            safe, flippable, evaluator = _oracle_round_structures(problem, fresh, evaluator_cls)
             evaluator.evals, evaluator.touched = evals, touched
             current = evaluator.cost
             if current < best_cost:
@@ -593,15 +595,15 @@ def oracle_adopt_solution(state, choice, cost):
     )
 
 
-def oracle_portfolio(problem, config, seed_choice=None):
+def oracle_portfolio(problem, config, seed_choice=None, evaluator_cls=ParentMultimapEvaluator):
     """The portfolio loop on dict choices (no pool, no spans): chain
-    start-up, rounds, restarts and migrations.  Returns the final chain
-    states and the migration events."""
+    start-up, rounds, restarts and migrations, pricing flips with an
+    ``evaluator_cls``.  Returns the final chain states and the migration
+    events."""
     greedy = fixpoint_greedy_choice(problem)
     states = [
         oracle_init_chain(
-            problem, config.spec_for(i), chain_seed(config.seed, i), i, config.evaluator,
-            seed_choice, greedy,
+            problem, config.spec_for(i), chain_seed(config.seed, i), i, seed_choice, greedy,
         )
         for i in range(config.chains)
     ]
@@ -611,7 +613,7 @@ def oracle_portfolio(problem, config, seed_choice=None):
     while any(remaining):
         batch = [(i, min(config.migrate_every, remaining[i])) for i in range(config.chains) if remaining[i] > 0]
         for i, moves in batch:
-            states[i] = oracle_run_round(problem, states[i], moves)
+            states[i] = oracle_run_round(problem, states[i], moves, evaluator_cls)
             remaining[i] -= moves
         round_index += 1
         if config.chains > 1:
@@ -627,21 +629,28 @@ def oracle_portfolio(problem, config, seed_choice=None):
 #: The ``ChainProfile`` fields a portfolio run must reproduce exactly
 #: (everything but wall-clock time).
 PROFILE_FIELDS = TRAJECTORY_FIELDS + (
-    "chain_id", "kind", "seed", "evaluator", "initial_cost", "best_cost", "final_cost",
+    "chain_id", "kind", "seed", "initial_cost", "best_cost", "final_cost",
     "accepted", "rejected",
 )
 
 
-def assert_portfolio_matches_oracle(problem, result, config, seed_solution=None):
+def assert_portfolio_matches_oracle(
+    problem, result, config, seed_solution=None, evaluator_cls=ParentMultimapEvaluator
+):
     """``result`` (a production portfolio run on ``problem``'s e-graph)
-    against the dict-keyed portfolio on ``problem`` viewed by class id:
-    every chain counter and curve (floats by ``repr``), the migrations,
-    every chain's best extraction and the winner."""
+    against the dict-keyed portfolio on ``problem`` viewed by class id,
+    pricing flips with an ``evaluator_cls``: every chain counter and curve
+    (floats by ``repr``), the migrations, every chain's best extraction and
+    the winner.  Against the full sweep, which re-derives every class on
+    every flip, ``classes_touched`` is not compared."""
     view = DictProblem.view(problem)
     seed_choice = view.choice_from_extraction(seed_solution) if seed_solution else None
-    states, migrations = oracle_portfolio(view, config, seed_choice)
-    got = [[repr(getattr(chain, name)) for name in PROFILE_FIELDS] for chain in result.profile.chains]
-    expected = [[repr(getattr(s.profile, name)) for name in PROFILE_FIELDS] for s in states]
+    states, migrations = oracle_portfolio(view, config, seed_choice, evaluator_cls)
+    fields = PROFILE_FIELDS
+    if evaluator_cls is OracleFullEvaluator:
+        fields = tuple(name for name in PROFILE_FIELDS if name != "classes_touched")
+    got = [[repr(getattr(chain, name)) for name in fields] for chain in result.profile.chains]
+    expected = [[repr(getattr(s.profile, name)) for name in fields] for s in states]
     assert got == expected
     assert [m.to_dict() for m in result.profile.migrations] == [m.to_dict() for m in migrations]
     ranked = sorted(range(config.chains), key=lambda i: (states[i].best_cost, i))
@@ -773,6 +782,10 @@ REBUILD_ORACLE_COSTS = {
     "depth_int": lambda: OperatorCost(weights={AND: 1, OR: 2, NOT: -0.0, VAR: 0}, mode="depth"),
 }
 
+#: The weightings under which the delta evaluator matches the full sweep
+#: flip for flip (``docs/parity.md``): integer node costs.
+INTEGRAL_COSTS = ("nodes", "depth")
+
 #: The dense-vs-dict costs: the rebuild oracles' costs, integer and
 #: signed-zero sum weights, and non-integral weights in both modes (where a
 #: sum's float depends on the order its terms are added in).
@@ -846,7 +859,7 @@ class TestRebuildOracles:
                 position, _ = problem.toposort(choice)
                 full = problem.flip_candidates(position)
                 assert by_id(problem, full) == oracle_flip_candidates(view, order)
-                got_safe, got_flippable, evaluator = _rebuild(problem, choice, "delta")
+                got_safe, got_flippable, evaluator = _rebuild(problem, choice)
                 assert by_id(problem, got_safe) == safe
                 assert [ids[c] for c in got_flippable] == flippable
                 if depths is None:
@@ -946,7 +959,7 @@ class TestRebuildOracles:
             position, depths = problem.toposort(choice)
             safe = problem.flip_candidates(position)
             flippable = [c for c, indices in enumerate(safe) if indices is not None and len(indices) > 1]
-            delta = make_evaluator("delta", problem, choice, position=position, depths=depths)
+            delta = DeltaCostEvaluator(problem, choice, position=position, depths=depths)
             oracle = ParentMultimapEvaluator(view, choice_by_id(problem, choice))
             assert delta.cost == oracle.cost
             for _ in range(200):
@@ -1118,19 +1131,20 @@ def assert_kernels_match(problem, rng_seed):
         assert got_depths is None
     else:
         assert [(cid, repr(d)) for cid, d in got_depths.items()] == [(cid, repr(d)) for cid, d in depths[0].items()]
-    got_safe, got_flippable, evaluator = _rebuild(problem, choice, "delta")
+    got_safe, got_flippable, evaluator = _rebuild(problem, choice)
     assert by_id(problem, got_safe) == safe
     assert [ids[c] for c in got_flippable] == flippable
     assert repr(choice_cost(problem, choice)) == repr(oracle_choice_cost(view, by_ids))
     oracle = ParentMultimapEvaluator(view, by_ids)
-    full, oracle_full = make_evaluator("full", problem, choice), OracleFullEvaluator(view, by_ids)
+    oracle_full = OracleFullEvaluator(view, by_ids)
     assert repr(evaluator.cost) == repr(oracle.cost)
     for _ in range(20 if got_flippable else 0):
         c = got_flippable[rng.randrange(len(got_flippable))]
         pick = got_safe[c][rng.randrange(len(got_safe[c]))]
         assert repr(evaluator.flip(c, pick)) == repr(oracle.flip(ids[c], pick))
         assert evaluator.touched == oracle.touched
-        assert repr(full.flip(c, pick)) == repr(oracle_full.flip(ids[c], pick))
+        # ``choice_cost`` of the flipped choice equals the oracle's full sweep.
+        assert repr(choice_cost(problem, evaluator.choice)) == repr(oracle_full.flip(ids[c], pick))
 
 
 class TestDenseLayoutOracles:
@@ -1148,15 +1162,20 @@ class TestDenseLayoutOracles:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(program=egraph_programs(), seed=st.integers(0, 2**16))
     def test_portfolios_match_on_hypothesis_egraphs(self, program, seed):
+        """Every weighting against the dict-keyed delta portfolio, and the
+        integral ones against the full-sweep portfolio too."""
         eg, roots, seed_solution = run_egraph_program(program)
-        for make_cost in DENSE_ORACLE_COSTS.values():
+        for name, make_cost in DENSE_ORACLE_COSTS.items():
             cost = make_cost()
             config = PortfolioConfig(
-                chains=6, move_budget=120, migrate_every=8, seed=seed, evaluator=("delta", "full")[seed % 2],
-                workers=0, chain_specs=SMALL_PORTFOLIO_SPECS,
+                chains=6, move_budget=120, migrate_every=8, seed=seed, workers=0,
+                chain_specs=SMALL_PORTFOLIO_SPECS,
             )
             result = portfolio_extract(eg, roots, cost=cost, config=config, seed_solution=seed_solution)
-            assert_portfolio_matches_oracle(FrozenProblem.build(eg, roots, cost), result, config, seed_solution)
+            problem = FrozenProblem.build(eg, roots, cost)
+            assert_portfolio_matches_oracle(problem, result, config, seed_solution)
+            if name in INTEGRAL_COSTS:
+                assert_portfolio_matches_oracle(problem, result, config, seed_solution, OracleFullEvaluator)
 
     @pytest.mark.parametrize("cost_name", sorted(DENSE_ORACLE_COSTS))
     def test_kernels_match_on_saturated_circuits(self, oracle_circuit, cost_name):
@@ -1212,7 +1231,7 @@ class TestDenseLayoutOracles:
         # Replay the chain with the oracle kernels, counting every rebuild.
         counted = []
 
-        def counting(problem, choice, evaluator):
+        def counting(problem, choice, evaluator_cls):
             order, safe, flippable, _ = oracle_rebuild(problem, choice)
             reachable, stack = set(), list(problem.roots)
             while stack:
@@ -1221,7 +1240,7 @@ class TestDenseLayoutOracles:
                     reachable.add(cid)
                     stack.extend(problem.children[cid][choice[cid]])
             counted.append({"classes": len(order), "reachable": len(reachable), "flippable": len(flippable)})
-            return safe, flippable, ParentMultimapEvaluator(problem, choice)
+            return safe, flippable, evaluator_cls(problem, choice)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sys.modules[__name__], "_oracle_round_structures", counting)
@@ -1403,29 +1422,24 @@ class TestFrozenProblem:
 
 
 class TestDeltaFullParity:
+    """The delta evaluator against the full-sweep test oracle
+    (``OracleFullEvaluator``) under integral weights."""
+
     @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
     @pytest.mark.parametrize("circuit_seed", [1, 2, 3])
     def test_identical_trajectories_on_random_circuits(self, cost_cls, circuit_seed):
-        """The tentpole parity contract: the delta-cost engine, the
-        full-sweep reference, and the portfolio with one chain return the
-        identical cost and extraction for identical seeds."""
+        """A one-chain portfolio and the same chain priced by full sweeps
+        return the identical cost, curves and extraction for identical
+        seeds."""
         _, circuit = _random_saturated(circuit_seed)
-        results = {}
-        for evaluator in ("delta", "full"):
-            results[evaluator] = portfolio_extract(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=cost_cls(),
-                config=PortfolioConfig(
-                    chains=1, move_budget=96, migrate_every=24, seed=11, evaluator=evaluator, workers=0
-                ),
-                seed_solution=circuit.original_extraction(),
-            )
-        assert results["delta"].cost == results["full"].cost
-        assert results["delta"].extraction == results["full"].extraction
-        delta_curve = results["delta"].profile.chains[0].best_curve
-        full_curve = results["full"].profile.chains[0].best_curve
-        assert delta_curve == full_curve
+        cost = cost_cls()
+        config = PortfolioConfig(chains=1, move_budget=96, migrate_every=24, seed=11, workers=0)
+        seed_solution = circuit.original_extraction()
+        result = portfolio_extract(
+            circuit.egraph, circuit.output_classes, cost=cost, config=config, seed_solution=seed_solution,
+        )
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
+        assert_portfolio_matches_oracle(problem, result, config, seed_solution, OracleFullEvaluator)
 
     def test_flip_values_agree_move_by_move(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -1435,14 +1449,14 @@ class TestDeltaFullParity:
             position, depths = problem.toposort(choice)
             safe = problem.flip_candidates(position)
             flippable = [cid for cid, indices in enumerate(safe) if indices is not None and len(indices) > 1]
-            delta = make_evaluator("delta", problem, choice, position=position, depths=depths)
-            full = make_evaluator("full", problem, choice)
+            delta = DeltaCostEvaluator(problem, choice, position=position, depths=depths)
+            full = OracleFullEvaluator(DictProblem.view(problem), choice_by_id(problem, choice))
             assert delta.cost == full.cost
             rng = random.Random(5)
             for _ in range(60):
                 cid = flippable[rng.randrange(len(flippable))]
                 pick = safe[cid][rng.randrange(len(safe[cid]))]
-                assert delta.flip(cid, pick) == full.flip(cid, pick)
+                assert delta.flip(cid, pick) == full.flip(problem.class_ids[cid], pick)
 
     def test_delta_is_cheaper_than_full(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -1578,10 +1592,7 @@ class TestPortfolio:
         config = PortfolioConfig(chains=1, move_budget=24, migrate_every=8, seed=21, workers=0)
         result = portfolio_extract(circuit.egraph, circuit.output_classes, cost=cost, config=config)
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
-        state = init_chain(
-            problem, config.spec_for(0), chain_seed(21, 0), evaluator="delta",
-            greedy=problem.greedy_choice(),
-        )
+        state = init_chain(problem, config.spec_for(0), chain_seed(21, 0), greedy=problem.greedy_choice())
         for _ in range(3):
             state = run_round(problem, state, 8)
         assert state.best_cost == result.cost
@@ -1596,8 +1607,6 @@ class TestConfigValidation:
             PortfolioConfig(move_budget=-1)
         with pytest.raises(ValueError, match="chain"):
             PortfolioConfig(chains=0)
-        with pytest.raises(ValueError, match="evaluator"):
-            PortfolioConfig(evaluator="magic")
 
     def test_rejects_empty_chain_specs(self):
         # An empty spec list used to pass here and divide by zero in spec_for.

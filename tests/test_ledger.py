@@ -12,11 +12,13 @@ from repro.obs.ledger import (
     check_records,
     compare_group,
     config_digest,
+    default_ledger_path,
     flow_record,
     group_records,
     log_record,
     median,
 )
+from repro.orchestrate.store import default_store_path
 
 
 def _record(ands=100, runtime=1.0, ts=None, circuit="adder", **kwargs):
@@ -33,6 +35,15 @@ def _record(ands=100, runtime=1.0, ts=None, circuit="adder", **kwargs):
     if ts is not None:
         rec["ts"] = ts
     return rec
+
+
+class TestSuiteIsolation:
+    def test_default_ledger_and_store_resolve_under_tmp_path(self, tmp_path):
+        """Inside a test, the default run ledger and result store are the
+        test's own (``conftest.py``), so a CLI call without ``--no-ledger``
+        or ``--store`` never writes to the user's ``~/.cache/emorphic``."""
+        assert tmp_path in default_ledger_path().parents
+        assert tmp_path in default_store_path().parents
 
 
 class TestRunLedger:

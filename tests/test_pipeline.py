@@ -50,6 +50,10 @@ UNHONOURABLE_EXTRACT_PARAMS = {
     "workers=-1": "workers >= 0",
 }
 
+#: ``extract`` parameters only the chain portfolio reads, at values other
+#: than their defaults: greedy and random extraction used to ignore them.
+SA_ONLY_EXTRACT_PARAMS = ["use_ml=true", "workers=3", "threads=9", "iters=2", "moves=8", "migrate_every=5"]
+
 #: Staged ``extract`` parameters windows used to drop silently: the
 #: ``portfolio round`` spans each window must run with 16 moves per chain,
 #: or the error naming what a staged one cannot do.
@@ -392,6 +396,18 @@ class TestOneExtractor:
         with pytest.raises(PipelineError, match=re.escape(message)):
             Pipeline.from_script(template.format(param)).run_flow(small_adder)
 
+    @pytest.mark.parametrize("param", SA_ONLY_EXTRACT_PARAMS)
+    @pytest.mark.parametrize("method", ["greedy", "random"])
+    @pytest.mark.parametrize(
+        "template",
+        ["dag2eg; extract({}, {})", "st; partition(k=30); extract({}, {}); stitch"],
+        ids=["whole", "staged"],
+    )
+    def test_sa_only_extract_params_rejected(self, template, method, param, small_adder):
+        # These used to run as plain greedy or random extraction.
+        with pytest.raises(PipelineError, match=re.escape(f"extract({method}) runs no chains, so it takes no {param}")):
+            Pipeline.from_script(template.format(method, param)).run_flow(small_adder)
+
     @pytest.mark.parametrize("param", list(UNHONOURABLE_SATURATE_PARAMS))
     @pytest.mark.parametrize(
         "template",
@@ -514,6 +530,14 @@ class TestPipelineCli:
         out = capsys.readouterr().out
         assert "area=" in out and "per-pass runtime:" in out
         assert "equivalence check: equivalent" in out
+
+    def test_pipeline_command_random_extraction_end_to_end(self, capsys):
+        code = main(
+            ["pipeline", "adder", "--preset", "test", "--script",
+             "st; dag2eg; saturate(iters=2); extract(random, seed=3); map; cec"]
+        )
+        assert code == 0
+        assert "equivalence check: equivalent" in capsys.readouterr().out
 
     def test_pipeline_command_writes_every_observer_output(self, tmp_path):
         trace, derivation, report = (tmp_path / n for n in ("t.json", "p.json", "r.json"))
