@@ -435,6 +435,18 @@ def _build_pipeline(script: str):
         raise SystemExit(f"pipeline error: {exc}")
 
 
+def _run_pipeline(pipeline, aig, **kwargs):
+    """Run a parsed pipeline's flow, turning the ``PipelineError`` a pass
+    raises while it runs (a run-time parameter check) into the same clean
+    CLI error as a parse error."""
+    from repro.pipeline import PipelineError
+
+    try:
+        return pipeline.run_flow(aig, **kwargs)
+    except PipelineError as exc:
+        raise SystemExit(f"pipeline error: {exc}")
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
     aig = _load_circuit(args)
     pipeline = _build_pipeline(args.script)
@@ -447,7 +459,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         )
 
     with _observed(args) as tracer:
-        result = pipeline.run_flow(aig, on_pass_end=on_pass_end if args.verbose else None)
+        result = _run_pipeline(pipeline, aig, on_pass_end=on_pass_end if args.verbose else None)
     print(f"pipeline: {pipeline.to_script()}")
     if result.mapping is not None:
         print(
@@ -484,7 +496,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     aig = _load_circuit(args)
     pipeline = _build_pipeline(args.script)
     with tracing() as tracer:
-        result = pipeline.run_flow(aig)
+        result = _run_pipeline(pipeline, aig)
     print(f"pipeline: {pipeline.to_script()} on {aig.name}")
     print(tracer.format_tree(max_depth=args.depth))
     stats = result.aig.stats()
@@ -506,7 +518,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     aig = _load_circuit(args)
     pipeline = _build_pipeline(args.script)
     with recording() as recorder:
-        result = pipeline.run_flow(aig)
+        result = _run_pipeline(pipeline, aig)
     print(f"pipeline: {pipeline.to_script()} on {aig.name}")
     attribution = result.attribution
     if attribution is None:

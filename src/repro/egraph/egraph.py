@@ -24,10 +24,18 @@ is what makes rewriting fast.  The storage is egglog-style integer rows
 * ``parents[c]`` — one ``(key, class id)`` entry per node using ``c`` as a
   child (``None`` once ``c`` is merged away), which repair re-canonicalizes.
 
+:meth:`EGraph.add_key` is the one insertion entry point (one hashcons
+probe, a row on a miss); :meth:`EGraph.add_term` validates and
+canonicalizes before calling it.  Every hot path reads the union-find's
+``parent`` list with a root fast path (``x if parent[x] == x else
+find(x)``) and builds keys and child tuples by arity, for the language's
+operators of two, one and no children.
+
 Readers get canonical :class:`ENode` values from :meth:`EGraph.nodes_of` and
-:meth:`EGraph.enodes` (span order, duplicates kept).  The two hot readers
-skip the e-nodes: the batched matcher reads :meth:`EGraph.class_view` and
-the frozen extraction snapshot reads :meth:`EGraph.class_rows`, so no
+:meth:`EGraph.enodes` (span order, duplicates kept).  The two hot readers:
+the batched matcher reads :meth:`EGraph.class_view` (child tuples per
+operator, no e-nodes) and the frozen extraction snapshot reads
+:meth:`EGraph.class_rows` (each class's distinct e-nodes only), so no
 module but this one knows the row layout.
 
 Observers registered through :meth:`EGraph.attach_observer` receive
@@ -160,36 +168,65 @@ class EGraph:
     def add_term(self, op: str, children: Iterable[int] = (), payload: Optional[str] = None) -> int:
         """Add the e-node ``op(children)`` (hashconsed); returns its e-class id.
 
-        ``payload`` names a VAR leaf; only leaves carry one.
+        ``payload`` names a VAR leaf; only leaves carry one.  Validates and
+        canonicalizes, then inserts through :meth:`add_key`.
         """
-        find = self.union_find.find
-        kids = tuple(map(find, children))
+        uf = self.union_find
+        parent = uf.parent
+        kids = tuple(children)
+        if len(kids) == 2:
+            a, b = kids
+            kids = (a if parent[a] == a else uf.find(a), b if parent[b] == b else uf.find(b))
+        elif kids:
+            kids = tuple(map(uf.find, kids))
         if len(kids) != op_arity(op):
             raise ValueError(f"operator {op} expects {op_arity(op)} children, got {len(kids)}")
         oid = op_id(op)
         if payload is None:
-            key = (oid, *kids)
-        elif kids:
+            return self.add_key((oid, *kids))
+        if kids:
             raise ValueError(f"operator {op} has children, so it cannot carry a payload")
-        else:
-            key = (oid, payload)
-        existing = self.hashcons.get(key)
+        return self.add_key((oid, payload), payload)
+
+    def add_key(self, key: Key, payload: Optional[str] = None) -> int:
+        """Insert the e-node behind a canonical hashcons key; returns its class.
+
+        The one insertion entry point: ``key`` is ``(op id, *canonical child
+        class ids)``, or ``(op id, payload)`` for a leaf carrying ``payload``.
+        One hashcons probe; a miss appends a row and a new class.  The caller
+        validates (:meth:`add_term` does, the engine's compiled RHS programs
+        build only keys of the language's operators).
+        """
+        hashcons = self.hashcons
+        existing = hashcons.get(key)
+        uf = self.union_find
         if existing is not None:
-            return find(existing)
-        class_id = self.union_find.make_set()
-        row = len(self.node_op)
-        self.node_op.append(oid)
-        self.child_class.extend(kids)
-        self.child_start.append(len(self.child_class))
+            return existing if uf.parent[existing] == existing else uf.find(existing)
+        class_id = uf.make_set()
+        hashcons[key] = class_id
+        oid = key[0]
+        node_op = self.node_op
+        row = len(node_op)
+        node_op.append(oid)
         self.spans.append([row])
-        self.parents.append([])
-        self.hashcons[key] = class_id
+        parents = self.parents
+        parents.append([])
         self._num_classes += 1
         self._num_nodes += 1
-        parents = self.parents
-        entry = (key, class_id)
-        for child in kids:
-            parents[child].append(entry)
+        child_class = self.child_class
+        if payload is None and len(key) > 1:
+            entry = (key, class_id)
+            if len(key) == 3:
+                a, b = key[1], key[2]
+                child_class.append(a)
+                child_class.append(b)
+                parents[a].append(entry)
+                parents[b].append(entry)
+            else:
+                a = key[1]
+                child_class.append(a)
+                parents[a].append(entry)
+        self.child_start.append(len(child_class))
         bucket = self.by_op.get(oid)
         if bucket is None:
             self.by_op[oid] = {class_id}
@@ -200,7 +237,7 @@ class EGraph:
             if oid == _VAR_ID:
                 self.var_ids[payload] = class_id
         if self.observers:
-            enode = ENode(op, kids, payload)
+            enode = ENode(_OPS[oid], () if payload is not None else key[1:], payload)
             for observer in self.observers:
                 observer.on_add(class_id, enode)
         return class_id
@@ -209,15 +246,17 @@ class EGraph:
         """Add (or look up) a VAR leaf."""
         if name in self.var_ids:
             return self.find(self.var_ids[name])
-        return self.add_term(VAR, (), name)
+        return self.add_key((_VAR_ID, name), name)
 
     def union(self, a: int, b: int) -> int:
         """Merge two e-classes; the congruence invariant is restored by ``rebuild``."""
-        find = self.union_find.find
-        ra, rb = find(a), find(b)
+        uf = self.union_find
+        parent = uf.parent
+        ra = a if parent[a] == a else uf.find(a)
+        rb = b if parent[b] == b else uf.find(b)
         if ra == rb:
             return ra
-        root = self.union_find.union(ra, rb)
+        root = uf.union(ra, rb)
         other = rb if root == ra else ra
         other_span = self.spans[other]
         node_op = self.node_op
@@ -241,8 +280,10 @@ class EGraph:
     def rebuild(self) -> int:
         """Restore hashcons/congruence invariants; returns number of upward merges."""
         merges = 0
+        uf = self.union_find
+        parent = uf.parent
         while self.worklist:
-            todo = {self.find(c) for c in self.worklist}
+            todo = {c if parent[c] == c else uf.find(c) for c in self.worklist}
             self.worklist = []
             for class_id in todo:
                 merges += self._repair(class_id)
@@ -250,55 +291,87 @@ class EGraph:
 
     def _repair(self, class_id: int) -> int:
         merges = 0
-        find = self.union_find.find
+        uf = self.union_find
+        parent = uf.parent
+        find = uf.find
         hashcons = self.hashcons
-        class_id = find(class_id)
+        if parent[class_id] != class_id:
+            class_id = find(class_id)
         # Re-canonicalise parents and merge any that became congruent.  The
         # loop walks the live list, so parents a congruence union appends to
-        # this class are repaired in the same pass.
+        # this class are repaired in the same pass.  Parents have one or two
+        # children and no payload; a key whose children are all roots is
+        # already canonical and is reused.
         new_parents: Dict[Key, int] = {}
         for key, parent_class in self.parents[class_id]:
-            # Parents have children, hence no payload: every slot after the
-            # op id is a class id.
-            canonical = (key[0], *map(find, key[1:]))
+            if len(key) == 3:
+                oid, a, b = key
+                if parent[a] == a and parent[b] == b:
+                    canonical = key
+                else:
+                    canonical = (oid, a if parent[a] == a else find(a), b if parent[b] == b else find(b))
+            else:
+                oid, a = key
+                canonical = key if parent[a] == a else (oid, find(a))
             hashcons.pop(key, None)
-            existing = hashcons.get(canonical)
-            parent_class = find(parent_class)
-            if existing is not None and find(existing) != parent_class:
-                self.union(parent_class, find(existing))
+            # A reused key was just popped, so it cannot be in the hashcons.
+            existing = None if canonical is key else hashcons.get(canonical)
+            if parent[parent_class] != parent_class:
                 parent_class = find(parent_class)
-                merges += 1
+            if existing is not None:
+                if parent[existing] != existing:
+                    existing = find(existing)
+                if existing != parent_class:
+                    parent_class = self.union(parent_class, existing)
+                    merges += 1
             hashcons[canonical] = parent_class
             prev = new_parents.get(canonical)
-            if prev is not None and find(prev) != parent_class:
-                self.union(prev, parent_class)
-                merges += 1
-                parent_class = find(parent_class)
+            if prev is not None:
+                if parent[prev] != prev:
+                    prev = find(prev)
+                if prev != parent_class:
+                    parent_class = self.union(prev, parent_class)
+                    merges += 1
             new_parents[canonical] = parent_class
         # The congruence unions above may have merged this class into another:
         # its parents and rows moved to the winner (which is on the worklist
         # and will repair the combined lists itself), so deduplicating here
         # would double-subtract from the node counter.
-        if find(class_id) != class_id:
+        if (class_id if parent[class_id] == class_id else find(class_id)) != class_id:
             return merges
         self.parents[class_id] = list(new_parents.items())
-        # Deduplicate the class's own rows by canonical form.
+        # Deduplicate the class's own rows by canonical form (a one-row span
+        # has nothing to drop).
         span = self.spans[class_id]
-        seen: Dict[Key, int] = {}
-        for row in span:
-            seen.setdefault(self._row_key(row), row)
-        if len(seen) != len(span):
-            self._num_nodes -= len(span) - len(seen)
-            self.spans[class_id] = list(seen.values())
+        if len(span) > 1:
+            row_key = self._row_key
+            seen: Dict[Key, int] = {}
+            for row in span:
+                seen.setdefault(row_key(row), row)
+            if len(seen) != len(span):
+                self._num_nodes -= len(span) - len(seen)
+                self.spans[class_id] = list(seen.values())
         return merges
 
     def _row_key(self, row: int) -> Key:
         """The canonical hashcons key of node row ``row``."""
-        start, end = self.child_start[row], self.child_start[row + 1]
-        if start == end:
-            payload = self.node_payload.get(row)
-            return (self.node_op[row],) if payload is None else (self.node_op[row], payload)
-        return (self.node_op[row], *map(self.union_find.find, self.child_class[start:end]))
+        uf = self.union_find
+        parent = uf.parent
+        start = self.child_start[row]
+        arity = self.child_start[row + 1] - start
+        if arity == 2:
+            a = self.child_class[start]
+            b = self.child_class[start + 1]
+            return (
+                self.node_op[row],
+                a if parent[a] == a else uf.find(a),
+                b if parent[b] == b else uf.find(b),
+            )
+        if arity == 1:
+            a = self.child_class[start]
+            return (self.node_op[row], a if parent[a] == a else uf.find(a))
+        payload = self.node_payload.get(row)
+        return (self.node_op[row],) if payload is None else (self.node_op[row], payload)
 
     # -- queries ----------------------------------------------------------------
 
@@ -329,31 +402,57 @@ class EGraph:
         return [self._enode(row) for row in self.spans[self.find(class_id)]]
 
     def enodes(self) -> Iterator[Tuple[int, ENode]]:
-        """Iterate (class id, canonical e-node) pairs over all canonical classes."""
-        for cid, rows in self.class_rows():
-            for op, children, payload in rows:
-                yield cid, ENode(op, children, payload)
+        """Iterate (class id, canonical e-node) pairs over all canonical classes
+        (span order, duplicates kept)."""
+        for cid, span in enumerate(self.spans):
+            if span is not None:
+                for row in span:
+                    yield cid, self._enode(row)
 
-    def class_rows(self) -> Iterator[Tuple[int, List[Tuple[str, Tuple[int, ...], Optional[str]]]]]:
-        """Every canonical class, in ascending id order, with its rows as
-        ``(op, canonical children, payload)`` tuples in span order
-        (duplicates kept): :meth:`enodes` without building e-nodes."""
-        find = self.union_find.find
-        canon = [find(i) for i in range(len(self.union_find))]
+    def class_rows(self) -> Iterator[Tuple[int, List[ENode]]]:
+        """Every canonical class, in ascending id order, with its distinct
+        canonical e-nodes: the first row of each canonical form, in span
+        order.  The frozen extraction snapshot's reader: a root fast-path
+        find per child, a key per row only in classes with several rows,
+        and an :class:`ENode` per distinct row only."""
+        uf = self.union_find
+        parent = uf.parent
+        find = uf.find
         node_op = self.node_op
         child_start = self.child_start
         child_class = self.child_class
         payloads = self.node_payload
+        ops = _OPS
         for cid, span in enumerate(self.spans):
-            if span is not None:
-                yield cid, [
-                    (
-                        _OPS[node_op[row]],
-                        tuple(map(canon.__getitem__, child_class[child_start[row] : child_start[row + 1]])),
-                        payloads.get(row),
+            if span is None:
+                continue
+            seen: Optional[Set[Key]] = set() if len(span) > 1 else None
+            nodes: List[ENode] = []
+            for row in span:
+                oid = node_op[row]
+                start = child_start[row]
+                arity = child_start[row + 1] - start
+                payload = None
+                if arity == 2:
+                    a = child_class[start]
+                    b = child_class[start + 1]
+                    kids: Tuple[int, ...] = (
+                        a if parent[a] == a else find(a),
+                        b if parent[b] == b else find(b),
                     )
-                    for row in span
-                ]
+                elif arity == 1:
+                    a = child_class[start]
+                    kids = (a if parent[a] == a else find(a),)
+                else:
+                    kids = ()
+                    payload = payloads.get(row)
+                if seen is not None:
+                    key = (oid, *kids) if payload is None else (oid, payload)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                nodes.append(ENode(ops[oid], kids, payload))
+            yield cid, nodes
 
     def classes_with_op(self, op: str) -> List[int]:
         """Sorted canonical class ids containing at least one ``op`` node."""
@@ -369,22 +468,37 @@ class EGraph:
         node_op = self.node_op
         child_start = self.child_start
         child_class = self.child_class
-        find = self.union_find.find
+        uf = self.union_find
+        parent = uf.parent
+        find = uf.find
         for row in self.spans[class_id]:
-            children = tuple(map(find, child_class[child_start[row] : child_start[row + 1]]))
             oid = node_op[row]
+            start = child_start[row]
+            arity = child_start[row + 1] - start
+            if arity == 2:
+                a = child_class[start]
+                b = child_class[start + 1]
+                children: Tuple[int, ...] = (
+                    a if parent[a] == a else find(a),
+                    b if parent[b] == b else find(b),
+                )
+            elif arity == 1:
+                a = child_class[start]
+                children = (a if parent[a] == a else find(a),)
+            else:
+                children = ()
+                if oid == _VAR_ID:
+                    payload = self.node_payload.get(row)
+                    if payload is not None:
+                        if view.var_payloads is _NO_PAYLOADS:
+                            view.var_payloads = {payload}
+                        else:
+                            view.var_payloads.add(payload)
             bucket = by_op.get(oid)
             if bucket is None:
                 by_op[oid] = [children]
             else:
                 bucket.append(children)
-            if oid == _VAR_ID:
-                payload = self.node_payload.get(row)
-                if payload is not None:
-                    if view.var_payloads is _NO_PAYLOADS:
-                        view.var_payloads = {payload}
-                    else:
-                        view.var_payloads.add(payload)
         return view
 
     def stats(self) -> Dict[str, int]:

@@ -1,4 +1,9 @@
-"""Union-find (disjoint set) with path compression and union by size."""
+"""Union-find (disjoint set) with path compression and union by size.
+
+Most ids a hot loop looks up are already roots, so the e-graph's kernels
+read :attr:`UnionFind.parent` directly and call :meth:`UnionFind.find` only
+off the root fast path: ``x if parent[x] == x else find(x)``.
+"""
 
 from __future__ import annotations
 
@@ -21,21 +26,24 @@ class UnionFind:
 
     def find(self, x: int) -> int:
         """Find the canonical representative of ``x`` (with path compression)."""
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a: int, b: int) -> int:
         """Merge the sets of ``a`` and ``b``; returns the surviving root."""
-        ra, rb = self.find(a), self.find(b)
+        parent = self.parent
+        ra = a if parent[a] == a else self.find(a)
+        rb = b if parent[b] == b else self.find(b)
         if ra == rb:
             return ra
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
-        self.parent[rb] = ra
+        parent[rb] = ra
         self.size[ra] += self.size[rb]
         return ra
 

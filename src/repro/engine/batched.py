@@ -24,7 +24,11 @@ then compiles it:
   bind tuples;
 * matching reads :class:`~repro.egraph.egraph.ClassView` class views, each
   built on first use and kept for one search, so the e-graph is traversed
-  once per iteration instead of once per rule.
+  once per iteration instead of once per rule; a root row looks up its
+  children's views once;
+* before a nested key's loop, a **sibling guard** tests that every later
+  sibling operator key has rows of its operator in its (already known)
+  child class, so a loop that cannot reach a match is skipped.
 
 Parity with the per-pattern reference (:func:`repro.egraph.pattern.search`)
 is exact, not approximate.  Candidate classes are visited in sorted order
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.egraph import pattern as _pattern
 from repro.egraph.egraph import ClassView, EGraph, op_id
@@ -151,6 +155,43 @@ class _Views(dict):
         return view
 
 
+def _later_ops(tnode: _TrieNode, position: int) -> List[FrozenSet[Tuple[int, int]]]:
+    """Per rule path below ``tnode`` (whose edges match child ``position``),
+    the ``(position, op id)`` pairs of its operator keys: the operator rows
+    the path needs in the classes of the later children."""
+    if not tnode.edges:
+        return [frozenset()]
+    paths: List[FrozenSet[Tuple[int, int]]] = []
+    for key, child in tnode.edges:
+        need = {(position, op_id(key[1]))} if key[0] == "op" else set()
+        paths.extend(need | below for below in _later_ops(child, position + 1))
+    return paths
+
+
+def _op_positions(tnode: _TrieNode, position: int) -> Set[int]:
+    """The child positions an operator key matches anywhere below ``tnode``."""
+    out: Set[int] = set()
+    for key, child in tnode.edges:
+        if key[0] == "op":
+            out.add(position)
+        out |= _op_positions(child, position + 1)
+    return out
+
+
+def _sibling_test(paths: Sequence[FrozenSet[Tuple[int, int]]], ops_of: Callable[[int], str]) -> Optional[str]:
+    """Source of a test that some path's later sibling operator keys each
+    find rows of their operator in their child's class (``ops_of(i)`` is
+    the source of child ``i``'s ``by_op``), or None when some path needs
+    none.  Failing it proves that no match can come out of the nested key's
+    loop, so skipping the loop changes no output, counter or memo value."""
+    if not paths or not all(paths):
+        return None
+    terms = sorted({" and ".join(f"{oid} in {ops_of(i)}" for i, oid in sorted(path)) for path in paths})
+    if len(terms) == 1:
+        return terms[0]
+    return " or ".join(f"({term})" for term in terms)
+
+
 def _pad(depth: int) -> str:
     return "    " * depth
 
@@ -177,7 +218,8 @@ class _Codegen:
     """Emits the matcher source for one trie (see :class:`BatchedMatcher`).
 
     Generated names: ``s<k>`` holds slot ``k``; ``out<r>``/``o<r>`` are rule
-    ``r``'s match list and open flag; ``c<i>`` is a root row's child ``i``;
+    ``r``'s match list and open flag; ``c<i>`` is a root row's child ``i``
+    and ``B<i>`` its view's ``by_op``; ``x<i>`` is a helper row's child ``i``;
     ``n<e>``/``m<i>`` are frontier counters; ``_h<j>`` is a nested-key
     helper and ``_m<j>`` its per-search memo.  No pattern text reaches the
     source: operator ids, slots and the cap are integers, and symbol names
@@ -191,11 +233,18 @@ class _Codegen:
         self.helpers: Dict[Tuple, Tuple[str, Optional[str], Tuple[int, ...], Tuple[int, ...]]] = {}
         self.helper_lines: List[str] = []
         self.serial = 0
+        #: Class name -> the local holding its view's ``by_op`` (a root
+        #: row's children, read once per row).
+        self.hoisted: Dict[str, str] = {}
 
     def fresh(self, prefix: str) -> str:
         """A local name not used anywhere else in the source."""
         self.serial += 1
         return f"{prefix}{self.serial}"
+
+    def ops_of(self, cls: str) -> str:
+        """Source of class ``cls``'s per-operator rows (its view's ``by_op``)."""
+        return self.hoisted.get(cls) or f"V[{cls}].by_op"
 
     def symbol(self, name: str) -> str:
         """The namespace constant holding VAR name ``name``."""
@@ -207,7 +256,7 @@ class _Codegen:
 
     # -- one key ---------------------------------------------------------------
 
-    def match_key(self, out, depth, key, cls, bound, counter, guard, body) -> None:
+    def match_key(self, out, depth, key, cls, bound, counter, guard, body, siblings=None) -> None:
         """Emit the enumeration of ``key``'s matches against class ``cls``.
 
         ``bound`` is the set of slots bound on entry; ``body(depth, bound)``
@@ -215,7 +264,9 @@ class _Codegen:
         operator key increments ``counter`` per match and stops at the cap;
         ``guard`` re-checks the counter on entry when earlier loops may
         already have filled it.  Variable and symbol keys never multiply the
-        frontier, so they need no counter.
+        frontier, so they need no counter.  ``siblings`` is the source of a
+        test that later sibling keys can match at all (see
+        :func:`_sibling_test`); a nested key's loop runs only when it holds.
         """
         kind = key[0]
         if kind == "var":
@@ -239,7 +290,7 @@ class _Codegen:
             # Flat key: one loop over the class's rows of the operator, each
             # position binding or testing its slot.
             row = self.fresh("r")
-            out.append(f"{_pad(depth)}for {row} in V[{cls}].by_op.get({op_id(key[1])}, ()):")
+            out.append(f"{_pad(depth)}for {row} in {self.ops_of(cls)}.get({op_id(key[1])}, ()):")
             depth += 1
             targets: List[str] = []
             tests: List[str] = []
@@ -259,6 +310,9 @@ class _Codegen:
                 out.append(f"{_pad(depth)}if {' or '.join(tests)}:")
                 out.append(f"{_pad(depth + 1)}continue")
         else:
+            if siblings:
+                out.append(f"{_pad(depth)}if {siblings}:")
+                depth += 1
             name, memo, params, fresh_slots = self.helper(key, bound)
             if memo is not None:
                 binds = self.fresh("b")
@@ -317,10 +371,14 @@ class _Codegen:
                 return
             child = children[i]
             is_op = child[0] == "op"
+            later = frozenset(
+                (j, op_id(sibling[1])) for j, sibling in enumerate(children) if j > i and sibling[0] == "op"
+            )
             self.match_key(
                 lines, depth, child, f"x{i}", now_bound,
                 f"m{i}" if is_op else None, multiplied and is_op,
                 lambda d, b: chain(i + 1, d, b, multiplied or is_op),
+                _sibling_test([later], lambda j: self.ops_of(f"x{j}")),
             )
 
         chain(0, 2, frozenset(params), False)
@@ -362,6 +420,7 @@ class _Codegen:
                     out, d, child, position + 1, arity, b,
                     under_op or key[0] == "op", row_counters,
                 ),
+                _sibling_test(_later_ops(child, position + 1), lambda j: self.ops_of(f"c{j}")),
             )
 
     def root(self, index: int, op: str, tnode: _TrieNode) -> List[str]:
@@ -380,9 +439,15 @@ class _Codegen:
         ]
         if arity:
             lines.append(f"            {_targets([f'c{i}' for i in range(arity)])} = row")
+        # A child read by an operator key is read by many edges: look its
+        # view up once per row.
+        for i in sorted(_op_positions(tnode, 0)):
+            self.hoisted[f"c{i}"] = f"B{i}"
+            lines.append(f"            B{i} = V[c{i}].by_op")
         body: List[str] = []
         row_counters: List[str] = []
         self.trie(body, 3, tnode, 0, arity, frozenset(), False, row_counters)
+        self.hoisted = {}
         if row_counters:
             lines.append(f"            {' = '.join(row_counters)} = 0")
         lines += body

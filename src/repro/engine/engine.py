@@ -53,6 +53,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.egraph.egraph import EGraph, op_id
+from repro.egraph.language import op_arity
 from repro.egraph.pattern import Match, PatternNode
 from repro.egraph.rewrite import Rewrite
 from repro.engine.batched import BatchedMatcher, SlotMatch
@@ -100,13 +101,17 @@ _SLOT, _SYMBOL, _OP = 0, 1, 2
 def _compile_rhs(node: PatternNode, slot_of: Dict[str, int], program: List[Tuple]) -> List[Tuple]:
     """Lower an RHS pattern to its post-order program over match slots."""
     if node.kind == "pattern_var":
-        program.append((_SLOT, slot_of[node.name], None, 0))
+        program.append((_SLOT, slot_of[node.name], 0))
     elif node.kind == "symbol":
-        program.append((_SYMBOL, node.name, None, 0))
+        program.append((_SYMBOL, node.name, 0))
     else:
+        # Operator steps insert keys without add_term's check, so a node
+        # built by hand (not by parse_pattern) is checked here, once.
+        if len(node.children) != op_arity(node.op):
+            raise ValueError(f"operator {node.op} expects {op_arity(node.op)} children, got {len(node.children)}")
         for child in node.children:
             _compile_rhs(child, slot_of, program)
-        program.append((_OP, op_id(node.op), node.op, len(node.children)))
+        program.append((_OP, op_id(node.op), len(node.children)))
     return program
 
 
@@ -114,25 +119,30 @@ def _run_rhs(egraph: EGraph, program: Sequence[Tuple], slots: Tuple[int, ...]) -
     """Build an RHS program into the e-graph; returns the canonical class id.
 
     :func:`repro.egraph.pattern.instantiate` without the tree walk: an
-    operator probes the hashcons with its canonical children and calls
-    ``add_term`` (the only code that creates rows) only on a miss.
+    operator step builds its canonical hashcons key from the stack (children
+    are canonical: nothing between two pushes unions) and hands it to
+    :meth:`~repro.egraph.egraph.EGraph.add_key`, which probes the hashcons
+    once and creates the row on a miss.
     """
-    find = egraph.union_find.find
-    hashcons = egraph.hashcons
+    uf = egraph.union_find
+    parent = uf.parent
+    add_key = egraph.add_key
     stack: List[int] = []
-    for tag, arg, op, arity in program:
+    push = stack.append
+    pop = stack.pop
+    for tag, arg, arity in program:
         if tag == _SLOT:
-            stack.append(find(slots[arg]))
+            slot = slots[arg]
+            push(slot if parent[slot] == slot else uf.find(slot))
         elif tag == _SYMBOL:
-            stack.append(egraph.var(arg))
+            push(egraph.var(arg))
+        elif arity == 2:
+            b = pop()
+            push(add_key((arg, pop(), b)))
+        elif arity == 1:
+            push(add_key((arg, pop())))
         else:
-            if arity:
-                kids = stack[-arity:]
-                del stack[-arity:]
-            else:
-                kids = []
-            hit = hashcons.get((arg, *kids))
-            stack.append(egraph.add_term(op, kids) if hit is None else find(hit))
+            push(add_key((arg,)))
     return stack[-1]
 
 
@@ -177,7 +187,8 @@ class SaturationEngine:
     ) -> int:
         """Apply one rule's matches (with dedup); returns unions performed."""
         egraph = self.egraph
-        find = egraph.union_find.find
+        uf = egraph.union_find
+        parent = uf.parent
         rule = self.rules[index]
         name = rule.name
         names = self.matcher.names[index]
@@ -207,11 +218,11 @@ class SaturationEngine:
                 recorder.set_context(
                     name,
                     iteration,
-                    find(class_id),
+                    uf.find(class_id),
                     obs_provenance.subst_digest(dict(zip(names, slots))),
                 )
             new_class = _run_rhs(egraph, program, slots)
-            if new_class != find(class_id):
+            if new_class != (class_id if parent[class_id] == class_id else uf.find(class_id)):
                 egraph.union(class_id, new_class)
                 applied += 1
         if recorder is not None:
@@ -347,7 +358,8 @@ class SaturationEngine:
                         searched = matches = None
 
                         with obs.span("rebuild", category="saturation.phase") as rebuild_span:
-                            egraph.rebuild()
+                            rebuild_span.set("dirty", len(egraph.worklist))
+                            rebuild_span.set("merges", egraph.rebuild())
                         report.rebuild_time = rebuild_span.duration
 
                         report.num_classes = egraph.num_classes

@@ -139,11 +139,10 @@ class FrozenProblem:
     ) -> "FrozenProblem":
         """Snapshot ``egraph`` into a frozen problem.
 
-        Reads the e-graph's rows (:meth:`~repro.egraph.egraph.EGraph.class_rows`)
-        instead of e-node objects: the first occurrence of each ``(op,
-        canonical children, payload)`` row is the class's candidate, and only
-        candidates get an :class:`ENode`.  Classes come in ascending id
-        order, which is the order they are numbered in.
+        Reads the e-graph's distinct canonical e-nodes per class
+        (:meth:`~repro.egraph.egraph.EGraph.class_rows`): the first row of
+        each canonical form is the class's candidate.  Classes come in
+        ascending id order, which is the order they are numbered in.
         """
         cost = cost or NodeCountCost()
         node_cost = cost.node_cost
@@ -155,28 +154,20 @@ class FrozenProblem:
         nodes: List[List[ENode]] = []
         children: List[List[Tuple[int, ...]]] = []
         node_costs: List[List[float]] = []
-        for _, rows in egraph.class_rows():
-            seen = set()
-            class_nodes: List[ENode] = []
+        for _, class_nodes in egraph.class_rows():
             class_children: List[Tuple[int, ...]] = []
-            class_costs: List[float] = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    enode = ENode(*row)
-                    class_nodes.append(enode)
-                    class_costs.append(node_cost(enode))
-                    kids = row[1]
-                    # AND/OR and NOT rows without a generator.
-                    if len(kids) == 2:
-                        class_children.append((number[kids[0]], number[kids[1]]))
-                    elif len(kids) == 1:
-                        class_children.append((number[kids[0]],))
-                    else:
-                        class_children.append(tuple([number[ch] for ch in kids]))
+            for enode in class_nodes:
+                kids = enode.children
+                # The language's operators have two, one or no children.
+                if len(kids) == 2:
+                    class_children.append((number[kids[0]], number[kids[1]]))
+                elif kids:
+                    class_children.append((number[kids[0]],))
+                else:
+                    class_children.append(())
             nodes.append(class_nodes)
             children.append(class_children)
-            node_costs.append(class_costs)
+            node_costs.append([node_cost(enode) for enode in class_nodes])
         return cls(
             class_ids=class_ids,
             nodes=nodes,

@@ -19,7 +19,7 @@ import json
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.benchgen import epfl
@@ -251,6 +251,18 @@ _NESTED_CAP_SHAPES = (
     "(AND (AND (AND ?a ?b) (AND ?c ?d)) ?e)",
     "(AND ?a (OR (AND ?a ?b) (AND ?c ?d)))",
     "(OR (AND ?a ?b) (OR (AND ?a ?c) (AND ?d ?e)))",
+) + (
+    # Consensus-shaped: a nested first child (memoized) before a later
+    # operator sibling, so the generated sibling guard decides whether the
+    # nested loop runs.  consensus-or without its NOT matches where the
+    # boolean consensus rules never do; the NOT sibling fails the guard on
+    # most rows; the last two put the guard inside a helper (a nested key
+    # before a NOT sibling one level down).
+    "(OR (OR (AND ?a ?b) (AND ?c ?d)) (AND ?b ?d))",
+    "(OR (AND (AND ?a ?b) ?c) (AND ?d ?e))",
+    "(AND (AND (NOT ?a) ?b) (NOT ?c))",
+    "(AND (AND (AND (NOT ?a) ?b) (NOT ?c)) ?d)",
+    "(AND ?e (AND (AND (NOT ?a) ?b) (NOT ?c)))",
 )
 
 
@@ -315,8 +327,19 @@ def _rule_sets(draw):
     texts = draw(st.lists(_weighted(*[_operators(6)] * 5, _LEAVES), min_size=1, max_size=6))
     active = [i for i in range(len(texts)) if draw(st.booleans()) or i == 0]
     limit = draw(st.sampled_from([None, None, 1, 7, 60]))
-    cap = draw(st.sampled_from([200, 200, 1, 2]))
+    cap = draw(st.sampled_from([200, 200, 1, 2, 3]))
     return texts, active, limit, cap
+
+
+#: Consensus-shaped rule sets (the two boolean consensus rules, consensus-or
+#: without its NOT, and an AND consensus whose guard sibling shares a slot)
+#: at every low cap, next to the random ones.
+_CONSENSUS_TEXTS = [
+    "(OR (OR (AND ?a ?b) (AND (NOT ?a) ?c)) (AND ?b ?c))",
+    "(AND (AND (OR ?a ?b) (OR (NOT ?a) ?c)) (OR ?b ?c))",
+    "(OR (OR (AND ?a ?b) (AND ?c ?d)) (AND ?b ?d))",
+    "(AND (AND (AND ?a ?b) (NOT ?c)) (AND ?b ?d))",
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,6 +358,9 @@ def _random_rules_egraph() -> EGraph:
 
 class TestRandomRuleSets:
     @given(case=_rule_sets())
+    @example(case=(_CONSENSUS_TEXTS, [0, 1, 2, 3], None, 1))
+    @example(case=(_CONSENSUS_TEXTS, [0, 1, 2, 3], 7, 2))
+    @example(case=(_CONSENSUS_TEXTS, [0, 2, 3], None, 3))
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_random_rule_sets_match_reference(self, case, as_matches):
         # Random LHS shapes: repeated variables, nesting deeper than the

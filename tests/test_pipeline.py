@@ -559,6 +559,25 @@ class TestPipelineCli:
             main(["pipeline", "adder", "--preset", "test", "--script", "st; frobnicate"])
         assert "unknown pass" in str(excinfo.value)
 
+    @pytest.mark.parametrize("command", ["pipeline", "trace", "explain"])
+    @pytest.mark.parametrize(
+        "script,message",
+        [
+            ("st; dag2eg; extract(sa, threads=0)", "pipeline error: extract needs threads >= 1"),
+            ("st; dag2eg; extract(greedy, threads=9)", "pipeline error: extract(greedy) runs no chains"),
+        ],
+    )
+    def test_run_time_pass_error_is_a_clean_cli_error(self, command, script, message):
+        # The parameter check runs when the pass runs, not when the script
+        # parses; it must still end in the parse errors' clean exit.
+        if command == "pipeline":
+            argv = [command, "adder", "--preset", "test", "--script", script, "--no-ledger"]
+        else:
+            argv = [command, script, "-c", "adder", "--preset", "test"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value).startswith(message)
+
     def test_batch_rejects_flows_combined_with_script(self):
         with pytest.raises(SystemExit, match="drop --flows"):
             main(["batch", "--preset", "test", "--circuits", "adder",
