@@ -19,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.flows.emorphic import EmorphicConfig, breakdown_from_phases
+from repro.flows.emorphic import EmorphicConfig
 from repro.orchestrate import make_job, run_campaign
 from repro.orchestrate.report import fig9_summary, render_fig9
+from repro.pipeline import fig9_breakdown
 
 from conftest import TABLE_CIRCUITS, bench_preset
 
@@ -57,10 +58,11 @@ def _run() -> dict:
     # backs the paper's "conversion is negligible" observation.
     conversion_share = {}
     for outcome in campaign.successful():
-        phases = (outcome.record or {}).get("result", {}).get("phase_runtimes") or {}
-        total = sum(breakdown_from_phases(phases).values()) or 1.0
+        passes = (outcome.record or {}).get("result", {}).get("pass_runtimes") or []
+        total = sum(fig9_breakdown(passes).values()) or 1.0
+        conversion = sum(seconds for name, seconds in passes if name == "dag2eg")
         variants = conversion_share.setdefault(outcome.spec.circuit.label, {})
-        variants[outcome.spec.tag] = 100.0 * phases.get("conversion", 0.0) / total
+        variants[outcome.spec.tag] = 100.0 * conversion / total
     summary["conversion_share_pct"] = conversion_share
     return summary
 

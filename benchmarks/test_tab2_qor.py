@@ -48,7 +48,7 @@ def table_jobs(names, preset):
     """The campaign: baseline, E-morphic, and ML-mode E-morphic per circuit."""
     base = EmorphicConfig.fast()
     ml = EmorphicConfig.from_dict(base.to_dict())
-    ml.use_ml_model = True  # workers train the default model once per process
+    ml.use_ml_model = True  # the extract pass trains the default model once per process
     jobs = []
     for name in names:
         jobs.append(make_job(name, "baseline", config=base.baseline, preset=preset))

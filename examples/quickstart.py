@@ -49,7 +49,7 @@ def main() -> int:
     print(f"  area  {emorphic.area:10.2f} um^2")
     print(f"  delay {emorphic.delay:10.2f} ps")
     print(f"  runtime {emorphic.runtime:8.2f} s")
-    print(f"  explored candidates: {emorphic.num_candidates}")
+    print(f"  explored candidates: {emorphic.metrics['num_candidates']}")
     if emorphic.equivalence is not None:
         print(f"  equivalence check: {emorphic.equivalence.status}")
 

@@ -230,30 +230,23 @@ def _result_ledger_record(
     script: Optional[str] = None,
     config: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Ledger record of one in-process flow/pipeline result object."""
+    """Ledger record of one in-process :class:`~repro.pipeline.PipelineResult`."""
     from repro.obs import flow_record
     from repro.obs.export import span_summary
 
     stats = result.aig.stats()
-    mapping = getattr(result, "mapping", None)
-    attribution = getattr(result, "attribution", None)
     return flow_record(
         kind,
         circuit=circuit,
         flow=flow,
         script=script,
         config=config,
-        qor={
-            "ands": stats["ands"],
-            "levels": stats["levels"],
-            "delay": None if mapping is None else mapping.delay,
-            "area": None if mapping is None else mapping.area,
-        },
+        qor={"ands": stats["ands"], "levels": stats["levels"], "delay": result.delay, "area": result.area},
         runtime=result.runtime,
-        pass_runtimes=getattr(result, "pass_runtimes", None),
+        pass_runtimes=result.pass_runtimes,
         span_summary=None if tracer is None else span_summary(tracer),
-        attribution=None if attribution is None else attribution.to_dict(),
-        resource=getattr(result, "resource", None),
+        attribution=None if result.attribution is None else result.attribution.to_dict(),
+        resource=result.resource,
     )
 
 
@@ -328,10 +321,6 @@ def _emorphic_config(args: argparse.Namespace) -> EmorphicConfig:
         verify=not args.no_verify,
     )
     config.baseline.use_choices = not args.no_choices
-    if config.use_ml_model:
-        from repro.costmodel.train import default_ml_model
-
-        config.ml_model = default_ml_model()
     return config
 
 
@@ -463,7 +452,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     print(f"pipeline: {pipeline.to_script()}")
     if result.mapping is not None:
         print(
-            f"{aig.name}: area={result.mapping.area:.2f} um^2  delay={result.mapping.delay:.2f} ps  "
+            f"{aig.name}: area={result.area:.2f} um^2  delay={result.delay:.2f} ps  "
             f"lev={result.levels}  runtime={result.runtime:.2f} s"
         )
     else:
@@ -754,16 +743,12 @@ def _outcome_ledger_record(kind: str, outcome) -> Dict[str, object]:
 
     spec = outcome.spec
     result = (outcome.record or {}).get("result") or {}
-    script = None
-    if spec.flow == "pipeline":
-        value = spec.config.get("script")
-        script = str(value) if value else None
     return flow_record(
         kind,
         circuit=spec.circuit.name,
-        flow=spec.tag or spec.flow,
-        script=script,
-        config=spec.config,
+        flow=spec.tag or "pipeline",
+        script=str(spec.pipeline["script"]),
+        config=spec.pipeline,
         qor={
             "ands": result.get("ands"),
             "levels": result.get("levels"),
@@ -815,18 +800,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 f"unknown flows: {', '.join(unknown)} (choose from {', '.join(FLOW_VARIANTS)})"
             )
 
-        base_emorphic = _campaign_base_config(args)
-        baseline_config = base_emorphic.baseline
+        base = _campaign_base_config(args)
+        # (recipe, config) per flow variant; make_job tags each by its variant.
+        variants = {
+            "baseline": ("baseline", base.baseline),
+            "emorphic": ("emorphic", base),
+            "emorphic_ml": ("emorphic", {**base.to_dict(), "use_ml_model": True}),
+        }
         for name in _campaign_circuits(args):
             for flow in flows:
-                if flow == "baseline":
-                    jobs.append(make_job(name, "baseline", config=baseline_config, preset=args.preset))
-                else:
-                    config = EmorphicConfig.from_dict(base_emorphic.to_dict())
-                    config.use_ml_model = flow == "emorphic_ml"
-                    jobs.append(
-                        make_job(name, "emorphic", config=config, preset=args.preset, tag=flow)
-                    )
+                recipe, config = variants[flow]
+                jobs.append(make_job(name, recipe, config, preset=args.preset))
 
     if args.progress:
         from repro.obs import CampaignProgress
@@ -966,7 +950,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             circuit = (job.get("circuit") or {}).get("name", "?")
             result = record.get("result") or {}
             print(
-                f"{record.get('key', '?'):24s} {job.get('flow', '?'):9s} {circuit:12s} "
+                f"{record.get('key', '?'):24s} {job.get('tag') or 'pipeline':9s} {circuit:12s} "
                 f"delay={result.get('delay', 0.0):8.2f} area={result.get('area', 0.0):10.2f}"
             )
     elif args.action == "clear":

@@ -324,14 +324,12 @@ class EGraph:
                 if existing != parent_class:
                     parent_class = self.union(parent_class, existing)
                     merges += 1
+            # A key already in ``new_parents`` needs no union: the parent
+            # entries and the hashcons value under one canonical key always
+            # lie in one e-class.  Keys enter the hashcons canonical, a key
+            # whose child merged away is never canonical again, and a
+            # re-keyed entry was unioned with the hashcons value just above.
             hashcons[canonical] = parent_class
-            prev = new_parents.get(canonical)
-            if prev is not None:
-                if parent[prev] != prev:
-                    prev = find(prev)
-                if prev != parent_class:
-                    parent_class = self.union(prev, parent_class)
-                    merges += 1
             new_parents[canonical] = parent_class
         # The congruence unions above may have merged this class into another:
         # its parents and rows moved to the winner (which is on the worklist

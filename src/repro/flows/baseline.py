@@ -4,25 +4,21 @@ ABC recipe: ``(st; if -g -K 6 -C 8)`` repeated, followed by ``(st; dch; map)``
 rounds — SOP balancing for delay, choice computation, and priority-cut
 mapping.  This is the "SOP Balancing Baseline" column of Table II.
 
-The flow is a thin canonical pipeline over :mod:`repro.pipeline`: the steps
-are registry passes, per-phase runtimes are derived from the per-pass
-wall-clock ledger, and :func:`baseline_pipeline` exposes the recipe itself so
-campaigns can script variations of it.
+The flow is a named pipeline: :func:`baseline_pipeline` renders the recipe
+as registry passes, and :func:`run_baseline_flow` runs it into the one flow
+result type, :class:`~repro.pipeline.PipelineResult`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.aig.graph import Aig
-from repro.aig.levels import logic_depth
-from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.pipeline import Pipeline
+    from repro.pipeline import Pipeline, PipelineResult
 
 
 @dataclass
@@ -50,63 +46,25 @@ class BaselineConfig:
         return cls(**data)
 
 
-@dataclass
-class BaselineResult:
-    """QoR of the baseline flow."""
-
-    aig: Aig
-    mapping: MappingResult
-    area: float
-    delay: float
-    levels: int
-    runtime: float
-    phase_runtimes: Dict[str, float] = field(default_factory=dict)
-    pass_runtimes: List[Tuple[str, float]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable QoR summary (the AIG itself is stored as AIGER text)."""
-        return {
-            "flow": "baseline",
-            "area": self.area,
-            "delay": self.delay,
-            "levels": self.levels,
-            "runtime": self.runtime,
-            "num_gates": self.mapping.num_gates,
-            "phase_runtimes": dict(self.phase_runtimes),
-            "pass_runtimes": [[name, seconds] for name, seconds in self.pass_runtimes],
-        }
-
-
 def baseline_pipeline(config: Optional[BaselineConfig] = None) -> "Pipeline":
-    """The canonical baseline recipe as a first-class pipeline.
-
-    Phase tags reproduce the historical two-bucket breakdown
-    (``sop_balance`` / ``dch_map``).
-    """
-    from repro.pipeline import Pipeline, Step
+    """The canonical baseline recipe as a first-class pipeline."""
+    from repro.pipeline import Pipeline
 
     config = config or BaselineConfig()
-    steps = [Step.make("strash", phase="sop_balance")]
+    steps = [("strash", {})]
     for _ in range(config.sop_rounds):
-        steps.append(Step.make("strash", phase="sop_balance"))
-        steps.append(
-            Step.make(
-                "sop_balance",
-                {"k": config.k, "cut_limit": config.cut_limit},
-                phase="sop_balance",
-            )
-        )
+        steps.append(("strash", {}))
+        steps.append(("sop_balance", {"k": config.k, "cut_limit": config.cut_limit}))
     for _ in range(config.map_rounds):
-        steps.append(Step.make("strash", phase="dch_map"))
+        steps.append(("strash", {}))
         steps.append(
-            Step.make(
+            (
                 "map",
                 {
                     "use_choices": config.use_choices,
                     "choice_max_pairs": config.choice_max_pairs,
                     "choice_sat_budget": config.choice_sat_budget,
                 },
-                phase="dch_map",
             )
         )
     return Pipeline(steps)
@@ -116,20 +74,6 @@ def run_baseline_flow(
     aig: Aig,
     config: Optional[BaselineConfig] = None,
     library: Optional[Library] = None,
-) -> BaselineResult:
+) -> "PipelineResult":
     """Run ``(st; if -g -K k)^sop_rounds  (st; dch; map)^map_rounds``."""
-    config = config or BaselineConfig()
-    start = time.perf_counter()
-    ctx = baseline_pipeline(config).run(aig, library=library)
-    runtime = time.perf_counter() - start
-    assert ctx.mapping is not None, "the baseline recipe always maps"
-    return BaselineResult(
-        aig=ctx.aig,
-        mapping=ctx.mapping,
-        area=ctx.mapping.area,
-        delay=ctx.mapping.delay,
-        levels=logic_depth(ctx.aig),
-        runtime=runtime,
-        phase_runtimes=ctx.phase_runtimes(),
-        pass_runtimes=ctx.pass_runtimes(),
-    )
+    return baseline_pipeline(config).run_flow(aig, library=library)

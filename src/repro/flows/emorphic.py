@@ -13,29 +13,25 @@ Pipeline (Fig. 5 of the paper):
 5. the best extracted structure goes through the final ``(st; dch; map)``
    round; the result is equivalence-checked against the input.
 
-The flow is a thin canonical pipeline over :mod:`repro.pipeline`:
-:func:`emorphic_pipeline` renders the Fig. 5 sequence as registry passes with
-the Fig. 9 phase tags, and ``runtime_breakdown()`` is derived from the
-per-pass wall-clock ledger instead of hand-rolled phase bookkeeping.
+The flow is a named pipeline: :func:`emorphic_pipeline` renders the Fig. 5
+sequence as registry passes, and :func:`run_emorphic_flow` runs it into the
+one flow result type, :class:`~repro.pipeline.PipelineResult`, whose
+``runtime_breakdown()`` folds the per-pass wall-clock into the Fig. 9
+components by pass name.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.aig.graph import Aig
-from repro.aig.levels import logic_depth
-from repro.engine.telemetry import SaturationProfile
-from repro.flows.baseline import BaselineConfig, BaselineResult, run_baseline_flow  # noqa: F401 (re-export)
-from repro.mapping.cut_mapping import MappingResult
+from repro.flows.baseline import BaselineConfig
 from repro.mapping.library import Library
-from repro.verify.cec import CecResult
 
 if TYPE_CHECKING:  # pragma: no cover - for type checkers only
     from repro.costmodel.hoga import HogaModel  # numpy: loaded only by flows that use the model
-    from repro.pipeline import Pipeline  # import cycle guard
+    from repro.pipeline import Pipeline, PipelineResult  # import cycle guard
 
 
 #: ``EmorphicConfig`` fields that no longer exist.  The e-matching knobs went
@@ -108,8 +104,9 @@ class EmorphicConfig:
         """JSON-serializable form (used for job hashing and the result store).
 
         ``ml_model`` is deliberately excluded: a trained model instance is not
-        part of a job's identity.  Workers that receive ``use_ml_model=True``
-        with no model train the default one (``costmodel.train.default_ml_model``).
+        part of a job's identity.  A run with ``use_ml_model=True`` and no
+        model trains the default one once per process (the ``extract`` pass
+        does, through ``costmodel.train.default_ml_model``).
         """
         data = {
             f.name: getattr(self, f.name)
@@ -139,97 +136,22 @@ class EmorphicConfig:
         return config
 
 
-@dataclass
-class EmorphicResult:
-    """QoR and runtime breakdown of the E-morphic flow."""
-
-    aig: Aig
-    mapping: MappingResult
-    area: float
-    delay: float
-    levels: int
-    runtime: float
-    phase_runtimes: Dict[str, float] = field(default_factory=dict)
-    rewrite_report: Optional[SaturationProfile] = None
-    num_candidates: int = 0
-    baseline_delay_before_resynthesis: float = 0.0
-    equivalence: Optional[CecResult] = None
-    pass_runtimes: List[Tuple[str, float]] = field(default_factory=list)
-    #: Extraction-engine telemetry of the portfolio run.
-    extraction_profile: Optional[object] = None
-    #: Rule-level QoR attribution when a provenance recorder was installed.
-    attribution: Optional[object] = None
-    #: Flow-level resource telemetry when a resource sampler was installed;
-    #: absent from ``to_dict`` otherwise (sampler-off payloads stay
-    #: byte-identical to earlier builds).
-    resource: Optional[Dict[str, object]] = None
-
-    def runtime_breakdown(self) -> Dict[str, float]:
-        """The three components plotted in Fig. 9."""
-        return breakdown_from_phases(self.phase_runtimes)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable QoR summary (the AIG itself is stored as AIGER text)."""
-        data: Dict[str, object] = {
-            "flow": "emorphic",
-            "area": self.area,
-            "delay": self.delay,
-            "levels": self.levels,
-            "runtime": self.runtime,
-            "num_gates": self.mapping.num_gates,
-            "num_candidates": self.num_candidates,
-            "baseline_delay_before_resynthesis": self.baseline_delay_before_resynthesis,
-            "phase_runtimes": dict(self.phase_runtimes),
-            "pass_runtimes": [[name, seconds] for name, seconds in self.pass_runtimes],
-            "equivalence": None if self.equivalence is None else self.equivalence.status,
-            "saturation": None if self.rewrite_report is None else self.rewrite_report.to_dict(),
-            "extraction": None if self.extraction_profile is None else self.extraction_profile.to_dict(),
-            "attribution": None if self.attribution is None else self.attribution.to_dict(),
-        }
-        if self.resource is not None:
-            data["resource"] = self.resource
-        return data
-
-
-def breakdown_from_phases(phases: Dict[str, float]) -> Dict[str, float]:
-    """Bucket raw phase runtimes into the three Fig. 9 components.
-
-    Equality-saturation time counts toward the e-graph conversion bucket, so
-    the buckets sum to the resynthesis part of the total flow time.
-    """
-    return {
-        "abc_flow": phases.get("tech_independent", 0.0) + phases.get("final_map", 0.0),
-        "egraph_conversion": phases.get("conversion", 0.0) + phases.get("rewriting", 0.0),
-        "sa_extraction": phases.get("extraction", 0.0),
-    }
-
-
 def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
-    """The canonical Fig. 5 sequence as a first-class pipeline.
-
-    Phase tags reproduce the historical breakdown (``tech_independent`` /
-    ``conversion`` / ``rewriting`` / ``extraction`` / ``final_map`` /
-    ``verification``), which :func:`breakdown_from_phases` folds into the
-    three Fig. 9 buckets.
-    """
-    from repro.pipeline import Pipeline, Step
+    """The canonical Fig. 5 sequence as a first-class pipeline."""
+    from repro.pipeline import Pipeline
 
     config = config or EmorphicConfig()
-    steps = [Step.make("strash", phase="tech_independent")]
+    steps = [("strash", {})]
     for _ in range(config.baseline.sop_rounds):
-        steps.append(Step.make("strash", phase="tech_independent"))
+        steps.append(("strash", {}))
         steps.append(
-            Step.make(
-                "sop_balance",
-                {"k": config.baseline.k, "cut_limit": config.baseline.cut_limit},
-                phase="tech_independent",
-            )
+            ("sop_balance", {"k": config.baseline.k, "cut_limit": config.baseline.cut_limit})
         )
-    steps.append(Step.make("strash", phase="tech_independent"))
-    steps.append(Step.make("premap", phase="tech_independent"))
-    steps.append(Step.make("dag2eg", phase="conversion"))
+    steps.append(("strash", {}))
+    steps.append(("premap", {}))
+    steps.append(("dag2eg", {}))
     steps.append(
-        Step.make(
+        (
             "saturate",
             {
                 "iters": config.rewrite_iterations,
@@ -238,11 +160,10 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "scheduler": config.scheduler,
                 "dedup": config.dedup_matches,
             },
-            phase="rewriting",
         )
     )
     steps.append(
-        Step.make(
+        (
             "extract",
             {
                 "method": "sa",
@@ -252,14 +173,14 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "iters": config.sa_iterations,
                 "moves": config.moves_per_iteration,
                 "seed": config.seed,
-                "cost": config.extraction_cost if config.extraction_cost == "depth" else "nodes",
+                # Passed through as-is: the pass rejects an unknown cost.
+                "cost": config.extraction_cost,
                 "use_ml": config.use_ml_model,
             },
-            phase="extraction",
         )
     )
     steps.append(
-        Step.make(
+        (
             "map",
             {
                 "use_choices": config.baseline.use_choices,
@@ -268,18 +189,16 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "cleanup": True,
                 "keep_premap": True,
             },
-            phase="final_map",
         )
     )
     if config.verify:
         steps.append(
-            Step.make(
+            (
                 "cec",
                 {
                     "sim_words": config.verify_sim_words,
                     "conflict_budget": config.verify_conflict_budget,
                 },
-                phase="verification",
             )
         )
     return Pipeline(steps)
@@ -289,31 +208,7 @@ def run_emorphic_flow(
     aig: Aig,
     config: Optional[EmorphicConfig] = None,
     library: Optional[Library] = None,
-) -> EmorphicResult:
+) -> "PipelineResult":
     """Run the full E-morphic flow on ``aig``."""
     config = config or EmorphicConfig()
-    start = time.perf_counter()
-    ctx = emorphic_pipeline(config).run(
-        aig,
-        library=library,
-        ml_model=config.ml_model if config.use_ml_model else None,
-    )
-    runtime = time.perf_counter() - start
-    assert ctx.mapping is not None and ctx.pre_mapping is not None
-    return EmorphicResult(
-        aig=ctx.aig,
-        mapping=ctx.mapping,
-        area=ctx.mapping.area,
-        delay=ctx.mapping.delay,
-        levels=logic_depth(ctx.aig),
-        runtime=runtime,
-        phase_runtimes=ctx.phase_runtimes(),
-        rewrite_report=ctx.rewrite_report,
-        num_candidates=int(ctx.metrics.get("num_candidates", 0)),
-        baseline_delay_before_resynthesis=ctx.pre_mapping.delay,
-        equivalence=ctx.equivalence,
-        pass_runtimes=ctx.pass_runtimes(),
-        extraction_profile=ctx.extraction_profile,
-        attribution=ctx.attribution,
-        resource=ctx.resource_profile,
-    )
+    return emorphic_pipeline(config).run_flow(aig, library=library, ml_model=config.ml_model)

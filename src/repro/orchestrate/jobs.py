@@ -1,11 +1,13 @@
 """Job specifications for campaign orchestration.
 
-A :class:`JobSpec` pins down one unit of work — a circuit, a flow, and a
-serialized flow configuration — and derives a deterministic *content* key
-from the input AIG's canonical AIGER text plus the config.  Two jobs with
-the same circuit content and the same config hash identically regardless of
-how the circuit was referenced (registry name vs. ``.aag`` file), so the
-result store can short-circuit repeated work across invocations.
+A :class:`JobSpec` pins down one unit of work — a circuit, a canonical
+pipeline spec and a display tag — and derives a deterministic *content* key
+from the input AIG's canonical AIGER text plus the pipeline spec.  Two jobs
+with the same circuit content and the same pipeline hash identically
+regardless of how the circuit was referenced (registry name vs. ``.aag``
+file) or which recipe rendered the pipeline (``make_job(..., "emorphic")``
+vs. the same script through ``make_pipeline_job``), so the result store can
+short-circuit repeated work across invocations.
 
 Everything in this module is picklable: specs cross the process pool, and
 worker processes resolve circuit references locally instead of receiving
@@ -17,25 +19,23 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.aig.graph import Aig
 from repro.aig.io_aiger import aag_to_string, read_aag
 from repro.benchgen import epfl
-from repro.flows.baseline import BaselineConfig, run_baseline_flow
-from repro.flows.emorphic import EmorphicConfig, run_emorphic_flow
+from repro.flows.baseline import BaselineConfig, baseline_pipeline
+from repro.flows.emorphic import EmorphicConfig, emorphic_pipeline
 from repro.obs import trace as obs
 from repro.obs.channel import capture
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline
 
 #: Bump when the record layout or hash recipe changes: old store entries
 #: become unreachable instead of being misread.
-#: 2: flows run as pass pipelines — phase_runtimes are derived from per-pass
+#: 2: flows run as pass pipelines — per-phase runtimes are derived from per-pass
 #:    timings (candidate AIG reconstruction now counts toward extraction,
 #:    not final_map), and results carry pass_runtimes.
 #: 3: saturation runs on the engine subsystem — EmorphicConfig carries
@@ -64,9 +64,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    (``RETIRED_FIELDS``) and pipeline metrics drop ``extraction_engine``.
 #: 11: the delta evaluator is the only one — ExtractionProfile payloads drop
 #:    ``engine`` and ``evaluator``, and their chain records drop ``evaluator``.
-SCHEMA_VERSION = 11
+#: 12: every job is a pipeline job — the spec is (circuit, canonical pipeline
+#:    spec, tag) and the hash covers the pipeline spec, so a named recipe and
+#:    the same script share one entry; results drop their per-phase runtimes.
+SCHEMA_VERSION = 12
 
-FLOWS = ("baseline", "emorphic", "pipeline")
+#: The named recipes :func:`make_job` renders: config type and pipeline.
+RECIPES = {
+    "baseline": (BaselineConfig, baseline_pipeline),
+    "emorphic": (EmorphicConfig, emorphic_pipeline),
+}
 
 
 @lru_cache(maxsize=1)
@@ -142,83 +149,76 @@ class CircuitRef:
 
 @dataclass
 class JobSpec:
-    """One circuit through one flow under one configuration.
+    """One circuit through one pipeline.
 
-    ``flow="pipeline"`` jobs carry a canonical pipeline spec
-    (:meth:`repro.pipeline.Pipeline.to_spec`) as their config, so arbitrary
-    flow *shapes* — not just config values — participate in the job hash and
-    the result cache.
+    ``pipeline`` is a canonical pipeline spec
+    (:meth:`repro.pipeline.Pipeline.to_spec`), so flow *shapes* — not just
+    config values — participate in the job hash and the result cache.
     """
 
     circuit: CircuitRef
-    flow: str  # "baseline", "emorphic", or "pipeline"
-    config: Dict[str, object] = field(default_factory=dict)
-    #: Free-form tag distinguishing variants of the same flow in reports
-    #: (e.g. "emorphic_ml"); not part of the job hash.
+    pipeline: Dict[str, object]
+    #: Report column of the job (e.g. "emorphic_ml"); not part of the job hash.
     tag: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.flow not in FLOWS:
-            raise ValueError(f"unknown flow {self.flow!r}; expected one of {FLOWS}")
 
     @property
     def label(self) -> str:
-        return f"{self.tag or self.flow}:{self.circuit.label}"
+        return f"{self.tag or 'pipeline'}:{self.circuit.label}"
 
     def job_hash(self) -> str:
-        """Deterministic content key: input AIG text + flow + canonical config."""
+        """Deterministic content key: input AIG text + canonical pipeline spec."""
         payload = json.dumps(
             {
                 "schema": SCHEMA_VERSION,
                 "code": code_fingerprint(),
                 "aig": self.circuit.content(),
-                "flow": self.flow,
-                "config": self.config,
+                "pipeline": self.pipeline,
             },
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "circuit": self.circuit.to_dict(),
-            "flow": self.flow,
-            "config": dict(self.config),
-            "tag": self.tag,
-        }
+        return {"circuit": self.circuit.to_dict(), "pipeline": dict(self.pipeline), "tag": self.tag}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
         return cls(
             circuit=CircuitRef.from_dict(data["circuit"]),
-            flow=str(data["flow"]),
-            config=dict(data.get("config", {})),
+            pipeline=dict(data["pipeline"]),
             tag=data.get("tag"),
         )
 
 
 def make_job(
     circuit: Union[str, CircuitRef],
-    flow: str,
+    recipe: str,
     config: Union[None, Dict[str, object], BaselineConfig, EmorphicConfig] = None,
     preset: str = "bench",
     tag: Optional[str] = None,
 ) -> JobSpec:
-    """Convenience constructor accepting config objects or plain dicts."""
-    if isinstance(circuit, str):
-        circuit = CircuitRef.make(circuit, preset=preset)
+    """A job running a named recipe (``"baseline"`` or ``"emorphic"``).
+
+    ``config`` is the recipe's config object or its ``to_dict`` payload
+    (default: the recipe's defaults).  The recipe is rendered into its
+    pipeline, so the job hashes — and caches — as that pipeline's script.
+    The tag defaults to the recipe name, ``emorphic_ml`` for the ML mode.
+    """
+    if recipe not in RECIPES:
+        raise ValueError(f"unknown recipe {recipe!r}; expected one of {tuple(RECIPES)}")
+    config_type, render = RECIPES[recipe]
     if config is None:
-        if flow == "pipeline":
-            raise ValueError("pipeline jobs need a script/spec; use make_pipeline_job")
-        config = BaselineConfig() if flow == "baseline" else EmorphicConfig()
-    if isinstance(config, (BaselineConfig, EmorphicConfig)):
-        config = config.to_dict()
-    return JobSpec(circuit=circuit, flow=flow, config=dict(config), tag=tag)
+        config = config_type()
+    elif isinstance(config, dict):
+        config = config_type.from_dict(config)
+    if tag is None:
+        tag = f"{recipe}_ml" if getattr(config, "use_ml_model", False) else recipe
+    return make_pipeline_job(circuit, render(config), preset=preset, tag=tag)
 
 
 def make_pipeline_job(
     circuit: Union[str, CircuitRef],
-    pipeline: Union[str, Dict[str, object], "Pipeline"],
+    pipeline: Union[str, Dict[str, object], Pipeline],
     preset: str = "bench",
     tag: Optional[str] = None,
 ) -> JobSpec:
@@ -229,26 +229,11 @@ def make_pipeline_job(
     spec, so equivalent spellings of the same flow shape hash — and cache —
     identically.
     """
-    from repro.pipeline import Pipeline
-
     if isinstance(circuit, str):
         circuit = CircuitRef.make(circuit, preset=preset)
     if not isinstance(pipeline, Pipeline):
         pipeline = Pipeline.from_spec(pipeline)
-    return JobSpec(circuit=circuit, flow="pipeline", config=pipeline.to_spec(), tag=tag)
-
-
-# The default ML model is trained at most once per worker process and reused
-# by every ML-mode job the worker executes.
-_ML_MODEL_CACHE: Dict[int, object] = {}
-
-
-def _worker_ml_model(seed: int = 0):
-    if seed not in _ML_MODEL_CACHE:
-        from repro.costmodel.train import default_ml_model
-
-        _ML_MODEL_CACHE[seed] = default_ml_model(seed=seed)
-    return _ML_MODEL_CACHE[seed]
+    return JobSpec(circuit=circuit, pipeline=pipeline.to_spec(), tag=tag)
 
 
 def run_job(
@@ -276,18 +261,8 @@ def run_job(
     # below are measured with the monotonic perf_counter clock instead.
     started = time.time()
     t0 = time.perf_counter()
-    with obs.span("job", category="orchestrate", label=spec.label, flow=spec.flow):
-        if spec.flow == "baseline":
-            result = run_baseline_flow(aig, BaselineConfig.from_dict(spec.config))
-        elif spec.flow == "pipeline":
-            from repro.pipeline import Pipeline
-
-            result = Pipeline.from_spec(spec.config).run_flow(aig)
-        else:
-            config = EmorphicConfig.from_dict(spec.config)
-            if config.use_ml_model and config.ml_model is None:
-                config.ml_model = _worker_ml_model()
-            result = run_emorphic_flow(aig, config)
+    with obs.span("job", category="orchestrate", label=spec.label):
+        result = Pipeline.from_spec(spec.pipeline).run_flow(aig)
     wall_time = time.perf_counter() - t0
     return {
         "schema": SCHEMA_VERSION,

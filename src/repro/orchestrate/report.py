@@ -1,9 +1,10 @@
 """Aggregation of campaign outcomes into the paper's summary shapes.
 
-``table2_summary`` groups outcomes by circuit and flow variant into the
-Table II layout (QoR per flow, geomeans, improvement row);
-``fig9_summary`` reduces E-morphic outcomes to the Fig. 9 runtime-breakdown
-percentages.  Both return plain dicts (JSON-ready) and have text renderers.
+``table2_summary`` groups outcomes by circuit and job tag into the Table II
+layout (QoR per flow, geomeans, improvement row); ``fig9_summary`` reduces
+the outcomes of flows that run through the e-graph to the Fig. 9
+runtime-breakdown percentages, read off their per-pass runtimes by pass
+name.  Both return plain dicts (JSON-ready) and have text renderers.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from repro.flows.emorphic import breakdown_from_phases
 from repro.orchestrate.executor import CampaignReport, JobOutcome
+from repro.pipeline import fig9_breakdown
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -33,12 +34,8 @@ def format_table(title: str, header: List[str], rows: List[List[object]]) -> str
 
 
 def _variant(outcome: JobOutcome) -> str:
-    """Report column for an outcome: its tag, else flow (+_ml for ML mode)."""
-    if outcome.spec.tag:
-        return outcome.spec.tag
-    if outcome.spec.flow == "emorphic" and outcome.spec.config.get("use_ml_model"):
-        return "emorphic_ml"
-    return outcome.spec.flow
+    """Report column for an outcome: its tag (untagged jobs are "pipeline")."""
+    return outcome.spec.tag or "pipeline"
 
 
 def table2_summary(campaign: CampaignReport) -> Dict[str, object]:
@@ -113,16 +110,15 @@ def render_table2(summary: Dict[str, object], title: str = "Table II: QoR per fl
 
 
 def fig9_summary(campaign: CampaignReport) -> Dict[str, object]:
-    """Runtime-breakdown percentages per circuit per E-morphic variant."""
+    """Runtime-breakdown percentages per circuit per variant, for every
+    outcome whose flow built an e-graph (``dag2eg`` or ``partition``)."""
     rows: Dict[str, Dict[str, Dict[str, float]]] = {}
     for outcome in campaign.successful():
-        if outcome.spec.flow != "emorphic":
-            continue
         result = (outcome.record or {}).get("result") or {}
-        phases = result.get("phase_runtimes")
-        if not phases:
+        passes = result.get("pass_runtimes") or []
+        if not any(name in ("dag2eg", "partition") for name, _ in passes):
             continue
-        parts = breakdown_from_phases(phases)
+        parts = fig9_breakdown(passes)
         total = sum(parts.values()) or 1.0
         variant = _variant(outcome)
         rows.setdefault(outcome.spec.circuit.label, {})[variant] = {

@@ -3,7 +3,7 @@
 One JSON file per job key under a store directory (default
 ``~/.cache/emorphic/store``, overridable with the ``EMORPHIC_STORE``
 environment variable or an explicit path).  Records hold the job spec, the
-QoR summary, per-phase runtimes, and the extracted AIG as canonical AIGER
+QoR summary, per-pass runtimes, and the extracted AIG as canonical AIGER
 text, so a cached result can be reloaded as a full :class:`repro.aig.graph.Aig`
 without re-running the flow.
 
@@ -135,8 +135,8 @@ class ResultStore:
                 continue
             count += 1
             job = record.get("job") or {}
-            flow = str(job.get("flow", "?"))
-            per_flow[flow] = per_flow.get(flow, 0) + 1
+            tag = str(job.get("tag") or "pipeline")
+            per_flow[tag] = per_flow.get(tag, 0) + 1
             circuit = (job.get("circuit") or {}).get("name", "?")
             per_circuit[str(circuit)] = per_circuit.get(str(circuit), 0) + 1
         return {

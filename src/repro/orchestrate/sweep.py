@@ -2,8 +2,9 @@
 
 A config sweep takes a base :class:`EmorphicConfig`, a cartesian grid of
 field overrides (dotted keys reach into the nested baseline config, e.g.
-``baseline.use_choices``), and a set of circuits; it materializes one job
-per (circuit, grid point), runs the campaign through the process pool, and
+``baseline.use_choices``), and a set of circuits; it renders each grid
+point's config into its E-morphic pipeline, materializes one job per
+(circuit, grid point), runs the campaign through the process pool, and
 reduces the outcomes to a best-per-circuit frontier.
 
 A *pipeline* sweep explores flow shapes instead of config values: each grid
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.flows.emorphic import EmorphicConfig
 from repro.orchestrate.executor import CampaignReport, JobOutcome, ProgressFn, run_campaign
-from repro.orchestrate.jobs import CircuitRef, JobSpec, make_pipeline_job
+from repro.orchestrate.jobs import CircuitRef, JobSpec, make_job, make_pipeline_job
 from repro.orchestrate.store import ResultStore
 
 
@@ -68,10 +69,7 @@ def sweep_jobs(
     for point_index, point in enumerate(points):
         config = apply_overrides(base, point)
         for circuit in circuits:
-            ref = CircuitRef.make(circuit, preset=preset) if isinstance(circuit, str) else circuit
-            jobs.append(
-                JobSpec(circuit=ref, flow="emorphic", config=config, tag=f"sweep[{point_index}]")
-            )
+            jobs.append(make_job(circuit, "emorphic", config, preset=preset, tag=f"sweep[{point_index}]"))
     return jobs, points
 
 
@@ -143,8 +141,7 @@ def pipeline_sweep_jobs(
     jobs: List[JobSpec] = []
     for point_index, pipeline in enumerate(pipelines):
         for circuit in circuits:
-            ref = CircuitRef.make(circuit, preset=preset) if isinstance(circuit, str) else circuit
-            jobs.append(make_pipeline_job(ref, pipeline, tag=f"sweep[{point_index}]"))
+            jobs.append(make_pipeline_job(circuit, pipeline, preset=preset, tag=f"sweep[{point_index}]"))
     return jobs, points
 
 

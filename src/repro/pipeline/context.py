@@ -4,7 +4,7 @@ A :class:`FlowContext` carries everything a pass may read or write: the
 working AIG, the (strashed) original for equivalence checking, the target
 library, the circuit e-graph once ``dag2eg`` has run, extraction candidates,
 mapping results, free-form metrics, and the per-pass wall-clock ledger that
-``runtime_breakdown()`` and Fig.-9-style reports are derived from.
+``runtime_breakdown()`` and the Fig. 9 report are derived from.
 
 Passes mutate the context in place; the pipeline owns timing and event
 hooks, so pass implementations stay plain functions.
@@ -25,19 +25,6 @@ from repro.verify.cec import CecResult
 class PipelineError(ValueError):
     """A pipeline could not be built or run (unknown pass, bad parameter,
     missing prerequisite state).  The message is always user-presentable."""
-
-
-@dataclass
-class PassTiming:
-    """Wall-clock of one executed pass."""
-
-    name: str  # canonical pass name
-    phase: str  # phase bucket (defaults to the pass name)
-    seconds: float
-
-    def to_list(self) -> List[object]:
-        """JSON-friendly ``[name, phase, seconds]`` triple."""
-        return [self.name, self.phase, self.seconds]
 
 
 #: ``on_pass_start(step_label, context)`` / ``on_pass_end(step_label, context, seconds)``.
@@ -82,7 +69,8 @@ class FlowContext:
     #: Optional learned cost model consumed by ``extract(use_ml=true)``.
     ml_model: Optional[object] = None
     metrics: Dict[str, object] = field(default_factory=dict)
-    timings: List[PassTiming] = field(default_factory=list)
+    #: ``(canonical pass name, seconds)`` per executed pass, in order.
+    timings: List[Tuple[str, float]] = field(default_factory=list)
     on_pass_start: Optional[PassStartHook] = None
     on_pass_end: Optional[PassEndHook] = None
 
@@ -109,24 +97,3 @@ class FlowContext:
         self.candidates = []
         self.partition_plan = None
         self.provenance_log = None
-
-    # -- timing ledger ------------------------------------------------------
-
-    def record_timing(self, name: str, phase: str, seconds: float) -> None:
-        """Append one pass's wall-clock to the timing ledger."""
-        self.timings.append(PassTiming(name=name, phase=phase, seconds=seconds))
-
-    def pass_runtimes(self) -> List[Tuple[str, float]]:
-        """Per-executed-pass ``(name, seconds)`` in execution order."""
-        return [(t.name, t.seconds) for t in self.timings]
-
-    def phase_runtimes(self) -> Dict[str, float]:
-        """Per-pass timings aggregated by phase bucket (insertion-ordered)."""
-        phases: Dict[str, float] = {}
-        for timing in self.timings:
-            phases[timing.phase] = phases.get(timing.phase, 0.0) + timing.seconds
-        return phases
-
-    def total_pass_time(self) -> float:
-        """Sum of all recorded pass times."""
-        return sum(t.seconds for t in self.timings)

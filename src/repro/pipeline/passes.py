@@ -64,11 +64,12 @@ EXTRACT_METHODS = ("sa", "greedy", "random")
 
 @lru_cache(maxsize=1)
 def _default_ml_model():
-    """Train the default learned cost model at most once per process.
+    """Train the default learned cost model (seed 0) at most once per process.
 
-    Backs ``extract(use_ml=true)`` when the context carries no model — the
-    scripted-pipeline analogue of what ``emorphic run --use-ml-model`` and
-    the orchestration workers do for the emorphic flow.
+    Backs ``extract(use_ml=true)`` whenever the run was handed no model:
+    ``emorphic run --use-ml-model``, campaign jobs and scripted pipelines
+    all share this one cache.  ``Pipeline.run``/``run_flow`` fetch it before
+    their timers start, so no flow's runtime carries the training.
     """
     from repro.costmodel.train import default_ml_model
 

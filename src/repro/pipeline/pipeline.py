@@ -1,17 +1,17 @@
 """First-class, composable pass pipelines.
 
 A :class:`Pipeline` is an ordered list of :class:`Step` (pass name + explicit
-parameter overrides + optional phase tag).  It can be built from an ABC-style
-script (``Pipeline.from_script("st; sopb; dag2eg; saturate(iters=4); map")``),
+parameter overrides).  It can be built from an ABC-style script
+(``Pipeline.from_script("st; sopb; dag2eg; saturate(iters=4); map")``),
 programmatically (``Pipeline([...])``), or from a JSON spec; all three
 normalize to the same canonical form, so equal pipelines serialize — and
 content-hash — identically regardless of spelling.
 
 ``run`` executes the steps over a :class:`FlowContext` with per-pass
 wall-clock timing and start/end event hooks; ``run_flow`` wraps the context
-into a :class:`PipelineResult` with the same QoR surface as the flow result
-dataclasses (area/delay/levels/runtime/phase_runtimes), which is what the
-orchestrator stores and reports for scripted flow shapes.
+into a :class:`PipelineResult`, the one result type of every flow: the
+named recipes (``flows.baseline_pipeline``/``flows.emorphic_pipeline``), the
+campaign jobs and scripted runs alike.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.mapping.library import Library
 from repro.obs import trace as obs
 from repro.pipeline.context import FlowContext, PassEndHook, PassStartHook, PipelineError
 from repro.pipeline.script import parse_script, render_script
-from repro.pipeline.passes import resolve_pass
+from repro.pipeline.passes import _default_ml_model, resolve_pass
 from repro.verify.cec import CecResult
 
 
@@ -44,26 +44,46 @@ def _normalize_param(value: object, default: object) -> object:
     return value
 
 
+#: Fig. 9 bucket of each pass that is not part of the ABC flow; ``None``
+#: leaves the pass out of the split (the final CEC is verification, which
+#: Fig. 9 does not plot).  Every other pass is ``abc_flow``.
+FIG9_BUCKETS: Dict[str, Optional[str]] = {
+    "dag2eg": "egraph_conversion",
+    "saturate": "egraph_conversion",
+    "partition": "egraph_conversion",
+    "stitch": "egraph_conversion",
+    "extract": "sa_extraction",
+    "cec": None,
+}
+
+
+def fig9_breakdown(pass_runtimes: Sequence[Sequence[object]]) -> Dict[str, float]:
+    """Fold ``(pass name, seconds)`` pairs into the three Fig. 9 buckets.
+
+    Equality saturation counts toward the e-graph bucket, so the buckets sum
+    to the flow's pass time minus the final CEC.
+    """
+    buckets = {"abc_flow": 0.0, "egraph_conversion": 0.0, "sa_extraction": 0.0}
+    for name, seconds in pass_runtimes:
+        bucket = FIG9_BUCKETS.get(str(name), "abc_flow")
+        if bucket is not None:
+            buckets[bucket] += float(seconds)
+    return buckets
+
+
 @dataclass(frozen=True)
 class Step:
     """One pipeline step: a registered pass plus explicit parameter overrides.
 
     ``params`` holds only the overrides (defaults live in the registry), so a
-    step's canonical form is minimal.  ``phase`` tags the step's wall-clock
-    bucket for ``phase_runtimes``; it defaults to the pass name.
+    step's canonical form is minimal.
     """
 
     pass_name: str
     params: Tuple[Tuple[str, object], ...] = ()
-    phase: Optional[str] = None
 
     @classmethod
-    def make(
-        cls,
-        pass_name: str,
-        params: Optional[Dict[str, object]] = None,
-        phase: Optional[str] = None,
-    ) -> "Step":
+    def make(cls, pass_name: str, params: Optional[Dict[str, object]] = None) -> "Step":
         """Build a canonical step: alias-resolved, defaults dropped, types aligned."""
         spec = resolve_pass(pass_name)
         validated = spec.validate_params(params or {})
@@ -75,50 +95,27 @@ class Step:
             # "extract" hash — and cache — identically.
             if value != spec.params[key]:
                 normalized[key] = value
-        return cls(
-            pass_name=spec.name,
-            params=tuple(sorted(normalized.items())),
-            phase=phase,
-        )
+        return cls(pass_name=spec.name, params=tuple(sorted(normalized.items())))
 
     @property
     def param_dict(self) -> Dict[str, object]:
         """The step's parameter overrides as a dict."""
         return dict(self.params)
 
-    @property
-    def phase_label(self) -> str:
-        """Timing-ledger phase bucket (defaults to the pass name)."""
-        return self.phase or self.pass_name
-
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical spec entry (omits empty params / default phase)."""
-        data: Dict[str, object] = {"pass": self.pass_name}
-        if self.params:
-            data["params"] = self.param_dict
-        if self.phase is not None:
-            data["phase"] = self.phase
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Step":
-        """Rebuild (and re-canonicalize) a step from a spec entry."""
-        return cls.make(
-            str(data["pass"]),
-            params=dict(data.get("params") or {}),
-            phase=data.get("phase"),
-        )
-
 
 @dataclass
 class PipelineResult:
-    """QoR and timing surface of one scripted pipeline run."""
+    """QoR and timing surface of one pipeline run.
+
+    ``metrics`` holds what the passes report, among them
+    ``num_candidates`` (after ``extract``) and ``premap_delay`` (the
+    pre-resynthesis QoR floor, after ``premap``).
+    """
 
     aig: Aig
     script: str
     mapping: Optional[MappingResult] = None
     runtime: float = 0.0
-    phase_runtimes: Dict[str, float] = field(default_factory=dict)
     pass_runtimes: List[Tuple[str, float]] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
     equivalence: Optional[CecResult] = None
@@ -136,14 +133,23 @@ class PipelineResult:
     resource: Optional[Dict[str, object]] = None
 
     @property
+    def area(self) -> Optional[float]:
+        """Mapped area, or None when the pipeline ran no mapping pass."""
+        return None if self.mapping is None else self.mapping.area
+
+    @property
+    def delay(self) -> Optional[float]:
+        """Mapped delay, or None when the pipeline ran no mapping pass."""
+        return None if self.mapping is None else self.mapping.delay
+
+    @property
     def levels(self) -> int:
         """Logic depth of the result AIG."""
         return logic_depth(self.aig)
 
     def runtime_breakdown(self) -> Dict[str, float]:
-        """Per-phase share of the pipeline's pass time (generic flows have no
-        fixed Fig.-9 buckets, so the breakdown is per phase tag)."""
-        return dict(self.phase_runtimes)
+        """The three Fig. 9 components, from the pass names (:data:`FIG9_BUCKETS`)."""
+        return fig9_breakdown(self.pass_runtimes)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable QoR summary; mapping keys only when mapped."""
@@ -152,7 +158,6 @@ class PipelineResult:
             "script": self.script,
             "levels": self.levels,
             "runtime": self.runtime,
-            "phase_runtimes": dict(self.phase_runtimes),
             "pass_runtimes": [[name, seconds] for name, seconds in self.pass_runtimes],
             "metrics": {
                 key: value
@@ -182,7 +187,7 @@ class Pipeline:
         for step in steps:
             if isinstance(step, Step):
                 # Re-normalize: canonical name + validated params.
-                normalized.append(Step.make(step.pass_name, step.param_dict, step.phase))
+                normalized.append(Step.make(step.pass_name, step.param_dict))
             else:
                 name, params = step
                 normalized.append(Step.make(name, params))
@@ -202,11 +207,9 @@ class Pipeline:
         """Rebuild from :meth:`to_spec` output (or directly from script text)."""
         if isinstance(spec, str):
             return cls.from_script(spec)
-        if "steps" in spec:
-            return cls([Step.from_dict(step) for step in spec["steps"]])
         if "script" in spec:
             return cls.from_script(str(spec["script"]))
-        raise PipelineError("pipeline spec needs a 'steps' list or a 'script' string")
+        raise PipelineError("pipeline spec needs a 'script' string")
 
     # -- serialization ------------------------------------------------------
 
@@ -215,14 +218,8 @@ class Pipeline:
         return render_script([(step.pass_name, step.param_dict) for step in self.steps])
 
     def to_spec(self) -> Dict[str, object]:
-        """Canonical JSON-serializable spec — the hashable ``JobSpec`` payload.
-
-        The script text is the single encoding; the explicit step list is
-        emitted only when phase tags (which script text cannot express) are
-        present.
-        """
-        if any(step.phase is not None for step in self.steps):
-            return {"steps": [step.to_dict() for step in self.steps]}
+        """Canonical JSON-serializable spec — the hashable ``JobSpec`` payload:
+        ``{"script": canonical script text}``."""
         return {"script": self.to_script()}
 
     def __eq__(self, other: object) -> bool:
@@ -245,6 +242,15 @@ class Pipeline:
 
     # -- execution ----------------------------------------------------------
 
+    def _model_for(self, ml_model: Optional[object]) -> Optional[object]:
+        """``ml_model``, or the default learned model when a step asks for
+        one (``extract(use_ml=true)``).  The paper's ML mode scores with a
+        model trained offline, so the default one is trained (once per
+        process) here, before any runtime or pass timer starts."""
+        if ml_model is None and any(step.param_dict.get("use_ml") for step in self.steps):
+            return _default_ml_model()
+        return ml_model
+
     def run(
         self,
         aig: Aig,
@@ -257,7 +263,7 @@ class Pipeline:
         ctx = FlowContext.for_aig(
             aig,
             library=library,
-            ml_model=ml_model,
+            ml_model=self._model_for(ml_model),
             on_pass_start=on_pass_start,
             on_pass_end=on_pass_end,
         )
@@ -269,10 +275,10 @@ class Pipeline:
                 spec = resolve_pass(step.pass_name)
                 if ctx.on_pass_start is not None:
                     ctx.on_pass_start(spec.name, ctx)
-                with obs.span(spec.name, category="pass", phase=step.phase_label) as pass_span:
+                with obs.span(spec.name, category="pass") as pass_span:
                     spec.run(ctx, step.param_dict)
                 elapsed = pass_span.duration
-                ctx.record_timing(spec.name, step.phase_label, elapsed)
+                ctx.timings.append((spec.name, elapsed))
                 if ctx.on_pass_end is not None:
                     ctx.on_pass_end(spec.name, ctx, elapsed)
         return ctx
@@ -286,6 +292,7 @@ class Pipeline:
         on_pass_end: Optional[PassEndHook] = None,
     ) -> PipelineResult:
         """Execute and wrap the context into a :class:`PipelineResult`."""
+        ml_model = self._model_for(ml_model)
         start = time.perf_counter()
         ctx = self.run(
             aig,
@@ -299,8 +306,7 @@ class Pipeline:
             script=self.to_script(),
             mapping=ctx.mapping,
             runtime=time.perf_counter() - start,
-            phase_runtimes=ctx.phase_runtimes(),
-            pass_runtimes=ctx.pass_runtimes(),
+            pass_runtimes=list(ctx.timings),
             metrics=dict(ctx.metrics),
             equivalence=ctx.equivalence,
             rewrite_report=ctx.rewrite_report,

@@ -34,7 +34,7 @@ class TestBaselineFlow:
         result = run_baseline_flow(small_adder, BaselineConfig(use_choices=False))
         assert result.area > 0 and result.delay > 0
         assert result.levels <= small_adder.stats()["levels"]
-        assert "sop_balance" in result.phase_runtimes and "dch_map" in result.phase_runtimes
+        assert {name for name, _ in result.pass_runtimes} == {"strash", "sop_balance", "map"}
 
     def test_choices_do_not_hurt_delay(self, small_sqrt):
         without = run_baseline_flow(small_sqrt, BaselineConfig(use_choices=False))
@@ -55,7 +55,7 @@ class TestEmorphicFlow:
 
     def test_result_fields(self, emorphic_result):
         assert emorphic_result.area > 0 and emorphic_result.delay > 0
-        assert emorphic_result.num_candidates >= 1
+        assert emorphic_result.metrics["num_candidates"] >= 1
         assert emorphic_result.rewrite_report is not None
 
     def test_equivalence_verified(self, emorphic_result):
@@ -69,7 +69,17 @@ class TestEmorphicFlow:
 
     def test_delay_not_worse_than_pre_resynthesis(self, emorphic_result):
         # The flow keeps the pre-resynthesis mapping when no candidate beats it.
-        assert emorphic_result.delay <= emorphic_result.baseline_delay_before_resynthesis + 1e-6
+        assert emorphic_result.delay <= emorphic_result.metrics["premap_delay"] + 1e-6
+
+    @pytest.mark.parametrize("cost", ["area", "bogus"])
+    def test_unknown_extraction_cost_is_rejected(self, small_mem_ctrl, cost):
+        # Every cost but "depth" used to run silently as extract(cost=nodes).
+        from repro.pipeline import PipelineError
+
+        config = _fast_emorphic_config(extraction_cost=cost)
+        message = f"unknown extraction cost '{cost}'; choose from depth, nodes"
+        with pytest.raises(PipelineError, match=message):
+            run_emorphic_flow(small_mem_ctrl, config)
 
     def test_ml_mode_uses_model(self, small_mem_ctrl):
         import numpy as np

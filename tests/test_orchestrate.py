@@ -8,16 +8,18 @@ import pytest
 
 from repro.aig.io_aiger import aag_to_string, write_aag
 from repro.flows.baseline import BaselineConfig
-from repro.flows.emorphic import EmorphicConfig
+from repro.flows.emorphic import EmorphicConfig, emorphic_pipeline
 from repro.orchestrate import (
     CircuitRef,
     JobSpec,
     ResultStore,
     expand_grid,
     make_job,
+    make_pipeline_job,
     run_campaign,
     run_job,
     run_sweep,
+    sweep_jobs,
 )
 from repro.orchestrate.sweep import apply_overrides
 
@@ -77,7 +79,7 @@ class TestJobHash:
         path = tmp_path / "adder.aag"
         write_aag(small_adder, path)
         from_registry = make_job("adder", "baseline", preset="test")
-        from_file = JobSpec(circuit=CircuitRef(name=str(path)), flow="baseline", config=BaselineConfig().to_dict())
+        from_file = make_job(CircuitRef(name=str(path)), "baseline")
         assert from_registry.job_hash() == from_file.job_hash()
 
     def test_spec_round_trips_through_dict(self):
@@ -86,9 +88,17 @@ class TestJobHash:
         assert clone.job_hash() == job.job_hash()
         assert clone.tag == "t"
 
-    def test_unknown_flow_rejected(self):
-        with pytest.raises(ValueError):
+    def test_unknown_recipe_rejected(self):
+        with pytest.raises(ValueError, match="unknown recipe 'mystery'"):
             make_job("adder", "mystery", preset="test")
+
+    def test_tag_defaults_to_the_recipe(self):
+        ml = tiny_emorphic_config()
+        ml.use_ml_model = True
+        assert make_job("adder", "baseline", preset="test").label == "baseline:adder"
+        assert make_job("adder", "emorphic", tiny_emorphic_config(), preset="test").tag == "emorphic"
+        assert make_job("adder", "emorphic", ml, preset="test").tag == "emorphic_ml"
+        assert make_pipeline_job("adder", "st; b", preset="test").label == "pipeline:adder"
 
 
 class TestConfigSerialization:
@@ -174,13 +184,16 @@ class TestCampaign:
 
     def test_failures_are_captured_not_raised(self, tmp_path):
         good = make_job("mem_ctrl", "baseline", preset="test")
-        bad = JobSpec(circuit=CircuitRef("mem_ctrl", preset="test"), flow="emorphic", config={"bogus": 1})
+        # The extract pass rejects the cost only when the job runs.
+        bad_config = tiny_emorphic_config()
+        bad_config.extraction_cost = "bogus"
+        bad = make_job("mem_ctrl", "emorphic", bad_config, preset="test")
         report = run_campaign([good, bad], store=tmp_path / "store", max_workers=1)
         assert report.counts["completed"] == 1
         assert report.counts["failed"] == 1
         assert not report.ok
         failed = report.outcomes[1]
-        assert failed.status == "failed" and "bogus" in (failed.error or "")
+        assert failed.status == "failed" and "unknown extraction cost 'bogus'" in (failed.error or "")
 
     def test_job_timeout_captured_and_campaign_returns(self, tmp_path):
         import time
@@ -248,3 +261,14 @@ class TestSweep:
         )
         assert again.campaign.counts["cached"] == 4
         assert again.frontier() == frontier
+
+    def test_sweep_points_render_into_pipeline_jobs(self):
+        grid = {"extraction_cost": ["nodes", "bogus"]}
+        jobs, points = sweep_jobs(["adder"], grid, base_config=tiny_emorphic_config(), preset="test")
+        assert [point["extraction_cost"] for point in points] == ["nodes", "bogus"]
+        for job, point in zip(jobs, points):
+            config = tiny_emorphic_config()
+            config.extraction_cost = point["extraction_cost"]
+            assert job.pipeline == {"script": emorphic_pipeline(config).to_script()}
+        # Every point used to run as cost=nodes; a bogus one now fails its jobs.
+        assert "cost=bogus" in jobs[1].pipeline["script"]

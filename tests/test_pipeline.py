@@ -13,18 +13,67 @@ from repro.cli import main
 from repro.flows import baseline_pipeline, emorphic_pipeline
 from repro.flows.baseline import BaselineConfig
 from repro.flows.emorphic import EmorphicConfig
-from repro.orchestrate import make_pipeline_job, run_campaign, run_job, run_pipeline_sweep
+from repro.orchestrate import make_job, make_pipeline_job, run_campaign, run_job, run_pipeline_sweep
 from repro.pipeline import (
     Pipeline,
     PipelineError,
     Step,
     available_passes,
+    fig9_breakdown,
     parse_script,
     pass_table,
     resolve_pass,
 )
 from repro.pipeline.values import render_value
 from repro.verify.cec import check_equivalence
+
+#: Configs the recipe round-trip and job-identity tests cover.
+RECIPE_CONFIGS = {
+    "paper": EmorphicConfig,
+    "fast": EmorphicConfig.fast,
+    "ml": lambda: EmorphicConfig(use_ml_model=True),
+    "no_budget": lambda: EmorphicConfig(verify_conflict_budget=None),
+    "no_choices": lambda: EmorphicConfig(baseline=BaselineConfig(use_choices=False)),
+}
+
+#: The Fig. 9 phase tags each recipe's steps carried before the split was
+#: read off pass names (the baseline's two tags, ``sop_balance`` and
+#: ``dch_map``, both name ABC-flow rounds), and the fold of those tags into
+#: the three buckets; ``verification`` was not plotted.
+PHASE_TAGS = {
+    "baseline": {"strash": "sop_balance", "sop_balance": "sop_balance", "map": "dch_map"},
+    "emorphic": {
+        "strash": "tech_independent",
+        "sop_balance": "tech_independent",
+        "premap": "tech_independent",
+        "dag2eg": "conversion",
+        "saturate": "rewriting",
+        "extract": "extraction",
+        "map": "final_map",
+        "cec": "verification",
+    },
+}
+PHASE_BUCKETS = {
+    "sop_balance": "abc_flow",
+    "dch_map": "abc_flow",
+    "tech_independent": "abc_flow",
+    "final_map": "abc_flow",
+    "conversion": "egraph_conversion",
+    "rewriting": "egraph_conversion",
+    "extraction": "sa_extraction",
+    "verification": None,
+}
+
+
+def phase_tag_split(recipe, pass_runtimes):
+    """The Fig. 9 buckets of a run of ``recipe``, through its phase tags."""
+    buckets = {"abc_flow": 0.0, "egraph_conversion": 0.0, "sa_extraction": 0.0}
+    for name, seconds in pass_runtimes:
+        bucket = PHASE_BUCKETS[PHASE_TAGS[recipe][name]]
+        if bucket is not None:
+            buckets[bucket] += seconds
+    return buckets
+
 
 def _walk(nodes):
     """Every node of a span forest, depth first."""
@@ -183,10 +232,16 @@ class TestPipelineSerialization:
             # Defaults written out explicitly normalize away entirely.
             assert parsed.steps[-1].params == ()
 
-    def test_phase_tags_survive_spec_round_trip(self):
-        pipeline = baseline_pipeline(BaselineConfig(use_choices=False))
-        clone = Pipeline.from_spec(json.loads(json.dumps(pipeline.to_spec())))
-        assert [step.phase for step in clone.steps] == [step.phase for step in pipeline.steps]
+    @pytest.mark.parametrize("recipe", ["baseline", "emorphic"])
+    @pytest.mark.parametrize("config", list(RECIPE_CONFIGS), ids=list(RECIPE_CONFIGS))
+    def test_recipes_round_trip_as_scripts(self, recipe, config):
+        config = RECIPE_CONFIGS[config]()
+        if recipe == "baseline":
+            pipeline = baseline_pipeline(config.baseline)
+        else:
+            pipeline = emorphic_pipeline(config)
+        assert pipeline.to_spec() == {"script": pipeline.to_script()}
+        assert Pipeline.from_spec(json.loads(json.dumps(pipeline.to_spec()))) == pipeline
 
     def test_invalid_step_params_rejected_at_build_time(self):
         with pytest.raises(PipelineError):
@@ -272,7 +327,8 @@ class TestPipelineExecution:
             step.pass_name for step in pipeline.steps
         ]
         total_pass_time = sum(seconds for _, seconds in run_result.pass_runtimes)
-        assert sum(run_result.phase_runtimes.values()) == pytest.approx(total_pass_time)
+        # No cec in the script, so the Fig. 9 buckets cover every pass.
+        assert sum(run_result.runtime_breakdown().values()) == pytest.approx(total_pass_time)
         # Pass time accounts for (almost) all of the wall-clock runtime.
         assert total_pass_time <= run_result.runtime
         assert total_pass_time >= 0.5 * run_result.runtime
@@ -312,15 +368,22 @@ class TestPipelineExecution:
     @pytest.mark.parametrize("use_ml", [False, True])
     def test_extract_use_ml_trains_a_default_model(self, small_mem_ctrl, use_ml):
         """extract(use_ml=true) must actually use a learned evaluator even
-        when no model instance was handed to the run."""
+        when no model instance was handed to the run, and the default model
+        is bound before the first pass starts, so no pass time carries its
+        training."""
         flag = "true" if use_ml else "false"
         script = (
             "st; dag2eg; saturate(iters=1, max_nodes=2000); "
             f"extract(sa, threads=1, iters=1, moves=1, use_ml={flag}); map"
         )
-        result = Pipeline.from_script(script).run_flow(small_mem_ctrl)
+        models = []
+        result = Pipeline.from_script(script).run_flow(
+            small_mem_ctrl, on_pass_start=lambda name, ctx: models.append(ctx.ml_model)
+        )
         assert result.metrics["extraction_evaluator"] == ("ml" if use_ml else "mapping")
         assert result.mapping is not None
+        assert (models[0] is not None) == use_ml
+        assert all(model is models[0] for model in models)
 
 
 class TestFlowsAsPipelines:
@@ -328,27 +391,40 @@ class TestFlowsAsPipelines:
         pipeline = baseline_pipeline(BaselineConfig(sop_rounds=1, map_rounds=1, use_choices=False))
         names = [step.pass_name for step in pipeline.steps]
         assert names == ["strash", "strash", "sop_balance", "strash", "map"]
-        assert {step.phase for step in pipeline.steps} == {"sop_balance", "dch_map"}
 
-    def test_emorphic_pipeline_phase_tags_feed_fig9_buckets(self):
+    def test_emorphic_pipeline_passes_feed_fig9_buckets(self):
+        names = [step.pass_name for step in emorphic_pipeline(EmorphicConfig.fast()).steps]
+        assert fig9_breakdown([(name, 1.0) for name in names]) == {
+            "abc_flow": 8.0,  # four strash, two sop_balance, premap, map
+            "egraph_conversion": 2.0,  # dag2eg, saturate
+            "sa_extraction": 1.0,
+        }
+        assert "cec" not in names  # fast() skips CEC
+        assert "cec" in [step.pass_name for step in emorphic_pipeline(EmorphicConfig()).steps]
+
+    @pytest.mark.parametrize("recipe", ["baseline", "emorphic"])
+    def test_runtime_breakdown_is_the_phase_tag_split(self, recipe, small_mem_ctrl):
+        """The Fig. 9 split read off pass names is the split the recipes'
+        phase tags used to give, on the same run's pass runtimes."""
+        from repro.flows import run_baseline_flow, run_emorphic_flow
+
         config = EmorphicConfig.fast()
-        pipeline = emorphic_pipeline(config)
-        phases = [step.phase for step in pipeline.steps]
-        assert phases[0] == "tech_independent"
-        for expected in ("conversion", "rewriting", "extraction", "final_map"):
-            assert expected in phases
-        assert "verification" not in phases  # fast() skips CEC
-        assert "verification" in [step.phase for step in emorphic_pipeline(EmorphicConfig()).steps]
+        config.verify = True  # the final CEC is tagged but not plotted
+        if recipe == "baseline":
+            result = run_baseline_flow(small_mem_ctrl, config.baseline)
+        else:
+            result = run_emorphic_flow(small_mem_ctrl, config)
+        assert result.runtime_breakdown() == phase_tag_split(recipe, result.pass_runtimes)
 
     def test_flow_results_carry_pass_runtimes(self, small_mem_ctrl):
         from repro.flows import run_baseline_flow
 
         result = run_baseline_flow(small_mem_ctrl, BaselineConfig(use_choices=False))
         assert result.pass_runtimes
-        assert sum(result.phase_runtimes.values()) == pytest.approx(
+        assert sum(result.runtime_breakdown().values()) == pytest.approx(
             sum(seconds for _, seconds in result.pass_runtimes)
         )
-        assert sum(result.phase_runtimes.values()) <= result.runtime
+        assert sum(result.runtime_breakdown().values()) <= result.runtime
 
 
 class TestOneExtractor:
@@ -487,6 +563,46 @@ class TestPipelineJobs:
         assert job_a.job_hash() == job_b.job_hash()
         different = make_pipeline_job("adder", "st; b; dag2eg; saturate(iters=2); map", preset="test")
         assert job_a.job_hash() != different.job_hash()
+
+    @pytest.mark.parametrize("config", list(RECIPE_CONFIGS), ids=list(RECIPE_CONFIGS))
+    def test_recipe_jobs_hash_as_their_scripts(self, config):
+        config = RECIPE_CONFIGS[config]()
+        for recipe, recipe_config, pipeline in (
+            ("emorphic", config, emorphic_pipeline(config)),
+            ("baseline", config.baseline, baseline_pipeline(config.baseline)),
+        ):
+            job = make_job("adder", recipe, recipe_config, preset="test")
+            assert job.pipeline == {"script": pipeline.to_script()}
+            scripted = make_pipeline_job("adder", pipeline.to_script(), preset="test")
+            assert job.job_hash() == scripted.job_hash()
+
+    def test_fields_the_recipe_does_not_read_leave_the_hash(self):
+        base = make_job("adder", "emorphic", EmorphicConfig.fast(), preset="test")
+        unread = EmorphicConfig.fast()
+        unread.baseline.map_rounds = 5  # only the baseline recipe maps in rounds
+        unread.verify_conflict_budget = None  # fast() runs no CEC
+        assert make_job("adder", "emorphic", unread, preset="test").job_hash() == base.job_hash()
+        read = EmorphicConfig.fast()
+        read.baseline.k = 4
+        assert make_job("adder", "emorphic", read, preset="test").job_hash() != base.job_hash()
+
+    def test_fig9_summary_is_the_phase_tag_split(self, tmp_path):
+        from repro.orchestrate.report import fig9_summary
+
+        config = EmorphicConfig.fast()
+        config.rewrite_iterations = 2
+        jobs = [
+            make_job("mem_ctrl", "emorphic", config, preset="test"),
+            make_job("mem_ctrl", "baseline", config.baseline, preset="test"),
+        ]
+        report = run_campaign(jobs, store=tmp_path / "store", max_workers=1)
+        assert report.counts["completed"] == 2
+        split = phase_tag_split("emorphic", report.outcomes[0].record["result"]["pass_runtimes"])
+        total = sum(split.values())
+        # The baseline builds no e-graph, so Fig. 9 leaves it out.
+        assert fig9_summary(report)["rows"] == {
+            "mem_ctrl": {"emorphic": {name: 100.0 * seconds / total for name, seconds in split.items()}}
+        }
 
     def test_job_round_trips_and_runs(self):
         job = make_pipeline_job("adder", "st; sopb; premap", preset="test")
