@@ -75,6 +75,7 @@ def parse_pattern(text: str) -> Pattern:
         return PatternNode(kind="symbol", name=tok)
 
     root = parse()
+    del parse  # parse holds itself through its closure cell: leave no cycle
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in pattern {text!r}")
     return Pattern(root=root, variables=variables, source=text)

@@ -382,6 +382,7 @@ class _Codegen:
             )
 
         chain(0, 2, frozenset(params), False)
+        del chain  # chain holds itself through its closure cell: leave no cycle
         lines.append("    return found")
         self.helper_lines.extend(lines)
         return entry

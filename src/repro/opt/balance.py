@@ -105,4 +105,5 @@ def balance(aig: Aig) -> Aig:
         if var not in old2new:
             build(var)
         new.add_po(old2new[var] ^ (lit & 1), name)
+    del build  # build holds itself through its closure cell: leave no cycle
     return new.cleanup()

@@ -117,6 +117,7 @@ def isop(on_set: int, dc_upper: int, num_vars: int) -> List[Cube]:
         return result_cubes, cover
 
     cubes, cover = recurse(on_set, dc_upper, num_vars - 1)
+    del recurse  # recurse holds itself through its closure cell: leave no cycle
     # Sanity: the cover must contain the on-set and stay below the upper bound.
     if cover & ~dc_upper or on_set & ~cover:
         raise RuntimeError("ISOP produced an invalid cover")

@@ -99,4 +99,5 @@ def sop_balance(aig: Aig, k: int = 6, cut_limit: int = 8) -> Aig:
 
     for lit, name in aig.pos:
         new.add_po(realize(lit_var(lit)) ^ (lit & 1), name)
+    del realize  # realize holds itself through its closure cell: leave no cycle
     return new.cleanup()

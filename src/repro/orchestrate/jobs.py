@@ -67,7 +67,9 @@ from repro.pipeline import Pipeline
 #: 12: every job is a pipeline job — the spec is (circuit, canonical pipeline
 #:    spec, tag) and the hash covers the pipeline spec, so a named recipe and
 #:    the same script share one entry; results drop their per-phase runtimes.
-SCHEMA_VERSION = 12
+#: 13: results carry the final AIG's AND count (``ands``), which campaign
+#:    ledger records report.
+SCHEMA_VERSION = 13
 
 #: The named recipes :func:`make_job` renders: config type and pipeline.
 RECIPES = {

@@ -24,11 +24,13 @@ Kinds:
 
 from __future__ import annotations
 
+import gc
 import inspect
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
@@ -76,6 +78,27 @@ def _default_ml_model():
     return default_ml_model()
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with CPython's cyclic garbage collector paused.
+
+    Flows create no reference cycles (refcounting frees all they drop), so
+    the collector's scans of a pass's heap find nothing and only cost time.
+    A collector the caller already disabled stays off (nested passes, a
+    user's own policy); otherwise it is re-enabled in ``finally``, also when
+    the pass raises.  The switch is process-wide: a pass running in another
+    thread at the same time may re-enable it early, which costs only speed.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 @dataclass(frozen=True)
 class PassSpec:
     """One registered pass: callable plus script-facing metadata."""
@@ -100,8 +123,10 @@ class PassSpec:
         return dict(params)
 
     def run(self, ctx: FlowContext, params: Dict[str, object]) -> None:
-        """Execute the pass with validated params over the context."""
-        self.fn(ctx, **{**self.params, **self.validate_params(params)})
+        """Execute the pass with validated params over the context, with
+        the cyclic garbage collector paused (:func:`_collector_paused`)."""
+        with _collector_paused():
+            self.fn(ctx, **{**self.params, **self.validate_params(params)})
         if self.kind == "transform":
             ctx.invalidate_derived()
 

@@ -16,6 +16,7 @@ campaign jobs and scripted runs alike.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -30,6 +31,11 @@ from repro.pipeline.context import FlowContext, PassEndHook, PassStartHook, Pipe
 from repro.pipeline.script import parse_script, render_script
 from repro.pipeline.passes import _default_ml_model, resolve_pass
 from repro.verify.cec import CecResult
+
+
+def _gc_collections() -> int:
+    """Collections the cyclic garbage collector has run so far, all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 def _normalize_param(value: object, default: object) -> object:
@@ -156,6 +162,7 @@ class PipelineResult:
         data: Dict[str, object] = {
             "flow": "pipeline",
             "script": self.script,
+            "ands": self.aig.num_ands,
             "levels": self.levels,
             "runtime": self.runtime,
             "pass_runtimes": [[name, seconds] for name, seconds in self.pass_runtimes],
@@ -276,7 +283,9 @@ class Pipeline:
                 if ctx.on_pass_start is not None:
                     ctx.on_pass_start(spec.name, ctx)
                 with obs.span(spec.name, category="pass") as pass_span:
+                    collections = _gc_collections()
                     spec.run(ctx, step.param_dict)
+                    pass_span.set("gc_collections", _gc_collections() - collections)
                 elapsed = pass_span.duration
                 ctx.timings.append((spec.name, elapsed))
                 if ctx.on_pass_end is not None:

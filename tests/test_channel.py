@@ -104,10 +104,18 @@ SITES = {
 
 
 def _shape(node):
-    """Name, category and non-float args of a span, children sorted."""
+    """Name, category and non-float args of a span, children sorted.
+
+    Floats are times; a pass span's ``gc_collections`` counts what the
+    process's collector did, which depends on the process, not the flow.
+    """
     record = node["record"]
     args = tuple(
-        sorted((str(k), str(v)) for k, v in record.args.items() if not isinstance(v, float))
+        sorted(
+            (str(k), str(v))
+            for k, v in record.args.items()
+            if not isinstance(v, float) and k != "gc_collections"
+        )
     )
     children = tuple(sorted(_shape(child) for child in node["children"]))
     return (record.name, record.category, args, children)

@@ -203,6 +203,21 @@ class TestHistoryCli:
         ledger.append(_record(ands=110, ts=2.0))  # injected 10% ands regression
         assert main(["history", "--ledger", str(tmp_path), "--check"]) == 1
 
+    def test_campaign_records_carry_the_and_count_of_run(self, tmp_path):
+        """A ``batch`` record reports the same ``qor.ands`` as the ``run``
+        record of the same circuit and recipe, so ``history --check`` gates
+        the AND count of campaigns too."""
+        from repro.cli import main
+
+        assert main(["run", "mem_ctrl", "--preset", "test", "--ledger", str(tmp_path / "run")]) == 0
+        assert main(["batch", "--preset", "test", "--profile", "paper", "--flows", "emorphic",
+                     "--circuits", "mem_ctrl", "--store", str(tmp_path / "store"),
+                     "--ledger", str(tmp_path / "batch")]) == 0
+        (run,) = RunLedger(tmp_path / "run").records()
+        (batch,) = RunLedger(tmp_path / "batch").records()
+        assert isinstance(run["qor"]["ands"], int)
+        assert batch["qor"] == run["qor"]
+
     def test_report_writes_html(self, tmp_path):
         from repro.cli import main
 
