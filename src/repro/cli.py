@@ -15,15 +15,10 @@ Subcommands:
   nodes that survived into the final circuit), with ``--provenance FILE``
   exporting the derivation log as DOT/JSON;
 * ``scripts``   — list the registered passes and named optimization scripts;
-* ``saturate-bench`` — benchmark the saturation engine (simple schedule vs
-  backoff schedule with match dedup) and write ``BENCH_saturation.json``,
-  optionally failing on regression against a checked-in reference;
-* ``extract-bench`` — benchmark the extraction engine (one delta-cost chain
-  vs the island portfolio, CEC-guarded) and write ``BENCH_extraction.json``,
-  with the same ``--reference`` regression gate;
-* ``partition-bench`` — benchmark partition-and-conquer against monolithic
-  saturation at equal limits (the partitioned run completes where the
-  monolithic engine trips its caps) and write ``BENCH_partition.json``;
+* ``saturate-bench``, ``extract-bench``, ``partition-bench`` — the layer
+  benches of :mod:`repro.pipeline.bench`: run each bench's variant scripts
+  on benchgen circuits, write the payload with ``--json`` and gate it with
+  ``--reference`` against a checked-in payload;
 * ``list``      — list available benchmark circuits with per-preset
   PI/PO/AND/level statistics;
 * ``batch``     — run a whole campaign (circuits x flows, or circuits x a
@@ -559,7 +554,7 @@ def cmd_scripts(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# Engine benchmarking (saturation / extraction).
+# Layer benches (repro.pipeline.bench).
 
 
 def _validated_circuits(text: Optional[str]) -> Optional[List[str]]:
@@ -574,125 +569,83 @@ def _validated_circuits(text: Optional[str]) -> Optional[List[str]]:
     return circuits
 
 
-def _bench_ledger_record(name: str, payload: Dict[str, object]) -> Dict[str, object]:
-    """One ledger record summarizing a bench invocation (kind ``"bench"``).
+def _add_bench_parser(sub, bench) -> None:
+    fast, full = bench.fast, bench.full
+    parser = sub.add_parser(bench.command, help=f"bench {bench.summary}")
+    parser.add_argument(
+        "--circuits",
+        default=None,
+        help=f"comma-separated benchmark names (default: {','.join(full.circuits)}; "
+        f"with --fast: {','.join(fast.circuits)})",
+    )
+    parser.add_argument(
+        "--fast",
+        action="store_true",
+        help=f"CI profile: {fast.preset}-preset circuits at the limits of "
+        f"benchmarks/{bench.name}_reference.json (default: the {full.preset} preset)",
+    )
+    parser.add_argument(
+        "--json", default=None, metavar="FILE", help="write the payload to FILE (default: write none)"
+    )
+    parser.add_argument(
+        "--reference",
+        default=None,
+        help="compare against this checked-in bench payload and fail on regression",
+    )
+    parser.add_argument(
+        "--max-regression",
+        type=float,
+        default=2.0,
+        help="fail when wall-clock exceeds reference by this factor",
+    )
+    _add_ledger_args(parser)
+    parser.set_defaults(func=cmd_bench, bench=bench.name)
 
-    The record carries the summed per-run wall-clock as its runtime plus the
-    payload's summary block; the regression gate against checked-in bench
-    references is unchanged — this only adds the bench to the run history.
-    """
-    from repro.obs import flow_record
 
-    circuits = payload.get("circuits") or {}
-    wall, have = 0.0, False
-    for entry in circuits.values():
-        for run in (entry.get("runs") or {}).values():
-            if isinstance(run, dict) and "wall_time" in run:
-                wall += float(run["wall_time"])
-                have = True
-    return flow_record(
-        "bench",
-        script=name,
-        config={"script": name, "limits": payload.get("limits"), "fast": payload.get("fast")},
-        runtime=wall if have else None,
-        extra={"bench": name, "summary": payload.get("summary"), "circuits": sorted(circuits)},
+def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.pipeline.bench import (
+        BENCHES,
+        check_completions,
+        check_regressions,
+        ledger_record,
+        render_bench,
+        run_bench,
     )
 
-
-def _bench_epilogue(
-    payload: Dict[str, object], args: argparse.Namespace, name: str, counts: Sequence[str] = ()
-) -> int:
-    """Shared bench tail: ledger append + --json dump + --reference gate
-    (wall time, CEC, and the deterministic ``counts`` fields)."""
-    from repro.engine.bench import check_regressions
-
-    _ledger_append(args, _bench_ledger_record(name, payload))
+    bench = BENCHES[args.bench]
+    with _observed(args):
+        payload = run_bench(
+            bench,
+            circuits=_validated_circuits(args.circuits),
+            fast=args.fast,
+            progress=(lambda message: _LOG.info(f"  {message}")),
+        )
+    print(render_bench(bench, payload))
+    _ledger_append(args, ledger_record(bench, payload))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         _LOG.info(f"bench written to {args.json}")
+    status = 0
     if args.reference:
         with open(args.reference) as handle:
             reference = json.load(handle)
         failures = check_regressions(
-            payload, reference, max_ratio=args.max_regression, counts=counts
+            payload, reference, max_ratio=args.max_regression, counts=bench.counts
         )
         if failures:
             print(f"PERF REGRESSION vs {args.reference}:")
             for failure in failures:
                 print(f"  {failure}")
-            return 1
-        print(f"no regression vs {args.reference} (threshold {args.max_regression:.1f}x)")
-    return 0
-
-
-def cmd_saturate_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import COUNT_FIELDS, render_bench, run_saturation_bench
-
-    payload = run_saturation_bench(
-        circuits=_validated_circuits(args.circuits),
-        preset=args.preset,
-        fast=args.fast,
-        iters=args.iters,
-        max_nodes=args.max_nodes,
-        time_limit=args.time_limit,
-        check_cec=not args.no_cec,
-        progress=(lambda message: _LOG.info(f"  {message}")),
-    )
-    print(render_bench(payload))
-    return _bench_epilogue(payload, args, "saturate-bench", counts=COUNT_FIELDS)
-
-
-def cmd_extract_bench(args: argparse.Namespace) -> int:
-    from repro.extraction.engine.bench import COUNT_FIELDS, render_bench, run_extraction_bench
-
-    payload = run_extraction_bench(
-        circuits=_validated_circuits(args.circuits),
-        preset=args.preset,
-        fast=args.fast,
-        move_budget=args.moves,
-        chains=args.chains,
-        migrate_every=args.migrate_every,
-        seed=args.seed,
-        saturate_iters=args.saturate_iters,
-        max_nodes=args.max_nodes,
-        check_cec=not args.no_cec,
-        progress=(lambda message: _LOG.info(f"  {message}")),
-    )
-    print(render_bench(payload))
-    return _bench_epilogue(payload, args, "extract-bench", counts=COUNT_FIELDS)
-
-
-def cmd_partition_bench(args: argparse.Namespace) -> int:
-    from repro.partition.bench import (
-        COUNT_FIELDS,
-        check_completions,
-        render_bench,
-        run_partition_bench,
-    )
-
-    with _observed(args):
-        payload = run_partition_bench(
-            circuits=_validated_circuits(args.circuits),
-            preset=args.preset,
-            fast=args.fast,
-            k=args.k,
-            method=args.method,
-            seed=args.seed,
-            workers=args.workers,
-            iters=args.iters,
-            max_nodes=args.max_nodes,
-            budget=args.budget,
-            progress=(lambda message: _LOG.info(f"  {message}")),
-        )
-    print(render_bench(payload))
-    completions = check_completions(payload)
-    status = _bench_epilogue(payload, args, "partition-bench", counts=COUNT_FIELDS)
+            status = 1
+        else:
+            print(f"no regression vs {args.reference} (threshold {args.max_regression:.1f}x)")
+    completions = check_completions(bench, payload)
     if completions:
-        print("PARTITION BENCH GATE FAILED:")
+        print("CAPABILITY GATE FAILED:")
         for failure in completions:
             print(f"  {failure}")
-        return 1
+        status = 1
     return status
 
 
@@ -1159,139 +1112,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scripts.set_defaults(func=cmd_scripts)
 
-    p_bench = sub.add_parser(
-        "saturate-bench",
-        help="benchmark the saturation engine (simple vs backoff schedule) "
-        "and write BENCH_saturation.json",
-    )
-    p_bench.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated benchmark names (default: the largest benchgen circuits)",
-    )
-    p_bench.add_argument(
-        "--preset", default="bench", choices=list(epfl.PRESETS), help="benchmark size preset"
-    )
-    p_bench.add_argument(
-        "--fast",
-        action="store_true",
-        help="CI profile: test-preset circuits, 3 iterations, small node budget",
-    )
-    p_bench.add_argument("--iters", type=int, default=None, help="saturation iterations per run")
-    p_bench.add_argument("--max-nodes", type=int, default=None, help="node cap per run")
-    p_bench.add_argument("--time-limit", type=float, default=None, help="per-run time limit (s)")
-    p_bench.add_argument("--no-cec", action="store_true", help="skip the extraction equivalence check")
-    p_bench.add_argument(
-        "--json", default="BENCH_saturation.json", help="write the payload to this file ('' to skip)"
-    )
-    p_bench.add_argument(
-        "--reference",
-        default=None,
-        help="compare against this checked-in bench payload and fail on regression",
-    )
-    p_bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall-clock exceeds reference by this factor",
-    )
-    _add_ledger_args(p_bench)
-    p_bench.set_defaults(func=cmd_saturate_bench)
+    from repro.pipeline.bench import BENCHES
 
-    p_ebench = sub.add_parser(
-        "extract-bench",
-        help="benchmark the extraction engine (one delta-cost chain vs the island "
-        "portfolio) and write BENCH_extraction.json",
-    )
-    p_ebench.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated benchmark names (default: the largest benchgen circuits)",
-    )
-    p_ebench.add_argument(
-        "--preset", default="bench", choices=list(epfl.PRESETS), help="benchmark size preset"
-    )
-    p_ebench.add_argument(
-        "--fast",
-        action="store_true",
-        help="CI profile: test-preset circuits, small saturation and move budgets",
-    )
-    p_ebench.add_argument("--moves", type=int, default=None, help="total move budget per variant")
-    p_ebench.add_argument("--chains", type=int, default=4, help="portfolio chains")
-    p_ebench.add_argument("--migrate-every", type=int, default=None, help="moves between migrations")
-    p_ebench.add_argument("--seed", type=int, default=7, help="base seed")
-    p_ebench.add_argument("--saturate-iters", type=int, default=None, help="saturation iterations before extraction")
-    p_ebench.add_argument("--max-nodes", type=int, default=None, help="saturation node cap")
-    p_ebench.add_argument("--no-cec", action="store_true", help="skip the extraction equivalence check")
-    p_ebench.add_argument(
-        "--json", default="BENCH_extraction.json", help="write the payload to this file ('' to skip)"
-    )
-    p_ebench.add_argument(
-        "--reference",
-        default=None,
-        help="compare against this checked-in bench payload and fail on regression",
-    )
-    p_ebench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall-clock exceeds reference by this factor",
-    )
-    _add_ledger_args(p_ebench)
-    p_ebench.set_defaults(func=cmd_extract_bench)
-
-    p_pbench = sub.add_parser(
-        "partition-bench",
-        help="benchmark partition-and-conquer vs monolithic saturation at equal "
-        "limits and write BENCH_partition.json",
-    )
-    p_pbench.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated benchmark names (default: large-preset log2,sin)",
-    )
-    p_pbench.add_argument(
-        "--preset", default="large", choices=list(epfl.PRESETS), help="benchmark size preset"
-    )
-    p_pbench.add_argument(
-        "--fast",
-        action="store_true",
-        help="CI profile: one test-preset circuit, tiny windows, node cap sized so "
-        "the monolithic run deterministically fails where the windows complete",
-    )
-    p_pbench.add_argument("--k", type=int, default=None, help="window capacity (AND nodes)")
-    p_pbench.add_argument(
-        "--method",
-        default="cone",
-        choices=["cone", "window"],
-        help="partitioning method (fanout-free cones or structural level cuts)",
-    )
-    p_pbench.add_argument("--seed", type=int, default=0, help="decomposition cut-phase seed")
-    p_pbench.add_argument(
-        "--workers", type=int, default=None, help="window worker processes (default: CPU count; 0 = inline)"
-    )
-    p_pbench.add_argument("--iters", type=int, default=None, help="saturation iterations per run")
-    p_pbench.add_argument("--max-nodes", type=int, default=None, help="e-graph node cap per run")
-    p_pbench.add_argument(
-        "--budget", type=float, default=None, help="shared wall-clock budget per circuit (s)"
-    )
-    p_pbench.add_argument(
-        "--json", default="BENCH_partition.json", help="write the payload to this file ('' to skip)"
-    )
-    p_pbench.add_argument(
-        "--reference",
-        default=None,
-        help="compare against this checked-in bench payload and fail on regression",
-    )
-    p_pbench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall-clock exceeds reference by this factor",
-    )
-    _add_trace_arg(p_pbench)
-    _add_ledger_args(p_pbench)
-    p_pbench.set_defaults(func=cmd_partition_bench)
+    for bench in BENCHES.values():
+        _add_bench_parser(sub, bench)
+    # The partition bench's windows run on a pool; --trace merges their spans.
+    _add_trace_arg(sub.choices["partition-bench"])
 
     p_batch = sub.add_parser(
         "batch", help="run a campaign of circuits x flows process-parallel with caching"

@@ -5,8 +5,9 @@ the greedy and random extractions, delta-cost evaluation that prices an SA
 move by the ancestor cone of the flipped class (:mod:`delta`), an
 island-model parallel portfolio of annealing / hill-climbing /
 random-restart chains with periodic best-solution migration
-(:mod:`portfolio`), per-chain telemetry (:mod:`telemetry`), and the
-``emorphic extract-bench`` harness (:mod:`bench`).
+(:mod:`portfolio`) and per-chain telemetry (:mod:`telemetry`).
+``emorphic extract-bench`` benches it through the ``extract`` pass
+(:mod:`repro.pipeline.bench`).
 """
 
 from repro.extraction.engine.chains import CHAIN_KINDS, ChainSpec, ChainState, init_chain, run_round

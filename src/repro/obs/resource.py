@@ -124,7 +124,8 @@ class _RunScope:
     rebuild, with the counters the iteration report already reads), and the
     observer callbacks count structural events in between.  Countering is
     two integer increments per event — cheap enough that the sampler's
-    measured overhead is reported by ``saturate-bench`` rather than assumed.
+    measured overhead is reported by ``saturate-bench`` (the ``resource``
+    probe of :mod:`repro.pipeline.bench`) rather than assumed.
     """
 
     __slots__ = ("sample", "_egraph", "_adds", "_unions")

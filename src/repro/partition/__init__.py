@@ -7,7 +7,8 @@ or structural level cuts), optimizes each window with the pipeline's own
 ``dag2eg``/``saturate``/``extract`` passes — optionally fanned out over a
 process pool — and splices the survivors back, guarded by per-window and
 whole-circuit SAT CEC.  See ``windows``/``optimize``/``stitch``/
-``telemetry``/``bench`` for the layers.
+``telemetry`` for the layers; ``emorphic partition-bench`` benches it
+through the ``partition``/``stitch`` passes (:mod:`repro.pipeline.bench`).
 """
 
 from repro.partition.optimize import (

@@ -33,12 +33,7 @@ from repro.engine import (
     make_scheduler,
     saturate_engine,
 )
-from repro.engine.bench import (
-    COUNT_FIELDS,
-    check_regressions,
-    render_bench,
-    run_saturation_bench,
-)
+from repro.pipeline.bench import SATURATION, check_regressions, render_bench, run_bench
 from repro.engine.telemetry import SaturationProfile
 
 
@@ -518,9 +513,7 @@ class TestExtractionRepair:
 
 class TestSaturationBench:
     def test_fast_bench_payload(self):
-        payload = run_saturation_bench(
-            circuits=["adder"], fast=True, iters=2, max_nodes=2_000, conflict_budget=20_000
-        )
+        payload = run_bench(SATURATION, circuits=["adder"], fast=True)
         entry = payload["circuits"]["adder"]
         assert set(entry["runs"]) == {"simple", "backoff"}
         for run in entry["runs"].values():
@@ -531,7 +524,7 @@ class TestSaturationBench:
         assert payload["summary"]["geomean_speedup"]["backoff"] > 0
         assert entry["provenance"]["overhead_vs_engine"] > 0
         json.dumps(payload)  # JSON-serializable end to end
-        assert "adder" in render_bench(payload)
+        assert "adder" in render_bench(SATURATION, payload)
 
     def test_regression_check(self):
         payload = {
@@ -566,23 +559,22 @@ class TestSaturationBench:
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "saturation_reference.json"
         reference = json.loads(path.read_text())
         payload = json.loads(json.dumps(reference))
-        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        assert check_regressions(payload, reference, counts=SATURATION.counts) == []
         run = payload["circuits"]["log2"]["runs"]["backoff"]
         run["total_matches"] += 1
         run["growth_curve"][-1]["nodes"] -= 1
         run["stop_reason"] = "time_limit"
         del run["extraction_levels"]  # a --no-cec run carries no QoR counts
-        failures = check_regressions(payload, reference, counts=COUNT_FIELDS)
+        failures = check_regressions(payload, reference, counts=SATURATION.counts)
         assert [failure.split(" ")[:2] for failure in failures] == [
             ["log2/backoff:", "stop_reason"],
             ["log2/backoff:", "total_matches"],
             ["log2/backoff:", "growth_curve"],
         ]
-        # Without ``counts`` (the extraction and partition benches) or under
-        # other limits, counts are not compared.
+        # Without ``counts`` or under other limits, counts are not compared.
         assert check_regressions(payload, reference) == []
         payload["limits"] = {**payload["limits"], "iters": 2}
-        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        assert check_regressions(payload, reference, counts=SATURATION.counts) == []
 
     def test_cec_guard_flags_counterexample(self):
         payload = {

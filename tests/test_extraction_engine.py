@@ -47,8 +47,7 @@ from repro.extraction.engine import (
     portfolio_extract,
     run_round,
 )
-from repro.extraction.engine.bench import COUNT_FIELDS
-from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
+from repro.pipeline.bench import EXTRACTION, check_regressions, render_bench, run_bench
 from repro.extraction.engine.telemetry import MigrationEvent
 from repro.extraction.engine.chains import _rebuild
 from repro.extraction.greedy import greedy_extract
@@ -1678,15 +1677,7 @@ class TestTelemetry:
 
 class TestExtractionBench:
     def test_fast_bench_payload(self):
-        payload = run_extraction_bench(
-            circuits=["adder"],
-            fast=True,
-            move_budget=12,
-            chains=2,
-            saturate_iters=2,
-            max_nodes=2_000,
-            check_cec=True,
-        )
+        payload = run_bench(EXTRACTION, circuits=["adder"], fast=True)
         entry = payload["circuits"]["adder"]
         assert set(entry["runs"]) == {"delta", "portfolio"}
         for run in entry["runs"].values():
@@ -1694,7 +1685,7 @@ class TestExtractionBench:
             assert run["extraction_cec"] == "equivalent"
         assert set(entry["speedup"]) == {"portfolio"}
         assert "geomean_speedup" in payload["summary"]
-        assert "adder" in render_bench(payload)
+        assert "adder" in render_bench(EXTRACTION, payload)
 
     def test_count_check_flags_moved_counts(self):
         # A doctored copy of the checked-in reference: equal wall times, but
@@ -1702,14 +1693,14 @@ class TestExtractionBench:
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "extraction_reference.json"
         reference = json.loads(path.read_text())
         payload = json.loads(json.dumps(reference))
-        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
-        assert set(COUNT_FIELDS) <= set(reference["circuits"]["hyp"]["runs"]["portfolio"])
+        assert check_regressions(payload, reference, counts=EXTRACTION.counts) == []
+        assert set(EXTRACTION.counts) <= set(reference["circuits"]["hyp"]["runs"]["portfolio"])
         run = payload["circuits"]["hyp"]["runs"]["portfolio"]
         run["accepted"] -= 1
         run["mean_cone"] += 0.5
         run["migrations"] += 1
         run["extraction_ands"] += 1
-        failures = check_regressions(payload, reference, counts=COUNT_FIELDS)
+        failures = check_regressions(payload, reference, counts=EXTRACTION.counts)
         assert [failure.split(" ")[:2] for failure in failures] == [
             ["hyp/portfolio:", "accepted"],
             ["hyp/portfolio:", "mean_cone"],

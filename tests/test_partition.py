@@ -492,37 +492,35 @@ class TestPipelinePasses:
 
 class TestBench:
     def test_fast_profile_demonstrates_gap(self):
-        from repro.engine.bench import check_regressions
-        from repro.partition.bench import check_completions, render_bench, run_partition_bench
+        from repro.pipeline.bench import PARTITION, check_completions, check_regressions, render_bench, run_bench
 
-        payload = run_partition_bench(fast=True, workers=0)
+        payload = run_bench(PARTITION, fast=True)
         entry = payload["circuits"]["log2"]
         assert entry["runs"]["monolithic"]["completed"] is False
         assert entry["runs"]["monolithic"]["stop_reason"] == "node_limit"
         assert entry["runs"]["partitioned"]["completed"] is True
         assert entry["runs"]["partitioned"]["final_cec"] == "equivalent"
-        assert check_completions(payload) == []
+        assert check_completions(PARTITION, payload) == []
         assert check_regressions(payload, payload) == []
-        assert "partitioned" in render_bench(payload)
+        assert "partitioned" in render_bench(PARTITION, payload)
         json.dumps(payload)
 
 
     def test_count_check_flags_moved_counts(self):
-        from repro.engine.bench import check_regressions
-        from repro.partition.bench import COUNT_FIELDS
+        from repro.pipeline.bench import PARTITION, check_regressions
 
         # A doctored copy of the checked-in reference: equal wall times, but
         # moved counts, so only the count check can catch them.
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "partition_reference.json"
         reference = json.loads(path.read_text())
         payload = json.loads(json.dumps(reference))
-        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        assert check_regressions(payload, reference, counts=PARTITION.counts) == []
         runs = payload["circuits"]["log2"]["runs"]
         runs["partitioned"]["window_sizes"][0] -= 1
         runs["partitioned"]["status_counts"]["accepted"] += 1
         runs["partitioned"]["final_cec"] = "unknown"
         runs["monolithic"]["final_nodes"] += 1
-        failures = check_regressions(payload, reference, counts=COUNT_FIELDS)
+        failures = check_regressions(payload, reference, counts=PARTITION.counts)
         assert sorted(failure.split(" ")[:2] for failure in failures) == [
             ["log2/monolithic:", "final_nodes"],
             ["log2/partitioned:", "final_cec"],
@@ -531,7 +529,7 @@ class TestBench:
         ]
         # Under other limits, counts are not compared.
         payload["limits"] = {**payload["limits"], "k": 30}
-        assert check_regressions(payload, reference, counts=COUNT_FIELDS) == []
+        assert check_regressions(payload, reference, counts=PARTITION.counts) == []
 
 
 class TestStructuralUtilities:
