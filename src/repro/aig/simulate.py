@@ -7,7 +7,7 @@ truth tables of small cuts during rewriting and technology mapping.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
 
@@ -78,6 +78,27 @@ def signature(aig: Aig, num_words: int = 4, seed: int = 12345) -> int:
         for w in words:
             acc = (acc * 1000003 + w) & ((1 << 128) - 1)
     return acc
+
+
+def node_words(aig: Aig, num_words: int, seed: int) -> List[Tuple[int, ...]]:
+    """Per-variable simulation signatures: ``num_words`` random 64-bit words each.
+
+    Each word draws one ``getrandbits(64)`` per PI, in PI order, from a
+    ``random.Random(seed)``; entry ``var`` holds that variable's words.
+    """
+    rng = random.Random(seed)
+    ands = [(node.var, node.fanin0, node.fanin1) for node in aig.and_nodes()]
+    rows = []
+    for _ in range(num_words):
+        values = [0] * aig.num_nodes
+        for var in aig.pis:
+            values[var] = rng.getrandbits(WORD_BITS)
+        for var, f0, f1 in ands:
+            v0 = values[f0 >> 1] ^ (WORD_MASK if f0 & 1 else 0)
+            v1 = values[f1 >> 1] ^ (WORD_MASK if f1 & 1 else 0)
+            values[var] = v0 & v1
+        rows.append(values)
+    return list(zip(*rows)) if rows else [()] * aig.num_nodes
 
 
 def node_signatures(aig: Aig, num_words: int = 2, seed: int = 7) -> Dict[int, int]:

@@ -255,6 +255,16 @@ class ProvenanceLog:
         egraph.detach_observer(self)
         self._context = None
 
+    def graft(self, other: "ProvenanceLog") -> None:
+        """Append an in-process log's records to this log.
+
+        The record objects move as they are: a logged record is never
+        changed, so two logs may share it.  :meth:`merge` is the form for
+        buffers that crossed a process boundary.
+        """
+        self.nodes.extend(other.nodes)
+        self.merges.extend(other.merges)
+
     # -- cross-process buffers ------------------------------------------------
 
     def export(self) -> Dict[str, List[Dict[str, object]]]:

@@ -3,10 +3,11 @@
 Alternative network structures are synthesised (balanced / rewritten
 variants), strashed into one union AIG together with the original, and
 candidate equivalent node pairs are detected by bit-parallel simulation and
-confirmed by a budgeted SAT proof on the pair's joint cone
-(:func:`repro.verify.cec.prove_pair`).  The resulting equivalence classes
-("choices") are consumed by the technology mapper, which mitigates
-structural bias by covering across all the choices.
+confirmed by one SAT sweep over the union (:func:`repro.verify.sweep.sweep`),
+which proves them bottom-up and merges each proven pair so the cones above it
+shrink.  The resulting equivalence classes ("choices") are consumed by the
+technology mapper, which mitigates structural bias by covering across all the
+choices.
 
 Compared to the real ``dch``, the detection is the same
 (simulation + SAT) but candidates are restricted to same-polarity pairs and
@@ -15,17 +16,17 @@ the number of verified pairs is capped to keep the pure-Python runtime sane.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.aig.graph import Aig, lit_is_compl, lit_var, var_lit
+from repro.aig.graph import Aig, var_lit
+from repro.aig.simulate import node_words
 from repro.mapping.choices import ChoiceClasses
 from repro.opt.balance import balance
 from repro.opt.rewrite import rewrite
 from repro.verify.cec import prove_pair
+from repro.verify.sweep import sweep
 
-WORD_BITS = 64
 #: Each synthesizer adds one alternative structure to the union AIG.
 VARIANT_SYNTHESIZERS = (balance, rewrite)
 #: Random simulation words per node signature, and their seed.
@@ -39,9 +40,10 @@ MAX_CONE = 300
 class ChoiceAig:
     """A union AIG plus equivalence classes over its variables.
 
-    ``pairs_tried`` candidate pairs went to the SAT prover, ``pairs_proved``
-    of them came back equivalent, and the proofs took ``conflicts``
-    conflicts in total.
+    ``pairs_tried`` candidate pairs went to the SAT sweep and
+    ``pairs_proved`` of them came back equivalent: ``structural`` settled
+    by the sweep's strash, the rest by ``sat_calls`` prover calls that took
+    ``conflicts`` conflicts in total.
     """
 
     aig: Aig
@@ -50,6 +52,8 @@ class ChoiceAig:
     pairs_tried: int = 0
     pairs_proved: int = 0
     conflicts: int = 0
+    sat_calls: int = 0
+    structural: int = 0
 
     @property
     def num_choices(self) -> int:
@@ -57,26 +61,19 @@ class ChoiceAig:
         return self.classes.num_classes_with_choices
 
 
-def _simulation_signatures(aig: Aig, num_words: int, seed: int) -> Dict[int, Tuple[int, ...]]:
-    """Per-variable simulation signatures over ``num_words`` random words."""
-    rng = random.Random(seed)
-    sigs: Dict[int, List[int]] = {var: [] for var in range(aig.num_nodes)}
-    mask = (1 << WORD_BITS) - 1
-    for _ in range(num_words):
-        values = [0] * aig.num_nodes
-        for var in aig.pis:
-            values[var] = rng.getrandbits(WORD_BITS)
-        for node in aig.and_nodes():
-            v0 = values[lit_var(node.fanin0)]
-            if lit_is_compl(node.fanin0):
-                v0 ^= mask
-            v1 = values[lit_var(node.fanin1)]
-            if lit_is_compl(node.fanin1):
-                v1 ^= mask
-            values[node.var] = v0 & v1
-        for var in range(aig.num_nodes):
-            sigs[var].append(values[var])
-    return {var: tuple(words) for var, words in sigs.items()}
+def candidate_pairs(union: Aig, max_pairs: int) -> List[Tuple[int, int]]:
+    """The ``(representative, member)`` variable pairs the choices come from.
+
+    AND nodes are bucketed by simulation signature in creation order; each
+    bucket pairs its first (smallest) variable with every other member, and
+    the first ``max_pairs`` pairs in bucket order are kept.
+    """
+    sigs = node_words(union, SIM_WORDS, SEED)
+    buckets: Dict[Tuple[int, ...], List[int]] = {}
+    for node in union.and_nodes():
+        buckets.setdefault(sigs[node.var], []).append(node.var)
+    pairs = [(members[0], var) for members in buckets.values() for var in members[1:]]
+    return pairs[:max_pairs]
 
 
 def compute_choices(aig: Aig, max_pairs: int = 2000, conflict_budget: int = 500) -> ChoiceAig:
@@ -85,50 +82,37 @@ def compute_choices(aig: Aig, max_pairs: int = 2000, conflict_budget: int = 500)
     Each of ``VARIANT_SYNTHESIZERS`` (AND-tree balancing and DAG-aware
     rewriting) produces one alternative structure that is merged with the
     original into a union AIG.  Equivalence classes keep only pairs SAT
-    proves equal within ``conflict_budget`` conflicts; at most ``max_pairs``
-    pairs are tried.
+    proves equal within ``conflict_budget`` conflicts per prover call; at
+    most ``max_pairs`` pairs are tried.
     """
     union = aig.clone()
     inputs = [var_lit(var) for var in union.pis]
     for synthesize in VARIANT_SYNTHESIZERS:
         union.append(synthesize(aig), inputs)
 
-    sigs = _simulation_signatures(union, num_words=SIM_WORDS, seed=SEED)
-    # Bucket AND nodes by signature; a bucket with both original and variant
-    # members yields candidate choice pairs.
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for node in union.and_nodes():
-        buckets.setdefault(sigs[node.var], []).append(node.var)
-
+    pairs = candidate_pairs(union, max_pairs)
+    lit_pairs = [(var_lit(rep), var_lit(var)) for rep, var in pairs]
+    swept = sweep(union, lit_pairs, conflict_budget=conflict_budget, max_cone=MAX_CONE)
+    sat_calls, conflicts = swept.sat_calls, swept.conflicts
     classes = ChoiceClasses()
-    pairs_tried = pairs_proved = conflicts = 0
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        rep = min(members)
-        confirmed = [rep]
-        for var in members:
-            if var == rep:
-                continue
-            if pairs_tried >= max_pairs:
-                break
-            pairs_tried += 1
-            proof = prove_pair(
-                union, var_lit(rep), var_lit(var), conflict_budget=conflict_budget, max_cone=MAX_CONE
-            )
+    for (rep, var), (lit_rep, lit_var), proof in zip(pairs, lit_pairs, swept.proofs):
+        if proof.status == "unknown":
+            # The merges can also grow a cone (a member now hangs on its
+            # representative's cone), so retry on the union itself: the same
+            # query as a per-pair proof, so no pair it proves is lost.
+            proof = prove_pair(union, lit_rep, lit_var, conflict_budget=conflict_budget, max_cone=MAX_CONE)
+            sat_calls += 1
             conflicts += proof.conflicts
-            if proof.status == "equivalent":
-                pairs_proved += 1
-                confirmed.append(var)
-        if len(confirmed) > 1:
-            classes.members[rep] = confirmed
-            for var in confirmed:
-                classes.repr_of[var] = rep
+        if proof.status == "equivalent":
+            classes.members.setdefault(rep, [rep]).append(var)
+            classes.repr_of[rep] = classes.repr_of[var] = rep
     return ChoiceAig(
         aig=union,
         classes=classes,
         num_variants=1 + len(VARIANT_SYNTHESIZERS),
-        pairs_tried=pairs_tried,
-        pairs_proved=pairs_proved,
+        pairs_tried=len(pairs),
+        pairs_proved=sum(len(members) - 1 for members in classes.members.values()),
         conflicts=conflicts,
+        sat_calls=sat_calls,
+        structural=swept.structural,
     )

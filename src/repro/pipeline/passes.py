@@ -319,12 +319,11 @@ def _pass_saturate(
     )
     if obs_provenance.recording_enabled():
         # Scope a fresh log per saturation run so one log never spans two
-        # e-graphs' id spaces, then graft it into the outer recorder — the
-        # same shape as a worker's trace buffer.
+        # e-graphs' id spaces, then graft its records into the outer recorder.
         outer = obs_provenance.current_recorder()
         with obs_provenance.recording() as plog:
             ctx.rewrite_report = engine.run()
-        outer.merge(plog.export())
+        outer.graft(plog)
         ctx.provenance_log = plog
     else:
         ctx.rewrite_report = engine.run()
@@ -617,8 +616,9 @@ def _pass_map(
     Each candidate's work shows in the trace as three ``mapping`` spans
     tagged with its index: ``map cleanup``, ``map choices`` and ``map
     cover`` (a span whose step is switched off is empty).  ``map choices``
-    carries the SAT pairs tried and proved and their conflicts, ``map
-    cover`` the nodes evaluated and the distinct cuts priced.
+    carries the SAT sweep's pairs tried and proved, the pairs its strash
+    settled, its prover calls and their conflicts, ``map cover`` the nodes
+    evaluated and the distinct cuts priced.
     """
     for name, value in {"choice_max_pairs": choice_max_pairs, "choice_sat_budget": choice_sat_budget}.items():
         if value < 0:
@@ -644,6 +644,8 @@ def _pass_map(
                 subject, choices = choice.aig, choice.classes
                 span.set("pairs_tried", choice.pairs_tried)
                 span.set("pairs_proved", choice.pairs_proved)
+                span.set("structural", choice.structural)
+                span.set("sat_calls", choice.sat_calls)
                 span.set("conflicts", choice.conflicts)
         with obs.span("map cover", category="mapping", candidate=index) as span:
             mapping = map_aig(subject, ctx.library, choices=choices)

@@ -1,12 +1,15 @@
-"""The SAT pair prover, the CEC union built on it, and ``Aig.append``.
+"""The SAT pair prover, the SAT sweep and the CEC built on them, and ``Aig.append``.
 
 The oracles below are the code the prover replaced.  The choice computation
 used to strash each variant into the union with its own copy loop
 (``append_variant_oracle``), copy each candidate pair's cone into a
 standalone AIG (``cone_subaig_oracle``), Tseitin-encode that whole copy and
-solve it (``sat_equivalent_oracle``).  The prover must give the same verdict
-after the same number of conflicts on every such query, so no choice class
-moves.
+solve it (``sat_equivalent_oracle``), once per candidate pair.  The prover
+must give the same verdict after the same number of conflicts on every such
+query.  The choice computation now settles the same pairs with one sweep
+that merges what it proves, so its classes must contain the oracle's, equal
+them wherever the oracle settles every pair, and add only members that are
+truly equivalent.
 """
 
 from __future__ import annotations
@@ -21,15 +24,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var, var_lit
-from repro.aig.simulate import exhaustive_truth_tables, simulate
+from repro.aig.simulate import exhaustive_truth_tables, random_simulate, simulate
 from repro.benchgen import epfl
 from repro.opt import dch
+from repro.opt.balance import balance
 from repro.opt.dch import MAX_CONE, SEED, SIM_WORDS, VARIANT_SYNTHESIZERS, compute_choices
+from repro.obs.trace import tracing
 from repro.opt.rewrite import rewrite
 from repro.verify import cec as cec_mod
 from repro.verify.cec import check_equivalence, prove_pair
 from repro.verify.cnf import Cnf, encode_miter_output
 from repro.verify.sat import SatSolver
+from repro.verify.sweep import sweep
 
 TEST_CIRCUITS = epfl.available_circuits()
 
@@ -135,9 +141,31 @@ def oracle_union(aig: Aig) -> Aig:
     return union
 
 
-def candidate_pairs(union: Aig, max_pairs: int) -> List[Tuple[int, int]]:
-    """The (representative, member) queries ``compute_choices`` makes, in order."""
-    sigs = dch._simulation_signatures(union, num_words=SIM_WORDS, seed=SEED)
+def simulation_signatures_oracle(aig: Aig, num_words: int, seed: int) -> Dict[int, Tuple[int, ...]]:
+    """Per-variable simulation signatures, as the choice computation first built them."""
+    rng = random.Random(seed)
+    sigs: Dict[int, List[int]] = {var: [] for var in range(aig.num_nodes)}
+    mask = (1 << 64) - 1
+    for _ in range(num_words):
+        values = [0] * aig.num_nodes
+        for var in aig.pis:
+            values[var] = rng.getrandbits(64)
+        for node in aig.and_nodes():
+            v0 = values[lit_var(node.fanin0)]
+            if lit_is_compl(node.fanin0):
+                v0 ^= mask
+            v1 = values[lit_var(node.fanin1)]
+            if lit_is_compl(node.fanin1):
+                v1 ^= mask
+            values[node.var] = v0 & v1
+        for var in range(aig.num_nodes):
+            sigs[var].append(values[var])
+    return {var: tuple(words) for var, words in sigs.items()}
+
+
+def candidate_pairs_oracle(union: Aig, max_pairs: int) -> List[Tuple[int, int]]:
+    """The (representative, member) queries the per-pair choice computation made, in order."""
+    sigs = simulation_signatures_oracle(union, num_words=SIM_WORDS, seed=SEED)
     buckets: Dict[Tuple[int, ...], List[int]] = {}
     for node in union.and_nodes():
         buckets.setdefault(sigs[node.var], []).append(node.var)
@@ -161,27 +189,16 @@ def _shape(aig: Aig):
 
 class TestOracleParity:
     @pytest.mark.parametrize("name", TEST_CIRCUITS)
-    def test_pair_queries_and_classes_match_oracle(self, name, monkeypatch):
+    def test_sweep_classes_contain_oracle_classes(self, name, monkeypatch):
         aig = epfl.build(name, preset="test")
         union = oracle_union(aig)
-        pairs = candidate_pairs(union, max_pairs=2000)
+        pairs = candidate_pairs_oracle(union, max_pairs=2000)
+        assert dch.candidate_pairs(union, 2000) == pairs
         expected = {
             budget: [sat_equivalent_oracle(union, rep, var, MAX_CONE, budget) for rep, var in pairs]
             for budget in (300, 5, 0)
         }
-        # Budget 300 through compute_choices itself, recording every proof.
-        recorded = []
-
-        def recording_prove_pair(*args, **kwargs):
-            proof = prove_pair(*args, **kwargs)
-            recorded.append((proof.status, proof.conflicts))
-            return proof
-
-        monkeypatch.setattr(dch, "prove_pair", recording_prove_pair)
-        choice = compute_choices(aig, conflict_budget=300)
-        assert _shape(choice.aig) == _shape(union)
-        assert recorded == expected[300]
-        for budget in (5, 0):
+        for budget in (300, 5, 0):
             got = [
                 (proof.status, proof.conflicts)
                 for proof in (
@@ -190,28 +207,69 @@ class TestOracleParity:
                 )
             ]
             assert got == expected[budget]
-        _assert_oracle_classes(choice, pairs, expected[300])
+        # compute_choices sweeps exactly those pairs, in bucket order.
+        swept = []
+
+        def recording_sweep(aig_, pairs_, **kwargs):
+            swept.append(list(pairs_))
+            return sweep(aig_, pairs_, **kwargs)
+
+        monkeypatch.setattr(dch, "sweep", recording_sweep)
+        choice = compute_choices(aig, conflict_budget=300)
+        assert _shape(choice.aig) == _shape(union)
+        assert swept == [[(var_lit(rep), var_lit(var)) for rep, var in pairs]]
+        assert choice.pairs_tried == len(pairs)
+        extra = _assert_contains_oracle_classes(choice, pairs, expected[300])
+        # The sweep proves every pair the per-pair prover left unknown here.
+        assert len(extra) == {"hyp": 16, "log2": 13, "sin": 17}.get(name, 0)
+        if extra:
+            tables = _var_tables(union)
+            for rep, var in extra:
+                assert tables[rep] == tables[var], (rep, var)
+        assert choice.pairs_proved == sum(verdict == "equivalent" for verdict, _ in expected[300]) + len(extra)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", TEST_CIRCUITS)
-    def test_bench_preset_classes_match_oracle(self, name):
+    def test_bench_preset_classes_contain_oracle_classes(self, name):
         aig = epfl.build(name, preset="bench")
         union = oracle_union(aig)
-        pairs = candidate_pairs(union, max_pairs=2000)
+        pairs = candidate_pairs_oracle(union, max_pairs=2000)
         verdicts = [sat_equivalent_oracle(union, rep, var, MAX_CONE, 500) for rep, var in pairs]
         choice = compute_choices(aig)
         assert _shape(choice.aig) == _shape(union)
-        _assert_oracle_classes(choice, pairs, verdicts)
+        extra = _assert_contains_oracle_classes(choice, pairs, verdicts)
+        # Each extra member is truly equivalent: exhaustive truth tables
+        # where the inputs allow, the oracle prover without a cone cap else.
+        tables = _var_tables(union) if union.num_pis <= 16 else None
+        for rep, var in extra:
+            if tables is not None:
+                assert tables[rep] == tables[var], (rep, var)
+            else:
+                assert sat_equivalent_oracle(union, rep, var, union.num_nodes, 100_000)[0] == "equivalent"
 
 
-def _assert_oracle_classes(choice, pairs, verdicts) -> None:
-    """The classes the oracle's verdicts give equal ``choice.classes``."""
-    members: Dict[int, List[int]] = {}
+def _assert_contains_oracle_classes(choice, pairs, verdicts) -> List[Tuple[int, int]]:
+    """``choice.classes`` contain the classes the oracle's verdicts give, equal
+    them when the oracle settles every pair, and keep out every pair the
+    oracle refutes.  Returns the members the oracle did not prove."""
+    classes = choice.classes
+    assert classes.repr_of == {var: rep for rep, group in classes.members.items() for var in group}
+    extra = []
     for (rep, var), (verdict, _) in zip(pairs, verdicts):
+        proved = classes.repr_of.get(var) == rep
         if verdict == "equivalent":
+            assert proved, (rep, var)
+        elif proved:
+            assert verdict == "unknown", (rep, var, verdict)
+            extra.append((rep, var))
+    members: Dict[int, List[int]] = {}
+    for rep, var in pairs:
+        if classes.repr_of.get(var) == rep:
             members.setdefault(rep, [rep]).append(var)
-    assert choice.classes.members == members
-    assert choice.classes.repr_of == {var: rep for rep, group in members.items() for var in group}
+    assert classes.members == members
+    if all(verdict != "unknown" for verdict, _ in verdicts):
+        assert not extra
+    return extra
 
 
 # --------------------------------------------------------------------------
@@ -266,6 +324,79 @@ class TestProverProperties:
 
 
 # --------------------------------------------------------------------------
+# Properties of the sweep on random AIGs.
+
+
+@st.composite
+def aig_and_pairs(draw):
+    """A random AIG over at most 5 PIs and candidate pairs over its literals;
+    about half the pairs are drawn among variables of one function up to
+    complement, so many of them are equivalent."""
+    aig = Aig()
+    lits = [0] + [aig.add_pi() for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 40))):
+        a = draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1))
+        b = draw(st.sampled_from(lits)) ^ draw(st.integers(0, 1))
+        lits.append(aig.add_and(a, b))
+    tables = _var_tables(aig)
+    mask = (1 << (1 << aig.num_pis)) - 1
+    groups: Dict[int, List[int]] = {}
+    for var, table in enumerate(tables):
+        groups.setdefault(min(table, table ^ mask), []).append(var)
+    pairs = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.booleans()):
+            group = draw(st.sampled_from(list(groups.values())))
+            var_a, var_b = draw(st.sampled_from(group)), draw(st.sampled_from(group))
+        else:
+            var_a = draw(st.integers(0, aig.num_nodes - 1))
+            var_b = draw(st.integers(0, aig.num_nodes - 1))
+        pairs.append((var_lit(var_a, draw(st.booleans())), var_lit(var_b, draw(st.booleans()))))
+    return aig, pairs
+
+
+def _var_tables(aig: Aig, lits: Optional[Sequence[int]] = None) -> List[int]:
+    """Exhaustive truth tables of ``lits`` (every variable by default)."""
+    if lits is None:
+        lits = [var_lit(var) for var in range(aig.num_nodes)]
+    return exhaustive_truth_tables(_probe(aig, lits))
+
+
+class TestSweepProperties:
+    @given(aig_and_pairs(), st.sampled_from([None, 0, 2]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_verdicts_match_truth_tables(self, case, budget):
+        aig, pairs = case
+        result = sweep(aig, pairs, conflict_budget=budget)
+        assert len(result.proofs) == len(pairs)
+        assert result.structural + result.simulated + result.sat_calls == len(pairs)
+        tables = _var_tables(aig)
+        mask = (1 << (1 << aig.num_pis)) - 1
+        for (lit_a, lit_b), proof in zip(pairs, result.proofs):
+            table_a = tables[lit_a >> 1] ^ (mask if lit_a & 1 else 0)
+            table_b = tables[lit_b >> 1] ^ (mask if lit_b & 1 else 0)
+            truth = "equivalent" if table_a == table_b else "different"
+            assert proof.status in ((truth,) if budget is None else (truth, "unknown"))
+            if proof.status == "different":
+                pattern = [int(proof.assignment.get(var, False)) for var in aig.pis]
+                value_a, value_b = simulate(_probe(aig, [lit_a, lit_b]), pattern, width=1)
+                assert value_a != value_b
+        # Merging only proven pairs keeps every node's function.
+        assert _var_tables(result.reduced, result.lits) == tables
+
+    def test_counterexample_refines_later_pairs_without_solver(self):
+        # x0 & x1 and x0 | x1 differ on x0 != x1; so do their complements,
+        # which the stored counterexample separates without a second query.
+        aig = Aig()
+        x0, x1 = aig.add_pi(), aig.add_pi()
+        conj, disj = aig.add_and(x0, x1), aig.add_or(x0, x1)
+        result = sweep(aig, [(conj, disj), (conj ^ 1, disj ^ 1)])
+        assert [proof.status for proof in result.proofs] == ["different", "different"]
+        assert (result.sat_calls, result.simulated) == (1, 1)
+        assert result.proofs[1].assignment == result.proofs[0].assignment
+
+
+# --------------------------------------------------------------------------
 # CEC on the strashed union.
 
 
@@ -309,8 +440,6 @@ class TestCecUnion:
         [(name, "test") for name in TEST_CIRCUITS] + [("hyp", "bench"), ("multiplier", "bench")],
     )
     def test_self_cec_needs_no_conflicts(self, name, preset):
-        from repro.obs.trace import tracing
-
         aig = epfl.build(name, preset=preset)
         with tracing() as tracer:
             result = check_equivalence(aig, aig.clone())
@@ -322,9 +451,65 @@ class TestCecUnion:
             "outputs": aig.num_pos,
             "structural": aig.num_pos,
             "sat_calls": 0,
+            "sweep_pairs": 0,
+            "sweep_proved": 0,
             "conflicts": 0,
             "status": "equivalent",
         }
+
+    @pytest.mark.parametrize("name", ["multiplier", "div", "hyp"])
+    def test_hard_check_ends_equivalent(self, name):
+        # Each output pair needs more than the direct step's budget; the
+        # per-output prover ended all three `unknown` at this budget.
+        aig = epfl.build(name, preset="bench")
+        with tracing() as tracer:
+            result = check_equivalence(aig, balance(aig), conflict_budget=2000)
+        assert result.status == "equivalent"
+        (span,) = [r for r in tracer.records if r.name == "check equivalence"]
+        assert span.args["sweep_proved"] > 0
+
+    @pytest.mark.parametrize("name", ["multiplier", "sqrt", "square"])
+    def test_counterexample_from_the_reduced_aig(self, name, monkeypatch):
+        # With the direct step's cone cap at 0 every output goes through the
+        # sweep, so each counterexample comes from the sweep's reduced AIG.
+        monkeypatch.setattr(cec_mod, "DIRECT_MAX_CONE", 0)
+        aig = epfl.build(name, preset="test")
+        reference = balance(aig)
+        rng = random.Random(name)
+        ands = [node.var for node in reference.and_nodes()]
+        found = 0
+        for target in rng.sample(ands, 4):
+            mutant = _flip_fanin(reference, target)
+            result = check_equivalence(aig, mutant, sim_words=0)
+            assert result.status in ("equivalent", "counterexample")
+            if result.status == "equivalent":
+                assert random_simulate(aig, 4, seed=5) == random_simulate(mutant, 4, seed=5)
+                continue
+            found += 1
+            pattern = [int(result.counterexample[aig.node(var).name]) for var in aig.pis]
+            out_a = simulate(aig, pattern, width=1)
+            out_b = simulate(mutant, pattern, width=1)
+            assert out_a[result.failing_output] != out_b[result.failing_output]
+        assert found > 0
+
+    @pytest.mark.parametrize("name", ["hyp", "multiplier"])
+    def test_bench_mutant_counterexample_differs_at_failing_output(self, name):
+        aig = epfl.build(name, preset="bench")
+        rng = random.Random(name)
+        ands = [node.var for node in aig.and_nodes()]
+        checked = 0
+        while checked < 2:
+            mutant = _flip_fanin(aig, rng.choice(ands))
+            if random_simulate(aig, 4, seed=5) == random_simulate(mutant, 4, seed=5):
+                continue  # possibly an unobservable flip
+            checked += 1
+            # sim_words=0: the counterexample comes from the SAT prover.
+            result = check_equivalence(aig, mutant, sim_words=0, conflict_budget=2000)
+            assert result.status == "counterexample"
+            pattern = [int(result.counterexample[aig.node(var).name]) for var in aig.pis]
+            out_a = simulate(aig, pattern, width=1)
+            out_b = simulate(mutant, pattern, width=1)
+            assert out_a[result.failing_output] != out_b[result.failing_output]
 
 
 class TestAppend:

@@ -217,6 +217,19 @@ class TestPipelineParity:
         # The saturate pass scopes its own log and grafts it into ours.
         assert len(outer.nodes) > 0
 
+    def test_in_process_graft_equals_the_buffer_round_trip(self, monkeypatch):
+        # The saturate pass moves its scoped log's records into the outer
+        # log; the same run through an export/merge buffer logs the same.
+        aig = epfl.build("hyp", preset="test")
+        script = "st; dag2eg; saturate(iters=3, max_nodes=8000); extract(greedy)"
+        with recording() as grafted:
+            Pipeline.from_script(script).run_flow(aig)
+        monkeypatch.setattr(ProvenanceLog, "graft", lambda self, other: self.merge(other.export()))
+        with recording() as round_trip:
+            Pipeline.from_script(script).run_flow(aig)
+        assert len(grafted.nodes) + len(grafted.merges) > 10_000
+        assert grafted.export() == round_trip.export()
+
 
     @pytest.mark.parametrize("name", ["adder", "sqrt", "mem_ctrl"])
     def test_dag2eg_drops_the_previous_egraphs_log(self, name):

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig.graph import Aig, aig_from_functions, lit_not
+from repro.aig.graph import Aig, aig_from_functions, lit_not, var_lit
 from repro.benchgen import epfl
 from repro.opt.balance import balance
-from repro.opt.dch import compute_choices
+from repro.opt.dch import MAX_CONE, candidate_pairs, compute_choices
 from repro.opt.rewrite import rewrite
 from repro.verify import cec as cec_mod
 from repro.verify.cec import check_equivalence, prove_pair
@@ -474,7 +474,8 @@ def _assert_same_run(cnf: Cnf, calls, var_inc: float = 1.0) -> List[SatResult]:
 
 class TestSatOracle:
     def test_dch_cnfs_match_oracle(self, monkeypatch):
-        # Every pair proof the choice computation makes, replayed on both solvers.
+        # Every choice candidate pair's proof on the union (the per-pair
+        # queries, before the sweep merged anything), replayed on both solvers.
         queries = []
 
         class Recording(SatSolver):
@@ -488,7 +489,9 @@ class TestSatOracle:
 
         monkeypatch.setattr(cec_mod, "SatSolver", Recording)
         for name in ("adder", "sqrt", "multiplier", "mem_ctrl"):
-            compute_choices(epfl.build(name, preset="test"), max_pairs=400, conflict_budget=300)
+            union = compute_choices(epfl.build(name, preset="test"), max_pairs=0).aig
+            for rep, var in candidate_pairs(union, 400):
+                prove_pair(union, var_lit(rep), var_lit(var), conflict_budget=300, max_cone=MAX_CONE)
         assert len(queries) > 200
         statuses = set()
         for cnf, budget in queries:
