@@ -7,7 +7,7 @@ truth tables of small cuts during rewriting and technology mapping.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
 
@@ -71,15 +71,6 @@ def exhaustive_truth_tables(aig: Aig) -> List[int]:
     return simulate(aig, patterns, width)
 
 
-def signature(aig: Aig, num_words: int = 4, seed: int = 12345) -> int:
-    """A hash of random-simulation responses; equal AIGs get equal signatures."""
-    acc = 0
-    for words in random_simulate(aig, num_words=num_words, seed=seed):
-        for w in words:
-            acc = (acc * 1000003 + w) & ((1 << 128) - 1)
-    return acc
-
-
 def node_words(aig: Aig, num_words: int, seed: int) -> List[Tuple[int, ...]]:
     """Per-variable simulation signatures: ``num_words`` random 64-bit words each.
 
@@ -99,24 +90,3 @@ def node_words(aig: Aig, num_words: int, seed: int) -> List[Tuple[int, ...]]:
             values[var] = v0 & v1
         rows.append(values)
     return list(zip(*rows)) if rows else [()] * aig.num_nodes
-
-
-def node_signatures(aig: Aig, num_words: int = 2, seed: int = 7) -> Dict[int, int]:
-    """Per-variable simulation signatures used to detect candidate equivalences."""
-    rng = random.Random(seed)
-    sigs: Dict[int, int] = {0: 0}
-    values: List[int] = [0] * aig.num_nodes
-    for _ in range(num_words):
-        for var in aig.pis:
-            values[var] = rng.getrandbits(WORD_BITS)
-        for node in aig.and_nodes():
-            v0 = values[lit_var(node.fanin0)]
-            if lit_is_compl(node.fanin0):
-                v0 ^= WORD_MASK
-            v1 = values[lit_var(node.fanin1)]
-            if lit_is_compl(node.fanin1):
-                v1 ^= WORD_MASK
-            values[node.var] = v0 & v1
-        for var in range(aig.num_nodes):
-            sigs[var] = (sigs.get(var, 0) * 1000003 + values[var]) & ((1 << 128) - 1)
-    return sigs

@@ -14,7 +14,7 @@ Subcommands:
   print the rule-level QoR attribution (which rewrite rules produced the
   nodes that survived into the final circuit), with ``--provenance FILE``
   exporting the derivation log as DOT/JSON;
-* ``scripts``   — list the registered passes and named optimization scripts;
+* ``scripts``   — list the registered pipeline passes;
 * ``saturate-bench``, ``extract-bench``, ``partition-bench`` — the layer
   benches of :mod:`repro.pipeline.bench`: run each bench's variant scripts
   on benchgen circuits, write the payload with ``--json`` and gate it with
@@ -530,7 +530,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_scripts(args: argparse.Namespace) -> int:
-    from repro.opt.scripts import available_scripts
     from repro.pipeline import pass_table
 
     if getattr(args, "docs", False):
@@ -546,10 +545,6 @@ def cmd_scripts(args: argparse.Namespace) -> int:
         aliases = f"  (alias: {', '.join(spec.aliases)})" if spec.aliases else ""
         print(f"  {spec.signature()}")
         print(f"      [{spec.kind}] {spec.summary}{aliases}")
-    print()
-    print("named optimization scripts (repro.opt.scripts.run_script):")
-    for name in available_scripts():
-        print(f"  {name}")
     return 0
 
 
@@ -1102,9 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_arg(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
-    p_scripts = sub.add_parser(
-        "scripts", help="list registered pipeline passes and named optimization scripts"
-    )
+    p_scripts = sub.add_parser("scripts", help="list registered pipeline passes")
     p_scripts.add_argument(
         "--docs",
         action="store_true",

@@ -2,9 +2,9 @@
 
 :class:`SaturationProfile` is the engine's return value: the stop reason
 and per-iteration reports, plus per-rule search/apply wall-clock,
-match/dedup counts, ban bookkeeping, and per-iteration growth curves.  Everything serializes to plain JSON via
-``to_dict``/``from_dict`` — orchestrate job payloads and
-``BENCH_saturation.json`` carry these records verbatim.
+match/dedup counts, ban bookkeeping, and per-iteration growth curves.
+Everything serializes to plain JSON via ``to_dict`` — orchestrate job
+payloads and ``BENCH_saturation.json`` carry these records verbatim.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ class RuleProfile:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form of this record."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RuleProfile":
-        """Rebuild a profile from its ``to_dict`` payload."""
-        return cls(**data)
 
 
 @dataclass
@@ -63,11 +58,6 @@ class IterationReport:
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable form of this record."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "IterationReport":
-        """Rebuild a report from its ``to_dict`` payload."""
-        return cls(**data)
 
 
 @dataclass
@@ -157,20 +147,3 @@ class SaturationProfile:
         if self.resource is not None:
             data["resource"] = self.resource
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SaturationProfile":
-        """Rebuild a profile from its ``to_dict`` payload."""
-        return cls(
-            stop_reason=str(data["stop_reason"]),
-            iterations=[IterationReport.from_dict(it) for it in data.get("iterations", [])],
-            total_time=float(data.get("total_time", 0.0)),
-            rules={
-                name: RuleProfile.from_dict(rule)
-                for name, rule in data.get("rules", {}).items()
-            },
-            scheduler=str(data.get("scheduler", "simple")),
-            dedup=bool(data.get("dedup", False)),
-            matcher=str(data.get("matcher", "indexed")),
-            resource=data.get("resource"),
-        )

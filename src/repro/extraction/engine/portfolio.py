@@ -17,7 +17,7 @@ delta-SA run.
 
 Inline and pooled rounds run the same :func:`_round`; a pooled round runs it
 under :func:`repro.obs.channel.capture` and the parent absorbs the captured
-observer buffers at the barrier, so both record the same spans and the same
+observers at the barrier, so both record the same spans and the same
 chain- and round-stamped RSS notes.
 
 Seeding: chain ``i`` draws seed :func:`chain_seed`\\ ``(seed, i)`` (chain 0

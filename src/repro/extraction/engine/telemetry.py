@@ -4,10 +4,9 @@
 saturation engine's ``SaturationProfile``: it records what every chain of the
 portfolio did (accept/reject curves per migration round, uphill moves,
 priced flips, cone sizes, wall-clock) plus the migration events of the
-island model.  Everything serializes to plain JSON via
-``to_dict``/``from_dict`` — flow results embed these records under
-``"extraction"`` next to ``"saturation"``, and ``BENCH_extraction.json``
-carries them verbatim.
+island model.  Everything serializes to plain JSON via ``to_dict`` — flow
+results embed these records under ``"extraction"`` next to
+``"saturation"``, and ``BENCH_extraction.json`` carries them verbatim.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ class ChainProfile:
         """Every field as a plain JSON-ready dict."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChainProfile":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
-
 
 @dataclass
 class MigrationEvent:
@@ -77,11 +71,6 @@ class MigrationEvent:
     def to_dict(self) -> Dict[str, object]:
         """Every field as a plain JSON-ready dict."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MigrationEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
 
 
 @dataclass
@@ -163,20 +152,3 @@ class ExtractionProfile:
             "chains": [chain.to_dict() for chain in self.chains],
             "migrations": [event.to_dict() for event in self.migrations],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ExtractionProfile":
-        """Rebuild a profile from :meth:`to_dict`'s payload (derived totals
-        are recomputed, missing fields take their defaults)."""
-        return cls(
-            chains=[ChainProfile.from_dict(chain) for chain in data.get("chains", [])],
-            migrations=[MigrationEvent.from_dict(ev) for ev in data.get("migrations", [])],
-            move_budget=int(data.get("move_budget", 0)),
-            migrate_every=int(data.get("migrate_every", 0)),
-            workers=int(data.get("workers", 0)),
-            best_cost=float(data.get("best_cost", 0.0)),
-            best_chain=int(data.get("best_chain", 0)),
-            wall_time=float(data.get("wall_time", 0.0)),
-            problem=dict(data.get("problem", {})),
-            selector=data.get("selector"),
-        )

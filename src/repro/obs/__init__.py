@@ -22,14 +22,14 @@ One span/metrics substrate for every subsystem:
 * **channel** (:mod:`repro.obs.channel`) — the one way the four observers
   above (tracer, provenance log, resource sampler, metrics registry) cross
   a process pool: ``installed()`` in the parent, ``capture()`` around each
-  worker task, ``absorb()`` on each collected result;
+  worker task, ``absorb()`` grafting each collected result's observers;
 * **ledger** (:mod:`repro.obs.ledger`) — a persistent append-only run
   ledger with rolling-baseline regression checks (``emorphic history``),
   rendered as static HTML by :mod:`repro.obs.report` (``emorphic report``).
 
 Engine profiles (``SaturationProfile``, ``ExtractionProfile``) are populated
 *from* spans, so one instrumentation layer feeds the JSON payloads, the
-benches, `--trace` exports, and the future job-server streaming path.
+benches and `--trace` exports.
 """
 
 from repro.obs.channel import absorb, capture, installed

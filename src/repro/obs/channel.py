@@ -9,10 +9,10 @@ therefore all use the same three calls:
   observer kinds the caller has installed, shipped with each task;
 * worker side, around each task: ``with capture(kinds) as captured: ...`` —
   installs fresh local observers of those kinds plus a fresh metrics
-  registry, and leaves the non-empty exported buffers in
-  ``captured.payload`` for the task to return;
-* parent side, per collected result: ``absorb(payload)`` — merges each
-  buffer into the installed observer of its kind (counters into
+  registry, and leaves them in ``captured.payload`` for the task to return;
+  the pool pickles them as they are;
+* parent side, per collected result: ``absorb(payload)`` — grafts each
+  observer into the installed observer of its kind (counters into
   :func:`~repro.obs.metrics.registry`).
 
 Records carry the recording ``pid``, and any other tag (``window=``,
@@ -47,18 +47,12 @@ def installed() -> FrozenSet[str]:
     return frozenset(kind for kind, (slot, _) in OBSERVERS.items() if slot.current is not None)
 
 
-def _has_records(buffer) -> bool:
-    # Provenance exports a dict of record lists; the others export a list.
-    return any(buffer.values()) if isinstance(buffer, dict) else bool(buffer)
-
-
 class capture:
-    """Run a block under fresh local observers; keep their buffers.
+    """Run a block under fresh local observers; keep them.
 
     ``kinds`` is what the parent's :func:`installed` returned (the metrics
     registry is captured either way).  The previous observers come back on
-    exit, and ``payload`` then maps each kind to its non-empty exported
-    buffer.
+    exit, and ``payload`` maps each kind to its fresh observer.
     """
 
     def __init__(self, kinds: Iterable[str]) -> None:
@@ -67,7 +61,7 @@ class capture:
 
     def __enter__(self) -> "capture":
         self._scopes = ExitStack()
-        self._observers = {
+        self.payload = {
             kind: self._scopes.enter_context(slot.scoped(fresh()))
             for kind, (slot, fresh) in OBSERVERS.items()
             if kind in self.kinds
@@ -76,18 +70,14 @@ class capture:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._scopes.close()
-        for kind, observer in self._observers.items():
-            buffer = observer.export()
-            if _has_records(buffer):
-                self.payload[kind] = buffer
 
 
 def absorb(payload: Optional[Dict[str, object]]) -> None:
-    """Merge a worker's captured buffers into this process's observers.
+    """Graft a worker's captured observers into this process's observers.
 
-    A buffer whose observer is not installed here is dropped.
+    An observer whose kind is not installed here is dropped.
     """
-    for kind, buffer in (payload or {}).items():
-        observer = OBSERVERS[kind][0].current
-        if observer is not None:
-            observer.merge(buffer)
+    for kind, observer in (payload or {}).items():
+        target = OBSERVERS[kind][0].current
+        if target is not None:
+            target.graft(observer)

@@ -10,7 +10,7 @@
   ``flamegraph.pl`` and most flamegraph viewers.
 
 Both exporters consume a :class:`~repro.obs.trace.Tracer` (or a raw record
-list), so worker buffers merged into the parent trace export for free.
+list), so worker tracers grafted into the parent trace export for free.
 
 Provenance logs (:mod:`repro.obs.provenance`) export next to the trace
 exporters: :func:`to_derivation_json` is the raw node/merge record payload,

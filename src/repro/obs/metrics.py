@@ -9,9 +9,9 @@ Prometheus-style text exposition (:func:`prometheus_text`, also available as
 
 The registry is process-local on purpose: :mod:`repro.obs.channel` runs
 every pool task under a fresh registry (the inherited parent copy is never
-the channel back) and ships its :meth:`MetricsRegistry.export` buffer to the
-parent, which folds it in with :meth:`MetricsRegistry.merge`: counters sum,
-gauges take the last write in merge order.
+the channel back) and ships it, pickled, to the parent, which folds it in
+with :meth:`MetricsRegistry.graft`: counters sum, gauges take the last write
+in graft order.
 """
 
 from __future__ import annotations
@@ -106,30 +106,14 @@ class MetricsRegistry:
             out[f"{name}{rendered}"] = metric.value
         return out
 
-    def export(self) -> List[Dict[str, object]]:
-        """Picklable per-series buffer a worker ships back to its parent."""
-        return [
-            {
-                "name": name,
-                "kind": metric.kind,
-                "labels": [list(pair) for pair in labels],
-                "help": metric.help_text,
-                "value": metric.value,
-            }
-            for (name, labels), metric in sorted(self._metrics.items())
-        ]
-
-    def merge(self, buffer: List[Dict[str, object]]) -> None:
-        """Fold a worker's exported buffer in: counters sum, gauges last-write."""
-        for item in buffer:
-            labels = {key: value for key, value in item.get("labels", ())}
-            cls = Counter if item.get("kind") == "counter" else Gauge
-            metric = self._series(cls, str(item["name"]), str(item.get("help", "")), labels)
-            value = float(item.get("value", 0.0))
+    def graft(self, other: "MetricsRegistry") -> None:
+        """Fold another registry in: counters sum, gauges keep the last write."""
+        for (name, labels), metric in other._metrics.items():
+            series = self._series(type(metric), name, metric.help_text, dict(labels))
             if metric.kind == "counter":
-                metric.value += value
+                series.value += metric.value
             else:
-                metric.value = value
+                series.value = metric.value
 
     def exposition(self) -> str:
         """Prometheus text exposition format of every series."""

@@ -11,9 +11,9 @@ common un-recorded path pays nothing.
 
 Cross-process safety mirrors trace spans exactly: :mod:`repro.obs.channel`
 installs a fresh local :class:`ProvenanceLog` around each pool task and ships
-:meth:`ProvenanceLog.export` (a plain picklable dict of records) back to the
-parent, which grafts it in with :meth:`ProvenanceLog.merge` — every record
-carries the recording process's ``pid``.
+it back, pickled, to the parent, which appends its records with
+:meth:`ProvenanceLog.graft` — every record carries the recording process's
+``pid``.
 
 Attribution (:func:`attribute_extraction`) closes the loop: it walks the
 chosen e-nodes of a final extraction back through the log and emits a
@@ -110,6 +110,22 @@ class NodeRecord:
         self.pid = pid
         self.extra = extra or {}
 
+    def __reduce__(self):
+        # Pickle as the constructor's arguments, not as a slot-state dict: a
+        # pool worker's log then pickles in under half the time and size.
+        return NodeRecord, (
+            self.class_id,
+            self.op,
+            self.children,
+            self.payload,
+            self.rule,
+            self.iteration,
+            self.matched_class,
+            self.subst,
+            self.pid,
+            self.extra,
+        )
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "class_id": self.class_id,
@@ -123,23 +139,6 @@ class NodeRecord:
             "pid": self.pid,
             "extra": dict(self.extra),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "NodeRecord":
-        return cls(
-            class_id=int(data["class_id"]),
-            op=str(data["op"]),
-            children=tuple(int(c) for c in data.get("children", ())),
-            payload=data.get("payload"),
-            rule=str(data.get("rule", ORIGINAL)),
-            iteration=int(data.get("iteration", -1)),
-            matched_class=(
-                None if data.get("matched_class") is None else int(data["matched_class"])
-            ),
-            subst=data.get("subst"),
-            pid=int(data.get("pid", 0)),
-            extra=dict(data.get("extra", {})),
-        )
 
 
 class MergeRecord:
@@ -163,6 +162,9 @@ class MergeRecord:
         self.pid = pid
         self.extra = extra or {}
 
+    def __reduce__(self):
+        return MergeRecord, (self.root, self.other, self.rule, self.iteration, self.pid, self.extra)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "root": self.root,
@@ -172,17 +174,6 @@ class MergeRecord:
             "pid": self.pid,
             "extra": dict(self.extra),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MergeRecord":
-        return cls(
-            root=int(data["root"]),
-            other=int(data["other"]),
-            rule=str(data.get("rule", REBUILD)),
-            iteration=int(data.get("iteration", -1)),
-            pid=int(data.get("pid", 0)),
-            extra=dict(data.get("extra", {})),
-        )
 
 
 class ProvenanceLog:
@@ -255,43 +246,32 @@ class ProvenanceLog:
         egraph.detach_observer(self)
         self._context = None
 
-    def graft(self, other: "ProvenanceLog") -> None:
-        """Append an in-process log's records to this log.
+    def graft(self, other: "ProvenanceLog", **stamps) -> None:
+        """Append another log's records to this log.
 
-        The record objects move as they are: a logged record is never
-        changed, so two logs may share it.  :meth:`merge` is the form for
-        buffers that crossed a process boundary.
+        ``other`` is an in-process scoped log (a saturation run's, a
+        partition window's) or a pool worker's.  The record objects move as
+        they are, so both logs share them.  ``stamps`` (e.g. ``window=3``)
+        are written into each record's ``extra`` in place with
+        ``setdefault``, so a tag the worker already applied survives; a
+        stamping graft therefore takes ownership of ``other``, which must
+        not be read again.  An unstamped graft changes no record.  The
+        recording ``pid`` is already in each record.
         """
+        if stamps:
+            for records in (other.nodes, other.merges):
+                for record in records:
+                    for key, value in stamps.items():
+                        record.extra.setdefault(key, value)
         self.nodes.extend(other.nodes)
         self.merges.extend(other.merges)
 
-    # -- cross-process buffers ------------------------------------------------
-
     def export(self) -> Dict[str, List[Dict[str, object]]]:
-        """The picklable buffer a worker ships back to its parent."""
+        """Every node and merge record as a plain dict (the derivation JSON)."""
         return {
             "nodes": [record.to_dict() for record in self.nodes],
             "merges": [record.to_dict() for record in self.merges],
         }
-
-    def merge(self, buffer: Dict[str, List[Dict[str, object]]], **extra) -> None:
-        """Graft a worker's exported buffer into this log.
-
-        ``extra`` keys (e.g. ``window=3``) are stamped onto every merged
-        record *without* overwriting tags the worker already applied — a
-        window worker's own ``window=`` stamp survives the job-level merge.
-        The recording ``pid`` is already in each record.
-        """
-        for data in buffer.get("nodes", ()):
-            record = NodeRecord.from_dict(data)
-            for key, value in extra.items():
-                record.extra.setdefault(key, value)
-            self.nodes.append(record)
-        for data in buffer.get("merges", ()):
-            merge_record = MergeRecord.from_dict(data)
-            for key, value in extra.items():
-                merge_record.extra.setdefault(key, value)
-            self.merges.append(merge_record)
 
     # -- lookup ---------------------------------------------------------------
 
@@ -338,8 +318,8 @@ def recording(recorder: Optional[ProvenanceLog] = None):
 
     Call sites scope one log per saturation run (the pipeline's ``saturate``
     pass, a partition window) so a log never spans two e-graphs' id spaces;
-    the scoped log is then merged into the outer recorder, exactly like a
-    worker's trace buffer.
+    the scoped log is then grafted into the outer recorder, exactly like a
+    worker's tracer.
     """
     return RECORDER.scoped(recorder if recorder is not None else ProvenanceLog())
 

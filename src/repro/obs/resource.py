@@ -16,9 +16,9 @@ and embeds the finished :class:`ResourceSample` in the run's
 ``SaturationProfile`` (and from there in flow results and ledger records).
 
 Cross-process safety follows the tracer exactly: :mod:`repro.obs.channel`
-installs a *fresh* local sampler around each pool task and ships
-``sampler.export()`` — a plain list of dicts, picklable — back to the parent,
-which appends it with :meth:`ResourceSampler.merge`.  Every sample carries
+installs a *fresh* local sampler around each pool task and ships it back,
+pickled, to the parent, which appends its samples with
+:meth:`ResourceSampler.graft`.  Every sample carries
 the recording process's ``pid``, and tags such as ``window=`` or ``chain=``
 are stamped where the sample is taken, so a pooled run records exactly what
 an inline run records.
@@ -104,18 +104,6 @@ class ResourceSample:
             "extra": dict(self.extra),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ResourceSample":
-        return cls(
-            label=str(data.get("label", "")),
-            pid=int(data.get("pid", 0)),
-            peak_rss=int(data.get("peak_rss_bytes", 0)),
-            adds=int(data.get("adds", 0)),
-            unions=int(data.get("unions", 0)),
-            curve=[dict(point) for point in data.get("curve", [])],
-            extra=dict(data.get("extra", {})),
-        )
-
 
 class _RunScope:
     """An open sampling scope; implements the e-graph observer protocol.
@@ -160,7 +148,7 @@ class _RunScope:
 
 
 class ResourceSampler:
-    """Collects resource samples for one process; merge buffers from workers."""
+    """Collects resource samples for one process; grafts workers' samplers."""
 
     def __init__(self) -> None:
         self.samples: List[ResourceSample] = []
@@ -192,23 +180,19 @@ class ResourceSampler:
         self.samples.append(sample)
         return sample
 
-    # -- cross-process buffers ----------------------------------------------------
+    def graft(self, other: "ResourceSampler", **stamps) -> None:
+        """Append another sampler's samples, stamping ``stamps`` tags.
 
-    def export(self) -> List[Dict[str, object]]:
-        """The picklable buffer a worker ships back to its parent."""
-        return [sample.to_dict() for sample in self.samples]
-
-    def merge(self, buffer: List[Dict[str, object]], **extra) -> None:
-        """Append a worker's exported buffer, stamping ``extra`` tags.
-
-        Tags use ``setdefault`` so a tag the worker already applied (e.g. a
-        window index stamped inside the pool task) survives the merge.
+        ``other`` is a partition window's scoped sampler or a pool worker's.
+        Tags are written into each sample's ``extra`` in place with
+        ``setdefault``, so a tag the worker already applied (e.g. a window
+        index stamped inside the pool task) survives the graft, and a
+        stamping graft takes ownership of ``other``.
         """
-        for data in buffer:
-            sample = ResourceSample.from_dict(data)
-            for key, value in extra.items():
+        for sample in other.samples:
+            for key, value in stamps.items():
                 sample.extra.setdefault(key, value)
-            self.samples.append(sample)
+        self.samples.extend(other.samples)
 
 
 def aggregate_samples(samples: List[Dict[str, object]]) -> Optional[Dict[str, object]]:

@@ -9,11 +9,10 @@ in ``args`` (``sp.add("matches", n)`` / ``sp.set("classes", n)``).
 
 Cross-process safety: a pool worker never records into the tracer it
 inherited from its parent.  :mod:`repro.obs.channel` installs a fresh local
-:class:`Tracer` around each pool task and ships ``tracer.export()`` — a plain
-list of dicts, picklable — back with the result; the parent grafts it under
-its open span with :meth:`Tracer.merge`, keeping the worker's nesting.  Every
-record carries the recording process's ``pid``, so merged traces keep their
-provenance.
+:class:`Tracer` around each pool task and ships it back, pickled, with the
+result; the parent grafts it under its open span with :meth:`Tracer.graft`,
+keeping the worker's nesting.  Every record carries the recording process's
+``pid``, so grafted traces keep their provenance.
 
 :class:`Slot` is the one installed-observer slot type: the tracer here, the
 provenance recorder, the resource sampler and the metrics registry each live
@@ -47,8 +46,7 @@ class SpanRecord:
     """One finished (or instant) span, as stored by a :class:`Tracer`.
 
     ``start`` is seconds relative to the tracer's epoch; ``duration`` is
-    seconds (``None`` marks an instant event).  Records serialize to plain
-    dicts via :meth:`to_dict` so they can cross process boundaries.
+    seconds (``None`` marks an instant event).
     """
 
     __slots__ = ("span_id", "parent_id", "name", "category", "start", "duration", "pid", "args")
@@ -72,31 +70,6 @@ class SpanRecord:
         self.duration = duration
         self.pid = pid
         self.args = args
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "category": self.category,
-            "start": self.start,
-            "duration": self.duration,
-            "pid": self.pid,
-            "args": dict(self.args),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SpanRecord":
-        return cls(
-            span_id=int(data["span_id"]),
-            parent_id=None if data.get("parent_id") is None else int(data["parent_id"]),
-            name=str(data["name"]),
-            category=str(data.get("category", "")),
-            start=float(data.get("start", 0.0)),
-            duration=None if data.get("duration") is None else float(data["duration"]),
-            pid=int(data.get("pid", 0)),
-            args=dict(data.get("args", {})),
-        )
 
 
 class Span:
@@ -139,10 +112,10 @@ class Span:
 
 
 class Tracer:
-    """Collects span records for one process; merge buffers from workers.
+    """Collects span records for one process; grafts workers' tracers.
 
     The record list is append-only and ordered by span *finish* (workers'
-    buffers are appended at merge barriers), so consumers rebuild the tree
+    records are appended at graft barriers), so consumers rebuild the tree
     from ``parent_id`` links rather than relying on list order.
     """
 
@@ -199,35 +172,32 @@ class Tracer:
             )
         )
 
-    # -- cross-process buffers ----------------------------------------------
+    # -- grafting ------------------------------------------------------------
 
-    def export(self) -> List[Dict[str, object]]:
-        """The picklable buffer a worker ships back to its parent."""
-        return [record.to_dict() for record in self.records]
+    def graft(self, other: "Tracer") -> None:
+        """Move another tracer's records under the currently open span.
 
-    def merge(self, buffer: List[Dict[str, object]]) -> None:
-        """Graft a worker's exported buffer under the currently open span.
-
-        Span ids are remapped into this tracer's id space and buffer-root
-        spans (``parent_id is None``) are re-parented to the open span; the
-        buffer's relative timestamps are shifted to the open span's start, so
-        worker time shows within the barrier span that collected it.  The
-        worker ``pid`` is already in each record.
+        ``other`` is a pool worker's tracer.  Its records move as objects:
+        span ids are remapped into this tracer's id space, root spans
+        (``parent_id is None``) are re-parented to the open span, and start
+        times are shifted to the open span's start, so worker time shows
+        within the barrier span that collected it.  The records are changed
+        in place, so grafting takes ownership of ``other``: it must not be
+        read again.  The worker ``pid`` is already in each record.
         """
         parent_id = self._stack[-1]._id if self._stack else None
         rebase = (self._stack[-1]._t0 - self.epoch) if self._stack else 0.0
-        records = [SpanRecord.from_dict(data) for data in buffer]
         # Records are in finish order (children before parents), so every new
         # id is assigned before any parent link is resolved.
         id_map: Dict[int, int] = {}
-        for record in records:
+        for record in other.records:
             id_map[record.span_id] = self._next_id
             self._next_id += 1
-        for record in records:
+        for record in other.records:
             record.span_id = id_map[record.span_id]
             record.parent_id = id_map.get(record.parent_id, parent_id)
             record.start += rebase
-            self.records.append(record)
+        self.records.extend(other.records)
 
     # -- consumption ---------------------------------------------------------
 

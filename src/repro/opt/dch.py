@@ -24,7 +24,6 @@ from repro.aig.simulate import node_words
 from repro.mapping.choices import ChoiceClasses
 from repro.opt.balance import balance
 from repro.opt.rewrite import rewrite
-from repro.verify.cec import prove_pair
 from repro.verify.sweep import sweep
 
 #: Each synthesizer adds one alternative structure to the union AIG.
@@ -93,16 +92,8 @@ def compute_choices(aig: Aig, max_pairs: int = 2000, conflict_budget: int = 500)
     pairs = candidate_pairs(union, max_pairs)
     lit_pairs = [(var_lit(rep), var_lit(var)) for rep, var in pairs]
     swept = sweep(union, lit_pairs, conflict_budget=conflict_budget, max_cone=MAX_CONE)
-    sat_calls, conflicts = swept.sat_calls, swept.conflicts
     classes = ChoiceClasses()
-    for (rep, var), (lit_rep, lit_var), proof in zip(pairs, lit_pairs, swept.proofs):
-        if proof.status == "unknown":
-            # The merges can also grow a cone (a member now hangs on its
-            # representative's cone), so retry on the union itself: the same
-            # query as a per-pair proof, so no pair it proves is lost.
-            proof = prove_pair(union, lit_rep, lit_var, conflict_budget=conflict_budget, max_cone=MAX_CONE)
-            sat_calls += 1
-            conflicts += proof.conflicts
+    for (rep, var), proof in zip(pairs, swept.proofs):
         if proof.status == "equivalent":
             classes.members.setdefault(rep, [rep]).append(var)
             classes.repr_of[rep] = classes.repr_of[var] = rep
@@ -112,7 +103,7 @@ def compute_choices(aig: Aig, max_pairs: int = 2000, conflict_budget: int = 500)
         num_variants=1 + len(VARIANT_SYNTHESIZERS),
         pairs_tried=len(pairs),
         pairs_proved=sum(len(members) - 1 for members in classes.members.values()),
-        conflicts=conflicts,
-        sat_calls=sat_calls,
+        conflicts=swept.conflicts,
+        sat_calls=swept.sat_calls,
         structural=swept.structural,
     )

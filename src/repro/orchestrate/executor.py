@@ -15,7 +15,7 @@ executor
   ``job_start``, ``job_finish``, ``job_cached``, ``campaign_done``).
 
 Observers cross the pool through :mod:`repro.obs.channel`: each pool job
-runs under ``capture(installed())`` and ships the captured buffers under
+runs under ``capture(installed())`` and ships the captured observers under
 ``record["obs"]``; the parent absorbs them as each job completes and strips
 the key before the record hits the store.  The metrics registry always rides
 along, so campaign-level counter totals match a serial run.
@@ -244,7 +244,7 @@ def _run_serial(keyed, pending, store, outcomes, total, emit, emit_event) -> Non
         t0 = time.perf_counter()
         try:
             # In-process jobs record straight into the caller's tracer (when
-            # one is installed), so there is no buffer to merge here.
+            # one is installed), so there is nothing to graft here.
             record = run_job(spec, key)
             outcome = JobOutcome(
                 spec=spec, key=key, status="completed", record=record, elapsed=time.perf_counter() - t0

@@ -250,7 +250,7 @@ def run_job(
     hold the key should pass it).  ``observers`` (set by the pool executor
     to the campaign's :func:`~repro.obs.channel.installed` kinds) runs the
     job under :func:`~repro.obs.channel.capture` and ships the captured
-    buffers under ``record["obs"]``, which the executor absorbs and strips
+    observers under ``record["obs"]``, which the executor absorbs and strips
     before the record is stored.
     """
     if observers is not None:

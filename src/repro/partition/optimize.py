@@ -16,10 +16,10 @@ whole-circuit flow runs.  Three guards keep the run fail-soft and sound:
 
 Parallelism: windows ship to a ``ProcessPoolExecutor``; each task runs
 :func:`optimize_window` under :func:`repro.obs.channel.capture` and returns
-the captured observer buffers with its result, and the parent absorbs them
-**in window-index order**, so observability output is deterministic.  The
-window index is stamped where records are produced (the ``window`` span, the
-window-scoped provenance and resource merges in :func:`optimize_window`), so
+the captured observers with its result, and the parent absorbs them **in
+window-index order**, so observability output is deterministic.  The window
+index is stamped where records are produced (the ``window`` span, the
+window-scoped provenance and resource grafts in :func:`optimize_window`), so
 a pooled run records exactly what an inline run records.  Results are a pure
 function of ``(aig, config, steps)``: ``workers=0`` (inline) and any pool size
 produce identical stitched circuits, reports, and profiles modulo
@@ -151,7 +151,7 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
                     plog = scopes.enter_context(obs_provenance.recording())
                 if obs_resource.sampling_enabled():
                     # Same per-window scoping for resource samples, so the
-                    # merge below can stamp the window index on each one.
+                    # graft below can stamp the window index on each one.
                     wsampler = scopes.enter_context(obs_resource.sampling())
                 resolve_pass("dag2eg").run(ctx, {})
                 for name, params in steps:
@@ -203,10 +203,10 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
     if plog is not None and outer is not None:
         # Graft the window's log into the enclosing recorder (the pipeline's,
         # or the one a pool worker captures) window-stamped.
-        outer.merge(plog.export(), window=index)
+        outer.graft(plog, window=index)
     outer_sampler = obs_resource.current_sampler()
     if wsampler is not None and outer_sampler is not None:
-        outer_sampler.merge(wsampler.export(), window=index)
+        outer_sampler.graft(wsampler, window=index)
     report.wall_time = time.perf_counter() - start
     return report, optimized
 

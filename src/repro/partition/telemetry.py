@@ -1,10 +1,10 @@
 """Telemetry for partitioned runs: per-window reports and the run profile.
 
 ``PartitionProfile`` is the partition analogue of the engine's
-``SaturationProfile`` / ``ExtractionProfile`` — a plain serialisable record
-that rides in pipeline results under the ``"partition"`` key (next to
-``"saturation"`` and ``"extraction"``), in orchestration payloads, and in
-``BENCH_partition.json``.  Every window contributes a ``WindowReport`` with
+``SaturationProfile`` / ``ExtractionProfile`` — a record that serializes to
+plain JSON via ``to_dict`` and rides in pipeline results under the
+``"partition"`` key (next to ``"saturation"`` and ``"extraction"``), in
+orchestration payloads, and in the ``emorphic partition-bench`` payload.  Every window contributes a ``WindowReport`` with
 its boundary shape, what the saturate/extract stages did, the CEC verdict,
 and the accept/revert decision, so a partitioned run can be audited window
 by window after the fact.
@@ -56,11 +56,6 @@ class WindowReport:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready payload of every field."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "WindowReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        return cls(**payload)
 
 
 @dataclass
@@ -141,30 +136,6 @@ class PartitionProfile:
             "resource": self.resource,
             "windows": [w.to_dict() for w in self.windows],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "PartitionProfile":
-        """Rebuild a profile from :meth:`to_dict` output (derived counts are recomputed)."""
-        profile = cls(
-            method=payload.get("method", "cone"),
-            k=payload.get("k", 0),
-            seed=payload.get("seed", 0),
-            workers=payload.get("workers", 0),
-            num_windows=payload.get("num_windows", 0),
-            ands_before=payload.get("ands_before", 0),
-            ands_after=payload.get("ands_after", 0),
-            levels_before=payload.get("levels_before", 0),
-            levels_after=payload.get("levels_after", 0),
-            partition_time=payload.get("partition_time", 0.0),
-            optimize_time=payload.get("optimize_time", 0.0),
-            stitch_time=payload.get("stitch_time", 0.0),
-            wall_time=payload.get("wall_time", 0.0),
-            final_cec=payload.get("final_cec"),
-            rule_attribution=payload.get("rule_attribution"),
-            resource=payload.get("resource"),
-        )
-        profile.windows = [WindowReport.from_dict(w) for w in payload.get("windows", [])]
-        return profile
 
     def render(self) -> str:
         """Short human-readable digest for CLI output."""

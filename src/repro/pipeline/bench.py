@@ -295,7 +295,7 @@ def _overhead_probes(bench: Bench, pipeline: Pipeline, aig, wall_time: float) ->
     }
     with obs_resource.sampling() as sampler:
         wall = _wall_time(bench, timed.run_flow(aig))
-    aggregate = obs_resource.aggregate_samples(sampler.export()) or {}
+    aggregate = obs_resource.aggregate_samples([s.to_dict() for s in sampler.samples]) or {}
     resource = {
         "wall_time": wall,
         "samples": len(sampler.samples),

@@ -12,7 +12,7 @@ from repro.aig.graph import Aig, aig_from_functions, lit_not
 from repro.aig.io_aiger import read_aag, write_aag
 from repro.aig.io_eqn import read_eqn, roundtrip_eqn, write_eqn
 from repro.aig.levels import compute_levels, critical_path, level_histogram, logic_depth, required_times, slack
-from repro.aig.simulate import exhaustive_truth_tables, node_signatures, random_simulate, signature, simulate
+from repro.aig.simulate import WORD_MASK, exhaustive_truth_tables, node_words, random_simulate, simulate
 from repro.benchgen import arithmetic
 
 
@@ -43,11 +43,19 @@ class TestSimulate:
         assert random_simulate(small_adder, 3, seed=1) != random_simulate(small_adder, 3, seed=2)
 
     def test_signature_equal_for_equal_circuits(self, small_adder):
-        assert signature(small_adder) == signature(small_adder.cleanup())
+        def po_words(aig):
+            sigs = node_words(aig, num_words=4, seed=12345)
+            return [tuple(w ^ WORD_MASK if lit & 1 else w for w in sigs[lit >> 1]) for lit in aig.po_lits()]
+
+        assert po_words(small_adder) == po_words(small_adder.cleanup())
+        # node_words draws the same patterns as random_simulate
+        assert [list(words) for words in zip(*po_words(small_adder))] == random_simulate(small_adder, 4, seed=12345)
 
     def test_node_signatures_cover_all_vars(self, small_adder):
-        sigs = node_signatures(small_adder)
+        sigs = node_words(small_adder, num_words=2, seed=7)
         assert len(sigs) == small_adder.num_nodes
+        assert sigs[0] == (0, 0)  # the constant-false node
+        assert all(len(words) == 2 for words in sigs)
 
     @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
     @settings(max_examples=50, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -13,9 +14,10 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
-from repro.obs import current_sampler, recording, reset_registry, sampling, span, tracing
+from repro.obs import current_recorder, current_sampler, recording, reset_registry, sampling, span, tracing
 from repro.obs.channel import absorb, capture, installed
 from repro.obs.metrics import registry
+from repro.obs.provenance import MergeRecord, NodeRecord
 from repro.partition import PartitionConfig, partitioned_optimize
 from repro.pipeline import Pipeline
 
@@ -34,10 +36,11 @@ class TestChannel:
                     registry().counter("work_total").inc(2)
             assert registry() is before
         assert outer.records == []
-        assert [r["name"] for r in captured.payload["trace"]] == ["work"]
-        assert captured.payload["metrics"][0]["value"] == 2
-        # Empty buffers (no provenance was recorded) are not shipped.
-        assert set(captured.payload) == {"trace", "metrics"}
+        # The payload is the fresh observers themselves, empty ones too.
+        assert set(captured.payload) == {"trace", "provenance", "metrics"}
+        assert [r.name for r in captured.payload["trace"].records] == ["work"]
+        assert captured.payload["metrics"].snapshot() == {"work_total": 2}
+        assert captured.payload["provenance"].nodes == []
 
     def test_absorb_merges_into_installed_observers_only(self):
         with capture({"trace", "resource"}) as captured:
@@ -50,6 +53,63 @@ class TestChannel:
         # No sampler installed: the resource buffer is dropped, not an error.
         assert [r.name for r in tracer.records] == ["work", "barrier"]
         absorb(None)
+
+    def test_absorb_adds_no_stamp(self):
+        # A job-level absorb grafts a worker's observers, pickled as the pool
+        # ships them, as recorded: the records themselves move, and the tags
+        # stamped where they were produced stay their only tags.
+        with capture({"trace", "provenance", "resource"}) as captured:
+            with span("job", label="adder"):
+                current_recorder().on_union(3, 4)
+            current_sampler().note("portfolio round", chain=1)
+        payload = pickle.loads(pickle.dumps(captured.payload))
+        with tracing() as tracer, recording() as log, sampling() as sampler:
+            absorb(payload)
+        assert log.merges == payload["provenance"].merges
+        assert sampler.samples == payload["resource"].samples
+        assert [r.args for r in tracer.records] == [{"label": "adder"}]
+        assert [s.extra for s in sampler.samples] == [{"chain": 1}]
+        assert [m.extra for m in log.merges] == [{}]
+
+    def test_payload_pickles_record_for_record(self):
+        with capture({"trace", "provenance", "resource"}) as captured:
+            with span("job", label="adder"):
+                current_recorder().on_union(3, 4)
+                current_recorder().nodes.append(NodeRecord(5, "AND", (3, 4), None, "r", 1, 2, "ab", 7))
+            current_sampler().note("portfolio round", chain=1)
+            registry().gauge("best_cost").set(4)
+        back = pickle.loads(pickle.dumps(captured.payload))
+        for name in ("nodes", "merges"):
+            records = [r.to_dict() for r in getattr(captured.payload["provenance"], name)]
+            assert records and [r.to_dict() for r in getattr(back["provenance"], name)] == records
+        assert [s.to_dict() for s in back["resource"].samples] == [
+            s.to_dict() for s in captured.payload["resource"].samples
+        ]
+        fields = ("span_id", "parent_id", "name", "category", "start", "duration", "pid", "args")
+        assert [[getattr(r, f) for f in fields] for r in back["trace"].records] == [
+            [getattr(r, f) for f in fields] for r in captured.payload["trace"].records
+        ]
+        assert back["metrics"].snapshot() == {"best_cost": 4}
+
+    def test_inline_partition_builds_no_record_dicts(self, monkeypatch):
+        # An inline window grafts its scoped log as objects: no record is
+        # turned into a dict on the way into the flow's recorder.
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__}.to_dict called")
+
+        monkeypatch.setattr(NodeRecord, "to_dict", refuse)
+        monkeypatch.setattr(MergeRecord, "to_dict", refuse)
+        script = (
+            "st; partition(k=50, workers=0); saturate(iters=2, max_nodes=2500); "
+            "extract(sa, threads=2, moves=4, iters=1); stitch"
+        )
+        aig = epfl.build("adder", preset="test")
+        with tracing(), recording() as log, sampling():
+            reset_registry()
+            Pipeline.from_script(script).run_flow(aig)
+        assert log.nodes and log.merges
+        windows = {r.extra["window"] for r in log.nodes}
+        assert len(windows) > 1 and windows == {r.extra["window"] for r in log.merges}
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.engine import (
     saturate_engine,
 )
 from repro.pipeline.bench import SATURATION, check_regressions, render_bench, run_bench
-from repro.engine.telemetry import SaturationProfile
 
 
 def _diamond_egraph():
@@ -388,13 +387,12 @@ class TestTelemetry:
 
     def test_profile_json_roundtrip(self):
         profile = self._profile()
-        payload = json.loads(json.dumps(profile.to_dict()))
-        back = SaturationProfile.from_dict(payload)
-        assert back.stop_reason == profile.stop_reason
-        assert back.num_iterations == profile.num_iterations
-        assert back.final_nodes == profile.final_nodes
-        assert set(back.rules) == set(profile.rules)
-        assert back.to_dict() == profile.to_dict()
+        payload = profile.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["stop_reason"] == profile.stop_reason
+        assert payload["num_iterations"] == len(payload["iterations"]) == profile.num_iterations
+        assert payload["final_nodes"] == profile.final_nodes
+        assert set(payload["rules"]) == set(profile.rules)
 
     def test_pipeline_saturate_pass_reports_engine_metrics(self):
         from repro.pipeline import Pipeline

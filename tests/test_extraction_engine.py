@@ -37,7 +37,6 @@ from repro.extraction.engine import (
     ChainSpec,
     ChainState,
     DeltaCostEvaluator,
-    ExtractionProfile,
     FrozenProblem,
     PortfolioConfig,
     ProblemStats,
@@ -1654,12 +1653,11 @@ class TestTelemetry:
             config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8, workers=0),
         )
         payload = result.profile.to_dict()
-        text = json.dumps(payload)  # must be plain JSON
-        back = ExtractionProfile.from_dict(json.loads(text))
-        assert back.best_cost == result.profile.best_cost
-        assert back.num_chains == result.profile.num_chains
-        assert [c.to_dict() for c in back.chains] == [c.to_dict() for c in result.profile.chains]
-        assert len(back.chains[0].accept_curve) == len(back.chains[0].reject_curve)
+        assert json.loads(json.dumps(payload)) == payload  # must be plain JSON
+        assert payload["best_cost"] == result.profile.best_cost
+        assert payload["num_chains"] == len(payload["chains"]) == result.profile.num_chains
+        assert payload["chains"] == [c.to_dict() for c in result.profile.chains]
+        assert len(payload["chains"][0]["accept_curve"]) == len(payload["chains"][0]["reject_curve"])
 
     def test_chain_curves_cover_rounds(self, saturated_circuit):
         _, circuit = saturated_circuit

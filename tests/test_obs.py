@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import pickle
 from pathlib import Path
 
 import pytest
@@ -108,23 +109,26 @@ class TestSpans:
         assert "root" in text and "child" in text
 
 
-class TestMerge:
-    def test_merge_reparents_and_rebases(self):
+class TestGraft:
+    def test_graft_reparents_and_rebases(self):
         worker = Tracer()
         with obs.Span("wrk", category="w", tracer=worker):
             pass
-        buffer = worker.export()
+        worker_start = worker.records[0].start
         parent = Tracer()
-        with obs.Span("barrier", category="b", tracer=parent):
-            parent.merge(buffer)
+        with obs.Span("barrier", category="b", tracer=parent) as barrier:
+            parent.graft(worker)
         barrier_rec = next(r for r in parent.records if r.name == "barrier")
-        merged = next(r for r in parent.records if r.name == "wrk")
-        assert merged.parent_id == barrier_rec.span_id
+        grafted = next(r for r in parent.records if r.name == "wrk")
+        # The worker's root span hangs under the open span, its start shifted
+        # to the open span's start.
+        assert grafted.parent_id == barrier_rec.span_id
+        assert grafted.start == pytest.approx(barrier._t0 - parent.epoch + worker_start)
         # ids were remapped into the parent's id space (no collisions).
         assert len({r.span_id for r in parent.records}) == len(parent.records)
 
-    def test_merge_keeps_nested_worker_spans_under_their_parent(self):
-        # Buffers are in finish order (child before parent); the child must
+    def test_graft_keeps_nested_worker_spans_under_their_parent(self):
+        # Records are in finish order (child before parent); the child must
         # still land under its own parent, not under the barrier.
         worker = Tracer()
         with obs.Span("job", category="w", tracer=worker):
@@ -132,7 +136,7 @@ class TestMerge:
                 pass
         parent = Tracer()
         with obs.Span("barrier", category="b", tracer=parent):
-            parent.merge(worker.export())
+            parent.graft(worker)
         by_name = {r.name: r for r in parent.records}
         assert by_name["job"].parent_id == by_name["barrier"].span_id
         assert by_name["pass"].parent_id == by_name["job"].span_id
@@ -140,23 +144,23 @@ class TestMerge:
         assert [c["record"].name for c in root["children"]] == ["job"]
         assert [c["record"].name for c in root["children"][0]["children"]] == ["pass"]
 
-    def test_export_roundtrip(self):
+    def test_pickled_tracer_grafts_like_the_original(self):
         with tracing() as tracer:
             with obs.span("a", category="x", k=1):
                 obs.instant("i", category="y")
-        buffer = tracer.export()
-        assert all(isinstance(d, dict) for d in buffer)
-        back = [SpanRecord.from_dict(d) for d in buffer]
-        assert [(r.name, r.category, r.duration is None) for r in back] == [
-            ("i", "y", True),
-            ("a", "x", False),
+        back = pickle.loads(pickle.dumps(tracer))
+        parent = Tracer()
+        parent.graft(back)
+        assert [(r.name, r.category, r.args, r.duration is None) for r in parent.records] == [
+            ("i", "y", {}, True),
+            ("a", "x", {"k": 1}, False),
         ]
 
 
 def _shape(node):
     """A tree node reduced to its deterministic fields (drop times and pids).
 
-    Children are sorted: merged worker buffers land with near-identical
+    Children are sorted: grafted worker records land with near-identical
     rebased start times, so sibling order is the one tree property that is
     *not* deterministic across pool sizes.
     """
@@ -208,7 +212,7 @@ def _walk_records(nodes):
 
 class TestPartitionedSpanSummary:
     def test_span_summary_over_merged_multi_pid_trace(self):
-        # A partitioned workers=2 run merges worker span buffers at the
+        # A partitioned workers=2 run grafts worker tracers at the
         # barrier; span_summary must digest the multi-pid trace exactly like
         # the inline single-pid one (categories and counts, not timings).
         from repro.benchgen import epfl

@@ -11,13 +11,13 @@ import pytest
 
 from repro.aig.graph import aig_from_functions
 from repro.aig.levels import logic_depth
-from repro.aig.simulate import exhaustive_truth_tables, random_simulate
+from repro.aig.simulate import exhaustive_truth_tables, node_words, random_simulate
 from repro.benchgen import arithmetic, control, epfl
 from repro.opt.balance import balance
 from repro.opt.dch import compute_choices
 from repro.opt.refactor import refactor
 from repro.opt.rewrite import rewrite
-from repro.opt.scripts import available_scripts, delay_opt_script, resyn2_script, run_script
+from repro.opt.scripts import delay_opt_script, resyn2_script
 from repro.opt.sop_balance import sop_balance
 
 
@@ -131,22 +131,24 @@ class TestChoices:
         # simulation patterns must agree on every one of them.
         aig = epfl.build("sqrt", preset="test")
         choice = compute_choices(aig, max_pairs=100, conflict_budget=300)
-        from repro.aig.simulate import node_signatures
-
-        sigs = node_signatures(choice.aig, num_words=4, seed=123)
+        sigs = node_words(choice.aig, num_words=4, seed=123)
         for rep, members in choice.classes.members.items():
             for member in members:
                 assert sigs[member] == sigs[rep]
 
 
 class TestScripts:
-    def test_available_scripts_listed(self):
-        names = available_scripts()
-        assert "resyn2" in names and "delay" in names
+    def test_available_scripts_listed(self, small_adder):
+        from repro.pipeline import Pipeline, available_passes
 
-    def test_run_script_unknown_raises(self, small_adder):
-        with pytest.raises(KeyError):
-            run_script(small_adder, "definitely_not_a_script")
+        names = available_passes()
+        assert "resyn2" in names and "delay_opt" in names
+        # a recipe run by name is the script function it wraps
+        for name, script in (("resyn2", resyn2_script), ("delay_opt", delay_opt_script)):
+            by_name = Pipeline.from_script(name).run(small_adder).aig
+            direct = script(small_adder)
+            assert (by_name.num_ands, logic_depth(by_name)) == (direct.num_ands, logic_depth(direct))
+            assert same_function(by_name, direct)
 
     def test_resyn2_preserves_function(self, small_sqrt):
         assert same_function(small_sqrt, resyn2_script(small_sqrt))

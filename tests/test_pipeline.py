@@ -699,11 +699,12 @@ class TestPipelineCli:
             main(["batch", "--preset", "test", "--circuits", "adder",
                   "--flows", "baseline", "--script", "st; premap"])
 
-    def test_scripts_command_lists_passes_and_named_scripts(self, capsys):
+    def test_scripts_command_lists_the_pass_registry(self, capsys):
         assert main(["scripts"]) == 0
         out = capsys.readouterr().out
         assert "saturate" in out and "extract" in out
-        assert "resyn2" in out
+        assert "resyn2" in out and "delay_opt" in out
+        assert "named optimization scripts" not in out
 
     def test_run_command_exposes_remaining_config_knobs(self, capsys):
         code = main(
@@ -713,15 +714,3 @@ class TestPipelineCli:
         )
         assert code == 0
         assert "area=" in capsys.readouterr().out
-
-
-class TestNamedScriptErrors:
-    def test_run_script_raises_clean_unknown_script_error(self, small_adder):
-        from repro.opt.scripts import UnknownScriptError, run_script
-
-        with pytest.raises(UnknownScriptError) as excinfo:
-            run_script(small_adder, "nope")
-        message = str(excinfo.value)
-        assert "unknown script 'nope'" in message and "resyn2" in message
-        # Still a KeyError for callers that catch the old type.
-        assert isinstance(excinfo.value, KeyError)

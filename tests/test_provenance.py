@@ -1,11 +1,12 @@
 """Tests of the provenance layer: the gated recorder, rule attribution, the
-derivation exporters, cross-process buffer merging (partition windows and
+derivation exporters, cross-process grafting (partition windows and
 orchestrate jobs), the provenance-off parity guard, and the metrics-isolation
 contract for forked workers."""
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost
 from repro.extraction.greedy import greedy_extract
 from repro.obs.export import to_derivation_dot, to_derivation_json, write_derivation_json
-from repro.obs.metrics import registry, reset_registry
+from repro.obs.metrics import MetricsRegistry, registry, reset_registry
 from repro.obs.provenance import (
     ORIGINAL,
     ProvenanceLog,
@@ -102,18 +103,19 @@ class TestRecords:
         assert len(a) == 8 and int(a, 16) >= 0
         assert subst_digest({"x": 4, "y": 7}) != a
 
-    def test_export_merge_stamping(self):
+    def test_graft_stamping(self):
         _, circuit = _circuit()
         with recording() as log:
             _saturate(circuit)
-        # A worker-applied stamp survives the parent's merge (setdefault).
+        # A worker-applied stamp survives the parent's graft (setdefault).
         log.nodes[0].extra["window"] = 0
-        merged = ProvenanceLog()
-        merged.merge(log.export(), window=5)
-        assert len(merged.nodes) == len(log.nodes)
-        assert len(merged.merges) == len(log.merges)
-        assert merged.nodes[0].extra["window"] == 0
-        assert merged.nodes[1].extra["window"] == 5
+        log.merges[0].extra["window"] = 0
+        grafted = ProvenanceLog()
+        grafted.graft(log, window=5)
+        assert grafted.nodes == log.nodes and grafted.merges == log.merges
+        assert grafted.nodes[0].extra["window"] == 0
+        assert grafted.merges[0].extra["window"] == 0
+        assert {r.extra["window"] for r in grafted.nodes[1:] + grafted.merges[1:]} == {5}
 
 
 # --------------------------------------------------------------------------
@@ -217,14 +219,19 @@ class TestPipelineParity:
         # The saturate pass scopes its own log and grafts it into ours.
         assert len(outer.nodes) > 0
 
-    def test_in_process_graft_equals_the_buffer_round_trip(self, monkeypatch):
+    def test_in_process_graft_equals_the_pickle_round_trip(self, monkeypatch):
         # The saturate pass moves its scoped log's records into the outer
-        # log; the same run through an export/merge buffer logs the same.
+        # log; grafting a pickled copy, as a pool ships it, logs the same.
         aig = epfl.build("hyp", preset="test")
         script = "st; dag2eg; saturate(iters=3, max_nodes=8000); extract(greedy)"
         with recording() as grafted:
             Pipeline.from_script(script).run_flow(aig)
-        monkeypatch.setattr(ProvenanceLog, "graft", lambda self, other: self.merge(other.export()))
+        graft = ProvenanceLog.graft
+        monkeypatch.setattr(
+            ProvenanceLog,
+            "graft",
+            lambda self, other, **stamps: graft(self, pickle.loads(pickle.dumps(other)), **stamps),
+        )
         with recording() as round_trip:
             Pipeline.from_script(script).run_flow(aig)
         assert len(grafted.nodes) + len(grafted.merges) > 10_000
@@ -274,11 +281,13 @@ class TestPartitionProvenance:
         assert inline.profile.rule_attribution == pooled.profile.rule_attribution
         attrs = lambda o: [r.attribution for r in o.profile.windows]
         assert attrs(inline) == attrs(pooled)
-        # The merged logs agree modulo the recording pid.
-        strip = lambda log: [
-            {k: v for k, v in r.to_dict().items() if k != "pid"} for r in log.nodes
+        # The grafted logs agree record for record, in order and window stamps
+        # included, modulo the recording pid.
+        strip = lambda records: [
+            {k: v for k, v in r.to_dict().items() if k != "pid"} for r in records
         ]
-        assert strip(inline_log) == strip(pooled_log)
+        assert strip(inline_log.nodes) == strip(pooled_log.nodes)
+        assert strip(inline_log.merges) == strip(pooled_log.merges)
 
     def test_windows_stamped_and_aggregated_over_accepted(self, log2_test):
         outcome, log = self._run(log2_test, workers=0)
@@ -308,16 +317,19 @@ class TestMetricsIsolation:
     def setup_method(self):
         reset_registry()
 
-    def test_export_merge_round_trip(self):
+    def test_graft_sums_counters_and_keeps_the_last_gauge(self):
         reg = reset_registry()
         reg.counter("demo_total", "demo").inc(3)
         reg.gauge("demo_gauge", "demo").set(2.5)
-        buffer = reg.export()
+        later = MetricsRegistry()
+        later.gauge("demo_gauge").set(1.5)
         fresh = reset_registry()
-        fresh.merge(buffer)
-        fresh.merge(buffer)  # counters sum, gauges last-write
-        assert fresh.counter("demo_total", "demo").value == 6
-        assert fresh.gauge("demo_gauge", "demo").value == 2.5
+        fresh.graft(pickle.loads(pickle.dumps(reg)))
+        fresh.graft(reg)
+        fresh.graft(later)
+        assert fresh.counter("demo_total").value == 6
+        assert fresh.gauge("demo_gauge").value == 1.5
+        assert "# HELP demo_total demo" in fresh.exposition()
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_partition_pool_counts_once(self, log2_test, workers):
@@ -335,7 +347,7 @@ class TestMetricsIsolation:
 
 
 # --------------------------------------------------------------------------
-# Orchestrate: job-local recorders, buffers merged at the campaign barrier.
+# Orchestrate: job-local recorders, grafted at the campaign barrier.
 
 
 class TestOrchestrateShipping:
@@ -351,15 +363,14 @@ class TestOrchestrateShipping:
             for name in ("adder", "square")
         ]
 
-    def test_run_job_ships_buffers(self):
+    def test_run_job_ships_observers(self):
         from repro.orchestrate.jobs import run_job
 
         spec = self._jobs()[0]
         record = run_job(spec, observers=frozenset({"provenance"}))
-        assert record["obs"]["provenance"]["nodes"]
+        assert record["obs"]["provenance"].nodes
         assert record["result"]["attribution"] is not None
-        names = {item["name"] for item in record["obs"]["metrics"]}
-        assert "saturation_runs_total" in names
+        assert "saturation_runs_total" in record["obs"]["metrics"].snapshot()
 
     def test_campaign_pool_merges_provenance_and_metrics(self, tmp_path):
         from repro.orchestrate import run_campaign
