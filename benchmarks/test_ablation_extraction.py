@@ -77,7 +77,6 @@ def _run_ablation() -> dict:
             move_budget=16,
             migrate_every=4,
             seed=3,
-            workers=0,
             chain_specs=(ChainSpec(kind="sa", initial="greedy"),),
         ),
     )

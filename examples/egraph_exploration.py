@@ -9,7 +9,7 @@ level APIs directly:
    scheduling + op-indexed e-matching) and watch the number of equivalence
    classes grow — including the per-rule telemetry of the run;
 3. extract structures with different objectives (node count vs depth) and
-   with the island-parallel extraction portfolio — including the per-chain
+   with the island-model extraction portfolio — including the per-chain
    accept/reject and migration telemetry of the run;
 4. map every extracted structure and compare post-mapping area/delay —
    demonstrating the structural-bias effect the paper targets;

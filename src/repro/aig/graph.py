@@ -44,11 +44,6 @@ def lit_compl(lit: int, compl: bool) -> int:
     return lit ^ int(compl)
 
 
-def lit_regular(lit: int) -> int:
-    """Return the non-complemented version of a literal."""
-    return lit & ~1
-
-
 @dataclass
 class AigNode:
     """A single AIG node.
@@ -77,12 +72,6 @@ class AigNode:
     def is_const(self) -> bool:
         """True for the constant node (variable 0)."""
         return self.kind == "const"
-
-    def fanin_vars(self) -> Tuple[int, ...]:
-        """The two fanin variables of an AND node; empty for other kinds."""
-        if self.kind != "and":
-            return ()
-        return (self.fanin0 >> 1, self.fanin1 >> 1)
 
     def fanin_lits(self) -> Tuple[int, ...]:
         """The two fanin literals of an AND node; empty for other kinds."""

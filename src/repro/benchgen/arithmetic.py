@@ -45,12 +45,6 @@ def subtractor(aig: Aig, a: Sequence[int], b: Sequence[int]) -> Tuple[List[int],
     return diff, carry  # carry == 1 means a >= b
 
 
-def shift_left(bits: List[int], amount: int, width: int) -> List[int]:
-    """Logical left shift of a bit vector (little-endian), truncated to ``width``."""
-    shifted = [0] * amount + list(bits)
-    return shifted[:width]
-
-
 # ---------------------------------------------------------------------------
 # Circuits
 # ---------------------------------------------------------------------------

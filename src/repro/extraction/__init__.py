@@ -1,6 +1,6 @@
 """E-graph extraction: greedy, the Algorithm 1 neighbour generator, and the
-island-parallel extraction engine (:mod:`repro.extraction.engine`), whose
-frozen problem also draws random extractions."""
+island-model portfolio extraction engine (:mod:`repro.extraction.engine`),
+whose frozen problem also draws random extractions."""
 
 from repro.extraction.cost import CostFunction, DepthCost, NodeCountCost, OperatorCost
 from repro.extraction.engine import (

@@ -1,11 +1,10 @@
 """Portfolio chains: the per-island move loops of the extraction engine.
 
-A chain is one worker of the island portfolio — simulated annealing under a
+A chain is one island of the portfolio — simulated annealing under a
 per-chain schedule, a zero-temperature hill climber, or a random-restart
 annealer.  Chains run in *rounds* of ``migrate_every`` moves: a round is a
 pure function of ``(problem, ChainState, moves)``, which is what makes the
-portfolio deterministic regardless of whether rounds execute inline or on a
-``ProcessPoolExecutor`` — the state carries the choice, the rng state, and
+portfolio deterministic — the state carries the choice, the rng state, and
 the telemetry counters, and every round rebuilds the evaluator (topological
 order, flip candidates, cost caches) from the bare choice.  A rebuild walks
 the chosen classes once: :meth:`FrozenProblem.toposort` places every class
@@ -71,7 +70,7 @@ class ChainSpec:
 
 @dataclass
 class ChainState:
-    """Everything a chain carries between rounds (picklable)."""
+    """Everything a chain carries between rounds."""
 
     spec: ChainSpec
     seed: int
@@ -179,12 +178,12 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
     Pure up to the state it returns: rebuilds the topological order, the
     cycle-safe flip candidates, and the cost evaluator from ``state.choice``,
     restores the rng, and never reads process-local state — so a round
-    computes the identical result inline and inside a pool worker.  The
-    round's span (``chain round``, tagged with chain id and kind) is both the
-    profile's wall-clock source and — when a tracer is installed inline or in
-    the worker — the per-chain level of the trace tree; its ``chain rebuild``
-    children (category ``extraction.rebuild``) time the rebuild and every
-    restart's re-seed, so the rest of the round is the moves.
+    computes the identical result wherever it runs.  The round's span
+    (``chain round``, tagged with chain id and kind) is both the profile's
+    wall-clock source and — when a tracer is installed — the per-chain level
+    of the trace tree; its ``chain rebuild`` children (category
+    ``extraction.rebuild``) time the rebuild and every restart's re-seed, so
+    the rest of the round is the moves.
     """
     round_span = obs.span(
         "chain round",

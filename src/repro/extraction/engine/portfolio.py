@@ -1,24 +1,16 @@
-"""The island-model parallel extraction portfolio.
+"""The island-model extraction portfolio.
 
 N chains (annealers at different schedules, a hill climber, a random-restart
-annealer) explore the frozen extraction problem concurrently; every
+annealer) explore the frozen extraction problem as islands; every
 ``migrate_every`` moves the islands synchronise and chains whose current
 solution is worse than the global best adopt it (recorded as
 :class:`~repro.extraction.engine.telemetry.MigrationEvent`).
 
-Chains run their rounds on a ``ProcessPoolExecutor`` — the frozen problem is
-shipped to each worker exactly once via the pool initializer — but the
+Every round runs its chains one after another in the calling process, so the
 result is a pure function of ``(e-graph, config, seed)``: rounds are
-deterministic given a chain state, and migration happens at barriers, so the
-same extraction comes back with ``workers=0`` (inline), ``workers=1``, or a
-full pool.  That property is what the engine's cross-process determinism
-tests pin down, and it also means ``chains=1`` is *exactly* the single-chain
-delta-SA run.
-
-Inline and pooled rounds run the same :func:`_round`; a pooled round runs it
-under :func:`repro.obs.channel.capture` and the parent absorbs the captured
-observers at the barrier, so both record the same spans and the same
-chain- and round-stamped RSS notes.
+deterministic given a chain state, and migration happens at barriers.  That
+also means ``chains=1`` is *exactly* the single-chain delta-SA run.  Process
+parallelism lives one level up, over partition windows and campaign jobs.
 
 Seeding: chain ``i`` draws seed :func:`chain_seed`\\ ``(seed, i)`` (chain 0
 runs the base seed, later chains a fixed stride apart), so no two chains of
@@ -27,9 +19,6 @@ one portfolio replay the same trajectory.
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +29,6 @@ from repro.extraction.engine.problem import FrozenProblem, ProblemStats, snapsho
 from repro.extraction.engine.telemetry import ExtractionProfile, MigrationEvent
 from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
-from repro.obs.channel import absorb, capture, installed
 from repro.obs.metrics import registry as obs_registry
 
 #: Distinct-prime stride between per-chain seeds.  Documented contract: chain
@@ -68,7 +56,7 @@ DEFAULT_CHAIN_SPECS: Tuple[ChainSpec, ...] = (
 
 @dataclass
 class PortfolioConfig:
-    """Configuration of the island-parallel extraction portfolio."""
+    """Configuration of the island-model extraction portfolio."""
 
     chains: int = 4
     #: Total flips across all chains (the "equal move budget" knob benches
@@ -77,9 +65,6 @@ class PortfolioConfig:
     #: Flips a chain runs between migration barriers.
     migrate_every: int = 32
     seed: int = 7
-    #: Worker processes: None = min(chains, cpu_count); <= 1 runs inline
-    #: (identical results either way — the pool is throughput, not semantics).
-    workers: Optional[int] = None
     chain_specs: Sequence[ChainSpec] = DEFAULT_CHAIN_SPECS
 
     def __post_init__(self) -> None:
@@ -114,16 +99,7 @@ class PortfolioResult:
     chain_costs: List[float] = field(default_factory=list)
 
 
-# -- one round, inline or in a pool worker -------------------------------------
-
-_WORKER_PROBLEM: Optional[FrozenProblem] = None
-_WORKER_KINDS: frozenset = frozenset()
-
-
-def _init_worker(problem: FrozenProblem, kinds: frozenset) -> None:
-    global _WORKER_PROBLEM, _WORKER_KINDS
-    _WORKER_PROBLEM = problem
-    _WORKER_KINDS = kinds
+# -- one round -----------------------------------------------------------------
 
 
 def _round(problem: FrozenProblem, state: ChainState, moves: int, round_index: int) -> ChainState:
@@ -133,14 +109,6 @@ def _round(problem: FrozenProblem, state: ChainState, moves: int, round_index: i
     if sampler is not None:
         sampler.note("portfolio round", chain=state.profile.chain_id, round=round_index)
     return state
-
-
-def _worker_round(state: ChainState, moves: int, round_index: int):
-    """Pool entry point: one round under the parent's observer kinds;
-    returns ``(state, payload)`` for the barrier to absorb."""
-    with capture(_WORKER_KINDS) as captured:
-        state = _round(_WORKER_PROBLEM, state, moves, round_index)
-    return state, captured.payload
 
 
 # -- the portfolio loop -------------------------------------------------------
@@ -164,7 +132,6 @@ def portfolio_extract(
     """
     config = config or PortfolioConfig()
     cost = cost or NodeCountCost()
-    start = time.perf_counter()
 
     portfolio_span = obs.span(
         "extract portfolio",
@@ -195,82 +162,55 @@ def portfolio_extract(
 
         remaining = config.budgets()
         migrations: List[MigrationEvent] = []
-        workers = config.workers
-        if workers is None:
-            workers = min(config.chains, os.cpu_count() or 1)
-        pool = (
-            ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(problem, installed()))
-            if workers > 1
-            else None
-        )
-
         round_index = 0
-        try:
-            while any(remaining):
-                batch = [
-                    (i, min(config.migrate_every, remaining[i]))
-                    for i in range(config.chains)
-                    if remaining[i] > 0
-                ]
-                with obs.span("portfolio round", category="extraction.round", round=round_index):
-                    if pool is not None:
-                        futures = [
-                            (i, pool.submit(_worker_round, states[i], moves, round_index))
-                            for i, moves in batch
-                        ]
-                        for i, future in futures:
-                            states[i], payload = future.result()
-                            absorb(payload)
-                    else:
-                        for i, moves in batch:
-                            states[i] = _round(problem, states[i], moves, round_index)
-                    for i, moves in batch:
+        while any(remaining):
+            with obs.span("portfolio round", category="extraction.round", round=round_index):
+                for i in range(config.chains):
+                    moves = min(config.migrate_every, remaining[i])
+                    if moves:
+                        states[i] = _round(problem, states[i], moves, round_index)
                         remaining[i] -= moves
-                    round_index += 1
-                    if config.chains > 1:
-                        best_i = min(range(config.chains), key=lambda i: (states[i].best_cost, i))
-                        best = states[best_i]
-                        for i, state in enumerate(states):
-                            if i != best_i and state.current_cost > best.best_cost and remaining[i] > 0:
-                                states[i] = adopt_solution(state, best.best_choice, best.best_cost)
-                                migrations.append(
-                                    MigrationEvent(
-                                        round=round_index,
-                                        source_chain=best_i,
-                                        target_chain=i,
-                                        cost=best.best_cost,
-                                    )
-                                )
-                                obs.instant(
-                                    "migration",
-                                    category="extraction.migration",
+                round_index += 1
+                if config.chains > 1:
+                    best_i = min(range(config.chains), key=lambda i: (states[i].best_cost, i))
+                    best = states[best_i]
+                    for i, state in enumerate(states):
+                        if i != best_i and state.current_cost > best.best_cost and remaining[i] > 0:
+                            states[i] = adopt_solution(state, best.best_choice, best.best_cost)
+                            migrations.append(
+                                MigrationEvent(
                                     round=round_index,
                                     source_chain=best_i,
                                     target_chain=i,
                                     cost=best.best_cost,
                                 )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                            )
+                            obs.instant(
+                                "migration",
+                                category="extraction.migration",
+                                round=round_index,
+                                source_chain=best_i,
+                                target_chain=i,
+                                cost=best.best_cost,
+                            )
         portfolio_span.set("rounds", round_index)
         portfolio_span.set("migrations", len(migrations))
 
-    chain_extractions = [problem.extraction_from_choice(s.best_choice) for s in states]
-    chain_costs = [s.best_cost for s in states]
-    if final_selector is not None:
-        chain_costs = [final_selector(extraction) for extraction in chain_extractions]
-    ranked = sorted(range(config.chains), key=lambda i: (chain_costs[i], i))
-    best_chain = ranked[0]
+        chain_extractions = [problem.extraction_from_choice(s.best_choice) for s in states]
+        chain_costs = [s.best_cost for s in states]
+        if final_selector is not None:
+            chain_costs = [final_selector(extraction) for extraction in chain_extractions]
+        ranked = sorted(range(config.chains), key=lambda i: (chain_costs[i], i))
+        best_chain = ranked[0]
 
     profile = ExtractionProfile(
         chains=[s.profile for s in states],
         migrations=migrations,
         move_budget=config.move_budget,
         migrate_every=config.migrate_every,
-        workers=workers,
         best_cost=chain_costs[best_chain],
         best_chain=best_chain,
-        wall_time=time.perf_counter() - start,
+        wall_time=portfolio_span.duration,
         problem=stats.to_dict(),
         selector="external" if final_selector is not None else None,
     )

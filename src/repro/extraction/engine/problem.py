@@ -1,18 +1,17 @@
 """The frozen extraction problem: the e-graph snapshot the engine works on.
 
 Extraction runs on a *frozen* e-graph (saturation has finished), so greedy
-and SA extraction front-load every canonicalisation into one picklable,
-index-based structure, snapshotted from the e-graph's rows.  The snapshot
-numbers the e-classes ``0..n-1`` in ascending e-class id order, once, and
-everything after it is a flat list indexed by class number: per-class
-candidate e-nodes, their children as class numbers, pre-computed per-node
-costs and the roots.  A :data:`Choice` is a list too (class number -> node
-index, ``-1`` for an unchosen class).  Chains, evaluators, and worker
-processes therefore index lists, never a dict keyed by sparse e-class ids
-and never an ``EGraph``, and the whole problem crosses a
-``ProcessPoolExecutor`` boundary exactly once per worker.  E-class ids and
-``ENode`` objects appear only at the boundary: :meth:`FrozenProblem.build`
-on the way in, :meth:`FrozenProblem.extraction_from_choice` and
+and SA extraction front-load every canonicalisation into one index-based
+structure, snapshotted from the e-graph's rows.  The snapshot numbers the
+e-classes ``0..n-1`` in ascending e-class id order, once, and everything
+after it is a flat list indexed by class number: per-class candidate
+e-nodes, their children as class numbers, pre-computed per-node costs and
+the roots.  A :data:`Choice` is a list too (class number -> node index,
+``-1`` for an unchosen class).  Chains and evaluators therefore index
+lists, never a dict keyed by sparse e-class ids and never an ``EGraph``.
+E-class ids and ``ENode`` objects appear only at the boundary:
+:meth:`FrozenProblem.build` on the way in,
+:meth:`FrozenProblem.extraction_from_choice` and
 :meth:`FrozenProblem.choice_from_extraction` on the way out.
 
 Numbering in ascending id order keeps every rule that used to depend on
@@ -71,10 +70,10 @@ class FrozenProblem:
 
     ``users``, ``node_start``, ``distinct_counts`` and ``leaf_classes`` (the
     classes with a childless node, ascending) are derived from ``children``
-    on construction (see the module docstring) and travel with the problem
-    when it is pickled.  Construction rejects a node cost that is negative,
-    NaN or infinite with ``ValueError``: finite non-negative costs are what
-    makes the greedy fixpoint terminate with a complete acyclic choice.
+    on construction (see the module docstring).  Construction rejects a
+    node cost that is negative, NaN or infinite with ``ValueError``: finite
+    non-negative costs are what makes the greedy fixpoint terminate with a
+    complete acyclic choice.
     """
 
     class_ids: List[int]

@@ -81,7 +81,6 @@ class ExtractionProfile:
     migrations: List[MigrationEvent] = field(default_factory=list)
     move_budget: int = 0
     migrate_every: int = 0
-    workers: int = 0
     best_cost: float = 0.0
     best_chain: int = 0
     wall_time: float = 0.0
@@ -137,7 +136,6 @@ class ExtractionProfile:
         return {
             "move_budget": self.move_budget,
             "migrate_every": self.migrate_every,
-            "workers": self.workers,
             "best_cost": self.best_cost,
             "best_chain": self.best_chain,
             "initial_cost": self.initial_cost,

@@ -7,7 +7,7 @@ Pipeline (Fig. 5 of the paper):
 2. direct DAG-to-DAG conversion of the optimized AIG into an e-graph;
 3. a small number of equality-saturation iterations to grow structural
    choices;
-4. island-parallel simulated-annealing extraction, with either the mapping
+4. island-model simulated-annealing extraction, with either the mapping
    cost model (quality-prioritized) or the learned HOGA-like model
    (runtime-prioritized) evaluating each chain's best candidate;
 5. the best extracted structure goes through the final ``(st; dch; map)``
@@ -186,8 +186,6 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "use_choices": config.baseline.use_choices,
                 "choice_max_pairs": config.baseline.choice_max_pairs,
                 "choice_sat_budget": config.baseline.choice_sat_budget,
-                "cleanup": True,
-                "keep_premap": True,
             },
         )
     )

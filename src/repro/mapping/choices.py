@@ -30,8 +30,3 @@ class ChoiceClasses:
     def class_members(self, var: int) -> List[int]:
         """Every member of ``var``'s class, representative first."""
         return self.members.get(self.representative(var), [var])
-
-    @property
-    def num_classes_with_choices(self) -> int:
-        """Number of classes with more than one member."""
-        return sum(1 for mem in self.members.values() if len(mem) > 1)

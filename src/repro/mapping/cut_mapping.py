@@ -51,16 +51,6 @@ class MappingResult:
     nodes_evaluated: int = 0
     cuts_priced: int = 0
 
-    def as_dict(self) -> Dict[str, float]:
-        """QoR and runtime as a plain dict."""
-        return {
-            "area": self.area,
-            "delay": self.delay,
-            "levels": self.levels,
-            "runtime": self.runtime,
-            "num_gates": self.num_gates,
-        }
-
 
 #: ``priced`` value of a ``(leaves, truth)`` pair not looked up yet.
 _UNPRICED = object()

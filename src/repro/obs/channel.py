@@ -2,8 +2,8 @@
 
 A pool worker must never record into the observers it inherited from its
 parent: whatever it appends to those copies dies with the worker.  The
-three pool sites (portfolio chain rounds, partition windows, campaign jobs)
-therefore all use the same three calls:
+two pool sites (partition windows and campaign jobs) therefore both use the
+same three calls:
 
 * parent side, once per pool: ``kinds = installed()`` — the picklable set of
   observer kinds the caller has installed, shipped with each task;
@@ -15,12 +15,11 @@ therefore all use the same three calls:
   observer into the installed observer of its kind (counters into
   :func:`~repro.obs.metrics.registry`).
 
-Records carry the recording ``pid``, and any other tag (``window=``,
-``chain=``, ``round=``) is stamped where the record is produced, so
-``absorb`` takes no stamps and an inline run records exactly what a pooled
-run records.  Every observer lives in a :class:`~repro.obs.trace.Slot`
-listed in :data:`OBSERVERS`; a new observer is one table entry and cannot be
-forgotten at a pool site.
+Records carry the recording ``pid``, and any other tag (``window=``) is
+stamped where the record is produced, so ``absorb`` takes no stamps and an
+inline run records exactly what a pooled run records.  Every observer lives
+in a :class:`~repro.obs.trace.Slot` listed in :data:`OBSERVERS`; a new
+observer is one table entry and cannot be forgotten at a pool site.
 """
 
 from __future__ import annotations

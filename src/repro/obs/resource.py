@@ -19,9 +19,9 @@ Cross-process safety follows the tracer exactly: :mod:`repro.obs.channel`
 installs a *fresh* local sampler around each pool task and ships it back,
 pickled, to the parent, which appends its samples with
 :meth:`ResourceSampler.graft`.  Every sample carries
-the recording process's ``pid``, and tags such as ``window=`` or ``chain=``
-are stamped where the sample is taken, so a pooled run records exactly what
-an inline run records.
+the recording process's ``pid``, and tags such as ``window=`` are stamped
+where the sample is taken, so a pooled run records exactly what an inline
+run records.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class ResourceSample:
     ``curve`` is a list of per-iteration points
     ``{"iteration", "classes", "nodes", "adds", "unions"}`` (``adds`` and
     ``unions`` cumulative since the scope opened); RSS-only samples (e.g.
-    portfolio workers, which never grow an e-graph) have an empty curve.
+    portfolio rounds, which never grow an e-graph) have an empty curve.
     """
 
     __slots__ = ("label", "pid", "peak_rss_bytes", "adds", "unions", "curve", "extra")

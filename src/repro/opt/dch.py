@@ -54,11 +54,6 @@ class ChoiceAig:
     sat_calls: int = 0
     structural: int = 0
 
-    @property
-    def num_choices(self) -> int:
-        """Number of equivalence classes with more than one member."""
-        return self.classes.num_classes_with_choices
-
 
 def candidate_pairs(union: Aig, max_pairs: int) -> List[Tuple[int, int]]:
     """The ``(representative, member)`` variable pairs the choices come from.

@@ -69,7 +69,9 @@ from repro.pipeline import Pipeline
 #:    the same script share one entry; results drop their per-phase runtimes.
 #: 13: results carry the final AIG's AND count (``ands``), which campaign
 #:    ledger records report.
-SCHEMA_VERSION = 13
+#: 14: portfolio chains run in the flow's process — ExtractionProfile
+#:    payloads drop ``workers``.
+SCHEMA_VERSION = 14
 
 #: The named recipes :func:`make_job` renders: config type and pipeline.
 RECIPES = {

@@ -248,17 +248,15 @@ def partitioned_optimize(
     with obs.span(
         "partition", category="partition", method=partition.method, k=partition.k
     ) as part_span:
-        t0 = time.perf_counter()
         if windows is None:
             windows = partition_aig(aig, k=partition.k, method=partition.method, seed=partition.seed)
-        profile.partition_time = time.perf_counter() - t0
-        profile.num_windows = len(windows)
         part_span.set("windows", len(windows))
+    profile.partition_time = part_span.duration
+    profile.num_windows = len(windows)
 
-    t0 = time.perf_counter()
     reports: List[Optional[WindowReport]] = [None] * len(windows)
     optimized: List[Optional[Aig]] = [None] * len(windows)
-    with obs.span("optimize windows", category="partition", windows=len(windows)):
+    with obs.span("optimize windows", category="partition", windows=len(windows)) as optimize_span:
         if partition.workers > 0 and len(windows) > 1:
             kinds = installed()
             with ProcessPoolExecutor(partition.workers) as pool:
@@ -274,18 +272,17 @@ def partitioned_optimize(
         else:
             for w in windows:
                 reports[w.index], optimized[w.index] = optimize_window(w.index, w.aig, window)
-    for w in windows:
-        # The sub-AIG a window ships does not know its host member count.
-        reports[w.index].members = w.num_members
-    profile.optimize_time = time.perf_counter() - t0
+        for w in windows:
+            # The sub-AIG a window ships does not know its host member count.
+            reports[w.index].members = w.num_members
+    profile.optimize_time = optimize_span.duration
 
-    t0 = time.perf_counter()
-    with obs.span("stitch", category="partition", windows=len(windows)):
+    with obs.span("stitch", category="partition", windows=len(windows)) as stitch_span:
         implementations = [
             opt if opt is not None else w.aig for w, opt in zip(windows, optimized)
         ]
         stitched = stitch_windows(aig, list(windows), implementations)
-    profile.stitch_time = time.perf_counter() - t0
+    profile.stitch_time = stitch_span.duration
 
     profile.windows = [r for r in reports if r is not None]
     if any(r.attribution is not None for r in profile.windows):

@@ -351,7 +351,6 @@ def _pass_extract(
     method: str = "sa",
     threads: int = 4,
     migrate_every: int = 0,
-    workers: int = 0,
     iters: int = 4,
     moves: int = 4,
     seed: int = 7,
@@ -360,31 +359,28 @@ def _pass_extract(
 ) -> None:
     """E-graph extraction.
 
-    ``method="sa"`` runs the island-parallel portfolio with delta-cost move
+    ``method="sa"`` runs the island-model portfolio with delta-cost move
     evaluation: ``threads`` chains, each with ``iters * moves`` moves, guided
     by the structural ``cost``, exchanging their best solution every
     ``migrate_every`` moves (0 means half the per-chain budget).  Every
     chain's best extraction becomes a candidate, and the ``map`` pass keeps
     the best mapped one; with ``use_ml`` the learned cost model re-ranks the
-    chains' best extractions first.  ``workers=0`` (the default) runs the
-    chains inline — at flow-scale move budgets pool startup would dominate,
-    and orchestrate campaigns already parallelise across jobs; results are
-    identical either way, so ``workers=N`` is purely a throughput knob for
-    big budgets.
+    chains' best extractions first.  The chains run one after another in
+    the flow's process; partition windows and campaign jobs are where flows
+    fan out over processes.
 
     ``method="greedy"`` takes every class's cheapest node under ``cost``;
     ``method="random"`` draws the random bottom-up choice a random-start
     portfolio chain seeded ``seed`` begins from.  Both run on the same
     frozen snapshot as the portfolio, and reject any parameter only the
     portfolio reads (``threads``, ``iters``, ``moves``, ``migrate_every``,
-    ``workers``, ``use_ml``) that is not at its default.
+    ``use_ml``) that is not at its default.
 
     After a ``partition`` pass the validated parameters are *staged*: the
     pass records itself as the plan's ``extract`` step, which every window
     runs when ``stitch`` does, seeded ``window_seed(seed, index)``.  Only
     ``sa`` and ``greedy`` extraction are available per window, without
-    ``use_ml``, and ``workers`` must stay 0: windows already fan out over
-    ``partition(workers=)``.
+    ``use_ml``.
     """
     if method not in EXTRACT_METHODS:
         raise PipelineError(
@@ -396,16 +392,13 @@ def _pass_extract(
         raise PipelineError(str(exc)) from None
     if threads < 1:
         raise PipelineError("extract needs threads >= 1")
-    non_negative = {"iters": iters, "moves": moves, "migrate_every": migrate_every, "workers": workers}
+    non_negative = {"iters": iters, "moves": moves, "migrate_every": migrate_every}
     for name, value in non_negative.items():
         if value < 0:
             raise PipelineError(f"extract needs {name} >= 0")
     if method != "sa":
         defaults = resolve_pass("extract").params
-        sa_only = dict(
-            threads=threads, iters=iters, moves=moves, migrate_every=migrate_every,
-            workers=workers, use_ml=use_ml,
-        )
+        sa_only = dict(threads=threads, iters=iters, moves=moves, migrate_every=migrate_every, use_ml=use_ml)
         for name, value in sa_only.items():
             if value != defaults[name]:
                 raise PipelineError(
@@ -418,12 +411,6 @@ def _pass_extract(
             raise PipelineError("extract(random) is not supported inside a partitioned flow")
         if use_ml:
             raise PipelineError("extract(use_ml=true) is not supported inside a partitioned flow")
-        if workers:
-            # A chain pool per window would pay process start-up once per window.
-            raise PipelineError(
-                "extract(workers=) is not supported inside a partitioned flow; "
-                "windows fan out over partition(workers=)"
-            )
         plan.steps["extract"] = dict(
             method=method, threads=threads, migrate_every=migrate_every,
             iters=iters, moves=moves, seed=seed, cost=cost,
@@ -450,7 +437,6 @@ def _pass_extract(
             move_budget=iters * moves * threads,
             migrate_every=migrate_every or max(1, (iters * moves) // 2),
             seed=seed,
-            workers=workers,
         )
         result = portfolio_extract(
             circuit.egraph,
@@ -605,13 +591,11 @@ def _pass_map(
     use_choices: bool = False,
     choice_max_pairs: int = 400,
     choice_sat_budget: int = 300,
-    cleanup: bool = True,
-    keep_premap: bool = True,
 ) -> None:
     """Map the working AIG — or, after ``extract``, every candidate — and
-    keep the best ``(delay, area)``.  ``cleanup`` applies the light
-    balance+rewrite recovery to extraction candidates before mapping;
-    ``keep_premap`` falls back to the ``premap`` result when it still wins.
+    keep the best ``(delay, area)``.  Extraction candidates get the light
+    balance+rewrite recovery before mapping, and the ``premap`` result is
+    kept when it still wins.
 
     Each candidate's work shows in the trace as three ``mapping`` spans
     tagged with its index: ``map cleanup``, ``map choices`` and ``map
@@ -630,7 +614,7 @@ def _pass_map(
     for index, candidate in enumerate(targets):
         work = candidate
         with obs.span("map cleanup", category="mapping", candidate=index):
-            if from_extraction and cleanup:
+            if from_extraction:
                 # Extraction from a saturated e-graph can leave duplicated
                 # structure behind; balancing plus one rewriting pass recovers
                 # it without disturbing the depth profile.
@@ -654,12 +638,9 @@ def _pass_map(
         if best_mapping is None or (mapping.delay, mapping.area) < (best_mapping.delay, best_mapping.area):
             best_mapping = mapping
             best_aig = work
-    if (
-        keep_premap
-        and ctx.pre_mapping is not None
-        and (ctx.pre_mapping.delay, ctx.pre_mapping.area) < (best_mapping.delay, best_mapping.area)
-    ):
-        best_mapping = ctx.pre_mapping
+    pre = ctx.pre_mapping
+    if pre is not None and (pre.delay, pre.area) < (best_mapping.delay, best_mapping.area):
+        best_mapping = pre
         best_aig = ctx.pre_aig
     ctx.mapping = best_mapping
     ctx.aig = best_aig

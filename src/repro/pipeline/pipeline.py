@@ -238,15 +238,6 @@ class Pipeline:
     def __repr__(self) -> str:
         return f"Pipeline({self.to_script()!r})"
 
-    def describe(self) -> List[str]:
-        """One line per step for ``emorphic scripts``-style listings."""
-        lines = []
-        for step in self.steps:
-            spec = resolve_pass(step.pass_name)
-            params = ", ".join(f"{k}={v}" for k, v in step.params)
-            lines.append(f"{spec.name}({params})" if params else spec.name)
-        return lines
-
     # -- execution ----------------------------------------------------------
 
     def _model_for(self, ml_model: Optional[object]) -> Optional[object]:

@@ -9,11 +9,7 @@ import pickle
 
 import pytest
 
-from repro.benchgen import control, epfl
-from repro.conversion.dag2eg import aig_to_egraph
-from repro.egraph.rules import boolean_rules
-from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.engine import PortfolioConfig, portfolio_extract
+from repro.benchgen import epfl
 from repro.obs import current_recorder, current_sampler, recording, reset_registry, sampling, span, tracing
 from repro.obs.channel import absorb, capture, installed
 from repro.obs.metrics import registry
@@ -113,23 +109,11 @@ class TestChannel:
 
 
 # --------------------------------------------------------------------------
-# Pool == inline, per observer, at the portfolio, partition and campaign
-# pool sites.  Each site runs once inline and once pooled with all four
-# observers installed; the cells compare one observer each.
+# Pool == inline, per observer, at the partition and campaign pool sites.
+# Each site runs once inline and once pooled with all four observers
+# installed; the cells compare one observer each.
 
 CAMPAIGN_SCRIPT = "st; dag2eg; saturate(iters=1, max_nodes=3000); extract(greedy)"
-
-
-def _portfolio(workers, tmp_path):
-    aig = control.random_control(num_inputs=8, num_outputs=4, terms_per_output=3, seed=3)
-    circuit = aig_to_egraph(aig)
-    SaturationEngine(
-        circuit.egraph,
-        boolean_rules(),
-        EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=10.0),
-    ).run()
-    config = PortfolioConfig(chains=4, move_budget=64, migrate_every=16, seed=7, workers=workers)
-    return lambda: portfolio_extract(circuit.egraph, circuit.output_classes, config=config)
 
 
 def _partition(workers, tmp_path):
@@ -157,7 +141,6 @@ def _campaign(workers, tmp_path):
 
 #: site -> (builder, inline workers, pooled workers)
 SITES = {
-    "portfolio": (_portfolio, 0, 2),
     "partition": (_partition, 0, 2),
     "campaign": (_campaign, 1, 2),
 }
@@ -217,15 +200,14 @@ def site_runs(request, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp(request.param)
     inline = _observe(build(inline_workers, tmp_path))
     pooled = _observe(build(pooled_workers, tmp_path))
-    return request.param, inline, pooled
+    return inline, pooled
 
 
 @pytest.mark.parametrize("kind", ["trace", "provenance", "resource", "metrics"])
 def test_pool_records_what_inline_records(site_runs, kind):
-    site, inline, pooled = site_runs
+    inline, pooled = site_runs
     assert pooled[kind] == inline[kind]
     # Not vacuous: the pooled run recorded in worker processes, and every
-    # observer that the site feeds recorded something.
+    # observer recorded something.
     assert pooled["pids"] - {os.getpid()}
-    if kind != "provenance" or site != "portfolio":
-        assert inline[kind]
+    assert inline[kind]

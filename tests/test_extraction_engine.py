@@ -11,6 +11,7 @@ import hashlib
 import heapq
 import json
 import math
+import os
 import random
 import signal
 import sys
@@ -117,7 +118,7 @@ def portfolio_trajectory(circuit) -> dict:
             circuit.egraph,
             circuit.output_classes,
             cost=cost,
-            config=PortfolioConfig(move_budget=1024, migrate_every=32, seed=7, workers=0),
+            config=PortfolioConfig(move_budget=1024, migrate_every=32, seed=7),
             seed_solution=circuit.original_extraction(),
         )
         payload[cost.mode] = {
@@ -882,7 +883,7 @@ class TestRebuildOracles:
             oracle_circuit.egraph,
             oracle_circuit.output_classes,
             cost=cost,
-            config=PortfolioConfig(chains=1, move_budget=0, workers=0),
+            config=PortfolioConfig(chains=1, move_budget=0),
         )
         assert result.profile.problem == {
             "classes": len(view.nodes),
@@ -1166,7 +1167,7 @@ class TestDenseLayoutOracles:
         for name, make_cost in DENSE_ORACLE_COSTS.items():
             cost = make_cost()
             config = PortfolioConfig(
-                chains=6, move_budget=120, migrate_every=8, seed=seed, workers=0,
+                chains=6, move_budget=120, migrate_every=8, seed=seed,
                 chain_specs=SMALL_PORTFOLIO_SPECS,
             )
             result = portfolio_extract(eg, roots, cost=cost, config=config, seed_solution=seed_solution)
@@ -1188,7 +1189,7 @@ class TestDenseLayoutOracles:
         plus a fast-restarting chain."""
         cost = DENSE_ORACLE_COSTS[cost_name]()
         config = PortfolioConfig(
-            chains=6, move_budget=192, migrate_every=8, seed=3, workers=0, chain_specs=SMALL_PORTFOLIO_SPECS,
+            chains=6, move_budget=192, migrate_every=8, seed=3, chain_specs=SMALL_PORTFOLIO_SPECS,
         )
         seed_solution = oracle_circuit.original_extraction()
         result = portfolio_extract(
@@ -1199,27 +1200,13 @@ class TestDenseLayoutOracles:
         problem = FrozenProblem.build(oracle_circuit.egraph, oracle_circuit.output_classes, cost)
         assert_portfolio_matches_oracle(problem, result, config, seed_solution)
 
-    def test_pooled_portfolio_matches_oracle(self, saturated_circuit):
-        _, circuit = saturated_circuit
-        cost = DENSE_ORACLE_COSTS["sum_frac"]()
-        config = PortfolioConfig(
-            chains=6, move_budget=160, migrate_every=8, seed=5, workers=2, chain_specs=SMALL_PORTFOLIO_SPECS,
-        )
-        seed_solution = circuit.original_extraction()
-        result = portfolio_extract(
-            circuit.egraph, circuit.output_classes, cost=cost, config=config, seed_solution=seed_solution,
-        )
-        assert result.profile.migrations
-        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
-        assert_portfolio_matches_oracle(problem, result, config, seed_solution)
-
     def test_snapshot_and_rebuild_spans_count_the_walk(self, saturated_circuit):
         """``extract snapshot`` counts classes and nodes; each ``chain
         rebuild`` counts the classes its walk placed, the reachable ones and
         the flippable ones, as the oracle walks count them."""
         _, circuit = saturated_circuit
         specs = (ChainSpec(kind="restart", initial="random", restart_after=4),)
-        config = PortfolioConfig(chains=1, move_budget=64, migrate_every=16, workers=0, chain_specs=specs)
+        config = PortfolioConfig(chains=1, move_budget=64, migrate_every=16, chain_specs=specs)
         with tracing() as tracer:
             portfolio_extract(circuit.egraph, circuit.output_classes, config=config)
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes)
@@ -1281,7 +1268,7 @@ class TestNegativeCosts:
                 FrozenProblem.build(eg, roots, cost)
             with pytest.raises(ValueError, match=message):
                 portfolio_extract(
-                    eg, roots, cost=cost, config=PortfolioConfig(chains=1, move_budget=4, workers=0)
+                    eg, roots, cost=cost, config=PortfolioConfig(chains=1, move_budget=4)
                 )
         finally:
             signal.alarm(0)
@@ -1307,7 +1294,7 @@ class TestNegativeCosts:
                 circuit.egraph,
                 circuit.output_classes,
                 cost=cost,
-                config=PortfolioConfig(chains=1, move_budget=4, workers=0),
+                config=PortfolioConfig(chains=1, move_budget=4),
             )
 
 
@@ -1325,7 +1312,7 @@ class TestRebuildSpans:
     def test_rounds_split_into_rebuild_and_moves(self, saturated_circuit):
         _, circuit = saturated_circuit
         specs = (ChainSpec(kind="restart", initial="random", restart_after=4),)
-        config = PortfolioConfig(chains=1, move_budget=64, migrate_every=16, workers=0, chain_specs=specs)
+        config = PortfolioConfig(chains=1, move_budget=64, migrate_every=16, chain_specs=specs)
         with tracing() as tracer:
             result = portfolio_extract(circuit.egraph, circuit.output_classes, config=config)
         chain = result.profile.chains[0]
@@ -1431,7 +1418,7 @@ class TestDeltaFullParity:
         seeds."""
         _, circuit = _random_saturated(circuit_seed)
         cost = cost_cls()
-        config = PortfolioConfig(chains=1, move_budget=96, migrate_every=24, seed=11, workers=0)
+        config = PortfolioConfig(chains=1, move_budget=96, migrate_every=24, seed=11)
         seed_solution = circuit.original_extraction()
         result = portfolio_extract(
             circuit.egraph, circuit.output_classes, cost=cost, config=config, seed_solution=seed_solution,
@@ -1462,7 +1449,7 @@ class TestDeltaFullParity:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=1, move_budget=32, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=1, move_budget=32, migrate_every=8),
         )
         # A delta move touches a cone, not the whole class set.
         assert 0 < result.profile.mean_cone() < circuit.egraph.num_classes / 4
@@ -1475,7 +1462,7 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=3, move_budget=48, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=3, move_budget=48, migrate_every=8),
             seed_solution=circuit.original_extraction(),
         )
         back = extraction_to_aig(circuit, result.extraction)
@@ -1490,25 +1477,22 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=NodeCountCost(),
-            config=PortfolioConfig(chains=2, move_budget=32, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=32, migrate_every=8),
         )
         assert result.cost <= result.profile.initial_cost + 1e-9
 
-    def test_inline_and_process_pool_agree(self, saturated_circuit):
-        """Cross-process determinism: the pool is throughput, not semantics."""
+    def test_default_config_starts_no_process(self, saturated_circuit, monkeypatch):
+        """Chains run in the calling process, however many CPUs there are."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("portfolio_extract started a process pool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
         _, circuit = saturated_circuit
-        outcomes = []
-        for workers in (0, 2):
-            result = portfolio_extract(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=DepthCost(),
-                config=PortfolioConfig(
-                    chains=2, move_budget=24, migrate_every=8, seed=13, workers=workers
-                ),
-            )
-            outcomes.append((result.cost, result.extraction))
-        assert outcomes[0] == outcomes[1]
+        result = portfolio_extract(circuit.egraph, circuit.output_classes)
+        assert result.profile.num_chains == PortfolioConfig().chains
 
     def test_deterministic_per_seed(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -1517,7 +1501,7 @@ class TestPortfolio:
                 circuit.egraph,
                 circuit.output_classes,
                 cost=NodeCountCost(),
-                config=PortfolioConfig(chains=2, move_budget=24, migrate_every=8, seed=9, workers=0),
+                config=PortfolioConfig(chains=2, move_budget=24, migrate_every=8, seed=9),
             )
             for _ in range(2)
         ]
@@ -1530,7 +1514,7 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=NodeCountCost(),
-            config=PortfolioConfig(chains=3, move_budget=24, migrate_every=8, seed=5, workers=0),
+            config=PortfolioConfig(chains=3, move_budget=24, migrate_every=8, seed=5),
         )
         seeds = [chain.seed for chain in result.profile.chains]
         assert seeds == [chain_seed(5, i) for i in range(3)]
@@ -1554,7 +1538,7 @@ class TestPortfolio:
             circuit.output_classes,
             cost=NodeCountCost(),
             config=PortfolioConfig(
-                chains=2, move_budget=64, migrate_every=8, seed=3, workers=0, chain_specs=specs
+                chains=2, move_budget=64, migrate_every=8, seed=3, chain_specs=specs
             ),
         )
         assert result.profile.migrations
@@ -1575,7 +1559,7 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=NodeCountCost(),
-            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8),
             final_selector=selector,
         )
         assert len(calls) == 2
@@ -1587,7 +1571,7 @@ class TestPortfolio:
         nothing but the round structure."""
         _, circuit = saturated_circuit
         cost = DepthCost()
-        config = PortfolioConfig(chains=1, move_budget=24, migrate_every=8, seed=21, workers=0)
+        config = PortfolioConfig(chains=1, move_budget=24, migrate_every=8, seed=21)
         result = portfolio_extract(circuit.egraph, circuit.output_classes, cost=cost, config=config)
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
         state = init_chain(problem, config.spec_for(0), chain_seed(21, 0), greedy=problem.greedy_choice())
@@ -1650,7 +1634,7 @@ class TestTelemetry:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8),
         )
         payload = result.profile.to_dict()
         assert json.loads(json.dumps(payload)) == payload  # must be plain JSON
@@ -1665,7 +1649,7 @@ class TestTelemetry:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=1, move_budget=24, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=1, move_budget=24, migrate_every=8),
         )
         chain = result.profile.chains[0]
         assert len(chain.best_curve) == 1 + 3  # initial + one entry per round

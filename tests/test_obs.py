@@ -157,53 +157,6 @@ class TestGraft:
         ]
 
 
-def _shape(node):
-    """A tree node reduced to its deterministic fields (drop times and pids).
-
-    Children are sorted: grafted worker records land with near-identical
-    rebased start times, so sibling order is the one tree property that is
-    *not* deterministic across pool sizes.
-    """
-    record = node["record"]
-    return (
-        record.name,
-        record.category,
-        tuple(sorted((str(k), str(v)) for k, v in record.args.items())),
-        tuple(sorted(_shape(child) for child in node["children"])),
-    )
-
-
-class TestPortfolioTraceDeterminism:
-    def test_inline_and_pool_trees_match_modulo_pid(self):
-        def run(workers):
-            aig = control.random_control(num_inputs=8, num_outputs=4, terms_per_output=3, seed=3)
-            circuit = aig_to_egraph(aig)
-            SaturationEngine(
-                circuit.egraph,
-                boolean_rules(),
-                EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=10.0),
-            ).run()
-            config = PortfolioConfig(
-                chains=4, move_budget=64, migrate_every=16, seed=7, workers=workers
-            )
-            with tracing() as tracer:
-                result = portfolio_extract(circuit.egraph, circuit.output_classes, config=config)
-            portfolio_roots = [
-                node for node in tracer.tree() if node["record"].name == "extract portfolio"
-            ]
-            return result, portfolio_roots
-
-        inline_result, inline_tree = run(0)
-        pool_result, pool_tree = run(2)
-        # Tracing must not perturb the engine: identical extraction either way.
-        assert inline_result.cost == pool_result.cost
-        assert inline_result.extraction == pool_result.extraction
-        # And the merged span tree matches the inline one modulo pids/timing.
-        assert [_shape(n) for n in inline_tree] == [_shape(n) for n in pool_tree]
-        chain_pids = {r.pid for r in _walk_records(pool_tree) if r.name == "chain round"}
-        assert len(chain_pids) >= 1  # recorded in worker processes, pid-tagged
-
-
 def _walk_records(nodes):
     for node in nodes:
         yield node["record"]
@@ -423,7 +376,7 @@ class TestProfileByteCompat:
         result = portfolio_extract(
             circuit.egraph,
             circuit.output_classes,
-            config=PortfolioConfig(chains=2, move_budget=32, migrate_every=16, seed=7, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=32, migrate_every=16, seed=7),
         )
         expected = (FIXTURES / "extraction_profile.json").read_text()
         assert _canonical(result.profile.to_dict()) == expected

@@ -240,7 +240,6 @@ def oracle_optimize_window(index, sub, cfg):
                         move_budget=cfg.moves,
                         migrate_every=max(1, cfg.moves // (2 * cfg.chains)),
                         seed=window_seed(cfg.seed, index),
-                        workers=0,
                     ),
                     seed_solution=circuit.original_extraction(),
                 )

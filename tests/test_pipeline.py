@@ -96,21 +96,29 @@ UNHONOURABLE_EXTRACT_PARAMS = {
     "iters=-1": "iters >= 0",
     "moves=-1": "moves >= 0",
     "migrate_every=-1": "migrate_every >= 0",
-    "workers=-1": "workers >= 0",
 }
 
 #: ``extract`` parameters only the chain portfolio reads, at values other
 #: than their defaults: greedy and random extraction used to ignore them.
-SA_ONLY_EXTRACT_PARAMS = ["use_ml=true", "workers=3", "threads=9", "iters=2", "moves=8", "migrate_every=5"]
+SA_ONLY_EXTRACT_PARAMS = ["use_ml=true", "threads=9", "iters=2", "moves=8", "migrate_every=5"]
 
 #: Staged ``extract`` parameters windows used to drop silently: the
-#: ``portfolio round`` spans each window must run with 16 moves per chain,
-#: or the error naming what a staged one cannot do.
+#: ``portfolio round`` spans each window must run with 16 moves per chain.
 STAGED_EXTRACT_PARAMS = {
     "migrate_every=1": 16,
     "migrate_every=64": 1,
-    "workers=2": "windows fan out over partition(workers=)",
 }
+
+#: Retired pass parameters: a script naming one fails as an unknown
+#: parameter, whole or staged after ``partition``.
+REMOVED_PARAM_STATEMENTS = [
+    "extract(sa, engine=legacy)",
+    "extract(sa, p_random=0.2)",
+    "extract(sa, chains=2)",
+    "extract(sa, workers=2)",
+    "map(cleanup=false)",
+    "map(keep_premap=false)",
+]
 
 #: ``saturate`` budgets no saturation can honour, with the error naming the
 #: allowed range.
@@ -450,15 +458,15 @@ class TestOneExtractor:
         config = EmorphicConfig.from_dict(payload)
         assert config.to_dict() == EmorphicConfig(seed=3).to_dict()
 
-    @pytest.mark.parametrize("param", ["engine=legacy", "p_random=0.2", "chains=2"])
+    @pytest.mark.parametrize("statement", REMOVED_PARAM_STATEMENTS)
     @pytest.mark.parametrize(
         "template",
-        ["dag2eg; extract(sa, {})", "st; partition(k=30); extract(sa, {}); stitch"],
+        ["dag2eg; {}", "st; partition(k=30); {}; stitch"],
         ids=["whole", "staged"],
     )
-    def test_removed_extract_params_rejected(self, template, param, small_adder):
+    def test_removed_params_rejected(self, template, statement, small_adder):
         with pytest.raises(PipelineError, match="has no parameter"):
-            Pipeline.from_script(template.format(param)).run_flow(small_adder)
+            Pipeline.from_script(template.format(statement)).run_flow(small_adder)
 
     @pytest.mark.parametrize("param", list(UNHONOURABLE_EXTRACT_PARAMS))
     @pytest.mark.parametrize(
@@ -508,10 +516,6 @@ class TestOneExtractor:
         )
         aig = epfl.build("log2", preset="test")
         expected = STAGED_EXTRACT_PARAMS[param]
-        if isinstance(expected, str):
-            with pytest.raises(PipelineError, match=re.escape(expected)):
-                pipeline.run_flow(aig)
-            return
         with tracing() as tracer:
             result = pipeline.run_flow(aig)
 

@@ -9,6 +9,9 @@ Walks every ``*.md`` file in ``docs/`` (plus ``README.md``) and verifies:
 * bare intra-repo file references in inline code spans that look like
   paths (``src/...``, ``tests/...``, ``docs/...``, ``benchmarks/...``,
   ``tools/...``) point at real files;
+* pinned test ids in inline code spans (``tests/x.py::Class::test``, an
+  optional ``[...]`` parametrize suffix ignored) name a class or function
+  that the file's AST defines, nested as the id nests it;
 * no absolute ``file://`` links.
 
 External ``http(s)://`` links are *listed* but not fetched (CI must not
@@ -17,6 +20,7 @@ depend on network reachability).  Exit code 1 on any broken link.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -28,6 +32,10 @@ HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_PATH_RE = re.compile(
     r"`((?:src|tests|docs|benchmarks|tools|examples|\.github)/[A-Za-z0-9_./-]+)`"
 )
+TEST_ID_RE = re.compile(
+    r"`((?:tests|benchmarks)/[A-Za-z0-9_./-]+\.py)((?:::\w+)+)(?:\[[^\]`]*\])?`"
+)
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def slugify(heading: str) -> str:
@@ -39,6 +47,19 @@ def slugify(heading: str) -> str:
 
 def anchors_of(path: Path) -> set:
     return {slugify(m.group(1)) for m in HEADING_RE.finditer(path.read_text())}
+
+
+def resolves(module: Path, names: list) -> bool:
+    """Whether ``module`` defines ``names[0]``, which defines ``names[1]``..."""
+    scope = ast.parse(module.read_text())
+    for name in names:
+        scope = next(
+            (node for node in scope.body if isinstance(node, DEFINITIONS) and node.name == name),
+            None,
+        )
+        if scope is None:
+            return False
+    return True
 
 
 def check_file(path: Path) -> list:
@@ -73,6 +94,12 @@ def check_file(path: Path) -> list:
         resolved = REPO / ref
         if not resolved.exists():
             errors.append(f"{path}: dangling repo path `{ref}`")
+    for match in TEST_ID_RE.finditer(text):
+        module, names = REPO / match.group(1), match.group(2).split("::")[1:]
+        if not module.is_file():
+            errors.append(f"{path}: dangling repo path `{match.group(1)}`")
+        elif not resolves(module, names):
+            errors.append(f"{path}: unknown test id `{match.group(1)}{match.group(2)}`")
     return errors
 
 
