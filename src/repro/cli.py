@@ -29,7 +29,7 @@ Subcommands:
 * ``cache``     — inspect or clear the persistent result store;
 * ``history``   — query the persistent run ledger (every run/pipeline/batch/
   sweep/bench invocation appends its QoR and runtime), comparing each
-  (circuit, script, config) group's latest run against a rolling median
+  group's latest run (one script on one input) against a rolling median
   baseline; ``--check`` exits non-zero on regression (the CI gate);
 * ``report``    — render the run-ledger history as a static HTML report
   (QoR trend sparklines, pass-runtime waterfall, e-graph growth curves,
@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.aig.graph import Aig
-from repro.aig.io_aiger import read_aag
+from repro.aig.io_aiger import aag_to_string, read_aag
 from repro.benchgen import epfl
 from repro.flows.baseline import BaselineConfig, run_baseline_flow
 from repro.flows.emorphic import EmorphicConfig, run_emorphic_flow
@@ -216,32 +216,38 @@ def _ledger_append(args: argparse.Namespace, record: Dict[str, object]) -> None:
         _LOG.debug(f"ledger record {record_id} appended")
 
 
-def _result_ledger_record(
+def _ledger_record(
     kind: str,
     circuit: str,
-    result,
-    tracer=None,
+    content: str,
+    result: Dict[str, object],
     flow: Optional[str] = None,
-    script: Optional[str] = None,
-    config: Optional[Dict[str, object]] = None,
+    tracer=None,
+    extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Ledger record of one in-process :class:`~repro.pipeline.PipelineResult`."""
+    """Ledger record of one flow result payload: ``PipelineResult.to_dict()``
+    in-process, a campaign job's stored ``result``.
+
+    Its ``config_hash`` digests the canonical script together with the
+    input's canonical AIGER text (``content``), so a ledger group is one
+    script on one input, whichever command ran it.
+    """
     from repro.obs import flow_record
     from repro.obs.export import span_summary
 
-    stats = result.aig.stats()
     return flow_record(
         kind,
         circuit=circuit,
         flow=flow,
-        script=script,
-        config=config,
-        qor={"ands": stats["ands"], "levels": stats["levels"], "delay": result.delay, "area": result.area},
-        runtime=result.runtime,
-        pass_runtimes=result.pass_runtimes,
+        script=result["script"],
+        config={"script": result["script"], "input": content},
+        qor=result,
+        runtime=result.get("runtime"),
+        pass_runtimes=result.get("pass_runtimes") or None,
         span_summary=None if tracer is None else span_summary(tracer),
-        attribution=None if result.attribution is None else result.attribution.to_dict(),
-        resource=result.resource,
+        attribution=result.get("attribution"),
+        resource=result.get("resource"),
+        extra=extra,
     )
 
 
@@ -375,12 +381,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     total = sum(breakdown.values()) or 1.0
     for phase, seconds in breakdown.items():
         print(f"  {phase:20s} {seconds:8.2f} s ({100 * seconds / total:5.1f}%)")
-    _ledger_append(
-        args,
-        _result_ledger_record(
-            "run", aig.name, result, tracer, flow="emorphic", config=config.to_dict()
-        ),
+    record = _ledger_record(
+        "run", aig.name, aag_to_string(aig), result.to_dict(), flow="emorphic", tracer=tracer
     )
+    _ledger_append(args, record)
     return 0
 
 
@@ -462,14 +466,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     print("per-pass runtime:")
     for name, seconds in result.pass_runtimes:
         print(f"  {name:12s} {seconds:8.2f} s ({100 * seconds / total:5.1f}%)")
+    payload = result.to_dict()
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
+            json.dump(payload, handle, indent=2)
         _LOG.info(f"report written to {args.json}")
-    _ledger_append(
-        args,
-        _result_ledger_record("pipeline", aig.name, result, tracer, script=pipeline.to_script()),
-    )
+    _ledger_append(args, _ledger_record("pipeline", aig.name, aag_to_string(aig), payload, tracer=tracer))
     return 0
 
 
@@ -685,38 +687,21 @@ def _campaign_base_config(args: argparse.Namespace) -> EmorphicConfig:
     return EmorphicConfig.fast() if args.profile == "fast" else EmorphicConfig()
 
 
-def _outcome_ledger_record(kind: str, outcome) -> Dict[str, object]:
-    """Ledger record of one successful campaign job outcome."""
-    from repro.obs import flow_record
-
-    spec = outcome.spec
-    result = (outcome.record or {}).get("result") or {}
-    return flow_record(
-        kind,
-        circuit=spec.circuit.name,
-        flow=spec.tag or "pipeline",
-        script=str(spec.pipeline["script"]),
-        config=spec.pipeline,
-        qor={
-            "ands": result.get("ands"),
-            "levels": result.get("levels"),
-            "delay": result.get("delay"),
-            "area": result.get("area"),
-        },
-        runtime=result.get("runtime"),
-        pass_runtimes=result.get("pass_runtimes") or None,
-        attribution=result.get("attribution"),
-        resource=result.get("resource"),
-        extra={"status": outcome.status, "key": outcome.key},
-    )
-
-
 def _campaign_ledger_append(args: argparse.Namespace, kind: str, report) -> None:
     """Append one ledger record per successful outcome of a campaign."""
     if getattr(args, "no_ledger", False):
         return
     for outcome in report.successful():
-        _ledger_append(args, _outcome_ledger_record(kind, outcome))
+        circuit = outcome.spec.circuit
+        record = _ledger_record(
+            kind,
+            circuit.name,
+            circuit.content(),
+            outcome.record["result"],
+            flow=outcome.spec.tag or "pipeline",
+            extra={"status": outcome.status, "key": outcome.key},
+        )
+        _ledger_append(args, record)
 
 
 def _print_store_counters() -> None:
@@ -811,49 +796,25 @@ def _parse_grid(params: Sequence[str]) -> Dict[str, List[object]]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.orchestrate import run_pipeline_sweep, run_sweep
     from repro.orchestrate.report import render_frontier
-    from repro.orchestrate.sweep import apply_overrides
+    from repro.orchestrate.sweep import grid_points, run_sweep, script_points
 
+    # Every point is rendered, so every script and grid key is validated,
+    # before any job launches.
     if args.script:
         if args.param:
             raise SystemExit("sweep error: --script sweeps flow shapes; drop --param")
-        # Validate every script before launching any jobs.
-        scripts = [_build_pipeline(script) for script in args.script]
-        report = run_pipeline_sweep(
-            _campaign_circuits(args),
-            scripts,
-            preset=args.preset,
-            store=args.store,
-            max_workers=args.jobs,
-            job_timeout=args.timeout,
-            use_cache=not args.no_cache,
-            progress=True,
-        )
-        frontier = report.frontier()
-        if frontier:
-            print()
-            print(render_frontier(frontier, title=f"Pipeline-shape frontier ({len(report.points)} shapes)"))
-        _print_store_counters()
-        _campaign_ledger_append(args, "sweep", report.campaign)
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(report.to_dict(), handle, indent=2)
-            _LOG.info(f"report written to {args.json}")
-        return 0 if report.campaign.ok else 1
-
-    grid = _parse_grid(args.param or [])
-    base_config = _campaign_base_config(args)
-    # Validate the grid keys before launching any jobs.
-    try:
-        apply_overrides(base_config.to_dict(), {name: values[0] for name, values in grid.items()})
-    except KeyError as exc:
-        raise SystemExit(f"sweep error: {exc.args[0]}")
-
+        points = script_points([_build_pipeline(script) for script in args.script])
+        title = f"Pipeline-shape frontier ({len(points)} shapes)"
+    else:
+        try:
+            points = grid_points(_parse_grid(args.param or []), _campaign_base_config(args))
+        except KeyError as exc:
+            raise SystemExit(f"sweep error: {exc.args[0]}")
+        title = f"Sweep frontier ({len(points)} grid points)"
     report = run_sweep(
         _campaign_circuits(args),
-        grid,
-        base_config=base_config,
+        points,
         preset=args.preset,
         store=args.store,
         max_workers=args.jobs,
@@ -864,7 +825,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     frontier = report.frontier()
     if frontier:
         print()
-        print(render_frontier(frontier, title=f"Sweep frontier ({len(report.points)} grid points)"))
+        print(render_frontier(frontier, title=title))
     _print_store_counters()
     _campaign_ledger_append(args, "sweep", report.campaign)
     if args.json:

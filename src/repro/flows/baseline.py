@@ -1,8 +1,9 @@
 """The delay-oriented baseline flow of the paper (Mishchenko et al., ICCAD'11).
 
-ABC recipe: ``(st; if -g -K 6 -C 8)`` repeated, followed by ``(st; dch; map)``
-rounds — SOP balancing for delay, choice computation, and priority-cut
-mapping.  This is the "SOP Balancing Baseline" column of Table II.
+ABC recipe: ``(st; if -g -K 6 -C 8)`` repeated, followed by one
+``(st; dch; map)`` round — SOP balancing for delay, choice computation, and
+priority-cut mapping.  This is the "SOP Balancing Baseline" column of
+Table II.
 
 The flow is a named pipeline: :func:`baseline_pipeline` renders the recipe
 as registry passes, and :func:`run_baseline_flow` runs it into the one flow
@@ -12,7 +13,7 @@ result type, :class:`~repro.pipeline.PipelineResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.aig.graph import Aig
 from repro.mapping.library import Library
@@ -21,20 +22,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.pipeline import Pipeline, PipelineResult
 
 
+#: ``(st; if -g)`` rounds of both recipes, each at the ``sop_balance`` pass
+#: defaults (6-input cuts, 8 cuts per node).
+SOP_ROUNDS = 2
+
+
 @dataclass
 class BaselineConfig:
     """Knobs of the baseline delay flow."""
 
-    sop_rounds: int = 2
-    map_rounds: int = 2
-    k: int = 6
-    cut_limit: int = 8
     use_choices: bool = True
-    choice_sat_budget: int = 300
-    choice_max_pairs: int = 400
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (used for job hashing and the result store)."""
+        """JSON-serializable form (nested in :meth:`EmorphicConfig.to_dict`)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
@@ -46,28 +46,24 @@ class BaselineConfig:
         return cls(**data)
 
 
+def sop_steps() -> List[Tuple[str, Dict[str, object]]]:
+    """``strash`` and the :data:`SOP_ROUNDS` ``(strash; sop_balance)`` rounds
+    that open both recipes."""
+    return [("strash", {})] + [("strash", {}), ("sop_balance", {})] * SOP_ROUNDS
+
+
 def baseline_pipeline(config: Optional[BaselineConfig] = None) -> "Pipeline":
-    """The canonical baseline recipe as a first-class pipeline."""
+    """The canonical baseline recipe as a first-class pipeline.
+
+    One mapping round: ``map`` leaves the working AIG as it found it (the
+    netlist is a separate result), and ``strash`` of a strashed AIG is the
+    same AIG, so a second ``(strash; map)`` round would map the same AIG
+    again.
+    """
     from repro.pipeline import Pipeline
 
     config = config or BaselineConfig()
-    steps = [("strash", {})]
-    for _ in range(config.sop_rounds):
-        steps.append(("strash", {}))
-        steps.append(("sop_balance", {"k": config.k, "cut_limit": config.cut_limit}))
-    for _ in range(config.map_rounds):
-        steps.append(("strash", {}))
-        steps.append(
-            (
-                "map",
-                {
-                    "use_choices": config.use_choices,
-                    "choice_max_pairs": config.choice_max_pairs,
-                    "choice_sat_budget": config.choice_sat_budget,
-                },
-            )
-        )
-    return Pipeline(steps)
+    return Pipeline(sop_steps() + [("strash", {}), ("map", {"use_choices": config.use_choices})])
 
 
 def run_baseline_flow(
@@ -75,5 +71,5 @@ def run_baseline_flow(
     config: Optional[BaselineConfig] = None,
     library: Optional[Library] = None,
 ) -> "PipelineResult":
-    """Run ``(st; if -g -K k)^sop_rounds  (st; dch; map)^map_rounds``."""
+    """Run ``(st; if -g -K 6)^2  st; dch; map``."""
     return baseline_pipeline(config).run_flow(aig, library=library)

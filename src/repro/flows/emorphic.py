@@ -3,7 +3,7 @@
 Pipeline (Fig. 5 of the paper):
 
 1. technology-independent optimization (the same SOP-balancing rounds as the
-   baseline, minus the final mapping round);
+   baseline, minus its mapping round);
 2. direct DAG-to-DAG conversion of the optimized AIG into an e-graph;
 3. a small number of equality-saturation iterations to grow structural
    choices;
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.aig.graph import Aig
-from repro.flows.baseline import BaselineConfig
+from repro.flows.baseline import BaselineConfig, sop_steps
 from repro.mapping.library import Library
 
 if TYPE_CHECKING:  # pragma: no cover - for type checkers only
@@ -34,21 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - for type checkers only
     from repro.pipeline import Pipeline, PipelineResult  # import cycle guard
 
 
-#: ``EmorphicConfig`` fields that no longer exist.  The e-matching knobs went
-#: when the batched matcher became the only one; every old value selected a
-#: matcher with identical results, so dropping them changes no flow.  The
-#: extraction-engine switch and the three knobs that only shaped the legacy
-#: SA loop went when the portfolio became the only extractor.
-RETIRED_FIELDS = frozenset(
-    {
-        "use_op_index",
-        "matcher",
-        "extraction_engine",
-        "p_random",
-        "initial_temperature",
-        "pruned",
-    }
-)
+#: Moves between the portfolio chains' best-solution migrations.
+MIGRATE_EVERY = 8
 
 
 @dataclass
@@ -57,18 +44,13 @@ class EmorphicConfig:
 
     # Technology-independent optimization (shared with the baseline).
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
-    # Equality saturation.
+    # Equality saturation (the backoff scheduler with match deduplication).
     rewrite_iterations: int = 5
     max_egraph_nodes: int = 40_000
     rewrite_time_limit: float = 30.0
-    #: Engine knobs: "backoff" bans over-matching rules for exponentially
-    #: growing windows; "simple" searches every rule every iteration.
-    scheduler: str = "backoff"
-    dedup_matches: bool = True
     # Extraction (the island portfolio: chains guided by the structural cost,
     # the QoR model re-scores each chain's best).
     num_threads: int = 4  # portfolio chains
-    migrate_every: int = 8  # moves between best-solution migrations
     sa_iterations: int = 4
     moves_per_iteration: int = 4
     seed: int = 7  # base seed of the chains (chain i runs chain_seed(seed, i))
@@ -76,10 +58,8 @@ class EmorphicConfig:
     # Cost model.
     use_ml_model: bool = False
     ml_model: Optional[HogaModel] = None
-    # Verification.
+    # Verification (the final CEC at the ``cec`` pass defaults).
     verify: bool = True
-    verify_sim_words: int = 8
-    verify_conflict_budget: Optional[int] = 20_000
 
     @classmethod
     def fast(cls) -> "EmorphicConfig":
@@ -101,7 +81,7 @@ class EmorphicConfig:
         return config
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (used for job hashing and the result store).
+        """JSON-serializable form (the dict a sweep's grid points override).
 
         ``ml_model`` is deliberately excluded: a trained model instance is not
         part of a job's identity.  A run with ``use_ml_model=True`` and no
@@ -118,13 +98,9 @@ class EmorphicConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "EmorphicConfig":
-        """Rebuild a config from its ``to_dict`` payload.
-
-        Retired fields (:data:`RETIRED_FIELDS`) are accepted and dropped, so
-        result-store entries and ledger records written before their removal
-        still load.
-        """
-        data = {k: v for k, v in data.items() if k not in RETIRED_FIELDS}
+        """Rebuild a config from its ``to_dict`` payload; an unknown field
+        name raises ``ValueError``."""
+        data = dict(data)
         baseline = data.pop("baseline", None)
         known = {f.name for f in fields(cls)} - {"baseline", "ml_model"}
         unknown = set(data) - known
@@ -141,15 +117,7 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
     from repro.pipeline import Pipeline
 
     config = config or EmorphicConfig()
-    steps = [("strash", {})]
-    for _ in range(config.baseline.sop_rounds):
-        steps.append(("strash", {}))
-        steps.append(
-            ("sop_balance", {"k": config.baseline.k, "cut_limit": config.baseline.cut_limit})
-        )
-    steps.append(("strash", {}))
-    steps.append(("premap", {}))
-    steps.append(("dag2eg", {}))
+    steps = sop_steps() + [("strash", {}), ("premap", {}), ("dag2eg", {})]
     steps.append(
         (
             "saturate",
@@ -157,8 +125,6 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "iters": config.rewrite_iterations,
                 "max_nodes": config.max_egraph_nodes,
                 "time_limit": config.rewrite_time_limit,
-                "scheduler": config.scheduler,
-                "dedup": config.dedup_matches,
             },
         )
     )
@@ -169,7 +135,7 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "method": "sa",
                 # The runtime-prioritized (ML) mode runs two extra chains.
                 "threads": config.num_threads + (2 if config.use_ml_model else 0),
-                "migrate_every": config.migrate_every,
+                "migrate_every": MIGRATE_EVERY,
                 "iters": config.sa_iterations,
                 "moves": config.moves_per_iteration,
                 "seed": config.seed,
@@ -179,26 +145,9 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
             },
         )
     )
-    steps.append(
-        (
-            "map",
-            {
-                "use_choices": config.baseline.use_choices,
-                "choice_max_pairs": config.baseline.choice_max_pairs,
-                "choice_sat_budget": config.baseline.choice_sat_budget,
-            },
-        )
-    )
+    steps.append(("map", {"use_choices": config.baseline.use_choices}))
     if config.verify:
-        steps.append(
-            (
-                "cec",
-                {
-                    "sim_words": config.verify_sim_words,
-                    "conflict_budget": config.verify_conflict_budget,
-                },
-            )
-        )
+        steps.append(("cec", {}))
     return Pipeline(steps)
 
 

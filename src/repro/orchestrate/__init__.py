@@ -6,8 +6,8 @@ campaigns (the shape of every result table in the paper):
 * :mod:`repro.orchestrate.jobs` — content-hashed job specifications;
 * :mod:`repro.orchestrate.store` — persistent content-addressed results;
 * :mod:`repro.orchestrate.executor` — process-parallel campaign runner;
-* :mod:`repro.orchestrate.sweep` — design-space grids, pipeline-shape
-  sweeps, and frontiers;
+* :mod:`repro.orchestrate.sweep` — sweeps over config grids or flow
+  shapes, and their frontiers;
 * :mod:`repro.orchestrate.report` — Table-II / Fig-9 style aggregation.
 """
 
@@ -18,9 +18,9 @@ from repro.orchestrate.store import ResultStore, default_store_path
 from repro.orchestrate.sweep import (
     SweepReport,
     expand_grid,
-    pipeline_sweep_jobs,
-    run_pipeline_sweep,
+    grid_points,
     run_sweep,
+    script_points,
     sweep_jobs,
 )
 
@@ -34,13 +34,13 @@ __all__ = [
     "default_store_path",
     "expand_grid",
     "fig9_summary",
+    "grid_points",
     "make_job",
     "make_pipeline_job",
-    "pipeline_sweep_jobs",
     "run_campaign",
     "run_job",
-    "run_pipeline_sweep",
     "run_sweep",
+    "script_points",
     "sweep_jobs",
     "table2_summary",
 ]

@@ -56,17 +56,18 @@ from repro.pipeline import Pipeline
 #: 8: EmorphicConfig grows the ``matcher`` field (e-matching strategy) and
 #:    SaturationProfile payloads carry ``matcher``.
 #: 9: the batched matcher is the only one — EmorphicConfig drops its
-#:    matcher and op-index fields (``RETIRED_FIELDS``: old payloads still
-#:    load, the keys are dropped) and SaturationProfile payloads drop
+#:    matcher and op-index fields and SaturationProfile payloads drop
 #:    ``indexed``.
 #: 10: the portfolio is the only extractor — EmorphicConfig drops
-#:    extraction_engine/p_random/initial_temperature/pruned
-#:    (``RETIRED_FIELDS``) and pipeline metrics drop ``extraction_engine``.
+#:    extraction_engine/p_random/initial_temperature/pruned and pipeline
+#:    metrics drop ``extraction_engine``.
 #: 11: the delta evaluator is the only one — ExtractionProfile payloads drop
 #:    ``engine`` and ``evaluator``, and their chain records drop ``evaluator``.
 #: 12: every job is a pipeline job — the spec is (circuit, canonical pipeline
 #:    spec, tag) and the hash covers the pipeline spec, so a named recipe and
 #:    the same script share one entry; results drop their per-phase runtimes.
+#:    From 12 on no job key or store record holds a config, so deleting a
+#:    config field needs no bump: a recipe whose script changes keys anew.
 #: 13: results carry the final AIG's AND count (``ands``), which campaign
 #:    ledger records report.
 #: 14: portfolio chains run in the flow's process — ExtractionProfile

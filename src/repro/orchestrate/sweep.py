@@ -1,17 +1,16 @@
 """Design-space exploration over E-morphic configuration grids and flow shapes.
 
-A config sweep takes a base :class:`EmorphicConfig`, a cartesian grid of
-field overrides (dotted keys reach into the nested baseline config, e.g.
-``baseline.use_choices``), and a set of circuits; it renders each grid
-point's config into its E-morphic pipeline, materializes one job per
-(circuit, grid point), runs the campaign through the process pool, and
-reduces the outcomes to a best-per-circuit frontier.
-
-A *pipeline* sweep explores flow shapes instead of config values: each grid
-point is a whole scripted pipeline
-(:func:`run_pipeline_sweep`), so campaigns can compare, say, a greedy
-extraction recipe against the SA one, or an extra ``resyn2`` round — all
-served by the same content-addressed result cache.
+A sweep runs a set of circuits through a list of *points*, each a
+``(point, Pipeline)`` pair: the point is what the frontier reports, the
+pipeline what its jobs run.  :func:`grid_points` renders a cartesian grid of
+field overrides on a base :class:`EmorphicConfig` (dotted keys reach into the
+nested baseline config, e.g. ``baseline.use_choices``) through
+:func:`~repro.flows.emorphic_pipeline`; :func:`script_points` takes whole
+scripted pipelines, so campaigns can compare, say, a greedy extraction
+recipe against the SA one.  :func:`run_sweep` materializes one job per
+(circuit, point), runs the campaign through the process pool and reduces
+the outcomes to a best-per-circuit frontier, all served by the same
+content-addressed result cache.
 """
 
 from __future__ import annotations
@@ -20,10 +19,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.flows.emorphic import EmorphicConfig
+from repro.flows.emorphic import EmorphicConfig, emorphic_pipeline
 from repro.orchestrate.executor import CampaignReport, JobOutcome, ProgressFn, run_campaign
-from repro.orchestrate.jobs import CircuitRef, JobSpec, make_job, make_pipeline_job
+from repro.orchestrate.jobs import CircuitRef, JobSpec, make_pipeline_job
 from repro.orchestrate.store import ResultStore
+from repro.pipeline import Pipeline
+
+#: One sweep point: what the frontier reports, and the pipeline its jobs run.
+SweepPoint = Tuple[Dict[str, object], Pipeline]
 
 
 def expand_grid(grid: Dict[str, Sequence[object]]) -> List[Dict[str, object]]:
@@ -56,21 +59,38 @@ def apply_overrides(config: Dict[str, object], overrides: Dict[str, object]) -> 
     return result
 
 
+def grid_points(
+    grid: Dict[str, Sequence[object]], base_config: Optional[EmorphicConfig] = None
+) -> List[SweepPoint]:
+    """One point per grid combination: the overrides, and the E-morphic
+    pipeline of the base config with them applied."""
+    base = (base_config or EmorphicConfig()).to_dict()
+    return [
+        (point, emorphic_pipeline(EmorphicConfig.from_dict(apply_overrides(base, point))))
+        for point in expand_grid(grid)
+    ]
+
+
+def script_points(scripts: Sequence[Union[str, Pipeline]]) -> List[SweepPoint]:
+    """One point per flow shape: ``{"script": canonical text}``, so the
+    frontier reports which shape won per circuit."""
+    pipelines = [
+        script if isinstance(script, Pipeline) else Pipeline.from_script(script) for script in scripts
+    ]
+    return [({"script": pipeline.to_script()}, pipeline) for pipeline in pipelines]
+
+
 def sweep_jobs(
     circuits: Sequence[Union[str, CircuitRef]],
-    grid: Dict[str, Sequence[object]],
-    base_config: Optional[EmorphicConfig] = None,
+    points: Sequence[SweepPoint],
     preset: str = "bench",
-) -> Tuple[List[JobSpec], List[Dict[str, object]]]:
-    """(jobs, grid points): one emorphic job per circuit per grid point."""
-    base = (base_config or EmorphicConfig()).to_dict()
-    points = expand_grid(grid)
-    jobs: List[JobSpec] = []
-    for point_index, point in enumerate(points):
-        config = apply_overrides(base, point)
-        for circuit in circuits:
-            jobs.append(make_job(circuit, "emorphic", config, preset=preset, tag=f"sweep[{point_index}]"))
-    return jobs, points
+) -> List[JobSpec]:
+    """One job per point per circuit, tagged ``sweep[i]`` by point index."""
+    return [
+        make_pipeline_job(circuit, pipeline, preset=preset, tag=f"sweep[{index}]")
+        for index, (_, pipeline) in enumerate(points)
+        for circuit in circuits
+    ]
 
 
 @dataclass
@@ -121,57 +141,9 @@ class SweepReport:
         }
 
 
-def pipeline_sweep_jobs(
-    circuits: Sequence[Union[str, CircuitRef]],
-    scripts: Sequence[str],
-    preset: str = "bench",
-) -> Tuple[List[JobSpec], List[Dict[str, object]]]:
-    """(jobs, grid points): one pipeline job per circuit per flow shape.
-
-    Every grid point is ``{"script": canonical_text}``, so the frontier
-    reports which *shape* won per circuit.
-    """
-    from repro.pipeline import Pipeline
-
-    pipelines = [
-        pipeline if isinstance(pipeline, Pipeline) else Pipeline.from_script(str(pipeline))
-        for pipeline in scripts
-    ]
-    points = [{"script": pipeline.to_script()} for pipeline in pipelines]
-    jobs: List[JobSpec] = []
-    for point_index, pipeline in enumerate(pipelines):
-        for circuit in circuits:
-            jobs.append(make_pipeline_job(circuit, pipeline, preset=preset, tag=f"sweep[{point_index}]"))
-    return jobs, points
-
-
-def run_pipeline_sweep(
-    circuits: Sequence[Union[str, CircuitRef]],
-    scripts: Sequence[str],
-    preset: str = "bench",
-    store: Union[None, str, ResultStore] = None,
-    max_workers: Optional[int] = None,
-    job_timeout: Optional[float] = None,
-    use_cache: bool = True,
-    progress: Union[None, bool, ProgressFn] = None,
-) -> "SweepReport":
-    """Explore flow *shapes*: one scripted pipeline per grid point."""
-    jobs, points = pipeline_sweep_jobs(circuits, scripts, preset=preset)
-    campaign = run_campaign(
-        jobs,
-        store=store,
-        max_workers=max_workers,
-        job_timeout=job_timeout,
-        use_cache=use_cache,
-        progress=progress,
-    )
-    return SweepReport(campaign=campaign, points=points)
-
-
 def run_sweep(
     circuits: Sequence[Union[str, CircuitRef]],
-    grid: Dict[str, Sequence[object]],
-    base_config: Optional[EmorphicConfig] = None,
+    points: Sequence[SweepPoint],
     preset: str = "bench",
     store: Union[None, str, ResultStore] = None,
     max_workers: Optional[int] = None,
@@ -179,14 +151,13 @@ def run_sweep(
     use_cache: bool = True,
     progress: Union[None, bool, ProgressFn] = None,
 ) -> SweepReport:
-    """Explore the grid over the circuits and reduce to a frontier."""
-    jobs, points = sweep_jobs(circuits, grid, base_config=base_config, preset=preset)
+    """Run every point over the circuits and reduce to a frontier."""
     campaign = run_campaign(
-        jobs,
+        sweep_jobs(circuits, points, preset=preset),
         store=store,
         max_workers=max_workers,
         job_timeout=job_timeout,
         use_cache=use_cache,
         progress=progress,
     )
-    return SweepReport(campaign=campaign, points=points)
+    return SweepReport(campaign=campaign, points=[point for point, _ in points])

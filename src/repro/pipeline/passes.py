@@ -8,7 +8,7 @@ the metadata the script parser and the ``emorphic scripts`` listing need
 Kinds:
 
 * ``transform`` — rewrites ``ctx.aig`` preserving its function (strash,
-  balance, rewrite, refactor, SOP balance, resyn2, cleanup).  Transforms
+  balance, rewrite, refactor, SOP balance, resyn2).  Transforms
   invalidate any previously built e-graph or extraction candidates.
 * ``convert`` — ``dag2eg``, the direct DAG-to-DAG AIG → e-graph conversion.
 * ``egraph`` — ``saturate``, equality saturation on the circuit e-graph.
@@ -201,7 +201,7 @@ def pass_table() -> List[PassSpec]:
 # Technology-independent AIG transforms.
 
 
-@register_pass("strash", "structural hashing (ABC 'st')", aliases=("st",))
+@register_pass("strash", "structural hashing (ABC 'st'); drops dangling nodes", aliases=("st", "cleanup"))
 def _pass_strash(ctx: FlowContext) -> None:
     ctx.aig = ctx.aig.strash()
 
@@ -253,11 +253,6 @@ def _pass_delay_opt(ctx: FlowContext, rounds: int = 2, k: int = 6, cut_limit: in
         raise PipelineError("delay_opt needs rounds >= 0")
     _check_cut_params("delay_opt", k, cut_limit)
     ctx.aig = delay_opt_script(ctx.aig, rounds=rounds, k=k, cut_limit=cut_limit)
-
-
-@register_pass("cleanup", "drop dangling nodes")
-def _pass_cleanup(ctx: FlowContext) -> None:
-    ctx.aig = ctx.aig.cleanup()
 
 
 # --------------------------------------------------------------------------

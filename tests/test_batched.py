@@ -540,12 +540,12 @@ class TestWiring:
                 )
 
     def test_emorphic_config_round_trip(self):
-        # A config payload from before the matcher knobs were retired (as
-        # stored in result stores and run ledgers) still loads.
+        # A config payload round-trips; the retired matcher knobs are
+        # unknown fields like a typo (no store or ledger record holds a
+        # config payload to load).
         payload = EmorphicConfig().to_dict()
         assert "matcher" not in payload and "use_op_index" not in payload
-        old = {**payload, "matcher": "indexed", "use_op_index": False}
-        config = EmorphicConfig.from_dict(old)
-        assert config.to_dict() == payload
-        with pytest.raises(ValueError, match="unknown EmorphicConfig fields"):
-            EmorphicConfig.from_dict({**payload, "matchr": "batched"})
+        assert EmorphicConfig.from_dict(payload).to_dict() == payload
+        for extra in ({"matcher": "indexed"}, {"use_op_index": False}, {"matchr": "batched"}):
+            with pytest.raises(ValueError, match="unknown EmorphicConfig fields"):
+                EmorphicConfig.from_dict({**payload, **extra})

@@ -426,13 +426,15 @@ class TestTelemetry:
         assert payload["saturation"]["scheduler"] == "backoff"
         assert payload["saturation"]["num_iterations"] >= 1
 
-    def test_emorphic_config_roundtrips_engine_fields(self):
-        from repro.flows.emorphic import EmorphicConfig
+    def test_emorphic_recipe_runs_the_engine_defaults(self):
+        from repro.flows.emorphic import EmorphicConfig, emorphic_pipeline
+        from repro.pipeline import resolve_pass
 
-        config = EmorphicConfig(scheduler="simple", dedup_matches=False)
-        back = EmorphicConfig.from_dict(config.to_dict())
-        assert back.scheduler == "simple"
-        assert not back.dedup_matches
+        spec = resolve_pass("saturate")
+        for config in (EmorphicConfig(), EmorphicConfig.fast()):
+            (step,) = [s for s in emorphic_pipeline(config).steps if s.pass_name == "saturate"]
+            params = {**spec.params, **step.param_dict}
+            assert (params["scheduler"], params["dedup"]) == ("backoff", True)
 
 
 # --------------------------------------------------------------------------

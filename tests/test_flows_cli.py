@@ -21,7 +21,6 @@ def _fast_emorphic_config(**overrides) -> EmorphicConfig:
         sa_iterations=2,
         moves_per_iteration=2,
         verify=True,
-        verify_conflict_budget=5_000,
     )
     config.baseline.use_choices = False
     for key, value in overrides.items():
@@ -38,7 +37,7 @@ class TestBaselineFlow:
 
     def test_choices_do_not_hurt_delay(self, small_sqrt):
         without = run_baseline_flow(small_sqrt, BaselineConfig(use_choices=False))
-        with_choices = run_baseline_flow(small_sqrt, BaselineConfig(use_choices=True, choice_max_pairs=100))
+        with_choices = run_baseline_flow(small_sqrt, BaselineConfig(use_choices=True))
         assert with_choices.delay <= without.delay + 1e-6
 
     def test_result_is_equivalent_to_input(self, small_mem_ctrl):

@@ -217,6 +217,44 @@ class TestHistoryCli:
         (batch,) = RunLedger(tmp_path / "batch").records()
         assert isinstance(run["qor"]["ands"], int)
         assert batch["qor"] == run["qor"]
+        # One script on one input: the two records share one ledger group.
+        assert batch["config_hash"] == run["config_hash"]
+
+    def test_one_circuit_name_at_two_presets_forms_two_groups(self, tmp_path):
+        """The input's content is part of a record's identity, so a bench-size
+        run is never compared against a test-size run of the same name."""
+        from repro.cli import main
+
+        for preset in ("test", "bench"):
+            argv = ["pipeline", "adder", "--preset", preset, "--script", "st; map"]
+            assert main([*argv, "--ledger", str(tmp_path)]) == 0
+        records = RunLedger(tmp_path).records()
+        assert [(rec["circuit"], rec["script"]) for rec in records] == [("adder", "strash; map")] * 2
+        assert len(group_records(records)) == 2
+        assert main(["history", "--ledger", str(tmp_path), "--check"]) == 0
+
+    def test_run_and_pipeline_records_of_one_script_form_one_group(self, tmp_path):
+        """``emorphic run`` records the canonical script its config renders,
+        so it groups with ``emorphic pipeline`` running that script."""
+        from repro.cli import main
+        from repro.flows import BaselineConfig, EmorphicConfig, emorphic_pipeline
+
+        config = EmorphicConfig(
+            rewrite_iterations=1,
+            num_threads=1,
+            sa_iterations=1,
+            verify=False,
+            baseline=BaselineConfig(use_choices=False),
+        )
+        script = emorphic_pipeline(config).to_script()
+        common = ["mem_ctrl", "--preset", "test", "--ledger", str(tmp_path)]
+        assert main(["run", *common, "--iterations", "1", "--threads", "1",
+                     "--sa-iterations", "1", "--no-verify", "--no-choices"]) == 0
+        assert main(["pipeline", *common, "--script", script]) == 0
+        run, pipeline = RunLedger(tmp_path).records()
+        assert (run["kind"], pipeline["kind"]) == ("run", "pipeline")
+        assert run["script"] == pipeline["script"] == script
+        assert list(group_records([run, pipeline]).values()) == [[run, pipeline]]
 
     def test_report_writes_html(self, tmp_path):
         from repro.cli import main

@@ -14,6 +14,7 @@ from repro.orchestrate import (
     JobSpec,
     ResultStore,
     expand_grid,
+    grid_points,
     make_job,
     make_pipeline_job,
     run_campaign,
@@ -51,7 +52,7 @@ class TestJobHash:
             ("rewrite_iterations", 3),
             ("seed", 8),
             ("extraction_cost", "nodes"),
-            ("migrate_every", 4),
+            ("moves_per_iteration", 2),
             ("use_ml_model", True),
             ("baseline.use_choices", True),
         ],
@@ -108,11 +109,23 @@ class TestConfigSerialization:
         assert clone.to_dict() == config.to_dict()
         assert clone.baseline.use_choices is False
 
-    def test_unknown_fields_rejected(self):
-        with pytest.raises(ValueError):
-            EmorphicConfig.from_dict({"bogus": 1})
-        with pytest.raises(ValueError):
-            BaselineConfig.from_dict({"bogus": 1})
+    @pytest.mark.parametrize(
+        "config_type,name",
+        # A typo, and every field the recipes now hold as constants: a
+        # retired name fails like a typo does.
+        [(EmorphicConfig, name) for name in (
+            "bogus", "scheduler", "dedup_matches", "migrate_every",
+            "verify_sim_words", "verify_conflict_budget",
+        )]
+        + [(BaselineConfig, name) for name in (
+            "bogus", "sop_rounds", "map_rounds", "k", "cut_limit",
+            "choice_sat_budget", "choice_max_pairs",
+        )],
+    )
+    def test_unknown_fields_rejected(self, config_type, name):
+        payload = {**config_type().to_dict(), name: 1}
+        with pytest.raises(ValueError, match=f"unknown {config_type.__name__} fields: \\['{name}'\\]"):
+            config_type.from_dict(payload)
 
     def test_ml_model_excluded_from_dict(self):
         config = EmorphicConfig(use_ml_model=True, ml_model=object())
@@ -224,8 +237,8 @@ class TestSweep:
     def test_expand_grid_and_overrides(self):
         points = expand_grid({"a": [1, 2], "b": [True, False]})
         assert len(points) == 4 and {"a": 1, "b": True} in points
-        config = apply_overrides(tiny_emorphic_config().to_dict(), {"baseline.k": 4, "seed": 9})
-        assert config["baseline"]["k"] == 4 and config["seed"] == 9
+        config = apply_overrides(tiny_emorphic_config().to_dict(), {"baseline.use_choices": True, "seed": 9})
+        assert config["baseline"]["use_choices"] is True and config["seed"] == 9
         with pytest.raises(KeyError):
             apply_overrides(tiny_emorphic_config().to_dict(), {"nope": 1})
         with pytest.raises(KeyError):
@@ -234,8 +247,7 @@ class TestSweep:
     def test_two_circuit_two_config_sweep_through_process_pool(self, tmp_path):
         report = run_sweep(
             ["adder", "mem_ctrl"],
-            {"rewrite_iterations": [1, 2]},
-            base_config=tiny_emorphic_config(),
+            grid_points({"rewrite_iterations": [1, 2]}, base_config=tiny_emorphic_config()),
             preset="test",
             store=tmp_path / "store",
             max_workers=2,
@@ -253,8 +265,7 @@ class TestSweep:
         # Identical re-sweep is served entirely from the store.
         again = run_sweep(
             ["adder", "mem_ctrl"],
-            {"rewrite_iterations": [1, 2]},
-            base_config=tiny_emorphic_config(),
+            grid_points({"rewrite_iterations": [1, 2]}, base_config=tiny_emorphic_config()),
             preset="test",
             store=tmp_path / "store",
             max_workers=2,
@@ -264,11 +275,13 @@ class TestSweep:
 
     def test_sweep_points_render_into_pipeline_jobs(self):
         grid = {"extraction_cost": ["nodes", "bogus"]}
-        jobs, points = sweep_jobs(["adder"], grid, base_config=tiny_emorphic_config(), preset="test")
-        assert [point["extraction_cost"] for point in points] == ["nodes", "bogus"]
-        for job, point in zip(jobs, points):
+        points = grid_points(grid, base_config=tiny_emorphic_config())
+        jobs = sweep_jobs(["adder"], points, preset="test")
+        assert [point["extraction_cost"] for point, _ in points] == ["nodes", "bogus"]
+        for index, (job, (point, _)) in enumerate(zip(jobs, points)):
             config = tiny_emorphic_config()
             config.extraction_cost = point["extraction_cost"]
             assert job.pipeline == {"script": emorphic_pipeline(config).to_script()}
+            assert job.tag == f"sweep[{index}]"
         # Every point used to run as cost=nodes; a bogus one now fails its jobs.
         assert "cost=bogus" in jobs[1].pipeline["script"]

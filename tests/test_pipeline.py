@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.flows import baseline_pipeline, emorphic_pipeline
 from repro.flows.baseline import BaselineConfig
 from repro.flows.emorphic import EmorphicConfig
-from repro.orchestrate import make_job, make_pipeline_job, run_campaign, run_job, run_pipeline_sweep
+from repro.orchestrate import make_job, make_pipeline_job, run_campaign, run_job, run_sweep, script_points
 from repro.pipeline import (
     Pipeline,
     PipelineError,
@@ -32,7 +32,7 @@ RECIPE_CONFIGS = {
     "paper": EmorphicConfig,
     "fast": EmorphicConfig.fast,
     "ml": lambda: EmorphicConfig(use_ml_model=True),
-    "no_budget": lambda: EmorphicConfig(verify_conflict_budget=None),
+    "nodes_cost": lambda: EmorphicConfig(seed=3, extraction_cost="nodes"),
     "no_choices": lambda: EmorphicConfig(baseline=BaselineConfig(use_choices=False)),
 }
 
@@ -395,10 +395,37 @@ class TestPipelineExecution:
 
 
 class TestFlowsAsPipelines:
-    def test_baseline_pipeline_matches_recipe(self):
-        pipeline = baseline_pipeline(BaselineConfig(sop_rounds=1, map_rounds=1, use_choices=False))
-        names = [step.pass_name for step in pipeline.steps]
-        assert names == ["strash", "strash", "sop_balance", "strash", "map"]
+    def test_baseline_maps_once(self):
+        assert baseline_pipeline().to_script() == (
+            "strash; strash; sop_balance; strash; sop_balance; strash; map(use_choices=true)"
+        )
+        assert baseline_pipeline(BaselineConfig(use_choices=False)).to_script() == (
+            "strash; strash; sop_balance; strash; sop_balance; strash; map"
+        )
+
+    @pytest.mark.parametrize("use_choices", [False, True])
+    def test_map_leaves_the_working_aig_unchanged(self, use_choices, small_sqrt):
+        """Without extraction candidates ``map`` leaves the working AIG as it
+        found it (the netlist is ``ctx.mapping``), and ``strash`` of that AIG
+        is the same AIG, so a second ``strash; map`` round would map the same
+        AIG again."""
+        from repro.aig.io_aiger import aag_to_string
+
+        before = Pipeline.from_script("st; sopb; st").run(small_sqrt)
+        flag = "true" if use_choices else "false"
+        after = Pipeline.from_script(f"st; sopb; st; map(use_choices={flag})").run(small_sqrt)
+        assert after.mapping is not None
+        assert aag_to_string(after.aig) == aag_to_string(before.aig)
+        assert aag_to_string(after.aig.strash()) == aag_to_string(after.aig)
+
+    def test_dsl_doc_run_example_is_the_canonical_script(self):
+        """The script docs/dsl.md says ``emorphic run`` executes is the one
+        the paper-default recipe renders."""
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "dsl.md").read_text()
+        after = doc.split("(what `emorphic run` executes)", 1)[1]
+        block = after.split("```sh", 1)[1].split("```", 1)[0]
+        (script,) = re.findall(r'"([^"]*)"', block)
+        assert script == emorphic_pipeline(EmorphicConfig()).to_script()
 
     def test_emorphic_pipeline_passes_feed_fig9_buckets(self):
         names = [step.pass_name for step in emorphic_pipeline(EmorphicConfig.fast()).steps]
@@ -450,13 +477,16 @@ class TestOneExtractor:
             "extract(iters=3, migrate_every=8, moves=2, threads=2); map"
         )
 
-    def test_config_loads_payloads_with_retired_extraction_fields(self):
-        payload = EmorphicConfig(seed=3).to_dict()
-        payload.update(
-            extraction_engine="portfolio", p_random=0.1, initial_temperature=2000.0, pruned=True
-        )
-        config = EmorphicConfig.from_dict(payload)
-        assert config.to_dict() == EmorphicConfig(seed=3).to_dict()
+    @pytest.mark.parametrize(
+        "field,value",
+        [("extraction_engine", "portfolio"), ("p_random", 0.1), ("initial_temperature", 2000.0), ("pruned", True)],
+    )
+    def test_config_rejects_retired_extraction_fields(self, field, value):
+        # No store or ledger record holds a config payload, so a retired
+        # name is an unknown field like any typo.
+        payload = {**EmorphicConfig(seed=3).to_dict(), field: value}
+        with pytest.raises(ValueError, match="unknown EmorphicConfig fields"):
+            EmorphicConfig.from_dict(payload)
 
     @pytest.mark.parametrize("statement", REMOVED_PARAM_STATEMENTS)
     @pytest.mark.parametrize(
@@ -583,11 +613,10 @@ class TestPipelineJobs:
     def test_fields_the_recipe_does_not_read_leave_the_hash(self):
         base = make_job("adder", "emorphic", EmorphicConfig.fast(), preset="test")
         unread = EmorphicConfig.fast()
-        unread.baseline.map_rounds = 5  # only the baseline recipe maps in rounds
-        unread.verify_conflict_budget = None  # fast() runs no CEC
+        unread.ml_model = object()  # handed to the run, not rendered into the script
         assert make_job("adder", "emorphic", unread, preset="test").job_hash() == base.job_hash()
         read = EmorphicConfig.fast()
-        read.baseline.k = 4
+        read.baseline.use_choices = True
         assert make_job("adder", "emorphic", read, preset="test").job_hash() != base.job_hash()
 
     def test_fig9_summary_is_the_phase_tag_split(self, tmp_path):
@@ -626,10 +655,12 @@ class TestPipelineJobs:
         assert second.counts["cached"] == 1
 
     def test_pipeline_shape_sweep_frontier(self, tmp_path):
-        report = run_pipeline_sweep(
+        report = run_sweep(
             ["adder"],
-            ["st; sopb; dag2eg; saturate(iters=1, max_nodes=2000); extract(greedy); map",
-             "st; resyn2; premap"],
+            script_points(
+                ["st; sopb; dag2eg; saturate(iters=1, max_nodes=2000); extract(greedy); map",
+                 "st; resyn2; premap"]
+            ),
             preset="test",
             store=tmp_path / "store",
             max_workers=1,
