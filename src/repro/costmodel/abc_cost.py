@@ -1,9 +1,8 @@
 """Quality-prioritized cost model: evaluate candidates by actually mapping them.
 
 This mirrors the paper's ABC-static-library evaluator: the extracted circuit
-is strashed, optionally lightly optimized, and run through the cut-based
-technology mapper; the mapped delay is the primary cost (area is reported
-too and used as a tie-breaker).
+is strashed and run through the cut-based technology mapper's fast path,
+and the mapped delay, area, levels and gate count are its QoR.
 """
 
 from __future__ import annotations
@@ -25,60 +24,31 @@ class QoR:
     levels: int
     num_gates: int
 
-    def cost(self, delay_weight: float = 1.0, area_weight: float = 0.0) -> float:
-        return delay_weight * self.delay + area_weight * self.area
-
 
 class MappingCostModel:
     """Evaluate an AIG (or an extraction) by mapping it with the standard library."""
 
-    def __init__(
-        self,
-        library: Optional[Library] = None,
-        delay_weight: float = 1.0,
-        area_weight: float = 0.5,
-        pre_balance: bool = False,
-        cache: bool = True,
-        fast: bool = True,
-    ):
+    def __init__(self, library: Optional[Library] = None):
         self.library = library or default_library()
-        self.delay_weight = delay_weight
-        self.area_weight = area_weight
-        self.pre_balance = pre_balance
-        self.fast = fast
-        self._cache: Optional[Dict[int, QoR]] = {} if cache else None
+        self._cache: Dict[int, QoR] = {}
         self.num_evaluations = 0
 
     def evaluate_aig(self, aig: Aig) -> QoR:
-        """Map the AIG and return its QoR.
+        """Map the AIG and return its QoR, cached by structure.
 
-        In ``fast`` mode (the paper's "fast but rough mapping") the mapper
-        skips area recovery and uses a smaller cut budget; the final
-        candidate selection in the flow always re-maps with the full mapper.
+        The mapping is the paper's "fast but rough mapping": no area
+        recovery and a cut budget of 4; the final candidate selection in the
+        flow always re-maps with the full mapper.
         """
-        if self._cache is not None:
-            key = _aig_fingerprint(aig)
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
+        key = _aig_fingerprint(aig)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
         self.num_evaluations += 1
-        work = aig.strash()
-        if self.pre_balance:
-            from repro.opt.balance import balance
-
-            work = balance(work)
-        if self.fast:
-            result = map_aig(work, self.library, cut_limit=4, area_recovery=False)
-        else:
-            result = map_aig(work, self.library)
+        result = map_aig(aig.strash(), self.library, cut_limit=4, area_recovery=False)
         qor = QoR(area=result.area, delay=result.delay, levels=result.levels, num_gates=result.num_gates)
-        if self._cache is not None:
-            self._cache[key] = qor
+        self._cache[key] = qor
         return qor
-
-    def cost_of_aig(self, aig: Aig) -> float:
-        qor = self.evaluate_aig(aig)
-        return qor.cost(self.delay_weight, self.area_weight)
 
 
 def _aig_fingerprint(aig: Aig) -> int:

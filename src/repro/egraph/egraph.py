@@ -41,11 +41,12 @@ module but this one knows the row layout.
 Observers registered through :meth:`EGraph.attach_observer` receive
 ``on_add(class_id, enode)`` for every new e-class and ``on_union(root,
 other)`` for every merge, including the upward merges ``rebuild`` performs;
-the provenance log and the resource sampler are the two clients.  Repair
-re-canonicalizes nodes without callbacks, so an observer that keys records by
-(class id, e-node) must re-canonicalize both sides under the final union-find
-when it looks records up.  ``num_classes``/``num_nodes`` are O(1) counters:
-the saturation engine polls them inside its hot loop.
+the provenance log is the one client.  Repair re-canonicalizes nodes without
+callbacks, so an observer that keys records by (class id, e-node) must
+re-canonicalize both sides under the final union-find when it looks records
+up.  ``num_classes``/``num_nodes``/``num_rows`` are O(1) counters: the
+saturation engine polls them inside its hot loop, and the resource sampler
+reads a run's adds and unions off them.
 """
 
 from __future__ import annotations
@@ -382,6 +383,15 @@ class EGraph:
     def num_nodes(self) -> int:
         """Number of e-nodes across live classes (duplicates not yet repaired count)."""
         return self._num_nodes
+
+    @property
+    def num_rows(self) -> int:
+        """Number of node rows ever appended: one per e-class ever created.
+
+        Rows are never removed, so the count only grows; the class count
+        rises with it and falls by one per effective union.
+        """
+        return len(self.node_op)
 
     def class_ids(self) -> List[int]:
         """Canonical class ids in ascending order."""

@@ -247,9 +247,10 @@ class SaturationEngine:
             recorder.attach(egraph)
         # Resource sampling rides the same installed-observer gate: with no
         # sampler (the common case) the run and its to_dict payload are
-        # byte-identical to an unsampled build.
-        sampler = obs_resource.current_sampler()
-        rscope = sampler.begin(egraph) if sampler is not None else None
+        # byte-identical to an unsampled build.  A sampled run attaches
+        # nothing: its curve is read off the e-graph's own counters.
+        start_counts = (egraph.num_rows, egraph.num_classes) if obs_resource.sampling_enabled() else None
+        curve: List[Dict[str, int]] = []
         rule_stats: Dict[str, RuleProfile] = {
             rule.name: RuleProfile(name=rule.name) for rule in self.rules
         }
@@ -364,8 +365,8 @@ class SaturationEngine:
 
                         report.num_classes = egraph.num_classes
                         report.num_nodes = egraph.num_nodes
-                        if rscope is not None:
-                            rscope.snapshot(iteration, egraph.num_classes, egraph.num_nodes)
+                        if start_counts is not None:
+                            curve.append(obs_resource.growth_point(iteration, egraph, start_counts))
                         iter_span.set("classes", egraph.num_classes)
                         iter_span.set("nodes", egraph.num_nodes)
                         iter_span.set("applications", total_applied)
@@ -387,9 +388,6 @@ class SaturationEngine:
             finally:
                 if recorder is not None:
                     recorder.detach(egraph)
-                resource_sample = (
-                    sampler.end(rscope).to_dict() if rscope is not None else None
-                )
             run_span.set("stop_reason", stop_reason)
             run_span.set("iterations", len(iterations))
         self.profile = SaturationProfile(
@@ -399,7 +397,7 @@ class SaturationEngine:
             rules=rule_stats,
             scheduler=scheduler.name,
             dedup=self.dedup_matches,
-            resource=resource_sample,
+            resource=None if start_counts is None else obs_resource.run_sample(curve),
         )
         metrics = obs_registry()
         metrics.counter("saturation_runs_total", "saturation engine runs").inc()

@@ -76,9 +76,11 @@ class SaturationProfile:
     #: split honestly per rule, so per-rule ``search_time`` is zero and
     #: iteration-level ``search_time`` carries the phase timing.
     matcher: str = "batched"
-    #: A ``repro.obs.resource.ResourceSample`` payload when a sampler was
-    #: installed during the run; None (and absent from ``to_dict``) otherwise,
-    #: which keeps the unsampled payload byte-identical to earlier builds.
+    #: The run's resource sample (:func:`repro.obs.resource.run_sample`: peak
+    #: RSS and the growth curve read off the e-graph's counters) when a
+    #: sampler was installed during the run; None (and absent from
+    #: ``to_dict``) otherwise, which keeps the unsampled payload
+    #: byte-identical to earlier builds.
     resource: Optional[Dict[str, object]] = None
 
     @property

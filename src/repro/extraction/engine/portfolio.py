@@ -25,9 +25,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction, NodeCountCost
 from repro.extraction.engine.chains import ChainSpec, ChainState, adopt_solution, init_chain, run_round
-from repro.extraction.engine.problem import FrozenProblem, ProblemStats, snapshot
+from repro.extraction.engine.problem import ProblemStats, snapshot
 from repro.extraction.engine.telemetry import ExtractionProfile, MigrationEvent
-from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
 from repro.obs.metrics import registry as obs_registry
 
@@ -99,18 +98,6 @@ class PortfolioResult:
     chain_costs: List[float] = field(default_factory=list)
 
 
-# -- one round -----------------------------------------------------------------
-
-
-def _round(problem: FrozenProblem, state: ChainState, moves: int, round_index: int) -> ChainState:
-    """Run one chain round, noting the RSS watermark when sampling."""
-    state = run_round(problem, state, moves)
-    sampler = obs_resource.current_sampler()
-    if sampler is not None:
-        sampler.note("portfolio round", chain=state.profile.chain_id, round=round_index)
-    return state
-
-
 # -- the portfolio loop -------------------------------------------------------
 
 
@@ -168,7 +155,7 @@ def portfolio_extract(
                 for i in range(config.chains):
                     moves = min(config.migrate_every, remaining[i])
                     if moves:
-                        states[i] = _round(problem, states[i], moves, round_index)
+                        states[i] = run_round(problem, states[i], moves)
                         remaining[i] -= moves
                 round_index += 1
                 if config.chains > 1:

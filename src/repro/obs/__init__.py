@@ -17,8 +17,10 @@ One span/metrics substrate for every subsystem:
   stdlib logger (console or JSON-lines formatting);
 * **progress** (:mod:`repro.obs.progress`) — live rendering of orchestrate
   campaign events (``emorphic batch --progress``);
-* **resource** (:mod:`repro.obs.resource`) — a gated sampler of peak RSS
-  and per-iteration e-graph growth curves;
+* **resource** (:mod:`repro.obs.resource`) — a gated switch: while a
+  sampler is installed, every saturation run embeds its peak RSS and
+  per-iteration e-graph growth curve, read off the e-graph's own counters,
+  in its profile;
 * **channel** (:mod:`repro.obs.channel`) — the one way the four observers
   above (tracer, provenance log, resource sampler, metrics registry) cross
   a process pool: ``installed()`` in the parent, ``capture()`` around each
@@ -74,7 +76,6 @@ from repro.obs.provenance import (
 )
 from repro.obs.report import render_history_html, write_history_html
 from repro.obs.resource import (
-    ResourceSample,
     ResourceSampler,
     aggregate_samples,
     current_sampler,
@@ -99,7 +100,6 @@ __all__ = [
     "JsonFormatter",
     "MetricsRegistry",
     "ProvenanceLog",
-    "ResourceSample",
     "ResourceSampler",
     "RuleAttribution",
     "RuleYield",

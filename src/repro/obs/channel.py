@@ -13,7 +13,8 @@ same three calls:
   the pool pickles them as they are;
 * parent side, per collected result: ``absorb(payload)`` — grafts each
   observer into the installed observer of its kind (counters into
-  :func:`~repro.obs.metrics.registry`).
+  :func:`~repro.obs.metrics.registry`).  The resource sampler is a switch
+  with nothing to graft: a worker's samples ride in the task's results.
 
 Records carry the recording ``pid``, and any other tag (``window=``) is
 stamped where the record is produced, so ``absorb`` takes no stamps and an

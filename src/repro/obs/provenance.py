@@ -354,18 +354,6 @@ class RuleYield:
             "delta_levels": self.delta_levels,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RuleYield":
-        return cls(
-            rule=str(data["rule"]),
-            matches=int(data.get("matches", 0)),
-            applications=int(data.get("applications", 0)),
-            surviving_nodes=int(data.get("surviving_nodes", 0)),
-            surviving_ands=int(data.get("surviving_ands", 0)),
-            delta_ands=data.get("delta_ands"),
-            delta_levels=data.get("delta_levels"),
-        )
-
 
 def _sum_optional(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if a is None:
@@ -428,24 +416,6 @@ class RuleAttribution:
             "rules": {name: y.to_dict() for name, y in sorted(self.rules.items())},
             "derivations": [list(chain) for chain in self.derivations],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RuleAttribution":
-        return cls(
-            total_nodes=int(data.get("total_nodes", 0)),
-            total_ands=int(data.get("total_ands", 0)),
-            original_nodes=int(data.get("original_nodes", 0)),
-            original_ands=int(data.get("original_ands", 0)),
-            seed_ands=data.get("seed_ands"),
-            seed_levels=data.get("seed_levels"),
-            final_ands=data.get("final_ands"),
-            final_levels=data.get("final_levels"),
-            rules={
-                name: RuleYield.from_dict(y) for name, y in data.get("rules", {}).items()
-            },
-            derivations=[list(chain) for chain in data.get("derivations", [])],
-            windows=int(data.get("windows", 1)),
-        )
 
     @classmethod
     def aggregate(cls, parts: Iterable["RuleAttribution"]) -> "RuleAttribution":

@@ -1,46 +1,26 @@
 """Gated resource sampler: peak RSS and per-iteration e-graph growth curves.
 
-Mirrors the installed-observer gate of :mod:`repro.obs.trace` and
-:mod:`repro.obs.provenance`: when no :class:`ResourceSampler` is installed
-(the common case) the saturation hot path pays nothing and every ``to_dict``
-payload is byte-identical to a sampler-free build.  When one is installed,
-:class:`~repro.engine.engine.SaturationEngine` opens a per-run scope that
-
-* attaches to the e-graph through the observer protocol and counts
-  ``on_add``/``on_union`` events,
-* takes one ``(classes, nodes)`` snapshot per saturation iteration — the
-  growth curve the ROADMAP names as the signal for adaptive window sizing,
-* records the process's peak RSS watermark when the run ends,
-
-and embeds the finished :class:`ResourceSample` in the run's
-``SaturationProfile`` (and from there in flow results and ledger records).
-
-Cross-process safety follows the tracer exactly: :mod:`repro.obs.channel`
-installs a *fresh* local sampler around each pool task and ships it back,
-pickled, to the parent, which appends its samples with
-:meth:`ResourceSampler.graft`.  Every sample carries
-the recording process's ``pid``, and tags such as ``window=`` are stamped
-where the sample is taken, so a pooled run records exactly what an inline
-run records.
+The sampler is a switch that keeps no records, gated like
+:mod:`repro.obs.trace` and :mod:`repro.obs.provenance`.  While one is
+installed, :class:`~repro.engine.engine.SaturationEngine` reads one
+growth-curve point per iteration off counters the e-graph already keeps and
+embeds the run's sample in its ``SaturationProfile``, which carries it into
+window reports, partition profiles, flow results and ledger records.  With
+none installed (the common case) the hot path pays nothing and every
+``to_dict`` payload is byte-identical to a sampler-free build.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import Slot
 
 __all__ = [
-    "RESOURCE_SCHEMA",
-    "ResourceSample",
-    "ResourceSampler",
-    "aggregate_samples",
-    "current_sampler",
-    "peak_rss_bytes",
-    "sampling",
-    "sampling_enabled",
+    "RESOURCE_SCHEMA", "ResourceSampler", "aggregate_samples", "current_sampler", "growth_point",
+    "peak_rss_bytes", "run_sample", "sampling", "sampling_enabled",
 ]
 
 #: Version of the sample payload embedded in profiles and ledger records.
@@ -63,136 +43,45 @@ def peak_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-class ResourceSample:
-    """One sampled scope: growth curve, event counts, RSS watermark.
-
-    ``curve`` is a list of per-iteration points
-    ``{"iteration", "classes", "nodes", "adds", "unions"}`` (``adds`` and
-    ``unions`` cumulative since the scope opened); RSS-only samples (e.g.
-    portfolio rounds, which never grow an e-graph) have an empty curve.
-    """
-
-    __slots__ = ("label", "pid", "peak_rss_bytes", "adds", "unions", "curve", "extra")
-
-    def __init__(
-        self,
-        label: str,
-        pid: Optional[int] = None,
-        peak_rss: int = 0,
-        adds: int = 0,
-        unions: int = 0,
-        curve: Optional[List[Dict[str, int]]] = None,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.label = label
-        self.pid = os.getpid() if pid is None else pid
-        self.peak_rss_bytes = peak_rss
-        self.adds = adds
-        self.unions = unions
-        self.curve: List[Dict[str, int]] = curve if curve is not None else []
-        self.extra: Dict[str, object] = extra if extra is not None else {}
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": RESOURCE_SCHEMA,
-            "label": self.label,
-            "pid": self.pid,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "adds": self.adds,
-            "unions": self.unions,
-            "curve": [dict(point) for point in self.curve],
-            "extra": dict(self.extra),
-        }
+def growth_point(iteration: int, egraph, start: Tuple[int, int]) -> Dict[str, int]:
+    """One curve point: the e-graph's size after ``iteration``, and its growth
+    since the run began at ``start = (num_rows, num_classes)``: ``adds`` rows
+    appended (a row comes only with a new class) and ``unions`` merges made,
+    rebuild's included (classes rise by one per row, fall by one per merge)."""
+    rows, classes = start
+    adds = egraph.num_rows - rows
+    return {
+        "iteration": iteration,
+        "classes": egraph.num_classes,
+        "nodes": egraph.num_nodes,
+        "adds": adds,
+        "unions": classes + adds - egraph.num_classes,
+    }
 
 
-class _RunScope:
-    """An open sampling scope; implements the e-graph observer protocol.
-
-    The engine drives it: :meth:`snapshot` once per iteration (after
-    rebuild, with the counters the iteration report already reads), and the
-    observer callbacks count structural events in between.  Countering is
-    two integer increments per event — cheap enough that the sampler's
-    measured overhead is reported by ``saturate-bench`` (the ``resource``
-    probe of :mod:`repro.pipeline.bench`) rather than assumed.
-    """
-
-    __slots__ = ("sample", "_egraph", "_adds", "_unions")
-
-    def __init__(self, sample: ResourceSample, egraph=None) -> None:
-        self.sample = sample
-        self._egraph = egraph
-        self._adds = 0
-        self._unions = 0
-
-    # -- e-graph observer protocol --------------------------------------------
-
-    def on_add(self, class_id: int, enode) -> None:
-        self._adds += 1
-
-    def on_union(self, root: int, other: int) -> None:
-        self._unions += 1
-
-    # -- driven by the engine ---------------------------------------------------
-
-    def snapshot(self, iteration: int, classes: int, nodes: int) -> None:
-        """Record one growth-curve point (cumulative adds/unions to date)."""
-        self.sample.curve.append(
-            {
-                "iteration": iteration,
-                "classes": classes,
-                "nodes": nodes,
-                "adds": self._adds,
-                "unions": self._unions,
-            }
-        )
+def run_sample(curve: List[Dict[str, int]]) -> Dict[str, object]:
+    """One sampled run's payload: the recording process and its peak RSS, the
+    run's adds and unions (its last point's: the e-graph grows only inside an
+    iteration), its growth curve, and ``extra`` tags (a window index)."""
+    last = curve[-1] if curve else {"adds": 0, "unions": 0}
+    return {
+        "schema": RESOURCE_SCHEMA,
+        "label": "saturation",
+        "pid": os.getpid(),
+        "peak_rss_bytes": peak_rss_bytes(),
+        "adds": last["adds"],
+        "unions": last["unions"],
+        "curve": curve,
+        "extra": {},
+    }
 
 
 class ResourceSampler:
-    """Collects resource samples for one process; grafts workers' samplers."""
+    """The installed switch: saturation runs sample while one is installed."""
 
-    def __init__(self) -> None:
-        self.samples: List[ResourceSample] = []
-
-    # -- scopes (driven by the engine) ------------------------------------------
-
-    def begin(self, egraph=None, label: str = "saturation") -> _RunScope:
-        """Open a sampling scope, attaching to ``egraph`` when given."""
-        scope = _RunScope(ResourceSample(label), egraph)
-        if egraph is not None:
-            egraph.attach_observer(scope)
-        return scope
-
-    def end(self, scope: _RunScope) -> ResourceSample:
-        """Close a scope: detach, stamp the RSS watermark, keep the sample."""
-        if scope._egraph is not None:
-            scope._egraph.detach_observer(scope)
-            scope._egraph = None
-        sample = scope.sample
-        sample.adds = scope._adds
-        sample.unions = scope._unions
-        sample.peak_rss_bytes = peak_rss_bytes()
-        self.samples.append(sample)
-        return sample
-
-    def note(self, label: str, **extra) -> ResourceSample:
-        """Record a curve-less RSS watermark sample (e.g. a pool worker)."""
-        sample = ResourceSample(label, peak_rss=peak_rss_bytes(), extra=dict(extra))
-        self.samples.append(sample)
-        return sample
-
-    def graft(self, other: "ResourceSampler", **stamps) -> None:
-        """Append another sampler's samples, stamping ``stamps`` tags.
-
-        ``other`` is a partition window's scoped sampler or a pool worker's.
-        Tags are written into each sample's ``extra`` in place with
-        ``setdefault``, so a tag the worker already applied (e.g. a window
-        index stamped inside the pool task) survives the graft, and a
-        stamping graft takes ownership of ``other``.
-        """
-        for sample in other.samples:
-            for key, value in stamps.items():
-                sample.extra.setdefault(key, value)
-        self.samples.extend(other.samples)
+    def graft(self, other: "ResourceSampler") -> None:
+        """Nothing to move: a pool task runs under a fresh sampler whenever its
+        parent has one, and its samples come back inside its results."""
 
 
 def aggregate_samples(samples: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
@@ -219,8 +108,6 @@ def aggregate_samples(samples: List[Dict[str, object]]) -> Optional[Dict[str, ob
     }
 
 
-# -- the installed sampler -------------------------------------------------------
-
 SAMPLER = Slot()
 
 
@@ -235,8 +122,8 @@ def sampling_enabled() -> bool:
 def sampling(sampler: Optional[ResourceSampler] = None):
     """Context manager: install a fresh sampler, yield it, restore the old one.
 
-    ``with sampling() as sampler: ...`` — nested uses stack correctly (the
-    previous sampler comes back on exit), the same scoped form as
-    ``obs.tracing()`` and ``obs_provenance.recording()``.
+    ``with sampling(): ...`` — nested uses stack correctly (the previous
+    sampler comes back on exit), the same scoped form as ``obs.tracing()``
+    and ``obs_provenance.recording()``.
     """
     return SAMPLER.scoped(sampler or ResourceSampler())

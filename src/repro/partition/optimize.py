@@ -19,11 +19,11 @@ Parallelism: windows ship to a ``ProcessPoolExecutor``; each task runs
 the captured observers with its result, and the parent absorbs them **in
 window-index order**, so observability output is deterministic.  The window
 index is stamped where records are produced (the ``window`` span, the
-window-scoped provenance and resource grafts in :func:`optimize_window`), so
-a pooled run records exactly what an inline run records.  Results are a pure
-function of ``(aig, config, steps)``: ``workers=0`` (inline) and any pool size
-produce identical stitched circuits, reports, and profiles modulo
-wall-clock fields.
+window-scoped provenance graft and the window's resource sample in
+:func:`optimize_window`), so a pooled run records exactly what an inline run
+records.  Results are a pure function of ``(aig, config, steps)``:
+``workers=0`` (inline) and any pool size produce identical stitched
+circuits, reports, and profiles modulo wall-clock fields.
 
 Seeding: window ``i`` extracts with :func:`window_seed`\\ ``(seed, i)`` — a
 fixed prime stride apart, mirroring the portfolio's ``chain_seed`` contract
@@ -138,7 +138,6 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
     )
     start = time.perf_counter()
     plog = None
-    wsampler = None
     ctx = FlowContext(aig=sub, original=sub, library=default_library())
     span = obs.span("window", category="partition.window", window=index, ands=sub.num_ands)
     try:
@@ -149,15 +148,11 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
                     # e-graph id space, so a shared log would mis-resolve
                     # class ids.
                     plog = scopes.enter_context(obs_provenance.recording())
-                if obs_resource.sampling_enabled():
-                    # Same per-window scoping for resource samples, so the
-                    # graft below can stamp the window index on each one.
-                    wsampler = scopes.enter_context(obs_resource.sampling())
                 resolve_pass("dag2eg").run(ctx, {})
                 for name, params in steps:
                     spec = resolve_pass(name)
                     if spec.name == "extract":
-                        # The scopes cover the e-graph's build and saturation
+                        # The log covers the e-graph's build and saturation
                         # only; extraction records reach the outer observers.
                         scopes.close()
                         seed = params.get("seed", spec.params["seed"])
@@ -194,8 +189,7 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
             report.resource = {**saturation.resource, "extra": extra}
     if ctx.extraction_profile is not None:
         report.extract_cost = ctx.extraction_profile.best_cost
-    if ctx.attribution is not None:
-        report.attribution = ctx.attribution.to_dict()
+    report.attribution = ctx.attribution
     if optimized is None:
         report.ands_after = report.ands_before
         report.levels_after = report.levels_before
@@ -204,9 +198,6 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
         # Graft the window's log into the enclosing recorder (the pipeline's,
         # or the one a pool worker captures) window-stamped.
         outer.graft(plog, window=index)
-    outer_sampler = obs_resource.current_sampler()
-    if wsampler is not None and outer_sampler is not None:
-        outer_sampler.graft(wsampler, window=index)
     report.wall_time = time.perf_counter() - start
     return report, optimized
 
@@ -289,10 +280,8 @@ def partitioned_optimize(
         # Aggregate the windows whose optimized cones actually survived into
         # the stitched circuit; reverted windows keep their per-window report.
         profile.rule_attribution = obs_provenance.RuleAttribution.aggregate(
-            obs_provenance.RuleAttribution.from_dict(r.attribution)
-            for r in profile.windows
-            if r.attribution is not None and r.accepted
-        ).to_dict()
+            r.attribution for r in profile.windows if r.attribution is not None and r.accepted
+        )
     window_samples = [r.resource for r in profile.windows if r.resource is not None]
     if window_samples:
         # Flow-level aggregate: max RSS across processes, summed growth

@@ -12,8 +12,10 @@ by window after the fact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
+
+from repro.obs.provenance import RuleAttribution
 
 #: Terminal statuses a window optimization can land in.
 WINDOW_STATUSES = ("accepted", "reverted_cec", "reverted_no_gain", "failed")
@@ -41,11 +43,12 @@ class WindowReport:
     extract_cost: Optional[float] = None
     wall_time: float = 0.0
     error: Optional[str] = None
-    #: Per-window :class:`~repro.obs.provenance.RuleAttribution` payload; only
-    #: set when a provenance recorder was installed during the run.
-    attribution: Optional[Dict[str, object]] = None
-    #: Per-window :class:`~repro.obs.resource.ResourceSample` payload (growth
-    #: curve + RSS watermark); only set when a resource sampler was installed.
+    #: The window's rule attribution; only set when a provenance recorder
+    #: was installed during the run.
+    attribution: Optional[RuleAttribution] = None
+    #: The window's saturation sample (growth curve + RSS watermark, see
+    #: :func:`repro.obs.resource.run_sample`) stamped with ``extra.window``;
+    #: only set when a resource sampler was installed.
     resource: Optional[Dict[str, object]] = None
 
     @property
@@ -54,8 +57,11 @@ class WindowReport:
         return self.status == "accepted"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready payload of every field."""
-        return asdict(self)
+        """JSON-ready payload of every field, the attribution as its own ``to_dict``."""
+        data = asdict(replace(self, attribution=None))
+        if self.attribution is not None:
+            data["attribution"] = self.attribution.to_dict()
+        return data
 
 
 @dataclass
@@ -79,7 +85,7 @@ class PartitionProfile:
     final_cec: Optional[str] = None
     #: Aggregated rule attribution over the *accepted* windows (the e-nodes
     #: that survived into the stitched circuit); provenance runs only.
-    rule_attribution: Optional[Dict[str, object]] = None
+    rule_attribution: Optional[RuleAttribution] = None
     #: Aggregated resource telemetry over all windows (max RSS across
     #: processes, summed growth events, per-window curves); sampled runs only.
     resource: Optional[Dict[str, object]] = None
@@ -132,7 +138,7 @@ class PartitionProfile:
             "stitch_time": self.stitch_time,
             "wall_time": self.wall_time,
             "final_cec": self.final_cec,
-            "rule_attribution": self.rule_attribution,
+            "rule_attribution": None if self.rule_attribution is None else self.rule_attribution.to_dict(),
             "resource": self.resource,
             "windows": [w.to_dict() for w in self.windows],
         }

@@ -293,12 +293,14 @@ def _overhead_probes(bench: Bench, pipeline: Pipeline, aig, wall_time: float) ->
         "merges_recorded": len(log.merges),
         "overhead_vs_engine": _ratio(wall, wall_time),
     }
-    with obs_resource.sampling() as sampler:
-        wall = _wall_time(bench, timed.run_flow(aig))
-    aggregate = obs_resource.aggregate_samples([s.to_dict() for s in sampler.samples]) or {}
+    with obs_resource.sampling():
+        result = timed.run_flow(aig)
+    wall = _wall_time(bench, result)
+    # The probe run's own sample: the timed passes saturate once.
+    aggregate = obs_resource.aggregate_samples([result.resource] if result.resource else []) or {}
     resource = {
         "wall_time": wall,
-        "samples": len(sampler.samples),
+        "samples": aggregate.get("samples", 0),
         "peak_rss_bytes": aggregate.get("peak_rss_bytes", 0),
         "adds": aggregate.get("adds", 0),
         "unions": aggregate.get("unions", 0),

@@ -555,9 +555,7 @@ def _pass_stitch(ctx: FlowContext, verify: bool = True) -> None:
     ctx.candidates = []
     ctx.partition_profile = outcome.profile
     if outcome.profile.rule_attribution is not None:
-        ctx.attribution = obs_provenance.RuleAttribution.from_dict(
-            outcome.profile.rule_attribution
-        )
+        ctx.attribution = outcome.profile.rule_attribution
     if outcome.profile.resource is not None:
         ctx.resource_profile = outcome.profile.resource
     ctx.metrics["partition_windows"] = outcome.profile.num_windows

@@ -10,10 +10,11 @@ import pickle
 import pytest
 
 from repro.benchgen import epfl
-from repro.obs import current_recorder, current_sampler, recording, reset_registry, sampling, span, tracing
+from repro.obs import current_recorder, recording, reset_registry, sampling, span, tracing
 from repro.obs.channel import absorb, capture, installed
 from repro.obs.metrics import registry
 from repro.obs.provenance import MergeRecord, NodeRecord
+from repro.obs.resource import ResourceSampler
 from repro.partition import PartitionConfig, partitioned_optimize
 from repro.pipeline import Pipeline
 
@@ -42,11 +43,10 @@ class TestChannel:
         with capture({"trace", "resource"}) as captured:
             with span("work"):
                 pass
-            current_sampler().note("probe", chain=1)
         with tracing() as tracer:
             with span("barrier"):
                 absorb(captured.payload)
-        # No sampler installed: the resource buffer is dropped, not an error.
+        # No sampler installed: the captured sampler is dropped, not an error.
         assert [r.name for r in tracer.records] == ["work", "barrier"]
         absorb(None)
 
@@ -54,17 +54,15 @@ class TestChannel:
         # A job-level absorb grafts a worker's observers, pickled as the pool
         # ships them, as recorded: the records themselves move, and the tags
         # stamped where they were produced stay their only tags.
+        # The sampler is a switch: its graft moves nothing.
         with capture({"trace", "provenance", "resource"}) as captured:
             with span("job", label="adder"):
                 current_recorder().on_union(3, 4)
-            current_sampler().note("portfolio round", chain=1)
         payload = pickle.loads(pickle.dumps(captured.payload))
-        with tracing() as tracer, recording() as log, sampling() as sampler:
+        with tracing() as tracer, recording() as log, sampling():
             absorb(payload)
         assert log.merges == payload["provenance"].merges
-        assert sampler.samples == payload["resource"].samples
         assert [r.args for r in tracer.records] == [{"label": "adder"}]
-        assert [s.extra for s in sampler.samples] == [{"chain": 1}]
         assert [m.extra for m in log.merges] == [{}]
 
     def test_payload_pickles_record_for_record(self):
@@ -72,15 +70,12 @@ class TestChannel:
             with span("job", label="adder"):
                 current_recorder().on_union(3, 4)
                 current_recorder().nodes.append(NodeRecord(5, "AND", (3, 4), None, "r", 1, 2, "ab", 7))
-            current_sampler().note("portfolio round", chain=1)
             registry().gauge("best_cost").set(4)
         back = pickle.loads(pickle.dumps(captured.payload))
         for name in ("nodes", "merges"):
             records = [r.to_dict() for r in getattr(captured.payload["provenance"], name)]
             assert records and [r.to_dict() for r in getattr(back["provenance"], name)] == records
-        assert [s.to_dict() for s in back["resource"].samples] == [
-            s.to_dict() for s in captured.payload["resource"].samples
-        ]
+        assert isinstance(back["resource"], ResourceSampler)
         fields = ("span_id", "parent_id", "name", "category", "start", "duration", "pid", "args")
         assert [[getattr(r, f) for f in fields] for r in back["trace"].records] == [
             [getattr(r, f) for f in fields] for r in captured.payload["trace"].records
@@ -117,12 +112,15 @@ CAMPAIGN_SCRIPT = "st; dag2eg; saturate(iters=1, max_nodes=3000); extract(greedy
 
 
 def _partition(workers, tmp_path):
+    """The run; it returns its resource payloads (the windows' aggregate)."""
     aig = epfl.build("log2", preset="test")
     window = (
         ("saturate", {"iters": 2, "max_nodes": 2_500}),
         ("extract", {"method": "sa", "threads": 2, "iters": 1, "moves": 4}),
     )
-    return lambda: partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), window)
+    return lambda: [
+        partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), window).profile.resource
+    ]
 
 
 def _campaign(workers, tmp_path):
@@ -134,9 +132,12 @@ def _campaign(workers, tmp_path):
         for name in ("adder", "square")
     ]
     store = str(tmp_path / f"store{workers}")
-    return lambda: run_campaign(
-        jobs, store=store, max_workers=workers, progress=None, use_cache=False
-    )
+    return lambda: [
+        outcome.record["result"]["resource"]
+        for outcome in run_campaign(
+            jobs, store=store, max_workers=workers, progress=None, use_cache=False
+        ).outcomes
+    ]
 
 
 #: site -> (builder, inline workers, pooled workers)
@@ -170,21 +171,27 @@ def _without_pid(record):
     return json.dumps(data, sort_keys=True)
 
 
+def _without_process(payload):
+    """A resource payload without what differs between processes."""
+    return json.dumps(
+        {k: v for k, v in payload.items() if k not in ("pid", "pids", "peak_rss_bytes")}, sort_keys=True
+    )
+
+
 def _observe(run):
-    """Run under all four observers; each observer's pid-free view, plus the
-    pids that recorded spans."""
-    with tracing() as tracer, recording() as log, sampling() as sampler:
+    """Run under all four observers; each observer's pid-free view (the
+    resource sampler's is the run's resource payloads), plus the pids that
+    recorded spans."""
+    with tracing() as tracer, recording() as log, sampling():
         reg = reset_registry()
-        run()
+        payloads = run()
     return {
         "trace": sorted(_shape(root) for root in tracer.tree()),
         "provenance": (
             sorted(_without_pid(r) for r in log.nodes),
             sorted(_without_pid(r) for r in log.merges),
         ),
-        "resource": sorted(
-            json.dumps([s.label, s.extra, s.curve], sort_keys=True) for s in sampler.samples
-        ),
+        "resource": [_without_process(payload) for payload in payloads],
         "metrics": {
             name: value
             for name, value in reg.snapshot().items()

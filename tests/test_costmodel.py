@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.benchgen import arithmetic, control, epfl
-from repro.costmodel.abc_cost import MappingCostModel, QoR
+from repro.costmodel.abc_cost import MappingCostModel
 from repro.costmodel.features import FeatureConfig, circuit_features, hop_features, node_features
 from repro.costmodel.hoga import HogaConfig, HogaModel
 from repro.costmodel.train import evaluate_model, generate_dataset, structural_variants, train_cost_model
@@ -24,21 +24,6 @@ class TestMappingCostModel:
         evaluations = model.num_evaluations
         model.evaluate_aig(small_sqrt)
         assert model.num_evaluations == evaluations
-
-    def test_cost_combines_delay_and_area(self, small_sqrt, library):
-        delay_only = MappingCostModel(library=library, delay_weight=1.0, area_weight=0.0)
-        with_area = MappingCostModel(library=library, delay_weight=1.0, area_weight=1.0)
-        assert with_area.cost_of_aig(small_sqrt) > delay_only.cost_of_aig(small_sqrt)
-
-    def test_qor_cost_helper(self):
-        qor = QoR(area=10.0, delay=100.0, levels=5, num_gates=7)
-        assert qor.cost(delay_weight=1.0, area_weight=0.1) == pytest.approx(101.0)
-
-    def test_fast_mode_close_to_full(self, small_sqrt, library):
-        fast = MappingCostModel(library=library, fast=True).evaluate_aig(small_sqrt)
-        full = MappingCostModel(library=library, fast=False).evaluate_aig(small_sqrt)
-        assert fast.delay >= full.delay * 0.8  # fast mode is rougher but in the same ballpark
-        assert fast.delay <= full.delay * 2.0
 
 
 class TestFeatures:

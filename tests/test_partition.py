@@ -201,7 +201,6 @@ def oracle_optimize_window(index, sub, cfg):
     )
     start = time.perf_counter()
     plog = None
-    wsampler = None
     span = obs.span("window", category="partition.window", window=index, ands=sub.num_ands)
     try:
         with span:
@@ -219,8 +218,6 @@ def oracle_optimize_window(index, sub, cfg):
             with ExitStack() as stack:
                 if obs_provenance.recording_enabled():
                     plog = stack.enter_context(obs_provenance.recording())
-                if obs_resource.sampling_enabled():
-                    wsampler = stack.enter_context(obs_resource.sampling())
                 sat_profile = engine.run()
             if sat_profile.resource is not None:
                 report.resource = dict(sat_profile.resource)
@@ -250,7 +247,7 @@ def oracle_optimize_window(index, sub, cfg):
                 try:
                     report.attribution = obs_provenance.attribute_extraction(
                         circuit, extraction, plog, profile=sat_profile, final_aig=optimized
-                    ).to_dict()
+                    )
                 except Exception:
                     report.attribution = None
             cec = check_equivalence(
@@ -278,9 +275,6 @@ def oracle_optimize_window(index, sub, cfg):
     outer = obs_provenance.current_recorder()
     if plog is not None and outer is not None:
         outer.graft(plog, window=index)
-    outer_sampler = obs_resource.current_sampler()
-    if wsampler is not None and outer_sampler is not None:
-        outer_sampler.graft(wsampler, window=index)
     report.wall_time = time.perf_counter() - start
     return report, optimized
 
@@ -328,7 +322,7 @@ def staged_steps(aig, staged):
 def observed_window(run):
     """Run one window under a tracer, a provenance recorder and a resource
     sampler; everything it produced, minus wall time, RSS and pids."""
-    with obs.tracing() as tracer, obs_provenance.recording() as log, obs_resource.sampling() as sampler:
+    with obs.tracing() as tracer, obs_provenance.recording() as log, obs_resource.sampling():
         report, optimized = run()
     drop = lambda payload, keys: {k: v for k, v in payload.items() if k not in keys}
     payload = drop(report.to_dict(), {"wall_time"})
@@ -339,7 +333,6 @@ def observed_window(run):
         "report": payload,
         "aig": None if optimized is None else (optimized.name, optimized.nodes, optimized.pis, optimized.pos),
         "provenance": [drop(r.to_dict(), {"pid"}) for r in log.nodes + log.merges],
-        "resource": [drop(s.to_dict(), {"pid", "peak_rss_bytes"}) for s in sampler.samples],
         "spans": [
             (r.name, r.category, r.args, position.get(r.parent_id)) for r in tracer.records
         ],

@@ -157,16 +157,16 @@ class TestAttribution:
         assert ORIGINAL in text
         assert f"{report.total_ands} ands" in text
 
-    def test_dict_round_trip_and_aggregate(self):
+    def test_payload_and_aggregate(self):
         _, report = self._attributed()
         payload = report.to_dict()
         assert payload["schema"] == 1
-        clone = RuleAttribution.from_dict(payload)
-        assert clone.to_dict() == payload
-        doubled = RuleAttribution.aggregate([report, clone])
+        doubled = RuleAttribution.aggregate([report, report])
         assert doubled.windows == 2
         assert doubled.total_ands == 2 * report.total_ands
         assert doubled.derived_ands == 2 * report.derived_ands
+        # The parts are summed into a fresh report, never into each other.
+        assert report.to_dict() == payload
 
 
 # --------------------------------------------------------------------------
@@ -302,11 +302,15 @@ class TestPartitionProvenance:
         )
         if accepted:
             assert agg is not None
-            assert agg["windows"] == len(accepted)
-            total = RuleAttribution.from_dict(agg)
-            assert total.total_ands == sum(
-                r.attribution["total_ands"] for r in accepted
-            )
+            assert agg.windows == len(accepted)
+            assert agg.total_ands == sum(r.attribution.total_ands for r in accepted)
+            # Objects until the payload: to_dict emits each one's own to_dict.
+            payload = outcome.profile.to_dict()
+            assert payload["rule_attribution"] == agg.to_dict()
+            assert [w["attribution"] for w in payload["windows"]] == [
+                None if r.attribution is None else r.attribution.to_dict()
+                for r in outcome.profile.windows
+            ]
 
 
 # --------------------------------------------------------------------------

@@ -1,29 +1,85 @@
-"""Resource-sampler tests: gate semantics, engine growth curves, sampler-off
-byte-parity, and inline == pool grafting across the fan-out layers."""
+"""Resource-sampler tests: gate semantics, growth curves read off the
+e-graph's counters (checked against an observer-count oracle), sampler-off
+byte-parity, the pinned sampled payload, and inline == pool windows."""
 
 from __future__ import annotations
 
-import pickle
+import json
+from pathlib import Path
 
+import pytest
+
+from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
+from repro.egraph.egraph import EGraph
 from repro.egraph.rules import boolean_rules
 from repro.engine.engine import EngineLimits, SaturationEngine
 from repro.obs.resource import (
-    ResourceSampler,
     aggregate_samples,
     current_sampler,
     peak_rss_bytes,
     sampling,
     sampling_enabled,
 )
+from repro.pipeline import Pipeline
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 LIMITS = EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=30.0)
+
+#: saturate-deep's budget (``saturate(iters=4, max_nodes=150000, time_limit=600)``).
+DEEP = EngineLimits(max_iterations=4, max_nodes=150_000, time_limit=600.0)
 
 
 def _run_engine(aig):
     circuit = aig_to_egraph(aig)
     profile = SaturationEngine(circuit.egraph, boolean_rules(), LIMITS, scheduler="backoff").run()
     return circuit, profile
+
+
+class EventCounter:
+    """The oracle: the e-graph observer the sampler used to attach per run,
+    counting ``on_add``/``on_union`` events."""
+
+    def __init__(self) -> None:
+        self.adds = 0
+        self.unions = 0
+
+    def on_add(self, class_id, enode) -> None:
+        self.adds += 1
+
+    def on_union(self, root, other) -> None:
+        self.unions += 1
+
+
+def _counted_run(egraph, limits):
+    """One sampled run with the oracle attached; returns the run's sample and
+    the oracle's ``(adds, unions)`` after every rebuild (the engine rebuilds
+    once per iteration, right before it reads the curve point)."""
+    counter = EventCounter()
+    counts = []
+    rebuild = egraph.rebuild
+
+    def counted_rebuild():
+        merges = rebuild()
+        counts.append((counter.adds, counter.unions))
+        return merges
+
+    egraph.attach_observer(counter)
+    egraph.rebuild = counted_rebuild
+    try:
+        with sampling():
+            profile = SaturationEngine(egraph, boolean_rules(), limits).run()
+    finally:
+        del egraph.rebuild
+        egraph.detach_observer(counter)
+    return profile.resource, counts
+
+
+def assert_curve_matches_oracle(resource, counts):
+    assert [(point["adds"], point["unions"]) for point in resource["curve"]] == counts
+    assert (resource["adds"], resource["unions"]) == (counts[-1] if counts else (0, 0))
+    assert [point["iteration"] for point in resource["curve"]] == list(range(len(counts)))
 
 
 class TestGate:
@@ -58,15 +114,20 @@ class TestEngineSampling:
         assert res["curve"][-1]["nodes"] == profile.final_nodes
         assert res["peak_rss_bytes"] > 0
 
-    def test_observer_detached_after_run(self, small_adder):
+    def test_sampling_attaches_no_observer(self, small_adder, monkeypatch):
+        # The sample is read off the e-graph's counters: a sampled run leaves
+        # the insertion path without observers.
+        def refuse(self, observer):
+            raise AssertionError("a sampled saturation attached an e-graph observer")
+
+        monkeypatch.setattr(EGraph, "attach_observer", refuse)
         with sampling():
-            circuit, _ = _run_engine(small_adder)
-        assert circuit.egraph.observers == []
+            _, profile = _run_engine(small_adder)
+        assert profile.resource is not None and profile.resource["curve"]
 
     def test_off_run_identical_to_never_installed(self, small_adder):
         """The sampler-off payload is byte-identical whether a sampler ever
         existed in the process or not (the gate reads one global per run)."""
-        import json
 
         def canonical(profile):
             data = profile.to_dict()
@@ -87,29 +148,65 @@ class TestEngineSampling:
         assert canonical(before) == canonical(after)
 
 
-class TestSamplerBuffers:
-    def test_note_and_graft_with_setdefault_stamping(self):
-        worker = ResourceSampler()
-        worker.note("portfolio round", chain=3)
-        parent = ResourceSampler()
-        parent.graft(pickle.loads(pickle.dumps(worker)), chain=99, round=1)
-        (sample,) = parent.samples
-        # the worker-applied tag wins; only missing tags are stamped
-        assert sample.extra == {"chain": 3, "round": 1}
-        assert sample.pid > 0 and sample.curve == []
+class TestCountersMatchObserver:
+    """Each curve point's ``adds``/``unions``, read off the e-graph's row and
+    class counters, equal what an attached observer counts."""
 
+    @pytest.mark.parametrize("max_nodes", [DEEP.max_nodes, 300])
+    @pytest.mark.parametrize("circuit", list(epfl.available_circuits()))
+    def test_curve_matches_oracle(self, circuit, max_nodes):
+        limits = EngineLimits(max_iterations=DEEP.max_iterations, max_nodes=max_nodes, time_limit=600.0)
+        egraph = aig_to_egraph(epfl.build(circuit, preset="test")).egraph
+        resource, counts = _counted_run(egraph, limits)
+        assert counts, "the run made no iteration"
+        assert_curve_matches_oracle(resource, counts)
+
+    def test_second_saturation_counts_from_its_own_start(self, small_adder):
+        egraph = aig_to_egraph(small_adder).egraph
+        first, first_counts = _counted_run(egraph, LIMITS)
+        second, second_counts = _counted_run(egraph, LIMITS)
+        # Each run's oracle is attached fresh, so it counts from that run's start.
+        assert_curve_matches_oracle(first, first_counts)
+        assert_curve_matches_oracle(second, second_counts)
+
+
+def _zero_process(value, key=None):
+    """Zero floats, pids and RSS watermarks: what differs between runs."""
+    if key in ("pid", "peak_rss_bytes"):
+        return 0
+    if isinstance(value, float):
+        return 0.0
+    if isinstance(value, dict):
+        return {k: _zero_process(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_zero_process(v) for v in value]
+    return value
+
+
+class TestPinnedPayload:
+    def test_sampled_flow_payload(self):
+        # tests/fixtures/resource_payload.json: the sampled flow's to_dict()
+        # as the sampler's observer counted it, floats/pid/RSS zeroed.
+        script = "st; dag2eg; saturate(iters=2); extract(greedy); map"
+        with sampling():
+            result = Pipeline.from_script(script).run_flow(epfl.build("adder", preset="test"))
+        payload = json.dumps(_zero_process(result.to_dict()), sort_keys=True, indent=1) + "\n"
+        assert payload == (FIXTURES / "resource_payload.json").read_text()
+
+
+class TestAggregate:
     def test_aggregate_samples(self):
-        sampler = ResourceSampler()
-        a = sampler.note("w0")
-        b = sampler.note("w1")
-        a.peak_rss_bytes, a.adds, a.unions = 100, 5, 2
-        b.peak_rss_bytes, b.adds, b.unions = 300, 7, 1
-        b.curve.append({"iteration": 0, "classes": 1, "nodes": 2, "adds": 7, "unions": 1})
-        aggregate = aggregate_samples([sample.to_dict() for sample in sampler.samples])
-        assert aggregate["samples"] == 2
+        point = {"iteration": 0, "classes": 1, "nodes": 2, "adds": 7, "unions": 1}
+        a = {"schema": 1, "label": "saturation", "pid": 11, "peak_rss_bytes": 100,
+             "adds": 5, "unions": 2, "curve": [], "extra": {}}
+        b = {"schema": 1, "label": "saturation", "pid": 12, "peak_rss_bytes": 300,
+             "adds": 7, "unions": 1, "curve": [point], "extra": {"window": 3}}
+        aggregate = aggregate_samples([a, b])
+        assert aggregate["samples"] == 2 and aggregate["pids"] == [11, 12]
         assert aggregate["peak_rss_bytes"] == 300  # max across processes
         assert aggregate["adds"] == 12 and aggregate["unions"] == 3  # sums
-        assert len(aggregate["curves"]) == 1  # curve-less samples drop out
+        # curve-less samples drop out; a window's stamp stays with its curve
+        assert aggregate["curves"] == [{"label": "saturation", "extra": {"window": 3}, "curve": [point]}]
         assert aggregate_samples([]) is None
 
 
@@ -122,38 +219,27 @@ class TestPartitionSampling:
     def _run(self, aig, workers):
         from repro.partition import PartitionConfig, partitioned_optimize
 
-        with sampling() as sampler:
-            outcome = partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), self.WINDOW)
-        return outcome, sampler
+        with sampling():
+            return partitioned_optimize(aig, PartitionConfig(k=60, workers=workers), self.WINDOW).profile
 
     @staticmethod
-    def _curve_keys(sampler):
-        """(window, growth-curve) pairs, pid/rss-independent."""
-        return sorted(
-            (
-                sample.extra.get("window"),
-                tuple((p["iteration"], p["classes"], p["nodes"], p["adds"], p["unions"]) for p in sample.curve),
-            )
-            for sample in sampler.samples
-            if sample.curve
-        )
+    def _payloads(profile):
+        """The windows' and the aggregate's payloads, pid/RSS-independent."""
+        drop = ("pid", "pids", "peak_rss_bytes")
+        strip = lambda payload: {k: v for k, v in payload.items() if k not in drop}
+        return [strip(w.resource) for w in profile.windows], strip(profile.resource)
 
     def test_pool_matches_inline_modulo_pid(self):
-        from repro.benchgen import epfl
-
         aig = epfl.build("log2", preset="test")
-        inline_outcome, inline_sampler = self._run(aig, workers=0)
-        pooled_outcome, pooled_sampler = self._run(aig, workers=2)
-        assert self._curve_keys(inline_sampler) == self._curve_keys(pooled_sampler)
-        inline_res = inline_outcome.profile.resource
-        pooled_res = pooled_outcome.profile.resource
-        assert inline_res is not None and pooled_res is not None
-        assert inline_res["adds"] == pooled_res["adds"]
-        assert inline_res["unions"] == pooled_res["unions"]
-        assert len(pooled_res["pids"]) >= 1
+        inline = self._run(aig, workers=0)
+        pooled = self._run(aig, workers=2)
+        assert self._payloads(inline) == self._payloads(pooled)
+        windows, aggregate = self._payloads(pooled)
+        assert [w["extra"] for w in windows] == [{"window": w.index} for w in pooled.windows]
+        assert aggregate["adds"] == sum(w["adds"] for w in windows) > 0
+        assert len(pooled.resource["pids"]) >= 1
 
     def test_partition_profile_resource_none_when_off(self):
-        from repro.benchgen import epfl
         from repro.partition import PartitionConfig, partitioned_optimize
 
         aig = epfl.build("log2", preset="test")
