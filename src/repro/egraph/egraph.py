@@ -38,15 +38,14 @@ operator, no e-nodes) and the frozen extraction snapshot reads
 :meth:`EGraph.class_rows` (each class's distinct e-nodes only), so no
 module but this one knows the row layout.
 
-Observers registered through :meth:`EGraph.attach_observer` receive
-``on_add(class_id, enode)`` for every new e-class and ``on_union(root,
-other)`` for every merge, including the upward merges ``rebuild`` performs;
-the provenance log is the one client.  Repair re-canonicalizes nodes without
-callbacks, so an observer that keys records by (class id, e-node) must
-re-canonicalize both sides under the final union-find when it looks records
-up.  ``num_classes``/``num_nodes``/``num_rows`` are O(1) counters: the
-saturation engine polls them inside its hot loop, and the resource sampler
-reads a run's adds and unions off them.
+The e-graph calls out to no listener.  As in egg, the write path reports
+what it did through return values: ``union`` returns the surviving root and
+``rebuild`` the ``(root, merged-away class)`` pairs of its upward merges,
+and :meth:`EGraph.rows_since` reads back the rows an insertion appended (row
+``n`` is created with class ``n``).  The saturation engine's provenance log
+is built from these three.  ``num_classes``/``num_nodes``/``num_rows`` are
+O(1) counters: the engine polls them inside its hot loop, and the resource
+sampler reads a run's adds and unions off them.
 """
 
 from __future__ import annotations
@@ -144,21 +143,8 @@ class EGraph:
         self.parents: List[Optional[List[Tuple[Key, int]]]] = []
         self.worklist: List[int] = []
         self.var_ids: Dict[str, int] = {}
-        self.observers: List[object] = []
         self._num_classes = 0
         self._num_nodes = 0
-
-    # -- observers -------------------------------------------------------------
-
-    def attach_observer(self, observer: object) -> None:
-        """Start sending ``on_add``/``on_union`` events to ``observer``."""
-        if observer not in self.observers:
-            self.observers.append(observer)
-
-    def detach_observer(self, observer: object) -> None:
-        """Stop sending events to ``observer``."""
-        if observer in self.observers:
-            self.observers.remove(observer)
 
     # -- core operations ------------------------------------------------------
 
@@ -237,10 +223,6 @@ class EGraph:
             self.node_payload[row] = payload
             if oid == _VAR_ID:
                 self.var_ids[payload] = class_id
-        if self.observers:
-            enode = ENode(_OPS[oid], () if payload is not None else key[1:], payload)
-            for observer in self.observers:
-                observer.on_add(class_id, enode)
         return class_id
 
     def var(self, name: str) -> int:
@@ -274,24 +256,22 @@ class EGraph:
         self.parents[other] = None
         self.worklist.append(root)
         self._num_classes -= 1
-        for observer in self.observers:
-            observer.on_union(root, other)
         return root
 
-    def rebuild(self) -> int:
-        """Restore hashcons/congruence invariants; returns number of upward merges."""
-        merges = 0
+    def rebuild(self) -> List[Tuple[int, int]]:
+        """Restore hashcons/congruence invariants; returns the upward merges
+        as ``(root, merged-away class)`` pairs, in the order they were made."""
+        merges: List[Tuple[int, int]] = []
         uf = self.union_find
         parent = uf.parent
         while self.worklist:
             todo = {c if parent[c] == c else uf.find(c) for c in self.worklist}
             self.worklist = []
             for class_id in todo:
-                merges += self._repair(class_id)
+                self._repair(class_id, merges)
         return merges
 
-    def _repair(self, class_id: int) -> int:
-        merges = 0
+    def _repair(self, class_id: int, merges: List[Tuple[int, int]]) -> None:
         uf = self.union_find
         parent = uf.parent
         find = uf.find
@@ -323,8 +303,9 @@ class EGraph:
                 if parent[existing] != existing:
                     existing = find(existing)
                 if existing != parent_class:
-                    parent_class = self.union(parent_class, existing)
-                    merges += 1
+                    root = self.union(parent_class, existing)
+                    merges.append((root, existing if root == parent_class else parent_class))
+                    parent_class = root
             # A key already in ``new_parents`` needs no union: the parent
             # entries and the hashcons value under one canonical key always
             # lie in one e-class.  Keys enter the hashcons canonical, a key
@@ -337,7 +318,7 @@ class EGraph:
         # and will repair the combined lists itself), so deduplicating here
         # would double-subtract from the node counter.
         if (class_id if parent[class_id] == class_id else find(class_id)) != class_id:
-            return merges
+            return
         self.parents[class_id] = list(new_parents.items())
         # Deduplicate the class's own rows by canonical form (a one-row span
         # has nothing to drop).
@@ -350,7 +331,6 @@ class EGraph:
             if len(seen) != len(span):
                 self._num_nodes -= len(span) - len(seen)
                 self.spans[class_id] = list(seen.values())
-        return merges
 
     def _row_key(self, row: int) -> Key:
         """The canonical hashcons key of node row ``row``."""
@@ -392,6 +372,16 @@ class EGraph:
         rises with it and falls by one per effective union.
         """
         return len(self.node_op)
+
+    def rows_since(self, start: int) -> Iterator[Tuple[int, ENode]]:
+        """``(class id, e-node)`` for each row appended since :attr:`num_rows`
+        read ``start``, in creation order: row ``n`` was created with class
+        ``n``, and its children are the ids they had then (not re-canonicalized)."""
+        child_start = self.child_start
+        child_class = self.child_class
+        for row in range(start, len(self.node_op)):
+            children = tuple(child_class[child_start[row] : child_start[row + 1]])
+            yield row, ENode(_OPS[self.node_op[row]], children, self.node_payload.get(row))
 
     def class_ids(self) -> List[int]:
         """Canonical class ids in ascending order."""

@@ -17,7 +17,7 @@ preserving its semantics exactly when configured with the
   scheduler truncates the lists, dedup keys are built from the tuples, and
   each RHS runs as a post-order program compiled once per engine
   (:func:`_compile_rhs`).  A :class:`~repro.egraph.pattern.Match` is built
-  only for a rule's ``condition`` and for the provenance recorder;
+  only for a rule's ``condition``;
 * **match deduplication** remembers every (rule, canonical class, canonical
   substitution) triple that was already instantiated and skips it in later
   iterations.  A skipped re-instantiation could at most have re-created
@@ -29,6 +29,11 @@ preserving its semantics exactly when configured with the
   dirtied by unions (and their congruent parents) are repaired, and the
   e-graph's O(1) class/node counters keep the per-rule budget checks out of
   the profile.
+
+**Provenance**: while a recorder is installed, a run writes its own
+:class:`~repro.obs.provenance.ProvenanceLog` (``engine.provenance``) from the
+rows and union each applied match made and the merges ``rebuild`` returns,
+and grafts it into the recorder when the run returns.
 
 Memory: an iteration's matches are dropped before the next search starts,
 and the matcher's class views and memos live only inside one search, so
@@ -164,6 +169,8 @@ class SaturationEngine:
         self.dedup_matches = dedup_matches
         self.matcher = BatchedMatcher(self.rules)
         self.profile: Optional[SaturationProfile] = None
+        #: The last run's provenance log; None when no recorder was installed.
+        self.provenance: Optional[obs_provenance.ProvenanceLog] = None
         self._seen: Set[MatchKey] = set()
         #: Per rule: its RHS program, and the getter putting slot values in
         #: sorted-name order for the dedup key (None when already sorted).
@@ -183,9 +190,12 @@ class SaturationEngine:
         matches: List[SlotMatch],
         stats: RuleProfile,
         iteration: int = 0,
-        recorder: Optional[obs_provenance.ProvenanceLog] = None,
+        log: Optional[obs_provenance.ProvenanceLog] = None,
     ) -> int:
-        """Apply one rule's matches (with dedup); returns unions performed."""
+        """Apply one rule's matches (with dedup); returns unions performed.
+
+        With a ``log``, each applied match's new rows and union are recorded.
+        """
         egraph = self.egraph
         uf = egraph.union_find
         parent = uf.parent
@@ -214,19 +224,17 @@ class SaturationEngine:
                 continue
             if seen is not None:
                 seen.add(key)
-            if recorder is not None:
-                recorder.set_context(
-                    name,
-                    iteration,
-                    uf.find(class_id),
-                    obs_provenance.subst_digest(dict(zip(names, slots))),
-                )
+            rows = egraph.num_rows if log is not None else 0
             new_class = _run_rhs(egraph, program, slots)
-            if new_class != (class_id if parent[class_id] == class_id else uf.find(class_id)):
-                egraph.union(class_id, new_class)
+            root = class_id if parent[class_id] == class_id else uf.find(class_id)
+            if log is not None and egraph.num_rows != rows:
+                digest = obs_provenance.subst_digest(dict(zip(names, slots)))
+                log.add_nodes(egraph.rows_since(rows), name, iteration, root, digest)
+            if new_class != root:
+                merged = egraph.union(root, new_class)
                 applied += 1
-        if recorder is not None:
-            recorder.clear_context()
+                if log is not None:
+                    log.add_merges([(merged, new_class if merged == root else root)], name, iteration)
         return applied
 
     # -- the loop --------------------------------------------------------------
@@ -239,16 +247,17 @@ class SaturationEngine:
         self._seen = set()  # dedup is per run: a re-run starts fresh
         matcher = self.matcher
         # Provenance rides the installed-recorder gate, same as tracing: when
-        # no recorder is installed (the common case) nothing below this line
-        # touches the apply path.  Attaching seed-tags every existing e-node
-        # as "original" before the first rule fires.
+        # no recorder is installed (the common case) the run builds no log.
         recorder = obs_provenance.current_recorder()
+        log = None
         if recorder is not None:
-            recorder.attach(egraph)
+            log = obs_provenance.ProvenanceLog()
+            log.seed(egraph)
+        self.provenance = log
         # Resource sampling rides the same installed-observer gate: with no
         # sampler (the common case) the run and its to_dict payload are
-        # byte-identical to an unsampled build.  A sampled run attaches
-        # nothing: its curve is read off the e-graph's own counters.
+        # byte-identical to an unsampled build.  A sampled run's curve is
+        # read off the e-graph's own counters.
         start_counts = (egraph.num_rows, egraph.num_classes) if obs_resource.sampling_enabled() else None
         curve: List[Dict[str, int]] = []
         rule_stats: Dict[str, RuleProfile] = {
@@ -263,131 +272,120 @@ class SaturationEngine:
         run_span = obs.span("saturate", category="engine", scheduler=scheduler.name)
         start = time.perf_counter()
         with run_span:
-            try:
-                for iteration in range(limits.max_iterations):
-                    iter_start = time.perf_counter()
-                    if iter_start - start > limits.time_limit:
-                        stop_reason = "time_limit"
-                        break
-                    report = IterationReport(iteration=iteration)
-                    with obs.span(
-                        f"iteration {iteration}", category="saturation.iteration"
-                    ) as iter_span:
-                        # Phase 1: search every eligible rule against the
-                        # frozen graph.  ``restricted`` notes that the
-                        # scheduler held something back this iteration (a
-                        # banned rule, backoff-truncated matches): a quiet
-                        # iteration under scheduler restriction is not
-                        # saturation.  The hard match_limit_per_rule cap is
-                        # *not* a restriction — quiet under the cap saturated
-                        # the legacy runner too.
-                        searched: List[Tuple[int, List[SlotMatch]]] = []
-                        restricted = False
-                        with obs.span("search", category="saturation.phase") as search_span:
-                            # One shared trie walk for every active rule.
-                            # Ban accounting first, so banned rules' trie
-                            # branches are pruned from the walk itself.
-                            active: List[int] = []
-                            for rule_index, rule in enumerate(self.rules):
-                                stats = rule_stats[rule.name]
-                                if not scheduler.can_search(iteration, rule.name):
-                                    stats.banned_iterations += 1
-                                    report.banned.append(rule.name)
-                                    restricted = True
-                                else:
-                                    active.append(rule_index)
-                            with obs.span(
-                                "batched-match", category="saturation.search"
-                            ) as walk_span:
-                                per_rule = matcher.search(
-                                    egraph, active, limit=limits.match_limit_per_rule
-                                )
-                            # The walk is shared, so its cost cannot be split
-                            # honestly per rule: iteration-level search_time
-                            # carries the timing and per-rule search_time
-                            # stays zero.
-                            walk_span.set("rules", len(active))
-                            for rule_index in active:
-                                rule = self.rules[rule_index]
-                                stats = rule_stats[rule.name]
-                                matches = per_rule.pop(rule_index)
-                                allowed = scheduler.allowed_matches(
-                                    iteration, rule.name, len(matches)
-                                )
-                                if allowed < len(matches):
-                                    matches = matches[:allowed]
-                                    stats.times_banned += 1
-                                    restricted = True
-                                stats.matches_found += len(matches)
-                                report.matches_found += len(matches)
-                                searched.append((rule_index, matches))
-                            search_span.set("matches", report.matches_found)
-                        report.search_time = search_span.duration
+            for iteration in range(limits.max_iterations):
+                iter_start = time.perf_counter()
+                if iter_start - start > limits.time_limit:
+                    stop_reason = "time_limit"
+                    break
+                report = IterationReport(iteration=iteration)
+                with obs.span(f"iteration {iteration}", category="saturation.iteration") as iter_span:
+                    # Phase 1: search every eligible rule against the
+                    # frozen graph.  ``restricted`` notes that the
+                    # scheduler held something back this iteration (a
+                    # banned rule, backoff-truncated matches): a quiet
+                    # iteration under scheduler restriction is not
+                    # saturation.  The hard match_limit_per_rule cap is
+                    # *not* a restriction — quiet under the cap saturated
+                    # the legacy runner too.
+                    searched: List[Tuple[int, List[SlotMatch]]] = []
+                    restricted = False
+                    with obs.span("search", category="saturation.phase") as search_span:
+                        # One shared trie walk for every active rule.
+                        # Ban accounting first, so banned rules' trie
+                        # branches are pruned from the walk itself.
+                        active: List[int] = []
+                        for rule_index, rule in enumerate(self.rules):
+                            stats = rule_stats[rule.name]
+                            if not scheduler.can_search(iteration, rule.name):
+                                stats.banned_iterations += 1
+                                report.banned.append(rule.name)
+                                restricted = True
+                            else:
+                                active.append(rule_index)
+                        with obs.span("batched-match", category="saturation.search") as walk_span:
+                            per_rule = matcher.search(egraph, active, limit=limits.match_limit_per_rule)
+                        # The walk is shared, so its cost cannot be split
+                        # honestly per rule: iteration-level search_time
+                        # carries the timing and per-rule search_time
+                        # stays zero.
+                        walk_span.set("rules", len(active))
+                        for rule_index in active:
+                            rule = self.rules[rule_index]
+                            stats = rule_stats[rule.name]
+                            matches = per_rule.pop(rule_index)
+                            allowed = scheduler.allowed_matches(iteration, rule.name, len(matches))
+                            if allowed < len(matches):
+                                matches = matches[:allowed]
+                                stats.times_banned += 1
+                                restricted = True
+                            stats.matches_found += len(matches)
+                            report.matches_found += len(matches)
+                            searched.append((rule_index, matches))
+                        search_span.set("matches", report.matches_found)
+                    report.search_time = search_span.duration
 
-                        # Phase 2: apply rule by rule; the node budget is
-                        # checked between rules, and rules past the trip point
-                        # are recorded as skipped instead of silently dropped
-                        # from ``applied``.
-                        total_applied = 0
-                        budget_tripped = False
-                        with obs.span("apply", category="saturation.phase") as apply_span:
-                            for rule_index, matches in searched:
-                                rule = self.rules[rule_index]
-                                stats = rule_stats[rule.name]
-                                if budget_tripped:
-                                    report.skipped.append(rule.name)
-                                    stats.skipped_iterations += 1
-                                    continue
-                                with obs.span(rule.name, category="saturation.apply") as rule_span:
-                                    deduped_before = stats.matches_deduped
-                                    count = self._apply_rule(
-                                        rule_index, matches, stats, iteration, recorder
-                                    )
-                                stats.apply_time += rule_span.duration
-                                rule_span.set("applications", count)
-                                stats.applications += count
-                                report.matches_deduped += stats.matches_deduped - deduped_before
-                                report.applied[rule.name] = count
-                                total_applied += count
-                                if egraph.num_nodes > limits.max_nodes:
-                                    budget_tripped = True
-                            apply_span.set("applications", total_applied)
-                        report.apply_time = apply_span.duration
-                        # This iteration's matches die here, before the
-                        # rebuild and the next search allocate theirs: two
-                        # iterations' match lists never coexist.
-                        searched = matches = None
+                    # Phase 2: apply rule by rule; the node budget is
+                    # checked between rules, and rules past the trip point
+                    # are recorded as skipped instead of silently dropped
+                    # from ``applied``.
+                    total_applied = 0
+                    budget_tripped = False
+                    with obs.span("apply", category="saturation.phase") as apply_span:
+                        for rule_index, matches in searched:
+                            rule = self.rules[rule_index]
+                            stats = rule_stats[rule.name]
+                            if budget_tripped:
+                                report.skipped.append(rule.name)
+                                stats.skipped_iterations += 1
+                                continue
+                            with obs.span(rule.name, category="saturation.apply") as rule_span:
+                                deduped_before = stats.matches_deduped
+                                count = self._apply_rule(rule_index, matches, stats, iteration, log)
+                            stats.apply_time += rule_span.duration
+                            rule_span.set("applications", count)
+                            stats.applications += count
+                            report.matches_deduped += stats.matches_deduped - deduped_before
+                            report.applied[rule.name] = count
+                            total_applied += count
+                            if egraph.num_nodes > limits.max_nodes:
+                                budget_tripped = True
+                        apply_span.set("applications", total_applied)
+                    report.apply_time = apply_span.duration
+                    # This iteration's matches die here, before the
+                    # rebuild and the next search allocate theirs: two
+                    # iterations' match lists never coexist.
+                    searched = matches = None
 
-                        with obs.span("rebuild", category="saturation.phase") as rebuild_span:
-                            rebuild_span.set("dirty", len(egraph.worklist))
-                            rebuild_span.set("merges", egraph.rebuild())
-                        report.rebuild_time = rebuild_span.duration
+                    with obs.span("rebuild", category="saturation.phase") as rebuild_span:
+                        rebuild_span.set("dirty", len(egraph.worklist))
+                        merges = egraph.rebuild()
+                        rebuild_span.set("merges", len(merges))
+                    if log is not None:
+                        log.add_merges(merges, obs_provenance.REBUILD, -1)
+                    report.rebuild_time = rebuild_span.duration
 
-                        report.num_classes = egraph.num_classes
-                        report.num_nodes = egraph.num_nodes
-                        if start_counts is not None:
-                            curve.append(obs_resource.growth_point(iteration, egraph, start_counts))
-                        iter_span.set("classes", egraph.num_classes)
-                        iter_span.set("nodes", egraph.num_nodes)
-                        iter_span.set("applications", total_applied)
-                    report.elapsed = iter_span.duration
-                    iterations.append(report)
+                    report.num_classes = egraph.num_classes
+                    report.num_nodes = egraph.num_nodes
+                    if start_counts is not None:
+                        curve.append(obs_resource.growth_point(iteration, egraph, start_counts))
+                    iter_span.set("classes", egraph.num_classes)
+                    iter_span.set("nodes", egraph.num_nodes)
+                    iter_span.set("applications", total_applied)
+                report.elapsed = iter_span.duration
+                iterations.append(report)
 
-                    if total_applied == 0 and not restricted:
-                        stop_reason = "saturated"
-                        break
-                    if egraph.num_nodes > limits.max_nodes:
-                        stop_reason = "node_limit"
-                        break
-                    if egraph.num_classes > limits.max_classes:
-                        stop_reason = "class_limit"
-                        break
-                    if time.perf_counter() - start > limits.time_limit:
-                        stop_reason = "time_limit"
-                        break
-            finally:
-                if recorder is not None:
-                    recorder.detach(egraph)
+                if total_applied == 0 and not restricted:
+                    stop_reason = "saturated"
+                    break
+                if egraph.num_nodes > limits.max_nodes:
+                    stop_reason = "node_limit"
+                    break
+                if egraph.num_classes > limits.max_classes:
+                    stop_reason = "class_limit"
+                    break
+                if time.perf_counter() - start > limits.time_limit:
+                    stop_reason = "time_limit"
+                    break
             run_span.set("stop_reason", stop_reason)
             run_span.set("iterations", len(iterations))
         self.profile = SaturationProfile(
@@ -399,6 +397,8 @@ class SaturationEngine:
             dedup=self.dedup_matches,
             resource=None if start_counts is None else obs_resource.run_sample(curve),
         )
+        if log is not None:
+            recorder.graft(log)
         metrics = obs_registry()
         metrics.counter("saturation_runs_total", "saturation engine runs").inc()
         metrics.counter("saturation_matches_total", "matches found across runs").inc(

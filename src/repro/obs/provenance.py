@@ -1,13 +1,16 @@
 """Provenance-aware saturation: who created every e-node, and what it earned.
 
-The saturation engine can record, for every e-node it creates, the
-``(rule, iteration, matched class, substitution digest)`` that produced it —
-seed nodes (everything present when the recorder attaches to the e-graph)
-are tagged ``"original"``, and unions record merge provenance.  Recording
-follows the tracer-off idiom of :mod:`repro.obs.trace`: a module-global
-recorder is installed explicitly (``with recording() as log: ...``), the
-engine attaches it as an e-graph observer only when one is present, and the
-common un-recorded path pays nothing.
+While a recorder is installed, each saturation run records, for every e-node
+it creates, the ``(rule, iteration, matched class, substitution digest)``
+that produced it: the e-nodes present when the run starts are tagged
+``"original"``, each union a rule makes records its rule, and each merge
+congruence ``rebuild`` makes is tagged ``"rebuild"``.  The engine is the one
+writer: it fills a fresh :class:`ProvenanceLog` per run from the rows and
+merges the e-graph reports back, and grafts it into the installed recorder
+when the run returns.  Recording follows the tracer-off idiom of
+:mod:`repro.obs.trace`: a module-global recorder is installed explicitly
+(``with recording() as log: ...``), and the common un-recorded run builds
+no log at all.
 
 Cross-process safety mirrors trace spans exactly: :mod:`repro.obs.channel`
 installs a fresh local :class:`ProvenanceLog` around each pool task and ships
@@ -21,10 +24,11 @@ chosen e-nodes of a final extraction back through the log and emits a
 surviving into the final circuit → net ``(ands, levels)`` contribution vs
 the seed extraction (estimated by reverting the rule's surviving choices to
 the seed structure and re-realizing).  One canonicalization subtlety makes
-this work: congruence ``rebuild`` re-canonicalizes e-nodes *without* firing
-observer callbacks, so records are matched to chosen nodes by
-re-canonicalizing both under the e-graph's **final** union-find
-(:meth:`ProvenanceLog.canonical_index`) instead of by creation-time identity.
+this work: a node record keeps the children its row was created with, and
+congruence ``rebuild`` later merges those ids, so records are matched to
+chosen nodes by re-canonicalizing both under the e-graph's **final**
+union-find (:meth:`ProvenanceLog.canonical_index`) instead of by
+creation-time identity.
 """
 
 from __future__ import annotations
@@ -49,10 +53,10 @@ __all__ = [
     "subst_digest",
 ]
 
-#: The rule tag of nodes that predate recording (the seed circuit).
+#: The rule tag of the e-nodes present when a recorded run starts (the seed circuit).
 ORIGINAL = "original"
 
-#: The rule tag of unions performed by congruence repair (no rule context).
+#: The rule tag of the merges congruence ``rebuild`` makes (no rule applied).
 REBUILD = "rebuild"
 
 ATTRIBUTION_SCHEMA = 1
@@ -179,90 +183,57 @@ class MergeRecord:
 class ProvenanceLog:
     """Creation/union provenance of one (or several merged) saturation runs.
 
-    The log implements the e-graph observer protocol (``on_add``/``on_union``)
-    and is attached by the saturation engine when it is the installed
-    recorder.  :meth:`attach` seed-tags every e-node already in the graph as
-    ``"original"`` before observing, so the log is total over the graph: any
-    chosen node either has a rule record or is provably seed structure.
-    Everything in the log is plain picklable data.
+    A saturation run writes its own log: :meth:`seed` tags every e-node
+    already in the graph as ``"original"``, so the log is total over the
+    graph (any chosen node either has a rule record or is provably seed
+    structure), then :meth:`add_nodes` and :meth:`add_merges` append the
+    run's records.  Everything in the log is plain picklable data.
     """
 
     def __init__(self) -> None:
         self.nodes: List[NodeRecord] = []
         self.merges: List[MergeRecord] = []
-        self._context: Optional[Tuple[str, int, Optional[int], Optional[str]]] = None
 
-    def __len__(self) -> int:
-        return len(self.nodes)
+    def seed(self, egraph) -> None:
+        """Tag every e-node in ``egraph`` as ``original``."""
+        self.add_nodes(egraph.enodes(), ORIGINAL, -1, None, None)
 
-    # -- rule context (driven by the engine's apply loop) ---------------------
-
-    def set_context(
+    def add_nodes(
         self,
+        nodes: Iterable[Tuple[int, object]],
         rule: str,
         iteration: int,
-        matched_class: Optional[int] = None,
-        subst: Optional[str] = None,
+        matched_class: Optional[int],
+        subst: Optional[str],
     ) -> None:
-        """Tag subsequent creations/unions with the applying rule."""
-        self._context = (rule, iteration, matched_class, subst)
-
-    def clear_context(self) -> None:
-        self._context = None
-
-    # -- observer protocol ----------------------------------------------------
-
-    def on_add(self, class_id: int, enode) -> None:
-        rule, iteration, matched, subst = self._context or (ORIGINAL, -1, None, None)
-        self.nodes.append(
-            NodeRecord(
-                class_id=class_id,
-                op=enode.op,
-                children=tuple(enode.children),
-                payload=enode.payload,
-                rule=rule,
-                iteration=iteration,
-                matched_class=matched,
-                subst=subst,
-                pid=os.getpid(),
-            )
+        """One node record per ``(class id, e-node)``, built by ``rule``."""
+        pid = os.getpid()
+        self.nodes.extend(
+            NodeRecord(cid, node.op, node.children, node.payload, rule, iteration, matched_class, subst, pid)
+            for cid, node in nodes
         )
 
-    def on_union(self, root: int, other: int) -> None:
-        rule, iteration, _, _ = self._context or (REBUILD, -1, None, None)
-        self.merges.append(
-            MergeRecord(root=root, other=other, rule=rule, iteration=iteration, pid=os.getpid())
-        )
+    def add_merges(self, pairs: Iterable[Tuple[int, int]], rule: str, iteration: int) -> None:
+        """One merge record per ``(root, merged-away class)`` pair."""
+        pid = os.getpid()
+        self.merges.extend(MergeRecord(root, other, rule, iteration, pid) for root, other in pairs)
 
-    # -- attachment -----------------------------------------------------------
+    def stamp(self, **tags) -> None:
+        """Write ``tags`` (e.g. ``window=3``) into each record's ``extra`` in
+        place with ``setdefault``, so a tag a record already carries stays."""
+        for records in (self.nodes, self.merges):
+            for record in records:
+                for key, value in tags.items():
+                    record.extra.setdefault(key, value)
 
-    def attach(self, egraph) -> None:
-        """Seed-tag every existing e-node as ``original`` and start observing."""
-        for class_id, enode in egraph.enodes():
-            self.on_add(class_id, enode)
-        egraph.attach_observer(self)
-
-    def detach(self, egraph) -> None:
-        egraph.detach_observer(self)
-        self._context = None
-
-    def graft(self, other: "ProvenanceLog", **stamps) -> None:
+    def graft(self, other: "ProvenanceLog") -> None:
         """Append another log's records to this log.
 
-        ``other`` is an in-process scoped log (a saturation run's, a
-        partition window's) or a pool worker's.  The record objects move as
-        they are, so both logs share them.  ``stamps`` (e.g. ``window=3``)
-        are written into each record's ``extra`` in place with
-        ``setdefault``, so a tag the worker already applied survives; a
-        stamping graft therefore takes ownership of ``other``, which must
-        not be read again.  An unstamped graft changes no record.  The
-        recording ``pid`` is already in each record.
+        ``other`` is a saturation run's log or a pool worker's.  The record
+        objects move as they are, so both logs share them: a later
+        :meth:`stamp` on ``other`` reaches this log too.  The recording
+        ``pid`` is already in each record.
         """
-        if stamps:
-            for records in (other.nodes, other.merges):
-                for record in records:
-                    for key, value in stamps.items():
-                        record.extra.setdefault(key, value)
         self.nodes.extend(other.nodes)
         self.merges.extend(other.merges)
 
@@ -279,13 +250,13 @@ class ProvenanceLog:
         """Map every recorded e-node, canonicalized under the graph's *final*
         union-find, to its creation record.
 
-        Rebuild's congruence repair rewrites e-nodes (children remapped to
-        canonical ids) without observer callbacks, so creation-time identity
-        is not stable; re-canonicalizing both sides at lookup time is.  The
-        first writer wins on collisions — seed records are appended before
-        rule records, so a node that existed originally stays ``original``
-        even if a rule re-derived it.  Records whose ids do not belong to
-        this e-graph (a merged log spanning several graphs) are skipped.
+        A record keeps its row's creation-time children, which later merges
+        remap, so creation-time identity is not stable; re-canonicalizing
+        both sides at lookup time is.  The first writer wins on collisions —
+        seed records are appended before rule records, so a node that
+        existed originally stays ``original`` even if a rule re-derived it.
+        Records whose ids do not belong to this e-graph (a merged log
+        spanning several graphs) are skipped.
         """
         from repro.egraph.egraph import ENode
 
@@ -313,15 +284,13 @@ def recording_enabled() -> bool:
     return RECORDER.current is not None
 
 
-def recording(recorder: Optional[ProvenanceLog] = None):
+def recording():
     """Context manager: install a fresh recorder, yield it, restore the old one.
 
-    Call sites scope one log per saturation run (the pipeline's ``saturate``
-    pass, a partition window) so a log never spans two e-graphs' id spaces;
-    the scoped log is then grafted into the outer recorder, exactly like a
-    worker's tracer.
+    Each saturation run under it grafts its own log, which never spans two
+    e-graphs' id spaces, into the recorder when the run returns.
     """
-    return RECORDER.scoped(recorder if recorder is not None else ProvenanceLog())
+    return RECORDER.scoped(ProvenanceLog())
 
 
 # -- attribution ---------------------------------------------------------------

@@ -119,11 +119,11 @@ def sampling_enabled() -> bool:
     return SAMPLER.current is not None
 
 
-def sampling(sampler: Optional[ResourceSampler] = None):
+def sampling():
     """Context manager: install a fresh sampler, yield it, restore the old one.
 
     ``with sampling(): ...`` — nested uses stack correctly (the previous
     sampler comes back on exit), the same scoped form as ``obs.tracing()``
     and ``obs_provenance.recording()``.
     """
-    return SAMPLER.scoped(sampler or ResourceSampler())
+    return SAMPLER.scoped(ResourceSampler())

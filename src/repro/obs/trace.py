@@ -307,10 +307,10 @@ def instant(name: str, category: str = "", **args) -> None:
         tracer.instant(name, category=category, **args)
 
 
-def tracing(tracer: Optional[Tracer] = None):
+def tracing():
     """Context manager: install a fresh tracer, yield it, restore the old one.
 
     ``with tracing() as tracer: ...`` is the recommended scoped form — nested
     uses stack correctly (the previous tracer comes back on exit).
     """
-    return TRACER.scoped(tracer or Tracer())
+    return TRACER.scoped(Tracer())

@@ -19,7 +19,7 @@ Parallelism: windows ship to a ``ProcessPoolExecutor``; each task runs
 the captured observers with its result, and the parent absorbs them **in
 window-index order**, so observability output is deterministic.  The window
 index is stamped where records are produced (the ``window`` span, the
-window-scoped provenance graft and the window's resource sample in
+saturation's provenance log and the window's resource sample in
 :func:`optimize_window`), so a pooled run records exactly what an inline run
 records.  Results are a pure function of ``(aig, config, steps)``:
 ``workers=0`` (inline) and any pool size produce identical stitched
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -121,7 +120,9 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
     Every step is the registered pipeline pass of that name, run on a
     :class:`~repro.pipeline.context.FlowContext` over ``sub``; the only
     parameter the window changes is ``extract``'s ``seed``, which becomes
-    :func:`window_seed`\\ ``(seed, index)``.  Returns
+    :func:`window_seed`\\ ``(seed, index)``.  Under a provenance recorder,
+    the saturation's log, which the engine already grafted into the
+    installed recorder, is stamped with ``window=index``.  Returns
     ``(report, optimized_or_None)``; ``None`` means the window keeps its
     original cone.  Never raises — failures land in ``report.error``.
     """
@@ -137,27 +138,17 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
         outputs=sub.num_pos,
     )
     start = time.perf_counter()
-    plog = None
     ctx = FlowContext(aig=sub, original=sub, library=default_library())
     span = obs.span("window", category="partition.window", window=index, ands=sub.num_ands)
     try:
         with span:
-            with ExitStack() as scopes:
-                if obs_provenance.recording_enabled():
-                    # One scoped log per window: each window is its own
-                    # e-graph id space, so a shared log would mis-resolve
-                    # class ids.
-                    plog = scopes.enter_context(obs_provenance.recording())
-                resolve_pass("dag2eg").run(ctx, {})
-                for name, params in steps:
-                    spec = resolve_pass(name)
-                    if spec.name == "extract":
-                        # The log covers the e-graph's build and saturation
-                        # only; extraction records reach the outer observers.
-                        scopes.close()
-                        seed = params.get("seed", spec.params["seed"])
-                        params = {**params, "seed": window_seed(seed, index)}
-                    spec.run(ctx, params)
+            resolve_pass("dag2eg").run(ctx, {})
+            for name, params in steps:
+                spec = resolve_pass(name)
+                if spec.name == "extract":
+                    seed = params.get("seed", spec.params["seed"])
+                    params = {**params, "seed": window_seed(seed, index)}
+                spec.run(ctx, params)
             optimized = ctx.aig
             cec = check_equivalence(
                 sub, optimized, sim_words=GUARD_SIM_WORDS, conflict_budget=GUARD_CONFLICT_BUDGET
@@ -193,11 +184,10 @@ def optimize_window(index: int, sub: Aig, steps: Sequence[WindowStep]) -> Tuple[
     if optimized is None:
         report.ands_after = report.ands_before
         report.levels_after = report.levels_before
-    outer = obs_provenance.current_recorder()
-    if plog is not None and outer is not None:
-        # Graft the window's log into the enclosing recorder (the pipeline's,
-        # or the one a pool worker captures) window-stamped.
-        outer.graft(plog, window=index)
+    if ctx.provenance_log is not None:
+        # The records are shared with the installed recorder (the pipeline's,
+        # or the one a pool worker captures), so the stamp reaches it.
+        ctx.provenance_log.stamp(window=index)
     report.wall_time = time.perf_counter() - start
     return report, optimized
 

@@ -56,7 +56,7 @@ class FlowContext:
     partition_plan: Optional[object] = None
     #: Partitioned-run telemetry; set by ``stitch``.
     partition_profile: Optional[object] = None
-    #: Scoped provenance log of the last ``saturate``; only set while a
+    #: The last ``saturate`` run's own provenance log; only set while a
     #: provenance recorder is installed, invalidated with the e-graph.
     provenance_log: Optional[object] = None
     #: Rule-level QoR attribution; set by ``extract``/``stitch`` when a

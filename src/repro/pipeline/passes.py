@@ -286,6 +286,10 @@ def _pass_saturate(
     runner loop.  E-matching always runs the batched matcher's generated
     loops over the e-graph's integer rows.
 
+    Under a provenance recorder the run's own log, which the engine grafts
+    into the recorder, becomes ``ctx.provenance_log`` for ``extract`` to
+    attribute through.
+
     After a ``partition`` pass the validated parameters are *staged*: the
     pass records itself as the plan's ``saturate`` step, which every window
     runs when ``stitch`` does, instead of saturating a whole-circuit e-graph.
@@ -312,16 +316,8 @@ def _pass_saturate(
         scheduler=scheduler,
         dedup_matches=dedup,
     )
-    if obs_provenance.recording_enabled():
-        # Scope a fresh log per saturation run so one log never spans two
-        # e-graphs' id spaces, then graft its records into the outer recorder.
-        outer = obs_provenance.current_recorder()
-        with obs_provenance.recording() as plog:
-            ctx.rewrite_report = engine.run()
-        outer.graft(plog)
-        ctx.provenance_log = plog
-    else:
-        ctx.rewrite_report = engine.run()
+    ctx.rewrite_report = engine.run()
+    ctx.provenance_log = engine.provenance
     if ctx.rewrite_report.resource is not None:
         # Surface the run's resource sample at flow level (a later sampled
         # saturate in the same flow overwrites — latest run wins).

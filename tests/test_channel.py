@@ -57,7 +57,7 @@ class TestChannel:
         # The sampler is a switch: its graft moves nothing.
         with capture({"trace", "provenance", "resource"}) as captured:
             with span("job", label="adder"):
-                current_recorder().on_union(3, 4)
+                current_recorder().add_merges([(3, 4)], "rebuild", -1)
         payload = pickle.loads(pickle.dumps(captured.payload))
         with tracing() as tracer, recording() as log, sampling():
             absorb(payload)
@@ -68,7 +68,7 @@ class TestChannel:
     def test_payload_pickles_record_for_record(self):
         with capture({"trace", "provenance", "resource"}) as captured:
             with span("job", label="adder"):
-                current_recorder().on_union(3, 4)
+                current_recorder().add_merges([(3, 4)], "rebuild", -1)
                 current_recorder().nodes.append(NodeRecord(5, "AND", (3, 4), None, "r", 1, 2, "ab", 7))
             registry().gauge("best_cost").set(4)
         back = pickle.loads(pickle.dumps(captured.payload))

@@ -10,10 +10,12 @@ the kernels of :class:`~repro.egraph.egraph.EGraph` with it, and
 on both, and everything the storage holds must be equal: row columns, spans
 and parent lists (in order), hashcons items (in order), ``by_op``, the
 union-find lists (so ``find`` of every id), both counters, rebuild merges,
-the ``on_add``/``on_union`` sequences an attached observer sees, and then
-every class view and the snapshot's distinct e-nodes.  Inputs are full
-engine runs on the ten test-preset circuits at saturate-deep's budget and
-derandomized hypothesis add/union/rebuild/RHS programs.
+the write sequence (the ``on_add``/``on_union`` events the oracle's observer
+sees; the new storage's appended rows, effective unions and rebuild merge
+pairs, read back from what its write path returns), and then every class
+view and the snapshot's distinct e-nodes.  Inputs are full engine runs on
+the ten test-preset circuits at saturate-deep's budget and derandomized
+hypothesis add/union/rebuild/RHS programs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,12 @@ Key = Tuple
 class OracleEGraph(EGraph):
     """:class:`EGraph` with the replaced kernels, verbatim: every find is a
     ``find`` call, keys are built through ``map``/slices, and ``add_term``
-    re-canonicalizes and re-probes whatever its caller already probed."""
+    re-canonicalizes and re-probes whatever its caller already probed.  It
+    keeps the replaced observer list and calls its ``on_add``/``on_union``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.observers: List[object] = []
 
     def add_term(self, op: str, children: Iterable[int] = (), payload: Optional[str] = None) -> int:
         find = self.union_find.find
@@ -263,6 +270,58 @@ class Recorder:
         self.events.append(("union", root, other))
 
 
+class Writes:
+    """The new storage's side of the :class:`Recorder` events, read back from
+    what its write path returns: the rows appended since the last read
+    (:meth:`~repro.egraph.egraph.EGraph.rows_since`) before each effective
+    ``union()`` and its root, and ``rebuild()``'s merge pairs.  Wraps the
+    instance's ``union`` and ``rebuild``; the unions a rebuild makes are
+    taken from the pairs it returns."""
+
+    def __init__(self, egraph: EGraph) -> None:
+        self.egraph = egraph
+        self.events: List[tuple] = []
+        self.rows = egraph.num_rows
+        self.rebuilding = False
+        self._union, self._rebuild = egraph.union, egraph.rebuild
+        egraph.union, egraph.rebuild = self.union, self.rebuild
+
+    def flush(self) -> None:
+        """Log the rows appended since the last read as ``add`` events."""
+        self.events.extend(("add", cid, node) for cid, node in self.egraph.rows_since(self.rows))
+        self.rows = self.egraph.num_rows
+
+    def union(self, a: int, b: int) -> int:
+        if self.rebuilding:
+            return self._union(a, b)
+        self.flush()
+        ra, rb = self.egraph.find(a), self.egraph.find(b)
+        root = self._union(a, b)
+        if ra != rb:
+            self.events.append(("union", root, rb if root == ra else ra))
+        return root
+
+    def rebuild(self) -> List[Tuple[int, int]]:
+        self.flush()
+        self.rebuilding = True
+        try:
+            merges = self._rebuild()
+        finally:
+            self.rebuilding = False
+        self.events.extend(("union", root, other) for root, other in merges)
+        return merges
+
+
+def oracle_merges(egraph: OracleEGraph, events: Recorder) -> List[Tuple[int, int]]:
+    """The oracle's rebuild under the new return contract: its merges as the
+    ``(root, other)`` events its observer saw, as many as it counted."""
+    start = len(events.events)
+    count = OracleEGraph.rebuild(egraph)
+    merges = [(root, other) for _, root, other in events.events[start:]]
+    assert len(merges) == count
+    return merges
+
+
 def storage(egraph: EGraph) -> dict:
     """Everything the storage holds, ordered as it is stored."""
     return {
@@ -324,9 +383,8 @@ class Lockstep:
 
     def __init__(self) -> None:
         self.new, self.old = EGraph(), OracleEGraph()
-        self.new_events, self.old_events = Recorder(), Recorder()
-        self.new.attach_observer(self.new_events)
-        self.old.attach_observer(self.old_events)
+        self.new_events, self.old_events = Writes(self.new), Recorder()
+        self.old.observers.append(self.old_events)
         self.ids: List[int] = []
 
     def pick(self, index: int) -> int:
@@ -357,11 +415,12 @@ class Lockstep:
         else:
             dirty = (len(self.new.worklist), len(self.old.worklist))
             assert dirty[0] == dirty[1]
-            result = (self.new.rebuild(), self.old.rebuild())
+            result = (len(self.new.rebuild()), self.old.rebuild())
         assert result[0] == result[1], step
         if kind not in ("union", "rebuild"):
             self.ids.append(result[0])
         assert_same_storage(self.new, self.old)
+        self.new_events.flush()
         assert self.new_events.events == self.old_events.events
 
     def run(self, program: List[tuple]) -> None:
@@ -425,7 +484,7 @@ DEEP = dict(max_iterations=4, max_nodes=150000, time_limit=600.0)
 
 def _engine_run(circuit: str, oracle: bool, monkeypatch) -> tuple:
     """Convert and saturate ``circuit`` on one storage; returns the graph,
-    its observer, the trajectory and the rebuild spans' counters."""
+    its write events, the trajectory and the rebuild spans' counters."""
     graph_class = OracleEGraph if oracle else EGraph
     monkeypatch.setattr(dag2eg, "EGraph", graph_class)
     monkeypatch.setattr(engine_module, "_run_rhs", oracle_run_rhs if oracle else _run_rhs)
@@ -433,10 +492,18 @@ def _engine_run(circuit: str, oracle: bool, monkeypatch) -> tuple:
         circuit_egraph = dag2eg.aig_to_egraph(epfl.build(circuit, preset="test"))
         egraph = circuit_egraph.egraph
         assert type(egraph) is graph_class
-        events = Recorder()
-        egraph.attach_observer(events)
+        if oracle:
+            events = Recorder()
+            egraph.observers.append(events)
+            egraph.rebuild = lambda: oracle_merges(egraph, events)
+        else:
+            events = Writes(egraph)
         with tracing() as tracer:
             profile = SaturationEngine(egraph, boolean_rules(), limits=EngineLimits(**DEEP)).run()
+        if not oracle:
+            events.flush()
+            del egraph.union
+        del egraph.rebuild
     finally:
         monkeypatch.undo()
     rebuilds = [

@@ -274,7 +274,8 @@ def oracle_optimize_window(index, sub, cfg):
         report.levels_after = report.levels_before
     outer = obs_provenance.current_recorder()
     if plog is not None and outer is not None:
-        outer.graft(plog, window=index)
+        plog.stamp(window=index)
+        outer.graft(plog)
     report.wall_time = time.perf_counter() - start
     return report, optimized
 

@@ -7,11 +7,15 @@ from __future__ import annotations
 
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.benchgen import control, epfl
 from repro.conversion.dag2eg import aig_to_egraph
+from repro.egraph.egraph import EGraph
+from repro.egraph.language import AND, NOT, OR
+from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost
@@ -20,6 +24,7 @@ from repro.obs.export import to_derivation_dot, to_derivation_json, write_deriva
 from repro.obs.metrics import MetricsRegistry, registry, reset_registry
 from repro.obs.provenance import (
     ORIGINAL,
+    REBUILD,
     ProvenanceLog,
     RuleAttribution,
     attribute_extraction,
@@ -28,10 +33,36 @@ from repro.obs.provenance import (
     recording_enabled,
     subst_digest,
 )
+from repro.obs.trace import tracing
 from repro.partition import PartitionConfig, partitioned_optimize
 from repro.pipeline import Pipeline
 
 LIMITS = EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=30.0)
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The flows pinned in ``tests/fixtures/provenance_derivation.json``, on test
+#: ``mem_ctrl``: one monolithic saturation, and one partitioned flow on a
+#: two-process pool whose records all carry their window's stamp.
+PINNED_FLOWS = (
+    "st; dag2eg; saturate(iters=1); extract(greedy)",
+    "st; partition(k=30, workers=2); saturate(iters=1, max_nodes=2000); extract(greedy); stitch",
+)
+
+
+def pinned_derivations():
+    """Each pinned flow's derivation JSON (pids zeroed) and attribution."""
+    aig = epfl.build("mem_ctrl", preset="test")
+    flows = []
+    for script in PINNED_FLOWS:
+        with recording() as log:
+            result = Pipeline.from_script(script).run_flow(aig)
+        derivation = to_derivation_json(log)
+        for record in derivation["nodes"] + derivation["merges"]:
+            record["pid"] = 0
+        flows.append(
+            {"script": script, "derivation": derivation, "attribution": result.attribution.to_dict()}
+        )
+    return {"circuit": "mem_ctrl", "preset": "test", "flows": flows}
 
 
 def _circuit(seed: int = 3):
@@ -52,9 +83,10 @@ class TestRecorderGate:
         _, circuit = _circuit()
         assert not recording_enabled()
         assert current_recorder() is None
-        _saturate(circuit)
-        # No recorder installed: the engine attaches no observer at all.
-        assert circuit.egraph.observers == []
+        engine = SaturationEngine(circuit.egraph, boolean_rules(), LIMITS)
+        engine.run()
+        # No recorder installed: the run builds no log at all.
+        assert engine.provenance is None
 
     def test_recording_scopes_and_restores(self):
         assert not recording_enabled()
@@ -65,14 +97,18 @@ class TestRecorderGate:
             assert current_recorder() is outer
         assert not recording_enabled()
 
-    def test_engine_attaches_and_detaches(self):
+    def test_engine_grafts_its_own_log(self):
         _, circuit = _circuit()
+        engine = SaturationEngine(circuit.egraph, boolean_rules(), LIMITS)
         with recording() as log:
-            _saturate(circuit)
-        # The observer must not outlive the run (later passes mutate freely).
-        assert circuit.egraph.observers == []
+            engine.run()
+        # The run's own log is grafted as it is: the installed recorder holds
+        # the same record objects, in the same order.
         assert len(log.nodes) > 0
         assert len(log.merges) > 0
+        for mine, installed in ((engine.provenance.nodes, log.nodes), (engine.provenance.merges, log.merges)):
+            assert len(mine) == len(installed)
+            assert all(a is b for a, b in zip(mine, installed))
 
 
 # --------------------------------------------------------------------------
@@ -96,6 +132,45 @@ class TestRecords:
         assert all(r.iteration >= 0 and r.subst is not None for r in derived)
         assert all(r.pid > 0 for r in log.nodes)
 
+    def test_merges_are_the_runs_unions(self):
+        # One merge per applied match under its rule and iteration, then one
+        # per pair ``rebuild`` returned, tagged ``rebuild`` at iteration -1.
+        _, circuit = _circuit()
+        with tracing() as tracer, recording() as log:
+            profile = _saturate(circuit)
+        rebuilt = sum(r.args["merges"] for r in tracer.records if r.name == "rebuild")
+        by_rules = [m for m in log.merges if m.rule != REBUILD]
+        by_rebuild = [m for m in log.merges if m.rule == REBUILD]
+        assert rebuilt > 0 and len(by_rebuild) == rebuilt
+        assert all(m.iteration == -1 for m in by_rebuild)
+        assert len(by_rules) == profile.total_applications
+        assert all(m.iteration >= 0 for m in by_rules)
+
+    def test_a_match_merged_away_earlier_in_the_phase_records_its_root(self):
+        # and-to-or merges the AND class into the larger OR/NOT class before
+        # and-comm applies its match on the AND class: and-comm's new node and
+        # union are recorded against the root it applied under.
+        egraph = EGraph()
+        a, b = egraph.var("a"), egraph.var("b")
+        x = egraph.add_term(AND, [a, b])
+        y = egraph.union(egraph.add_term(OR, [a, b]), egraph.add_term(NOT, [a]))
+        egraph.rebuild()
+        rules = [
+            Rewrite.from_strings("and-to-or", "(AND ?a ?b)", "(OR ?a ?b)"),
+            Rewrite.from_strings("and-comm", "(AND ?a ?b)", "(AND ?b ?a)"),
+        ]
+        with recording() as log:
+            SaturationEngine(egraph, rules, EngineLimits(max_iterations=1), scheduler="simple").run()
+        new = egraph.num_rows - 1
+        derived = [
+            (r.class_id, r.op, r.children, r.rule, r.iteration, r.matched_class)
+            for r in log.nodes
+            if r.rule != ORIGINAL
+        ]
+        assert derived == [(new, AND, (b, a), "and-comm", 0, y)]
+        merges = [(m.root, m.other, m.rule, m.iteration) for m in log.merges]
+        assert merges == [(y, x, "and-to-or", 0), (y, new, "and-comm", 0)]
+
     def test_subst_digest_is_order_insensitive_and_stable(self):
         a = subst_digest({"x": 3, "y": 7})
         b = subst_digest({"y": 7, "x": 3})
@@ -103,15 +178,17 @@ class TestRecords:
         assert len(a) == 8 and int(a, 16) >= 0
         assert subst_digest({"x": 4, "y": 7}) != a
 
-    def test_graft_stamping(self):
+    def test_stamp_keeps_existing_tags_and_reaches_grafts(self):
         _, circuit = _circuit()
         with recording() as log:
             _saturate(circuit)
-        # A worker-applied stamp survives the parent's graft (setdefault).
+        # A tag a record already carries survives the stamp (setdefault).
         log.nodes[0].extra["window"] = 0
         log.merges[0].extra["window"] = 0
         grafted = ProvenanceLog()
-        grafted.graft(log, window=5)
+        grafted.graft(log)
+        log.stamp(window=5)
+        # A graft shares the record objects, so the stamp reaches it too.
         assert grafted.nodes == log.nodes and grafted.merges == log.merges
         assert grafted.nodes[0].extra["window"] == 0
         assert grafted.merges[0].extra["window"] == 0
@@ -216,11 +293,11 @@ class TestPipelineParity:
         assert report is not None
         assert result.to_dict()["attribution"]["total_ands"] == report.total_ands
         assert result.metrics["attribution_derived_ands"] == report.derived_ands
-        # The saturate pass scopes its own log and grafts it into ours.
+        # The saturation run grafts its own log into ours.
         assert len(outer.nodes) > 0
 
     def test_in_process_graft_equals_the_pickle_round_trip(self, monkeypatch):
-        # The saturate pass moves its scoped log's records into the outer
+        # The saturation run moves its own log's records into the outer
         # log; grafting a pickled copy, as a pool ships it, logs the same.
         aig = epfl.build("hyp", preset="test")
         script = "st; dag2eg; saturate(iters=3, max_nodes=8000); extract(greedy)"
@@ -230,7 +307,7 @@ class TestPipelineParity:
         monkeypatch.setattr(
             ProvenanceLog,
             "graft",
-            lambda self, other, **stamps: graft(self, pickle.loads(pickle.dumps(other)), **stamps),
+            lambda self, other: graft(self, pickle.loads(pickle.dumps(other))),
         )
         with recording() as round_trip:
             Pipeline.from_script(script).run_flow(aig)
@@ -249,6 +326,15 @@ class TestPipelineParity:
             again = Pipeline.from_script(f"{prefix}; dag2eg; extract(greedy)").run_flow(aig)
         assert first.attribution is not None
         assert again.attribution.to_dict() == first.attribution.to_dict()
+
+
+class TestPinnedDerivation:
+    def test_derivations_match_the_fixture(self):
+        # tests/fixtures/provenance_derivation.json: every record of both
+        # pinned flows, in order, window stamps included, and each flow's
+        # attribution (288 nodes and 118 merges, then 298 and 115).
+        pinned = json.loads((FIXTURES / "provenance_derivation.json").read_text())
+        assert pinned_derivations() == pinned
 
 
 # --------------------------------------------------------------------------

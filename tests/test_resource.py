@@ -1,6 +1,7 @@
 """Resource-sampler tests: gate semantics, growth curves read off the
-e-graph's counters (checked against an observer-count oracle), sampler-off
-byte-parity, the pinned sampled payload, and inline == pool windows."""
+e-graph's counters (checked against an insertion/union-count oracle),
+sampler-off byte-parity, the pinned sampled payload, and inline == pool
+windows."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import pytest
 
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
-from repro.egraph.egraph import EGraph
 from repro.egraph.rules import boolean_rules
 from repro.engine.engine import EngineLimits, SaturationEngine
 from repro.obs.resource import (
@@ -38,25 +38,33 @@ def _run_engine(aig):
 
 
 class EventCounter:
-    """The oracle: the e-graph observer the sampler used to attach per run,
-    counting ``on_add``/``on_union`` events."""
+    """The oracle: counts the events the sampler's old e-graph observer
+    counted (``on_add`` per new class, ``on_union`` per merge) by wrapping
+    the instance's ``add_key`` (a key the hashcons lacks makes a class) and
+    ``union`` (an effective one merges), not by reading the counters."""
 
-    def __init__(self) -> None:
+    def __init__(self, egraph) -> None:
         self.adds = 0
         self.unions = 0
+        add_key, union = egraph.add_key, egraph.union
 
-    def on_add(self, class_id, enode) -> None:
-        self.adds += 1
+        def counted_add_key(key, payload=None):
+            self.adds += key not in egraph.hashcons
+            return add_key(key, payload)
 
-    def on_union(self, root, other) -> None:
-        self.unions += 1
+        def counted_union(a, b):
+            self.unions += egraph.find(a) != egraph.find(b)
+            return union(a, b)
+
+        egraph.add_key, egraph.union = counted_add_key, counted_union
 
 
 def _counted_run(egraph, limits):
-    """One sampled run with the oracle attached; returns the run's sample and
-    the oracle's ``(adds, unions)`` after every rebuild (the engine rebuilds
-    once per iteration, right before it reads the curve point)."""
-    counter = EventCounter()
+    """One sampled run with the oracle wrapped around the e-graph; returns
+    the run's sample and the oracle's ``(adds, unions)`` after every rebuild
+    (the engine rebuilds once per iteration, right before it reads the curve
+    point)."""
+    counter = EventCounter(egraph)
     counts = []
     rebuild = egraph.rebuild
 
@@ -65,14 +73,12 @@ def _counted_run(egraph, limits):
         counts.append((counter.adds, counter.unions))
         return merges
 
-    egraph.attach_observer(counter)
     egraph.rebuild = counted_rebuild
     try:
         with sampling():
             profile = SaturationEngine(egraph, boolean_rules(), limits).run()
     finally:
-        del egraph.rebuild
-        egraph.detach_observer(counter)
+        del egraph.rebuild, egraph.add_key, egraph.union
     return profile.resource, counts
 
 
@@ -114,17 +120,6 @@ class TestEngineSampling:
         assert res["curve"][-1]["nodes"] == profile.final_nodes
         assert res["peak_rss_bytes"] > 0
 
-    def test_sampling_attaches_no_observer(self, small_adder, monkeypatch):
-        # The sample is read off the e-graph's counters: a sampled run leaves
-        # the insertion path without observers.
-        def refuse(self, observer):
-            raise AssertionError("a sampled saturation attached an e-graph observer")
-
-        monkeypatch.setattr(EGraph, "attach_observer", refuse)
-        with sampling():
-            _, profile = _run_engine(small_adder)
-        assert profile.resource is not None and profile.resource["curve"]
-
     def test_off_run_identical_to_never_installed(self, small_adder):
         """The sampler-off payload is byte-identical whether a sampler ever
         existed in the process or not (the gate reads one global per run)."""
@@ -150,7 +145,7 @@ class TestEngineSampling:
 
 class TestCountersMatchObserver:
     """Each curve point's ``adds``/``unions``, read off the e-graph's row and
-    class counters, equal what an attached observer counts."""
+    class counters, equal what the old observer counted."""
 
     @pytest.mark.parametrize("max_nodes", [DEEP.max_nodes, 300])
     @pytest.mark.parametrize("circuit", list(epfl.available_circuits()))
@@ -165,7 +160,7 @@ class TestCountersMatchObserver:
         egraph = aig_to_egraph(small_adder).egraph
         first, first_counts = _counted_run(egraph, LIMITS)
         second, second_counts = _counted_run(egraph, LIMITS)
-        # Each run's oracle is attached fresh, so it counts from that run's start.
+        # Each run's oracle is wrapped fresh, so it counts from that run's start.
         assert_curve_matches_oracle(first, first_counts)
         assert_curve_matches_oracle(second, second_counts)
 
